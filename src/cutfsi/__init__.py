@@ -13,13 +13,13 @@ from .analysis import (Analyzer, ErrorReport, convergence_order,
                        verify_energy_decay)
 from .config import ConfigError, SimulationConfig, format_config, parse_config
 from .discretization import BlockLayout, Discretization
-from .geometry import CircleLevelSet, Region
+from .geometry import CircleLevelSet
 from .mesh import CellClass, CutTopology, Mesh, build_cut_topology, build_mesh
 from .stepper import State, StepRecord, TimeStepper
 
 __all__ = [
     "Analyzer", "BlockLayout", "CellClass", "CircleLevelSet", "ConfigError",
-    "CutTopology", "Discretization", "ErrorReport", "Mesh", "Region",
+    "CutTopology", "Discretization", "ErrorReport", "Mesh",
     "SimulationConfig", "State", "StepRecord", "TimeStepper",
     "build_cut_topology", "build_mesh", "convergence_order",
     "error_vs_reference", "format_config", "ghost_extension_ratios",

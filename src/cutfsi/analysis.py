@@ -7,14 +7,15 @@ points (nested meshes make reference cell lookup exact).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import Forms, _Coo, _assemble_scalar_cells, _div_div, _eps_form, \
-    _mass, _stiff, assemble_forms, interface_penalty_matrix, raw_jump_matrices
+from .assembly import (SCALAR_KERNELS, Forms, _div_div, _eps_form,
+                       assemble_cells, assemble_forms, raw_jump_matrices)
 from .discretization import Discretization
-from .fem import physical_eval, reference_basis
+from .fem import reference_basis
 from .stepper import State, TimeStepper
 
 ERROR_NORMS = ("vf_T", "vs_T", "grad_u_T", "grad_vf_I", "h_grad_p_I")
@@ -58,7 +59,7 @@ def evaluate_scalar(disc: Discretization, block: str, coefs: np.ndarray,
 
 def domain_points(disc: Discretization, side: str):
     """(points, weights, cells) covering Omega_i with the cut quadrature."""
-    full, cut = disc.cell_quadrature(side, physical=True)
+    full, cut = disc.cell_quadrature(side)
     pts_list, w_list, cell_list = [], [], []
     if len(full):
         origins = disc.mesh.cell_origin(full)  # (nc, 2)
@@ -84,65 +85,32 @@ class Analyzer:
     def __init__(self, disc: Discretization, forms: Forms | None = None):
         self.disc = disc
         self.forms = forms if forms is not None else assemble_forms(disc)
-        self._scalar_mats: dict = {}
-        self._vector_mats: dict = {}
+        self._mats: dict = {}
         self._iface_pen = None
 
-    def scalar_matrix(self, block: str, physical: bool, operator: str):
-        key = (block, physical, operator)
-        if key not in self._scalar_mats:
-            dm = self.disc.dofmap(block)
-            acc = _Coo((dm.n_scalar, dm.n_scalar))
-            if operator == "value":
-                _assemble_scalar_cells(self.disc, acc, block, block, physical, _mass)
-            else:
-                self._assemble_scalar_stiff(acc, block, physical)
-            self._scalar_mats[key] = acc.tocsr()
-        return self._scalar_mats[key]
+    def _cell_matrix(self, kernel, block: str, physical: bool, key):
+        if key not in self._mats:
+            domain = "physical" if physical else "extended"
+            self._mats[key] = assemble_cells(self.disc, kernel, block, domain=domain)
+        return self._mats[key]
 
-    def _assemble_scalar_stiff(self, acc, block, physical):
-        disc = self.disc
-        dm = disc.dofmap(block)
-        side = dm.side
-        full, cut = disc.cell_quadrature(side, physical)
-        if len(full):
-            t = disc.full_cell_tables(dm.order)
-            local = _stiff((t[1], t[2]), (t[1], t[2]), disc.full_cell_weights)
-            rows = dm.cell_dofs[dm.cell_index[full]]
-            acc.add_many(rows, rows, local)
-        for cell, pts, w in cut:
-            t = disc.tables_at(dm.order, cell, pts)
-            ids = disc.cell_scalar_dofs(block, cell)
-            acc.add(ids, ids, _stiff((t[1], t[2]), (t[1], t[2]), w))
+    def scalar_matrix(self, block: str, physical: bool, operator: str):
+        """Scalar L2 matrix of the value or the gradient on one block's space."""
+        return self._cell_matrix(SCALAR_KERNELS[operator], block, physical,
+                                 (block, physical, operator))
 
     def vector_matrix(self, block: str, physical: bool, kind: str):
         """eps (int eps:eps) or divdiv (int div div) on a vector space."""
-        key = (block, physical, kind)
-        if key not in self._vector_mats:
-            disc = self.disc
-            dm = disc.dofmap(block)
-            nloc = 2 * dm.n_scalar
-            acc = _Coo((nloc, nloc))
-            kernel = _eps_form if kind == "eps" else _div_div
-            full, cut = disc.cell_quadrature(dm.side, physical)
-            if len(full):
-                t = disc.full_cell_tables(dm.order)
-                local = kernel(t, disc.full_cell_weights)
-                sc = dm.cell_dofs[dm.cell_index[full]]
-                ids = np.concatenate([c * dm.n_scalar + sc for c in range(2)], axis=1)
-                acc.add_many(ids, ids, local)
-            for cell, pts, w in cut:
-                t = disc.tables_at(dm.order, cell, pts)
-                sc = disc.cell_scalar_dofs(block, cell)
-                ids = np.concatenate([c * dm.n_scalar + sc for c in range(2)])
-                acc.add(ids, ids, kernel(t, w))
-            self._vector_mats[key] = acc.tocsr()
-        return self._vector_mats[key]
+        kernel = _eps_form if kind == "eps" else _div_div
+        return self._cell_matrix(kernel, block, physical, (block, physical, kind))
 
     @property
     def interface_penalty(self):
+        """Quadratic form int_Gamma |v_f - v_s|^2 on the step system."""
         if self._iface_pen is None:
-            self._iface_pen = interface_penalty_matrix(self.disc)
+            cfg = self.disc.cfg
+            self._iface_pen = self.forms.nitsche_pen / (
+                cfg.rho_f * cfg.nu_f * cfg.gamma_N / self.disc.h)
         return self._iface_pen
 
     # -- norms --------------------------------------------------------------
@@ -185,7 +153,7 @@ class Analyzer:
             + self.quad_form(self.forms.ghost_u, u[disc.s.n_scalar:])
         g_p = self.quad_form(self.forms.ghost_p, p)
         E_g2 = 0.5 * cfg.rho_s * g_vs + cfg.mu_s * g_u
-        trace2 = self.quad_form(self.interface_penalty, x) / disc.h
+        trace2 = self.quad_form(self.interface_penalty, x[:lay.n_system]) / disc.h
         triple2 = (cfg.rho_f * cfg.nu_f
                    * self.field_norm("vf", vf, False, "gradient") ** 2
                    + cfg.rho_f * cfg.nu_f * cfg.gamma_N * trace2 + g_p)
@@ -346,18 +314,13 @@ def ghost_extension_ratios(disc: Discretization, side: str, order: int,
     """
     block = {"f": {disc.cfg.m_f: "vf", disc.cfg.m_f - 1: "p"},
              "s": {disc.cfg.m_s: "vs"}}[side][order]
-    ana = Analyzer.__new__(Analyzer)
-    ana.disc = disc
-    ana._scalar_mats = {}
-    ana._vector_mats = {}
-    ana._iface_pen = None
-    op = "value" if l == 0 else "gradient"
-    M_comp = ana.scalar_matrix(block, False, op)
-    rhs_mat = _uncut_scalar_matrix(disc, block, op)
+    kernel = SCALAR_KERNELS["value" if l == 0 else "gradient"]
+    M_comp = assemble_cells(disc, kernel, block, domain="extended")
+    rhs_mat = assemble_cells(disc, kernel, block, domain="uncut")
     if gamma_on:
         raws = raw_jump_matrices(disc, side, order, w_max=w_max)
         for j in range(1, order + 1):
-            coeff = disc.h ** (2 * (j - l) + 1) / _factorial(j - l) ** 2
+            coeff = disc.h ** (2 * (j - l) + 1) / math.factorial(j - l) ** 2
             rhs_mat = rhs_mat + coeff * raws[j - 1]
     dm = disc.dofmap(block)
     cut_dofs = [dm.cell_dofs[dm.cell_index[int(c)]]
@@ -380,29 +343,6 @@ def ghost_extension_ratios(disc: Discretization, side: str, order: int,
             continue
         worst = max(worst, lhs / rhs)
     return worst
-
-
-def _factorial(m: int) -> float:
-    out = 1.0
-    for i in range(2, m + 1):
-        out *= i
-    return out
-
-
-def _uncut_scalar_matrix(disc: Discretization, block: str, operator: str):
-    """Scalar mass/stiffness over the uncut cells of the block's side."""
-    dm = disc.dofmap(block)
-    full = disc.topo.uncut_cells(dm.side)
-    acc = _Coo((dm.n_scalar, dm.n_scalar))
-    t = disc.full_cell_tables(dm.order)
-    if operator == "value":
-        local = _mass(t[0], t[0], disc.full_cell_weights)
-    else:
-        local = _stiff((t[1], t[2]), (t[1], t[2]), disc.full_cell_weights)
-    if len(full):
-        rows = dm.cell_dofs[dm.cell_index[full]]
-        acc.add_many(rows, rows, local)
-    return acc.tocsr()
 
 
 def random_smooth_state(disc: Discretization, seed: int = 0) -> State:

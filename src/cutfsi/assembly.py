@@ -5,17 +5,22 @@ penalties over full faces of the ghost face sets, Nitsche coupling over the
 exact interface arcs.  Uncut cells share one local matrix per form (uniform
 affine cells), so only the O(n) cut cells, ghost faces and arcs are
 assembled individually.
+
+The solved unknowns are (v_f, p, v_s).  Backward Euler on the first-order
+elasticity gives u^n = u^{n-1} + k v_s^n, so the displacement is never an
+unknown: its forms act on v_s with an extra factor k.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .discretization import Discretization
-from .fem import reference_basis
+from .fem import normal_derivative_jump, reference_basis
 from .quadrature import gauss_1d
 
 
@@ -61,6 +66,16 @@ class _Coo:
         return m.tocsr()
 
 
+def _component_ids(ids, n_scalar: int, ncomp: int, offset: int = 0) -> np.ndarray:
+    """Where the components of scalar dofs sit: offset + c * n_scalar + ids.
+
+    Components are stacked component-major along the last axis.  Every cell,
+    arc and block placement of this module goes through here.
+    """
+    return np.concatenate([offset + c * n_scalar + ids for c in range(ncomp)],
+                          axis=-1)
+
+
 # -- local kernels (tables: N, Gx, Gy of shape (q, nb); w of shape (q,)) ----
 
 def _mass(Nr, Nc, w):
@@ -102,12 +117,12 @@ def _viscous(tabs, w, factor):
     return _blocks_to_local(blocks)
 
 
-def _eps_form(tabs, w):
+def _eps_form(tabs, _tabs_col, w):
     """int eps(u):eps(v); equals half of the viscous kernel with factor 1."""
     return 0.5 * _viscous(tabs, w, 1.0)
 
 
-def _div_div(tabs, w):
+def _div_div(tabs, _tabs_col, w):
     """int (div u)(div v): blocks[a][b] = G_a^T W G_b."""
     _, Gx, Gy = tabs
     G = (Gx, Gy)
@@ -117,7 +132,7 @@ def _div_div(tabs, w):
 
 def _solid_bulk(tabs, w, mu, lam):
     """int sigma_s(u) : grad(v) = 2 mu eps:eps + lam div div."""
-    return _viscous(tabs, w, mu) + lam * _div_div(tabs, w)
+    return _viscous(tabs, w, mu) + lam * _div_div(tabs, tabs, w)
 
 
 def _grad_p(tabs_v, tabs_p, w):
@@ -134,49 +149,59 @@ def _div_q(tabs_p, tabs_v, w):
     return np.hstack([P.T @ (w[:, None] * Gx), P.T @ (w[:, None] * Gy)])
 
 
-# -- cell-based assembly over a (sub)domain ---------------------------------
+# Scalar kernels by operator name: L2 of the value or of the gradient.
+SCALAR_KERNELS = {
+    "value": lambda tr, tc, w: _mass(tr[0], tc[0], w),
+    "gradient": lambda tr, tc, w: _stiff(tr[1:], tc[1:], w),
+}
 
-def assemble_cells(disc: Discretization, acc: _Coo, row_block: str,
-                   col_block: str, side: str, physical: bool, kernel) -> None:
-    """Assemble a cell-based form.
 
-    ``kernel(tabs_row, tabs_col, w)`` returns the local matrix in the block
-    dof layout (component-major for vector blocks).
+# -- the cell assembler -----------------------------------------------------
+
+def assemble_cells(disc: Discretization, kernel, row: str,
+                   col: str | None = None,
+                   domain: str = "physical") -> sp.csr_matrix:
+    """Matrix of a cell integral on the dofs of blocks ``row`` x ``col``.
+
+    ``kernel(tabs_row, tabs_col, w)`` maps (N, Gx, Gy) tables and weights
+    at quadrature points to a local matrix.  A local matrix with c times
+    the cell's basis size along an axis acts on c components
+    (component-major), so one kernel gives a scalar or a vector form.
+    Indices are local to the blocks (no offsets).  ``domain`` is one of
+    the cell domains of ``Discretization.cell_quadrature``.
     """
-    rmap, cmap = disc.dofmap(row_block), disc.dofmap(col_block)
-    full, cut = disc.cell_quadrature(side, physical)
-    if len(full):
-        tr = disc.full_cell_tables(rmap.order)
-        tc = disc.full_cell_tables(cmap.order)
-        local = kernel(tr, tc, disc.full_cell_weights)
-        rows = _cells_vec_ids(disc, row_block, full)
-        cols = _cells_vec_ids(disc, col_block, full)
-        acc.add_many(rows, cols, local)
+    rmap = disc.dofmap(row)
+    cmap = disc.dofmap(col or row)
+    full, cut = disc.cell_quadrature(rmap.side, domain)
+    local = kernel(disc.full_cell_tables(rmap.order),
+                   disc.full_cell_tables(cmap.order), disc.full_cell_weights)
+    ncr = local.shape[0] // rmap.cell_dofs.shape[1]
+    ncc = local.shape[1] // cmap.cell_dofs.shape[1]
+
+    def ids(dm, cells, ncomp):
+        return _component_ids(dm.cell_dofs[dm.cell_index[cells]], dm.n_scalar, ncomp)
+
+    acc = _Coo((ncr * rmap.n_scalar, ncc * cmap.n_scalar))
+    acc.add_many(ids(rmap, full, ncr), ids(cmap, full, ncc), local)
     for cell, pts, w in cut:
         tr = disc.tables_at(rmap.order, cell, pts)
         tc = tr if cmap.order == rmap.order else disc.tables_at(cmap.order, cell, pts)
-        local = kernel(tr, tc, w)
-        acc.add(_block_ids(disc, row_block, cell), _block_ids(disc, col_block, cell), local)
+        acc.add(ids(rmap, cell, ncr), ids(cmap, cell, ncc), kernel(tr, tc, w))
+    return acc.tocsr()
 
 
-def _block_ids(disc: Discretization, block: str, cell: int) -> np.ndarray:
-    sc = disc.cell_scalar_dofs(block, cell)
-    dm = disc.dofmap(block)
-    if dm.ncomp == 1:
-        return disc.scalar_ids(block, sc)
-    return disc.vector_ids(block, sc)
+def _place(disc: Discretization, row: str, col: str, mat: sp.spmatrix,
+           ncomp: int = 1) -> sp.csr_matrix:
+    """Embed a block matrix into the (v_f, p, v_s) system.
 
-
-def _cells_vec_ids(disc: Discretization, block: str, cells: np.ndarray) -> np.ndarray:
-    """(ncells, nloc) monolithic ids for a list of cells."""
-    dm = disc.dofmap(block)
-    rows = dm.cell_index[cells]
-    sc = dm.cell_dofs[rows]  # (ncells, nb)
-    off = disc.layout.offset(block)
-    if dm.ncomp == 1:
-        return off + sc
-    return np.concatenate(
-        [off + c * dm.n_scalar + sc for c in range(dm.ncomp)], axis=1)
+    With ncomp > 1 a scalar-space matrix is repeated on every component.
+    """
+    lay = disc.layout
+    coo = sp.coo_matrix(mat)
+    rows = _component_ids(coo.row, mat.shape[0], ncomp, lay.offset(row))
+    cols = _component_ids(coo.col, mat.shape[1], ncomp, lay.offset(col))
+    n = lay.n_system
+    return sp.csr_matrix((np.tile(coo.data, ncomp), (rows, cols)), shape=(n, n))
 
 
 # -- ghost penalty raw jump matrices ----------------------------------------
@@ -203,8 +228,7 @@ def raw_jump_matrices(disc: Discretization, side: str, order: int,
     accs = [_Coo((ns, ns)) for _ in range(order)]
     for f in topo.ghost_faces(side):
         k1, k2 = (int(c) for c in mesh.face_cells[f])
-        axis = mesh.face_axis[f]
-        tangent = 1 - axis
+        tangent = 1 - mesh.face_axis[f]
         pts = np.tile(mesh.face_origin[f], (face_npts, 1))
         pts[:, tangent] += mesh.h * gx
         wq = mesh.h * gw
@@ -212,19 +236,11 @@ def raw_jump_matrices(disc: Discretization, side: str, order: int,
         ids = np.concatenate([dm.cell_dofs[dm.cell_index[k1]],
                               dm.cell_dofs[dm.cell_index[k2]]])
         for l in range(1, order + 1):
-            dx, dy = (l, 0) if axis == 0 else (0, l)
-            t1 = _phys_tables(basis, mesh, k1, pts, dx, dy)
-            t2 = _phys_tables(basis, mesh, k2, pts, dx, dy)
+            t1, t2 = normal_derivative_jump(mesh, basis, f, l, pts)
             J = np.hstack([t1, -t2])  # (q, nb1+nb2)
             local = w_face * (J.T @ (wq[:, None] * J))
             accs[l - 1].add(ids, ids, local)
     return [a.tocsr() for a in accs]
-
-
-def _phys_tables(basis, mesh, cell, pts, dx, dy):
-    o = mesh.cell_origin(cell)
-    ref = (pts - o) / mesh.h
-    return basis.eval(ref, dx=dx, dy=dy) / mesh.h ** (dx + dy)
 
 
 def ghost_matrix(disc: Discretization, which: str,
@@ -239,11 +255,12 @@ def ghost_matrix(disc: Discretization, which: str,
     """
     cfg = disc.cfg
     h = disc.h
+    fact = math.factorial
     spec = {
-        "v_f": ("f", cfg.m_f, cfg.gamma_vf, lambda l: h ** (2 * l - 1) / _fact(l - 1) ** 2),
-        "p": ("f", cfg.m_f - 1, cfg.gamma_p, lambda l: h ** (2 * l + 1) / _fact(l) ** 2),
-        "v_s": ("s", cfg.m_s, cfg.gamma_vs, lambda l: h ** (2 * l + 1) / _fact(l) ** 2),
-        "u": ("s", cfg.m_s, cfg.gamma_u, lambda l: h ** (2 * l - 1) / _fact(l - 1) ** 2),
+        "v_f": ("f", cfg.m_f, cfg.gamma_vf, lambda l: h ** (2 * l - 1) / fact(l - 1) ** 2),
+        "p": ("f", cfg.m_f - 1, cfg.gamma_p, lambda l: h ** (2 * l + 1) / fact(l) ** 2),
+        "v_s": ("s", cfg.m_s, cfg.gamma_vs, lambda l: h ** (2 * l + 1) / fact(l) ** 2),
+        "u": ("s", cfg.m_s, cfg.gamma_u, lambda l: h ** (2 * l - 1) / fact(l - 1) ** 2),
     }
     side, order, gamma, coeff = spec[which]
     if raw is None:
@@ -255,25 +272,27 @@ def ghost_matrix(disc: Discretization, which: str,
     return gamma * total.tocsr()
 
 
-def _fact(m: int) -> float:
-    out = 1.0
-    for i in range(2, m + 1):
-        out *= i
-    return out
-
-
 # -- Nitsche interface coupling ---------------------------------------------
 
-def assemble_nitsche(disc: Discretization, acc_pen: _Coo, acc_cons: _Coo) -> None:
-    """Interface terms: penalty into acc_pen, consistency terms into acc_cons.
+def assemble_nitsche(disc: Discretization) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """(penalty, consistency) interface matrices on the (v_f, p, v_s) system.
 
     Penalty:     h^-1 rho_f nu_f gamma_N (v_f - v_s, phi_f - phi_s)
     Consistency: -(sigma_f(v_f, p) n_f, phi_f - phi_s)
                  -(v_f - v_s, sigma_f(phi_f, -xi) n_f)
     """
     cfg = disc.cfg
+    lay = disc.layout
     rnu = cfg.rho_f * cfg.nu_f
     pen = rnu * cfg.gamma_N / disc.h
+    acc_pen = _Coo((lay.n_system, lay.n_system))
+    acc_cons = _Coo((lay.n_system, lay.n_system))
+
+    def ids(block, cell):
+        dm = disc.dofmap(block)
+        return _component_ids(dm.cell_dofs[dm.cell_index[cell]], dm.n_scalar,
+                              dm.ncomp, lay.offset(block))
+
     for cell, rule in disc.iface_rules.items():
         pts, w, nrm = rule.points, rule.weights, rule.normals
         Nf, Gfx, Gfy = disc.tables_at(cfg.m_f, cell, pts)
@@ -284,10 +303,8 @@ def assemble_nitsche(disc: Discretization, acc_pen: _Coo, acc_cons: _Coo) -> Non
         n_comp = (nx, ny)
         Gn = Gfx * nx[:, None] + Gfy * ny[:, None]
 
-        ids_vf = disc.vector_ids("vf", disc.cell_scalar_dofs("vf", cell))
-        ids_p = disc.scalar_ids("p", disc.cell_scalar_dofs("p", cell))
-        ids_vs = disc.vector_ids("vs", disc.cell_scalar_dofs("vs", cell))
-        test_tabs = {"vf": (Nf, +1.0, ids_vf), "vs": (Ns, -1.0, ids_vs)}
+        ids_vf, ids_p = ids("vf", cell), ids("p", cell)
+        test_tabs = {"vf": (Nf, +1.0, ids_vf), "vs": (Ns, -1.0, ids("vs", cell))}
 
         # penalty: s_t s_tr delta_ab int N_t N_tr
         for tname, (Nt, st, rids) in test_tabs.items():
@@ -323,172 +340,78 @@ def assemble_nitsche(disc: Discretization, acc_pen: _Coo, acc_cons: _Coo) -> Non
             loc_q = np.hstack([-str_ * P.T @ (w[:, None] * Ntr * n_comp[b][:, None])
                                for b in range(2)])
             acc_cons.add(ids_p, cids, loc_q)
+    return acc_pen.tocsr(), acc_cons.tocsr()
 
 
-def interface_penalty_matrix(disc: Discretization) -> sp.csr_matrix:
-    """Quadratic form int_Gamma |v_f - v_s|^2 on the monolithic vector."""
-    acc = _Coo((disc.layout.total, disc.layout.total))
-    for cell, rule in disc.iface_rules.items():
-        pts, w = rule.points, rule.weights
-        Nf = disc.tables_at(disc.cfg.m_f, cell, pts)[0]
-        Ns = disc.tables_at(disc.cfg.m_s, cell, pts)[0]
-        ids_vf = disc.vector_ids("vf", disc.cell_scalar_dofs("vf", cell))
-        ids_vs = disc.vector_ids("vs", disc.cell_scalar_dofs("vs", cell))
-        tabs = {"vf": (Nf, +1.0, ids_vf), "vs": (Ns, -1.0, ids_vs)}
-        for _, (Nt, st, rids) in tabs.items():
-            for _, (Ntr, str_, cids) in tabs.items():
-                acc.add(rids, cids, _vec_diag(st * str_ * _mass(Nt, Ntr, w)))
-    return acc.tocsr()
-
-
-# -- monolithic system ------------------------------------------------------
+# -- forms and the step system ----------------------------------------------
 
 @dataclass
 class Forms:
-    """All assembled matrices of one discretization (monolithic indexing)."""
+    """Assembled matrices of one discretization.
 
-    layout_total: int
-    mass_fluid: sp.csr_matrix       # rho_f (v_f, phi_f)_Omega_f, vf block
-    mass_solid: sp.csr_matrix       # rho_s (v_s, phi_s)_Omega_s, vs block
+    Matrices without a note are square on the (v_f, p, v_s) system.
+    """
+
+    mass_fluid: sp.csr_matrix       # rho_f (v_f, phi_f)_Omega_f
+    mass_solid: sp.csr_matrix       # rho_s (v_s, phi_s)_Omega_s
     mass_solid_scalar: sp.csr_matrix  # scalar (u, psi)_Omega_s on solid space
     fluid_bulk: sp.csr_matrix       # viscous + pressure couplings
-    solid_bulk: sp.csr_matrix       # (sigma_s(u), grad phi_s), vs rows / u cols
+    solid_bulk: sp.csr_matrix       # (sigma_s(u), grad psi) on the solid vector space
     nitsche_pen: sp.csr_matrix
     nitsche_cons: sp.csr_matrix
     ghost_vf: sp.csr_matrix         # scalar matrices on their own spaces
     ghost_p: sp.csr_matrix
     ghost_vs: sp.csr_matrix
     ghost_u: sp.csr_matrix
-    stab_fluid: sp.csr_matrix       # 2 rho nu g_vf + g_p, monolithic
-    stab_solid: sp.csr_matrix       # 2 mu_s g_u(u, phi_s), monolithic
-    ghost_vs_mono: sp.csr_matrix    # rho_s g_vs on vs block, monolithic
-    constraint: sp.csr_matrix       # (u - k v_s, psi)_Omega_s rows (u block)
-    constraint_rhs_op: sp.csr_matrix  # maps u_old -> constraint rhs
-
-
-def _scatter_scalar(disc: Discretization, M: sp.csr_matrix, row_block: str,
-                    col_block: str, ncomp: int) -> sp.coo_matrix:
-    """Place a scalar-space matrix into the monolithic matrix (per component)."""
-    total = disc.layout.total
-    coo = M.tocoo()
-    rdm, cdm = disc.dofmap(row_block), disc.dofmap(col_block)
-    roff, coff = disc.layout.offset(row_block), disc.layout.offset(col_block)
-    rows, cols, vals = [], [], []
-    for c in range(ncomp):
-        rows.append(roff + c * rdm.n_scalar + coo.row)
-        cols.append(coff + c * cdm.n_scalar + coo.col)
-        vals.append(coo.data)
-    return sp.coo_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(total, total))
 
 
 def assemble_forms(disc: Discretization) -> Forms:
     cfg = disc.cfg
-    total = disc.layout.total
-    shape = (total, total)
+    mass_solid_scalar = assemble_cells(disc, SCALAR_KERNELS["value"], "vs")
+    mass_fluid = _place(disc, "vf", "vf",
+                        cfg.rho_f * assemble_cells(disc, SCALAR_KERNELS["value"], "vf"), 2)
+    mass_solid = _place(disc, "vs", "vs", cfg.rho_s * mass_solid_scalar, 2)
 
-    acc = _Coo(shape)
-    assemble_cells(disc, acc, "vf", "vf", "f", True,
-                   lambda tr, tc, w: cfg.rho_f * _vec_diag(_mass(tr[0], tc[0], w)))
-    mass_fluid = acc.tocsr()
-
-    acc = _Coo(shape)
-    assemble_cells(disc, acc, "vs", "vs", "s", True,
-                   lambda tr, tc, w: cfg.rho_s * _vec_diag(_mass(tr[0], tc[0], w)))
-    mass_solid = acc.tocsr()
-
-    acc = _Coo((disc.s.n_scalar, disc.s.n_scalar))
-    _assemble_scalar_cells(disc, acc, "vs", "vs", True, _mass)
-    mass_solid_scalar = acc.tocsr()
-
-    acc = _Coo(shape)
-    assemble_cells(disc, acc, "vf", "vf", "f", True,
-                   lambda tr, tc, w: _viscous(tr, w, cfg.rho_f * cfg.nu_f))
-    assemble_cells(disc, acc, "vf", "p", "f", True,
-                   lambda tr, tc, w: _grad_p(tr, tc, w))
-    assemble_cells(disc, acc, "p", "vf", "f", True,
-                   lambda tr, tc, w: _div_q(tr, tc, w))
-    fluid_bulk = acc.tocsr()
-
-    acc = _Coo(shape)
-    assemble_cells(disc, acc, "vs", "u", "s", True,
-                   lambda tr, tc, w: _solid_bulk(tr, w, cfg.mu_s, cfg.lambda_s))
-    solid_bulk = acc.tocsr()
-
-    acc_pen = _Coo(shape)
-    acc_cons = _Coo(shape)
-    assemble_nitsche(disc, acc_pen, acc_cons)
-    nitsche_pen = acc_pen.tocsr()
-    nitsche_cons = acc_cons.tocsr()
+    viscous = assemble_cells(disc, lambda tr, tc, w: _viscous(tr, w, cfg.rho_f * cfg.nu_f), "vf")
+    fluid_bulk = (_place(disc, "vf", "vf", viscous)
+                  + _place(disc, "vf", "p", assemble_cells(disc, _grad_p, "vf", "p"))
+                  + _place(disc, "p", "vf", assemble_cells(disc, _div_q, "p", "vf")))
+    solid_bulk = assemble_cells(
+        disc, lambda tr, tc, w: _solid_bulk(tr, w, cfg.mu_s, cfg.lambda_s), "vs")
+    nitsche_pen, nitsche_cons = assemble_nitsche(disc)
 
     raw_f2 = raw_jump_matrices(disc, "f", cfg.m_f)
     raw_f1 = raw_jump_matrices(disc, "f", cfg.m_f - 1)
     raw_s = raw_jump_matrices(disc, "s", cfg.m_s)
-    ghost_vf = ghost_matrix(disc, "v_f", raw_f2)
-    ghost_p = ghost_matrix(disc, "p", raw_f1)
-    ghost_vs = ghost_matrix(disc, "v_s", raw_s)
-    ghost_u = ghost_matrix(disc, "u", raw_s)
-
-    stab_fluid = (2.0 * cfg.rho_f * cfg.nu_f
-                  * _scatter_scalar(disc, ghost_vf, "vf", "vf", 2)
-                  + _scatter_scalar(disc, ghost_p, "p", "p", 1)).tocsr()
-    stab_solid = (2.0 * cfg.mu_s
-                  * _scatter_scalar(disc, ghost_u, "vs", "u", 2)).tocsr()
-    ghost_vs_mono = (cfg.rho_s
-                     * _scatter_scalar(disc, ghost_vs, "vs", "vs", 2)).tocsr()
-
-    constraint = (_scatter_scalar(disc, mass_solid_scalar, "u", "u", 2)
-                  - cfg.k * _scatter_scalar(disc, mass_solid_scalar, "u", "vs", 2)).tocsr()
-    constraint_rhs_op = _scatter_scalar(disc, mass_solid_scalar, "u", "u", 2).tocsr()
-
-    return Forms(layout_total=total, mass_fluid=mass_fluid,
-                 mass_solid=mass_solid, mass_solid_scalar=mass_solid_scalar,
-                 fluid_bulk=fluid_bulk, solid_bulk=solid_bulk,
+    return Forms(mass_fluid=mass_fluid, mass_solid=mass_solid,
+                 mass_solid_scalar=mass_solid_scalar,
+                 fluid_bulk=fluid_bulk.tocsr(), solid_bulk=solid_bulk,
                  nitsche_pen=nitsche_pen, nitsche_cons=nitsche_cons,
-                 ghost_vf=ghost_vf, ghost_p=ghost_p, ghost_vs=ghost_vs,
-                 ghost_u=ghost_u, stab_fluid=stab_fluid,
-                 stab_solid=stab_solid, ghost_vs_mono=ghost_vs_mono,
-                 constraint=constraint, constraint_rhs_op=constraint_rhs_op)
-
-
-def _assemble_scalar_cells(disc: Discretization, acc: _Coo, row_block: str,
-                           col_block: str, physical: bool, kernel) -> None:
-    """Like assemble_cells but on the scalar dof maps (no block offsets)."""
-    rmap = disc.dofmap(row_block)
-    cmap = disc.dofmap(col_block)
-    side = rmap.side
-    full, cut = disc.cell_quadrature(side, physical)
-    if len(full):
-        tr = disc.full_cell_tables(rmap.order)
-        tc = disc.full_cell_tables(cmap.order)
-        local = kernel(tr[0], tc[0], disc.full_cell_weights)
-        rows = rmap.cell_dofs[rmap.cell_index[full]]
-        cols = cmap.cell_dofs[cmap.cell_index[full]]
-        acc.add_many(rows, cols, local)
-    for cell, pts, w in cut:
-        tr = disc.tables_at(rmap.order, cell, pts)
-        tc = tr if cmap.order == rmap.order else disc.tables_at(cmap.order, cell, pts)
-        acc.add(disc.cell_scalar_dofs(row_block, cell),
-                disc.cell_scalar_dofs(col_block, cell),
-                kernel(tr[0], tc[0], w))
+                 ghost_vf=ghost_matrix(disc, "v_f", raw_f2),
+                 ghost_p=ghost_matrix(disc, "p", raw_f1),
+                 ghost_vs=ghost_matrix(disc, "v_s", raw_s),
+                 ghost_u=ghost_matrix(disc, "u", raw_s))
 
 
 def system_matrices(disc: Discretization, forms: Forms | None = None):
-    """(A, B_old, forms): unconstrained step matrix and rhs operator.
+    """(R, M, K, forms): the backward Euler step on (v_f, p, v_s).
 
-    A x^n = B_old x^{n-1} + k F^n, with
-    A = M + k (a_f + a_s + j) + k (S_f + S_s) + constraint rows and
-    B_old = M + constraint rhs operator.
+    Substituting u^n = u^{n-1} + k v_s^n into the monolithic step gives
+    R x^n = M x^{n-1} - k K u^{n-1} with
+      M = rho_f M_f + rho_s M_s + rho_s g_vs,
+      K = a_s + 2 mu_s g_u, with u in the slot of v_s,
+      R = M + k (a_f + Nitsche + 2 rho_f nu_f g_vf + g_p) + k^2 K.
     """
     if forms is None:
         forms = assemble_forms(disc)
     cfg = disc.cfg
     k = cfg.k
-    M = forms.mass_fluid + forms.mass_solid + forms.ghost_vs_mono
-    A_h = (forms.fluid_bulk + forms.solid_bulk
-           + forms.nitsche_pen + forms.nitsche_cons)
-    S_h = forms.stab_fluid + forms.stab_solid
-    A = (M + k * (A_h + S_h) + forms.constraint).tocsr()
-    B_old = (M + forms.constraint_rhs_op).tocsr()
-    return A, B_old, forms
+    M = (forms.mass_fluid + forms.mass_solid
+         + cfg.rho_s * _place(disc, "vs", "vs", forms.ghost_vs, 2)).tocsr()
+    A_f = forms.fluid_bulk + forms.nitsche_pen + forms.nitsche_cons
+    S_f = (2.0 * cfg.rho_f * cfg.nu_f * _place(disc, "vf", "vf", forms.ghost_vf, 2)
+           + _place(disc, "p", "p", forms.ghost_p))
+    K = (_place(disc, "vs", "vs", forms.solid_bulk)
+         + 2.0 * cfg.mu_s * _place(disc, "vs", "vs", forms.ghost_u, 2)).tocsr()
+    R = (M + k * (A_f + S_f) + k * (k * K)).tocsr()
+    return R, M, K, forms

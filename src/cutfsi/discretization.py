@@ -2,7 +2,8 @@
 
 The monolithic unknown is laid out block-wise as
 (v_f_x, v_f_y | p | v_s_x, v_s_y | u_x, u_y), each field component-major
-over its scalar dof map.  v_s and u share the same scalar space.
+over its scalar dof map.  v_s and u share the same scalar space.  The
+step system solves for the first three blocks; u follows from v_s.
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ class BlockLayout:
     @property
     def off_u(self) -> int:
         return self.off_vs + 2 * self.n_s_scalar
+
+    @property
+    def n_system(self) -> int:
+        """Unknowns (v_f, p, v_s) of the step system."""
+        return self.off_u
 
     @property
     def total(self) -> int:
@@ -98,20 +104,23 @@ class Discretization:
 
     # -- quadrature helpers -------------------------------------------------
 
-    def cell_quadrature(self, side: str, physical: bool):
-        """(full_cells, cut_parts) covering Omega_i (physical) or Omega_i^T.
+    def cell_quadrature(self, side: str, domain: str = "physical"):
+        """(full_cells, cut_parts) of one cell domain of side i.
 
+        "physical": uncut cells plus the cut parts, covering Omega_i;
+        "extended": every cell of T_i^h with the full rule (Omega_i^T);
+        "uncut": the uncut cells only.
         ``cut_parts`` is a list of (cell, physical points, weights).
         """
-        if physical:
-            full = self.topo.uncut_cells(side)
-            cut = [(int(c), self.cut_rules[side][int(c)].points,
-                    self.cut_rules[side][int(c)].weights)
-                   for c in self.topo.cut_cells]
-            cut = [(c, p, w) for c, p, w in cut if len(w)]
-        else:
-            full = self.topo.tri_cells(side)
-            cut = []
+        if domain == "extended":
+            return self.topo.tri_cells(side), []
+        if domain not in ("physical", "uncut"):
+            raise ValueError(f"unknown cell domain {domain!r}")
+        full = self.topo.uncut_cells(side)
+        if domain == "uncut":
+            return full, []
+        cut = [(cell, rule.points, rule.weights)
+               for cell, rule in self.cut_rules[side].items() if len(rule.weights)]
         return full, cut
 
     def full_cell_tables(self, order: int):
@@ -141,20 +150,3 @@ class Discretization:
 
     def dofmap(self, block: str) -> DofMap:
         return {"vf": self.vf, "p": self.p, "vs": self.s, "u": self.s}[block]
-
-    def cell_scalar_dofs(self, block: str, cell: int) -> np.ndarray:
-        dm = self.dofmap(block)
-        row = dm.cell_index[cell]
-        if row < 0:
-            raise KeyError(f"cell {cell} not in subtriangulation of block {block}")
-        return dm.cell_dofs[row]
-
-    def vector_ids(self, block: str, scalar_ids: np.ndarray) -> np.ndarray:
-        """Monolithic vector-field ids (component-major) for scalar dof ids."""
-        dm = self.dofmap(block)
-        off = self.layout.offset(block)
-        return np.concatenate([off + c * dm.n_scalar + scalar_ids
-                               for c in range(dm.ncomp)])
-
-    def scalar_ids(self, block: str, scalar_ids: np.ndarray) -> np.ndarray:
-        return self.layout.offset(block) + scalar_ids

@@ -87,13 +87,6 @@ class DofMap:
     node_coords: np.ndarray     # (n_scalar, 2)
     dirichlet_nodes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
-    @property
-    def n_dofs(self) -> int:
-        return self.ncomp * self.n_scalar
-
-    def vector_ids(self, scalar_ids: np.ndarray, comp: int) -> np.ndarray:
-        return comp * self.n_scalar + scalar_ids
-
 
 def build_dof_map(mesh: Mesh, topo: CutTopology, role: str, order: int,
                   ncomp: int, side: str, dirichlet_boundary: bool = False) -> DofMap:
@@ -133,16 +126,6 @@ def build_dof_map(mesh: Mesh, topo: CutTopology, role: str, order: int,
                   cells=cells, cell_dofs=cell_dofs, cell_index=cell_index,
                   n_scalar=int(used.sum()), node_coords=node_coords,
                   dirichlet_nodes=dirichlet)
-
-
-def interpolate_boundary(dofmap: DofMap, prescribed, t: float) -> np.ndarray:
-    """Nodal interpolation of a prescribed function on the Dirichlet nodes.
-
-    ``prescribed(t, x)`` returns a vector of length ``ncomp``.  The result
-    has shape (n_dirichlet, ncomp), row order matching ``dirichlet_nodes``.
-    """
-    coords = dofmap.node_coords[dofmap.dirichlet_nodes]
-    return np.array([prescribed(t, x) for x in coords], dtype=float)
 
 
 def normal_derivative_jump(mesh: Mesh, basis: ReferenceBasis, face: int,

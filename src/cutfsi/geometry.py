@@ -1,4 +1,4 @@
-"""Circle level set, point classification and exact edge intersections.
+"""Circle level set and exact edge intersections.
 
 The interface is the zero set of  phi(x) = |x - c|^2 - r^2,  negative inside
 the solid disk, positive in the fluid.  Everything downstream (cut topology,
@@ -8,16 +8,9 @@ quadratic, so no tolerance creep enters the geometry.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-class Region(enum.Enum):
-    FLUID = "fluid"
-    SOLID = "solid"
-    INTERFACE = "interface"
 
 
 @dataclass(frozen=True)
@@ -42,19 +35,6 @@ class CircleLevelSet:
         d = x - self.center
         val = np.sum(d * d, axis=-1) - self.radius_squared
         return float(val) if val.ndim == 0 else val
-
-    def classify(self, x, tol_scale: float = 1e-12) -> Region:
-        """Classify a point as FLUID / SOLID / INTERFACE.
-
-        The interface band is |phi| <= tol_scale * (1 + |x|^2), a pure
-        floating point guard.
-        """
-        x = np.asarray(x, dtype=float)
-        phi = self(x)
-        tol = tol_scale * (1.0 + float(np.dot(x, x)))
-        if abs(phi) <= tol:
-            return Region.INTERFACE
-        return Region.SOLID if phi < 0.0 else Region.FLUID
 
 
 def edge_zero_crossings(ls: CircleLevelSet, a, b) -> list[np.ndarray]:

@@ -1,4 +1,4 @@
-"""Sparse direct solve for the monolithic system.
+"""Sparse direct solve for the step system.
 
 Thin layer over scipy's CSR storage and SuperLU (fill-reducing COLAMD
 ordering, partial pivoting).  A factorization is computed once per mesh and
@@ -13,10 +13,7 @@ import scipy.sparse.linalg as spla
 
 
 class SingularMatrixError(RuntimeError):
-    def __init__(self, message: str, block: str | None = None):
-        super().__init__(message if block is None
-                         else f"{message} (block: {block})")
-        self.block = block
+    pass
 
 
 class Factorization:
@@ -33,7 +30,7 @@ class Factorization:
         return self._lu.solve(b)
 
 
-def factorize(A: sp.spmatrix, layout=None) -> Factorization:
+def factorize(A: sp.spmatrix) -> Factorization:
     """Sparse LU of a square matrix; raises SingularMatrixError loudly."""
     A = sp.csc_matrix(A)
     if A.shape[0] != A.shape[1]:
@@ -41,44 +38,10 @@ def factorize(A: sp.spmatrix, layout=None) -> Factorization:
     try:
         lu = spla.splu(A)
     except RuntimeError as exc:
-        block = None
-        msg = str(exc)
-        if layout is not None and "Factor is exactly singular" in msg:
-            block = _blame_block(msg, layout)
-        raise SingularMatrixError(f"sparse LU failed: {msg}", block=block) from exc
+        raise SingularMatrixError(f"sparse LU failed: {exc}") from exc
     # cheap singularity probe: tiny pivot ratio means numerically singular
     d = np.abs(lu.U.diagonal())
     if d.min() == 0.0 or (d.max() > 0 and d.min() / d.max() < 1e-16):
         raise SingularMatrixError(
             f"numerically singular factorization (pivot ratio {d.min() / d.max():.2e})")
     return Factorization(lu, A.shape[0])
-
-
-def _blame_block(msg: str, layout) -> str | None:
-    # SuperLU reports the offending column in its message when it can
-    import re
-    m = re.search(r"(\d+)", msg)
-    if not m:
-        return None
-    idx = int(m.group(1))
-    for block in ("vf", "p", "vs", "u"):
-        s = layout.slice(block)
-        if s.start <= idx < s.stop:
-            return block
-    return None
-
-
-def solve(fact: Factorization, b: np.ndarray) -> np.ndarray:
-    return fact.solve(b)
-
-
-def matvec(A: sp.spmatrix, x: np.ndarray) -> np.ndarray:
-    return A @ np.asarray(x, dtype=float)
-
-
-def export_coo(A: sp.spmatrix, path: str) -> None:
-    """Write 'row col value' triples (0-based) for external cross-checks."""
-    coo = sp.coo_matrix(A)
-    with open(path, "w") as fh:
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {v:.17e}\n")

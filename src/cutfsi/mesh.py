@@ -64,9 +64,6 @@ class Mesh:
         h = self.h
         return np.array([o, o + [h, 0.0], o + [h, h], o + [0.0, h]])
 
-    def is_boundary_face(self, f: int) -> bool:
-        return self.face_cells[f, 0] < 0 or self.face_cells[f, 1] < 0
-
 
 def build_mesh(n: int) -> Mesh:
     """Build the uniform mesh with n cells per side (h = 2/n)."""
@@ -222,7 +219,7 @@ def cut_fraction(mesh: Mesh, ls: CircleLevelSet, cell: int) -> tuple[float, floa
     corners = mesh.cell_corners(cell)
     phis = ls(corners)
     if len(crossings) < 2:
-        return (0.0, 1.0) if np.all(phis < 0.0) else (1.0, 0.0)
+        return (0.0, 1.0) if np.all(phis <= 0.0) else (1.0, 0.0)
     if len(crossings) > 2:
         raise RuntimeError(f"cell {cell}: more than two interface crossings")
     t0, t1 = _arc_interval(mesh, ls, cell, crossings[0], crossings[1])
@@ -245,27 +242,28 @@ def build_cut_topology(mesh: Mesh, ls: CircleLevelSet) -> CutTopology:
     segments: dict[int, InterfaceSegment] = {}
 
     # cheap prefilter: only cells whose corner distances straddle r^2 (with a
-    # margin for the face-bulge case) need the exact treatment
+    # margin for the face-bulge case) need the exact treatment.  The disk is
+    # convex, so a cell with every corner in the closed disk is solid, also
+    # when a corner lies on the circle.
     origins = mesh.cell_origin(np.arange(n_cells))
     corners = origins[:, None, :] + mesh.h * np.array(
         [[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
     phi_c = ls(corners)            # (n_cells, 4)
-    all_in = np.all(phi_c < 0.0, axis=1)
+    all_in = np.all(phi_c <= 0.0, axis=1)
     all_out = np.all(phi_c > 0.0, axis=1)
+    cell_class[all_in] = CellClass.SOLID_ONLY
+    kappa_f[all_in], kappa_s[all_in] = 0.0, 1.0
     mixed = ~(all_in | all_out)
     # a cell with all corners outside can still be crossed if the disk bulges
     # through one face; the closest boundary point test catches it
     closest = np.clip(ls.center, origins, origins + mesh.h)
     d2 = np.sum((closest - ls.center) ** 2, axis=1)
     maybe_bulge = all_out & (d2 < ls.radius_squared)
-    candidates = np.flatnonzero(mixed | maybe_bulge | all_in)
+    candidates = np.flatnonzero(mixed | maybe_bulge)
 
     for cell in candidates:
         crossings = _cell_crossings(mesh, ls, int(cell))
         if len(crossings) < 2:
-            if all_in[cell]:
-                cell_class[cell] = CellClass.SOLID_ONLY
-                kappa_f[cell], kappa_s[cell] = 0.0, 1.0
             continue
         if len(crossings) > 2:
             raise RuntimeError(f"cell {cell}: more than two interface crossings")

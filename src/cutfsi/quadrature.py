@@ -1,4 +1,4 @@
-"""Gauss rules on cells, cut cell parts, interface arcs and faces.
+"""Gauss rules on the reference cell, cut cell parts and interface arcs.
 
 Cut cells are integrated in polar coordinates around the circle center:
 every ray from the center meets the (convex) cell in one interval, which is
@@ -39,32 +39,11 @@ def gauss_1d(npts: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def cell_rule(mesh: Mesh, cell: int, npts: int = 3) -> QuadratureRule:
-    """Tensor product Gauss rule on a full cell; weights sum to h^2."""
-    x, w = gauss_1d(npts)
-    o = mesh.cell_origin(cell)
-    h = mesh.h
-    X, Y = np.meshgrid(o[0] + h * x, o[1] + h * x, indexing="xy")
-    W = h * h * np.outer(w, w)
-    return QuadratureRule(np.column_stack([X.ravel(), Y.ravel()]), W.ravel())
-
-
 def reference_cell_rule(npts: int = 3) -> tuple[np.ndarray, np.ndarray]:
     """Tensor rule on the unit square (reference coordinates, weights sum 1)."""
     x, w = gauss_1d(npts)
     X, Y = np.meshgrid(x, x, indexing="xy")
     return np.column_stack([X.ravel(), Y.ravel()]), np.outer(w, w).ravel()
-
-
-def face_rule(mesh: Mesh, face: int, npts: int = 4) -> QuadratureRule:
-    """Gauss rule along a full mesh face; weights sum to h."""
-    x, w = gauss_1d(npts)
-    o = mesh.face_origin[face]
-    h = mesh.h
-    tangent_axis = 1 - mesh.face_axis[face]
-    pts = np.tile(o, (npts, 1))
-    pts[:, tangent_axis] += h * x
-    return QuadratureRule(pts, h * w)
 
 
 def _ray_cell_interval(origin, h, center, ct, st):

@@ -1,7 +1,9 @@
 """Backward Euler driver: inflow profile, Dirichlet handling, time loop.
 
 The step matrix is time independent (fixed interface), so it is assembled
-and factorized once; only the ramped lid values change per step.
+and factorized once; only the ramped lid values change per step.  The
+solved unknowns are (v_f, p, v_s); after each solve the displacement is
+updated as u^n = u^{n-1} + k v_s^n.
 """
 
 from __future__ import annotations
@@ -36,14 +38,6 @@ def ramp_factor(t: float, cfg: SimulationConfig) -> float:
     return 0.5 * (1.0 - np.cos(t * np.pi / cfg.ramp_time))
 
 
-def inflow(t: float, x, cfg: SimulationConfig) -> np.ndarray:
-    """Boundary velocity at a point: lid profile times ramp, zero elsewhere."""
-    x = np.asarray(x, dtype=float)
-    if abs(x[1] - 1.0) > 1e-12:
-        return np.zeros(2)
-    return np.array([ramp_factor(t, cfg) * float(inflow_profile_x(x[0], cfg)), 0.0])
-
-
 @dataclass
 class State:
     """Monolithic coefficient vector at one time index."""
@@ -68,21 +62,17 @@ class StepRecord:
 
 
 class TimeStepper:
-    """Assembles, factorizes and advances the monolithic system."""
+    """Assembles and factorizes the (v_f, p, v_s) step system, advances it."""
 
     def __init__(self, disc: Discretization, forms: Forms | None = None):
         self.disc = disc
         self.cfg = disc.cfg
-        A, B_old, forms = system_matrices(disc, forms)
-        self.forms = forms
-        self.A_unconstrained = A
-        self.B_old = B_old
+        R, self.M, self.K, self.forms = system_matrices(disc, forms)
 
         # Dirichlet data: all fluid-velocity dofs on the outer boundary
-        layout = disc.layout
         vf = disc.vf
         nodes = vf.dirichlet_nodes
-        self.dir_idx = np.concatenate([layout.off_vf + c * vf.n_scalar + nodes
+        self.dir_idx = np.concatenate([disc.layout.off_vf + c * vf.n_scalar + nodes
                                        for c in range(2)])
         coords = vf.node_coords[nodes]
         on_lid = np.abs(coords[:, 1] - 1.0) < 1e-12
@@ -91,30 +81,12 @@ class TimeStepper:
         self.g_profile = np.concatenate([profile, np.zeros_like(profile)])
 
         # row replacement with column elimination into the rhs
-        A_cols = self.A_unconstrained.tocsc()[:, self.dir_idx].tocsr()
-        mask = np.ones(layout.total)
-        mask[self.dir_idx] = 0.0
-        Dm = sp.diags(mask)
-        self.A_dir_cols = Dm @ A_cols  # rows of D zeroed
-        self.A = sp.csr_matrix(Dm @ self.A_unconstrained @ Dm
-                               + sp.diags(1.0 - mask))
-
-        # The constraint rows read M(u - k v_s) = M u_old with the same mass
-        # matrix on both sides, so the coefficients satisfy u = u_old + k v_s
-        # exactly.  Substituting u out before factorizing keeps the result
-        # identical while removing the skew off-diagonal block that drives
-        # LU fill-in on large meshes.  The full monolithic residual is still
-        # checked after each solve.
-        nr = layout.off_u
-        A_csr = self.A.tocsr()
-        A_rr = A_csr[:nr, :][:, :nr]
-        self.A_ru = A_csr[:nr, :][:, nr:]
-        n_u = layout.size("u")
-        E_vs = sp.csr_matrix(
-            (np.ones(n_u), (np.arange(n_u), layout.off_vs + np.arange(n_u))),
-            shape=(n_u, nr))
-        self.A_red = sp.csr_matrix(A_rr + self.cfg.k * (self.A_ru @ E_vs))
-        self.fact = linalg.factorize(self.A_red, layout=layout)
+        keep = np.ones(R.shape[0])
+        keep[self.dir_idx] = 0.0
+        D = sp.diags(keep)
+        self.R_dir_cols = D @ R.tocsc()[:, self.dir_idx].tocsr()  # rows of D zeroed
+        self.R = sp.csr_matrix(D @ R @ D + sp.diags(1.0 - keep))
+        self.fact = linalg.factorize(self.R)
 
     def boundary_values(self, t: float) -> np.ndarray:
         return ramp_factor(t, self.cfg) * self.g_profile
@@ -125,22 +97,20 @@ class TimeStepper:
 
     def step(self, state: State) -> State:
         cfg = self.cfg
+        layout = self.disc.layout
         t_new = state.t + cfg.k
         g = self.boundary_values(t_new)
-        b = self.B_old @ state.x
-        b -= self.A_dir_cols @ g
-        b[self.dir_idx] = g
-        layout = self.disc.layout
-        nr = layout.off_u
         u_old = state.x[layout.slice("u")]
-        b_red = b[:nr] - self.A_ru @ u_old
-        b_red[self.dir_idx] = g
-        x_red = self.fact.solve(b_red)
-        x = np.empty(layout.total)
-        x[:nr] = x_red
-        x[nr:] = u_old + cfg.k * x_red[layout.slice("vs")]
-        res = np.linalg.norm(self.A @ x - b) / max(np.linalg.norm(b), 1e-300)
-        du = x[layout.slice("u")] - state.x[layout.slice("u")]
+        u_slot = np.zeros(layout.n_system)
+        u_slot[layout.slice("vs")] = u_old
+        b = self.M @ state.x[:layout.n_system]
+        b -= self.R_dir_cols @ g
+        b -= cfg.k * (self.K @ u_slot)
+        b[self.dir_idx] = g
+        x_r = self.fact.solve(b)
+        res = np.linalg.norm(self.R @ x_r - b) / max(np.linalg.norm(b), 1e-300)
+        x = np.concatenate([x_r, u_old + cfg.k * x_r[layout.slice("vs")]])
+        du = x[layout.slice("u")] - u_old
         cres = np.max(np.abs(du - cfg.k * x[layout.slice("vs")])) if du.size else 0.0
         return State(index=state.index + 1, t=t_new, x=x,
                      solve_residual=float(res), constraint_residual=float(cres))

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from cutfsi import Discretization, SimulationConfig
-from cutfsi.assembly import (_Coo, _assemble_scalar_cells, _mass,
+from cutfsi.assembly import (SCALAR_KERNELS, _mass, assemble_cells,
                              assemble_forms, raw_jump_matrices, weight_w)
 
 
@@ -37,11 +37,11 @@ def test_weight_function():
 def test_mass_totals(disc8, forms8):
     """1^T M 1 = rho |Omega| for each mass form."""
     lay = disc8.layout
-    ones = np.zeros(lay.total)
+    ones = np.zeros(lay.n_system)
     ones[lay.slice("vf")] = 1.0
     fluid_area = 4.0 - np.pi * 0.75
     assert ones @ (forms8.mass_fluid @ ones) == pytest.approx(2 * fluid_area, rel=1e-10)
-    ones = np.zeros(lay.total)
+    ones = np.zeros(lay.n_system)
     ones[lay.slice("vs")] = 1.0
     assert ones @ (forms8.mass_solid @ ones) == pytest.approx(2 * np.pi * 0.75, rel=1e-10)
 
@@ -49,9 +49,7 @@ def test_mass_totals(disc8, forms8):
 def test_scalar_mass_additivity(disc8):
     """Mass over Omega_f plus mass over Omega_s equals mass over the square
     when both are assembled on the same (pressure-like) lattice."""
-    acc = _Coo((disc8.p.n_scalar, disc8.p.n_scalar))
-    _assemble_scalar_cells(disc8, acc, "p", "p", True, _mass)
-    Mf = acc.tocsr()
+    Mf = assemble_cells(disc8, SCALAR_KERNELS["value"], "p")
     ones = np.ones(disc8.p.n_scalar)
     assert ones @ (Mf @ ones) == pytest.approx(4.0 - np.pi * 0.75, rel=1e-12)
 
@@ -138,21 +136,19 @@ def test_nitsche_penalty_psd_kernel(disc8, forms8):
     (equal constant fields)."""
     lay = disc8.layout
     P = forms8.nitsche_pen
-    x = np.zeros(lay.total)
+    x = np.zeros(lay.n_system)
     x[lay.off_vf:lay.off_vf + disc8.vf.n_scalar] = 1.0
     x[lay.off_vs:lay.off_vs + disc8.s.n_scalar] = 1.0
     assert abs(x @ (P @ x)) < 1e-12
     rng = np.random.default_rng(3)
     for _ in range(5):
-        y = rng.standard_normal(lay.total)
+        y = rng.standard_normal(lay.n_system)
         assert y @ (P @ y) >= -1e-12
 
 
 def test_solid_bulk_rigid_modes(disc8, forms8):
     """a_s(u, phi) = 0 for rigid displacements u (translations, rotation)."""
-    lay = disc8.layout
-    A = forms8.solid_bulk.tocsr()
-    su = A[lay.slice("vs"), :][:, lay.slice("u")]
+    su = forms8.solid_bulk
     ns = disc8.s.n_scalar
     c = disc8.s.node_coords
     tx = np.concatenate([np.ones(ns), np.zeros(ns)])
@@ -166,19 +162,3 @@ def test_system_matrix_dimension(disc8):
     expected = 2 * disc8.vf.n_scalar + disc8.p.n_scalar + 4 * disc8.s.n_scalar
     assert lay.total == expected
 
-
-def test_constraint_rows(disc8, forms8):
-    """Constraint block realizes (u - k v_s, psi) with the solid mass."""
-    lay = disc8.layout
-    C = forms8.constraint.tocsr()
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal(lay.total)
-    M = forms8.mass_solid_scalar
-    ns = disc8.s.n_scalar
-    k = disc8.cfg.k
-    r = (C @ x)[lay.slice("u")]
-    expected = np.concatenate([
-        M @ (x[lay.off_u + c * ns:lay.off_u + (c + 1) * ns]
-             - k * x[lay.off_vs + c * ns:lay.off_vs + (c + 1) * ns])
-        for c in range(2)])
-    assert np.allclose(r, expected, atol=1e-13)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cutfsi.assembly import _component_ids
 from cutfsi.fem import (build_dof_map, normal_derivative_jump, physical_eval,
                         reference_basis)
 from cutfsi.quadrature import gauss_1d
@@ -113,10 +114,12 @@ def test_dirichlet_nodes_on_boundary(disc8):
 
 
 def test_vector_ids_layout(disc8):
+    """Vector fields are component-major: component c of scalar dof j sits
+    at offset + c * n_scalar + j."""
     dm = disc8.vf
     sc = np.array([0, 5, 7])
-    assert np.array_equal(dm.vector_ids(sc, 0), sc)
-    assert np.array_equal(dm.vector_ids(sc, 1), dm.n_scalar + sc)
+    ids = _component_ids(sc, dm.n_scalar, 2, offset=3)
+    assert np.array_equal(ids, np.concatenate([3 + sc, 3 + dm.n_scalar + sc]))
 
 
 def test_jump_zero_for_global_polynomial(disc8):

@@ -1,9 +1,9 @@
-"""Level-set geometry: classification and exact edge crossings."""
+"""Level-set geometry: values and exact edge crossings."""
 
 import numpy as np
 import pytest
 
-from cutfsi.geometry import CircleLevelSet, Region, edge_zero_crossings
+from cutfsi.geometry import CircleLevelSet, edge_zero_crossings
 
 RS = 0.75
 R = np.sqrt(RS)
@@ -40,13 +40,6 @@ def test_level_set_vectorized():
     phi = ls(pts)
     assert phi.shape == (3,)
     assert phi[0] < 0 < phi[1]
-
-
-def test_classify():
-    ls = CircleLevelSet(RS)
-    assert ls.classify([0.0, 0.0]) is Region.SOLID
-    assert ls.classify([0.99, 0.99]) is Region.FLUID
-    assert ls.classify([R, 0.0]) is Region.INTERFACE
 
 
 def test_radius_property():

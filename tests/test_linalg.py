@@ -31,14 +31,3 @@ def test_solve_dimension_check():
     with pytest.raises(ValueError):
         fact.solve(np.ones(4))
 
-
-def test_export_coo(tmp_path):
-    A = sp.csc_matrix(np.array([[1.0, 0.0], [3.0, 4.0]]))
-    path = tmp_path / "mat.txt"
-    linalg.export_coo(A, path)
-    rows = [line.split() for line in path.read_text().splitlines() if line]
-    triples = {(int(r), int(c)): float(v) for r, c, v in rows}
-    assert triples[(0, 0)] == 1.0
-    assert triples[(1, 0)] == 3.0
-    assert triples[(1, 1)] == 4.0
-    assert (0, 1) not in triples

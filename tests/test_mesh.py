@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from cutfsi import Discretization, SimulationConfig
+from cutfsi.analysis import domain_points
 from cutfsi.geometry import CircleLevelSet
 from cutfsi.mesh import (CellClass, build_cut_topology, build_mesh,
                          cut_fraction, verify_path_assumption)
@@ -62,6 +64,22 @@ def test_classification_matches_sampling(n):
     topo = build_cut_topology(mesh, ls)
     for cell in range(mesh.n_cells):
         assert topo.cell_class[cell] == classify_by_sampling(mesh, ls, cell)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("r2", [0.5, 0.625])
+def test_circle_through_vertices(n, r2):
+    """A circle through mesh vertices: a cell with one corner on the circle
+    and the others inside is solid, so areas and arc length stay exact."""
+    disc = Discretization(SimulationConfig(n=n, radius_squared=r2))
+    for side, area in (("s", np.pi * r2), ("f", 4.0 - np.pi * r2)):
+        _, w, _ = domain_points(disc, side)
+        assert abs(w.sum() - area) <= 1e-12
+    arc = sum(rule.total for rule in disc.iface_rules.values())
+    assert abs(arc - 2 * np.pi * np.sqrt(r2)) <= 1e-10
+    for cell in range(disc.mesh.n_cells):
+        assert disc.topo.cell_class[cell] == classify_by_sampling(
+            disc.mesh, disc.level_set, cell)
 
 
 def test_cut_fraction_monte_carlo():

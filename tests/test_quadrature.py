@@ -5,8 +5,8 @@ import pytest
 
 from cutfsi.geometry import CircleLevelSet
 from cutfsi.mesh import build_cut_topology, build_mesh
-from cutfsi.quadrature import (cell_rule, cut_cell_rule, face_rule, gauss_1d,
-                               interface_rule, reference_cell_rule)
+from cutfsi.quadrature import (cut_cell_rule, gauss_1d, interface_rule,
+                               reference_cell_rule)
 
 RS = 0.75
 
@@ -28,11 +28,11 @@ def test_gauss_exactness(npts):
         assert np.dot(w, x ** deg) == pytest.approx(exact, rel=1e-13)
 
 
-def test_cell_rule_total(setup8):
-    mesh, _, _ = setup8
-    rule = cell_rule(mesh, 12)
-    assert rule.total == pytest.approx(mesh.h ** 2)
-    assert np.all(rule.weights > 0)
+def test_cell_rule_total(disc8):
+    """The rule shared by all uncut cells has positive weights summing to h^2."""
+    w = disc8.full_cell_weights
+    assert w.sum() == pytest.approx(disc8.h ** 2)
+    assert np.all(w > 0)
 
 
 def test_reference_cell_rule():
@@ -41,17 +41,11 @@ def test_reference_cell_rule():
     assert np.all((pts >= 0) & (pts <= 1))
 
 
-def test_face_rule_total(setup8):
-    mesh, _, _ = setup8
-    rule = face_rule(mesh, 5)
-    assert rule.total == pytest.approx(mesh.h)
-
-
 def test_cut_rule_partitions_cell(setup8):
     """Fluid + solid parts of a cut cell recover full-cell integrals of
     polynomials (the union is the whole cell; quadrature is near-exact)."""
     mesh, ls, topo = setup8
-    full = cell_rule(mesh, 6)
+    ref_pts, ref_w = reference_cell_rule(6)
 
     def poly(p):
         return 1.0 + p[:, 0] * p[:, 1] + p[:, 0] ** 2 - 0.5 * p[:, 1] ** 3
@@ -63,8 +57,7 @@ def test_cut_rule_partitions_cell(setup8):
         assert np.all(rf.weights >= 0)
         assert np.all(rs.weights >= 0)
         o = mesh.cell_origin(cell)
-        fr = cell_rule(mesh, cell, 6)
-        whole = np.dot(fr.weights, poly(fr.points))
+        whole = mesh.h ** 2 * np.dot(ref_w, poly(o + mesh.h * ref_pts))
         split = np.dot(rf.weights, poly(rf.points)) + np.dot(rs.weights, poly(rs.points))
         assert split == pytest.approx(whole, rel=1e-9)
 
