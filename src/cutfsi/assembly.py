@@ -87,15 +87,6 @@ def _stiff(Gr, Gc, w):
     return Gxr.T @ (w[:, None] * Gxc) + Gyr.T @ (w[:, None] * Gyc)
 
 
-def _vec_diag(local):
-    """Expand a scalar local matrix to two components (component-major)."""
-    nb_r, nb_c = local.shape
-    out = np.zeros((2 * nb_r, 2 * nb_c))
-    out[:nb_r, :nb_c] = local
-    out[nb_r:, nb_c:] = local
-    return out
-
-
 def _blocks_to_local(blocks):
     """Assemble 2x2 component blocks into one component-major local matrix."""
     return np.block([[blocks[0][0], blocks[0][1]],
@@ -306,11 +297,12 @@ def assemble_nitsche(disc: Discretization) -> tuple[sp.csr_matrix, sp.csr_matrix
         ids_vf, ids_p = ids("vf", cell), ids("p", cell)
         test_tabs = {"vf": (Nf, +1.0, ids_vf), "vs": (Ns, -1.0, ids("vs", cell))}
 
-        # penalty: s_t s_tr delta_ab int N_t N_tr
+        # penalty: s_t s_tr delta_ab int N_t N_tr, one scalar block per component
         for tname, (Nt, st, rids) in test_tabs.items():
             for rname, (Ntr, str_, cids) in test_tabs.items():
                 loc = pen * st * str_ * _mass(Nt, Ntr, w)
-                acc_pen.add(rids, cids, _vec_diag(loc))
+                for rc, cc in zip(np.split(rids, 2), np.split(cids, 2)):
+                    acc_pen.add(rc, cc, loc)
 
         # -(sigma_f(v_f, p) n, phi_f - phi_s)
         for tname, (Nt, st, rids) in test_tabs.items():
@@ -400,7 +392,10 @@ def system_matrices(disc: Discretization, forms: Forms | None = None):
     R x^n = M x^{n-1} - k K u^{n-1} with
       M = rho_f M_f + rho_s M_s + rho_s g_vs,
       K = a_s + 2 mu_s g_u, with u in the slot of v_s,
-      R = M + k (a_f + Nitsche + 2 rho_f nu_f g_vf + g_p) + k^2 K.
+      R = M + k (a_f + Nitsche + 2 rho_f nu_f g_vf + g_p) + k^2 K,
+    with the pressure (continuity) rows of R negated so that R is
+    symmetric.  M and K have zero pressure rows, so the right-hand side
+    needs no sign change.
     """
     if forms is None:
         forms = assemble_forms(disc)
@@ -414,4 +409,6 @@ def system_matrices(disc: Discretization, forms: Forms | None = None):
     K = (_place(disc, "vs", "vs", forms.solid_bulk)
          + 2.0 * cfg.mu_s * _place(disc, "vs", "vs", forms.ghost_u, 2)).tocsr()
     R = (M + k * (A_f + S_f) + k * (k * K)).tocsr()
+    p = disc.layout.slice("p")
+    R.data[R.indptr[p.start]:R.indptr[p.stop]] *= -1.0
     return R, M, K, forms

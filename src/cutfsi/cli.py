@@ -72,8 +72,11 @@ def cmd_run(args) -> int:
     reporting.write_snapshot(outdir, disc, states[-1], "final")
     final = states[-1]
     e = ana.energy(final)
+    fact = stepper.fact
+    lu_path = "symmetric-mode" if fact.symmetric else "COLAMD fallback"
     print(f"ran {cfg.n_steps} steps to T={cfg.T:g} on n={cfg.n} "
-          f"(h={disc.h:g}, {disc.layout.total} dofs)")
+          f"(h={disc.h:g}, {disc.layout.total} dofs, "
+          f"{lu_path} LU with {fact.lu_nnz} nonzeros)")
     print(f"final solve residual {final.solve_residual:.3e}, "
           f"constraint residual {final.constraint_residual:.3e}")
     print(f"final energies: E_T^2={e['E_T2']:.6e}  E_g^2={e['E_g2']:.6e}  "

@@ -146,6 +146,40 @@ def test_nitsche_penalty_psd_kernel(disc8, forms8):
         assert y @ (P @ y) >= -1e-12
 
 
+def dense_nitsche_penalty(disc):
+    """Penalty h^-1 rho_f nu_f gamma_N (v_f - v_s, phi_f - phi_s)_Gamma as a
+    dense matrix: the scalar interface mass of each (test, trial) pair of
+    spaces, repeated on both components by a Kronecker product."""
+    cfg, lay = disc.cfg, disc.layout
+    pen = cfg.rho_f * cfg.nu_f * cfg.gamma_N / disc.h
+    P = np.zeros((lay.n_system, lay.n_system))
+    for cell, rule in disc.iface_rules.items():
+        spaces = []
+        for block, order, sign in (("vf", cfg.m_f, 1.0), ("vs", cfg.m_s, -1.0)):
+            dm = disc.dofmap(block)
+            ids = lay.offset(block) + np.concatenate(
+                [c * dm.n_scalar + dm.cell_dofs[dm.cell_index[cell]] for c in range(2)])
+            N = disc.tables_at(order, cell, rule.points)[0]
+            spaces.append((ids, sign, N))
+        for rows, sr, Nr in spaces:
+            for cols, sc, Nc in spaces:
+                local = pen * sr * sc * Nr.T @ (rule.weights[:, None] * Nc)
+                P[np.ix_(rows, cols)] += np.kron(np.eye(2), local)
+    return P
+
+
+@pytest.mark.parametrize("m_s", [1, 2])
+def test_nitsche_penalty_no_stored_zeros(disc8, disc8_q2, m_s):
+    """The penalty stores no zero cross-component blocks and equals the
+    component-wise interface mass."""
+    disc = disc8 if m_s == 1 else disc8_q2
+    P = assemble_forms(disc).nitsche_pen
+    assert np.count_nonzero(P.data == 0.0) == 0
+    dense = dense_nitsche_penalty(disc)
+    assert P.nnz == np.count_nonzero(dense)
+    assert np.abs(P.toarray() - dense).max() <= 1e-15 * np.abs(dense).max()
+
+
 def test_solid_bulk_rigid_modes(disc8, forms8):
     """a_s(u, phi) = 0 for rigid displacements u (translations, rotation)."""
     su = forms8.solid_bulk

@@ -36,6 +36,7 @@ def test_run_small(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "final solve residual" in out
+    assert "symmetric-mode LU with" in out
     assert (tmp_path / "steps.csv").exists()
     assert (tmp_path / "fluid_final.vtu").exists()
     assert (tmp_path / "solid_final.vtu").exists()

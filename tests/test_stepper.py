@@ -1,5 +1,6 @@
 """Time stepping: inflow data, Dirichlet handling, constraint identity."""
 
+import types
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,7 @@ import scipy.sparse as sp
 import cutfsi.analysis
 import cutfsi.stepper
 from cutfsi import (Discretization, SimulationConfig, TimeStepper,
-                    ghost_extension_ratios)
+                    ghost_extension_ratios, linalg)
 from cutfsi.stepper import inflow_profile_x, ramp_factor
 
 
@@ -137,6 +138,35 @@ def test_reduced_solve_matches_full():
             res = np.linalg.norm(A @ new.x - b) / np.linalg.norm(b)
             assert res <= 1e-12, (m_s, new.index, res)
             state = new
+
+
+@pytest.mark.parametrize("m_s", [1, 2])
+@pytest.mark.parametrize("k", [1.0, 1.0 / 16.0])
+def test_step_matrix_symmetric(m_s, k):
+    """With the continuity rows negated and the Dirichlet rows and columns
+    replaced, the step matrix is symmetric and factored in symmetric mode."""
+    stepper = TimeStepper(Discretization(SimulationConfig(n=8, m_s=m_s, k=k)))
+    R = stepper.R
+    assert abs(R - R.T).max() <= 1e-14 * abs(R).max()
+    assert stepper.fact.symmetric
+
+
+def test_step_refines_inaccurate_solve(disc8):
+    """A factor of R with its diagonal perturbed by 1e-6 (relative) leaves a
+    step residual of about 1e-6; the one refinement step against the stored
+    R brings it to about 1e-12 with one extra solve."""
+    stepper = TimeStepper(disc8)
+    R = stepper.R
+    fact = linalg.factorize(R + 1e-6 * sp.diags(R.diagonal()))
+    solves = []
+
+    def solve(b):
+        solves.append(b)
+        return fact.solve(b)
+    stepper.fact = types.SimpleNamespace(solve=solve)
+    state = stepper.step(stepper.initialize())
+    assert len(solves) == 2
+    assert state.solve_residual <= 1e-10
 
 
 def test_profiled_call_sites(disc8, monkeypatch):
