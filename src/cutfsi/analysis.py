@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .assembly import (SCALAR_KERNELS, Forms, _div_div, _eps_form,
                        assemble_cells, assemble_forms, raw_jump_matrices)
@@ -36,23 +37,32 @@ def locate_cells(disc: Discretization, pts: np.ndarray) -> np.ndarray:
     return idx[:, 1] * disc.mesh.n + idx[:, 0]
 
 
-def evaluate_scalar(disc: Discretization, block: str, coefs: np.ndarray,
-                    pts: np.ndarray, cells: np.ndarray, comp: int = 0,
-                    dx: int = 0, dy: int = 0) -> np.ndarray:
-    """Evaluate one component of a field at points with known cells."""
+def point_eval_matrix(disc: Discretization, block: str, pts: np.ndarray,
+                      cells: np.ndarray, dx: int = 0, dy: int = 0) -> sp.csr_matrix:
+    """Sparse (npts, n_scalar) map from one component's scalar coefficients
+    to its value (or derivative d^dx_x d^dy_y) at points with known cells."""
     dm = disc.dofmap(block)
-    basis = reference_basis(dm.order)
     rows = dm.cell_index[cells]
     if np.any(rows < 0):
         bad = np.flatnonzero(rows < 0)
         raise ValueError(f"{len(bad)} points fall outside the subtriangulation "
                          f"of block {block}")
-    dofs = dm.cell_dofs[rows]  # (npts, nb)
-    origins = disc.mesh.cell_origin(cells)
-    ref = (pts - origins) / disc.h
+    basis = reference_basis(dm.order)
+    ref = (pts - disc.mesh.cell_origin(cells)) / disc.h
     table = basis.eval(ref, dx=dx, dy=dy) / disc.h ** (dx + dy)
-    vals = coefs[comp * dm.n_scalar + dofs]
-    return np.einsum("pn,pn->p", table, vals)
+    npts, nb = table.shape
+    return sp.csr_matrix((table.ravel(), dm.cell_dofs[rows].ravel(),
+                          np.arange(0, npts * nb + 1, nb)),
+                         shape=(npts, dm.n_scalar))
+
+
+def evaluate_scalar(disc: Discretization, block: str, coefs: np.ndarray,
+                    pts: np.ndarray, cells: np.ndarray, comp: int = 0,
+                    dx: int = 0, dy: int = 0) -> np.ndarray:
+    """Evaluate one component of a field at points with known cells."""
+    ns = disc.dofmap(block).n_scalar
+    E = point_eval_matrix(disc, block, pts, cells, dx, dy)
+    return E @ coefs[comp * ns:(comp + 1) * ns]
 
 
 # -- quadrature point sets over the physical subdomains ---------------------
@@ -69,10 +79,9 @@ def domain_points(disc: Discretization, side: str):
         pts_list.append(pts.reshape(-1, 2))
         w_list.append(np.tile(disc.full_cell_weights, len(full)))
         cell_list.append(np.repeat(full, nq))
-    for cell, pts, w in cut:
-        pts_list.append(pts)
-        w_list.append(w)
-        cell_list.append(np.full(len(w), cell, dtype=int))
+    pts_list.append(cut.points)
+    w_list.append(cut.weights)
+    cell_list.append(np.repeat(cut.cells, np.diff(cut.offsets)))
     return (np.vstack(pts_list), np.concatenate(w_list),
             np.concatenate(cell_list))
 
@@ -205,25 +214,33 @@ def error_vs_reference(disc_c: Discretization, states_c: list[State],
     stride = N_r // N_c
     ref_states = [states_r[i * stride] for i in range(N_c + 1)]
 
-    pts_f, w_f, cells_f = domain_points(disc_c, "f")
-    pts_s, w_s, cells_s = domain_points(disc_c, "s")
-    rcells_f = locate_cells(disc_r, pts_f)
-    rcells_s = locate_cells(disc_r, pts_s)
+    points = {side: domain_points(disc_c, side) for side in ("f", "s")}
+    block_side = {"vf": "f", "p": "f", "vs": "s", "u": "s"}
     k = disc_c.cfg.k
+    levels = {"c": disc_c, "r": disc_r}
+    evals: dict = {}  # point-evaluation matrices, one per (level, block, dx, dy)
 
-    def diff(block, state_c, state_r, pts, cells, rcells, comp, dx=0, dy=0):
-        c_val = evaluate_scalar(disc_c, block, state_c.x[disc_c.layout.slice(block)],
-                                pts, cells, comp, dx, dy)
-        r_val = evaluate_scalar(disc_r, block, state_r.x[disc_r.layout.slice(block)],
-                                pts, rcells, comp, dx, dy)
-        return r_val - c_val
+    def values(level, block, state, comp, dx, dy):
+        disc = levels[level]
+        key = (level, block, dx, dy)
+        if key not in evals:
+            pts, _, cells = points[block_side[block]]
+            if level == "r":
+                cells = locate_cells(disc, pts)
+            evals[key] = point_eval_matrix(disc, block, pts, cells, dx, dy)
+        ns = disc.dofmap(block).n_scalar
+        coefs = state.x[disc.layout.slice(block)]
+        return evals[key] @ coefs[comp * ns:(comp + 1) * ns]
 
+    def diff(block, state_c, state_r, comp, dx=0, dy=0):
+        return (values("r", block, state_r, comp, dx, dy)
+                - values("c", block, state_c, comp, dx, dy))
+
+    w_f, w_s = points["f"][1], points["s"][1]
     sc, sr = states_c[-1], ref_states[-1]
-    vf_T2 = sum(w_f @ diff("vf", sc, sr, pts_f, cells_f, rcells_f, c) ** 2
-                for c in range(2))
-    vs_T2 = sum(w_s @ diff("vs", sc, sr, pts_s, cells_s, rcells_s, c) ** 2
-                for c in range(2))
-    gu_T2 = sum(w_s @ diff("u", sc, sr, pts_s, cells_s, rcells_s, c, dx, dy) ** 2
+    vf_T2 = sum(w_f @ diff("vf", sc, sr, c) ** 2 for c in range(2))
+    vs_T2 = sum(w_s @ diff("vs", sc, sr, c) ** 2 for c in range(2))
+    gu_T2 = sum(w_s @ diff("u", sc, sr, c, dx, dy) ** 2
                 for c in range(2) for dx, dy in ((1, 0), (0, 1)))
 
     gvf_I2 = 0.0
@@ -231,10 +248,10 @@ def error_vs_reference(disc_c: Discretization, states_c: list[State],
     for n in range(1, N_c + 1):
         a, b = states_c[n], ref_states[n]
         gvf_I2 += k * sum(
-            w_f @ diff("vf", a, b, pts_f, cells_f, rcells_f, c, dx, dy) ** 2
+            w_f @ diff("vf", a, b, c, dx, dy) ** 2
             for c in range(2) for dx, dy in ((1, 0), (0, 1)))
         gp_I2 += k * sum(
-            w_f @ diff("p", a, b, pts_f, cells_f, rcells_f, 0, dx, dy) ** 2
+            w_f @ diff("p", a, b, 0, dx, dy) ** 2
             for dx, dy in ((1, 0), (0, 1)))
 
     return {"vf_T": float(np.sqrt(vf_T2)),
@@ -323,15 +340,17 @@ def ghost_extension_ratios(disc: Discretization, side: str, order: int,
             coeff = disc.h ** (2 * (j - l) + 1) / math.factorial(j - l) ** 2
             rhs_mat = rhs_mat + coeff * raws[j - 1]
     dm = disc.dofmap(block)
-    cut_dofs = [dm.cell_dofs[dm.cell_index[int(c)]]
-                for c in disc.topo.cut_cells]
+    cut_dofs = dm.cell_dofs[dm.cell_index[disc.topo.cut_cells]]  # (ncut, nb)
+    flat = cut_dofs.ravel()
+    # a band sample is one draw over the cut cells' dofs in cell order; a
+    # dof shared by several cut cells keeps the value drawn for its last cell
+    last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_samples):
         v = np.zeros(dm.n_scalar)
         if sampler == "band":
-            for ids in cut_dofs:
-                v[ids] = rng.standard_normal(len(ids))
+            v[flat[last]] = rng.standard_normal(len(flat))[last]
         elif sampler == "cell":
             ids = cut_dofs[rng.integers(len(cut_dofs))]
             v[ids] = rng.standard_normal(len(ids))

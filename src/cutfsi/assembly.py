@@ -2,9 +2,15 @@
 
 Bulk integrals run over the physical subdomains via cut quadrature, ghost
 penalties over full faces of the ghost face sets, Nitsche coupling over the
-exact interface arcs.  Uncut cells share one local matrix per form (uniform
-affine cells), so only the O(n) cut cells, ghost faces and arcs are
-assembled individually.
+exact interface arcs.  The mesh is uniform and affine, so:
+
+- uncut cells share one local matrix per form;
+- every ghost face of one axis is a translate of one reference face, so
+  per derivative order and axis one local jump matrix serves all faces,
+  scaled by each face's cut-fraction weight;
+- the O(n) cut cells and arcs are tabulated once per space at all their
+  points, and their local matrices come from one batched product over
+  (ncut, q, nb) tables.
 
 The solved unknowns are (v_f, p, v_s).  Backward Euler on the first-order
 elasticity gives u^n = u^{n-1} + k v_s^n, so the displacement is never an
@@ -20,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .discretization import Discretization
-from .fem import normal_derivative_jump, reference_basis
+from .fem import reference_basis
 from .quadrature import gauss_1d
 
 
@@ -38,32 +44,28 @@ class _Coo:
         self.cols: list[np.ndarray] = []
         self.vals: list[np.ndarray] = []
 
-    def add(self, rows, cols, local):
-        """Add a dense local block: rows (nr,), cols (nc,), local (nr, nc)."""
-        nr, nc = local.shape
-        self.rows.append(np.repeat(rows, nc))
-        self.cols.append(np.tile(cols, nr))
-        self.vals.append(np.asarray(local, dtype=float).ravel())
-
     def add_many(self, rows, cols, local):
-        """Scatter one shared local block to many cells.
+        """Scatter local blocks to many cells (or faces).
 
-        rows, cols: (ncells, nr), (ncells, nc); local: (nr, nc).
+        rows, cols: (ncells, nr), (ncells, nc); local: one shared (nr, nc)
+        block or one block per cell, (ncells, nr, nc).
         """
         ncells, nr = rows.shape
         nc = cols.shape[1]
         self.rows.append(np.repeat(rows, nc, axis=1).ravel())
         self.cols.append(np.tile(cols, (1, nr)).ravel())
-        self.vals.append(np.tile(local.ravel(), ncells))
+        self.vals.append(np.broadcast_to(local, (ncells, nr, nc)).ravel())
 
     def tocsr(self) -> sp.csr_matrix:
+        """Sum the entries; entries that sum to exactly zero are not stored."""
         if not self.rows:
             return sp.csr_matrix(self.shape)
         m = sp.coo_matrix(
             (np.concatenate(self.vals),
              (np.concatenate(self.rows), np.concatenate(self.cols))),
-            shape=self.shape)
-        return m.tocsr()
+            shape=self.shape).tocsr()
+        m.eliminate_zeros()
+        return m
 
 
 def _component_ids(ids, n_scalar: int, ncomp: int, offset: int = 0) -> np.ndarray:
@@ -76,15 +78,19 @@ def _component_ids(ids, n_scalar: int, ncomp: int, offset: int = 0) -> np.ndarra
                           axis=-1)
 
 
-# -- local kernels (tables: N, Gx, Gy of shape (q, nb); w of shape (q,)) ----
+# -- local kernels -----------------------------------------------------------
+# Tables N, Gx, Gy have shape (..., q, nb) and weights w shape (..., q); the
+# leading axes, if any, run over cells, so one call gives the local matrices
+# (..., nr, nc) of all cut cells at once.
 
-def _mass(Nr, Nc, w):
-    return Nr.T @ (w[:, None] * Nc)
+def _mass(A, B, w):
+    """A^T diag(w) B over the quadrature axis."""
+    return np.swapaxes(A, -1, -2) @ (w[..., None] * B)
 
 
 def _stiff(Gr, Gc, w):
     (Gxr, Gyr), (Gxc, Gyc) = Gr, Gc
-    return Gxr.T @ (w[:, None] * Gxc) + Gyr.T @ (w[:, None] * Gyc)
+    return _mass(Gxr, Gxc, w) + _mass(Gyr, Gyc, w)
 
 
 def _blocks_to_local(blocks):
@@ -101,7 +107,7 @@ def _viscous(tabs, w, factor):
     blocks = [[None, None], [None, None]]
     for a in range(2):
         for b in range(2):
-            m = G[b].T @ (w[:, None] * G[a])
+            m = _mass(G[b], G[a], w)
             if a == b:
                 m = m + K
             blocks[a][b] = factor * m
@@ -117,7 +123,7 @@ def _div_div(tabs, _tabs_col, w):
     """int (div u)(div v): blocks[a][b] = G_a^T W G_b."""
     _, Gx, Gy = tabs
     G = (Gx, Gy)
-    blocks = [[G[a].T @ (w[:, None] * G[b]) for b in range(2)] for a in range(2)]
+    blocks = [[_mass(G[a], G[b], w) for b in range(2)] for a in range(2)]
     return _blocks_to_local(blocks)
 
 
@@ -130,14 +136,14 @@ def _grad_p(tabs_v, tabs_p, w):
     """-(p, div phi): rows vector velocity, cols scalar pressure."""
     _, Gx, Gy = tabs_v
     P = tabs_p[0]
-    return np.vstack([-Gx.T @ (w[:, None] * P), -Gy.T @ (w[:, None] * P)])
+    return np.concatenate([-_mass(Gx, P, w), -_mass(Gy, P, w)], axis=-2)
 
 
 def _div_q(tabs_p, tabs_v, w):
     """(div v, xi): rows scalar pressure, cols vector velocity."""
     P = tabs_p[0]
     _, Gx, Gy = tabs_v
-    return np.hstack([P.T @ (w[:, None] * Gx), P.T @ (w[:, None] * Gy)])
+    return np.concatenate([_mass(P, Gx, w), _mass(P, Gy, w)], axis=-1)
 
 
 # Scalar kernels by operator name: L2 of the value or of the gradient.
@@ -155,11 +161,14 @@ def assemble_cells(disc: Discretization, kernel, row: str,
     """Matrix of a cell integral on the dofs of blocks ``row`` x ``col``.
 
     ``kernel(tabs_row, tabs_col, w)`` maps (N, Gx, Gy) tables and weights
-    at quadrature points to a local matrix.  A local matrix with c times
-    the cell's basis size along an axis acts on c components
-    (component-major), so one kernel gives a scalar or a vector form.
-    Indices are local to the blocks (no offsets).  ``domain`` is one of
-    the cell domains of ``Discretization.cell_quadrature``.
+    at quadrature points to a local matrix, with leading cell axes carried
+    through.  A local matrix with c times the cell's basis size along an
+    axis acts on c components (component-major), so one kernel gives a
+    scalar or a vector form.  Indices are local to the blocks (no
+    offsets).  ``domain`` is one of the cell domains of
+    ``Discretization.cell_quadrature``.  Uncut cells share one local
+    matrix; the cut parts go through the kernel a batch of cells at a
+    time, on padded (cells, q, nb) tables.
     """
     rmap = disc.dofmap(row)
     cmap = disc.dofmap(col or row)
@@ -174,10 +183,11 @@ def assemble_cells(disc: Discretization, kernel, row: str,
 
     acc = _Coo((ncr * rmap.n_scalar, ncc * cmap.n_scalar))
     acc.add_many(ids(rmap, full, ncr), ids(cmap, full, ncc), local)
-    for cell, pts, w in cut:
-        tr = disc.tables_at(rmap.order, cell, pts)
-        tc = tr if cmap.order == rmap.order else disc.tables_at(cmap.order, cell, pts)
-        acc.add(ids(rmap, cell, ncr), ids(cmap, cell, ncc), kernel(tr, tc, w))
+    for cells, pts, w in cut.batches():
+        tr = disc.tabulate(rmap.order, cells[:, None], pts)
+        tc = (tr if cmap.order == rmap.order
+              else disc.tabulate(cmap.order, cells[:, None], pts))
+        acc.add_many(ids(rmap, cells, ncr), ids(cmap, cells, ncc), kernel(tr, tc, w))
     return acc.tocsr()
 
 
@@ -197,41 +207,64 @@ def _place(disc: Discretization, row: str, col: str, mat: sp.spmatrix,
 
 # -- ghost penalty raw jump matrices ----------------------------------------
 
+def face_jump_table(order: int, l: int, axis: int, h: float,
+                    face_npts: int = 4) -> np.ndarray:
+    """(q, 2 nb) table of the jump of the l-th normal derivative on a face.
+
+    The face has normal axis ``axis`` (0: vertical face, 1: horizontal
+    face) and q = face_npts Gauss points along it.  Columns are the basis
+    of the first cell (left or below) at reference x = 1, then minus the
+    basis of the second cell at x = 0 (x and y swapped for horizontal
+    faces), so the table times the two cells' stacked coefficients is the
+    jump.  On a uniform mesh it is the same for every face of the axis.
+    """
+    basis = reference_basis(order)
+    gx, _ = gauss_1d(face_npts)
+    d = (l, 0) if axis == 0 else (0, l)
+    tables = []
+    for x in (1.0, 0.0):
+        pts = np.column_stack([np.full_like(gx, x), gx])
+        tables.append(basis.eval(pts if axis == 0 else pts[:, ::-1], *d) / h ** l)
+    return np.hstack([tables[0], -tables[1]])
+
+
 def raw_jump_matrices(disc: Discretization, side: str, order: int,
                       w_max: float | None = None,
                       face_npts: int = 4) -> list[sp.csr_matrix]:
     """Scalar matrices R_l, l = 1..order, of the weighted face-jump forms.
 
     R_l realizes  sum_F w_F^i int_F [d^l_n phi_i][d^l_n phi_j] ds  on the
-    scalar dof map of the Q_order space of side i (no gamma, no h powers).
+    scalar dof map of the Q_order space of side i (no gamma, no h powers),
+    with w_F = w(kappa_K1) + w(kappa_K2) over the two cells of F.  Every
+    ghost face of one axis is a translate of one reference face, so per
+    order and axis one local matrix J^T W J (``face_jump_table``) is
+    scattered to all the axis's faces, scaled by their w_F.
     """
     cfg = disc.cfg
     if w_max is None:
         w_max = cfg.w_max
     mesh = disc.mesh
-    topo = disc.topo
     dm = disc.s if side == "s" else (disc.vf if order == cfg.m_f else disc.p)
     assert dm.order == order
-    basis = reference_basis(order)
-    kappa = topo.kappa(side)
-    gx, gw = gauss_1d(face_npts)
+    kappa = disc.topo.kappa(side)
+    faces = disc.topo.ghost_faces(side)
+    cells = mesh.face_cells[faces]  # (nfaces, 2)
+    axes = mesh.face_axis[faces]
+    w_face = weight_w(kappa[cells[:, 0]], w_max) + weight_w(kappa[cells[:, 1]], w_max)
+    ids = np.concatenate([dm.cell_dofs[dm.cell_index[cells[:, 0]]],
+                          dm.cell_dofs[dm.cell_index[cells[:, 1]]]], axis=1)
+    _, gw = gauss_1d(face_npts)
+    wq = mesh.h * gw
     ns = dm.n_scalar
-    accs = [_Coo((ns, ns)) for _ in range(order)]
-    for f in topo.ghost_faces(side):
-        k1, k2 = (int(c) for c in mesh.face_cells[f])
-        tangent = 1 - mesh.face_axis[f]
-        pts = np.tile(mesh.face_origin[f], (face_npts, 1))
-        pts[:, tangent] += mesh.h * gx
-        wq = mesh.h * gw
-        w_face = float(weight_w(kappa[k1], w_max) + weight_w(kappa[k2], w_max))
-        ids = np.concatenate([dm.cell_dofs[dm.cell_index[k1]],
-                              dm.cell_dofs[dm.cell_index[k2]]])
-        for l in range(1, order + 1):
-            t1, t2 = normal_derivative_jump(mesh, basis, f, l, pts)
-            J = np.hstack([t1, -t2])  # (q, nb1+nb2)
-            local = w_face * (J.T @ (wq[:, None] * J))
-            accs[l - 1].add(ids, ids, local)
-    return [a.tocsr() for a in accs]
+    out = []
+    for l in range(1, order + 1):
+        acc = _Coo((ns, ns))
+        for axis in (0, 1):
+            sel = axes == axis
+            J = face_jump_table(order, l, axis, mesh.h, face_npts)
+            acc.add_many(ids[sel], ids[sel], w_face[sel, None, None] * _mass(J, J, wq))
+        out.append(acc.tocsr())
+    return out
 
 
 def ghost_matrix(disc: Discretization, which: str,
@@ -271,6 +304,10 @@ def assemble_nitsche(disc: Discretization) -> tuple[sp.csr_matrix, sp.csr_matrix
     Penalty:     h^-1 rho_f nu_f gamma_N (v_f - v_s, phi_f - phi_s)
     Consistency: -(sigma_f(v_f, p) n_f, phi_f - phi_s)
                  -(v_f - v_s, sigma_f(phi_f, -xi) n_f)
+
+    All arcs share one point count, so the bases are tabulated once per
+    space at every arc point and the local matrices of all cut cells are
+    formed in one batch.
     """
     cfg = disc.cfg
     lay = disc.layout
@@ -278,60 +315,65 @@ def assemble_nitsche(disc: Discretization) -> tuple[sp.csr_matrix, sp.csr_matrix
     pen = rnu * cfg.gamma_N / disc.h
     acc_pen = _Coo((lay.n_system, lay.n_system))
     acc_cons = _Coo((lay.n_system, lay.n_system))
+    if not disc.iface_rules:
+        return acc_pen.tocsr(), acc_cons.tocsr()
 
-    def ids(block, cell):
+    cells = np.array(list(disc.iface_rules), dtype=int)
+    rules = list(disc.iface_rules.values())
+    pts = np.stack([rule.points for rule in rules])  # (ncut, q, 2)
+    w = np.stack([rule.weights for rule in rules])
+    nrm = np.stack([rule.normals for rule in rules])
+
+    def ids(block):
         dm = disc.dofmap(block)
-        return _component_ids(dm.cell_dofs[dm.cell_index[cell]], dm.n_scalar,
+        return _component_ids(dm.cell_dofs[dm.cell_index[cells]], dm.n_scalar,
                               dm.ncomp, lay.offset(block))
 
-    for cell, rule in disc.iface_rules.items():
-        pts, w, nrm = rule.points, rule.weights, rule.normals
-        Nf, Gfx, Gfy = disc.tables_at(cfg.m_f, cell, pts)
-        P = disc.tables_at(cfg.m_f - 1, cell, pts)[0]
-        Ns = disc.tables_at(cfg.m_s, cell, pts)[0]
-        nx, ny = nrm[:, 0], nrm[:, 1]
-        G = (Gfx, Gfy)
-        n_comp = (nx, ny)
-        Gn = Gfx * nx[:, None] + Gfy * ny[:, None]
+    Nf, Gfx, Gfy = disc.tabulate(cfg.m_f, cells[:, None], pts)
+    P = disc.tabulate(cfg.m_f - 1, cells[:, None], pts)[0]
+    Ns = disc.tabulate(cfg.m_s, cells[:, None], pts)[0]
+    n_comp = (nrm[..., 0, None], nrm[..., 1, None])  # (ncut, q, 1) each
+    G = (Gfx, Gfy)
+    Gn = Gfx * n_comp[0] + Gfy * n_comp[1]
 
-        ids_vf, ids_p = ids("vf", cell), ids("p", cell)
-        test_tabs = {"vf": (Nf, +1.0, ids_vf), "vs": (Ns, -1.0, ids("vs", cell))}
+    ids_vf, ids_p = ids("vf"), ids("p")
+    test_tabs = {"vf": (Nf, +1.0, ids_vf), "vs": (Ns, -1.0, ids("vs"))}
 
-        # penalty: s_t s_tr delta_ab int N_t N_tr, one scalar block per component
-        for tname, (Nt, st, rids) in test_tabs.items():
-            for rname, (Ntr, str_, cids) in test_tabs.items():
-                loc = pen * st * str_ * _mass(Nt, Ntr, w)
-                for rc, cc in zip(np.split(rids, 2), np.split(cids, 2)):
-                    acc_pen.add(rc, cc, loc)
+    # penalty: s_t s_tr delta_ab int N_t N_tr, one scalar block per component
+    for Nt, st, rids in test_tabs.values():
+        for Ntr, str_, cids in test_tabs.values():
+            loc = pen * st * str_ * _mass(Nt, Ntr, w)
+            for rc, cc in zip(np.split(rids, 2, axis=-1), np.split(cids, 2, axis=-1)):
+                acc_pen.add_many(rc, cc, loc)
 
-        # -(sigma_f(v_f, p) n, phi_f - phi_s)
-        for tname, (Nt, st, rids) in test_tabs.items():
-            blocks = [[None, None], [None, None]]
-            for a in range(2):
-                for b in range(2):
-                    m = Nt.T @ (w[:, None] * G[a] * n_comp[b][:, None])
-                    if a == b:
-                        m = m + Nt.T @ (w[:, None] * Gn)
-                    blocks[a][b] = -st * rnu * m
-            acc_cons.add(rids, ids_vf, _blocks_to_local(blocks))
-            # pressure part: +s_t (p n_a, N_t)
-            loc_p = np.vstack([st * Nt.T @ (w[:, None] * P * n_comp[a][:, None])
-                               for a in range(2)])
-            acc_cons.add(rids, ids_p, loc_p)
+    # -(sigma_f(v_f, p) n, phi_f - phi_s)
+    for Nt, st, rids in test_tabs.values():
+        blocks = [[None, None], [None, None]]
+        for a in range(2):
+            for b in range(2):
+                m = _mass(Nt, G[a] * n_comp[b], w)
+                if a == b:
+                    m = m + _mass(Nt, Gn, w)
+                blocks[a][b] = -st * rnu * m
+        acc_cons.add_many(rids, ids_vf, _blocks_to_local(blocks))
+        # pressure part: +s_t (p n_a, N_t)
+        loc_p = np.concatenate([st * _mass(Nt, P * n_comp[a], w) for a in range(2)],
+                               axis=-2)
+        acc_cons.add_many(rids, ids_p, loc_p)
 
-        # -(v_f - v_s, sigma_f(phi_f, -xi) n): rows phi_f and xi
-        for rname, (Ntr, str_, cids) in test_tabs.items():
-            blocks = [[None, None], [None, None]]
-            for a in range(2):
-                for b in range(2):
-                    m = (G[b] * n_comp[a][:, None]).T @ (w[:, None] * Ntr)
-                    if a == b:
-                        m = m + Gn.T @ (w[:, None] * Ntr)
-                    blocks[a][b] = -str_ * rnu * m
-            acc_cons.add(ids_vf, cids, _blocks_to_local(blocks))
-            loc_q = np.hstack([-str_ * P.T @ (w[:, None] * Ntr * n_comp[b][:, None])
-                               for b in range(2)])
-            acc_cons.add(ids_p, cids, loc_q)
+    # -(v_f - v_s, sigma_f(phi_f, -xi) n): rows phi_f and xi
+    for Ntr, str_, cids in test_tabs.values():
+        blocks = [[None, None], [None, None]]
+        for a in range(2):
+            for b in range(2):
+                m = _mass(G[b] * n_comp[a], Ntr, w)
+                if a == b:
+                    m = m + _mass(Gn, Ntr, w)
+                blocks[a][b] = -str_ * rnu * m
+        acc_cons.add_many(ids_vf, cids, _blocks_to_local(blocks))
+        loc_q = np.concatenate([-str_ * _mass(P * n_comp[b], Ntr, w) for b in range(2)],
+                               axis=-1)
+        acc_cons.add_many(ids_p, cids, loc_q)
     return acc_pen.tocsr(), acc_cons.tocsr()
 
 

@@ -59,14 +59,6 @@ def reference_basis(order: int) -> ReferenceBasis:
     return ReferenceBasis(order)
 
 
-def physical_eval(basis: ReferenceBasis, cell_origin, h: float,
-                  pts: np.ndarray, dx: int = 0, dy: int = 0) -> np.ndarray:
-    """Basis table at physical points in a cell (chain rule through the map)."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    ref = (pts - np.asarray(cell_origin)) / h
-    return basis.eval(ref, dx=dx, dy=dy) / h ** (dx + dy)
-
-
 @dataclass
 class DofMap:
     """Scalar node numbering of one field space on its subtriangulation.
@@ -126,22 +118,3 @@ def build_dof_map(mesh: Mesh, topo: CutTopology, role: str, order: int,
                   cells=cells, cell_dofs=cell_dofs, cell_index=cell_index,
                   n_scalar=int(used.sum()), node_coords=node_coords,
                   dirichlet_nodes=dirichlet)
-
-
-def normal_derivative_jump(mesh: Mesh, basis: ReferenceBasis, face: int,
-                           order_j: int, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Jump tables of the j-th normal derivative across an interior face.
-
-    Returns (table_K, table_K') of shape (npts, n_basis) such that the jump
-    of a function with cell coefficient vectors cK, cK' is
-    table_K @ cK - table_K' @ cK'.  Cells are taken in the stored
-    (lexicographic) orientation of the face.
-    """
-    k1, k2 = mesh.face_cells[face]
-    if k1 < 0 or k2 < 0:
-        raise ValueError("jump undefined on boundary faces")
-    axis = mesh.face_axis[face]
-    dx, dy = (order_j, 0) if axis == 0 else (0, order_j)
-    t1 = physical_eval(basis, mesh.cell_origin(k1), mesh.h, pts, dx=dx, dy=dy)
-    t2 = physical_eval(basis, mesh.cell_origin(k2), mesh.h, pts, dx=dx, dy=dy)
-    return t1, t2

@@ -11,6 +11,7 @@ converge spectrally and all weights stay positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,12 +32,19 @@ class QuadratureRule:
         return float(np.sum(self.weights))
 
 
+@lru_cache(maxsize=None)
 def gauss_1d(npts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule on [0, 1]; exact for degree <= 2*npts - 1."""
+    """Gauss-Legendre rule on [0, 1]; exact for degree <= 2*npts - 1.
+
+    Cached; the returned arrays are shared and read-only.
+    """
     if not 1 <= npts <= 64:
         raise ValueError("npts must be in [1, 64]")
     x, w = np.polynomial.legendre.leggauss(npts)
-    return 0.5 * (x + 1.0), 0.5 * w
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def reference_cell_rule(npts: int = 3) -> tuple[np.ndarray, np.ndarray]:
@@ -47,22 +55,22 @@ def reference_cell_rule(npts: int = 3) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ray_cell_interval(origin, h, center, ct, st):
-    """Intersection [rho_in, rho_out] of the ray center + rho*(ct,st) with a cell."""
-    lo, hi = 0.0, np.inf
+    """Intersections [rho_in, rho_out] of the rays center + rho*(ct, st) with
+    a cell, for arrays of directions; ``hit`` is False where a ray misses."""
+    lo = np.zeros(np.shape(ct))
+    hi = np.full(np.shape(ct), np.inf)
+    hit = np.ones(np.shape(ct), dtype=bool)
     for axis, d in ((0, ct), (1, st)):
         a, b = origin[axis], origin[axis] + h
         c = center[axis]
-        if abs(d) < 1e-15:
-            if not (a <= c <= b):
-                return None
-        else:
+        flat = np.abs(d) < 1e-15
+        if not a <= c <= b:
+            hit &= ~flat
+        with np.errstate(divide="ignore", invalid="ignore"):
             t1, t2 = (a - c) / d, (b - c) / d
-            if t1 > t2:
-                t1, t2 = t2, t1
-            lo, hi = max(lo, t1), min(hi, t2)
-    if lo >= hi:
-        return None
-    return lo, hi
+        lo = np.where(flat, lo, np.maximum(lo, np.minimum(t1, t2)))
+        hi = np.where(flat, hi, np.minimum(hi, np.maximum(t1, t2)))
+    return lo, hi, hit & (lo < hi)
 
 
 def _polar_panels(mesh: Mesh, topo: CutTopology, cell: int):
@@ -80,45 +88,43 @@ def _polar_panels(mesh: Mesh, topo: CutTopology, cell: int):
 
 def cut_cell_rule(mesh: Mesh, topo: CutTopology, cell: int, side: str,
                   npts: int = 8) -> QuadratureRule:
-    """Quadrature over K_f or K_s of a cut cell (polar panel decomposition)."""
+    """Quadrature over K_f or K_s of a cut cell (polar panel decomposition).
+
+    Every panel carries npts rays and every ray npts radial points; all
+    rays of the cell are handled at once, ray-major.
+    """
     if cell not in topo.segments:
         raise ValueError(f"cell {cell} is not cut")
-    ls = topo.level_set
-    r = ls.radius
-    o = mesh.cell_origin(cell)
-    brk = _polar_panels(mesh, topo, cell)
-    gx, gw = gauss_1d(npts)
-    pts, wts = [], []
-    for t0, t1 in zip(brk[:-1], brk[1:]):
-        dth = t1 - t0
-        if dth < 1e-14:
-            continue
-        for xt, wt in zip(gx, gw):
-            th = t0 + dth * xt
-            ct, st = np.cos(th), np.sin(th)
-            iv = _ray_cell_interval(o, mesh.h, ls.center, ct, st)
-            if iv is None:
-                continue
-            rin, rout = iv
-            if side == "s":
-                rin, rout = rin, min(rout, r)
-            else:
-                rin, rout = max(rin, r), rout
-            if rout - rin < 1e-15:
-                continue
-            rho = rin + (rout - rin) * gx
-            w = dth * wt * (rout - rin) * gw * rho
-            pts.append(np.column_stack(
-                [ls.center[0] + rho * ct, ls.center[1] + rho * st]))
-            wts.append(w)
-    if not pts:
-        return QuadratureRule(np.zeros((0, 2)), np.zeros(0))
-    points = np.vstack(pts)
-    weights = np.concatenate(wts)
+    empty = QuadratureRule(np.zeros((0, 2)), np.zeros(0))
     frac = topo.kappa_s[cell] if side == "s" else topo.kappa_f[cell]
     if frac * mesh.h ** 2 < 1e-14 * mesh.h ** 2:
-        return QuadratureRule(np.zeros((0, 2)), np.zeros(0))
-    return QuadratureRule(points, weights)
+        return empty
+    ls = topo.level_set
+    r = ls.radius
+    brk = _polar_panels(mesh, topo, cell)
+    gx, gw = gauss_1d(npts)
+    t0, dth = brk[:-1], np.diff(brk)
+    keep = dth >= 1e-14
+    t0, dth = t0[keep], dth[keep]
+    # (panel, ray) grids of angles and angular weights, flattened ray-major
+    th = (t0[:, None] + dth[:, None] * gx[None, :]).ravel()
+    wth = (dth[:, None] * gw[None, :]).ravel()
+    ct, st = np.cos(th), np.sin(th)
+    rin, rout, hit = _ray_cell_interval(mesh.cell_origin(cell), mesh.h,
+                                        ls.center, ct, st)
+    if side == "s":
+        rout = np.minimum(rout, r)
+    else:
+        rin = np.maximum(rin, r)
+    hit &= rout - rin >= 1e-15
+    rin, rout, wth, ct, st = rin[hit], rout[hit], wth[hit], ct[hit], st[hit]
+    if not len(rin):
+        return empty
+    rho = rin[:, None] + (rout - rin)[:, None] * gx[None, :]
+    w = wth[:, None] * (rout - rin)[:, None] * gw[None, :] * rho
+    points = np.column_stack([(ls.center[0] + rho * ct[:, None]).ravel(),
+                              (ls.center[1] + rho * st[:, None]).ravel()])
+    return QuadratureRule(points, w.ravel())
 
 
 def interface_rule(mesh: Mesh, topo: CutTopology, cell: int,

@@ -1,12 +1,21 @@
-"""Form assembly oracles: mass patterns, kernels, symmetry, PSD-ness."""
+"""Form assembly oracles: mass patterns, kernels, symmetry, PSD-ness, and
+equivalence of the batched cut-cell, arc and face assembly with the
+per-cell and per-face loops kept here as test-only oracles."""
+
+import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from cutfsi import Discretization, SimulationConfig
-from cutfsi.assembly import (SCALAR_KERNELS, _mass, assemble_cells,
-                             assemble_forms, raw_jump_matrices, weight_w)
+from cutfsi.analysis import ghost_extension_ratios
+from cutfsi.assembly import (SCALAR_KERNELS, _blocks_to_local, _component_ids,
+                             _grad_p, _div_q, _mass, _place, _solid_bulk,
+                             _viscous, assemble_cells, assemble_forms,
+                             raw_jump_matrices, weight_w)
+from cutfsi.fem import reference_basis
+from cutfsi.quadrature import gauss_1d
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +168,7 @@ def dense_nitsche_penalty(disc):
             dm = disc.dofmap(block)
             ids = lay.offset(block) + np.concatenate(
                 [c * dm.n_scalar + dm.cell_dofs[dm.cell_index[cell]] for c in range(2)])
-            N = disc.tables_at(order, cell, rule.points)[0]
+            N = oracle_tables(disc, order, cell, rule.points)[0]
             spaces.append((ids, sign, N))
         for rows, sr, Nr in spaces:
             for cols, sc, Nc in spaces:
@@ -196,3 +205,221 @@ def test_system_matrix_dimension(disc8):
     expected = 2 * disc8.vf.n_scalar + disc8.p.n_scalar + 4 * disc8.s.n_scalar
     assert lay.total == expected
 
+
+
+@pytest.mark.parametrize("m_s", [1, 2])
+def test_forms_no_stored_zeros(disc8, disc8_q2, m_s):
+    """No assembled form stores explicit zeros (cancelled sums included)."""
+    disc = disc8 if m_s == 1 else disc8_q2
+    forms = assemble_forms(disc)
+    for name in forms.__dataclass_fields__:
+        M = getattr(forms, name)
+        assert M.nnz > 0, name
+        assert np.count_nonzero(M.data == 0.0) == 0, name
+
+
+# -- test-only oracles: one cut cell, arc or ghost face at a time ------------
+
+def oracle_tables(disc, order, cell, pts):
+    """(N, Gx, Gy) of one cell's Q_order basis at physical points."""
+    basis = reference_basis(order)
+    ref = (np.atleast_2d(pts) - disc.mesh.cell_origin(cell)) / disc.h
+    return (basis.eval(ref), basis.eval(ref, dx=1) / disc.h,
+            basis.eval(ref, dy=1) / disc.h)
+
+
+class OracleCoo:
+    """COO lists summed on conversion, one dense block at a time."""
+
+    def __init__(self, shape):
+        self.shape, self.rows, self.cols, self.vals = shape, [], [], []
+
+    def add(self, rows, cols, local):
+        self.rows.append(np.repeat(rows, len(cols)))
+        self.cols.append(np.tile(cols, len(rows)))
+        self.vals.append(np.asarray(local, dtype=float).ravel())
+
+    def tocsr(self):
+        return sp.coo_matrix((np.concatenate(self.vals),
+                              (np.concatenate(self.rows), np.concatenate(self.cols))),
+                             shape=self.shape).tocsr()
+
+
+def oracle_cells(disc, kernel, row, col=None):
+    """Physical-domain cell integral: shared uncut block, then a loop over
+    the cut parts with per-cell tables."""
+    rmap, cmap = disc.dofmap(row), disc.dofmap(col or row)
+    local = kernel(disc.full_cell_tables(rmap.order),
+                   disc.full_cell_tables(cmap.order), disc.full_cell_weights)
+    ncr = local.shape[0] // rmap.cell_dofs.shape[1]
+    ncc = local.shape[1] // cmap.cell_dofs.shape[1]
+
+    def ids(dm, cell, ncomp):
+        return _component_ids(dm.cell_dofs[dm.cell_index[cell]], dm.n_scalar, ncomp)
+
+    acc = OracleCoo((ncr * rmap.n_scalar, ncc * cmap.n_scalar))
+    for cell in disc.topo.uncut_cells(rmap.side):
+        acc.add(ids(rmap, cell, ncr), ids(cmap, cell, ncc), local)
+    cut = disc.cut_parts[rmap.side]
+    for cell, start, stop in zip(cut.cells, cut.offsets[:-1], cut.offsets[1:]):
+        pts, w = cut.points[start:stop], cut.weights[start:stop]
+        tr = oracle_tables(disc, rmap.order, cell, pts)
+        tc = oracle_tables(disc, cmap.order, cell, pts)
+        acc.add(ids(rmap, cell, ncr), ids(cmap, cell, ncc), kernel(tr, tc, w))
+    return acc.tocsr()
+
+
+def oracle_raw_jumps(disc, side, order, w_max, face_npts=4):
+    """Weighted face-jump matrices, one ghost face at a time."""
+    mesh, cfg = disc.mesh, disc.cfg
+    dm = disc.s if side == "s" else (disc.vf if order == cfg.m_f else disc.p)
+    basis = reference_basis(order)
+    kappa = disc.topo.kappa(side)
+    gx, gw = gauss_1d(face_npts)
+    accs = [OracleCoo((dm.n_scalar, dm.n_scalar)) for _ in range(order)]
+    for f in disc.topo.ghost_faces(side):
+        k1, k2 = (int(c) for c in mesh.face_cells[f])
+        axis = mesh.face_axis[f]
+        pts = np.tile(mesh.face_origin[f], (face_npts, 1))
+        pts[:, 1 - axis] += mesh.h * gx
+        wq = mesh.h * gw
+        w_face = float(weight_w(kappa[k1], w_max) + weight_w(kappa[k2], w_max))
+        ids = np.concatenate([dm.cell_dofs[dm.cell_index[k1]],
+                              dm.cell_dofs[dm.cell_index[k2]]])
+        for l in range(1, order + 1):
+            d = (l, 0) if axis == 0 else (0, l)
+            t1, t2 = ((basis.eval((pts - mesh.cell_origin(k)) / mesh.h, *d) / mesh.h ** l)
+                      for k in (k1, k2))
+            J = np.hstack([t1, -t2])
+            accs[l - 1].add(ids, ids, w_face * (J.T @ (wq[:, None] * J)))
+    return [a.tocsr() for a in accs]
+
+
+def oracle_nitsche(disc):
+    """(penalty, consistency) Nitsche matrices, one interface arc at a time."""
+    cfg, lay = disc.cfg, disc.layout
+    rnu = cfg.rho_f * cfg.nu_f
+    pen = rnu * cfg.gamma_N / disc.h
+    acc_pen = OracleCoo((lay.n_system, lay.n_system))
+    acc_cons = OracleCoo((lay.n_system, lay.n_system))
+
+    def ids(block, cell):
+        dm = disc.dofmap(block)
+        return _component_ids(dm.cell_dofs[dm.cell_index[cell]], dm.n_scalar,
+                              dm.ncomp, lay.offset(block))
+
+    for cell, rule in disc.iface_rules.items():
+        pts, w, nrm = rule.points, rule.weights, rule.normals
+        Nf, Gfx, Gfy = oracle_tables(disc, cfg.m_f, cell, pts)
+        P = oracle_tables(disc, cfg.m_f - 1, cell, pts)[0]
+        Ns = oracle_tables(disc, cfg.m_s, cell, pts)[0]
+        n_comp = (nrm[:, 0], nrm[:, 1])
+        G = (Gfx, Gfy)
+        Gn = Gfx * nrm[:, :1] + Gfy * nrm[:, 1:]
+        ids_vf, ids_p = ids("vf", cell), ids("p", cell)
+        tabs = [(Nf, 1.0, ids_vf), (Ns, -1.0, ids("vs", cell))]
+        for Nt, st, rids in tabs:
+            for Ntr, str_, cids in tabs:
+                loc = pen * st * str_ * _mass(Nt, Ntr, w)
+                for rc, cc in zip(np.split(rids, 2), np.split(cids, 2)):
+                    acc_pen.add(rc, cc, loc)
+        for Nt, st, rids in tabs:
+            blocks = [[-st * rnu * (Nt.T @ (w[:, None] * G[a] * n_comp[b][:, None])
+                                    + (a == b) * Nt.T @ (w[:, None] * Gn))
+                       for b in range(2)] for a in range(2)]
+            acc_cons.add(rids, ids_vf, _blocks_to_local(blocks))
+            acc_cons.add(rids, ids_p, np.vstack(
+                [st * Nt.T @ (w[:, None] * P * n_comp[a][:, None]) for a in range(2)]))
+        for Ntr, str_, cids in tabs:
+            blocks = [[-str_ * rnu * ((G[b] * n_comp[a][:, None]).T @ (w[:, None] * Ntr)
+                                      + (a == b) * Gn.T @ (w[:, None] * Ntr))
+                       for b in range(2)] for a in range(2)]
+            acc_cons.add(ids_vf, cids, _blocks_to_local(blocks))
+            acc_cons.add(ids_p, cids, np.hstack(
+                [-str_ * P.T @ (w[:, None] * Ntr * n_comp[b][:, None]) for b in range(2)]))
+    return acc_pen.tocsr(), acc_cons.tocsr()
+
+
+def oracle_ghost_ratio(disc, side, order, l, w_max, seed, n_samples=100):
+    """Band-sampler ghost-extension ratio, drawing each cut cell's dofs in
+    turn and forming the quadratic forms one sample at a time."""
+    block = {"f": {disc.cfg.m_f: "vf", disc.cfg.m_f - 1: "p"},
+             "s": {disc.cfg.m_s: "vs"}}[side][order]
+    kernel = SCALAR_KERNELS["value" if l == 0 else "gradient"]
+    M_comp = assemble_cells(disc, kernel, block, domain="extended")
+    rhs_mat = assemble_cells(disc, kernel, block, domain="uncut")
+    raws = raw_jump_matrices(disc, side, order, w_max=w_max)
+    for j in range(1, order + 1):
+        rhs_mat = rhs_mat + disc.h ** (2 * (j - l) + 1) / math.factorial(j - l) ** 2 * raws[j - 1]
+    dm = disc.dofmap(block)
+    cut_dofs = [dm.cell_dofs[dm.cell_index[int(c)]] for c in disc.topo.cut_cells]
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_samples):
+        v = np.zeros(dm.n_scalar)
+        for ids in cut_dofs:
+            v[ids] = rng.standard_normal(len(ids))
+        lhs, rhs = float(v @ (M_comp @ v)), float(v @ (rhs_mat @ v))
+        if rhs > 1e-13 * lhs:
+            worst = max(worst, lhs / rhs)
+    return worst
+
+
+BATCH_CASES = [(n, m_s, r2) for n in (8, 16) for m_s in (1, 2) for r2 in (0.5, 0.71)]
+
+
+@pytest.fixture(scope="module", params=BATCH_CASES,
+                ids=[f"n{n}-ms{m}-r{r}" for n, m, r in BATCH_CASES])
+def batch_case(request):
+    """r2 = 0.5 puts mesh vertices on the circle; 0.71 is a generic cut."""
+    n, m_s, r2 = request.param
+    disc = Discretization(SimulationConfig(n=n, m_s=m_s, radius_squared=r2))
+    return disc, assemble_forms(disc)
+
+
+def assert_same(got, want, tol=1e-13):
+    scale = abs(want).max()
+    assert scale > 0
+    assert abs(got - want).max() <= tol * scale
+
+
+def test_batched_raw_jumps_match_face_loop(batch_case):
+    disc, _ = batch_case
+    cfg = disc.cfg
+    for side, order in (("f", cfg.m_f), ("f", cfg.m_f - 1), ("s", cfg.m_s)):
+        for w_max in (1.0, cfg.w_max):
+            got = raw_jump_matrices(disc, side, order, w_max=w_max)
+            want = oracle_raw_jumps(disc, side, order, w_max)
+            assert len(got) == order
+            for g, o in zip(got, want):
+                assert_same(g, o)
+
+
+def test_batched_cell_forms_match_cell_loop(batch_case):
+    disc, forms = batch_case
+    cfg = disc.cfg
+    assert_same(forms.mass_solid_scalar, oracle_cells(disc, SCALAR_KERNELS["value"], "vs"))
+    assert_same(forms.solid_bulk, oracle_cells(
+        disc, lambda tr, tc, w: _solid_bulk(tr, w, cfg.mu_s, cfg.lambda_s), "vs"))
+    viscous = oracle_cells(disc, lambda tr, tc, w: _viscous(tr, w, cfg.rho_f * cfg.nu_f), "vf")
+    fluid_bulk = (_place(disc, "vf", "vf", viscous)
+                  + _place(disc, "vf", "p", oracle_cells(disc, _grad_p, "vf", "p"))
+                  + _place(disc, "p", "vf", oracle_cells(disc, _div_q, "p", "vf")))
+    assert_same(forms.fluid_bulk, fluid_bulk)
+
+
+def test_batched_nitsche_matches_arc_loop(batch_case):
+    disc, forms = batch_case
+    pen, cons = oracle_nitsche(disc)
+    assert_same(forms.nitsche_pen, pen)
+    assert_same(forms.nitsche_cons, cons)
+
+
+@pytest.mark.parametrize("side,l", [("f", 0), ("f", 1), ("s", 0), ("s", 1)])
+def test_band_sampler_matches_per_cell_draws(disc8_q2, side, l):
+    disc = disc8_q2
+    order = disc.cfg.m_f if side == "f" else disc.cfg.m_s
+    got = ghost_extension_ratios(disc, side, order, l, disc.cfg.w_max, seed=11)
+    want = oracle_ghost_ratio(disc, side, order, l, disc.cfg.w_max, seed=11)
+    assert want > 0
+    assert got == pytest.approx(want, rel=1e-12)

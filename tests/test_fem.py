@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from cutfsi.assembly import _component_ids
-from cutfsi.fem import (build_dof_map, normal_derivative_jump, physical_eval,
-                        reference_basis)
-from cutfsi.quadrature import gauss_1d
+from cutfsi.assembly import _component_ids, face_jump_table
+from cutfsi.fem import build_dof_map, reference_basis
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -57,20 +55,30 @@ def test_derivatives_of_quadratic():
     assert np.allclose(basis.eval(pts, dx=1, dy=1) @ coefs, 2 * pts[:, 0])
 
 
-def test_physical_eval_scaling():
-    basis = reference_basis(2)
-    origin = np.array([0.5, -0.25])
-    h = 0.25
+def test_physical_eval_scaling(disc8):
+    """The batched tabulation scales derivatives through the cell map: on
+    the cell with origin (0.5, -0.25) and h = 0.25 the Q2 interpolant of
+    3x^2 - y is reproduced with its first derivatives, one table per
+    derivative for points of several cells at once."""
+    cell = 3 * disc8.mesh.n + 6
+    origin = disc8.mesh.cell_origin(cell)
+    h = disc8.h
+    assert np.allclose(origin, [0.5, -0.25]) and h == 0.25
     g = origin + h * np.stack(np.meshgrid(np.linspace(0, 1, 3),
                                           np.linspace(0, 1, 3),
                                           indexing="xy"), axis=-1).reshape(-1, 2)
     coefs = 3.0 * g[:, 0] ** 2 - g[:, 1]
-    pts = origin + h * np.random.default_rng(3).random((10, 2))
-    assert np.allclose(physical_eval(basis, origin, h, pts) @ coefs,
-                       3 * pts[:, 0] ** 2 - pts[:, 1])
-    assert np.allclose(physical_eval(basis, origin, h, pts, dx=1) @ coefs,
-                       6 * pts[:, 0])
-    assert np.allclose(physical_eval(basis, origin, h, pts, dx=2) @ coefs, 6.0)
+    pts = origin + h * np.random.default_rng(3).random((2, 5, 2))
+    N, Gx, Gy = disc8.tabulate(2, cell, pts)
+    assert N.shape == (2, 5, 9)
+    assert np.allclose(N @ coefs, 3 * pts[..., 0] ** 2 - pts[..., 1])
+    assert np.allclose(Gx @ coefs, 6 * pts[..., 0])
+    assert np.allclose(Gy @ coefs, -1.0)
+    # a second cell in the same call: the same function, shifted by h in x
+    cells = np.array([[cell], [cell + 1]])
+    shifted = pts + np.array([[[0.0, 0.0]], [[h, 0.0]]])
+    N2 = disc8.tabulate(2, cells, shifted)[0]
+    assert np.allclose(N2, N, atol=1e-14)
 
 
 def enumerate_scalar_dofs(mesh, cells, order):
@@ -124,19 +132,27 @@ def test_vector_ids_layout(disc8):
 
 def test_jump_zero_for_global_polynomial(disc8):
     """Interpolants of global Q2 polynomials have exactly zero jumps of the
-    first and second normal derivative across interior faces."""
+    first and second normal derivative across interior faces: the per-axis
+    reference jump table annihilates their stacked cell coefficients on
+    every ghost face of either axis."""
     mesh = disc8.mesh
     dm = disc8.vf
-    basis = reference_basis(2)
-    gx, _ = gauss_1d(3)
     poly = dm.node_coords[:, 0] ** 2 + dm.node_coords[:, 0] * dm.node_coords[:, 1]
-    for f in list(disc8.topo.ghost_faces("f"))[:10]:
+    faces = disc8.topo.ghost_faces("f")
+    assert set(mesh.face_axis[faces]) == {0, 1}
+    for f in faces:
         k1, k2 = (int(c) for c in mesh.face_cells[f])
-        axis = mesh.face_axis[f]
-        pts = np.tile(mesh.face_origin[f], (3, 1))
-        pts[:, 1 - axis] += mesh.h * gx
+        c = np.concatenate([poly[dm.cell_dofs[dm.cell_index[k1]]],
+                            poly[dm.cell_dofs[dm.cell_index[k2]]]])
         for j in (1, 2):
-            t1, t2 = normal_derivative_jump(mesh, basis, f, j, pts)
-            c1 = poly[dm.cell_dofs[dm.cell_index[k1]]]
-            c2 = poly[dm.cell_dofs[dm.cell_index[k2]]]
-            assert np.allclose(t1 @ c1 - t2 @ c2, 0.0, atol=1e-9)
+            J = face_jump_table(2, j, mesh.face_axis[f], mesh.h, face_npts=3)
+            assert J.shape == (3, 18)
+            assert np.allclose(J @ c, 0.0, atol=1e-9)
+    # a function with a kink across x = 0 has a nonzero first jump there
+    kink = np.abs(dm.node_coords[:, 0])
+    f = next(f for f in faces if mesh.face_axis[f] == 0
+             and abs(mesh.face_origin[f][0]) < 1e-12)
+    k1, k2 = (int(c) for c in mesh.face_cells[f])
+    c = np.concatenate([kink[dm.cell_dofs[dm.cell_index[k1]]],
+                        kink[dm.cell_dofs[dm.cell_index[k2]]]])
+    assert np.allclose(face_jump_table(2, 1, 0, mesh.h) @ c, -2.0)

@@ -5,8 +5,8 @@ import pytest
 
 from cutfsi.geometry import CircleLevelSet
 from cutfsi.mesh import build_cut_topology, build_mesh
-from cutfsi.quadrature import (cut_cell_rule, gauss_1d, interface_rule,
-                               reference_cell_rule)
+from cutfsi.quadrature import (_polar_panels, cut_cell_rule, gauss_1d,
+                               interface_rule, reference_cell_rule)
 
 RS = 0.75
 
@@ -26,6 +26,67 @@ def test_gauss_exactness(npts):
     for deg in range(2 * npts):
         exact = 1.0 / (deg + 1)
         assert np.dot(w, x ** deg) == pytest.approx(exact, rel=1e-13)
+
+
+def test_gauss_cached_read_only():
+    """Repeated calls return equal rules that callers cannot overwrite."""
+    x1, w1 = gauss_1d(4)
+    x2, w2 = gauss_1d(4)
+    assert np.array_equal(x1, x2) and np.array_equal(w1, w2)
+    for a in (x1, w1):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def oracle_cut_cell_rule(mesh, topo, cell, side, npts=8):
+    """The polar cut-cell rule built one ray at a time."""
+    ls = topo.level_set
+    o = mesh.cell_origin(cell)
+    brk = _polar_panels(mesh, topo, cell)
+    gx, gw = gauss_1d(npts)
+    pts, wts = [], []
+    for t0, t1 in zip(brk[:-1], brk[1:]):
+        dth = t1 - t0
+        if dth < 1e-14:
+            continue
+        for xt, wt in zip(gx, gw):
+            th = t0 + dth * xt
+            ct, st = np.cos(th), np.sin(th)
+            lo, hi, hit = 0.0, np.inf, True
+            for axis, d in ((0, ct), (1, st)):
+                a, b, c = o[axis], o[axis] + mesh.h, ls.center[axis]
+                if abs(d) < 1e-15:
+                    hit = hit and a <= c <= b
+                else:
+                    t1_, t2_ = sorted(((a - c) / d, (b - c) / d))
+                    lo, hi = max(lo, t1_), min(hi, t2_)
+            if not hit or lo >= hi:
+                continue
+            rin, rout = (lo, min(hi, ls.radius)) if side == "s" else (max(lo, ls.radius), hi)
+            if rout - rin < 1e-15:
+                continue
+            rho = rin + (rout - rin) * gx
+            wts.append(dth * wt * (rout - rin) * gw * rho)
+            pts.append(np.column_stack([ls.center[0] + rho * ct, ls.center[1] + rho * st]))
+    frac = topo.kappa_s[cell] if side == "s" else topo.kappa_f[cell]
+    if not pts or frac < 1e-14:
+        return np.zeros((0, 2)), np.zeros(0)
+    return np.vstack(pts), np.concatenate(wts)
+
+
+@pytest.mark.parametrize("n,r2", [(8, 0.5), (8, 0.71), (16, 0.5), (16, 0.71)])
+def test_cut_rule_matches_ray_loop(n, r2):
+    """The batched ray construction gives the per-ray rule, point by point."""
+    mesh = build_mesh(n)
+    topo = build_cut_topology(mesh, CircleLevelSet(r2))
+    for cell in topo.cut_cells:
+        for side in ("f", "s"):
+            rule = cut_cell_rule(mesh, topo, int(cell), side)
+            pts, w = oracle_cut_cell_rule(mesh, topo, int(cell), side)
+            assert rule.points.shape == pts.shape
+            assert np.allclose(rule.points, pts, rtol=0, atol=1e-15)
+            assert np.allclose(rule.weights, w, rtol=1e-14, atol=0)
 
 
 def test_cell_rule_total(disc8):
@@ -113,3 +174,29 @@ def test_interface_rule_integrates_harmonics(setup8):
         rule = interface_rule(mesh, topo, int(cell))
         val += np.dot(rule.weights, rule.points[:, 0] ** 2)
     assert val == pytest.approx(np.pi * r ** 3, rel=1e-12)
+
+
+def test_cut_parts_batches_cover_rules(disc16):
+    """The concatenated cut parts hold every non-empty cut-cell rule once,
+    and their batches pad each rule with zero weights at its last point,
+    within the point budget."""
+    mesh, topo = disc16.mesh, disc16.topo
+    for side in ("f", "s"):
+        rules = {int(c): cut_cell_rule(mesh, topo, int(c), side) for c in topo.cut_cells}
+        rules = {c: rule for c, rule in rules.items() if len(rule.weights)}
+        parts = disc16.cut_parts[side]
+        assert list(parts.cells) == list(rules) and len(rules) > 0
+        assert np.array_equal(parts.points, np.vstack([r.points for r in rules.values()]))
+        assert np.array_equal(parts.weights, np.concatenate([r.weights for r in rules.values()]))
+        seen = []
+        for cells, pts, w in parts.batches(max_points=700):
+            assert pts.shape == w.shape + (2,)
+            assert w.size <= 700 or len(cells) == 1
+            for cell, p, wc in zip(cells, pts, w):
+                rule = rules[int(cell)]
+                k = len(rule.weights)
+                assert np.array_equal(p[:k], rule.points)
+                assert np.array_equal(wc[:k], rule.weights)
+                assert np.all(wc[k:] == 0.0) and np.all(p[k:] == rule.points[-1])
+                seen.append(int(cell))
+        assert sorted(seen) == sorted(rules)
