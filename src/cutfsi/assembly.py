@@ -305,9 +305,10 @@ def assemble_nitsche(disc: Discretization) -> tuple[sp.csr_matrix, sp.csr_matrix
     Consistency: -(sigma_f(v_f, p) n_f, phi_f - phi_s)
                  -(v_f - v_s, sigma_f(phi_f, -xi) n_f)
 
-    All arcs share one point count, so the bases are tabulated once per
-    space at every arc point and the local matrices of all cut cells are
-    formed in one batch.
+    The bases are tabulated once per space at every arc point and the local
+    matrices of all cut cells are formed in one batch.  A cell with two arcs
+    has twice the points; the other cells repeat their last point at weight
+    zero up to that count.
     """
     cfg = disc.cfg
     lay = disc.layout
@@ -320,9 +321,13 @@ def assemble_nitsche(disc: Discretization) -> tuple[sp.csr_matrix, sp.csr_matrix
 
     cells = np.array(list(disc.iface_rules), dtype=int)
     rules = list(disc.iface_rules.values())
-    pts = np.stack([rule.points for rule in rules])  # (ncut, q, 2)
-    w = np.stack([rule.weights for rule in rules])
-    nrm = np.stack([rule.normals for rule in rules])
+    counts = np.array([len(rule.weights) for rule in rules])
+    j = np.arange(counts.max())
+    take = (np.cumsum(counts) - counts)[:, None] + np.minimum(j, counts[:, None] - 1)
+    pts = np.concatenate([rule.points for rule in rules])[take]  # (ncut, q, 2)
+    w = np.concatenate([rule.weights for rule in rules])[take]
+    w[j >= counts[:, None]] = 0.0
+    nrm = np.concatenate([rule.normals for rule in rules])[take]
 
     def ids(block):
         dm = disc.dofmap(block)

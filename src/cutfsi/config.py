@@ -45,6 +45,9 @@ class SimulationConfig:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.radius_squared >= 1.0:
+            raise ValueError("radius_squared must be < 1 so that the circle lies inside "
+                             f"the cavity (-1, 1)^2, got {self.radius_squared}")
         if self.w_max < 1.0:
             raise ValueError(f"w_max must be >= 1, got {self.w_max}")
         if self.m_f != 2:

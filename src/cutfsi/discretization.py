@@ -16,7 +16,7 @@ from .config import SimulationConfig
 from .fem import DofMap, build_dof_map, reference_basis
 from .geometry import CircleLevelSet
 from .mesh import Mesh, build_cut_topology, build_mesh
-from .quadrature import (QuadratureRule, cut_cell_rule, interface_rule,
+from .quadrature import (CutParts, QuadratureRule, cut_cell_rule, interface_rule,
                          reference_cell_rule)
 
 
@@ -66,49 +66,6 @@ class BlockLayout:
         return slice(off, off + self.size(block))
 
 
-@dataclass(frozen=True)
-class CutParts:
-    """Cut-cell rules of one side, concatenated.
-
-    The rule of ``cells[i]`` is ``points[offsets[i]:offsets[i + 1]]`` with
-    the same slice of ``weights``.
-    """
-
-    cells: np.ndarray    # (ncut,)
-    points: np.ndarray   # (npts, 2)
-    weights: np.ndarray  # (npts,)
-    offsets: np.ndarray  # (ncut + 1,)
-
-    @classmethod
-    def from_rules(cls, rules: dict[int, QuadratureRule]) -> "CutParts":
-        """Concatenate the non-empty rules of a {cell: rule} map, in its order."""
-        rules = [(cell, rule) for cell, rule in rules.items() if len(rule.weights)]
-        counts = [len(rule.weights) for _, rule in rules]
-        return cls(np.array([cell for cell, _ in rules], dtype=int),
-                   np.concatenate([rule.points for _, rule in rules] + [np.zeros((0, 2))]),
-                   np.concatenate([rule.weights for _, rule in rules] + [np.zeros(0)]),
-                   np.concatenate([[0], np.cumsum(counts, dtype=int)]))
-
-    def batches(self, max_points: int = 8192):
-        """(cells, points (b, q, 2), weights (b, q)) over batches of whole cells.
-
-        Each batch is padded to its largest rule by repeating a cell's last
-        point with weight zero, so padded tables stay finite and add nothing
-        to an integral.  Cells go in order of their point count, which keeps
-        the padding small, and a batch holds at most max_points padded points
-        (at least one cell), which bounds the memory of its tables.
-        """
-        counts = np.diff(self.offsets)
-        order = np.argsort(counts, kind="stable")
-        step = max(1, max_points // max(counts.max(initial=0), 1))
-        for s in range(0, len(order), step):
-            idx = order[s:s + step]
-            j = np.arange(counts[idx].max())
-            take = self.offsets[idx, None] + np.minimum(j, counts[idx, None] - 1)
-            yield (self.cells[idx], self.points[take],
-                   np.where(j < counts[idx, None], self.weights[take], 0.0))
-
-
 class Discretization:
     """All mesh-level data needed to assemble and evaluate on one level."""
 
@@ -131,17 +88,14 @@ class Discretization:
         self.bulk_npts = bulk_npts
         self._table_cache: dict[int, tuple] = {}
         self.ref_pts, self.ref_w = reference_cell_rule(bulk_npts)
-        cut_rules: dict[str, dict[int, QuadratureRule]] = {"f": {}, "s": {}}
-        self.iface_rules: dict[int, QuadratureRule] = {}
-        for cell in self.topo.cut_cells:
-            cell = int(cell)
-            for side in ("f", "s"):
-                cut_rules[side][cell] = cut_cell_rule(
-                    self.mesh, self.topo, cell, side, npts=cut_npts)
-            self.iface_rules[cell] = interface_rule(
-                self.mesh, self.topo, cell, npts=interface_npts)
-        self.cut_parts = {side: CutParts.from_rules(rules)
-                          for side, rules in cut_rules.items()}
+        cut = self.topo.cut_cells
+        self.cut_parts = {side: cut_cell_rule(self.mesh, self.topo, cut, side,
+                                              npts=cut_npts)
+                          for side in ("f", "s")}
+        self.iface_rules: dict[int, QuadratureRule] = {
+            int(cell): interface_rule(self.mesh, self.topo, int(cell),
+                                      npts=interface_npts)
+            for cell in cut}
 
     @property
     def h(self) -> float:
@@ -159,12 +113,12 @@ class Discretization:
         "physical".
         """
         if domain == "extended":
-            return self.topo.tri_cells(side), CutParts.from_rules({})
+            return self.topo.tri_cells(side), CutParts.empty()
         if domain not in ("physical", "uncut"):
             raise ValueError(f"unknown cell domain {domain!r}")
         full = self.topo.uncut_cells(side)
         if domain == "uncut":
-            return full, CutParts.from_rules({})
+            return full, CutParts.empty()
         return full, self.cut_parts[side]
 
     def full_cell_tables(self, order: int):

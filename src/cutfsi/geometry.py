@@ -37,37 +37,42 @@ class CircleLevelSet:
         return float(val) if val.ndim == 0 else val
 
 
-def edge_zero_crossings(ls: CircleLevelSet, a, b) -> list[np.ndarray]:
-    """Intersections of the segment [a, b] with the zero set of ``ls``.
+def rowdot(x, y) -> np.ndarray:
+    """Inner products over the last axis, row by row.
 
-    Returns 0, 1 or 2 points ordered by increasing segment parameter.
-    A tangency (double root) is returned once.
+    Each row is one BLAS dot, the product ``x @ y`` computes for a single
+    pair, so batched geometry reproduces the per-segment values bit for bit.
+    """
+    return (np.asarray(x)[..., None, :] @ np.asarray(y)[..., :, None])[..., 0, 0]
+
+
+def edge_zero_crossings(ls: CircleLevelSet, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Crossings of the segments [a, b] with the zero set of ``ls``.
+
+    ``a`` and ``b`` have shape (..., 2).  Returns ``(points, found)`` of
+    shapes (..., 2, 2) and (..., 2): the two roots of the quadratic
+    phi(a + t (b - a)) = 0 per segment in increasing t, and whether each lies
+    on the segment.  A double root, a discriminant within round-off of zero,
+    is a point where the circle touches the segment's line without crossing
+    it; it is not returned.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     d = b - a
-    if not np.any(d != 0.0):
+    if np.any(np.all(d == 0.0, axis=-1)):
         raise ValueError("degenerate segment: a == b")
     # phi(a + t d) = |m + t d|^2 - r^2 with m = a - c: quadratic in t.
     m = a - ls.center
-    qa = float(d @ d)
-    qb = 2.0 * float(m @ d)
-    qc = float(m @ m) - ls.radius_squared
+    qa = rowdot(d, d)
+    qb = 2.0 * rowdot(m, d)
+    qc = rowdot(m, m) - ls.radius_squared
     disc = qb * qb - 4.0 * qa * qc
-    scale = abs(qb * qb) + abs(4.0 * qa * qc)
-    if disc <= 0.0:
-        if disc < -1e-14 * max(scale, 1.0):
-            return []
-        # tangency: double root, returned once if on the segment
-        t = -qb / (2.0 * qa)
-        return [a + t * d] if 0.0 <= t <= 1.0 else []
-    sq = np.sqrt(disc)
-    # numerically stable pair of roots
-    q = -0.5 * (qb + np.copysign(sq, qb))
-    roots = sorted({q / qa, qc / q} if q != 0.0 else {0.0})
+    scale = np.abs(qb * qb) + np.abs(4.0 * qa * qc)
+    crosses = disc > 1e-14 * np.maximum(scale, 1.0)
+    # numerically stable pair of roots; q != 0 wherever the roots are distinct
+    q = -0.5 * (qb + np.copysign(np.sqrt(np.where(crosses, disc, 0.0)), qb))
+    q = np.where(crosses, q, 1.0)
+    t = np.sort(np.stack([q / qa, qc / q], axis=-1), axis=-1)
     eps = 1e-13
-    out = [a + t * d for t in roots if -eps <= t <= 1.0 + eps]
-    # deduplicate near-coincident roots
-    if len(out) == 2 and np.linalg.norm(out[1] - out[0]) < 1e-13 * (1.0 + np.linalg.norm(d)):
-        out = out[:1]
-    return out
+    found = crosses[..., None] & (t >= -eps) & (t <= 1.0 + eps)
+    return a[..., None, :] + t[..., None] * d[..., None, :], found

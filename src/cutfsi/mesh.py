@@ -3,8 +3,9 @@
 The background mesh is fitted to the outer boundary but not to the
 interface.  ``CutTopology`` records, per cell, whether it is purely fluid,
 purely solid or cut, the exact area fractions kappa_f/kappa_s, the interface
-arc within each cut cell and the ghost penalty face sets of both
-subtriangulations.
+arcs within each cut cell and the ghost penalty face sets of both
+subtriangulations.  The mesh faces and the cut topology are built by array
+code over all cells and faces at once.
 """
 
 from __future__ import annotations
@@ -16,7 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CircleLevelSet, edge_zero_crossings
+from .config import ConfigError
+from .geometry import CircleLevelSet, edge_zero_crossings, rowdot
+
+
+# corner offsets of a cell in units of h, counterclockwise from the lower left
+_UNIT_SQUARE = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
 
 
 class CellClass(enum.IntEnum):
@@ -58,11 +64,9 @@ class Mesh:
         iy = cell // self.n
         return np.stack([-1.0 + ix * self.h, -1.0 + iy * self.h], axis=-1)
 
-    def cell_corners(self, cell: int) -> np.ndarray:
-        """Corners of one cell, counterclockwise from the lower left."""
-        o = self.cell_origin(cell)
-        h = self.h
-        return np.array([o, o + [h, 0.0], o + [h, h], o + [0.0, h]])
+    def cell_corners(self, cell) -> np.ndarray:
+        """Corners of cell(s), counterclockwise from the lower left: (..., 4, 2)."""
+        return self.cell_origin(cell)[..., None, :] + self.h * _UNIT_SQUARE
 
 
 def build_mesh(n: int) -> Mesh:
@@ -80,51 +84,36 @@ def build_mesh(n: int) -> Mesh:
     ll = iy.ravel() * (n + 1) + ix.ravel()
     cell_vertices = np.column_stack([ll, ll + 1, ll + n + 2, ll + n + 1])
 
-    face_cells, face_axis, face_origin = [], [], []
-    # vertical faces (normal = e_x): between columns
-    for iyf in range(n):
-        for ixf in range(n + 1):
-            left = iyf * n + (ixf - 1) if ixf > 0 else -1
-            right = iyf * n + ixf if ixf < n else -1
-            face_cells.append((left, right))
-            face_axis.append(0)
-            face_origin.append((-1.0 + ixf * h, -1.0 + iyf * h))
-    # horizontal faces (normal = e_y): between rows
-    for iyf in range(n + 1):
-        for ixf in range(n):
-            below = (iyf - 1) * n + ixf if iyf > 0 else -1
-            above = iyf * n + ixf if iyf < n else -1
-            face_cells.append((below, above))
-            face_axis.append(1)
-            face_origin.append((-1.0 + ixf * h, -1.0 + iyf * h))
+    # vertical faces (normal e_x) between columns, then horizontal faces
+    # (normal e_y) between rows, each set x fastest; -1 is the outside
+    vx, vy = (a.ravel() for a in np.meshgrid(np.arange(n + 1), np.arange(n)))
+    hx, hy = (a.ravel() for a in np.meshgrid(np.arange(n), np.arange(n + 1)))
+    left = np.where(vx > 0, vy * n + vx - 1, -1)
+    right = np.where(vx < n, vy * n + vx, -1)
+    below = np.where(hy > 0, (hy - 1) * n + hx, -1)
+    above = np.where(hy < n, hy * n + hx, -1)
+    fx, fy = np.concatenate([vx, hx]), np.concatenate([vy, hy])
     return Mesh(
         n=n,
         h=h,
         vertices=vertices,
         cell_vertices=cell_vertices,
-        face_cells=np.array(face_cells, dtype=int),
-        face_axis=np.array(face_axis, dtype=int),
-        face_origin=np.array(face_origin, dtype=float),
+        face_cells=np.column_stack([np.concatenate([left, below]),
+                                    np.concatenate([right, above])]),
+        face_axis=np.repeat([0, 1], [len(vx), len(hx)]),
+        face_origin=np.column_stack([-1.0 + fx * h, -1.0 + fy * h]),
     )
 
 
 @dataclass(frozen=True)
-class InterfaceSegment:
-    """Arc of the circular interface inside one cut cell."""
-
-    cell: int
-    theta0: float
-    theta1: float          # theta1 > theta0, arc runs counterclockwise
-    endpoints: np.ndarray  # (2, 2) points on the circle
-
-    @property
-    def arc_angle(self) -> float:
-        return self.theta1 - self.theta0
-
-
-@dataclass(frozen=True)
 class CutTopology:
-    """Cell classification, cut fractions, ghost faces and interface arcs."""
+    """Cell classification, cut fractions, ghost faces and interface arcs.
+
+    A cut cell holds one interface arc, or two where the circle leaves the
+    cell through one face and comes back through the same face (it then
+    nearly touches that face's line).  The arcs of one cell lie on one
+    angular branch, so together they span less than pi.
+    """
 
     mesh: Mesh
     level_set: CircleLevelSet
@@ -133,13 +122,21 @@ class CutTopology:
     kappa_s: np.ndarray      # (n_cells,)
     in_fluid_tri: np.ndarray  # (n_cells,) bool, K in T_f^h
     in_solid_tri: np.ndarray  # (n_cells,) bool, K in T_s^h
-    segments: dict[int, InterfaceSegment]
+    arc_cells: np.ndarray    # (narcs,) cut cell of each arc, ascending
+    arcs: np.ndarray         # (narcs, 2) theta0 < theta1, counterclockwise
     ghost_faces_f: np.ndarray  # face ids
     ghost_faces_s: np.ndarray
 
     @property
     def cut_cells(self) -> np.ndarray:
         return np.flatnonzero(self.cell_class == CellClass.CUT)
+
+    def cell_arcs(self, cell: int) -> np.ndarray:
+        """(k, 2) angular intervals of the arcs inside one cut cell."""
+        lo, hi = np.searchsorted(self.arc_cells, [cell, cell + 1])
+        if lo == hi:
+            raise ValueError(f"cell {cell} is not cut")
+        return self.arcs[lo:hi]
 
     def tri_cells(self, side: str) -> np.ndarray:
         flags = self.in_fluid_tri if side == "f" else self.in_solid_tri
@@ -157,97 +154,45 @@ class CutTopology:
         return self.kappa_f if side == "f" else self.kappa_s
 
 
-def _cell_crossings(mesh: Mesh, ls: CircleLevelSet, cell: int):
-    """Distinct interface crossings on the cell boundary, in boundary order."""
-    corners = mesh.cell_corners(cell)
-    pts = []
-    for e in range(4):
-        a, b = corners[e], corners[(e + 1) % 4]
-        for p in edge_zero_crossings(ls, a, b):
-            pts.append(p)
-    # deduplicate points coinciding at corners / shared tangencies
-    out = []
-    for p in pts:
-        if not any(np.linalg.norm(p - q) < 1e-12 * (1.0 + mesh.h) for q in out):
-            out.append(p)
-    return out
+def _unresolved(mesh: Mesh, ls: CircleLevelSet, cell: int, problem: str) -> ConfigError:
+    """The error for a circle the mesh is too coarse for, with an n that works.
 
-
-def _solid_polygon_area(mesh: Mesh, ls: CircleLevelSet, cell: int) -> float:
-    """Shoelace area of the chord polygon of the solid part of a cut cell."""
-    corners = mesh.cell_corners(cell)
-    verts = []
-    for e in range(4):
-        a, b = corners[e], corners[(e + 1) % 4]
-        if ls(a) < 0.0:
-            verts.append(a)
-        cross = edge_zero_crossings(ls, a, b)
-        d = b - a
-        cross.sort(key=lambda p: float((p - a) @ d))
-        verts.extend(cross)
-    if len(verts) < 3:
-        return 0.0
-    v = np.array(verts)
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
-def _arc_interval(mesh: Mesh, ls: CircleLevelSet, cell: int, p0, p1) -> tuple[float, float]:
-    """Angular interval of the in-cell arc between two crossing points."""
-    c = ls.center
-    t0 = float(np.arctan2(p0[1] - c[1], p0[0] - c[0]))
-    t1 = float(np.arctan2(p1[1] - c[1], p1[0] - c[0]))
-    lo, hi = (t0, t1) if t0 <= t1 else (t1, t0)
-    o = mesh.cell_origin(cell)
-    h = mesh.h
-    r = ls.radius
-
-    def inside(theta):
-        x = c + r * np.array([np.cos(theta), np.sin(theta)])
-        return (o[0] - 1e-12 <= x[0] <= o[0] + h + 1e-12
-                and o[1] - 1e-12 <= x[1] <= o[1] + h + 1e-12)
-
-    if inside(0.5 * (lo + hi)):
-        return lo, hi
-    # complementary arc, wrapped past pi
-    return hi, lo + 2.0 * np.pi
-
-
-def cut_fraction(mesh: Mesh, ls: CircleLevelSet, cell: int) -> tuple[float, float]:
-    """(kappa_f, kappa_s) of a cell from exact polygon + circular segment areas."""
-    crossings = _cell_crossings(mesh, ls, cell)
-    corners = mesh.cell_corners(cell)
-    phis = ls(corners)
-    if len(crossings) < 2:
-        return (0.0, 1.0) if np.all(phis <= 0.0) else (1.0, 0.0)
-    if len(crossings) > 2:
-        raise RuntimeError(f"cell {cell}: more than two interface crossings")
-    t0, t1 = _arc_interval(mesh, ls, cell, crossings[0], crossings[1])
-    dth = t1 - t0
-    if dth >= np.pi:
-        raise RuntimeError(f"cell {cell}: interface arc angle {dth:.3f} >= pi")
-    segment = 0.5 * ls.radius_squared * (dth - np.sin(dth))
-    area_s = _solid_polygon_area(mesh, ls, cell) + segment
-    h2 = mesh.h * mesh.h
-    kappa_s = min(max(area_s / h2, 0.0), 1.0)
-    return 1.0 - kappa_s, kappa_s
+    A cut cell meets the circle and has diameter h*sqrt(2).  With
+    (sqrt(2) + 1/2) h <= r every cut cell therefore lies at least h/2 from
+    the centre, no cell is near two of the circle's extreme points, and every
+    cut cell has one or two arcs.
+    """
+    n_min = int(np.ceil(2.0 * (np.sqrt(2.0) + 0.5) / ls.radius))
+    return ConfigError(
+        f"cell {cell}: {problem}; n={mesh.n} does not resolve the circle of radius "
+        f"{ls.radius:.6g}, n >= {n_min} does ((sqrt(2) + 1/2) h <= radius)")
 
 
 def build_cut_topology(mesh: Mesh, ls: CircleLevelSet) -> CutTopology:
-    """Classify cells, compute cut fractions and ghost face sets."""
+    """Classify cells, compute cut fractions, interface arcs and ghost faces.
+
+    Every cell near the circle is treated in one pass over (cells, edges)
+    arrays.  The solid fraction of a cut cell is the shoelace area of its
+    chord polygon plus one circular segment per arc.  Raises ``ConfigError``
+    when the circle leaves the domain or the mesh does not resolve it: a
+    cell with three crossings or more than four, a cut cell within h/2 of
+    the centre, or arcs that do not add up to the full circle.
+    """
+    c, r, h = ls.center, ls.radius, mesh.h
+    if np.any(np.abs(c) + r >= 1.0):
+        raise ConfigError(f"the circle of radius {r:.6g} around ({c[0]:.6g}, {c[1]:.6g}) "
+                          "does not lie inside the domain (-1, 1)^2")
     n_cells = mesh.n_cells
     cell_class = np.full(n_cells, CellClass.FLUID_ONLY, dtype=int)
     kappa_f = np.ones(n_cells)
     kappa_s = np.zeros(n_cells)
-    segments: dict[int, InterfaceSegment] = {}
 
     # cheap prefilter: only cells whose corner distances straddle r^2 (with a
     # margin for the face-bulge case) need the exact treatment.  The disk is
     # convex, so a cell with every corner in the closed disk is solid, also
     # when a corner lies on the circle.
     origins = mesh.cell_origin(np.arange(n_cells))
-    corners = origins[:, None, :] + mesh.h * np.array(
-        [[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
+    corners = mesh.cell_corners(np.arange(n_cells))
     phi_c = ls(corners)            # (n_cells, 4)
     all_in = np.all(phi_c <= 0.0, axis=1)
     all_out = np.all(phi_c > 0.0, axis=1)
@@ -256,40 +201,105 @@ def build_cut_topology(mesh: Mesh, ls: CircleLevelSet) -> CutTopology:
     mixed = ~(all_in | all_out)
     # a cell with all corners outside can still be crossed if the disk bulges
     # through one face; the closest boundary point test catches it
-    closest = np.clip(ls.center, origins, origins + mesh.h)
-    d2 = np.sum((closest - ls.center) ** 2, axis=1)
+    closest = np.clip(c, origins, origins + h)
+    d2 = np.sum((closest - c) ** 2, axis=1)
     maybe_bulge = all_out & (d2 < ls.radius_squared)
-    candidates = np.flatnonzero(mixed | maybe_bulge)
+    cand = np.flatnonzero(mixed | maybe_bulge)
 
-    for cell in candidates:
-        crossings = _cell_crossings(mesh, ls, int(cell))
-        if len(crossings) < 2:
-            continue
-        if len(crossings) > 2:
-            raise RuntimeError(f"cell {cell}: more than two interface crossings")
-        t0, t1 = _arc_interval(mesh, ls, int(cell), crossings[0], crossings[1])
-        cell_class[cell] = CellClass.CUT
-        kf, ks = cut_fraction(mesh, ls, int(cell))
-        kappa_f[cell], kappa_s[cell] = kf, ks
-        segments[int(cell)] = InterfaceSegment(
-            cell=int(cell), theta0=t0, theta1=t1,
-            endpoints=np.array(crossings))
+    # crossings of the four edges of each candidate, in boundary order; one
+    # at a corner is found on both edges that meet there and counts once
+    cc = corners[cand]
+    pts, found = edge_zero_crossings(ls, cc, np.roll(cc, -1, axis=1))
+    pts, found = pts.reshape(-1, 8, 2), found.reshape(-1, 8)
+    gap = pts[:, :, None, :] - pts[:, None, :, :]
+    close = np.sum(gap * gap, axis=-1) < (1e-12 * (1.0 + h)) ** 2
+    distinct = found.copy()
+    for j in range(1, 8):
+        distinct[:, j] &= ~np.any(distinct[:, :j] & close[:, :j, j], axis=1)
+    count = distinct.sum(axis=1)
+    bad = np.flatnonzero((count == 3) | (count > 4))
+    if len(bad):
+        raise _unresolved(mesh, ls, int(cand[bad[0]]),
+                          f"{count[bad[0]]} interface crossings")
 
-    in_fluid = (cell_class == CellClass.FLUID_ONLY) | (cell_class == CellClass.CUT)
-    in_solid = (cell_class == CellClass.SOLID_ONLY) | (cell_class == CellClass.CUT)
+    # a candidate the circle does not pass through (it touches at most one
+    # point, such as a corner within round-off of the circle) lies on the
+    # side of its centre
+    whole = cand[count < 2]
+    whole = whole[ls(origins[whole] + 0.5 * h) < 0.0]
+    cell_class[whole] = CellClass.SOLID_ONLY
+    kappa_f[whole], kappa_s[whole] = 0.0, 1.0
 
-    ghost_f, ghost_s = [], []
-    for f in range(mesh.n_faces):
-        k1, k2 = mesh.face_cells[f]
-        if k1 < 0 or k2 < 0:
-            continue
-        any_cut = cell_class[k1] == CellClass.CUT or cell_class[k2] == CellClass.CUT
-        if not any_cut:
-            continue
-        if in_fluid[k1] and in_fluid[k2]:
-            ghost_f.append(f)
-        if in_solid[k1] and in_solid[k2]:
-            ghost_s.append(f)
+    is_cut = count >= 2
+    cells, k = cand[is_cut], count[is_cut]
+    ncut = len(cells)
+    cell_class[cells] = CellClass.CUT
+    # the polar cut-cell rules need the centre away from the cell: their
+    # radial bounds have poles at rays parallel to the cell's edges, and
+    # 8-point rules lose accuracy as those poles near the panels (at
+    # distance h/2 the error of a cut fraction is still below 1e-8)
+    o = origins[cells]
+    close = np.flatnonzero(np.sum((np.clip(c, o, o + h) - c) ** 2, axis=1) < (0.5 * h) ** 2)
+    if len(close):
+        raise _unresolved(mesh, ls, int(cells[close[0]]),
+                          "the cut cell lies within h/2 of the circle centre")
+
+    # arcs: the crossing angles of a cell, sorted, split the circle into
+    # intervals that alternate between inside and outside the cell; the
+    # midpoint of the first one decides which of the two sets is inside
+    slot = np.argsort(~distinct[is_cut], axis=1, kind="stable")[:, :4]
+    xp = np.take_along_axis(pts[is_cut], slot[..., None], axis=1)  # (ncut, 4, 2)
+    th = np.where(np.arange(4) < k[:, None],
+                  np.arctan2(xp[..., 1] - c[1], xp[..., 0] - c[0]), np.inf)
+    th = np.sort(th, axis=1)
+    mid = 0.5 * (th[:, 0] + th[:, 1])
+    xm = c + r * np.column_stack([np.cos(mid), np.sin(mid)])
+    first_in = np.all((o - 1e-12 <= xm) & (xm <= o + h + 1e-12), axis=1)
+    cyc = np.column_stack([th, np.full(ncut, np.inf)])
+    cyc[np.arange(ncut), k] = th[:, 0] + 2.0 * np.pi
+    ends = np.where(first_in, 0, 1)[:, None] + np.arange(4)
+    arcs = np.take_along_axis(cyc, ends, axis=1).reshape(ncut, 2, 2)
+    two = k == 4
+    arcs[~two, 1] = arcs[~two, 0]
+    # the second arc onto the branch of the first
+    arcs[:, 1] -= 2.0 * np.pi * np.round((arcs[:, 1, :1] - arcs[:, 0, :1]) / (2.0 * np.pi))
+    has = np.column_stack([np.ones(ncut, dtype=bool), two])
+    dth = arcs[..., 1] - arcs[..., 0]
+    total = float(np.sum(dth[has]))
+    if abs(total - 2.0 * np.pi) > 1e-9:
+        centre = np.clip(((c + 1.0) // h).astype(int), 0, mesh.n - 1)
+        raise _unresolved(mesh, ls, int(centre[1] * mesh.n + centre[0]),
+                          f"the interface arcs cover {total:.6g} of 2 pi")
+
+    # chord polygon of the solid part: corners inside the disk and the
+    # crossings of each edge (both copies of a corner crossing), in boundary
+    # order.  Its shoelace area is taken per vertex count, so each product
+    # is the BLAS dot of one polygon's coordinates, as for a single cell.
+    vmask = np.concatenate([(phi_c[cells] < 0.0)[..., None],
+                            found[is_cut].reshape(ncut, 4, 2)], axis=2).reshape(ncut, 12)
+    verts = np.concatenate([corners[cells][:, :, None, :],
+                            pts[is_cut].reshape(ncut, 4, 2, 2)], axis=2).reshape(ncut, 12, 2)
+    verts = np.take_along_axis(
+        verts, np.argsort(~vmask, axis=1, kind="stable")[..., None], axis=1)
+    nv = vmask.sum(axis=1)
+    polygon = np.zeros(ncut)
+    for m in np.unique(nv[nv >= 3]):
+        sel = nv == m
+        v = verts[sel, :m]
+        x, y = v[..., 0], v[..., 1]
+        polygon[sel] = 0.5 * np.abs(rowdot(x, np.roll(y, -1, axis=1))
+                                    - rowdot(y, np.roll(x, -1, axis=1)))
+    segment = 0.5 * ls.radius_squared * (dth - np.sin(dth))
+    area_s = polygon + segment[:, 0] + np.where(two, segment[:, 1], 0.0)
+    kappa_s[cells] = np.clip(area_s / (h * h), 0.0, 1.0)
+    kappa_f[cells] = 1.0 - kappa_s[cells]
+
+    cut = cell_class == CellClass.CUT
+    in_fluid = cut | (cell_class == CellClass.FLUID_ONLY)
+    in_solid = cut | (cell_class == CellClass.SOLID_ONLY)
+    # ghost faces: interior faces of T_i^h next to at least one cut cell
+    k1, k2 = mesh.face_cells.T
+    near = (k1 >= 0) & (k2 >= 0) & (cut[k1] | cut[k2])
 
     return CutTopology(
         mesh=mesh,
@@ -299,9 +309,10 @@ def build_cut_topology(mesh: Mesh, ls: CircleLevelSet) -> CutTopology:
         kappa_s=kappa_s,
         in_fluid_tri=in_fluid,
         in_solid_tri=in_solid,
-        segments=segments,
-        ghost_faces_f=np.array(sorted(ghost_f), dtype=int),
-        ghost_faces_s=np.array(sorted(ghost_s), dtype=int),
+        arc_cells=np.repeat(cells, np.where(two, 2, 1)),
+        arcs=arcs[has],
+        ghost_faces_f=np.flatnonzero(near & in_fluid[k1] & in_fluid[k2]),
+        ghost_faces_s=np.flatnonzero(near & in_solid[k1] & in_solid[k2]),
     )
 
 
@@ -313,8 +324,6 @@ def verify_path_assumption(topo: CutTopology, side: str) -> tuple[int, int]:
     """
     mesh = topo.mesh
     ghost = topo.ghost_faces(side)
-    if ghost.size == 0:
-        return 0, 0
     adj: dict[int, list[int]] = {}
     for f in ghost:
         k1, k2 = (int(c) for c in mesh.face_cells[f])

@@ -366,12 +366,15 @@ def oracle_ghost_ratio(disc, side, order, l, w_max, seed, n_samples=100):
 
 
 BATCH_CASES = [(n, m_s, r2) for n in (8, 16) for m_s in (1, 2) for r2 in (0.5, 0.71)]
+BATCH_CASES.append((9, 2, 0.3136))
 
 
 @pytest.fixture(scope="module", params=BATCH_CASES,
                 ids=[f"n{n}-ms{m}-r{r}" for n, m, r in BATCH_CASES])
 def batch_case(request):
-    """r2 = 0.5 puts mesh vertices on the circle; 0.71 is a generic cut."""
+    """r2 = 0.5 puts mesh vertices on the circle; 0.71 is a generic cut; at
+    n = 9, r2 = 0.3136 the circle leaves four cells through one face and
+    comes back through it, so those cells hold two arcs."""
     n, m_s, r2 = request.param
     disc = Discretization(SimulationConfig(n=n, m_s=m_s, radius_squared=r2))
     return disc, assemble_forms(disc)

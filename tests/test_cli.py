@@ -1,8 +1,13 @@
 """Command line interface."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
+from cutfsi import analysis, discretization
 from cutfsi.cli import build_parser, main
+from cutfsi.mesh import build_cut_topology
 
 
 def test_parser_subcommands():
@@ -23,6 +28,33 @@ def test_requires_subcommand():
 def test_bad_config_key_exit_code(tmp_path):
     rc = main(["run", "--set", "bogus=1", "--output-dir", str(tmp_path)])
     assert rc == 2
+
+
+def test_circle_outside_cavity_exit_code(tmp_path, capsys):
+    rc = main(["run", "--set", "radius_squared=1.2", "--output-dir", str(tmp_path)])
+    assert rc == 2
+    assert "radius_squared must be < 1" in capsys.readouterr().err
+
+
+def test_verify_reports_missing_ghost_path(tmp_path, capsys, monkeypatch):
+    """A topology without ghost faces leaves the cut cells without a path to
+    an uncut cell: verify prints a FAIL line and exits 1."""
+    def no_ghost_faces(mesh, ls):
+        topo = build_cut_topology(mesh, ls)
+        none = np.zeros(0, dtype=int)
+        return dataclasses.replace(topo, ghost_faces_f=none, ghost_faces_s=none)
+
+    monkeypatch.setattr(discretization, "build_cut_topology", no_ghost_faces)
+    # the ghost-extension and energy checks are not under test here
+    monkeypatch.setattr(analysis, "ghost_extension_ratios", lambda *a, **k: 1.0)
+    monkeypatch.setattr(analysis, "verify_energy_decay", lambda *a, **k: (True, [1.0, 0.5], None))
+    rc = main(["verify", "--output-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    for n in (8, 16, 32):
+        for side in ("f", "s"):
+            assert f"[FAIL] n={n} ghost path assumption ({side}): cut cell" in out
+    assert "[ok  ] n=8 solid area" in out
 
 
 def test_scale_guardrail(tmp_path):

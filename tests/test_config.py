@@ -86,3 +86,9 @@ def test_replace_validates():
     assert cfg2.n == 16 and cfg.n == 8
     with pytest.raises(ValueError):
         cfg.replace(m_f=3)
+
+
+@pytest.mark.parametrize("r2", ["1.0", "1.2", "2.5"])
+def test_circle_must_lie_inside_cavity(r2):
+    with pytest.raises(ConfigError, match="radius_squared must be < 1"):
+        parse_config(None, overrides={"radius_squared": r2})

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from cutfsi import Discretization, SimulationConfig
+from cutfsi import ConfigError, Discretization, SimulationConfig
 from cutfsi.analysis import domain_points
 from cutfsi.geometry import CircleLevelSet
 from cutfsi.mesh import (CellClass, build_cut_topology, build_mesh,
-                         cut_fraction, verify_path_assumption)
+                         verify_path_assumption)
+from cut_oracles import cut_fraction
 
 RS = 0.75
 
@@ -144,8 +145,9 @@ def test_subtriangulation_definitions(disc8):
 
 
 def test_interface_segments_cover_circle(disc8):
-    total = sum(seg.arc_angle for seg in disc8.topo.segments.values())
-    assert total == pytest.approx(2 * np.pi, abs=1e-12)
+    arcs = disc8.topo.arcs
+    assert np.all(arcs[:, 1] > arcs[:, 0])
+    assert np.sum(arcs[:, 1] - arcs[:, 0]) == pytest.approx(2 * np.pi, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
@@ -162,3 +164,73 @@ def test_path_assumption(n):
 def test_odd_n_warns():
     with pytest.warns(UserWarning):
         build_mesh(7)
+
+
+def test_face_arrays_match_face_loop():
+    """The face arrays equal the lexicographic double loop over faces."""
+    n = 5
+    with pytest.warns(UserWarning):
+        mesh = build_mesh(n)
+    cells, axes, origins = [], [], []
+    for iy in range(n):
+        for ix in range(n + 1):
+            cells.append((iy * n + ix - 1 if ix > 0 else -1, iy * n + ix if ix < n else -1))
+            axes.append(0)
+            origins.append((-1.0 + ix * mesh.h, -1.0 + iy * mesh.h))
+    for iy in range(n + 1):
+        for ix in range(n):
+            cells.append(((iy - 1) * n + ix if iy > 0 else -1, iy * n + ix if iy < n else -1))
+            axes.append(1)
+            origins.append((-1.0 + ix * mesh.h, -1.0 + iy * mesh.h))
+    assert np.array_equal(mesh.face_cells, cells)
+    assert np.array_equal(mesh.face_axis, axes)
+    assert np.array_equal(mesh.face_origin, origins)
+
+
+def test_two_arc_cells():
+    """At n = 9, r2 = 0.3136 the circle leaves four cells through one face
+    and comes back through it: those cells hold two arcs, and the areas and
+    the arc length stay exact."""
+    with pytest.warns(UserWarning):
+        disc = Discretization(SimulationConfig(n=9, radius_squared=0.3136))
+    topo = disc.topo
+    assert len(topo.arcs) == len(topo.cut_cells) + 4
+    for side, area in (("s", np.pi * 0.3136), ("f", 4.0 - np.pi * 0.3136)):
+        _, w, _ = domain_points(disc, side)
+        assert abs(w.sum() - area) <= 1e-13
+    arc = sum(rule.total for rule in disc.iface_rules.values())
+    assert abs(arc - 2 * np.pi * np.sqrt(0.3136)) <= 1e-13
+    for cell in topo.cut_cells:
+        assert classify_by_sampling(disc.mesh, disc.level_set, int(cell)) == CellClass.CUT
+
+
+@pytest.mark.parametrize("n,r2,match", [
+    (9, 0.01, r"cell 40: the interface arcs cover 0 of 2 pi.*n >= 39"),
+    (3, 0.16, r"cell 4: 8 interface crossings.*n >= 10"),
+])
+def test_unresolved_circle_raises(n, r2, match):
+    """A circle inside one cell, or one crossing a cell eight times, is not
+    resolved: the error names the cell and an n that resolves it."""
+    with pytest.warns(UserWarning), pytest.raises(ConfigError, match=match):
+        Discretization(SimulationConfig(n=n, radius_squared=r2))
+    n_min = int(match.rsplit(">= ", 1)[1])
+    disc = Discretization(SimulationConfig(n=n_min, radius_squared=r2))
+    assert abs(np.sum(disc.topo.kappa_s) * disc.h ** 2 - np.pi * r2) <= 1e-14
+
+
+@pytest.mark.parametrize("centre,r2,cell", [
+    ((0.75, 0.6), 0.04, 11),    # bulges out of the cell that holds its centre
+    ((0.0, 0.0), 0.16, 5),      # through all corners next to the centre
+])
+def test_cut_cell_near_centre_raises(centre, r2, cell):
+    """A cut cell within h/2 of the centre: its polar rule would lose accuracy."""
+    ls = CircleLevelSet(r2, center=np.array(centre))
+    with pytest.raises(ConfigError, match=f"cell {cell}: the cut cell lies within h/2 "
+                                          "of the circle centre"):
+        build_cut_topology(build_mesh(4), ls)
+
+
+def test_circle_leaving_domain_raises():
+    ls = CircleLevelSet(0.25, center=np.array([0.6, 0.0]))
+    with pytest.raises(ConfigError, match="does not lie inside the domain"):
+        build_cut_topology(build_mesh(8), ls)

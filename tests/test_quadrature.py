@@ -5,8 +5,9 @@ import pytest
 
 from cutfsi.geometry import CircleLevelSet
 from cutfsi.mesh import build_cut_topology, build_mesh
-from cutfsi.quadrature import (_polar_panels, cut_cell_rule, gauss_1d,
-                               interface_rule, reference_cell_rule)
+from cutfsi.quadrature import (cut_cell_rule, gauss_1d, interface_rule,
+                               reference_cell_rule)
+from cut_oracles import cell_rule, cut_cell_rule_loop
 
 RS = 0.75
 
@@ -17,6 +18,12 @@ def setup8():
     ls = CircleLevelSet(RS)
     topo = build_cut_topology(mesh, ls)
     return mesh, ls, topo
+
+
+def side_rules(mesh, topo, cell):
+    """(points, weights) of the fluid and the solid part of one cut cell."""
+    return [cell_rule(cut_cell_rule(mesh, topo, topo.cut_cells, side), cell)
+            for side in ("f", "s")]
 
 
 @pytest.mark.parametrize("npts", [1, 2, 3, 5, 8, 12])
@@ -39,54 +46,19 @@ def test_gauss_cached_read_only():
             a[0] = 0.0
 
 
-def oracle_cut_cell_rule(mesh, topo, cell, side, npts=8):
-    """The polar cut-cell rule built one ray at a time."""
-    ls = topo.level_set
-    o = mesh.cell_origin(cell)
-    brk = _polar_panels(mesh, topo, cell)
-    gx, gw = gauss_1d(npts)
-    pts, wts = [], []
-    for t0, t1 in zip(brk[:-1], brk[1:]):
-        dth = t1 - t0
-        if dth < 1e-14:
-            continue
-        for xt, wt in zip(gx, gw):
-            th = t0 + dth * xt
-            ct, st = np.cos(th), np.sin(th)
-            lo, hi, hit = 0.0, np.inf, True
-            for axis, d in ((0, ct), (1, st)):
-                a, b, c = o[axis], o[axis] + mesh.h, ls.center[axis]
-                if abs(d) < 1e-15:
-                    hit = hit and a <= c <= b
-                else:
-                    t1_, t2_ = sorted(((a - c) / d, (b - c) / d))
-                    lo, hi = max(lo, t1_), min(hi, t2_)
-            if not hit or lo >= hi:
-                continue
-            rin, rout = (lo, min(hi, ls.radius)) if side == "s" else (max(lo, ls.radius), hi)
-            if rout - rin < 1e-15:
-                continue
-            rho = rin + (rout - rin) * gx
-            wts.append(dth * wt * (rout - rin) * gw * rho)
-            pts.append(np.column_stack([ls.center[0] + rho * ct, ls.center[1] + rho * st]))
-    frac = topo.kappa_s[cell] if side == "s" else topo.kappa_f[cell]
-    if not pts or frac < 1e-14:
-        return np.zeros((0, 2)), np.zeros(0)
-    return np.vstack(pts), np.concatenate(wts)
-
-
 @pytest.mark.parametrize("n,r2", [(8, 0.5), (8, 0.71), (16, 0.5), (16, 0.71)])
 def test_cut_rule_matches_ray_loop(n, r2):
     """The batched ray construction gives the per-ray rule, point by point."""
     mesh = build_mesh(n)
     topo = build_cut_topology(mesh, CircleLevelSet(r2))
-    for cell in topo.cut_cells:
-        for side in ("f", "s"):
-            rule = cut_cell_rule(mesh, topo, int(cell), side)
-            pts, w = oracle_cut_cell_rule(mesh, topo, int(cell), side)
-            assert rule.points.shape == pts.shape
-            assert np.allclose(rule.points, pts, rtol=0, atol=1e-15)
-            assert np.allclose(rule.weights, w, rtol=1e-14, atol=0)
+    for side in ("f", "s"):
+        parts = cut_cell_rule(mesh, topo, topo.cut_cells, side)
+        for cell in topo.cut_cells:
+            got_pts, got_w = cell_rule(parts, cell)
+            pts, w = cut_cell_rule_loop(mesh, topo, int(cell), side)
+            assert got_pts.shape == pts.shape
+            assert np.allclose(got_pts, pts, rtol=0, atol=1e-15)
+            assert np.allclose(got_w, w, rtol=1e-14, atol=0)
 
 
 def test_cell_rule_total(disc8):
@@ -113,26 +85,21 @@ def test_cut_rule_partitions_cell(setup8):
 
     for cell in topo.cut_cells[:8]:
         cell = int(cell)
-        rf = cut_cell_rule(mesh, topo, cell, "f")
-        rs = cut_cell_rule(mesh, topo, cell, "s")
-        assert np.all(rf.weights >= 0)
-        assert np.all(rs.weights >= 0)
+        (pf, wf), (ps, ws) = side_rules(mesh, topo, cell)
+        assert np.all(wf >= 0)
+        assert np.all(ws >= 0)
         o = mesh.cell_origin(cell)
         whole = mesh.h ** 2 * np.dot(ref_w, poly(o + mesh.h * ref_pts))
-        split = np.dot(rf.weights, poly(rf.points)) + np.dot(rs.weights, poly(rs.points))
+        split = np.dot(wf, poly(pf)) + np.dot(ws, poly(ps))
         assert split == pytest.approx(whole, rel=1e-9)
 
 
 def test_cut_points_on_correct_side(setup8):
     mesh, ls, topo = setup8
-    for cell in topo.cut_cells:
-        cell = int(cell)
-        rf = cut_cell_rule(mesh, topo, cell, "f")
-        rs = cut_cell_rule(mesh, topo, cell, "s")
-        if len(rf.weights):
-            assert np.all(ls(rf.points) > -1e-10)
-        if len(rs.weights):
-            assert np.all(ls(rs.points) < 1e-10)
+    for side, sign in (("f", 1.0), ("s", -1.0)):
+        parts = cut_cell_rule(mesh, topo, topo.cut_cells, side)
+        assert len(parts.weights) > 0
+        assert np.all(sign * ls(parts.points) > -1e-10)
 
 
 def test_cut_areas_match_kappa(setup8):
@@ -140,10 +107,9 @@ def test_cut_areas_match_kappa(setup8):
     h2 = mesh.h ** 2
     for cell in topo.cut_cells:
         cell = int(cell)
-        rf = cut_cell_rule(mesh, topo, cell, "f")
-        rs = cut_cell_rule(mesh, topo, cell, "s")
-        assert rf.total == pytest.approx(topo.kappa_f[cell] * h2, abs=1e-12)
-        assert rs.total == pytest.approx(topo.kappa_s[cell] * h2, abs=1e-12)
+        (_, wf), (_, ws) = side_rules(mesh, topo, cell)
+        assert wf.sum() == pytest.approx(topo.kappa_f[cell] * h2, abs=1e-12)
+        assert ws.sum() == pytest.approx(topo.kappa_s[cell] * h2, abs=1e-12)
 
 
 def test_interface_rule_geometry(setup8):
@@ -177,26 +143,29 @@ def test_interface_rule_integrates_harmonics(setup8):
 
 
 def test_cut_parts_batches_cover_rules(disc16):
-    """The concatenated cut parts hold every non-empty cut-cell rule once,
+    """The cut parts hold every non-empty cut-cell rule once, in cell order,
     and their batches pad each rule with zero weights at its last point,
     within the point budget."""
     mesh, topo = disc16.mesh, disc16.topo
     for side in ("f", "s"):
-        rules = {int(c): cut_cell_rule(mesh, topo, int(c), side) for c in topo.cut_cells}
-        rules = {c: rule for c, rule in rules.items() if len(rule.weights)}
+        rules = {int(c): cut_cell_rule_loop(mesh, topo, int(c), side) for c in topo.cut_cells}
+        rules = {c: rule for c, rule in rules.items() if len(rule[1])}
         parts = disc16.cut_parts[side]
         assert list(parts.cells) == list(rules) and len(rules) > 0
-        assert np.array_equal(parts.points, np.vstack([r.points for r in rules.values()]))
-        assert np.array_equal(parts.weights, np.concatenate([r.weights for r in rules.values()]))
+        assert np.array_equal(parts.offsets[1:], np.cumsum([len(w) for _, w in rules.values()]))
+        assert np.allclose(parts.points, np.vstack([p for p, _ in rules.values()]),
+                           rtol=0, atol=1e-15)
+        assert np.allclose(parts.weights, np.concatenate([w for _, w in rules.values()]),
+                           rtol=1e-14, atol=0)
         seen = []
         for cells, pts, w in parts.batches(max_points=700):
             assert pts.shape == w.shape + (2,)
             assert w.size <= 700 or len(cells) == 1
             for cell, p, wc in zip(cells, pts, w):
-                rule = rules[int(cell)]
-                k = len(rule.weights)
-                assert np.array_equal(p[:k], rule.points)
-                assert np.array_equal(wc[:k], rule.weights)
-                assert np.all(wc[k:] == 0.0) and np.all(p[k:] == rule.points[-1])
+                rule_pts, rule_w = cell_rule(parts, cell)
+                k = len(rule_w)
+                assert np.array_equal(p[:k], rule_pts)
+                assert np.array_equal(wc[:k], rule_w)
+                assert np.all(wc[k:] == 0.0) and np.all(p[k:] == rule_pts[-1])
                 seen.append(int(cell))
         assert sorted(seen) == sorted(rules)
