@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import (SCALAR_KERNELS, Forms, _div_div, _eps_form,
-                       assemble_cells, assemble_forms, raw_jump_matrices)
+from .assembly import (SCALAR_KERNELS, Forms, Pattern, assemble_cells, assemble_forms,
+                       raw_jump_matrices)
 from .discretization import Discretization
 from .fem import reference_basis
 from .stepper import State, TimeStepper
@@ -97,21 +97,13 @@ class Analyzer:
         self._mats: dict = {}
         self._iface_pen = None
 
-    def _cell_matrix(self, kernel, block: str, physical: bool, key):
-        if key not in self._mats:
-            domain = "physical" if physical else "extended"
-            self._mats[key] = assemble_cells(self.disc, kernel, block, domain=domain)
-        return self._mats[key]
-
     def scalar_matrix(self, block: str, physical: bool, operator: str):
         """Scalar L2 matrix of the value or the gradient on one block's space."""
-        return self._cell_matrix(SCALAR_KERNELS[operator], block, physical,
-                                 (block, physical, operator))
-
-    def vector_matrix(self, block: str, physical: bool, kind: str):
-        """eps (int eps:eps) or divdiv (int div div) on a vector space."""
-        kernel = _eps_form if kind == "eps" else _div_div
-        return self._cell_matrix(kernel, block, physical, (block, physical, kind))
+        key = (block, physical, operator)
+        if key not in self._mats:
+            self._mats[key] = assemble_cells(self.disc, SCALAR_KERNELS[operator], block,
+                                             "physical" if physical else "extended")
+        return self._mats[key]
 
     @property
     def interface_penalty(self):
@@ -130,16 +122,16 @@ class Analyzer:
 
         ``coefs`` is the block coefficient vector (component-major).
         """
-        dm = self.disc.dofmap(block)
         M = self.scalar_matrix(block, physical, operator)
-        total = 0.0
-        for c in range(dm.ncomp):
-            v = coefs[c * dm.n_scalar:(c + 1) * dm.n_scalar]
-            total += float(v @ (M @ v))
+        total = self.quad_form(M, coefs, self.disc.dofmap(block).ncomp)
         return float(np.sqrt(max(total, 0.0)))
 
-    def quad_form(self, M, x) -> float:
-        return float(x @ (M @ x))
+    @staticmethod
+    def quad_form(M, x: np.ndarray, ncomp: int = 1) -> float:
+        """sum_c x_c^T M x_c over the ncomp components of a component-major
+        vector.  One mat-vec per component: scipy's product with an
+        (n, ncomp) block is slower than ncomp mat-vecs."""
+        return float(sum(v @ (M @ v) for v in x.reshape(ncomp, -1)))
 
     # -- energy functionals -------------------------------------------------
 
@@ -156,10 +148,8 @@ class Analyzer:
         E_T2 = (0.5 * cfg.rho_f * self.field_norm("vf", vf, True, "value") ** 2
                 + 0.5 * cfg.rho_s * self.field_norm("vs", vs, False, "value") ** 2
                 + cfg.mu_s * self.field_norm("u", u, False, "gradient") ** 2)
-        g_vs = self.quad_form(self.forms.ghost_vs, vs[:disc.s.n_scalar]) \
-            + self.quad_form(self.forms.ghost_vs, vs[disc.s.n_scalar:])
-        g_u = self.quad_form(self.forms.ghost_u, u[:disc.s.n_scalar]) \
-            + self.quad_form(self.forms.ghost_u, u[disc.s.n_scalar:])
+        g_vs = self.quad_form(self.forms.ghost_vs, vs, 2)
+        g_u = self.quad_form(self.forms.ghost_u, u, 2)
         g_p = self.quad_form(self.forms.ghost_p, p)
         E_g2 = 0.5 * cfg.rho_s * g_vs + cfg.mu_s * g_u
         trace2 = self.quad_form(self.interface_penalty, x[:lay.n_system]) / disc.h
@@ -178,16 +168,12 @@ class Analyzer:
         vf = x[lay.slice("vf")]
         vs = x[lay.slice("vs")]
         u = x[lay.slice("u")]
-        ns = disc.s.n_scalar
-        g_vs = sum(self.quad_form(self.forms.ghost_vs, vs[c * ns:(c + 1) * ns])
-                   for c in range(2))
-        g_u = sum(self.quad_form(self.forms.ghost_u, u[c * ns:(c + 1) * ns])
-                  for c in range(2))
+        g_vs = self.quad_form(self.forms.ghost_vs, vs, 2)
+        g_u = self.quad_form(self.forms.ghost_u, u, 2)
         return (0.5 * cfg.rho_f * self.field_norm("vf", vf, True, "value") ** 2
                 + 0.5 * cfg.rho_s * self.field_norm("vs", vs, True, "value") ** 2
                 + 0.5 * cfg.rho_s * g_vs
-                + cfg.mu_s * self.quad_form(self.vector_matrix("u", True, "eps"), u)
-                + 0.5 * cfg.lambda_s * self.quad_form(self.vector_matrix("u", True, "divdiv"), u)
+                + 0.5 * self.quad_form(self.forms.solid_bulk, u)  # mu |eps|^2 + lam/2 div^2
                 + cfg.mu_s * g_u)
 
 
@@ -332,14 +318,18 @@ def ghost_extension_ratios(disc: Discretization, side: str, order: int,
     block = {"f": {disc.cfg.m_f: "vf", disc.cfg.m_f - 1: "p"},
              "s": {disc.cfg.m_s: "vs"}}[side][order]
     kernel = SCALAR_KERNELS["value" if l == 0 else "gradient"]
-    M_comp = assemble_cells(disc, kernel, block, domain="extended")
-    rhs_mat = assemble_cells(disc, kernel, block, domain="uncut")
+    dm = disc.dofmap(block)
+    # all three forms on one pattern: the rhs is a sum of data arrays
+    pattern = Pattern(disc, block, block, cells=dm.cells,
+                      faces=disc.topo.ghost_faces(side))
+    M_comp = assemble_cells(disc, kernel, block, "extended", pattern)
+    rhs = assemble_cells(disc, kernel, block, "uncut", pattern).data
     if gamma_on:
-        raws = raw_jump_matrices(disc, side, order, w_max=w_max)
+        raws = raw_jump_matrices(disc, side, order, w_max=w_max, pattern=pattern)
         for j in range(1, order + 1):
             coeff = disc.h ** (2 * (j - l) + 1) / math.factorial(j - l) ** 2
-            rhs_mat = rhs_mat + coeff * raws[j - 1]
-    dm = disc.dofmap(block)
+            rhs = rhs + coeff * raws[j - 1].data
+    rhs_mat = pattern.matrix(rhs)
     cut_dofs = dm.cell_dofs[dm.cell_index[disc.topo.cut_cells]]  # (ncut, nb)
     flat = cut_dofs.ravel()
     # a band sample is one draw over the cut cells' dofs in cell order; a

@@ -2,15 +2,18 @@
 
 Bulk integrals run over the physical subdomains via cut quadrature, ghost
 penalties over full faces of the ghost face sets, Nitsche coupling over the
-exact interface arcs.  The mesh is uniform and affine, so:
+exact interface arcs.  The interface is fixed and the mesh uniform, so one
+pass per mesh assembles every form:
 
-- uncut cells share one local matrix per form;
-- every ghost face of one axis is a translate of one reference face, so
-  per derivative order and axis one local jump matrix serves all faces,
-  scaled by each face's cut-fraction weight;
-- the O(n) cut cells and arcs are tabulated once per space at all their
-  points, and their local matrices come from one batched product over
-  (ncut, q, nb) tables.
+- each block pair of the system has one sorted CSR pattern, built from the
+  cells, ghost faces and arcs that couple it, with a map from every local
+  entry to its place;
+- uncut cells share one local matrix; the ghost faces of one axis share one
+  reference jump matrix per derivative order, scaled by each face's weight;
+- the cut parts of a side are walked once, in bounded batches, each
+  tabulated once per space order for every form of the side;
+- each form is summed (``np.bincount``) into one data array per block pair
+  and component pair; the step matrices are weighted sums of those arrays.
 
 The solved unknowns are (v_f, p, v_s).  Backward Euler on the first-order
 elasticity gives u^n = u^{n-1} + k v_s^n, so the displacement is never an
@@ -20,6 +23,7 @@ unknown: its forms act on v_s with an extra factor k.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,107 +33,45 @@ from .discretization import Discretization
 from .fem import reference_basis
 from .quadrature import gauss_1d
 
+SYSTEM_BLOCKS = ("vf", "p", "vs")
+
 
 def weight_w(kappa, w_max: float):
     """Cut-fraction weight w(kappa) = 0.5 * w_max^(1 - 2 kappa)."""
     return 0.5 * np.power(w_max, 1.0 - 2.0 * np.asarray(kappa, dtype=float))
 
 
-class _Coo:
-    """COO accumulator; duplicate entries sum on conversion."""
-
-    def __init__(self, shape):
-        self.shape = shape
-        self.rows: list[np.ndarray] = []
-        self.cols: list[np.ndarray] = []
-        self.vals: list[np.ndarray] = []
-
-    def add_many(self, rows, cols, local):
-        """Scatter local blocks to many cells (or faces).
-
-        rows, cols: (ncells, nr), (ncells, nc); local: one shared (nr, nc)
-        block or one block per cell, (ncells, nr, nc).
-        """
-        ncells, nr = rows.shape
-        nc = cols.shape[1]
-        self.rows.append(np.repeat(rows, nc, axis=1).ravel())
-        self.cols.append(np.tile(cols, (1, nr)).ravel())
-        self.vals.append(np.broadcast_to(local, (ncells, nr, nc)).ravel())
-
-    def tocsr(self) -> sp.csr_matrix:
-        """Sum the entries; entries that sum to exactly zero are not stored."""
-        if not self.rows:
-            return sp.csr_matrix(self.shape)
-        m = sp.coo_matrix(
-            (np.concatenate(self.vals),
-             (np.concatenate(self.rows), np.concatenate(self.cols))),
-            shape=self.shape).tocsr()
-        m.eliminate_zeros()
-        return m
-
-
-def _component_ids(ids, n_scalar: int, ncomp: int, offset: int = 0) -> np.ndarray:
-    """Where the components of scalar dofs sit: offset + c * n_scalar + ids.
-
-    Components are stacked component-major along the last axis.  Every cell,
-    arc and block placement of this module goes through here.
-    """
-    return np.concatenate([offset + c * n_scalar + ids for c in range(ncomp)],
-                          axis=-1)
-
-
 # -- local kernels -----------------------------------------------------------
 # Tables N, Gx, Gy have shape (..., q, nb) and weights w shape (..., q); the
 # leading axes, if any, run over cells, so one call gives the local matrices
-# (..., nr, nc) of all cut cells at once.
+# (..., nr, nc) of all cut cells at once.  np.block joins 2x2 component
+# blocks into one component-major local matrix.
 
 def _mass(A, B, w):
     """A^T diag(w) B over the quadrature axis."""
     return np.swapaxes(A, -1, -2) @ (w[..., None] * B)
 
 
-def _stiff(Gr, Gc, w):
-    (Gxr, Gyr), (Gxc, Gyc) = Gr, Gc
-    return _mass(Gxr, Gxc, w) + _mass(Gyr, Gyc, w)
+def _gradient_products(tabs, w):
+    """gg[a][b] = int d_a phi_i d_b phi_j, for a, b over x and y."""
+    _, Gx, Gy = tabs
+    G = (Gx, Gy)
+    return [[_mass(G[a], G[b], w) for b in range(2)] for a in range(2)]
 
 
-def _blocks_to_local(blocks):
-    """Assemble 2x2 component blocks into one component-major local matrix."""
-    return np.block([[blocks[0][0], blocks[0][1]],
-                     [blocks[1][0], blocks[1][1]]])
-
-
-def _viscous(tabs, w, factor):
+def _viscous(tabs, w, factor, gg=None):
     """factor * int [delta_ab grad.grad + dN_a dN_b] (vector Laplace-eps)."""
-    _, Gx, Gy = tabs
-    G = (Gx, Gy)
-    K = _stiff(G, G, w)
-    blocks = [[None, None], [None, None]]
-    for a in range(2):
-        for b in range(2):
-            m = _mass(G[b], G[a], w)
-            if a == b:
-                m = m + K
-            blocks[a][b] = factor * m
-    return _blocks_to_local(blocks)
-
-
-def _eps_form(tabs, _tabs_col, w):
-    """int eps(u):eps(v); equals half of the viscous kernel with factor 1."""
-    return 0.5 * _viscous(tabs, w, 1.0)
-
-
-def _div_div(tabs, _tabs_col, w):
-    """int (div u)(div v): blocks[a][b] = G_a^T W G_b."""
-    _, Gx, Gy = tabs
-    G = (Gx, Gy)
-    blocks = [[_mass(G[a], G[b], w) for b in range(2)] for a in range(2)]
-    return _blocks_to_local(blocks)
+    gg = _gradient_products(tabs, w) if gg is None else gg
+    K = gg[0][0] + gg[1][1]
+    return np.block([[factor * (gg[b][a] + K if a == b else gg[b][a])
+                              for b in range(2)] for a in range(2)])
 
 
 def _solid_bulk(tabs, w, mu, lam):
-    """int sigma_s(u) : grad(v) = 2 mu eps:eps + lam div div."""
-    return _viscous(tabs, w, mu) + lam * _div_div(tabs, tabs, w)
+    """int sigma_s(u) : grad(v) = 2 mu eps:eps + lam div div; the div-div
+    blocks are G_a^T W G_b."""
+    gg = _gradient_products(tabs, w)
+    return _viscous(tabs, w, mu, gg) + lam * np.block(gg)
 
 
 def _grad_p(tabs_v, tabs_p, w):
@@ -149,60 +91,202 @@ def _div_q(tabs_p, tabs_v, w):
 # Scalar kernels by operator name: L2 of the value or of the gradient.
 SCALAR_KERNELS = {
     "value": lambda tr, tc, w: _mass(tr[0], tc[0], w),
-    "gradient": lambda tr, tc, w: _stiff(tr[1:], tc[1:], w),
+    "gradient": lambda tr, tc, w: _mass(tr[1], tc[1], w) + _mass(tr[2], tc[2], w),
 }
 
 
-# -- the cell assembler -----------------------------------------------------
+# -- patterns and sums ---------------------------------------------------------
 
-def assemble_cells(disc: Discretization, kernel, row: str,
-                   col: str | None = None,
-                   domain: str = "physical") -> sp.csr_matrix:
-    """Matrix of a cell integral on the dofs of blocks ``row`` x ``col``.
+def _lattice(order: int, axis: int | None = None) -> np.ndarray:
+    """(2, nb) lattice offsets (x, y) of the Q_order basis of a cell, or, with
+    ``axis``, of the two cells of a face of that normal axis, stacked."""
+    j = np.arange((order + 1) ** 2)
+    xy = np.stack([j % (order + 1), j // (order + 1)])
+    if axis is None:
+        return xy
+    return np.hstack([xy, xy + order * np.eye(2, dtype=int)[:, [axis]]])
+
+
+class Pattern:
+    """Sorted CSR pattern of one scalar block pair, with its scatter maps.
+
+    Every row dof of a coupling cell, or of the two cells of a ghost face,
+    couples to every column dof of it.  Dofs are numbered in lattice order,
+    so a row's columns, in the order of their lattice offset (dy, dx) from
+    the row, are sorted, and one dense (row, offset) table places every
+    coupling without a sort.  ``cell_pos`` (cells, nr, nc) and
+    ``face_pos[axis]`` (faces, 2 nr, 2 nc) give the places of the local
+    entries of the cells and of each axis's faces in a data array.
+    """
+
+    def __init__(self, disc: Discretization, row: str, col: str, cells=(), faces=()):
+        rmap, cmap = disc.dofmap(row), disc.dofmap(col)
+        mesh = disc.mesh
+        self.shape = (rmap.n_scalar, cmap.n_scalar)
+        self.cells = np.asarray(cells, dtype=int)
+        faces = np.asarray(faces, dtype=int)
+        groups = [(self.cells[:, None], None)] + [
+            (mesh.face_cells[faces[mesh.face_axis[faces] == axis]], axis) for axis in (0, 1)]
+        # offset of each column from its row, in units of the column lattice
+        offsets = [_lattice(cmap.order, axis)[:, None, :]
+                   - _lattice(rmap.order, axis)[:, :, None] * cmap.order // rmap.order
+                   for _, axis in groups]
+        lo = min(off.min() for off in offsets)
+        width = max(off.max() for off in offsets) - lo + 1
+        table = np.full(self.shape[0] * width ** 2, -1)  # column of (row, offset)
+        keys = []
+        for (group, _), off in zip(groups, offsets):
+            rows, cols = (np.concatenate([dm.cell_dofs[dm.cell_index[c]] for c in group.T],
+                                         axis=1) for dm in (rmap, cmap))
+            keys.append(rows[:, :, None] * width ** 2 + (off[1] - lo) * width + off[0] - lo)
+            table[keys[-1]] = np.broadcast_to(cols[:, None, :], keys[-1].shape)
+        present = np.flatnonzero(table >= 0)
+        self.nnz = len(present)
+        table[present], self.indices = np.arange(self.nnz), table[present]
+        self.cell_pos, *self.face_pos = (table[key] for key in keys)
+        self.indptr = np.searchsorted(present, np.arange(0, len(table) + 1, width ** 2))
+        self._slot = np.full(mesh.n_cells, -1)
+        self._slot[self.cells] = np.arange(len(self.cells))
+
+    def drop_maps(self) -> None:
+        """Free the scatter maps; the pattern itself stays."""
+        del self.cell_pos, self.face_pos, self._slot
+
+    def at_cells(self, cells) -> np.ndarray:
+        """Scatter map (cells, nr, nc) of some of the coupling cells."""
+        return self.cell_pos[self._slot[cells]]
+
+    def sum(self, entries) -> np.ndarray:
+        """Data array of local entries [(positions, values), ...], summed;
+        the values broadcast against their positions."""
+        pos = [p.ravel() for p, _ in entries]
+        vals = [np.broadcast_to(v, p.shape).ravel() for p, v in entries]
+        return np.bincount(np.concatenate(pos), np.concatenate(vals), minlength=self.nnz)
+
+    def matrix(self, data) -> sp.csr_matrix:
+        """CSR matrix of ``data`` on the whole pattern."""
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+
+class _Sums(defaultdict):
+    """Local matrices of the forms of one pass, summed at the end.
+
+    ``add`` takes the local matrices of some cells with their scatter map
+    ``pos`` (cells, nr, nc) on the pattern of (row, col).  A local matrix
+    c_r nr high and c_c nc wide acts on c_r row and c_c column components
+    (component-major); it splits into one data array per component pair,
+    keyed (row, col, cr, cc) under the form's name.
+    """
+
+    def __init__(self, patterns: dict):
+        super().__init__(list)
+        self.patterns = patterns
+
+    def add(self, form: str, row: str, col: str, pos, local) -> None:
+        nr, nc = pos.shape[1:]
+        for cr, cc in np.ndindex(local.shape[-2] // nr, local.shape[-1] // nc):
+            self[form, row, col, cr, cc].append(
+                (pos, local[..., cr * nr:(cr + 1) * nr, cc * nc:(cc + 1) * nc]))
+
+    def arrays(self) -> dict:
+        """The summed data arrays by form; the local matrices are freed."""
+        out = defaultdict(dict)
+        while self:
+            (form, *key), entries = self.popitem()
+            out[form][tuple(key)] = self.patterns[tuple(key[:2])].sum(entries)
+        return out
+
+
+def _on_components(arrays: dict, ncomp: int = 2) -> dict:
+    """Scalar forms {(row, col, 0, 0): data} on every component pair (c, c)."""
+    return {(row, col, c, c): data for (row, col, _, _), data in arrays.items()
+            for c in range(ncomp)}
+
+
+def _lin(*terms) -> dict:
+    """sum_i c_i F_i over terms (c_i, F_i), data array by data array."""
+    out = {}
+    for coef, arrays in terms:
+        for key, data in arrays.items():
+            out[key] = out[key] + coef * data if key in out else coef * data
+    return out
+
+
+def _stack(arrays: dict, patterns: dict, blocks) -> sp.csr_matrix:
+    """CSR matrix of data arrays {(row, col, cr, cc): data} on scalar patterns.
+
+    ``blocks`` lists (block, ncomp); rows and columns run over them in
+    order, each component-major.  An absent key is a zero block; zero
+    entries are not stored.  In each row the nonzeros of an array go after
+    those of the arrays left of it, so the result is sorted without a sort.
+    """
+    size = {row: P.shape[0] for (row, _), P in patterns.items()}
+    start = dict(zip((b for b, _ in blocks),
+                     np.cumsum([0] + [nc * size[b] for b, nc in blocks])))
+    comps = [(b, c, start[b] + c * size[b]) for b, nc in blocks for c in range(nc)]
+    counts = np.zeros(sum(size[b] for b, _, _ in comps), dtype=np.int64)
+    segments = []
+    for row, cr, r0 in comps:
+        for col, cc, c0 in comps:
+            data = arrays.get((row, col, cr, cc))
+            if data is not None:
+                P, nz = patterns[row, col], np.flatnonzero(data)
+                first = np.searchsorted(nz, P.indptr)  # of each row's nonzeros in nz
+                rows = slice(r0, r0 + size[row])
+                counts[rows] += np.diff(first)
+                segments.append((rows, first, nz, P.indices, c0, data))
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    free = indptr[:-1].copy()  # next free place in each row
+    indices, values = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
+    for rows, first, nz, cols, c0, data in segments:
+        pos = np.repeat(free[rows] - first[:-1], np.diff(first)) + np.arange(len(nz))
+        indices[pos], values[pos] = cols[nz] + c0, data[nz]
+        free[rows] += np.diff(first)
+    return sp.csr_matrix((values, indices, indptr), shape=(len(counts), len(counts)))
+
+
+# -- cell forms ----------------------------------------------------------------
+
+def _cell_pass(disc: Discretization, sums: _Sums, side: str, forms,
+               domain: str = "physical") -> None:
+    """Scatter the cell forms [(name, kernel, row, col), ...] of one side.
 
     ``kernel(tabs_row, tabs_col, w)`` maps (N, Gx, Gy) tables and weights
-    at quadrature points to a local matrix, with leading cell axes carried
-    through.  A local matrix with c times the cell's basis size along an
-    axis acts on c components (component-major), so one kernel gives a
-    scalar or a vector form.  Indices are local to the blocks (no
-    offsets).  ``domain`` is one of the cell domains of
-    ``Discretization.cell_quadrature``.  Uncut cells share one local
-    matrix; the cut parts go through the kernel a batch of cells at a
-    time, on padded (cells, q, nb) tables.
+    at quadrature points to local matrices, with leading cell axes carried
+    through.  Uncut cells share one local matrix per form.  The cut parts
+    are walked once, a bounded batch at a time, on padded (cells, q, nb)
+    tables; each batch is tabulated once per space order for all forms.
     """
-    rmap = disc.dofmap(row)
-    cmap = disc.dofmap(col or row)
-    full, cut = disc.cell_quadrature(rmap.side, domain)
-    local = kernel(disc.full_cell_tables(rmap.order),
-                   disc.full_cell_tables(cmap.order), disc.full_cell_weights)
-    ncr = local.shape[0] // rmap.cell_dofs.shape[1]
-    ncc = local.shape[1] // cmap.cell_dofs.shape[1]
+    full, cut = disc.cell_quadrature(side, domain)
+    order = {b: disc.dofmap(b).order for _, _, row, col in forms for b in (row, col)}
 
-    def ids(dm, cells, ncomp):
-        return _component_ids(dm.cell_dofs[dm.cell_index[cells]], dm.n_scalar, ncomp)
+    def add(cells, tabs, w):
+        pairs = {(row, col) for _, _, row, col in forms}
+        pos = {pair: sums.patterns[pair].at_cells(cells) for pair in pairs}
+        for name, kernel, row, col in forms:
+            local = kernel(tabs[order[row]], tabs[order[col]], w)
+            sums.add(name, row, col, pos[row, col], local)
 
-    acc = _Coo((ncr * rmap.n_scalar, ncc * cmap.n_scalar))
-    acc.add_many(ids(rmap, full, ncr), ids(cmap, full, ncc), local)
+    add(full, {o: disc.full_cell_tables(o) for o in set(order.values())},
+        disc.full_cell_weights)
     for cells, pts, w in cut.batches():
-        tr = disc.tabulate(rmap.order, cells[:, None], pts)
-        tc = (tr if cmap.order == rmap.order
-              else disc.tabulate(cmap.order, cells[:, None], pts))
-        acc.add_many(ids(rmap, cells, ncr), ids(cmap, cells, ncc), kernel(tr, tc, w))
-    return acc.tocsr()
+        add(cells, {o: disc.tabulate(o, cells[:, None], pts) for o in set(order.values())}, w)
 
 
-def _place(disc: Discretization, row: str, col: str, mat: sp.spmatrix,
-           ncomp: int = 1) -> sp.csr_matrix:
-    """Embed a block matrix into the (v_f, p, v_s) system.
+def assemble_cells(disc: Discretization, kernel, block: str, domain: str = "physical",
+                   pattern: Pattern | None = None) -> sp.csr_matrix:
+    """Matrix of a scalar cell integral on the scalar dofs of ``block``.
 
-    With ncomp > 1 a scalar-space matrix is repeated on every component.
+    ``kernel`` is as in ``_cell_pass``; ``domain`` is one of the cell
+    domains of ``Discretization.cell_quadrature``.  The matrix lies on
+    ``pattern`` (default: the couplings of the side's cells) and may store
+    zeros.
     """
-    lay = disc.layout
-    coo = sp.coo_matrix(mat)
-    rows = _component_ids(coo.row, mat.shape[0], ncomp, lay.offset(row))
-    cols = _component_ids(coo.col, mat.shape[1], ncomp, lay.offset(col))
-    n = lay.n_system
-    return sp.csr_matrix((np.tile(coo.data, ncomp), (rows, cols)), shape=(n, n))
+    dm = disc.dofmap(block)
+    pattern = pattern or Pattern(disc, block, block, cells=dm.cells)
+    sums = _Sums({(block, block): pattern})
+    _cell_pass(disc, sums, dm.side, [("form", kernel, block, block)], domain)
+    return pattern.matrix(sums.arrays()["form"][block, block, 0, 0])
 
 
 # -- ghost penalty raw jump matrices ----------------------------------------
@@ -228,9 +312,10 @@ def face_jump_table(order: int, l: int, axis: int, h: float,
     return np.hstack([tables[0], -tables[1]])
 
 
+
 def raw_jump_matrices(disc: Discretization, side: str, order: int,
-                      w_max: float | None = None,
-                      face_npts: int = 4) -> list[sp.csr_matrix]:
+                      w_max: float | None = None, face_npts: int = 4,
+                      pattern: Pattern | None = None) -> list[sp.csr_matrix]:
     """Scalar matrices R_l, l = 1..order, of the weighted face-jump forms.
 
     R_l realizes  sum_F w_F^i int_F [d^l_n phi_i][d^l_n phi_j] ds  on the
@@ -238,87 +323,53 @@ def raw_jump_matrices(disc: Discretization, side: str, order: int,
     with w_F = w(kappa_K1) + w(kappa_K2) over the two cells of F.  Every
     ghost face of one axis is a translate of one reference face, so per
     order and axis one local matrix J^T W J (``face_jump_table``) is
-    scattered to all the axis's faces, scaled by their w_F.
+    scattered to all the axis's faces, scaled by their w_F.  The matrices
+    lie on ``pattern`` (default: the face couplings), which must hold the
+    side's ghost faces; they may store zeros.
     """
     cfg = disc.cfg
     if w_max is None:
         w_max = cfg.w_max
     mesh = disc.mesh
-    dm = disc.s if side == "s" else (disc.vf if order == cfg.m_f else disc.p)
-    assert dm.order == order
-    kappa = disc.topo.kappa(side)
+    block = "vs" if side == "s" else ("vf" if order == cfg.m_f else "p")
+    assert disc.dofmap(block).order == order
     faces = disc.topo.ghost_faces(side)
+    pattern = pattern or Pattern(disc, block, block, faces=faces)
+    kappa = disc.topo.kappa(side)
     cells = mesh.face_cells[faces]  # (nfaces, 2)
     axes = mesh.face_axis[faces]
     w_face = weight_w(kappa[cells[:, 0]], w_max) + weight_w(kappa[cells[:, 1]], w_max)
-    ids = np.concatenate([dm.cell_dofs[dm.cell_index[cells[:, 0]]],
-                          dm.cell_dofs[dm.cell_index[cells[:, 1]]]], axis=1)
     _, gw = gauss_1d(face_npts)
     wq = mesh.h * gw
-    ns = dm.n_scalar
     out = []
     for l in range(1, order + 1):
-        acc = _Coo((ns, ns))
-        for axis in (0, 1):
-            sel = axes == axis
-            J = face_jump_table(order, l, axis, mesh.h, face_npts)
-            acc.add_many(ids[sel], ids[sel], w_face[sel, None, None] * _mass(J, J, wq))
-        out.append(acc.tocsr())
+        jumps = [face_jump_table(order, l, axis, mesh.h, face_npts) for axis in (0, 1)]
+        out.append(pattern.matrix(pattern.sum(
+            [(pattern.face_pos[axis], w_face[axes == axis, None, None] * _mass(J, J, wq))
+             for axis, J in enumerate(jumps)])))
     return out
-
-
-def ghost_matrix(disc: Discretization, which: str,
-                 raw: list[sp.csr_matrix] | None = None) -> sp.csr_matrix:
-    """Scalar ghost penalty matrix g_which with its gamma and h coefficients.
-
-    which in {"v_f", "p", "v_s", "u"}.  Coefficient tables:
-      g_vf: gamma_vf sum_{l=1..m_f}   h^(2l-1)/((l-1)!)^2
-      g_p:  gamma_p  sum_{l=1..m_f-1} h^(2l+1)/(l!)^2
-      g_vs: gamma_vs sum_{l=1..m_s}   h^(2l+1)/(l!)^2
-      g_u:  gamma_u  sum_{l=1..m_s}   h^(2l-1)/((l-1)!)^2
-    """
-    cfg = disc.cfg
-    h = disc.h
-    fact = math.factorial
-    spec = {
-        "v_f": ("f", cfg.m_f, cfg.gamma_vf, lambda l: h ** (2 * l - 1) / fact(l - 1) ** 2),
-        "p": ("f", cfg.m_f - 1, cfg.gamma_p, lambda l: h ** (2 * l + 1) / fact(l) ** 2),
-        "v_s": ("s", cfg.m_s, cfg.gamma_vs, lambda l: h ** (2 * l + 1) / fact(l) ** 2),
-        "u": ("s", cfg.m_s, cfg.gamma_u, lambda l: h ** (2 * l - 1) / fact(l - 1) ** 2),
-    }
-    side, order, gamma, coeff = spec[which]
-    if raw is None:
-        raw = raw_jump_matrices(disc, side, order)
-    total = None
-    for l in range(1, order + 1):
-        term = coeff(l) * raw[l - 1]
-        total = term if total is None else total + term
-    return gamma * total.tocsr()
 
 
 # -- Nitsche interface coupling ---------------------------------------------
 
-def assemble_nitsche(disc: Discretization) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """(penalty, consistency) interface matrices on the (v_f, p, v_s) system.
+def _nitsche_pass(disc: Discretization, sums: _Sums) -> None:
+    """Scatter the penalty and consistency interface forms.
 
-    Penalty:     h^-1 rho_f nu_f gamma_N (v_f - v_s, phi_f - phi_s)
+    Penalty:     h^-1 rho_f nu_f gamma_N (v_f - v_s, phi_f - phi_s), one
+                 scalar form per (test, trial) pair of spaces
     Consistency: -(sigma_f(v_f, p) n_f, phi_f - phi_s)
                  -(v_f - v_s, sigma_f(phi_f, -xi) n_f)
 
-    The bases are tabulated once per space at every arc point and the local
+    The bases are tabulated once per order at every arc point and the local
     matrices of all cut cells are formed in one batch.  A cell with two arcs
     has twice the points; the other cells repeat their last point at weight
     zero up to that count.
     """
+    if not disc.iface_rules:
+        return
     cfg = disc.cfg
-    lay = disc.layout
     rnu = cfg.rho_f * cfg.nu_f
     pen = rnu * cfg.gamma_N / disc.h
-    acc_pen = _Coo((lay.n_system, lay.n_system))
-    acc_cons = _Coo((lay.n_system, lay.n_system))
-    if not disc.iface_rules:
-        return acc_pen.tocsr(), acc_cons.tocsr()
-
     cells = np.array(list(disc.iface_rules), dtype=int)
     rules = list(disc.iface_rules.values())
     counts = np.array([len(rule.weights) for rule in rules])
@@ -329,64 +380,39 @@ def assemble_nitsche(disc: Discretization) -> tuple[sp.csr_matrix, sp.csr_matrix
     w[j >= counts[:, None]] = 0.0
     nrm = np.concatenate([rule.normals for rule in rules])[take]
 
-    def ids(block):
-        dm = disc.dofmap(block)
-        return _component_ids(dm.cell_dofs[dm.cell_index[cells]], dm.n_scalar,
-                              dm.ncomp, lay.offset(block))
-
-    Nf, Gfx, Gfy = disc.tabulate(cfg.m_f, cells[:, None], pts)
-    P = disc.tabulate(cfg.m_f - 1, cells[:, None], pts)[0]
-    Ns = disc.tabulate(cfg.m_s, cells[:, None], pts)[0]
+    tabs = {o: disc.tabulate(o, cells[:, None], pts) for o in {cfg.m_f, cfg.m_f - 1, cfg.m_s}}
+    (Nf, Gfx, Gfy), P, Ns = tabs[cfg.m_f], tabs[cfg.m_f - 1][0], tabs[cfg.m_s][0]
     n_comp = (nrm[..., 0, None], nrm[..., 1, None])  # (ncut, q, 1) each
     G = (Gfx, Gfy)
     Gn = Gfx * n_comp[0] + Gfy * n_comp[1]
-
-    ids_vf, ids_p = ids("vf"), ids("p")
-    test_tabs = {"vf": (Nf, +1.0, ids_vf), "vs": (Ns, -1.0, ids("vs"))}
-
-    # penalty: s_t s_tr delta_ab int N_t N_tr, one scalar block per component
-    for Nt, st, rids in test_tabs.values():
-        for Ntr, str_, cids in test_tabs.values():
-            loc = pen * st * str_ * _mass(Nt, Ntr, w)
-            for rc, cc in zip(np.split(rids, 2, axis=-1), np.split(cids, 2, axis=-1)):
-                acc_pen.add_many(rc, cc, loc)
-
-    # -(sigma_f(v_f, p) n, phi_f - phi_s)
-    for Nt, st, rids in test_tabs.values():
-        blocks = [[None, None], [None, None]]
-        for a in range(2):
-            for b in range(2):
-                m = _mass(Nt, G[a] * n_comp[b], w)
-                if a == b:
-                    m = m + _mass(Nt, Gn, w)
-                blocks[a][b] = -st * rnu * m
-        acc_cons.add_many(rids, ids_vf, _blocks_to_local(blocks))
-        # pressure part: +s_t (p n_a, N_t)
-        loc_p = np.concatenate([st * _mass(Nt, P * n_comp[a], w) for a in range(2)],
-                               axis=-2)
-        acc_cons.add_many(rids, ids_p, loc_p)
-
-    # -(v_f - v_s, sigma_f(phi_f, -xi) n): rows phi_f and xi
-    for Ntr, str_, cids in test_tabs.values():
-        blocks = [[None, None], [None, None]]
-        for a in range(2):
-            for b in range(2):
-                m = _mass(G[b] * n_comp[a], Ntr, w)
-                if a == b:
-                    m = m + _mass(Gn, Ntr, w)
-                blocks[a][b] = -str_ * rnu * m
-        acc_cons.add_many(ids_vf, cids, _blocks_to_local(blocks))
-        loc_q = np.concatenate([-str_ * _mass(P * n_comp[b], Ntr, w) for b in range(2)],
-                               axis=-1)
-        acc_cons.add_many(ids_p, cids, loc_q)
-    return acc_pen.tocsr(), acc_cons.tocsr()
+    tests = {"vf": (Nf, +1.0), "vs": (Ns, -1.0)}
+    pos = {pair: P.at_cells(cells) for pair, P in sums.patterns.items() if pair != ("p", "p")}
+    for row, (Nt, st) in tests.items():
+        for col, (Ntr, str_) in tests.items():
+            sums.add("nitsche_pen", row, col, pos[row, col],
+                     pen * st * str_ * _mass(Nt, Ntr, w))
+    for t, (Nt, st) in tests.items():
+        # -(sigma_f(v_f, p) n, phi_t): rows phi_t, columns v_f and p
+        blocks = [[-st * rnu * (_mass(Nt, G[a] * n_comp[b], w)
+                                + (_mass(Nt, Gn, w) if a == b else 0.0))
+                   for b in range(2)] for a in range(2)]
+        sums.add("nitsche_cons", t, "vf", pos[t, "vf"], np.block(blocks))
+        sums.add("nitsche_cons", t, "p", pos[t, "p"], np.concatenate(
+            [st * _mass(Nt, P * n_comp[a], w) for a in range(2)], axis=-2))
+        # -(v_t, sigma_f(phi_f, -xi) n): rows phi_f and xi, columns v_t
+        blocks = [[-st * rnu * (_mass(G[b] * n_comp[a], Nt, w)
+                                + (_mass(Gn, Nt, w) if a == b else 0.0))
+                   for b in range(2)] for a in range(2)]
+        sums.add("nitsche_cons", "vf", t, pos["vf", t], np.block(blocks))
+        sums.add("nitsche_cons", "p", t, pos["p", t], np.concatenate(
+            [-st * _mass(P * n_comp[b], Nt, w) for b in range(2)], axis=-1))
 
 
 # -- forms and the step system ----------------------------------------------
 
 @dataclass
 class Forms:
-    """Assembled matrices of one discretization.
+    """Assembled matrices of one discretization, without stored zeros.
 
     Matrices without a note are square on the (v_f, p, v_s) system.
     """
@@ -404,58 +430,106 @@ class Forms:
     ghost_u: sp.csr_matrix
 
 
-def assemble_forms(disc: Discretization) -> Forms:
-    cfg = disc.cfg
-    mass_solid_scalar = assemble_cells(disc, SCALAR_KERNELS["value"], "vs")
-    mass_fluid = _place(disc, "vf", "vf",
-                        cfg.rho_f * assemble_cells(disc, SCALAR_KERNELS["value"], "vf"), 2)
-    mass_solid = _place(disc, "vs", "vs", cfg.rho_s * mass_solid_scalar, 2)
-
-    viscous = assemble_cells(disc, lambda tr, tc, w: _viscous(tr, w, cfg.rho_f * cfg.nu_f), "vf")
-    fluid_bulk = (_place(disc, "vf", "vf", viscous)
-                  + _place(disc, "vf", "p", assemble_cells(disc, _grad_p, "vf", "p"))
-                  + _place(disc, "p", "vf", assemble_cells(disc, _div_q, "p", "vf")))
-    solid_bulk = assemble_cells(
-        disc, lambda tr, tc, w: _solid_bulk(tr, w, cfg.mu_s, cfg.lambda_s), "vs")
-    nitsche_pen, nitsche_cons = assemble_nitsche(disc)
-
-    raw_f2 = raw_jump_matrices(disc, "f", cfg.m_f)
-    raw_f1 = raw_jump_matrices(disc, "f", cfg.m_f - 1)
-    raw_s = raw_jump_matrices(disc, "s", cfg.m_s)
-    return Forms(mass_fluid=mass_fluid, mass_solid=mass_solid,
-                 mass_solid_scalar=mass_solid_scalar,
-                 fluid_bulk=fluid_bulk.tocsr(), solid_bulk=solid_bulk,
-                 nitsche_pen=nitsche_pen, nitsche_cons=nitsche_cons,
-                 ghost_vf=ghost_matrix(disc, "v_f", raw_f2),
-                 ghost_p=ghost_matrix(disc, "p", raw_f1),
-                 ghost_vs=ghost_matrix(disc, "v_s", raw_s),
-                 ghost_u=ghost_matrix(disc, "u", raw_s))
+def _system(disc: Discretization, field: str = "mass_fluid"):
+    """The blocks (block, ncomp) a field of ``Forms`` is stacked over."""
+    if field == "solid_bulk":
+        return [("vs", 2)]
+    if field.startswith("ghost") or field == "mass_solid_scalar":
+        return [({"ghost_vf": "vf", "ghost_p": "p"}.get(field, "vs"), 1)]
+    return [(b, disc.dofmap(b).ncomp) for b in SYSTEM_BLOCKS]
 
 
-def system_matrices(disc: Discretization, forms: Forms | None = None):
+def assemble_forms(disc: Discretization, arrays: dict | None = None) -> Forms:
+    """Every form of ``disc``, from one assembly pass.
+
+    Each block pair of the system has one pattern: blocks of one side couple
+    on the side's cells (the pressure with itself only in its ghost
+    penalty), blocks of the two sides on the cut cells, and each block with
+    itself across the side's ghost faces.  Each form is summed once into
+    data arrays {(row, col, cr, cc): data} on these patterns.  ``arrays``,
+    if given, receives them by field name, and the patterns under
+    "patterns", so that ``system_matrices`` needs no second pass.
+    """
+    cfg, topo = disc.cfg, disc.topo
+    patterns = {}
+    for row in SYSTEM_BLOCKS:
+        for col in SYSTEM_BLOCKS:
+            side = disc.dofmap(row).side
+            cells = (topo.cut_cells if side != disc.dofmap(col).side
+                     else () if row == col == "p" else disc.dofmap(row).cells)
+            patterns[row, col] = Pattern(disc, row, col, cells,
+                                         topo.ghost_faces(side) if row == col else ())
+    sums = _Sums(patterns)
+    value = SCALAR_KERNELS["value"]
+    _cell_pass(disc, sums, "f", [
+        ("mass_fluid", value, "vf", "vf"),
+        ("viscous", lambda tr, tc, w: _viscous(tr, w, cfg.rho_f * cfg.nu_f), "vf", "vf"),
+        ("grad_p", _grad_p, "vf", "p"),
+        ("div_q", _div_q, "p", "vf")])
+    _cell_pass(disc, sums, "s", [
+        ("mass_solid_scalar", value, "vs", "vs"),
+        ("solid_bulk", lambda tr, tc, w: _solid_bulk(tr, w, cfg.mu_s, cfg.lambda_s),
+         "vs", "vs")])
+    _nitsche_pass(disc, sums)
+    a = sums.arrays()
+    f = {"mass_fluid": _on_components(_lin((cfg.rho_f, a["mass_fluid"]))),
+         "mass_solid": _on_components(_lin((cfg.rho_s, a["mass_solid_scalar"]))),
+         "mass_solid_scalar": a["mass_solid_scalar"],
+         "fluid_bulk": {**a["viscous"], **a["grad_p"], **a["div_q"]},
+         "solid_bulk": a["solid_bulk"],
+         "nitsche_pen": _on_components(a["nitsche_pen"]),
+         "nitsche_cons": a["nitsche_cons"]}
+
+    # ghost penalties gamma sum_l c_l R_l on the jump matrices of the form's
+    # space, c_l = h^(2(l-s)+1) / ((l-s)!)^2 with s = 1 for v_f and u and
+    # s = 0 for p and v_s
+    raws = {b: raw_jump_matrices(disc, disc.dofmap(b).side, disc.dofmap(b).order,
+                                 pattern=patterns[b, b])
+            for b in SYSTEM_BLOCKS}
+    for name, b, gamma, s in (("ghost_vf", "vf", cfg.gamma_vf, 1),
+                              ("ghost_p", "p", cfg.gamma_p, 0),
+                              ("ghost_vs", "vs", cfg.gamma_vs, 0),
+                              ("ghost_u", "vs", cfg.gamma_u, 1)):
+        terms = [(disc.h ** (2 * (l - s) + 1) / math.factorial(l - s) ** 2,
+                  {(b, b, 0, 0): raw.data}) for l, raw in enumerate(raws[b], start=1)]
+        f[name] = _lin((gamma, _lin(*terms)))
+    del raws
+    for pattern in patterns.values():
+        pattern.drop_maps()
+    forms = Forms(**{name: _stack(f[name], patterns, _system(disc, name))
+                     for name in Forms.__dataclass_fields__})
+    if arrays is not None:
+        arrays.update(f, patterns=patterns)
+    return forms
+
+
+def system_matrices(disc: Discretization):
     """(R, M, K, forms): the backward Euler step on (v_f, p, v_s).
 
     Substituting u^n = u^{n-1} + k v_s^n into the monolithic step gives
     R x^n = M x^{n-1} - k K u^{n-1} with
       M = rho_f M_f + rho_s M_s + rho_s g_vs,
-      K = a_s + 2 mu_s g_u, with u in the slot of v_s,
+      K = a_s + 2 mu_s g_u, on the v_s block only (u sits in its slot),
       R = M + k (a_f + Nitsche + 2 rho_f nu_f g_vf + g_p) + k^2 K,
     with the pressure (continuity) rows of R negated so that R is
-    symmetric.  M and K have zero pressure rows, so the right-hand side
-    needs no sign change.
+    symmetric.  M has zero pressure rows, so the right-hand side needs no
+    sign change.  All three are weighted sums of the data arrays of
+    ``assemble_forms``, without stored zeros.
     """
-    if forms is None:
-        forms = assemble_forms(disc)
+    f: dict = {}
+    forms = assemble_forms(disc, f)
+    patterns = f.pop("patterns")
     cfg = disc.cfg
     k = cfg.k
-    M = (forms.mass_fluid + forms.mass_solid
-         + cfg.rho_s * _place(disc, "vs", "vs", forms.ghost_vs, 2)).tocsr()
-    A_f = forms.fluid_bulk + forms.nitsche_pen + forms.nitsche_cons
-    S_f = (2.0 * cfg.rho_f * cfg.nu_f * _place(disc, "vf", "vf", forms.ghost_vf, 2)
-           + _place(disc, "p", "p", forms.ghost_p))
-    K = (_place(disc, "vs", "vs", forms.solid_bulk)
-         + 2.0 * cfg.mu_s * _place(disc, "vs", "vs", forms.ghost_u, 2)).tocsr()
-    R = (M + k * (A_f + S_f) + k * (k * K)).tocsr()
+    M = _lin((1.0, f["mass_fluid"]), (1.0, f["mass_solid"]),
+             (cfg.rho_s, _on_components(f["ghost_vs"])))
+    K = _lin((1.0, f["solid_bulk"]), (2.0 * cfg.mu_s, _on_components(f["ghost_u"])))
+    R = _lin((1.0, M), (k, f["fluid_bulk"]), (k, f["nitsche_pen"]), (k, f["nitsche_cons"]),
+             (2.0 * k * cfg.rho_f * cfg.nu_f, _on_components(f["ghost_vf"])),
+             (k, f["ghost_p"]), (k * k, K))
+    del f
+    R = _stack(R, patterns, _system(disc))
     p = disc.layout.slice("p")
     R.data[R.indptr[p.start]:R.indptr[p.stop]] *= -1.0
-    return R, M, K, forms
+    return (R, _stack(M, patterns, _system(disc)),
+            _stack(K, patterns, _system(disc, "solid_bulk")), forms)

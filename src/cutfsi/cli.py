@@ -71,7 +71,7 @@ def cmd_run(args) -> int:
     reporting.write_step_log(outdir / "steps.csv", cfg, records)
     reporting.write_snapshot(outdir, disc, states[-1], "final")
     final = states[-1]
-    e = ana.energy(final)
+    e = energies[-1] if energies else ana.energy(final)
     fact = stepper.fact
     lu_path = "symmetric-mode" if fact.symmetric else "COLAMD fallback"
     print(f"ran {cfg.n_steps} steps to T={cfg.T:g} on n={cfg.n} "

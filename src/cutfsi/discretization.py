@@ -124,11 +124,7 @@ class Discretization:
     def full_cell_tables(self, order: int):
         """(N, Gx, Gy) tables at the shared full-cell rule, physical scaling."""
         if order not in self._table_cache:
-            basis = reference_basis(order)
-            N = basis.eval(self.ref_pts)
-            Gx = basis.eval(self.ref_pts, dx=1) / self.h
-            Gy = basis.eval(self.ref_pts, dy=1) / self.h
-            self._table_cache[order] = (N, Gx, Gy)
+            self._table_cache[order] = reference_basis(order).tables(self.ref_pts, self.h)
         return self._table_cache[order]
 
     @property
@@ -140,14 +136,13 @@ class Discretization:
 
         ``pts`` has shape (..., 2) and ``cells`` a shape that broadcasts
         against pts.shape[:-1]; each table has shape pts.shape[:-1] + (nb,).
-        One basis evaluation per derivative covers all points.
+        One basis evaluation covers all points.
         """
         basis = reference_basis(order)
         pts = np.asarray(pts, dtype=float)
         ref = ((pts - self.mesh.cell_origin(cells)) / self.h).reshape(-1, 2)
         shape = pts.shape[:-1] + (basis.n_basis,)
-        return tuple((basis.eval(ref, dx=dx, dy=dy) / self.h ** (dx + dy)).reshape(shape)
-                     for dx, dy in ((0, 0), (1, 0), (0, 1)))
+        return tuple(t.reshape(shape) for t in basis.tables(ref, self.h))
 
     # -- dof helpers --------------------------------------------------------
 

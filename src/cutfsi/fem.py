@@ -48,10 +48,20 @@ class ReferenceBasis:
     def eval(self, pts: np.ndarray, dx: int = 0, dy: int = 0) -> np.ndarray:
         """Evaluate all basis functions: returns (npts, (r+1)^2)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        tx = self._eval1d(pts[:, 0], dx)
-        ty = self._eval1d(pts[:, 1], dy)
-        # tensor: basis (jy, jx) value = ty[:, jy] * tx[:, jx], x fastest
-        return (ty[:, :, None] * tx[:, None, :]).reshape(len(pts), -1)
+        return _tensor(self._eval1d(pts[:, 1], dy), self._eval1d(pts[:, 0], dx))
+
+    def tables(self, pts: np.ndarray, h: float = 1.0):
+        """(N, Gx, Gy) at points, the gradient divided by the cell size h;
+        four 1d tables serve all three."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        (x0, x1), (y0, y1) = ((self._eval1d(pts[:, k], 0), self._eval1d(pts[:, k], 1) / h)
+                              for k in (0, 1))
+        return _tensor(y0, x0), _tensor(y0, x1), _tensor(y1, x0)
+
+
+def _tensor(ty: np.ndarray, tx: np.ndarray) -> np.ndarray:
+    """Basis (jy, jx) = ty[:, jy] * tx[:, jx], x fastest."""
+    return np.einsum("ni,nj->nij", ty, tx).reshape(len(ty), -1)
 
 
 @lru_cache(maxsize=8)

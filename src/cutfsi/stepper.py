@@ -5,7 +5,9 @@ and factorized once; only the ramped lid values change per step.  The
 solved unknowns are (v_f, p, v_s); after each solve the displacement is
 updated as u^n = u^{n-1} + k v_s^n.  The continuity rows of the step matrix
 R are negated, so R (with its Dirichlet rows and columns replaced) is
-symmetric; see ``assembly.system_matrices``.
+symmetric; see ``assembly.system_matrices``.  The column entries that the
+Dirichlet elimination drops lift the lid profile into one right-hand-side
+vector, which each step scales by the ramp.
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import linalg
-from .assembly import Forms, system_matrices
+from .assembly import system_matrices
 from .config import SimulationConfig
 from .discretization import Discretization
 
@@ -70,10 +71,10 @@ class StepRecord:
 class TimeStepper:
     """Assembles and factorizes the (v_f, p, v_s) step system, advances it."""
 
-    def __init__(self, disc: Discretization, forms: Forms | None = None):
+    def __init__(self, disc: Discretization):
         self.disc = disc
         self.cfg = disc.cfg
-        R, self.M, self.K, self.forms = system_matrices(disc, forms)
+        R, self.M, self.K, self.forms = system_matrices(disc)
 
         # Dirichlet data: all fluid-velocity dofs on the outer boundary
         vf = disc.vf
@@ -83,16 +84,33 @@ class TimeStepper:
         coords = vf.node_coords[nodes]
         on_lid = np.abs(coords[:, 1] - 1.0) < 1e-12
         profile = np.where(on_lid, inflow_profile_x(coords[:, 0], self.cfg), 0.0)
+
+        # row replacement with column elimination into the rhs, in place
+        slot = np.full(R.shape[0], -1)
+        slot[self.dir_idx] = np.arange(len(self.dir_idx))
+        rows = np.repeat(np.arange(R.shape[0]), np.diff(R.indptr))
+        in_row, in_col = slot[rows] >= 0, slot[R.indices] >= 0
+        lift = in_col & ~in_row
+        self._lift = (rows[lift], slot[R.indices[lift]], R.data[lift])
+        R.data[in_row | in_col] = 0.0
+        R.data[in_row & (R.indices == rows)] = 1.0  # stored: the mass is positive there
+        R.eliminate_zeros()
+        self.R = R
+        del rows, in_row, in_col, lift
         # x-component first, y-component identically zero
         self.g_profile = np.concatenate([profile, np.zeros_like(profile)])
-
-        # row replacement with column elimination into the rhs
-        keep = np.ones(R.shape[0])
-        keep[self.dir_idx] = 0.0
-        D = sp.diags(keep)
-        self.R_dir_cols = D @ R.tocsc()[:, self.dir_idx].tocsr()  # rows of D zeroed
-        self.R = sp.csr_matrix(D @ R @ D + sp.diags(1.0 - keep))
         self.fact = linalg.factorize(self.R)
+
+    @property
+    def g_profile(self) -> np.ndarray:
+        """Dirichlet values at full ramp; setting them updates their lift."""
+        return self._g_profile
+
+    @g_profile.setter
+    def g_profile(self, g: np.ndarray) -> None:
+        rows, cols, vals = self._lift
+        self._g_profile = g
+        self._g_lift = np.bincount(rows, weights=vals * g[cols], minlength=self.R.shape[0])
 
     def boundary_values(self, t: float) -> np.ndarray:
         return ramp_factor(t, self.cfg) * self.g_profile
@@ -105,14 +123,12 @@ class TimeStepper:
         cfg = self.cfg
         layout = self.disc.layout
         t_new = state.t + cfg.k
-        g = self.boundary_values(t_new)
+        ramp = ramp_factor(t_new, cfg)
         u_old = state.x[layout.slice("u")]
-        u_slot = np.zeros(layout.n_system)
-        u_slot[layout.slice("vs")] = u_old
         b = self.M @ state.x[:layout.n_system]
-        b -= self.R_dir_cols @ g
-        b -= cfg.k * (self.K @ u_slot)
-        b[self.dir_idx] = g
+        b -= ramp * self._g_lift
+        b[layout.slice("vs")] -= cfg.k * (self.K @ u_old)
+        b[self.dir_idx] = ramp * self.g_profile
         x_r = self.fact.solve(b)
         b_norm = max(np.linalg.norm(b), 1e-300)
         r = b - self.R @ x_r

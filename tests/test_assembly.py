@@ -1,19 +1,23 @@
 """Form assembly oracles: mass patterns, kernels, symmetry, PSD-ness, and
 equivalence of the batched cut-cell, arc and face assembly with the
-per-cell and per-face loops kept here as test-only oracles."""
+per-cell and per-face loops kept here as test-only oracles, and of the
+pattern pass with the COO assembly of ``assembly_oracle``."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cutfsi import Discretization, SimulationConfig
+import assembly_oracle as coo
+from assembly_oracle import component_ids as _component_ids
+from assembly_oracle import place as _place
+from cutfsi import Discretization, SimulationConfig, TimeStepper
 from cutfsi.analysis import ghost_extension_ratios
-from cutfsi.assembly import (SCALAR_KERNELS, _blocks_to_local, _component_ids,
-                             _grad_p, _div_q, _mass, _place, _solid_bulk,
-                             _viscous, assemble_cells, assemble_forms,
-                             raw_jump_matrices, weight_w)
+from cutfsi.assembly import (SCALAR_KERNELS, _grad_p, _div_q, _mass,
+                             _solid_bulk, _viscous, assemble_cells, assemble_forms,
+                             raw_jump_matrices, system_matrices, weight_w)
 from cutfsi.fem import reference_basis
 from cutfsi.quadrature import gauss_1d
 
@@ -327,14 +331,14 @@ def oracle_nitsche(disc):
             blocks = [[-st * rnu * (Nt.T @ (w[:, None] * G[a] * n_comp[b][:, None])
                                     + (a == b) * Nt.T @ (w[:, None] * Gn))
                        for b in range(2)] for a in range(2)]
-            acc_cons.add(rids, ids_vf, _blocks_to_local(blocks))
+            acc_cons.add(rids, ids_vf, np.block(blocks))
             acc_cons.add(rids, ids_p, np.vstack(
                 [st * Nt.T @ (w[:, None] * P * n_comp[a][:, None]) for a in range(2)]))
         for Ntr, str_, cids in tabs:
             blocks = [[-str_ * rnu * ((G[b] * n_comp[a][:, None]).T @ (w[:, None] * Ntr)
                                       + (a == b) * Gn.T @ (w[:, None] * Ntr))
                        for b in range(2)] for a in range(2)]
-            acc_cons.add(ids_vf, cids, _blocks_to_local(blocks))
+            acc_cons.add(ids_vf, cids, np.block(blocks))
             acc_cons.add(ids_p, cids, np.hstack(
                 [-str_ * P.T @ (w[:, None] * Ntr * n_comp[b][:, None]) for b in range(2)]))
     return acc_pen.tocsr(), acc_cons.tocsr()
@@ -426,3 +430,71 @@ def test_band_sampler_matches_per_cell_draws(disc8_q2, side, l):
     want = oracle_ghost_ratio(disc, side, order, l, disc.cfg.w_max, seed=11)
     assert want > 0
     assert got == pytest.approx(want, rel=1e-12)
+
+
+# -- the pattern pass against the COO assembly it replaced --------------------
+
+def assert_matches_oracle(got, want, tol=1e-15):
+    """Entries within tol of the oracle's, relative to its largest entry.
+
+    The two sum the same local entries in different orders, so an entry
+    that is zero in exact arithmetic may cancel to exactly zero (and not be
+    stored) in one and stay at round-off in the other; the stored entries
+    agree except at such entries, which the value check bounds by tol.
+    """
+    got, want = got.tocsr(), want.tocsr()
+    scale = abs(want).max()
+    assert got.shape == want.shape and scale > 0
+    assert abs(got - want).max() <= tol * scale
+    ones_got, ones_want = got.copy(), want.copy()
+    ones_got.data[:], ones_want.data[:] = 1.0, 1.0
+    assert (ones_got - ones_want).nnz <= 1e-3 * want.nnz
+
+
+ORACLE_CASES = [(n, m_s, 0.75) for n in (8, 16) for m_s in (1, 2)] + [(9, 2, 0.3136)]
+
+
+@pytest.mark.parametrize("n,m_s,r2", ORACLE_CASES,
+                         ids=[f"n{n}-ms{m}-r{r}" for n, m, r in ORACLE_CASES])
+def test_pattern_pass_matches_coo_assembly(n, m_s, r2):
+    """Every form, the step matrices R, M, K, the Dirichlet-reduced R and
+    the lifted lid profile equal those of the COO assembly."""
+    disc = Discretization(SimulationConfig(n=n, m_s=m_s, radius_squared=r2))
+    R, M, K, forms = system_matrices(disc)
+    want = coo.assemble_forms(disc)
+    for name in want.__dataclass_fields__:
+        assert_matches_oracle(getattr(forms, name), getattr(want, name))
+    R_want, M_want, K_want = coo.system_matrices(disc, want)
+    vs = disc.layout.slice("vs")
+    for got, ref in ((R, R_want), (M, M_want), (K, K_want[vs, vs])):
+        assert_matches_oracle(got, ref)
+    stepper = TimeStepper(disc)
+    R_red, R_dir_cols = coo.dirichlet_reduce(R_want, stepper.dir_idx)
+    assert_matches_oracle(stepper.R, R_red)
+    lift = R_dir_cols @ stepper.g_profile
+    assert np.abs(stepper._g_lift - lift).max() <= 1e-15 * np.abs(lift).max()
+
+
+@pytest.mark.parametrize("m_s", [1, 2])
+def test_one_tabulation_per_batch_and_order(disc8, disc8_q2, m_s, monkeypatch):
+    """One assemble_forms call tabulates each cut batch of each side once
+    per space order of the side, and the arcs once per space order."""
+    disc = disc8 if m_s == 1 else disc8_q2
+    calls = Counter()
+    tabulate = Discretization.tabulate
+
+    def counting(self, order, cells, pts):
+        calls[order, np.asarray(cells).tobytes(), np.asarray(pts).tobytes()] += 1
+        return tabulate(self, order, cells, pts)
+
+    monkeypatch.setattr(Discretization, "tabulate", counting)
+    assemble_forms(disc)
+    cfg = disc.cfg
+    batches = 0
+    for side, orders in (("f", (cfg.m_f, cfg.m_f - 1)), ("s", (cfg.m_s,))):
+        for cells, pts, _ in disc.cut_parts[side].batches():
+            batches += len(orders)
+            for order in orders:
+                assert calls[order, cells.tobytes(), pts.tobytes()] == 1
+    assert set(calls.values()) == {1}
+    assert sum(calls.values()) == batches + len({cfg.m_f, cfg.m_f - 1, cfg.m_s})

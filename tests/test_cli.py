@@ -75,6 +75,22 @@ def test_run_small(tmp_path, capsys):
     assert (tmp_path / "fluid_00001.vtu").exists()
 
 
+def test_run_energy_once_per_step(tmp_path, monkeypatch):
+    """cmd_run reports the final energies of the last step: Analyzer.energy
+    runs once per step, not once more after the run."""
+    calls = []
+    energy = analysis.Analyzer.energy
+
+    def counting(self, state):
+        calls.append(state.index)
+        return energy(self, state)
+
+    monkeypatch.setattr(analysis.Analyzer, "energy", counting)
+    rc = main(["run", "--set", "n=8", "--set", "T=1.0", "--set", "k=0.5",
+               "--output-dir", str(tmp_path)])
+    assert rc == 0 and calls == [1, 2]
+
+
 def test_run_with_config_file(tmp_path, capsys):
     cfg_file = tmp_path / "case.cfg"
     cfg_file.write_text("n = 8\nT = 1.0\nk = 0.5\n")

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from cutfsi.assembly import _component_ids, face_jump_table
+from assembly_oracle import component_ids as _component_ids
+from cutfsi.assembly import face_jump_table
 from cutfsi.fem import build_dof_map, reference_basis
 
 

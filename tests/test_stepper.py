@@ -8,6 +8,8 @@ import pytest
 import scipy.sparse as sp
 
 import cutfsi.analysis
+import cutfsi.assembly
+import cutfsi.discretization
 import cutfsi.stepper
 from cutfsi import (Discretization, SimulationConfig, TimeStepper,
                     ghost_extension_ratios, linalg)
@@ -170,31 +172,46 @@ def test_step_refines_inaccurate_solve(disc8):
 
 
 def test_profiled_call_sites(disc8, monkeypatch):
-    """perfbench/ wraps these module names: building a stepper calls
-    stepper.system_matrices and stepper.linalg.factorize once each, and the
-    ghost-extension probe calls analysis.raw_jump_matrices."""
+    """perfbench/ wraps these module names: a discretization calls the
+    geometry, quadrature and dof-map builders through
+    cutfsi.discretization; building a stepper calls stepper.system_matrices
+    and stepper.linalg.factorize once each; the step matrices come from one
+    assembly.assemble_forms pass, which calls assembly.raw_jump_matrices;
+    and the ghost-extension probe calls analysis.raw_jump_matrices."""
     calls = Counter()
     results = {}
 
     def count(owner, name):
         real = getattr(owner, name)
+        key = f"{owner.__name__.split('.')[-1]}.{name}"
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
-            results[name] = real(*args, **kwargs)
-            return results[name]
+            calls[key] += 1
+            results[key] = real(*args, **kwargs)
+            return results[key]
         monkeypatch.setattr(owner, name, wrapper)
 
+    for name in ("build_cut_topology", "cut_cell_rule", "interface_rule", "build_dof_map"):
+        count(cutfsi.discretization, name)
     count(cutfsi.stepper, "system_matrices")
     count(cutfsi.stepper.linalg, "factorize")
+    count(cutfsi.assembly, "assemble_forms")
+    count(cutfsi.assembly, "raw_jump_matrices")
     count(cutfsi.analysis, "raw_jump_matrices")
-    TimeStepper(disc8)
-    assert calls["system_matrices"] == 1 and calls["factorize"] == 1
-    assert sp.issparse(results["system_matrices"][0])
-    assert hasattr(results["factorize"], "_lu")
-    ghost_extension_ratios(disc8, "f", 2, 1, w_max=1.0, gamma_on=True,
+    disc = Discretization(disc8.cfg)
+    assert calls["discretization.build_cut_topology"] == 1
+    assert calls["discretization.cut_cell_rule"] == 2
+    assert calls["discretization.interface_rule"] == len(disc.topo.cut_cells)
+    assert calls["discretization.build_dof_map"] == 3
+    TimeStepper(disc)
+    assert calls["stepper.system_matrices"] == 1 and calls["linalg.factorize"] == 1
+    assert calls["assembly.assemble_forms"] == 1
+    assert calls["assembly.raw_jump_matrices"] == 3  # v_f, p and the solid space
+    assert sp.issparse(results["stepper.system_matrices"][0])
+    assert hasattr(results["linalg.factorize"], "_lu")
+    ghost_extension_ratios(disc, "f", 2, 1, w_max=1.0, gamma_on=True,
                            n_samples=5)
-    assert calls["raw_jump_matrices"] == 1
+    assert calls["analysis.raw_jump_matrices"] == 1
 
 
 def test_state_block_accessor(run8, disc8):
