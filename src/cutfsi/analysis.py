@@ -95,7 +95,6 @@ class Analyzer:
         self.disc = disc
         self.forms = forms if forms is not None else assemble_forms(disc)
         self._mats: dict = {}
-        self._iface_pen = None
 
     def scalar_matrix(self, block: str, physical: bool, operator: str):
         """Scalar L2 matrix of the value or the gradient on one block's space."""
@@ -104,15 +103,6 @@ class Analyzer:
             self._mats[key] = assemble_cells(self.disc, SCALAR_KERNELS[operator], block,
                                              "physical" if physical else "extended")
         return self._mats[key]
-
-    @property
-    def interface_penalty(self):
-        """Quadratic form int_Gamma |v_f - v_s|^2 on the step system."""
-        if self._iface_pen is None:
-            cfg = self.disc.cfg
-            self._iface_pen = self.forms.nitsche_pen / (
-                cfg.rho_f * cfg.nu_f * cfg.gamma_N / self.disc.h)
-        return self._iface_pen
 
     # -- norms --------------------------------------------------------------
 
@@ -145,14 +135,16 @@ class Analyzer:
         p = x[lay.slice("p")]
         vs = x[lay.slice("vs")]
         u = x[lay.slice("u")]
-        E_T2 = (0.5 * cfg.rho_f * self.field_norm("vf", vf, True, "value") ** 2
+        E_T2 = (0.5 * self.quad_form(self.forms.mass_fluid, x[:lay.n_system])
                 + 0.5 * cfg.rho_s * self.field_norm("vs", vs, False, "value") ** 2
                 + cfg.mu_s * self.field_norm("u", u, False, "gradient") ** 2)
         g_vs = self.quad_form(self.forms.ghost_vs, vs, 2)
         g_u = self.quad_form(self.forms.ghost_u, u, 2)
         g_p = self.quad_form(self.forms.ghost_p, p)
         E_g2 = 0.5 * cfg.rho_s * g_vs + cfg.mu_s * g_u
-        trace2 = self.quad_form(self.interface_penalty, x[:lay.n_system]) / disc.h
+        # h^-1 |v_f - v_s|^2_Gamma; nitsche_pen is rho_f nu_f gamma_N times it
+        trace2 = (self.quad_form(self.forms.nitsche_pen, x[:lay.n_system])
+                  / (cfg.rho_f * cfg.nu_f * cfg.gamma_N))
         triple2 = (cfg.rho_f * cfg.nu_f
                    * self.field_norm("vf", vf, False, "gradient") ** 2
                    + cfg.rho_f * cfg.nu_f * cfg.gamma_N * trace2 + g_p)
@@ -165,13 +157,12 @@ class Analyzer:
         cfg = disc.cfg
         x = state.x
         lay = disc.layout
-        vf = x[lay.slice("vf")]
         vs = x[lay.slice("vs")]
         u = x[lay.slice("u")]
         g_vs = self.quad_form(self.forms.ghost_vs, vs, 2)
         g_u = self.quad_form(self.forms.ghost_u, u, 2)
-        return (0.5 * cfg.rho_f * self.field_norm("vf", vf, True, "value") ** 2
-                + 0.5 * cfg.rho_s * self.field_norm("vs", vs, True, "value") ** 2
+        return (0.5 * self.quad_form(self.forms.mass_fluid, x[:lay.n_system])
+                + 0.5 * cfg.rho_s * self.quad_form(self.forms.mass_solid_scalar, vs, 2)
                 + 0.5 * cfg.rho_s * g_vs
                 + 0.5 * self.quad_form(self.forms.solid_bulk, u)  # mu |eps|^2 + lam/2 div^2
                 + cfg.mu_s * g_u)
@@ -315,6 +306,8 @@ def ghost_extension_ratios(disc: Discretization, side: str, order: int,
     interface zone, where the estimate degenerates to 0 <= 0 or fails
     outright) are skipped.
     """
+    if sampler not in ("band", "cell"):
+        raise ValueError(f"unknown sampler {sampler!r}")
     block = {"f": {disc.cfg.m_f: "vf", disc.cfg.m_f - 1: "p"},
              "s": {disc.cfg.m_s: "vs"}}[side][order]
     kernel = SCALAR_KERNELS["value" if l == 0 else "gradient"]
@@ -331,27 +324,22 @@ def ghost_extension_ratios(disc: Discretization, side: str, order: int,
             rhs = rhs + coeff * raws[j - 1].data
     rhs_mat = pattern.matrix(rhs)
     cut_dofs = dm.cell_dofs[dm.cell_index[disc.topo.cut_cells]]  # (ncut, nb)
-    flat = cut_dofs.ravel()
-    # a band sample is one draw over the cut cells' dofs in cell order; a
-    # dof shared by several cut cells keeps the value drawn for its last cell
-    last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        v = np.zeros(dm.n_scalar)
-        if sampler == "band":
-            v[flat[last]] = rng.standard_normal(len(flat))[last]
-        elif sampler == "cell":
+    V = np.zeros((n_samples, dm.n_scalar))  # one sample per row
+    if sampler == "band":
+        # a band sample is one draw over the cut cells' dofs in cell order; a
+        # dof shared by several cut cells keeps the value drawn for its last cell
+        flat = cut_dofs.ravel()
+        last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
+        V[:, flat[last]] = rng.standard_normal((n_samples, len(flat)))[:, last]
+    else:
+        for v in V:
             ids = cut_dofs[rng.integers(len(cut_dofs))]
             v[ids] = rng.standard_normal(len(ids))
-        else:
-            raise ValueError(f"unknown sampler {sampler!r}")
-        lhs = float(v @ (M_comp @ v))
-        rhs = float(v @ (rhs_mat @ v))
-        if rhs <= 1e-13 * lhs:
-            continue
-        worst = max(worst, lhs / rhs)
-    return worst
+    lhs = np.einsum("ij,ji->i", V, M_comp @ V.T)
+    rhs = np.einsum("ij,ji->i", V, rhs_mat @ V.T)
+    keep = rhs > 1e-13 * lhs
+    return float(np.max(lhs[keep] / rhs[keep], initial=0.0))
 
 
 def random_smooth_state(disc: Discretization, seed: int = 0) -> State:

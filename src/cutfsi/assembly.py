@@ -34,6 +34,7 @@ from .fem import reference_basis
 from .quadrature import gauss_1d
 
 SYSTEM_BLOCKS = ("vf", "p", "vs")
+FACE_NPTS = 4  # Gauss points per ghost face
 
 
 def weight_w(kappa, w_max: float):
@@ -292,7 +293,7 @@ def assemble_cells(disc: Discretization, kernel, block: str, domain: str = "phys
 # -- ghost penalty raw jump matrices ----------------------------------------
 
 def face_jump_table(order: int, l: int, axis: int, h: float,
-                    face_npts: int = 4) -> np.ndarray:
+                    face_npts: int = FACE_NPTS) -> np.ndarray:
     """(q, 2 nb) table of the jump of the l-th normal derivative on a face.
 
     The face has normal axis ``axis`` (0: vertical face, 1: horizontal
@@ -314,7 +315,7 @@ def face_jump_table(order: int, l: int, axis: int, h: float,
 
 
 def raw_jump_matrices(disc: Discretization, side: str, order: int,
-                      w_max: float | None = None, face_npts: int = 4,
+                      w_max: float | None = None,
                       pattern: Pattern | None = None) -> list[sp.csr_matrix]:
     """Scalar matrices R_l, l = 1..order, of the weighted face-jump forms.
 
@@ -339,11 +340,11 @@ def raw_jump_matrices(disc: Discretization, side: str, order: int,
     cells = mesh.face_cells[faces]  # (nfaces, 2)
     axes = mesh.face_axis[faces]
     w_face = weight_w(kappa[cells[:, 0]], w_max) + weight_w(kappa[cells[:, 1]], w_max)
-    _, gw = gauss_1d(face_npts)
+    _, gw = gauss_1d(FACE_NPTS)
     wq = mesh.h * gw
     out = []
     for l in range(1, order + 1):
-        jumps = [face_jump_table(order, l, axis, mesh.h, face_npts) for axis in (0, 1)]
+        jumps = [face_jump_table(order, l, axis, mesh.h) for axis in (0, 1)]
         out.append(pattern.matrix(pattern.sum(
             [(pattern.face_pos[axis], w_face[axes == axis, None, None] * _mass(J, J, wq))
              for axis, J in enumerate(jumps)])))
@@ -396,15 +397,15 @@ def _nitsche_pass(disc: Discretization, sums: _Sums) -> None:
         blocks = [[-st * rnu * (_mass(Nt, G[a] * n_comp[b], w)
                                 + (_mass(Nt, Gn, w) if a == b else 0.0))
                    for b in range(2)] for a in range(2)]
-        sums.add("nitsche_cons", t, "vf", pos[t, "vf"], np.block(blocks))
-        sums.add("nitsche_cons", t, "p", pos[t, "p"], np.concatenate(
+        sums.add("consistency", t, "vf", pos[t, "vf"], np.block(blocks))
+        sums.add("consistency", t, "p", pos[t, "p"], np.concatenate(
             [st * _mass(Nt, P * n_comp[a], w) for a in range(2)], axis=-2))
         # -(v_t, sigma_f(phi_f, -xi) n): rows phi_f and xi, columns v_t
         blocks = [[-st * rnu * (_mass(G[b] * n_comp[a], Nt, w)
                                 + (_mass(Gn, Nt, w) if a == b else 0.0))
                    for b in range(2)] for a in range(2)]
-        sums.add("nitsche_cons", "vf", t, pos["vf", t], np.block(blocks))
-        sums.add("nitsche_cons", "p", t, pos["p", t], np.concatenate(
+        sums.add("consistency", "vf", t, pos["vf", t], np.block(blocks))
+        sums.add("consistency", "p", t, pos["p", t], np.concatenate(
             [-st * _mass(P * n_comp[b], Nt, w) for b in range(2)], axis=-1))
 
 
@@ -414,16 +415,15 @@ def _nitsche_pass(disc: Discretization, sums: _Sums) -> None:
 class Forms:
     """Assembled matrices of one discretization, without stored zeros.
 
+    The forms that the energy functionals and the checks read; the viscous,
+    pressure and Nitsche consistency forms go into the step matrix only.
     Matrices without a note are square on the (v_f, p, v_s) system.
     """
 
     mass_fluid: sp.csr_matrix       # rho_f (v_f, phi_f)_Omega_f
-    mass_solid: sp.csr_matrix       # rho_s (v_s, phi_s)_Omega_s
     mass_solid_scalar: sp.csr_matrix  # scalar (u, psi)_Omega_s on solid space
-    fluid_bulk: sp.csr_matrix       # viscous + pressure couplings
     solid_bulk: sp.csr_matrix       # (sigma_s(u), grad psi) on the solid vector space
     nitsche_pen: sp.csr_matrix
-    nitsche_cons: sp.csr_matrix
     ghost_vf: sp.csr_matrix         # scalar matrices on their own spaces
     ghost_p: sp.csr_matrix
     ghost_vs: sp.csr_matrix
@@ -447,8 +447,10 @@ def assemble_forms(disc: Discretization, arrays: dict | None = None) -> Forms:
     penalty), blocks of the two sides on the cut cells, and each block with
     itself across the side's ghost faces.  Each form is summed once into
     data arrays {(row, col, cr, cc): data} on these patterns.  ``arrays``,
-    if given, receives them by field name, and the patterns under
-    "patterns", so that ``system_matrices`` needs no second pass.
+    if given, receives them by name (the fields of ``Forms`` and "viscous",
+    "grad_p", "div_q" and "consistency", which only the step matrix reads),
+    and the patterns under "patterns", so that ``system_matrices`` needs no
+    second pass.
     """
     cfg, topo = disc.cfg, disc.topo
     patterns = {}
@@ -472,13 +474,8 @@ def assemble_forms(disc: Discretization, arrays: dict | None = None) -> Forms:
          "vs", "vs")])
     _nitsche_pass(disc, sums)
     a = sums.arrays()
-    f = {"mass_fluid": _on_components(_lin((cfg.rho_f, a["mass_fluid"]))),
-         "mass_solid": _on_components(_lin((cfg.rho_s, a["mass_solid_scalar"]))),
-         "mass_solid_scalar": a["mass_solid_scalar"],
-         "fluid_bulk": {**a["viscous"], **a["grad_p"], **a["div_q"]},
-         "solid_bulk": a["solid_bulk"],
-         "nitsche_pen": _on_components(a["nitsche_pen"]),
-         "nitsche_cons": a["nitsche_cons"]}
+    f = {"mass_fluid": _on_components(_lin((cfg.rho_f, a.pop("mass_fluid")))),
+         "nitsche_pen": _on_components(a.pop("nitsche_pen")), **a}
 
     # ghost penalties gamma sum_l c_l R_l on the jump matrices of the form's
     # space, c_l = h^(2(l-s)+1) / ((l-s)!)^2 with s = 1 for v_f and u and
@@ -521,10 +518,11 @@ def system_matrices(disc: Discretization):
     patterns = f.pop("patterns")
     cfg = disc.cfg
     k = cfg.k
-    M = _lin((1.0, f["mass_fluid"]), (1.0, f["mass_solid"]),
+    M = _lin((1.0, f["mass_fluid"]), (cfg.rho_s, _on_components(f["mass_solid_scalar"])),
              (cfg.rho_s, _on_components(f["ghost_vs"])))
     K = _lin((1.0, f["solid_bulk"]), (2.0 * cfg.mu_s, _on_components(f["ghost_u"])))
-    R = _lin((1.0, M), (k, f["fluid_bulk"]), (k, f["nitsche_pen"]), (k, f["nitsche_cons"]),
+    R = _lin((1.0, M), (k, f["viscous"]), (k, f["grad_p"]), (k, f["div_q"]),
+             (k, f["nitsche_pen"]), (k, f["consistency"]),
              (2.0 * k * cfg.rho_f * cfg.nu_f, _on_components(f["ghost_vf"])),
              (k, f["ghost_p"]), (k * k, K))
     del f

@@ -17,7 +17,6 @@ from . import analysis, reporting
 from .config import ConfigError, SimulationConfig, format_config, parse_config
 from .discretization import Discretization
 from .mesh import verify_path_assumption
-from .quadrature import interface_rule
 from .stepper import TimeStepper
 
 # Desk-scale guardrail: finer levels than this need an explicit override.
@@ -123,8 +122,7 @@ def cmd_verify(args) -> int:
         disc = discs[n]
         _, w, _ = analysis.domain_points(disc, "s")
         area = float(np.sum(w))
-        length = sum(interface_rule(disc.mesh, disc.topo, int(c)).total
-                     for c in disc.topo.cut_cells)
+        length = sum(rule.total for rule in disc.iface_rules.values())
         check(f"n={n} solid area", abs(area - exact_area) < 1e-8,
               f"error {abs(area - exact_area):.2e}")
         check(f"n={n} interface length", abs(length - exact_len) < 1e-10,

@@ -69,8 +69,7 @@ class BlockLayout:
 class Discretization:
     """All mesh-level data needed to assemble and evaluate on one level."""
 
-    def __init__(self, cfg: SimulationConfig, cut_npts: int = 8,
-                 interface_npts: int = 12, bulk_npts: int = 3):
+    def __init__(self, cfg: SimulationConfig):
         cfg.validate()
         self.cfg = cfg
         self.mesh: Mesh = build_mesh(cfg.n)
@@ -85,17 +84,15 @@ class Discretization:
                                   n_p=self.p.n_scalar,
                                   n_s_scalar=self.s.n_scalar)
 
-        self.bulk_npts = bulk_npts
+        # the quadrature builders' default sizes: 3 x 3 Gauss points per
+        # uncut cell, 8 rays of 8 points per cut-cell panel, 12 points per arc
         self._table_cache: dict[int, tuple] = {}
-        self.ref_pts, self.ref_w = reference_cell_rule(bulk_npts)
+        self.ref_pts, self.ref_w = reference_cell_rule()
         cut = self.topo.cut_cells
-        self.cut_parts = {side: cut_cell_rule(self.mesh, self.topo, cut, side,
-                                              npts=cut_npts)
+        self.cut_parts = {side: cut_cell_rule(self.mesh, self.topo, cut, side)
                           for side in ("f", "s")}
         self.iface_rules: dict[int, QuadratureRule] = {
-            int(cell): interface_rule(self.mesh, self.topo, int(cell),
-                                      npts=interface_npts)
-            for cell in cut}
+            int(cell): interface_rule(self.mesh, self.topo, int(cell)) for cell in cut}
 
     @property
     def h(self) -> float:

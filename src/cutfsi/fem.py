@@ -23,13 +23,9 @@ class ReferenceBasis:
         if order < 1:
             raise ValueError("order must be >= 1")
         self.order = order
-        nodes1d = np.linspace(0.0, 1.0, order + 1)
-        self.nodes1d = nodes1d
         # 1d basis polynomial coefficients: columns of inverse Vandermonde
-        V = np.vander(nodes1d, increasing=True)
+        V = np.vander(np.linspace(0.0, 1.0, order + 1), increasing=True)
         self._coeffs = np.linalg.inv(V)  # (deg+1, nbasis1d): c[k, j] x^k
-        gx, gy = np.meshgrid(nodes1d, nodes1d, indexing="xy")
-        self.nodes = np.column_stack([gx.ravel(), gy.ravel()])
 
     @property
     def n_basis(self) -> int:

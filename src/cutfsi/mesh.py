@@ -47,15 +47,10 @@ class Mesh:
     cell_vertices: np.ndarray  # (n^2, 4) corner ids, counterclockwise
     face_cells: np.ndarray     # (nfaces, 2)
     face_axis: np.ndarray      # (nfaces,) normal axis: 0 vertical, 1 horizontal
-    face_origin: np.ndarray    # (nfaces, 2) lower endpoint of the face
 
     @property
     def n_cells(self) -> int:
         return self.n * self.n
-
-    @property
-    def n_faces(self) -> int:
-        return self.face_cells.shape[0]
 
     def cell_origin(self, cell) -> np.ndarray:
         """Lower-left corner of cell(s)."""
@@ -92,7 +87,6 @@ def build_mesh(n: int) -> Mesh:
     right = np.where(vx < n, vy * n + vx, -1)
     below = np.where(hy > 0, (hy - 1) * n + hx, -1)
     above = np.where(hy < n, hy * n + hx, -1)
-    fx, fy = np.concatenate([vx, hx]), np.concatenate([vy, hy])
     return Mesh(
         n=n,
         h=h,
@@ -101,7 +95,6 @@ def build_mesh(n: int) -> Mesh:
         face_cells=np.column_stack([np.concatenate([left, below]),
                                     np.concatenate([right, above])]),
         face_axis=np.repeat([0, 1], [len(vx), len(hx)]),
-        face_origin=np.column_stack([-1.0 + fx * h, -1.0 + fy * h]),
     )
 
 

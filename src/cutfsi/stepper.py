@@ -55,9 +55,6 @@ class State:
     solve_residual: float = 0.0
     constraint_residual: float = 0.0
 
-    def block(self, disc: Discretization, name: str) -> np.ndarray:
-        return self.x[disc.layout.slice(name)]
-
 
 @dataclass
 class StepRecord:
@@ -111,9 +108,6 @@ class TimeStepper:
         rows, cols, vals = self._lift
         self._g_profile = g
         self._g_lift = np.bincount(rows, weights=vals * g[cols], minlength=self.R.shape[0])
-
-    def boundary_values(self, t: float) -> np.ndarray:
-        return ramp_factor(t, self.cfg) * self.g_profile
 
     def initialize(self) -> State:
         """Zero initial state (consistent with the ramp at t = 0)."""

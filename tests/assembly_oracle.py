@@ -11,6 +11,7 @@ the patterns, the scatter and the sums, not the kernels.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -183,7 +184,16 @@ def assemble_nitsche(disc):
     return acc_pen.tocsr(), acc_cons.tocsr()
 
 
-def assemble_forms(disc) -> Forms:
+@dataclass
+class OracleForms(Forms):
+    """The library's forms plus the three that it sums into R and M only."""
+
+    mass_solid: sp.csr_matrix       # rho_s (v_s, phi_s)_Omega_s
+    fluid_bulk: sp.csr_matrix       # viscous + pressure couplings
+    nitsche_cons: sp.csr_matrix
+
+
+def assemble_forms(disc) -> OracleForms:
     cfg = disc.cfg
     mass_solid_scalar = assemble_cells(disc, SCALAR_KERNELS["value"], "vs")
     viscous = assemble_cells(disc, lambda tr, tc, w: _viscous(tr, w, cfg.rho_f * cfg.nu_f), "vf")
@@ -194,7 +204,7 @@ def assemble_forms(disc) -> Forms:
     raw_f2 = raw_jump_matrices(disc, "f", cfg.m_f)
     raw_f1 = raw_jump_matrices(disc, "f", cfg.m_f - 1)
     raw_s = raw_jump_matrices(disc, "s", cfg.m_s)
-    return Forms(
+    return OracleForms(
         mass_fluid=place(disc, "vf", "vf", cfg.rho_f * assemble_cells(
             disc, SCALAR_KERNELS["value"], "vf"), 2),
         mass_solid=place(disc, "vs", "vs", cfg.rho_s * mass_solid_scalar, 2),

@@ -84,6 +84,33 @@ def test_energy_zero_state(an8, disc8):
     assert an8.lyapunov(stepper.initialize()) == 0.0
 
 
+def test_energy_terms_match_definitions(an8, disc8):
+    """The physical L2 terms, taken from the assembled masses, equal the
+    field norms over Omega_f and Omega_s, and trace2 equals
+    h^-1 |v_f - v_s|^2 summed over the interface arcs."""
+    cfg, lay = disc8.cfg, disc8.layout
+    state = random_smooth_state(disc8, seed=5)
+    vf, vs, u = (state.x[lay.slice(b)] for b in ("vf", "vs", "u"))
+    e = an8.energy(state)
+    E_T2 = (0.5 * cfg.rho_f * an8.field_norm("vf", vf) ** 2
+            + 0.5 * cfg.rho_s * an8.field_norm("vs", vs, physical=False) ** 2
+            + cfg.mu_s * an8.field_norm("u", u, physical=False, operator="gradient") ** 2)
+    assert e["E_T2"] == pytest.approx(E_T2, rel=1e-12)
+    Q = (0.5 * cfg.rho_f * an8.field_norm("vf", vf) ** 2
+         + 0.5 * cfg.rho_s * an8.field_norm("vs", vs) ** 2
+         + 0.5 * cfg.rho_s * e["g_vs"] + cfg.mu_s * e["g_u"]
+         + 0.5 * an8.quad_form(an8.forms.solid_bulk, u))
+    assert an8.lyapunov(state) == pytest.approx(Q, rel=1e-12)
+    rules = disc8.iface_rules
+    cells = np.concatenate([np.full(len(r.weights), c) for c, r in rules.items()])
+    pts = np.concatenate([r.points for r in rules.values()])
+    w = np.concatenate([r.weights for r in rules.values()])
+    jump2 = sum(w @ (evaluate_scalar(disc8, "vf", vf, pts, cells, c)
+                     - evaluate_scalar(disc8, "vs", vs, pts, cells, c)) ** 2
+                for c in range(2))
+    assert e["trace2"] == pytest.approx(jump2 / disc8.h, rel=1e-10)
+
+
 def test_energy_nonnegative_random(an8, disc8):
     state = random_smooth_state(disc8, seed=3)
     e = an8.energy(state)
@@ -126,6 +153,13 @@ def test_ghost_ratios_positive(disc8):
     ratio = ghost_extension_ratios(disc8, side="f", order=2, l=1,
                                    w_max=1.0, n_samples=20, seed=0)
     assert np.isfinite(ratio) and ratio > 0.0
+
+
+def test_ghost_ratios_reject_unknown_sampler(disc8):
+    """An unknown sampler is refused before any sample is drawn."""
+    with pytest.raises(ValueError, match="unknown sampler 'bogus'"):
+        ghost_extension_ratios(disc8, "f", 2, 1, w_max=1.0, n_samples=0,
+                               sampler="bogus")
 
 
 def test_energy_decay_small(disc8):

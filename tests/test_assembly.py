@@ -15,8 +15,8 @@ from assembly_oracle import component_ids as _component_ids
 from assembly_oracle import place as _place
 from cutfsi import Discretization, SimulationConfig, TimeStepper
 from cutfsi.analysis import ghost_extension_ratios
-from cutfsi.assembly import (SCALAR_KERNELS, _grad_p, _div_q, _mass,
-                             _solid_bulk, _viscous, assemble_cells, assemble_forms,
+from cutfsi.assembly import (SCALAR_KERNELS, _grad_p, _div_q, _mass, _solid_bulk,
+                             _stack, _system, _viscous, assemble_cells, assemble_forms,
                              raw_jump_matrices, system_matrices, weight_w)
 from cutfsi.fem import reference_basis
 from cutfsi.quadrature import gauss_1d
@@ -25,6 +25,13 @@ from cutfsi.quadrature import gauss_1d
 @pytest.fixture(scope="module")
 def forms8(disc8):
     return assemble_forms(disc8)
+
+
+@pytest.fixture(scope="module")
+def oracle8(disc8):
+    """The COO oracle's forms, which include those that the library sums
+    into the step matrices only."""
+    return coo.assemble_forms(disc8)
 
 
 def test_single_cell_q1_mass_pattern():
@@ -54,9 +61,8 @@ def test_mass_totals(disc8, forms8):
     ones[lay.slice("vf")] = 1.0
     fluid_area = 4.0 - np.pi * 0.75
     assert ones @ (forms8.mass_fluid @ ones) == pytest.approx(2 * fluid_area, rel=1e-10)
-    ones = np.zeros(lay.n_system)
-    ones[lay.slice("vs")] = 1.0
-    assert ones @ (forms8.mass_solid @ ones) == pytest.approx(2 * np.pi * 0.75, rel=1e-10)
+    ones = np.ones(disc8.s.n_scalar)
+    assert ones @ (forms8.mass_solid_scalar @ ones) == pytest.approx(np.pi * 0.75, rel=1e-10)
 
 
 def test_scalar_mass_additivity(disc8):
@@ -67,19 +73,19 @@ def test_scalar_mass_additivity(disc8):
     assert ones @ (Mf @ ones) == pytest.approx(4.0 - np.pi * 0.75, rel=1e-12)
 
 
-def test_fluid_bulk_skew_pressure(disc8, forms8):
+def test_fluid_bulk_skew_pressure(disc8, oracle8):
     """Pressure coupling: b(v, q) blocks are negative transposes, so pressure
     drops out of the energy identity."""
     lay = disc8.layout
-    A = forms8.fluid_bulk.tocsr()
+    A = oracle8.fluid_bulk
     vp = A[lay.slice("vf"), :][:, lay.slice("p")]
     pv = A[lay.slice("p"), :][:, lay.slice("vf")]
     assert abs(vp + pv.T).max() < 1e-12
 
 
-def test_viscous_block_symmetry(disc8, forms8):
+def test_viscous_block_symmetry(disc8, oracle8):
     lay = disc8.layout
-    A = forms8.fluid_bulk.tocsr()
+    A = oracle8.fluid_bulk
     vv = A[lay.slice("vf"), :][:, lay.slice("vf")]
     assert abs(vv - vv.T).max() < 1e-12
     # PSD with constants in the kernel
@@ -91,7 +97,7 @@ def test_viscous_block_symmetry(disc8, forms8):
     assert np.abs(vv @ const).max() < 1e-12
 
 
-def test_viscous_energy_against_quadrature(disc8, forms8):
+def test_viscous_energy_against_quadrature(disc8, oracle8):
     """x^T A x equals int 2 rho nu |eps(v)|^2 computed independently at the
     quadrature points for a random interpolated field."""
     from cutfsi.analysis import domain_points, evaluate_scalar
@@ -107,7 +113,7 @@ def test_viscous_energy_against_quadrature(disc8, forms8):
     gyy = evaluate_scalar(disc8, "vf", coefs, pts, cells, 1, dy=1)
     eps2 = gxx ** 2 + gyy ** 2 + 0.5 * (gxy + gyx) ** 2
     expected = 2 * cfg.rho_f * cfg.nu_f * np.dot(w, eps2)
-    A = forms8.fluid_bulk.tocsr()
+    A = oracle8.fluid_bulk
     vv = A[lay.slice("vf"), :][:, lay.slice("vf")]
     assert coefs @ (vv @ coefs) == pytest.approx(expected, rel=1e-10)
 
@@ -284,7 +290,8 @@ def oracle_raw_jumps(disc, side, order, w_max, face_npts=4):
     for f in disc.topo.ghost_faces(side):
         k1, k2 = (int(c) for c in mesh.face_cells[f])
         axis = mesh.face_axis[f]
-        pts = np.tile(mesh.face_origin[f], (face_npts, 1))
+        # the lower end of the face is the lower-left corner of its second cell
+        pts = np.tile(mesh.cell_origin(k2), (face_npts, 1))
         pts[:, 1 - axis] += mesh.h * gx
         wq = mesh.h * gw
         w_face = float(weight_w(kappa[k1], w_max) + weight_w(kappa[k2], w_max))
@@ -344,9 +351,9 @@ def oracle_nitsche(disc):
     return acc_pen.tocsr(), acc_cons.tocsr()
 
 
-def oracle_ghost_ratio(disc, side, order, l, w_max, seed, n_samples=100):
-    """Band-sampler ghost-extension ratio, drawing each cut cell's dofs in
-    turn and forming the quadratic forms one sample at a time."""
+def oracle_ghost_ratio(disc, side, order, l, w_max, seed, n_samples=100, sampler="band"):
+    """Ghost-extension ratio with the quadratic forms taken one sample at a
+    time; a band sample draws each cut cell's dofs in turn."""
     block = {"f": {disc.cfg.m_f: "vf", disc.cfg.m_f - 1: "p"},
              "s": {disc.cfg.m_s: "vs"}}[side][order]
     kernel = SCALAR_KERNELS["value" if l == 0 else "gradient"]
@@ -361,7 +368,8 @@ def oracle_ghost_ratio(disc, side, order, l, w_max, seed, n_samples=100):
     worst = 0.0
     for _ in range(n_samples):
         v = np.zeros(dm.n_scalar)
-        for ids in cut_dofs:
+        for ids in (cut_dofs if sampler == "band"
+                    else [cut_dofs[rng.integers(len(cut_dofs))]]):
             v[ids] = rng.standard_normal(len(ids))
         lhs, rhs = float(v @ (M_comp @ v)), float(v @ (rhs_mat @ v))
         if rhs > 1e-13 * lhs:
@@ -381,7 +389,14 @@ def batch_case(request):
     comes back through it, so those cells hold two arcs."""
     n, m_s, r2 = request.param
     disc = Discretization(SimulationConfig(n=n, m_s=m_s, radius_squared=r2))
-    return disc, assemble_forms(disc)
+    arrays = {}
+    return disc, assemble_forms(disc, arrays), arrays
+
+
+def step_only_form(disc, arrays, *names):
+    """System matrix of forms that the library sums into R only."""
+    return _stack({key: data for name in names for key, data in arrays[name].items()},
+                  arrays["patterns"], _system(disc))
 
 
 def assert_same(got, want, tol=1e-13):
@@ -391,7 +406,7 @@ def assert_same(got, want, tol=1e-13):
 
 
 def test_batched_raw_jumps_match_face_loop(batch_case):
-    disc, _ = batch_case
+    disc, _, _ = batch_case
     cfg = disc.cfg
     for side, order in (("f", cfg.m_f), ("f", cfg.m_f - 1), ("s", cfg.m_s)):
         for w_max in (1.0, cfg.w_max):
@@ -403,7 +418,7 @@ def test_batched_raw_jumps_match_face_loop(batch_case):
 
 
 def test_batched_cell_forms_match_cell_loop(batch_case):
-    disc, forms = batch_case
+    disc, forms, arrays = batch_case
     cfg = disc.cfg
     assert_same(forms.mass_solid_scalar, oracle_cells(disc, SCALAR_KERNELS["value"], "vs"))
     assert_same(forms.solid_bulk, oracle_cells(
@@ -412,14 +427,14 @@ def test_batched_cell_forms_match_cell_loop(batch_case):
     fluid_bulk = (_place(disc, "vf", "vf", viscous)
                   + _place(disc, "vf", "p", oracle_cells(disc, _grad_p, "vf", "p"))
                   + _place(disc, "p", "vf", oracle_cells(disc, _div_q, "p", "vf")))
-    assert_same(forms.fluid_bulk, fluid_bulk)
+    assert_same(step_only_form(disc, arrays, "viscous", "grad_p", "div_q"), fluid_bulk)
 
 
 def test_batched_nitsche_matches_arc_loop(batch_case):
-    disc, forms = batch_case
+    disc, forms, arrays = batch_case
     pen, cons = oracle_nitsche(disc)
     assert_same(forms.nitsche_pen, pen)
-    assert_same(forms.nitsche_cons, cons)
+    assert_same(step_only_form(disc, arrays, "consistency"), cons)
 
 
 @pytest.mark.parametrize("side,l", [("f", 0), ("f", 1), ("s", 0), ("s", 1)])
@@ -428,6 +443,14 @@ def test_band_sampler_matches_per_cell_draws(disc8_q2, side, l):
     order = disc.cfg.m_f if side == "f" else disc.cfg.m_s
     got = ghost_extension_ratios(disc, side, order, l, disc.cfg.w_max, seed=11)
     want = oracle_ghost_ratio(disc, side, order, l, disc.cfg.w_max, seed=11)
+    assert want > 0
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_cell_sampler_matches_per_sample_loop(disc8_q2):
+    disc = disc8_q2
+    got = ghost_extension_ratios(disc, "f", 2, 1, disc.cfg.w_max, seed=11, sampler="cell")
+    want = oracle_ghost_ratio(disc, "f", 2, 1, disc.cfg.w_max, seed=11, sampler="cell")
     assert want > 0
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -457,12 +480,13 @@ ORACLE_CASES = [(n, m_s, 0.75) for n in (8, 16) for m_s in (1, 2)] + [(9, 2, 0.3
 @pytest.mark.parametrize("n,m_s,r2", ORACLE_CASES,
                          ids=[f"n{n}-ms{m}-r{r}" for n, m, r in ORACLE_CASES])
 def test_pattern_pass_matches_coo_assembly(n, m_s, r2):
-    """Every form, the step matrices R, M, K, the Dirichlet-reduced R and
-    the lifted lid profile equal those of the COO assembly."""
+    """Every field of ``Forms``, the step matrices R, M, K, the
+    Dirichlet-reduced R and the lifted lid profile equal those of the COO
+    assembly."""
     disc = Discretization(SimulationConfig(n=n, m_s=m_s, radius_squared=r2))
     R, M, K, forms = system_matrices(disc)
     want = coo.assemble_forms(disc)
-    for name in want.__dataclass_fields__:
+    for name in forms.__dataclass_fields__:
         assert_matches_oracle(getattr(forms, name), getattr(want, name))
     R_want, M_want, K_want = coo.system_matrices(disc, want)
     vs = disc.layout.slice("vs")

@@ -57,6 +57,13 @@ def test_verify_reports_missing_ghost_path(tmp_path, capsys, monkeypatch):
     assert "[ok  ] n=8 solid area" in out
 
 
+def test_verify_passes(tmp_path, capsys):
+    """Every built-in check passes on the default configuration."""
+    rc = main(["verify", "--output-dir", str(tmp_path)])
+    assert rc == 0
+    assert "all checks passed" in capsys.readouterr().out
+
+
 def test_scale_guardrail(tmp_path):
     with pytest.raises(SystemExit):
         main(["run", "--set", "n=1024", "--output-dir", str(tmp_path)])

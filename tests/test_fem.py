@@ -152,7 +152,7 @@ def test_jump_zero_for_global_polynomial(disc8):
     # a function with a kink across x = 0 has a nonzero first jump there
     kink = np.abs(dm.node_coords[:, 0])
     f = next(f for f in faces if mesh.face_axis[f] == 0
-             and abs(mesh.face_origin[f][0]) < 1e-12)
+             and abs(mesh.cell_origin(mesh.face_cells[f][1])[0]) < 1e-12)
     k1, k2 = (int(c) for c in mesh.face_cells[f])
     c = np.concatenate([kink[dm.cell_dofs[dm.cell_index[k1]]],
                         kink[dm.cell_dofs[dm.cell_index[k2]]]])

@@ -19,7 +19,7 @@ def test_mesh_counts():
     assert mesh.vertices.shape == (81, 2)
     assert mesh.h == pytest.approx(0.25)
     # n(n+1) vertical + n(n+1) horizontal faces
-    assert mesh.n_faces == 2 * 8 * 9
+    assert len(mesh.face_cells) == 2 * 8 * 9
 
 
 def test_cell_corners_ccw():
@@ -34,15 +34,15 @@ def test_cell_corners_ccw():
 
 
 def test_face_cells_consistent():
+    """The two cells of an interior face are neighbours across its normal
+    axis; a boundary face has one cell."""
     mesh = build_mesh(4)
-    for f in range(mesh.n_faces):
-        k1, k2 = mesh.face_cells[f]
-        for k in (k1, k2):
-            if k >= 0:
-                o = mesh.cell_origin(int(k))
-                fo = mesh.face_origin[f]
-                assert np.all(fo >= o - 1e-12)
-                assert np.all(fo <= o + mesh.h + 1e-12)
+    for (k1, k2), axis in zip(mesh.face_cells, mesh.face_axis):
+        if min(k1, k2) < 0:
+            assert max(k1, k2) >= 0
+        else:
+            step = mesh.cell_origin(k2) - mesh.cell_origin(k1)
+            assert np.allclose(step, mesh.h * np.eye(2)[axis], atol=1e-12)
 
 
 def classify_by_sampling(mesh, ls, cell, m=40):
@@ -125,7 +125,7 @@ def test_ghost_faces_brute_force(disc8):
         tri = set(int(c) for c in topo.tri_cells(side))
         cut = set(int(c) for c in topo.cut_cells)
         expected = set()
-        for f in range(mesh.n_faces):
+        for f in range(len(mesh.face_cells)):
             k1, k2 = (int(c) for c in mesh.face_cells[f])
             if k1 < 0 or k2 < 0:
                 continue
@@ -171,20 +171,17 @@ def test_face_arrays_match_face_loop():
     n = 5
     with pytest.warns(UserWarning):
         mesh = build_mesh(n)
-    cells, axes, origins = [], [], []
+    cells, axes = [], []
     for iy in range(n):
         for ix in range(n + 1):
             cells.append((iy * n + ix - 1 if ix > 0 else -1, iy * n + ix if ix < n else -1))
             axes.append(0)
-            origins.append((-1.0 + ix * mesh.h, -1.0 + iy * mesh.h))
     for iy in range(n + 1):
         for ix in range(n):
             cells.append(((iy - 1) * n + ix if iy > 0 else -1, iy * n + ix if iy < n else -1))
             axes.append(1)
-            origins.append((-1.0 + ix * mesh.h, -1.0 + iy * mesh.h))
     assert np.array_equal(mesh.face_cells, cells)
     assert np.array_equal(mesh.face_axis, axes)
-    assert np.array_equal(mesh.face_origin, origins)
 
 
 def test_two_arc_cells():

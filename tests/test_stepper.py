@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import assembly_oracle as coo
 import cutfsi.analysis
 import cutfsi.assembly
 import cutfsi.discretization
@@ -40,7 +41,7 @@ def test_inflow_zero_off_lid(run8, disc8):
     Dirichlet nodes and the y-component are at rest."""
     stepper = run8[0]
     coords = disc8.vf.node_coords[disc8.vf.dirichlet_nodes]
-    gx, gy = np.split(stepper.boundary_values(3.0), 2)
+    gx, gy = np.split(ramp_factor(3.0, disc8.cfg) * stepper.g_profile, 2)
     on_lid = np.abs(coords[:, 1] - 1.0) < 1e-12
     assert np.all(gy == 0.0)
     assert np.all(gx[~on_lid] == 0.0)
@@ -81,7 +82,7 @@ def test_constraint_identity(run8, disc8):
 def test_dirichlet_values_attained(run8, disc8):
     stepper, _, states = run8
     final = states[-1]
-    g = stepper.boundary_values(final.t)
+    g = ramp_factor(final.t, disc8.cfg) * stepper.g_profile
     assert np.allclose(final.x[stepper.dir_idx], g, atol=1e-12)
 
 
@@ -98,7 +99,8 @@ def four_block_system(disc, forms):
     """Dense (A, B) of the monolithic step A x^n = B x^{n-1} on (v_f, p, v_s, u).
 
     A = M + k (A_h + S_h) + rows (u - k v_s, psi), B = M + rows (u, psi),
-    built from the assembled forms without the displacement elimination.
+    built from the forms of the COO oracle without the displacement
+    elimination.
     """
     cfg, lay, k = disc.cfg, disc.layout, disc.cfg.k
     vf, p, vs, u = (lay.slice(b) for b in ("vf", "p", "vs", "u"))
@@ -128,7 +130,7 @@ def test_reduced_solve_matches_full():
     for m_s in (1, 2):
         disc = Discretization(SimulationConfig(n=8, m_s=m_s))
         stepper = TimeStepper(disc)
-        A, B = four_block_system(disc, stepper.forms)
+        A, B = four_block_system(disc, coo.assemble_forms(disc))
         dir_idx = stepper.dir_idx
         A[dir_idx, :] = 0.0
         A[dir_idx, dir_idx] = 1.0
@@ -136,7 +138,7 @@ def test_reduced_solve_matches_full():
         for _ in range(3):
             new = stepper.step(state)
             b = B @ state.x
-            b[dir_idx] = stepper.boundary_values(new.t)
+            b[dir_idx] = ramp_factor(new.t, disc.cfg) * stepper.g_profile
             res = np.linalg.norm(A @ new.x - b) / np.linalg.norm(b)
             assert res <= 1e-12, (m_s, new.index, res)
             state = new
@@ -212,10 +214,3 @@ def test_profiled_call_sites(disc8, monkeypatch):
     ghost_extension_ratios(disc, "f", 2, 1, w_max=1.0, gamma_on=True,
                            n_samples=5)
     assert calls["analysis.raw_jump_matrices"] == 1
-
-
-def test_state_block_accessor(run8, disc8):
-    _, _, states = run8
-    x = states[-1]
-    assert len(x.block(disc8, "p")) == disc8.p.n_scalar
-    assert len(x.block(disc8, "vf")) == 2 * disc8.vf.n_scalar
