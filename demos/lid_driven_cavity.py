@@ -35,8 +35,12 @@ stepper = TimeStepper(disc)
 analyzer = Analyzer(disc, stepper.forms)
 
 
+energies = []
+
+
 def observer(state):
     e = analyzer.energy(state)
+    energies.append(e)
     print(f"  t = {state.t:5.2f}   E_T = {e['E_T2'] ** 0.5:.4e}   "
           f"|||U||| = {e['triple2'] ** 0.5:.4e}   "
           f"residual {state.solve_residual:.1e}")
@@ -44,8 +48,8 @@ def observer(state):
 
 
 records, states = stepper.run(store_all=False, observer=observer)
-for rec in records:
-    rec.energy = {}
+for rec, e in zip(records, energies):
+    rec.energy = e
 write_step_log(outdir / "steps.csv", cfg, records)
 write_snapshot(outdir, disc, states[-1], "final")
 print(f"wrote {outdir}/steps.csv and VTU frames")

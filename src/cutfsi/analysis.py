@@ -7,13 +7,12 @@ points (nested meshes make reference cell lookup exact).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import (SCALAR_KERNELS, Forms, Pattern, assemble_cells, assemble_forms,
+from .assembly import (SCALAR_KERNELS, Forms, Pattern, assemble_cells, ghost_data,
                        raw_jump_matrices)
 from .discretization import Discretization
 from .fem import reference_basis
@@ -69,7 +68,7 @@ def evaluate_scalar(disc: Discretization, block: str, coefs: np.ndarray,
 
 def domain_points(disc: Discretization, side: str):
     """(points, weights, cells) covering Omega_i with the cut quadrature."""
-    full, cut = disc.cell_quadrature(side)
+    full, cut = disc.topo.uncut_cells(side), disc.cut_parts[side]
     pts_list, w_list, cell_list = [], [], []
     if len(full):
         origins = disc.mesh.cell_origin(full)  # (nc, 2)
@@ -86,35 +85,24 @@ def domain_points(disc: Discretization, side: str):
             np.concatenate(cell_list))
 
 
-# -- norm matrices and energies ---------------------------------------------
+# -- energies ----------------------------------------------------------------
 
 class Analyzer:
-    """Caches norm matrices and assembled forms for one discretization."""
+    """Energy functionals of one discretization.
 
-    def __init__(self, disc: Discretization, forms: Forms | None = None):
+    The physical-domain terms read the assembled ``Forms``; the terms over
+    the extended subtriangulations Omega_i^T read three whole-cell scalar
+    matrices, built once here: the mass of the solid space and the
+    gradient matrices of the solid and fluid velocity spaces.
+    """
+
+    def __init__(self, disc: Discretization, forms: Forms):
         self.disc = disc
-        self.forms = forms if forms is not None else assemble_forms(disc)
-        self._mats: dict = {}
-
-    def scalar_matrix(self, block: str, physical: bool, operator: str):
-        """Scalar L2 matrix of the value or the gradient on one block's space."""
-        key = (block, physical, operator)
-        if key not in self._mats:
-            self._mats[key] = assemble_cells(self.disc, SCALAR_KERNELS[operator], block,
-                                             "physical" if physical else "extended")
-        return self._mats[key]
-
-    # -- norms --------------------------------------------------------------
-
-    def field_norm(self, block: str, coefs: np.ndarray, physical: bool = True,
-                   operator: str = "value") -> float:
-        """L2 norm of a field (or its gradient) over Omega_i or Omega_i^T.
-
-        ``coefs`` is the block coefficient vector (component-major).
-        """
-        M = self.scalar_matrix(block, physical, operator)
-        total = self.quad_form(M, coefs, self.disc.dofmap(block).ncomp)
-        return float(np.sqrt(max(total, 0.0)))
+        self.forms = forms
+        value, gradient = SCALAR_KERNELS["value"], SCALAR_KERNELS["gradient"]
+        self.mass_s_T = assemble_cells(disc, value, "vs", disc.s.cells)
+        self.grad_s_T = assemble_cells(disc, gradient, "vs", disc.s.cells)
+        self.grad_vf_T = assemble_cells(disc, gradient, "vf", disc.vf.cells)
 
     @staticmethod
     def quad_form(M, x: np.ndarray, ncomp: int = 1) -> float:
@@ -122,8 +110,6 @@ class Analyzer:
         vector.  One mat-vec per component: scipy's product with an
         (n, ncomp) block is slower than ncomp mat-vecs."""
         return float(sum(v @ (M @ v) for v in x.reshape(ncomp, -1)))
-
-    # -- energy functionals -------------------------------------------------
 
     def energy(self, state: State) -> dict:
         """Seminorm snapshot: kinetic/elastic energy, ghost energy, triple norm."""
@@ -136,8 +122,8 @@ class Analyzer:
         vs = x[lay.slice("vs")]
         u = x[lay.slice("u")]
         E_T2 = (0.5 * self.quad_form(self.forms.mass_fluid, x[:lay.n_system])
-                + 0.5 * cfg.rho_s * self.field_norm("vs", vs, False, "value") ** 2
-                + cfg.mu_s * self.field_norm("u", u, False, "gradient") ** 2)
+                + 0.5 * cfg.rho_s * self.quad_form(self.mass_s_T, vs, 2)
+                + cfg.mu_s * self.quad_form(self.grad_s_T, u, 2))
         g_vs = self.quad_form(self.forms.ghost_vs, vs, 2)
         g_u = self.quad_form(self.forms.ghost_u, u, 2)
         g_p = self.quad_form(self.forms.ghost_p, p)
@@ -145,8 +131,7 @@ class Analyzer:
         # h^-1 |v_f - v_s|^2_Gamma; nitsche_pen is rho_f nu_f gamma_N times it
         trace2 = (self.quad_form(self.forms.nitsche_pen, x[:lay.n_system])
                   / (cfg.rho_f * cfg.nu_f * cfg.gamma_N))
-        triple2 = (cfg.rho_f * cfg.nu_f
-                   * self.field_norm("vf", vf, False, "gradient") ** 2
+        triple2 = (cfg.rho_f * cfg.nu_f * self.quad_form(self.grad_vf_T, vf, 2)
                    + cfg.rho_f * cfg.nu_f * cfg.gamma_N * trace2 + g_p)
         return {"E_T2": E_T2, "E_g2": E_g2, "triple2": triple2,
                 "trace2": trace2, "g_vs": g_vs, "g_u": g_u, "g_p": g_p}
@@ -254,11 +239,10 @@ class ErrorReport:
         return out
 
 
-def run_simulation(cfg, store_all: bool = True, observer=None):
-    """Build a discretization, run to T; returns (disc, records, states)."""
+def run_simulation(cfg):
+    """Build a discretization, run to T; returns (disc, records, every state)."""
     disc = Discretization(cfg)
-    stepper = TimeStepper(disc)
-    records, states = stepper.run(store_all=store_all, observer=observer)
+    records, states = TimeStepper(disc).run(store_all=True)
     return disc, records, states
 
 
@@ -315,13 +299,11 @@ def ghost_extension_ratios(disc: Discretization, side: str, order: int,
     # all three forms on one pattern: the rhs is a sum of data arrays
     pattern = Pattern(disc, block, block, cells=dm.cells,
                       faces=disc.topo.ghost_faces(side))
-    M_comp = assemble_cells(disc, kernel, block, "extended", pattern)
-    rhs = assemble_cells(disc, kernel, block, "uncut", pattern).data
+    M_comp = assemble_cells(disc, kernel, block, dm.cells, pattern)
+    rhs = assemble_cells(disc, kernel, block, disc.topo.uncut_cells(side), pattern).data
     if gamma_on:
         raws = raw_jump_matrices(disc, side, order, w_max=w_max, pattern=pattern)
-        for j in range(1, order + 1):
-            coeff = disc.h ** (2 * (j - l) + 1) / math.factorial(j - l) ** 2
-            rhs = rhs + coeff * raws[j - 1].data
+        rhs = rhs + ghost_data(raws, l, disc.h)
     rhs_mat = pattern.matrix(rhs)
     cut_dofs = dm.cell_dofs[dm.cell_index[disc.topo.cut_cells]]  # (ncut, nb)
     rng = np.random.default_rng(seed)

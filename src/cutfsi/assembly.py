@@ -248,9 +248,9 @@ def _stack(arrays: dict, patterns: dict, blocks) -> sp.csr_matrix:
 
 # -- cell forms ----------------------------------------------------------------
 
-def _cell_pass(disc: Discretization, sums: _Sums, side: str, forms,
-               domain: str = "physical") -> None:
-    """Scatter the cell forms [(name, kernel, row, col), ...] of one side.
+def _cell_pass(disc: Discretization, sums: _Sums, side: str, forms) -> None:
+    """Scatter the cell forms [(name, kernel, row, col), ...] of one side
+    over Omega_i.
 
     ``kernel(tabs_row, tabs_col, w)`` maps (N, Gx, Gy) tables and weights
     at quadrature points to local matrices, with leading cell axes carried
@@ -258,7 +258,6 @@ def _cell_pass(disc: Discretization, sums: _Sums, side: str, forms,
     are walked once, a bounded batch at a time, on padded (cells, q, nb)
     tables; each batch is tabulated once per space order for all forms.
     """
-    full, cut = disc.cell_quadrature(side, domain)
     order = {b: disc.dofmap(b).order for _, _, row, col in forms for b in (row, col)}
 
     def add(cells, tabs, w):
@@ -268,26 +267,27 @@ def _cell_pass(disc: Discretization, sums: _Sums, side: str, forms,
             local = kernel(tabs[order[row]], tabs[order[col]], w)
             sums.add(name, row, col, pos[row, col], local)
 
-    add(full, {o: disc.full_cell_tables(o) for o in set(order.values())},
-        disc.full_cell_weights)
-    for cells, pts, w in cut.batches():
+    add(disc.topo.uncut_cells(side),
+        {o: disc.full_cell_tables(o) for o in set(order.values())}, disc.full_cell_weights)
+    for cells, pts, w in disc.cut_parts[side].batches():
         add(cells, {o: disc.tabulate(o, cells[:, None], pts) for o in set(order.values())}, w)
 
 
-def assemble_cells(disc: Discretization, kernel, block: str, domain: str = "physical",
+def assemble_cells(disc: Discretization, kernel, block: str, cells,
                    pattern: Pattern | None = None) -> sp.csr_matrix:
-    """Matrix of a scalar cell integral on the scalar dofs of ``block``.
+    """Matrix of a scalar integral over the whole ``cells`` on the scalar
+    dofs of ``block``.
 
-    ``kernel`` is as in ``_cell_pass``; ``domain`` is one of the cell
-    domains of ``Discretization.cell_quadrature``.  The matrix lies on
-    ``pattern`` (default: the couplings of the side's cells) and may store
-    zeros.
+    ``kernel`` is as in ``_cell_pass``.  Every cell takes the shared
+    full-cell rule, so one local matrix serves them all.  The matrix lies
+    on ``pattern`` (default: the couplings of the side's cells), which must
+    hold ``cells``, and may store zeros.
     """
     dm = disc.dofmap(block)
     pattern = pattern or Pattern(disc, block, block, cells=dm.cells)
-    sums = _Sums({(block, block): pattern})
-    _cell_pass(disc, sums, dm.side, [("form", kernel, block, block)], domain)
-    return pattern.matrix(sums.arrays()["form"][block, block, 0, 0])
+    tabs = disc.full_cell_tables(dm.order)
+    local = kernel(tabs, tabs, disc.full_cell_weights)
+    return pattern.matrix(pattern.sum([(pattern.at_cells(cells), local)]))
 
 
 # -- ghost penalty raw jump matrices ----------------------------------------
@@ -349,6 +349,14 @@ def raw_jump_matrices(disc: Discretization, side: str, order: int,
             [(pattern.face_pos[axis], w_face[axes == axis, None, None] * _mass(J, J, wq))
              for axis, J in enumerate(jumps)])))
     return out
+
+
+def ghost_data(raws: list[sp.csr_matrix], s: int, h: float) -> np.ndarray:
+    """Data array of sum_l c_l R_l over raw jump matrices R_1, R_2, ... on
+    one pattern, c_l = h^(2(l-s)+1) / ((l-s)!)^2, added in order of l."""
+    terms = [h ** (2 * (l - s) + 1) / math.factorial(l - s) ** 2 * raw.data
+             for l, raw in enumerate(raws, start=1)]
+    return sum(terms[1:], terms[0])
 
 
 # -- Nitsche interface coupling ---------------------------------------------
@@ -478,8 +486,7 @@ def assemble_forms(disc: Discretization, arrays: dict | None = None) -> Forms:
          "nitsche_pen": _on_components(a.pop("nitsche_pen")), **a}
 
     # ghost penalties gamma sum_l c_l R_l on the jump matrices of the form's
-    # space, c_l = h^(2(l-s)+1) / ((l-s)!)^2 with s = 1 for v_f and u and
-    # s = 0 for p and v_s
+    # space, with the shift s = 1 for v_f and u and s = 0 for p and v_s
     raws = {b: raw_jump_matrices(disc, disc.dofmap(b).side, disc.dofmap(b).order,
                                  pattern=patterns[b, b])
             for b in SYSTEM_BLOCKS}
@@ -487,9 +494,7 @@ def assemble_forms(disc: Discretization, arrays: dict | None = None) -> Forms:
                               ("ghost_p", "p", cfg.gamma_p, 0),
                               ("ghost_vs", "vs", cfg.gamma_vs, 0),
                               ("ghost_u", "vs", cfg.gamma_u, 1)):
-        terms = [(disc.h ** (2 * (l - s) + 1) / math.factorial(l - s) ** 2,
-                  {(b, b, 0, 0): raw.data}) for l, raw in enumerate(raws[b], start=1)]
-        f[name] = _lin((gamma, _lin(*terms)))
+        f[name] = {(b, b, 0, 0): gamma * ghost_data(raws[b], s, disc.h)}
     del raws
     for pattern in patterns.values():
         pattern.drop_maps()

@@ -8,11 +8,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import ClassVar
 
 
 @dataclass
 class SimulationConfig:
     """All physical, stabilization, discretization and run parameters."""
+
+    m_f: ClassVar[int] = 2   # fluid order (Taylor-Hood Q2/Q1), not settable
 
     rho_f: float = 1.0       # fluid density [kg/m^3]
     rho_s: float = 1.0       # solid density [kg/m^3]
@@ -25,7 +28,6 @@ class SimulationConfig:
     gamma_u: float = 1e-3    # ghost penalty, displacement
     gamma_N: float = 1e2     # Nitsche penalty
     w_max: float = 1.0       # cut-fraction weight bound (1 = unweighted)
-    m_f: int = 2             # fluid order (Taylor-Hood Q_mf / Q_{mf-1})
     m_s: int = 1             # solid order (equal-order Q_ms)
     n: int = 8               # cells per side, h = 2/n
     k: float = 1.0           # time step [s]
@@ -50,8 +52,6 @@ class SimulationConfig:
                              f"the cavity (-1, 1)^2, got {self.radius_squared}")
         if self.w_max < 1.0:
             raise ValueError(f"w_max must be >= 1, got {self.w_max}")
-        if self.m_f != 2:
-            raise ValueError("only m_f = 2 (Q2/Q1 Taylor-Hood) is supported")
         if self.m_s not in (1, 2):
             raise ValueError("m_s must be 1 or 2")
         if self.n < 2:

@@ -16,8 +16,7 @@ from .config import SimulationConfig
 from .fem import DofMap, build_dof_map, reference_basis
 from .geometry import CircleLevelSet
 from .mesh import Mesh, build_cut_topology, build_mesh
-from .quadrature import (CutParts, QuadratureRule, cut_cell_rule, interface_rule,
-                         reference_cell_rule)
+from .quadrature import QuadratureRule, cut_cell_rule, interface_rule, reference_cell_rule
 
 
 @dataclass(frozen=True)
@@ -99,24 +98,6 @@ class Discretization:
         return self.mesh.h
 
     # -- quadrature helpers -------------------------------------------------
-
-    def cell_quadrature(self, side: str, domain: str = "physical"):
-        """(full_cells, cut_parts) of one cell domain of side i.
-
-        "physical": uncut cells plus the cut parts, covering Omega_i;
-        "extended": every cell of T_i^h with the full rule (Omega_i^T);
-        "uncut": the uncut cells only.
-        ``cut_parts`` is a ``CutParts``, empty unless the domain is
-        "physical".
-        """
-        if domain == "extended":
-            return self.topo.tri_cells(side), CutParts.empty()
-        if domain not in ("physical", "uncut"):
-            raise ValueError(f"unknown cell domain {domain!r}")
-        full = self.topo.uncut_cells(side)
-        if domain == "uncut":
-            return full, CutParts.empty()
-        return full, self.cut_parts[side]
 
     def full_cell_tables(self, order: int):
         """(N, Gx, Gy) tables at the shared full-cell rule, physical scaling."""

@@ -66,11 +66,6 @@ class CutParts:
     weights: np.ndarray  # (npts,)
     offsets: np.ndarray  # (ncut + 1,)
 
-    @classmethod
-    def empty(cls) -> "CutParts":
-        return cls(np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros(0),
-                   np.zeros(1, dtype=int))
-
     def batches(self, max_points: int = 8192):
         """(cells, points (b, q, 2), weights (b, q)) over batches of whole cells.
 

@@ -54,10 +54,17 @@ def component_ids(ids, n_scalar: int, ncomp: int, offset: int = 0) -> np.ndarray
 
 
 def assemble_cells(disc, kernel, row, col=None, domain="physical") -> sp.csr_matrix:
-    """Cell integral on blocks row x col: shared uncut block, batched cut parts."""
+    """Cell integral on blocks row x col: shared full-cell block, batched cut parts.
+
+    ``domain`` of side i: "physical" is the uncut cells plus the cut parts
+    (Omega_i), "extended" every cell of T_i^h (Omega_i^T) and "uncut" the
+    uncut cells only.
+    """
     rmap = disc.dofmap(row)
     cmap = disc.dofmap(col or row)
-    full, cut = disc.cell_quadrature(rmap.side, domain)
+    topo = disc.topo
+    full = topo.tri_cells(rmap.side) if domain == "extended" else topo.uncut_cells(rmap.side)
+    batches = disc.cut_parts[rmap.side].batches() if domain == "physical" else ()
     local = kernel(disc.full_cell_tables(rmap.order),
                    disc.full_cell_tables(cmap.order), disc.full_cell_weights)
     ncr = local.shape[0] // rmap.cell_dofs.shape[1]
@@ -68,7 +75,7 @@ def assemble_cells(disc, kernel, row, col=None, domain="physical") -> sp.csr_mat
 
     acc = Coo((ncr * rmap.n_scalar, ncc * cmap.n_scalar))
     acc.add_many(ids(rmap, full, ncr), ids(cmap, full, ncc), local)
-    for cells, pts, w in cut.batches():
+    for cells, pts, w in batches:
         tr = disc.tabulate(rmap.order, cells[:, None], pts)
         tc = (tr if cmap.order == rmap.order
               else disc.tabulate(cmap.order, cells[:, None], pts))

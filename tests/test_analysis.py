@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+import assembly_oracle as coo
 from cutfsi import (Discretization, SimulationConfig, TimeStepper,
                     convergence_order, error_vs_reference,
                     ghost_extension_ratios, verify_energy_decay)
 from cutfsi.analysis import (Analyzer, domain_points, evaluate_scalar,
                              locate_cells, random_smooth_state)
+from cutfsi.assembly import SCALAR_KERNELS, assemble_forms
 
 R2 = 0.75
 AREA_S = np.pi * R2
@@ -21,7 +23,14 @@ def test_convergence_order():
 
 @pytest.fixture(scope="module")
 def an8(disc8):
-    return Analyzer(disc8)
+    return Analyzer(disc8, assemble_forms(disc8))
+
+
+def oracle_norm2(disc, block, coefs, domain, operator="value"):
+    """Squared L2 norm of a field (or its gradient) over Omega_i ("physical")
+    or Omega_i^T ("extended"), from the COO oracle's scalar matrix."""
+    M = coo.assemble_cells(disc, SCALAR_KERNELS[operator], block, domain=domain)
+    return Analyzer.quad_form(M, coefs, disc.dofmap(block).ncomp)
 
 
 def test_locate_cells(disc8):
@@ -59,22 +68,27 @@ def test_domain_points_measure(disc8):
         assert len(pts) == len(w) == len(cells)
 
 
-def test_field_norm_constant(an8, disc8):
-    """|| (1,1) ||_{Omega_s} = sqrt(2 pi r^2) on the physical solid domain."""
-    ones = np.ones(2 * disc8.s.n_scalar)
-    assert an8.field_norm("vs", ones, physical=True) == pytest.approx(
-        np.sqrt(2 * AREA_S), abs=1e-9)
-    onesf = np.ones(2 * disc8.vf.n_scalar)
-    assert an8.field_norm("vf", onesf, physical=True) == pytest.approx(
-        np.sqrt(2 * AREA_F), abs=1e-9)
+def test_field_norm_constant(disc8):
+    """|| (1,1) ||^2 is 2 |Omega_i| on the physical domain and 2 h^2 times
+    the cell count of T_i^h on the extended one."""
+    h2 = disc8.h ** 2
+    for block, side, area in (("vs", "s", AREA_S), ("vf", "f", AREA_F)):
+        ones = np.ones(2 * disc8.dofmap(block).n_scalar)
+        assert oracle_norm2(disc8, block, ones, "physical") == pytest.approx(
+            2 * area, rel=1e-10)
+        assert oracle_norm2(disc8, block, ones, "extended") == pytest.approx(
+            2 * h2 * len(disc8.topo.tri_cells(side)), rel=1e-12)
 
 
-def test_field_norm_gradient(an8, disc8):
-    """|| grad(x, 0) ||_{Omega_s} = sqrt(pi r^2) for the coordinate field."""
+def test_field_norm_gradient(disc8):
+    """|| grad(x, 0) ||^2 is |Omega_s| on the physical solid domain and h^2
+    times the solid cell count on the extended one."""
     x = disc8.dofmap("vs").node_coords[:, 0]
     coefs = np.concatenate([x, np.zeros_like(x)])
-    assert an8.field_norm("vs", coefs, physical=True, operator="gradient") \
-        == pytest.approx(np.sqrt(AREA_S), abs=1e-9)
+    assert oracle_norm2(disc8, "vs", coefs, "physical", "gradient") == pytest.approx(
+        AREA_S, rel=1e-10)
+    assert oracle_norm2(disc8, "vs", coefs, "extended", "gradient") == pytest.approx(
+        disc8.h ** 2 * len(disc8.topo.tri_cells("s")), rel=1e-12)
 
 
 def test_energy_zero_state(an8, disc8):
@@ -85,19 +99,23 @@ def test_energy_zero_state(an8, disc8):
 
 
 def test_energy_terms_match_definitions(an8, disc8):
-    """The physical L2 terms, taken from the assembled masses, equal the
-    field norms over Omega_f and Omega_s, and trace2 equals
-    h^-1 |v_f - v_s|^2 summed over the interface arcs."""
+    """The energies equal their definitions on the COO oracle's scalar
+    matrices: the L2 norms over Omega_f and Omega_s (physical) and over
+    Omega_s^T and Omega_f^T (extended), and trace2 equals h^-1 |v_f - v_s|^2
+    summed over the interface arcs."""
     cfg, lay = disc8.cfg, disc8.layout
     state = random_smooth_state(disc8, seed=5)
     vf, vs, u = (state.x[lay.slice(b)] for b in ("vf", "vs", "u"))
     e = an8.energy(state)
-    E_T2 = (0.5 * cfg.rho_f * an8.field_norm("vf", vf) ** 2
-            + 0.5 * cfg.rho_s * an8.field_norm("vs", vs, physical=False) ** 2
-            + cfg.mu_s * an8.field_norm("u", u, physical=False, operator="gradient") ** 2)
+    E_T2 = (0.5 * cfg.rho_f * oracle_norm2(disc8, "vf", vf, "physical")
+            + 0.5 * cfg.rho_s * oracle_norm2(disc8, "vs", vs, "extended")
+            + cfg.mu_s * oracle_norm2(disc8, "u", u, "extended", "gradient"))
     assert e["E_T2"] == pytest.approx(E_T2, rel=1e-12)
-    Q = (0.5 * cfg.rho_f * an8.field_norm("vf", vf) ** 2
-         + 0.5 * cfg.rho_s * an8.field_norm("vs", vs) ** 2
+    triple2 = (cfg.rho_f * cfg.nu_f * oracle_norm2(disc8, "vf", vf, "extended", "gradient")
+               + cfg.rho_f * cfg.nu_f * cfg.gamma_N * e["trace2"] + e["g_p"])
+    assert e["triple2"] == pytest.approx(triple2, rel=1e-12)
+    Q = (0.5 * cfg.rho_f * oracle_norm2(disc8, "vf", vf, "physical")
+         + 0.5 * cfg.rho_s * oracle_norm2(disc8, "vs", vs, "physical")
          + 0.5 * cfg.rho_s * e["g_vs"] + cfg.mu_s * e["g_u"]
          + 0.5 * an8.quad_form(an8.forms.solid_bulk, u))
     assert an8.lyapunov(state) == pytest.approx(Q, rel=1e-12)

@@ -66,11 +66,32 @@ def test_mass_totals(disc8, forms8):
 
 
 def test_scalar_mass_additivity(disc8):
-    """Mass over Omega_f plus mass over Omega_s equals mass over the square
-    when both are assembled on the same (pressure-like) lattice."""
-    Mf = assemble_cells(disc8, SCALAR_KERNELS["value"], "p")
+    """The oracle's fluid mass on the pressure lattice sums to |Omega_f|, and
+    its uncut and cut-part masses add up to it."""
+    value = SCALAR_KERNELS["value"]
+    Mf = coo.assemble_cells(disc8, value, "p")
+    uncut = coo.assemble_cells(disc8, value, "p", domain="uncut")
     ones = np.ones(disc8.p.n_scalar)
-    assert ones @ (Mf @ ones) == pytest.approx(4.0 - np.pi * 0.75, rel=1e-12)
+    area_f = 4.0 - np.pi * 0.75
+    assert ones @ (Mf @ ones) == pytest.approx(area_f, rel=1e-12)
+    h2 = disc8.h ** 2
+    assert ones @ (uncut @ ones) == pytest.approx(
+        h2 * len(disc8.topo.uncut_cells("f")), rel=1e-12)
+    parts = disc8.cut_parts["f"]
+    assert ones @ ((Mf - uncut) @ ones) == pytest.approx(parts.weights.sum(), rel=1e-12)
+
+
+@pytest.mark.parametrize("block", ["vf", "p", "vs"])
+def test_whole_cell_matrices_match_oracle(disc8, block):
+    """The whole-cell matrices over T_i^h and over the uncut cells equal the
+    COO oracle's extended and uncut domains (they lie on the side's pattern,
+    so only the values are compared)."""
+    side = disc8.dofmap(block).side
+    for cells, domain in ((disc8.topo.tri_cells(side), "extended"),
+                          (disc8.topo.uncut_cells(side), "uncut")):
+        for kernel in SCALAR_KERNELS.values():
+            got = assemble_cells(disc8, kernel, block, cells)
+            assert_same(got, coo.assemble_cells(disc8, kernel, block, domain=domain), 1e-15)
 
 
 def test_fluid_bulk_skew_pressure(disc8, oracle8):
@@ -357,8 +378,8 @@ def oracle_ghost_ratio(disc, side, order, l, w_max, seed, n_samples=100, sampler
     block = {"f": {disc.cfg.m_f: "vf", disc.cfg.m_f - 1: "p"},
              "s": {disc.cfg.m_s: "vs"}}[side][order]
     kernel = SCALAR_KERNELS["value" if l == 0 else "gradient"]
-    M_comp = assemble_cells(disc, kernel, block, domain="extended")
-    rhs_mat = assemble_cells(disc, kernel, block, domain="uncut")
+    M_comp = coo.assemble_cells(disc, kernel, block, domain="extended")
+    rhs_mat = coo.assemble_cells(disc, kernel, block, domain="uncut")
     raws = raw_jump_matrices(disc, side, order, w_max=w_max)
     for j in range(1, order + 1):
         rhs_mat = rhs_mat + disc.h ** (2 * (j - l) + 1) / math.factorial(j - l) ** 2 * raws[j - 1]

@@ -85,7 +85,15 @@ def test_replace_validates():
     cfg2 = cfg.replace(n=16)
     assert cfg2.n == 16 and cfg.n == 8
     with pytest.raises(ValueError):
-        cfg.replace(m_f=3)
+        cfg.replace(m_s=3)
+
+
+def test_fluid_order_is_not_a_key():
+    """m_f is fixed at 2: a file or override that sets it is refused, and
+    the resolved configuration does not list it."""
+    with pytest.raises(ConfigError, match="unknown config key 'm_f'"):
+        parse_config(None, overrides={"m_f": "3"})
+    assert "m_f" not in format_config(SimulationConfig())
 
 
 @pytest.mark.parametrize("r2", ["1.0", "1.2", "2.5"])
