@@ -12,7 +12,7 @@ acceptance tests.
 A small temporal study on the fixed h = 1/16 mesh follows, showing the
 first-order accuracy of the backward Euler discretization.
 
-Run:  python3 demos/convergence_demo.py        (about a minute)
+Run:  python3 demos/convergence_demo.py        (a few seconds)
 """
 
 from pathlib import Path

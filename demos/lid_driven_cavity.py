@@ -17,7 +17,7 @@ Run:  python3 demos/lid_driven_cavity.py [n]
 import sys
 from pathlib import Path
 
-from cutfsi import Discretization, SimulationConfig, TimeStepper
+from cutfsi import Discretization, SimulationConfig, StepRecord, TimeStepper
 from cutfsi.analysis import Analyzer
 from cutfsi.reporting import write_snapshot, write_step_log
 
@@ -34,22 +34,17 @@ print(f"{disc.layout.total} unknowns "
 stepper = TimeStepper(disc)
 analyzer = Analyzer(disc, stepper.forms)
 
-
-energies = []
-
-
-def observer(state):
+state = stepper.initialize()
+records = []
+for _ in range(cfg.n_steps):
+    state = stepper.step(state)
     e = analyzer.energy(state)
-    energies.append(e)
+    records.append(StepRecord.of(state, e))
     print(f"  t = {state.t:5.2f}   E_T = {e['E_T2'] ** 0.5:.4e}   "
           f"|||U||| = {e['triple2'] ** 0.5:.4e}   "
           f"residual {state.solve_residual:.1e}")
     write_snapshot(outdir, disc, state, f"{state.index:04d}")
 
-
-records, states = stepper.run(store_all=False, observer=observer)
-for rec, e in zip(records, energies):
-    rec.energy = e
 write_step_log(outdir / "steps.csv", cfg, records)
-write_snapshot(outdir, disc, states[-1], "final")
+write_snapshot(outdir, disc, state, "final")
 print(f"wrote {outdir}/steps.csv and VTU frames")

@@ -14,9 +14,10 @@ import scipy.sparse as sp
 
 from .assembly import (SCALAR_KERNELS, Forms, Pattern, assemble_cells, ghost_data,
                        raw_jump_matrices)
+from .config import ConfigError
 from .discretization import Discretization
 from .fem import reference_basis
-from .stepper import State, TimeStepper
+from .stepper import State, StepRecord, TimeStepper
 
 ERROR_NORMS = ("vf_T", "vs_T", "grad_u_T", "grad_vf_I", "h_grad_p_I")
 
@@ -155,10 +156,9 @@ class Analyzer:
 
 # -- errors against a nested reference run ----------------------------------
 
-def _check_nested(disc_c: Discretization, disc_r: Discretization) -> None:
-    if disc_r.mesh.n % disc_c.mesh.n != 0:
-        raise ValueError(f"reference mesh n={disc_r.mesh.n} is not a nested "
-                         f"refinement of n={disc_c.mesh.n}")
+def _check_nested(n_c: int, n_r: int) -> None:
+    if n_r % n_c != 0:
+        raise ConfigError(f"reference mesh n={n_r} is not a nested refinement of n={n_c}")
 
 
 def error_vs_reference(disc_c: Discretization, states_c: list[State],
@@ -168,7 +168,7 @@ def error_vs_reference(disc_c: Discretization, states_c: list[State],
     Trajectories must share t=0..T; the reference may use a finer time grid
     (restricted to the coarse indices).
     """
-    _check_nested(disc_c, disc_r)
+    _check_nested(disc_c.mesh.n, disc_r.mesh.n)
     N_c = len(states_c) - 1
     N_r = len(states_r) - 1
     if N_r % N_c != 0:
@@ -242,16 +242,22 @@ class ErrorReport:
 def run_simulation(cfg):
     """Build a discretization, run to T; returns (disc, records, every state)."""
     disc = Discretization(cfg)
-    records, states = TimeStepper(disc).run(store_all=True)
-    return disc, records, states
+    stepper = TimeStepper(disc)
+    states = [stepper.initialize()]
+    for _ in range(cfg.n_steps):
+        states.append(stepper.step(states[-1]))
+    return disc, [StepRecord.of(s) for s in states[1:]], states
 
 
 def spatial_study(base_cfg, n_levels: list[int], n_ref: int) -> ErrorReport:
     """Errors of a sequence of mesh levels against one fine reference run."""
-    disc_r, _, states_r = run_simulation(base_cfg.replace(n=n_ref))
-    levels, errors = [], []
+    cfg_r, cfgs = base_cfg.replace(n=n_ref), [base_cfg.replace(n=n) for n in n_levels]
     for n in n_levels:
-        disc_c, _, states_c = run_simulation(base_cfg.replace(n=n))
+        _check_nested(n, n_ref)
+    disc_r, _, states_r = run_simulation(cfg_r)
+    levels, errors = [], []
+    for cfg in cfgs:
+        disc_c, _, states_c = run_simulation(cfg)
         levels.append(disc_c.h)
         errors.append(error_vs_reference(disc_c, states_c, disc_r, states_r))
     return ErrorReport(mode="space", levels=levels, errors=errors)
@@ -259,11 +265,15 @@ def spatial_study(base_cfg, n_levels: list[int], n_ref: int) -> ErrorReport:
 
 def temporal_study(base_cfg, k_levels: list[float], k_ref: float) -> ErrorReport:
     """Errors of a sequence of step sizes against a fine-step reference run."""
-    disc_r, _, states_r = run_simulation(base_cfg.replace(k=k_ref))
+    cfg_r, cfgs = base_cfg.replace(k=k_ref), [base_cfg.replace(k=k) for k in k_levels]
+    for cfg in cfgs:
+        if cfg_r.n_steps % cfg.n_steps != 0:
+            raise ConfigError(f"reference step k={k_ref:g} does not divide k={cfg.k:g}")
+    disc_r, _, states_r = run_simulation(cfg_r)
     levels, errors = [], []
-    for k in k_levels:
-        disc_c, _, states_c = run_simulation(base_cfg.replace(k=k))
-        levels.append(k)
+    for cfg in cfgs:
+        disc_c, _, states_c = run_simulation(cfg)
+        levels.append(cfg.k)
         errors.append(error_vs_reference(disc_c, states_c, disc_r, states_r))
     return ErrorReport(mode="time", levels=levels, errors=errors)
 

@@ -17,7 +17,7 @@ from . import analysis, reporting
 from .config import ConfigError, SimulationConfig, format_config, parse_config
 from .discretization import Discretization
 from .mesh import verify_path_assumption
-from .stepper import TimeStepper
+from .stepper import StepRecord, TimeStepper
 
 # Desk-scale guardrail: finer levels than this need an explicit override.
 MIN_H = 0.0078125
@@ -31,9 +31,7 @@ def _load_config(args) -> SimulationConfig:
         if not sep:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         overrides[key.strip()] = value.strip()
-    cfg = parse_config(getattr(args, "config", None), overrides=overrides)
-    cfg.validate()
-    return cfg
+    return parse_config(getattr(args, "config", None), overrides=overrides)
 
 
 def _check_scale(cfg: SimulationConfig, allow_large: bool) -> None:
@@ -47,37 +45,31 @@ def _check_scale(cfg: SimulationConfig, allow_large: bool) -> None:
 
 
 def cmd_run(args) -> int:
+    if args.dump_every < 0:
+        raise ConfigError(f"--dump-every must be >= 0, got {args.dump_every}")
     cfg = _load_config(args)
     _check_scale(cfg, args.allow_large)
     outdir = Path(args.output_dir)
     disc = Discretization(cfg)
     stepper = TimeStepper(disc)
     ana = analysis.Analyzer(disc, stepper.forms)
-    dump_every = args.dump_every
-
-    def observer(state):
-        if dump_every and state.index % dump_every == 0:
+    state = stepper.initialize()
+    records = []
+    for _ in range(cfg.n_steps):
+        state = stepper.step(state)
+        records.append(StepRecord.of(state, ana.energy(state)))
+        if args.dump_every and state.index % args.dump_every == 0:
             reporting.write_snapshot(outdir, disc, state, f"{state.index:05d}")
-
-    energies = []
-    def record_energy(state):
-        energies.append(ana.energy(state))
-        observer(state)
-
-    records, states = stepper.run(store_all=False, observer=record_energy)
-    for rec, e in zip(records, energies):
-        rec.energy = e
     reporting.write_step_log(outdir / "steps.csv", cfg, records)
-    reporting.write_snapshot(outdir, disc, states[-1], "final")
-    final = states[-1]
-    e = energies[-1] if energies else ana.energy(final)
+    reporting.write_snapshot(outdir, disc, state, "final")
+    e = records[-1].energy
     fact = stepper.fact
     lu_path = "symmetric-mode" if fact.symmetric else "COLAMD fallback"
     print(f"ran {cfg.n_steps} steps to T={cfg.T:g} on n={cfg.n} "
           f"(h={disc.h:g}, {disc.layout.total} dofs, "
           f"{lu_path} LU with {fact.lu_nnz} nonzeros)")
-    print(f"final solve residual {final.solve_residual:.3e}, "
-          f"constraint residual {final.constraint_residual:.3e}")
+    print(f"final solve residual {state.solve_residual:.3e}, "
+          f"constraint residual {state.constraint_residual:.3e}")
     print(f"final energies: E_T^2={e['E_T2']:.6e}  E_g^2={e['E_g2']:.6e}  "
           f"|||.|||^2={e['triple2']:.6e}")
     print(f"wrote {outdir / 'steps.csv'} and VTU snapshots")
@@ -85,10 +77,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_convergence(args) -> int:
+    if args.levels < 1:
+        raise ConfigError(f"--levels must be >= 1, got {args.levels}")
+    if args.mode == "space" and not args.ref.is_integer():
+        raise ConfigError(f"--ref must be a whole number of cells n in space mode, "
+                          f"got {args.ref:g}")
     cfg = _load_config(args).replace(m_s=args.solid_order)
     if args.mode == "space":
         n_levels = [cfg.n * 2 ** i for i in range(args.levels)]
-        n_ref = args.ref if args.ref else 2 * n_levels[-1]
+        n_ref = int(args.ref) if args.ref else 2 * n_levels[-1]
         _check_scale(cfg.replace(n=n_ref), args.allow_large)
         report = analysis.spatial_study(cfg, n_levels, n_ref)
     else:
@@ -194,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--mode", choices=("space", "time"), required=True)
     p_conv.add_argument("--levels", type=int, default=4)
     p_conv.add_argument("--ref", type=float, default=0.0,
-                        help="reference resolution: n (space) or k (time)")
+                        help="reference n (space; a multiple of the finest n) or k (time)")
     p_conv.add_argument("--solid-order", type=int, choices=(1, 2), default=1)
     p_conv.set_defaults(func=cmd_convergence)
 
@@ -208,8 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "convergence" and args.mode == "space" and args.ref:
-        args.ref = int(args.ref)
     try:
         return args.func(args)
     except ConfigError as exc:

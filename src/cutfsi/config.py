@@ -7,8 +7,13 @@ Unknown keys are rejected with the offending line number.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import ClassVar
+
+
+class ConfigError(ValueError):
+    """Invalid configuration or run input."""
 
 
 @dataclass
@@ -45,20 +50,23 @@ class SimulationConfig:
                     "gamma_p", "gamma_vs", "gamma_u", "gamma_N",
                     "radius_squared", "k", "T", "ramp_time"]
         for name in positive:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, "
+                                  f"got {getattr(self, name)}")
         if self.radius_squared >= 1.0:
-            raise ValueError("radius_squared must be < 1 so that the circle lies inside "
-                             f"the cavity (-1, 1)^2, got {self.radius_squared}")
+            raise ConfigError("radius_squared must be < 1 so that the circle lies inside "
+                              f"the cavity (-1, 1)^2, got {self.radius_squared}")
         if self.w_max < 1.0:
-            raise ValueError(f"w_max must be >= 1, got {self.w_max}")
+            raise ConfigError(f"w_max must be >= 1, got {self.w_max}")
         if self.m_s not in (1, 2):
-            raise ValueError("m_s must be 1 or 2")
+            raise ConfigError(f"m_s must be 1 or 2, got {self.m_s}")
         if self.n < 2:
-            raise ValueError("n must be >= 2")
+            raise ConfigError(f"n must be >= 2, got {self.n}")
         n_steps = self.T / self.k
         if abs(n_steps - round(n_steps)) > 1e-9:
-            raise ValueError(f"T = {self.T} is not an integer multiple of k = {self.k}")
+            raise ConfigError(f"T = {self.T} is not an integer multiple of k = {self.k}")
+        if self.n_steps < 1:
+            raise ConfigError(f"T = {self.T} is shorter than one time step k = {self.k}")
 
     @property
     def n_steps(self) -> int:
@@ -74,10 +82,6 @@ class SimulationConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(SimulationConfig)}
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> SimulationConfig:
@@ -104,10 +108,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Simu
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = _convert(key, val) if isinstance(val, str) else val
     cfg = SimulationConfig(**values)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg.validate()
     return cfg
 
 

@@ -8,7 +8,7 @@ step system solves for the first three blocks; u follows from v_s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -19,50 +19,21 @@ from .mesh import Mesh, build_cut_topology, build_mesh
 from .quadrature import QuadratureRule, cut_cell_rule, interface_rule, reference_cell_rule
 
 
-@dataclass(frozen=True)
 class BlockLayout:
-    """Global offsets of the four unknown blocks (v_f, p, v_s, u)."""
+    """Global offsets of the unknown blocks, laid out in the order of ``sizes``."""
 
-    n_vf_scalar: int
-    n_p: int
-    n_s_scalar: int
-
-    @property
-    def off_vf(self) -> int:
-        return 0
-
-    @property
-    def off_p(self) -> int:
-        return 2 * self.n_vf_scalar
-
-    @property
-    def off_vs(self) -> int:
-        return self.off_p + self.n_p
-
-    @property
-    def off_u(self) -> int:
-        return self.off_vs + 2 * self.n_s_scalar
-
-    @property
-    def n_system(self) -> int:
-        """Unknowns (v_f, p, v_s) of the step system."""
-        return self.off_u
-
-    @property
-    def total(self) -> int:
-        return self.off_u + 2 * self.n_s_scalar
+    def __init__(self, sizes: dict[str, int]):
+        self.sizes = sizes
+        self._offsets = dict(zip(sizes, accumulate(sizes.values(), initial=0)))
+        self.total = sum(sizes.values())
+        self.n_system = self._offsets["u"]  # unknowns (v_f, p, v_s) of the step system
 
     def offset(self, block: str) -> int:
-        return {"vf": self.off_vf, "p": self.off_p,
-                "vs": self.off_vs, "u": self.off_u}[block]
-
-    def size(self, block: str) -> int:
-        return {"vf": 2 * self.n_vf_scalar, "p": self.n_p,
-                "vs": 2 * self.n_s_scalar, "u": 2 * self.n_s_scalar}[block]
+        return self._offsets[block]
 
     def slice(self, block: str) -> slice:
-        off = self.offset(block)
-        return slice(off, off + self.size(block))
+        off = self._offsets[block]
+        return slice(off, off + self.sizes[block])
 
 
 class Discretization:
@@ -79,9 +50,8 @@ class Discretization:
                                         dirichlet_boundary=True)
         self.p: DofMap = build_dof_map(self.mesh, self.topo, "p", 1, 1, "f")
         self.s: DofMap = build_dof_map(self.mesh, self.topo, "s", cfg.m_s, 2, "s")
-        self.layout = BlockLayout(n_vf_scalar=self.vf.n_scalar,
-                                  n_p=self.p.n_scalar,
-                                  n_s_scalar=self.s.n_scalar)
+        self.layout = BlockLayout({b: self.dofmap(b).ncomp * self.dofmap(b).n_scalar
+                                   for b in ("vf", "p", "vs", "u")})
 
         # the quadrature builders' default sizes: 3 x 3 Gauss points per
         # uncut cell, 8 rays of 8 points per cut-cell panel, 12 points per arc

@@ -1,4 +1,4 @@
-"""Backward Euler driver: inflow profile, Dirichlet handling, time loop.
+"""Backward Euler step: inflow profile, Dirichlet handling, the step system.
 
 The step matrix is time independent (fixed interface), so it is assembled
 and factorized once; only the ramped lid values change per step.  The
@@ -7,7 +7,8 @@ updated as u^n = u^{n-1} + k v_s^n.  The continuity rows of the step matrix
 R are negated, so R (with its Dirichlet rows and columns replaced) is
 symmetric; see ``assembly.system_matrices``.  The column entries that the
 Dirichlet elimination drops lift the lid profile into one right-hand-side
-vector, which each step scales by the ramp.
+vector, which each step scales by the ramp.  Callers own the time loop:
+``initialize`` gives the zero state at t = 0 and ``step`` advances it by k.
 """
 
 from __future__ import annotations
@@ -64,6 +65,12 @@ class StepRecord:
     constraint_residual: float
     energy: dict = field(default_factory=dict)
 
+    @classmethod
+    def of(cls, state: State, energy: dict | None = None) -> "StepRecord":
+        """The record of a computed step, with its energies if given."""
+        return cls(n=state.index, t=state.t, solve_residual=state.solve_residual,
+                   constraint_residual=state.constraint_residual, energy=energy or {})
+
 
 class TimeStepper:
     """Assembles and factorizes the (v_f, p, v_s) step system, advances it."""
@@ -76,7 +83,7 @@ class TimeStepper:
         # Dirichlet data: all fluid-velocity dofs on the outer boundary
         vf = disc.vf
         nodes = vf.dirichlet_nodes
-        self.dir_idx = np.concatenate([disc.layout.off_vf + c * vf.n_scalar + nodes
+        self.dir_idx = np.concatenate([disc.layout.offset("vf") + c * vf.n_scalar + nodes
                                        for c in range(2)])
         coords = vf.node_coords[nodes]
         on_lid = np.abs(coords[:, 1] - 1.0) < 1e-12
@@ -135,25 +142,3 @@ class TimeStepper:
         cres = np.max(np.abs(du - cfg.k * x[layout.slice("vs")])) if du.size else 0.0
         return State(index=state.index + 1, t=t_new, x=x,
                      solve_residual=float(res), constraint_residual=float(cres))
-
-    def run(self, store_all: bool = False, observer=None):
-        """Advance from zero initial data to T; returns (records, states).
-
-        ``states`` holds every state if store_all else just the final one.
-        """
-        cfg = self.cfg
-        state = self.initialize()
-        records: list[StepRecord] = []
-        states = [state] if store_all else []
-        for _ in range(cfg.n_steps):
-            state = self.step(state)
-            records.append(StepRecord(n=state.index, t=state.t,
-                                      solve_residual=state.solve_residual,
-                                      constraint_residual=state.constraint_residual))
-            if store_all:
-                states.append(state)
-            if observer is not None:
-                observer(state)
-        if not store_all:
-            states = [state]
-        return records, states

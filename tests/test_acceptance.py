@@ -162,11 +162,7 @@ def test_ghost_forms_psd_with_polynomial_kernels():
 
 @pytest.fixture(scope="module")
 def full_run():
-    cfg = SimulationConfig(n=32, m_s=2, k=1.0, T=8.0)
-    disc = Discretization(cfg)
-    stepper = TimeStepper(disc)
-    records, states = stepper.run(store_all=True)
-    return disc, records, states
+    return run_simulation(SimulationConfig(n=32, m_s=2, k=1.0, T=8.0))
 
 
 def test_solve_residual_every_step(full_run):

@@ -6,7 +6,7 @@ import pytest
 import assembly_oracle as coo
 from cutfsi import (Discretization, SimulationConfig, TimeStepper,
                     convergence_order, error_vs_reference,
-                    ghost_extension_ratios, verify_energy_decay)
+                    ghost_extension_ratios, run_simulation, verify_energy_decay)
 from cutfsi.analysis import (Analyzer, domain_points, evaluate_scalar,
                              locate_cells, random_smooth_state)
 from cutfsi.assembly import SCALAR_KERNELS, assemble_forms
@@ -137,32 +137,27 @@ def test_energy_nonnegative_random(an8, disc8):
     assert an8.lyapunov(state) >= 0.0
 
 
-def test_error_vs_reference_self_is_zero(disc8):
-    stepper = TimeStepper(disc8)
-    _, states = stepper.run(store_all=True)
-    errs = error_vs_reference(disc8, states, disc8, states)
+def test_error_vs_reference_self_is_zero():
+    disc, _, states = run_simulation(SimulationConfig(n=8))
+    errs = error_vs_reference(disc, states, disc, states)
     for key, val in errs.items():
         assert val <= 1e-13, key
 
 
-def test_error_vs_reference_nested_constant(disc8, disc16):
+def test_error_vs_reference_nested_constant(disc8, disc16, march):
     """A coarse/fine pair of identically-zero runs has zero error."""
     s8 = TimeStepper(disc8)
     s16 = TimeStepper(disc16)
     s8.g_profile = np.zeros_like(s8.g_profile)
     s16.g_profile = np.zeros_like(s16.g_profile)
-    _, st8 = s8.run(store_all=True)
-    _, st16 = s16.run(store_all=True)
-    errs = error_vs_reference(disc8, st8, disc16, st16)
+    errs = error_vs_reference(disc8, march(s8), disc16, march(s16))
     for key, val in errs.items():
         assert val <= 1e-13, key
 
 
-def test_error_vs_reference_rejects_non_nested(disc8):
-    cfg = SimulationConfig(n=12)
-    disc12 = Discretization(cfg)
-    stepper = TimeStepper(disc8)
-    _, states = stepper.run(store_all=True)
+def test_error_vs_reference_rejects_non_nested():
+    disc8, _, states = run_simulation(SimulationConfig(n=8))
+    disc12 = Discretization(SimulationConfig(n=12))
     with pytest.raises(ValueError):
         error_vs_reference(disc8, states, disc12, states)
 

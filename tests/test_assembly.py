@@ -177,8 +177,8 @@ def test_nitsche_penalty_psd_kernel(disc8, forms8):
     lay = disc8.layout
     P = forms8.nitsche_pen
     x = np.zeros(lay.n_system)
-    x[lay.off_vf:lay.off_vf + disc8.vf.n_scalar] = 1.0
-    x[lay.off_vs:lay.off_vs + disc8.s.n_scalar] = 1.0
+    x[lay.offset("vf"):lay.offset("vf") + disc8.vf.n_scalar] = 1.0
+    x[lay.offset("vs"):lay.offset("vs") + disc8.s.n_scalar] = 1.0
     assert abs(x @ (P @ x)) < 1e-12
     rng = np.random.default_rng(3)
     for _ in range(5):

@@ -1,13 +1,16 @@
 """Command line interface."""
 
+import csv
 import dataclasses
 
 import numpy as np
 import pytest
 
-from cutfsi import analysis, discretization
+from cutfsi import SimulationConfig, analysis, discretization, run_simulation
+from cutfsi.assembly import assemble_forms
 from cutfsi.cli import build_parser, main
 from cutfsi.mesh import build_cut_topology
+from cutfsi.reporting import FLOAT_FMT
 
 
 def test_parser_subcommands():
@@ -34,6 +37,36 @@ def test_circle_outside_cavity_exit_code(tmp_path, capsys):
     rc = main(["run", "--set", "radius_squared=1.2", "--output-dir", str(tmp_path)])
     assert rc == 2
     assert "radius_squared must be < 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["convergence", "--mode", "time", "--ref", "-0.5", "--set", "n=8"], "-0.5"),
+    (["convergence", "--mode", "time", "--ref", "0.3", "--set", "T=2.0"], "k = 0.3"),
+    (["convergence", "--mode", "time", "--levels", "2", "--ref", "0.2"], "k=0.2"),
+    (["run", "--set", "T=1e-10"], "T = 1e-10"),
+    (["convergence", "--mode", "space", "--levels", "2", "--set", "T=1e-10"], "T = 1e-10"),
+    (["convergence", "--mode", "space", "--ref", "24", "--levels", "2", "--set", "n=8"],
+     "n=24"),
+    (["convergence", "--mode", "space", "--ref", "0.5", "--set", "n=8"], "got 0.5"),
+    (["convergence", "--mode", "space", "--levels", "0", "--set", "n=8"], "got 0"),
+    (["run", "--dump-every", "-1", "--set", "n=8"], "got -1"),
+], ids=["time-ref-negative", "time-ref-not-dividing-T", "time-ref-not-nested",
+        "run-T-below-k", "space-T-below-k", "space-ref-not-nested", "space-ref-fraction",
+        "levels-0", "dump-every-negative"])
+def test_bad_run_input_exits_2_before_any_discretization(argv, value, tmp_path, capsys,
+                                                          monkeypatch):
+    built = []
+    init = discretization.Discretization.__init__
+
+    def counting(self, cfg):
+        built.append(cfg.n)
+        init(self, cfg)
+
+    monkeypatch.setattr(discretization.Discretization, "__init__", counting)
+    rc = main(argv + ["--output-dir", str(tmp_path)])
+    assert rc == 2
+    assert value in capsys.readouterr().err
+    assert built == []
 
 
 def test_verify_reports_missing_ghost_path(tmp_path, capsys, monkeypatch):
@@ -80,6 +113,28 @@ def test_run_small(tmp_path, capsys):
     assert (tmp_path / "fluid_final.vtu").exists()
     assert (tmp_path / "solid_final.vtu").exists()
     assert (tmp_path / "fluid_00001.vtu").exists()
+
+
+def test_run_log_matches_run_simulation(tmp_path):
+    """cutfsi run writes the records of run_simulation plus the energy of
+    each state, and a snapshot at every --dump-every step and the end."""
+    rc = main(["run", "--set", "n=8", "--set", "T=4.0", "--dump-every", "2",
+               "--output-dir", str(tmp_path)])
+    assert rc == 0
+    disc, records, states = run_simulation(SimulationConfig(n=8, T=4.0))
+    ana = analysis.Analyzer(disc, assemble_forms(disc))
+    energies = [ana.energy(s) for s in states[1:]]
+    keys = sorted(energies[0])
+    want = [[str(r.n)] + [FLOAT_FMT % v for v in (r.t, r.solve_residual,
+                                                  r.constraint_residual)]
+            + [FLOAT_FMT % e[key] for key in keys] for r, e in zip(records, energies)]
+    with open(tmp_path / "steps.csv") as fh:
+        rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+    assert rows[0] == ["n", "t", "solve_residual", "constraint_residual"] + keys
+    assert rows[1:] == want
+    assert sorted(p.name for p in tmp_path.glob("*.vtu")) == [
+        f"{side}_{tag}.vtu" for side in ("fluid", "solid")
+        for tag in ("00002", "00004", "final")]
 
 
 def test_run_energy_once_per_step(tmp_path, monkeypatch):

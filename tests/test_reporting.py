@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from cutfsi import SimulationConfig, TimeStepper
+from cutfsi import SimulationConfig, run_simulation
 from cutfsi.analysis import ErrorReport
 from cutfsi.reporting import (format_convergence_table, write_convergence_csv,
                               write_snapshot, write_step_log, write_vtu)
@@ -14,8 +14,7 @@ from cutfsi.reporting import (format_convergence_table, write_convergence_csv,
 
 @pytest.fixture(scope="module")
 def run8(disc8):
-    stepper = TimeStepper(disc8)
-    records, states = stepper.run(store_all=True)
+    _, records, states = run_simulation(disc8.cfg)
     return records, states
 
 
