@@ -20,6 +20,8 @@ from .fem import reference_basis
 from .stepper import State, StepRecord, TimeStepper
 
 ERROR_NORMS = ("vf_T", "vs_T", "grad_u_T", "grad_vf_I", "h_grad_p_I")
+# Random samples per ghost-extension ratio.
+GHOST_SAMPLES = 100
 
 
 def convergence_order(e_coarse: float, e_fine: float) -> float:
@@ -254,6 +256,8 @@ def spatial_study(base_cfg, n_levels: list[int], n_ref: int) -> ErrorReport:
     cfg_r, cfgs = base_cfg.replace(n=n_ref), [base_cfg.replace(n=n) for n in n_levels]
     for n in n_levels:
         _check_nested(n, n_ref)
+        if n == n_ref:
+            raise ConfigError(f"reference mesh n={n_ref} is not finer than n={n}")
     disc_r, _, states_r = run_simulation(cfg_r)
     levels, errors = [], []
     for cfg in cfgs:
@@ -269,6 +273,8 @@ def temporal_study(base_cfg, k_levels: list[float], k_ref: float) -> ErrorReport
     for cfg in cfgs:
         if cfg_r.n_steps % cfg.n_steps != 0:
             raise ConfigError(f"reference step k={k_ref:g} does not divide k={cfg.k:g}")
+        if cfg_r.n_steps == cfg.n_steps:
+            raise ConfigError(f"reference step k={k_ref:g} is not finer than k={cfg.k:g}")
     disc_r, _, states_r = run_simulation(cfg_r)
     levels, errors = [], []
     for cfg in cfgs:
@@ -282,8 +288,7 @@ def temporal_study(base_cfg, k_levels: list[float], k_ref: float) -> ErrorReport
 
 def ghost_extension_ratios(disc: Discretization, side: str, order: int,
                            l: int, w_max: float, gamma_on: bool = True,
-                           n_samples: int = 100, seed: int = 0,
-                           sampler: str = "band") -> float:
+                           seed: int = 0, sampler: str = "band") -> float:
     """Max sampled ratio lhs/rhs of the ghost-extension estimate.
 
     lhs = |grad^l v|^2 over the computational domain Omega_i^T,
@@ -317,13 +322,13 @@ def ghost_extension_ratios(disc: Discretization, side: str, order: int,
     rhs_mat = pattern.matrix(rhs)
     cut_dofs = dm.cell_dofs[dm.cell_index[disc.topo.cut_cells]]  # (ncut, nb)
     rng = np.random.default_rng(seed)
-    V = np.zeros((n_samples, dm.n_scalar))  # one sample per row
+    V = np.zeros((GHOST_SAMPLES, dm.n_scalar))  # one sample per row
     if sampler == "band":
         # a band sample is one draw over the cut cells' dofs in cell order; a
         # dof shared by several cut cells keeps the value drawn for its last cell
         flat = cut_dofs.ravel()
         last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
-        V[:, flat[last]] = rng.standard_normal((n_samples, len(flat)))[:, last]
+        V[:, flat[last]] = rng.standard_normal((GHOST_SAMPLES, len(flat)))[:, last]
     else:
         for v in V:
             ids = cut_dofs[rng.integers(len(cut_dofs))]

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import enum
 import warnings
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .config import ConfigError
 from .geometry import CircleLevelSet, edge_zero_crossings, rowdot
@@ -310,40 +311,20 @@ def build_cut_topology(mesh: Mesh, ls: CircleLevelSet) -> CutTopology:
 
 
 def verify_path_assumption(topo: CutTopology, side: str) -> tuple[int, int]:
-    """BFS from every cut cell through ghost faces to an uncut side cell.
+    """Shortest ghost-face paths from every cut cell to an uncut side cell.
 
-    Returns (max path length in faces crossed, max reuse of a target cell).
-    Raises if some cut cell has no such path.
+    One search from all uncut side cells at once over the side's ghost
+    faces.  Returns (max path length in faces crossed, max number of cut
+    cells sharing a nearest uncut cell; ties between equally near cells are
+    broken by the search).  Raises if some cut cell has no such path.
     """
-    mesh = topo.mesh
-    ghost = topo.ghost_faces(side)
-    adj: dict[int, list[int]] = {}
-    for f in ghost:
-        k1, k2 = (int(c) for c in mesh.face_cells[f])
-        adj.setdefault(k1, []).append(k2)
-        adj.setdefault(k2, []).append(k1)
-    targets = set(int(c) for c in topo.uncut_cells(side))
-    max_len = 0
-    reuse: dict[int, int] = {}
-    for start in topo.cut_cells:
-        start = int(start)
-        if start in targets:
-            continue
-        seen = {start: 0}
-        queue = deque([start])
-        found = None
-        while queue:
-            c = queue.popleft()
-            if c in targets:
-                found = c
-                break
-            for nb in adj.get(c, ()):
-                if nb not in seen:
-                    seen[nb] = seen[c] + 1
-                    queue.append(nb)
-        if found is None:
-            raise RuntimeError(
-                f"cut cell {start} has no ghost-face path to an uncut {side} cell")
-        max_len = max(max_len, seen[found])
-        reuse[found] = reuse.get(found, 0) + 1
-    return max_len, max(reuse.values(), default=0)
+    mesh, cut = topo.mesh, topo.cut_cells
+    k1, k2 = mesh.face_cells[topo.ghost_faces(side)].T
+    graph = sp.csr_matrix((np.ones(len(k1)), (k1, k2)), shape=(mesh.n_cells,) * 2)
+    dist, _, nearest = csgraph.dijkstra(graph, directed=False, indices=topo.uncut_cells(side),
+                                        unweighted=True, min_only=True, return_predecessors=True)
+    lost = cut[np.isinf(dist[cut])]
+    if lost.size:
+        raise RuntimeError(
+            f"cut cell {lost[0]} has no ghost-face path to an uncut {side} cell")
+    return int(dist[cut].max(initial=0)), int(np.bincount(nearest[cut]).max(initial=0))

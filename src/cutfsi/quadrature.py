@@ -99,7 +99,7 @@ def _ray_cell_interval(origin, h, center, ct, st):
         c = center[axis]
         flat = np.abs(d) < 1e-15
         hit &= ~flat | ((a <= c) & (c <= b))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t1, t2 = (a - c) / d, (b - c) / d
         lo = np.where(flat, lo, np.maximum(lo, np.minimum(t1, t2)))
         hi = np.where(flat, hi, np.minimum(hi, np.maximum(t1, t2)))

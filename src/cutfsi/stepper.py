@@ -3,12 +3,12 @@
 The step matrix is time independent (fixed interface), so it is assembled
 and factorized once; only the ramped lid values change per step.  The
 solved unknowns are (v_f, p, v_s); after each solve the displacement is
-updated as u^n = u^{n-1} + k v_s^n.  The continuity rows of the step matrix
-R are negated, so R (with its Dirichlet rows and columns replaced) is
-symmetric; see ``assembly.system_matrices``.  The column entries that the
-Dirichlet elimination drops lift the lid profile into one right-hand-side
-vector, which each step scales by the ramp.  Callers own the time loop:
-``initialize`` gives the zero state at t = 0 and ``step`` advances it by k.
+updated as u^n = u^{n-1} + k v_s^n.  Only the free (non-Dirichlet) block of
+the step matrix R is factorized; the Dirichlet values enter each
+right-hand side through R's free-row, Dirichlet-column block.  The
+continuity rows of R are negated, so the free block is symmetric; see
+``assembly.system_matrices``.  Callers own the time loop: ``initialize``
+gives the zero state at t = 0 and ``step`` advances it by k.
 """
 
 from __future__ import annotations
@@ -48,7 +48,12 @@ def ramp_factor(t: float, cfg: SimulationConfig) -> float:
 
 @dataclass
 class State:
-    """Monolithic coefficient vector at one time index."""
+    """Monolithic coefficient vector at one time index.
+
+    ``solve_residual`` is the step residual ||b_f - R x_f|| of the free rows
+    relative to the whole right-hand side, hypot(||b_f||, ||g||), with g the
+    Dirichlet values.
+    """
 
     index: int
     t: float
@@ -89,32 +94,14 @@ class TimeStepper:
         on_lid = np.abs(coords[:, 1] - 1.0) < 1e-12
         profile = np.where(on_lid, inflow_profile_x(coords[:, 0], self.cfg), 0.0)
 
-        # row replacement with column elimination into the rhs, in place
-        slot = np.full(R.shape[0], -1)
-        slot[self.dir_idx] = np.arange(len(self.dir_idx))
-        rows = np.repeat(np.arange(R.shape[0]), np.diff(R.indptr))
-        in_row, in_col = slot[rows] >= 0, slot[R.indices] >= 0
-        lift = in_col & ~in_row
-        self._lift = (rows[lift], slot[R.indices[lift]], R.data[lift])
-        R.data[in_row | in_col] = 0.0
-        R.data[in_row & (R.indices == rows)] = 1.0  # stored: the mass is positive there
-        R.eliminate_zeros()
-        self.R = R
-        del rows, in_row, in_col, lift
-        # x-component first, y-component identically zero
+        # values at full ramp: x-component first, y-component identically zero
         self.g_profile = np.concatenate([profile, np.zeros_like(profile)])
+        # factorize the free block; the free-row, Dirichlet-column block lifts g
+        self.free = np.setdiff1d(np.arange(R.shape[0]), self.dir_idx)
+        R = R[self.free]
+        self.R, self.R_dir = R[:, self.free], R[:, self.dir_idx]
+        del R  # the row-restricted copy goes before the LU, so peak RSS does not grow
         self.fact = linalg.factorize(self.R)
-
-    @property
-    def g_profile(self) -> np.ndarray:
-        """Dirichlet values at full ramp; setting them updates their lift."""
-        return self._g_profile
-
-    @g_profile.setter
-    def g_profile(self, g: np.ndarray) -> None:
-        rows, cols, vals = self._lift
-        self._g_profile = g
-        self._g_lift = np.bincount(rows, weights=vals * g[cols], minlength=self.R.shape[0])
 
     def initialize(self) -> State:
         """Zero initial state (consistent with the ramp at t = 0)."""
@@ -124,20 +111,21 @@ class TimeStepper:
         cfg = self.cfg
         layout = self.disc.layout
         t_new = state.t + cfg.k
-        ramp = ramp_factor(t_new, cfg)
+        g = ramp_factor(t_new, cfg) * self.g_profile
         u_old = state.x[layout.slice("u")]
         b = self.M @ state.x[:layout.n_system]
-        b -= ramp * self._g_lift
         b[layout.slice("vs")] -= cfg.k * (self.K @ u_old)
-        b[self.dir_idx] = ramp * self.g_profile
-        x_r = self.fact.solve(b)
-        b_norm = max(np.linalg.norm(b), 1e-300)
-        r = b - self.R @ x_r
+        b_f = b[self.free] - self.R_dir @ g
+        x_f = self.fact.solve(b_f)
+        b_norm = max(np.hypot(np.linalg.norm(b_f), np.linalg.norm(g)), 1e-300)
+        r = b_f - self.R @ x_f
         res = np.linalg.norm(r) / b_norm
         if res > REFINE_TOL:
-            x_r += self.fact.solve(r)
-            res = np.linalg.norm(b - self.R @ x_r) / b_norm
-        x = np.concatenate([x_r, u_old + cfg.k * x_r[layout.slice("vs")]])
+            x_f += self.fact.solve(r)
+            res = np.linalg.norm(b_f - self.R @ x_f) / b_norm
+        x = np.empty(layout.total)
+        x[self.free], x[self.dir_idx] = x_f, g
+        x[layout.slice("u")] = u_old + cfg.k * x[layout.slice("vs")]
         du = x[layout.slice("u")] - u_old
         cres = np.max(np.abs(du - cfg.k * x[layout.slice("vs")])) if du.size else 0.0
         return State(index=state.index + 1, t=t_new, x=x,

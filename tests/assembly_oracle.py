@@ -244,9 +244,7 @@ def system_matrices(disc, forms):
 
 
 def dirichlet_reduce(R, dir_idx):
-    """(D R D + I_dir, D R[:, dir]) with D zeroing the Dirichlet rows."""
-    keep = np.ones(R.shape[0])
-    keep[dir_idx] = 0.0
-    D = sp.diags(keep)
-    R_dir_cols = D @ R.tocsc()[:, dir_idx].tocsr()
-    return sp.csr_matrix(D @ R @ D + sp.diags(1.0 - keep)), R_dir_cols
+    """(R_free,free, R_free,dir): the step matrix on the free dofs and the
+    free-row, Dirichlet-column block that lifts the boundary values."""
+    free = np.setdiff1d(np.arange(R.shape[0]), dir_idx)
+    return R[free][:, free], R[free][:, dir_idx]

@@ -164,15 +164,14 @@ def test_error_vs_reference_rejects_non_nested():
 
 def test_ghost_ratios_positive(disc8):
     ratio = ghost_extension_ratios(disc8, side="f", order=2, l=1,
-                                   w_max=1.0, n_samples=20, seed=0)
+                                   w_max=1.0, seed=0)
     assert np.isfinite(ratio) and ratio > 0.0
 
 
 def test_ghost_ratios_reject_unknown_sampler(disc8):
     """An unknown sampler is refused before any sample is drawn."""
     with pytest.raises(ValueError, match="unknown sampler 'bogus'"):
-        ghost_extension_ratios(disc8, "f", 2, 1, w_max=1.0, n_samples=0,
-                               sampler="bogus")
+        ghost_extension_ratios(disc8, "f", 2, 1, w_max=1.0, sampler="bogus")
 
 
 def test_energy_decay_small(disc8):

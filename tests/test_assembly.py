@@ -14,7 +14,7 @@ import assembly_oracle as coo
 from assembly_oracle import component_ids as _component_ids
 from assembly_oracle import place as _place
 from cutfsi import Discretization, SimulationConfig, TimeStepper
-from cutfsi.analysis import ghost_extension_ratios
+from cutfsi.analysis import GHOST_SAMPLES, ghost_extension_ratios
 from cutfsi.assembly import (SCALAR_KERNELS, _grad_p, _div_q, _mass, _solid_bulk,
                              _stack, _system, _viscous, assemble_cells, assemble_forms,
                              raw_jump_matrices, system_matrices, weight_w)
@@ -372,7 +372,7 @@ def oracle_nitsche(disc):
     return acc_pen.tocsr(), acc_cons.tocsr()
 
 
-def oracle_ghost_ratio(disc, side, order, l, w_max, seed, n_samples=100, sampler="band"):
+def oracle_ghost_ratio(disc, side, order, l, w_max, seed, sampler="band"):
     """Ghost-extension ratio with the quadratic forms taken one sample at a
     time; a band sample draws each cut cell's dofs in turn."""
     block = {"f": {disc.cfg.m_f: "vf", disc.cfg.m_f - 1: "p"},
@@ -387,7 +387,7 @@ def oracle_ghost_ratio(disc, side, order, l, w_max, seed, n_samples=100, sampler
     cut_dofs = [dm.cell_dofs[dm.cell_index[int(c)]] for c in disc.topo.cut_cells]
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_samples):
+    for _ in range(GHOST_SAMPLES):
         v = np.zeros(dm.n_scalar)
         for ids in (cut_dofs if sampler == "band"
                     else [cut_dofs[rng.integers(len(cut_dofs))]]):
@@ -501,9 +501,8 @@ ORACLE_CASES = [(n, m_s, 0.75) for n in (8, 16) for m_s in (1, 2)] + [(9, 2, 0.3
 @pytest.mark.parametrize("n,m_s,r2", ORACLE_CASES,
                          ids=[f"n{n}-ms{m}-r{r}" for n, m, r in ORACLE_CASES])
 def test_pattern_pass_matches_coo_assembly(n, m_s, r2):
-    """Every field of ``Forms``, the step matrices R, M, K, the
-    Dirichlet-reduced R and the lifted lid profile equal those of the COO
-    assembly."""
+    """Every field of ``Forms``, the step matrices R, M, K and the free-row
+    blocks of R that the stepper keeps equal those of the COO assembly."""
     disc = Discretization(SimulationConfig(n=n, m_s=m_s, radius_squared=r2))
     R, M, K, forms = system_matrices(disc)
     want = coo.assemble_forms(disc)
@@ -514,10 +513,9 @@ def test_pattern_pass_matches_coo_assembly(n, m_s, r2):
     for got, ref in ((R, R_want), (M, M_want), (K, K_want[vs, vs])):
         assert_matches_oracle(got, ref)
     stepper = TimeStepper(disc)
-    R_red, R_dir_cols = coo.dirichlet_reduce(R_want, stepper.dir_idx)
-    assert_matches_oracle(stepper.R, R_red)
-    lift = R_dir_cols @ stepper.g_profile
-    assert np.abs(stepper._g_lift - lift).max() <= 1e-15 * np.abs(lift).max()
+    R_free, R_dir = coo.dirichlet_reduce(R_want, stepper.dir_idx)
+    assert_matches_oracle(stepper.R, R_free)
+    assert_matches_oracle(stepper.R_dir, R_dir)
 
 
 @pytest.mark.parametrize("m_s", [1, 2])

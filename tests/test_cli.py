@@ -50,9 +50,13 @@ def test_circle_outside_cavity_exit_code(tmp_path, capsys):
     (["convergence", "--mode", "space", "--ref", "0.5", "--set", "n=8"], "got 0.5"),
     (["convergence", "--mode", "space", "--levels", "0", "--set", "n=8"], "got 0"),
     (["run", "--dump-every", "-1", "--set", "n=8"], "got -1"),
+    (["convergence", "--mode", "space", "--levels", "2", "--ref", "16", "--set", "n=8"],
+     "reference mesh n=16 is not finer"),
+    (["convergence", "--mode", "time", "--levels", "2", "--ref", "0.5"],
+     "reference step k=0.5 is not finer"),
 ], ids=["time-ref-negative", "time-ref-not-dividing-T", "time-ref-not-nested",
         "run-T-below-k", "space-T-below-k", "space-ref-not-nested", "space-ref-fraction",
-        "levels-0", "dump-every-negative"])
+        "levels-0", "dump-every-negative", "space-ref-not-finer", "time-ref-not-finer"])
 def test_bad_run_input_exits_2_before_any_discretization(argv, value, tmp_path, capsys,
                                                           monkeypatch):
     built = []
