@@ -96,3 +96,63 @@ class Discretization:
 
     def dofmap(self, block: str) -> DofMap:
         return {"vf": self.vf, "p": self.p, "vs": self.s, "u": self.s}[block]
+
+
+def nested_dissection(disc: Discretization, dofs: np.ndarray) -> np.ndarray:
+    """``dofs`` (system ids of the step system) in nested-dissection order.
+
+    The mesh lattice is bisected at the middle mesh line of the longer side
+    of each box, down to one-cell boxes, and each box is ordered as: low
+    half, high half, separator.  The separator is the dofs on the line plus,
+    for each ghost face on the line, the dofs of its low-side cell in the
+    blocks that the face couples (v_f and p for a fluid face, v_s for a
+    solid one), since only ghost faces couple dofs across a mesh line.
+    (George, "Nested dissection of a regular finite element mesh", 1973.)
+    """
+    mesh, layout = disc.mesh, disc.layout
+    # lattice coordinates in units of h/2, so mesh lines are even
+    coord = np.empty((layout.n_system, 2), dtype=np.int64)
+    for b in ("vf", "p", "vs"):
+        dm = disc.dofmap(b)
+        coord[layout.slice(b)] = np.tile(np.rint((dm.node_coords + 1.0) * (2.0 / mesh.h)),
+                                         (dm.ncomp, 1))
+    # reach[d, a]: the highest line along axis a that d couples across
+    reach = coord.copy()
+    for side, face_blocks in (("f", ("vf", "p")), ("s", ("vs",))):
+        faces = disc.topo.ghost_faces(side)
+        low = mesh.face_cells[faces, 0]
+        axis = mesh.face_axis[faces]
+        line = 2 * np.where(axis == 0, low % mesh.n, low // mesh.n) + 2
+        for b in face_blocks:
+            dm = disc.dofmap(b)
+            comps = layout.offset(b) + dm.n_scalar * np.arange(dm.ncomp)
+            ids = comps[:, None, None] + dm.cell_dofs[dm.cell_index[low]]
+            np.maximum.at(reach, (ids, axis[:, None]), line[:, None])
+
+    # one pass per level over the dofs not yet ordered: each box is split at
+    # the middle mesh line of its longer side (x on ties) and every dof gets
+    # a base-3 digit (0 low half, 1 high half, 2 separator) of its sort key
+    c, r = coord[dofs], reach[dofs]
+    key = np.zeros(len(dofs), dtype=np.int64)
+    pos = np.arange(len(dofs))           # dofs still to place
+    box = np.zeros(len(dofs), dtype=np.intp)
+    lo = np.zeros((1, 2), dtype=np.int64)
+    hi = np.full((1, 2), 2 * mesh.n, dtype=np.int64)
+    while pos.size:
+        boxes = np.arange(len(lo))
+        width = hi - lo
+        axis = (width[:, 1] > width[:, 0]).astype(np.intp)
+        mid = lo[boxes, axis] + 2 * (width[boxes, axis] // 4)  # snapped to a mesh line
+        a, m = axis[box], mid[box]
+        ca, ra = c[pos, a], r[pos, a]
+        high = ca > m
+        sep = (ra >= m) & ~high
+        key *= 3
+        key[pos] += np.where(sep, 2, high)
+        lo, hi = np.repeat(lo, 2, axis=0), np.repeat(hi, 2, axis=0)
+        hi[2 * boxes, axis] = mid
+        lo[2 * boxes + 1, axis] = mid
+        box = 2 * box + high
+        keep = ~sep & ((hi - lo).max(axis=1) > 2)[box]  # one-cell boxes are leaves
+        pos, box = pos[keep], box[keep]
+    return dofs[np.argsort(key, kind="stable")]

@@ -2,13 +2,15 @@
 
 Thin layer over scipy's CSR storage and SuperLU.  The step matrix is
 symmetric (its continuity rows are negated), so it is factored first in
-SuperLU's symmetric mode: a minimum-degree ordering of A^T + A with
-diagonal pivoting (a small nonzero threshold lets SuperLU swap a pivot
-off the diagonal where it must).  One probe solve against A·1 checks the
-factor; if its relative residual exceeds PROBE_TOL the matrix is factored
-again with a COLAMD ordering and partial pivoting, and if that probe fails
-too the matrix is reported singular.  A factorization is computed once per
-mesh and reused for every time step.
+SuperLU's symmetric mode: in the natural order, with diagonal pivoting (a
+small nonzero threshold lets SuperLU swap a pivot off the diagonal where
+it must).  The caller passes A in a fill-reducing order; the stepper
+orders it by nested dissection of the mesh lattice
+(``discretization.nested_dissection``).  One probe solve against A·1
+checks the factor; if its relative residual exceeds PROBE_TOL the matrix
+is factored again with a COLAMD ordering and partial pivoting, and if that
+probe fails too the matrix is reported singular.  A factorization is
+computed once per mesh and reused for every time step.
 """
 
 from __future__ import annotations
@@ -23,10 +25,13 @@ log = logging.getLogger(__name__)
 
 # Relative residual the probe solve b = A·1 must reach.
 PROBE_TOL = 1e-10
-# Diagonal pivot threshold of the symmetric mode.  Zero fails on this
-# matrix (probe residual 0.29 on the default circle at n = 8, k = 1,
-# m_s = 2); 1e-6 keeps the fill of zero to 0.1% and the residual at
-# round-off.
+# Diagonal pivot threshold of the symmetric mode.  The pressure rows have
+# zero diagonals off the ghost faces.  In the stepper's nested-dissection
+# order each pressure dof comes after velocity dofs of its cells, whose
+# elimination fills that diagonal, so 0 and 1e-6 give the same factor
+# (n = 8 and 32, k = 1, m_s = 2).  In other orders a pivot may have to
+# leave the diagonal: under a minimum-degree order of A^T + A a zero
+# threshold leaves a probe residual of 0.98 at n = 8, and 1e-6 round-off.
 SYMMETRIC_PIVOT_THRESH = 1e-6
 
 
@@ -72,11 +77,15 @@ def _probe_residual(A: sp.csc_matrix, lu: spla.SuperLU) -> float:
 
 
 def factorize(A: sp.spmatrix) -> Factorization:
-    """Sparse LU of a square matrix; raises SingularMatrixError loudly."""
+    """Sparse LU of a square matrix; raises SingularMatrixError loudly.
+
+    The symmetric-mode factor keeps A's order, so A should come in a
+    fill-reducing order; the COLAMD fallback chooses its own.
+    """
     A = sp.csc_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    lu = _splu(A, permc_spec="MMD_AT_PLUS_A",
+    lu = _splu(A, permc_spec="NATURAL",
                diag_pivot_thresh=SYMMETRIC_PIVOT_THRESH,
                options={"SymmetricMode": True})
     res = _probe_residual(A, lu)

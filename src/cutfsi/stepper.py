@@ -4,8 +4,9 @@ The step matrix is time independent (fixed interface), so it is assembled
 and factorized once; only the ramped lid values change per step.  The
 solved unknowns are (v_f, p, v_s); after each solve the displacement is
 updated as u^n = u^{n-1} + k v_s^n.  Only the free (non-Dirichlet) block of
-the step matrix R is factorized; the Dirichlet values enter each
-right-hand side through R's free-row, Dirichlet-column block.  The
+the step matrix R is factorized, with the free dofs ``free`` in the
+nested-dissection order of the mesh lattice; the Dirichlet values enter
+each right-hand side through R's free-row, Dirichlet-column block.  The
 continuity rows of R are negated, so the free block is symmetric; see
 ``assembly.system_matrices``.  Callers own the time loop: ``initialize``
 gives the zero state at t = 0 and ``step`` advances it by k.
@@ -20,7 +21,7 @@ import numpy as np
 from . import linalg
 from .assembly import system_matrices
 from .config import SimulationConfig
-from .discretization import Discretization
+from .discretization import Discretization, nested_dissection
 
 # Relative step residual above which one step of iterative refinement
 # against the stored R is made.
@@ -96,8 +97,11 @@ class TimeStepper:
 
         # values at full ramp: x-component first, y-component identically zero
         self.g_profile = np.concatenate([profile, np.zeros_like(profile)])
-        # factorize the free block; the free-row, Dirichlet-column block lifts g
-        self.free = np.setdiff1d(np.arange(R.shape[0]), self.dir_idx)
+        # factorize the free block in nested-dissection order; the free-row,
+        # Dirichlet-column block lifts g
+        free = np.ones(R.shape[0], dtype=bool)
+        free[self.dir_idx] = False
+        self.free = nested_dissection(disc, np.flatnonzero(free))
         R = R[self.free]
         self.R, self.R_dir = R[:, self.free], R[:, self.dir_idx]
         del R  # the row-restricted copy goes before the LU, so peak RSS does not grow

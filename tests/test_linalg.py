@@ -35,9 +35,9 @@ def test_solve_dimension_check():
 
 
 def test_symmetric_mode_step_matrix():
-    """The n = 8, k = 1, m_s = 2 step matrix, where symmetric mode with a
-    zero pivot threshold leaves a relative residual of 0.29, factors in
-    symmetric mode to round-off."""
+    """The n = 8, k = 1, m_s = 2 step matrix (on which a minimum-degree
+    order with a zero pivot threshold leaves a probe residual of 0.98)
+    factors in symmetric mode to round-off."""
     stepper = TimeStepper(Discretization(SimulationConfig(n=8, m_s=2, k=1.0)))
     fact = stepper.fact
     assert fact.symmetric and fact.lu_nnz > 0
@@ -66,7 +66,7 @@ def test_fallback_to_colamd(monkeypatch, caplog):
     with caplog.at_level(logging.WARNING, logger="cutfsi.linalg"):
         fact = linalg.factorize(A)
     assert not fact.symmetric
-    assert [c.get("permc_spec", "COLAMD") for c in calls] == ["MMD_AT_PLUS_A", "COLAMD"]
+    assert [c.get("permc_spec", "COLAMD") for c in calls] == ["NATURAL", "COLAMD"]
     assert any(r.name == "cutfsi.linalg" and r.levelno == logging.WARNING
                for r in caplog.records)
     b = rng.standard_normal(n)

@@ -185,6 +185,55 @@ def test_step_refines_inaccurate_solve(disc8):
     assert state.solve_residual <= 1e-10
 
 
+def test_step_residual_relative_to_free_rhs(march):
+    """Over 8 steps at n = 32, k = 1, m_s = 2, the step residual relative to
+    the free right-hand side b_f alone (not to its hypot with the lid
+    values, as ``solve_residual`` is) stays at round-off: at most 1e-14."""
+    disc = Discretization(SimulationConfig(n=32, m_s=2, k=1.0))
+    stepper = TimeStepper(disc)
+    layout, cfg = disc.layout, disc.cfg
+    states = march(stepper)
+    worst = 0.0
+    for old, new in zip(states, states[1:]):
+        b = stepper.M @ old.x[:layout.n_system]
+        b[layout.slice("vs")] -= cfg.k * (stepper.K @ old.x[layout.slice("u")])
+        b_f = b[stepper.free] - stepper.R_dir @ (ramp_factor(new.t, cfg) * stepper.g_profile)
+        r = b_f - stepper.R @ new.x[stepper.free]
+        worst = max(worst, np.linalg.norm(r) / np.linalg.norm(b_f))
+    assert len(states) == 9
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("m_s", [1, 2])
+def test_nested_dissection_top_separator(m_s):
+    """The stepper orders the free dofs by nested dissection: at n = 16 the
+    order is a permutation of the free dofs, and it ends with the top-level
+    separator, the dofs on the line x = 0 plus dofs of the cells left of it.
+    With the separator removed, the dofs left of the line come before those
+    right of it, and R couples no dof on one side with one on the other,
+    although ghost faces of both sides lie on the line."""
+    disc = Discretization(SimulationConfig(n=16, m_s=m_s))
+    stepper = TimeStepper(disc)
+    free = stepper.free
+    assert np.array_equal(np.sort(free), np.setdiff1d(np.arange(disc.layout.n_system),
+                                                      stepper.dir_idx))
+    x = np.concatenate([np.tile(disc.dofmap(b).node_coords[:, 0], disc.dofmap(b).ncomp)
+                        for b in ("vf", "p", "vs")])[free]
+    tol = 1e-12
+    near = (x > -disc.h - tol) & (x < tol)
+    n_rest = np.flatnonzero(~near)[-1] + 1  # the separator is the trailing run of near
+    rest = x[:n_rest]
+    assert not np.any(np.abs(rest) < tol) and np.any(x[n_rest:] < -tol)
+    left, right = np.flatnonzero(rest < 0), np.flatnonzero(rest > 0)
+    assert left.max() < right.min()
+    assert stepper.R[left][:, right].nnz == 0
+    mesh = disc.mesh
+    for side in ("f", "s"):
+        faces = disc.topo.ghost_faces(side)
+        k1 = mesh.face_cells[faces[mesh.face_axis[faces] == 0], 0]
+        assert np.any(k1 % mesh.n == mesh.n // 2 - 1)
+
+
 def test_profiled_call_sites(disc8, monkeypatch):
     """perfbench/ wraps these module names: a discretization calls the
     geometry, quadrature and dof-map builders through
