@@ -72,20 +72,11 @@ def evaluate_scalar(disc: Discretization, block: str, coefs: np.ndarray,
 def domain_points(disc: Discretization, side: str):
     """(points, weights, cells) covering Omega_i with the cut quadrature."""
     full, cut = disc.topo.uncut_cells(side), disc.cut_parts[side]
-    pts_list, w_list, cell_list = [], [], []
-    if len(full):
-        origins = disc.mesh.cell_origin(full)  # (nc, 2)
-        ref = disc.ref_pts  # (q, 2)
-        pts = origins[:, None, :] + disc.h * ref[None, :, :]
-        nq = len(ref)
-        pts_list.append(pts.reshape(-1, 2))
-        w_list.append(np.tile(disc.full_cell_weights, len(full)))
-        cell_list.append(np.repeat(full, nq))
-    pts_list.append(cut.points)
-    w_list.append(cut.weights)
-    cell_list.append(np.repeat(cut.cells, np.diff(cut.offsets)))
-    return (np.vstack(pts_list), np.concatenate(w_list),
-            np.concatenate(cell_list))
+    pts = disc.mesh.cell_origin(full)[:, None, :] + disc.h * disc.ref_pts
+    return (np.vstack([pts.reshape(-1, 2), cut.points]),
+            np.concatenate([np.tile(disc.full_cell_weights, len(full)), cut.weights]),
+            np.concatenate([np.repeat(full, len(disc.ref_pts)),
+                            np.repeat(cut.cells, np.diff(cut.offsets))]))
 
 
 # -- energies ----------------------------------------------------------------
@@ -319,22 +310,24 @@ def ghost_extension_ratios(disc: Discretization, side: str, order: int,
     if gamma_on:
         raws = raw_jump_matrices(disc, side, order, w_max=w_max, pattern=pattern)
         rhs = rhs + ghost_data(raws, l, disc.h)
-    rhs_mat = pattern.matrix(rhs)
+    # the samples vanish off the cut cells' dofs (the band): both forms act on it only
     cut_dofs = dm.cell_dofs[dm.cell_index[disc.topo.cut_cells]]  # (ncut, nb)
+    band = np.unique(cut_dofs)
+    local = np.searchsorted(band, cut_dofs)
     rng = np.random.default_rng(seed)
-    V = np.zeros((GHOST_SAMPLES, dm.n_scalar))  # one sample per row
+    V = np.zeros((GHOST_SAMPLES, len(band)))  # one sample per row
     if sampler == "band":
         # a band sample is one draw over the cut cells' dofs in cell order; a
         # dof shared by several cut cells keeps the value drawn for its last cell
-        flat = cut_dofs.ravel()
+        flat = local.ravel()
         last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
         V[:, flat[last]] = rng.standard_normal((GHOST_SAMPLES, len(flat)))[:, last]
     else:
         for v in V:
-            ids = cut_dofs[rng.integers(len(cut_dofs))]
+            ids = local[rng.integers(len(local))]
             v[ids] = rng.standard_normal(len(ids))
-    lhs = np.einsum("ij,ji->i", V, M_comp @ V.T)
-    rhs = np.einsum("ij,ji->i", V, rhs_mat @ V.T)
+    lhs = np.einsum("ij,ji->i", V, M_comp[band][:, band] @ V.T)
+    rhs = np.einsum("ij,ji->i", V, pattern.matrix(rhs)[band][:, band] @ V.T)
     keep = rhs > 1e-13 * lhs
     return float(np.max(lhs[keep] / rhs[keep], initial=0.0))
 

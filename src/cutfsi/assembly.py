@@ -10,8 +10,8 @@ pass per mesh assembles every form:
   entry to its place;
 - uncut cells share one local matrix; the ghost faces of one axis share one
   reference jump matrix per derivative order, scaled by each face's weight;
-- the cut parts of a side are walked once, in bounded batches, each
-  tabulated once per space order for every form of the side;
+- each side's cut parts and the arcs, one ``CutParts`` each, are walked in
+  bounded batches, each tabulated once per space order for all its forms;
 - each form is summed (``np.bincount``) into one data array per block pair
   and component pair; the step matrices are weighted sums of those arrays.
 
@@ -369,52 +369,43 @@ def _nitsche_pass(disc: Discretization, sums: _Sums) -> None:
     Consistency: -(sigma_f(v_f, p) n_f, phi_f - phi_s)
                  -(v_f - v_s, sigma_f(phi_f, -xi) n_f)
 
-    The bases are tabulated once per order at every arc point and the local
-    matrices of all cut cells are formed in one batch.  A cell with two arcs
-    has twice the points; the other cells repeat their last point at weight
-    zero up to that count.
+    The arc rules are walked a bounded batch at a time, as the cut parts in
+    ``_cell_pass``; each batch is tabulated once per order and its local
+    matrices are formed at once.
     """
-    if not disc.iface_rules:
-        return
     cfg = disc.cfg
     rnu = cfg.rho_f * cfg.nu_f
     pen = rnu * cfg.gamma_N / disc.h
-    cells = np.array(list(disc.iface_rules), dtype=int)
-    rules = list(disc.iface_rules.values())
-    counts = np.array([len(rule.weights) for rule in rules])
-    j = np.arange(counts.max())
-    take = (np.cumsum(counts) - counts)[:, None] + np.minimum(j, counts[:, None] - 1)
-    pts = np.concatenate([rule.points for rule in rules])[take]  # (ncut, q, 2)
-    w = np.concatenate([rule.weights for rule in rules])[take]
-    w[j >= counts[:, None]] = 0.0
-    nrm = np.concatenate([rule.normals for rule in rules])[take]
-
-    tabs = {o: disc.tabulate(o, cells[:, None], pts) for o in {cfg.m_f, cfg.m_f - 1, cfg.m_s}}
-    (Nf, Gfx, Gfy), P, Ns = tabs[cfg.m_f], tabs[cfg.m_f - 1][0], tabs[cfg.m_s][0]
-    n_comp = (nrm[..., 0, None], nrm[..., 1, None])  # (ncut, q, 1) each
-    G = (Gfx, Gfy)
-    Gn = Gfx * n_comp[0] + Gfy * n_comp[1]
-    tests = {"vf": (Nf, +1.0), "vs": (Ns, -1.0)}
-    pos = {pair: P.at_cells(cells) for pair, P in sums.patterns.items() if pair != ("p", "p")}
-    for row, (Nt, st) in tests.items():
-        for col, (Ntr, str_) in tests.items():
-            sums.add("nitsche_pen", row, col, pos[row, col],
-                     pen * st * str_ * _mass(Nt, Ntr, w))
-    for t, (Nt, st) in tests.items():
-        # -(sigma_f(v_f, p) n, phi_t): rows phi_t, columns v_f and p
-        blocks = [[-st * rnu * (_mass(Nt, G[a] * n_comp[b], w)
-                                + (_mass(Nt, Gn, w) if a == b else 0.0))
-                   for b in range(2)] for a in range(2)]
-        sums.add("consistency", t, "vf", pos[t, "vf"], np.block(blocks))
-        sums.add("consistency", t, "p", pos[t, "p"], np.concatenate(
-            [st * _mass(Nt, P * n_comp[a], w) for a in range(2)], axis=-2))
-        # -(v_t, sigma_f(phi_f, -xi) n): rows phi_f and xi, columns v_t
-        blocks = [[-st * rnu * (_mass(G[b] * n_comp[a], Nt, w)
-                                + (_mass(Gn, Nt, w) if a == b else 0.0))
-                   for b in range(2)] for a in range(2)]
-        sums.add("consistency", "vf", t, pos["vf", t], np.block(blocks))
-        sums.add("consistency", "p", t, pos["p", t], np.concatenate(
-            [-st * _mass(P * n_comp[b], Nt, w) for b in range(2)], axis=-1))
+    orders = {cfg.m_f, cfg.m_f - 1, cfg.m_s}
+    patterns = {pair: pat for pair, pat in sums.patterns.items() if pair != ("p", "p")}
+    for cells, pts, w in disc.iface_rules.batches():
+        nrm = disc.level_set.normal(pts)
+        tabs = {o: disc.tabulate(o, cells[:, None], pts) for o in orders}
+        (Nf, Gfx, Gfy), P, Ns = tabs[cfg.m_f], tabs[cfg.m_f - 1][0], tabs[cfg.m_s][0]
+        n_comp = (nrm[..., 0, None], nrm[..., 1, None])  # (b, q, 1) each
+        G = (Gfx, Gfy)
+        Gn = Gfx * n_comp[0] + Gfy * n_comp[1]
+        tests = {"vf": (Nf, +1.0), "vs": (Ns, -1.0)}
+        pos = {pair: pat.at_cells(cells) for pair, pat in patterns.items()}
+        for row, (Nt, st) in tests.items():
+            for col, (Ntr, str_) in tests.items():
+                sums.add("nitsche_pen", row, col, pos[row, col],
+                         pen * st * str_ * _mass(Nt, Ntr, w))
+        for t, (Nt, st) in tests.items():
+            # -(sigma_f(v_f, p) n, phi_t): rows phi_t, columns v_f and p
+            blocks = [[-st * rnu * (_mass(Nt, G[a] * n_comp[b], w)
+                                    + (_mass(Nt, Gn, w) if a == b else 0.0))
+                       for b in range(2)] for a in range(2)]
+            sums.add("consistency", t, "vf", pos[t, "vf"], np.block(blocks))
+            sums.add("consistency", t, "p", pos[t, "p"], np.concatenate(
+                [st * _mass(Nt, P * n_comp[a], w) for a in range(2)], axis=-2))
+            # -(v_t, sigma_f(phi_f, -xi) n): rows phi_f and xi, columns v_t
+            blocks = [[-st * rnu * (_mass(G[b] * n_comp[a], Nt, w)
+                                    + (_mass(Gn, Nt, w) if a == b else 0.0))
+                       for b in range(2)] for a in range(2)]
+            sums.add("consistency", "vf", t, pos["vf", t], np.block(blocks))
+            sums.add("consistency", "p", t, pos["p", t], np.concatenate(
+                [-st * _mass(P * n_comp[b], Nt, w) for b in range(2)], axis=-1))
 
 
 # -- forms and the step system ----------------------------------------------

@@ -119,7 +119,7 @@ def cmd_verify(args) -> int:
         disc = discs[n]
         _, w, _ = analysis.domain_points(disc, "s")
         area = float(np.sum(w))
-        length = sum(rule.total for rule in disc.iface_rules.values())
+        length = disc.iface_rules.total
         check(f"n={n} solid area", abs(area - exact_area) < 1e-8,
               f"error {abs(area - exact_area):.2e}")
         check(f"n={n} interface length", abs(length - exact_len) < 1e-10,

@@ -16,7 +16,7 @@ from .config import SimulationConfig
 from .fem import DofMap, build_dof_map, reference_basis
 from .geometry import CircleLevelSet
 from .mesh import Mesh, build_cut_topology, build_mesh
-from .quadrature import QuadratureRule, cut_cell_rule, interface_rule, reference_cell_rule
+from .quadrature import cut_cell_rule, interface_rule, reference_cell_rule
 
 
 class BlockLayout:
@@ -54,14 +54,14 @@ class Discretization:
                                    for b in ("vf", "p", "vs", "u")})
 
         # the quadrature builders' default sizes: 3 x 3 Gauss points per
-        # uncut cell, 8 rays of 8 points per cut-cell panel, 12 points per arc
+        # uncut cell, 8 rays of 8 points per cut-cell panel, 12 points per
+        # arc; the cut parts of each side and the arcs are one CutParts each
         self._table_cache: dict[int, tuple] = {}
         self.ref_pts, self.ref_w = reference_cell_rule()
         cut = self.topo.cut_cells
         self.cut_parts = {side: cut_cell_rule(self.mesh, self.topo, cut, side)
                           for side in ("f", "s")}
-        self.iface_rules: dict[int, QuadratureRule] = {
-            int(cell): interface_rule(self.mesh, self.topo, int(cell)) for cell in cut}
+        self.iface_rules = interface_rule(self.mesh, self.topo, cut)
 
     @property
     def h(self) -> float:

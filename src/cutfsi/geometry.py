@@ -36,6 +36,10 @@ class CircleLevelSet:
         val = np.sum(d * d, axis=-1) - self.radius_squared
         return float(val) if val.ndim == 0 else val
 
+    def normal(self, x) -> np.ndarray:
+        """Outward fluid normal, into the solid, at points x (..., 2) on the circle."""
+        return (self.center - np.asarray(x, dtype=float)) / self.radius
+
 
 def rowdot(x, y) -> np.ndarray:
     """Inner products over the last axis, row by row.

@@ -125,12 +125,12 @@ class CutTopology:
     def cut_cells(self) -> np.ndarray:
         return np.flatnonzero(self.cell_class == CellClass.CUT)
 
-    def cell_arcs(self, cell: int) -> np.ndarray:
-        """(k, 2) angular intervals of the arcs inside one cut cell."""
-        lo, hi = np.searchsorted(self.arc_cells, [cell, cell + 1])
-        if lo == hi:
-            raise ValueError(f"cell {cell} is not cut")
-        return self.arcs[lo:hi]
+    def arc_range(self, cells) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi): the arcs of each of ``cells`` are ``arcs[lo:hi]``."""
+        lo, hi = np.searchsorted(self.arc_cells, [cells, cells + 1])
+        if np.any(lo == hi):
+            raise ValueError(f"cell {np.extract(lo == hi, cells)[0]} is not cut")
+        return lo, hi
 
     def tri_cells(self, side: str) -> np.ndarray:
         flags = self.in_fluid_tri if side == "f" else self.in_solid_tri

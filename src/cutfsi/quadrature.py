@@ -1,11 +1,13 @@
 """Gauss rules on the reference cell, cut cell parts and interface arcs.
 
-Cut cells are integrated in polar coordinates around the circle center:
-every ray from the center meets the (convex) cell in one interval, which is
-clipped at the circle radius to yield the fluid or solid part.  Splitting
-the angular range at the cell corner angles and the interface crossing
-angles makes the radial bounds smooth per panel, so tensor Gauss rules
-converge spectrally and all weights stay positive.
+The rules of all cut cells, of one side's parts or of the arcs, are each
+built in one array pass into one ``CutParts`` record.  Cut cells are
+integrated in polar coordinates around the circle center: every ray from
+the center meets the (convex) cell in one interval, which is clipped at
+the circle radius to yield the fluid or solid part.  Splitting the angular
+range at the cell corner angles and the interface crossing angles makes
+the radial bounds smooth per panel, so tensor Gauss rules converge
+spectrally and all weights stay positive.
 """
 
 from __future__ import annotations
@@ -16,19 +18,6 @@ from functools import lru_cache
 import numpy as np
 
 from .mesh import CutTopology, Mesh
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Points (physical coordinates) and positive weights for one region."""
-
-    points: np.ndarray   # (npts, 2)
-    weights: np.ndarray  # (npts,)
-    normals: np.ndarray | None = None  # set for interface rules
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.weights))
 
 
 @lru_cache(maxsize=None)
@@ -55,16 +44,32 @@ def reference_cell_rule(npts: int = 3) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class CutParts:
-    """Cut-cell rules of one side, concatenated.
+    """Rules of cut cells, concatenated: the parts of one side, or the arcs.
 
     The rule of ``cells[i]`` is ``points[offsets[i]:offsets[i + 1]]`` with
-    the same slice of ``weights``.
+    the same slice of ``weights``, and ``parts[cell]`` is that rule as a
+    one-cell record.  The record is not iterable; walk it by ``batches``.
     """
 
     cells: np.ndarray    # (ncut,)
     points: np.ndarray   # (npts, 2)
     weights: np.ndarray  # (npts,)
     offsets: np.ndarray  # (ncut + 1,)
+
+    __iter__ = None  # else iter() would call __getitem__ with 0, 1, 2, ...
+
+    @property
+    def total(self) -> float:
+        return float(np.sum(self.weights))
+
+    def __getitem__(self, cell) -> CutParts:
+        """The rule of one cell; KeyError if the cell has none."""
+        i = np.flatnonzero(self.cells == cell)
+        if not len(i):
+            raise KeyError(cell)
+        lo, hi = self.offsets[i[0]:i[0] + 2]
+        return CutParts(self.cells[i[:1]], self.points[lo:hi], self.weights[lo:hi],
+                        np.array([0, hi - lo]))
 
     def batches(self, max_points: int = 8192):
         """(cells, points (b, q, 2), weights (b, q)) over batches of whole cells.
@@ -121,9 +126,7 @@ def cut_cell_rule(mesh: Mesh, topo: CutTopology, cells, side: str,
     c, r = ls.center, ls.radius
     gx, gw = gauss_1d(npts)
     # arc ends, the second arc of a one-arc cell repeating its first
-    lo, hi = np.searchsorted(topo.arc_cells, [cells, cells + 1])
-    if np.any(lo == hi):
-        raise ValueError(f"cell {cells[np.argmax(lo == hi)]} is not cut")
+    lo, hi = topo.arc_range(cells)
     ends = topo.arcs[np.stack([lo, hi - 1], axis=1)].reshape(-1, 4)
     # corner angles unwrapped near the first arc's midpoint, so the extent is
     # contiguous
@@ -156,22 +159,22 @@ def cut_cell_rule(mesh: Mesh, topo: CutTopology, cells, side: str,
                     np.concatenate([[0], np.cumsum(counts[keep])]))
 
 
-def interface_rule(mesh: Mesh, topo: CutTopology, cell: int,
-                   npts: int = 12) -> QuadratureRule:
-    """Gauss rule on the interface arcs inside a cut cell (curve measure),
-    npts points per arc.
+def interface_rule(mesh: Mesh, topo: CutTopology, cells,
+                   npts: int = 12) -> CutParts:
+    """Gauss rules on the interface arcs inside cut cells (curve measure),
+    npts points per arc; the points of a cell are arc-major.
 
-    Each point carries the outward fluid normal, pointing from the fluid
-    into the solid: n_f(x) = -(x - center)/|x - center|.
+    The record carries no normals: ``CircleLevelSet.normal`` gives the
+    outward fluid normal at its points.
     """
-    arcs = topo.cell_arcs(cell)
+    cells = np.atleast_1d(np.asarray(cells, dtype=int))
+    lo, hi = topo.arc_range(cells)  # one or two arcs per cell
+    arcs = topo.arcs[np.stack([lo, hi - 1], axis=1)][np.arange(2) < (hi - lo)[:, None]]
     ls = topo.level_set
     r = ls.radius
     gx, gw = gauss_1d(npts)
     arc_angle = (arcs[:, 1] - arcs[:, 0])[:, None]
     th = (arcs[:, :1] + arc_angle * gx).ravel()
-    ct, st = np.cos(th), np.sin(th)
-    pts = np.column_stack([ls.center[0] + r * ct, ls.center[1] + r * st])
-    w = (arc_angle * r * gw).ravel()
-    normals = -np.column_stack([ct, st])
-    return QuadratureRule(pts, w, normals=normals)
+    pts = np.column_stack([ls.center[0] + r * np.cos(th), ls.center[1] + r * np.sin(th)])
+    return CutParts(cells, pts, (arc_angle * r * gw).ravel(),
+                    np.concatenate([[0], np.cumsum(npts * (hi - lo))]))

@@ -138,56 +138,48 @@ def ghost_matrix(disc, which, raw):
 
 
 def assemble_nitsche(disc):
-    """(penalty, consistency) on padded arc batches, scattered by COO."""
+    """(penalty, consistency) on the padded arc batches, scattered by COO."""
     cfg, lay = disc.cfg, disc.layout
     rnu = cfg.rho_f * cfg.nu_f
     pen = rnu * cfg.gamma_N / disc.h
     acc_pen = Coo((lay.n_system, lay.n_system))
     acc_cons = Coo((lay.n_system, lay.n_system))
-    if not disc.iface_rules:
-        return acc_pen.tocsr(), acc_cons.tocsr()
-    cells = np.array(list(disc.iface_rules), dtype=int)
-    rules = list(disc.iface_rules.values())
-    counts = np.array([len(rule.weights) for rule in rules])
-    j = np.arange(counts.max())
-    take = (np.cumsum(counts) - counts)[:, None] + np.minimum(j, counts[:, None] - 1)
-    pts = np.concatenate([rule.points for rule in rules])[take]
-    w = np.concatenate([rule.weights for rule in rules])[take]
-    w[j >= counts[:, None]] = 0.0
-    nrm = np.concatenate([rule.normals for rule in rules])[take]
+    c = disc.level_set.center
 
-    def ids(block):
+    def ids(block, cells):
         dm = disc.dofmap(block)
         return component_ids(dm.cell_dofs[dm.cell_index[cells]], dm.n_scalar,
                              dm.ncomp, lay.offset(block))
 
-    Nf, Gfx, Gfy = disc.tabulate(cfg.m_f, cells[:, None], pts)
-    P = disc.tabulate(cfg.m_f - 1, cells[:, None], pts)[0]
-    Ns = disc.tabulate(cfg.m_s, cells[:, None], pts)[0]
-    n_comp = (nrm[..., 0, None], nrm[..., 1, None])
-    G = (Gfx, Gfy)
-    Gn = Gfx * n_comp[0] + Gfy * n_comp[1]
-    ids_vf, ids_p = ids("vf"), ids("p")
-    test_tabs = {"vf": (Nf, +1.0, ids_vf), "vs": (Ns, -1.0, ids("vs"))}
-    for Nt, st, rids in test_tabs.values():
+    for cells, pts, w in disc.iface_rules.batches():
+        nrm = -(pts - c) / np.linalg.norm(pts - c, axis=-1)[..., None]
+        Nf, Gfx, Gfy = disc.tabulate(cfg.m_f, cells[:, None], pts)
+        P = disc.tabulate(cfg.m_f - 1, cells[:, None], pts)[0]
+        Ns = disc.tabulate(cfg.m_s, cells[:, None], pts)[0]
+        n_comp = (nrm[..., 0, None], nrm[..., 1, None])
+        G = (Gfx, Gfy)
+        Gn = Gfx * n_comp[0] + Gfy * n_comp[1]
+        ids_vf, ids_p = ids("vf", cells), ids("p", cells)
+        test_tabs = {"vf": (Nf, +1.0, ids_vf), "vs": (Ns, -1.0, ids("vs", cells))}
+        for Nt, st, rids in test_tabs.values():
+            for Ntr, str_, cids in test_tabs.values():
+                loc = pen * st * str_ * _mass(Nt, Ntr, w)
+                for rc, cc in zip(np.split(rids, 2, axis=-1), np.split(cids, 2, axis=-1)):
+                    acc_pen.add_many(rc, cc, loc)
+        for Nt, st, rids in test_tabs.values():
+            blocks = [[-st * rnu * (_mass(Nt, G[a] * n_comp[b], w)
+                                    + (a == b) * _mass(Nt, Gn, w))
+                       for b in range(2)] for a in range(2)]
+            acc_cons.add_many(rids, ids_vf, np.block(blocks))
+            acc_cons.add_many(rids, ids_p, np.concatenate(
+                [st * _mass(Nt, P * n_comp[a], w) for a in range(2)], axis=-2))
         for Ntr, str_, cids in test_tabs.values():
-            loc = pen * st * str_ * _mass(Nt, Ntr, w)
-            for rc, cc in zip(np.split(rids, 2, axis=-1), np.split(cids, 2, axis=-1)):
-                acc_pen.add_many(rc, cc, loc)
-    for Nt, st, rids in test_tabs.values():
-        blocks = [[-st * rnu * (_mass(Nt, G[a] * n_comp[b], w)
-                                + (a == b) * _mass(Nt, Gn, w))
-                   for b in range(2)] for a in range(2)]
-        acc_cons.add_many(rids, ids_vf, np.block(blocks))
-        acc_cons.add_many(rids, ids_p, np.concatenate(
-            [st * _mass(Nt, P * n_comp[a], w) for a in range(2)], axis=-2))
-    for Ntr, str_, cids in test_tabs.values():
-        blocks = [[-str_ * rnu * (_mass(G[b] * n_comp[a], Ntr, w)
-                                  + (a == b) * _mass(Gn, Ntr, w))
-                   for b in range(2)] for a in range(2)]
-        acc_cons.add_many(ids_vf, cids, np.block(blocks))
-        acc_cons.add_many(ids_p, cids, np.concatenate(
-            [-str_ * _mass(P * n_comp[b], Ntr, w) for b in range(2)], axis=-1))
+            blocks = [[-str_ * rnu * (_mass(G[b] * n_comp[a], Ntr, w)
+                                      + (a == b) * _mass(Gn, Ntr, w))
+                       for b in range(2)] for a in range(2)]
+            acc_cons.add_many(ids_vf, cids, np.block(blocks))
+            acc_cons.add_many(ids_p, cids, np.concatenate(
+                [-str_ * _mass(P * n_comp[b], Ntr, w) for b in range(2)], axis=-1))
     return acc_pen.tocsr(), acc_cons.tocsr()
 
 

@@ -6,6 +6,7 @@ one ray at a time, with the same rules, and serve the tests as oracles.
 """
 
 import numpy as np
+import pytest
 
 from cutfsi.quadrature import gauss_1d
 
@@ -93,7 +94,8 @@ def cut_fraction(mesh, ls, cell):
 
 def polar_panels(mesh, topo, cell):
     """Angular breakpoints of a cut cell as seen from the circle center."""
-    arcs = topo.cell_arcs(cell)
+    lo, hi = topo.arc_range(cell)
+    arcs = topo.arcs[lo:hi]
     c = topo.level_set.center
     corners = mesh.cell_corners(cell) - c
     ang = np.arctan2(corners[:, 1], corners[:, 0])
@@ -137,10 +139,15 @@ def cut_cell_rule_loop(mesh, topo, cell, side, npts=8):
     return np.vstack(pts), np.concatenate(wts)
 
 
-def cell_rule(parts, cell):
-    """(points, weights) of one cell in a ``CutParts``; empty if absent."""
-    i = np.flatnonzero(parts.cells == cell)
-    if not len(i):
-        return np.zeros((0, 2)), np.zeros(0)
-    sl = slice(parts.offsets[i[0]], parts.offsets[i[0] + 1])
-    return parts.points[sl], parts.weights[sl]
+def assert_rule_matches_loop(parts, mesh, topo, cell, side):
+    """The rule of ``cell`` in a ``CutParts`` is its per-ray rule; a cell
+    whose per-ray rule is empty has none."""
+    pts, w = cut_cell_rule_loop(mesh, topo, int(cell), side)
+    if not len(w):
+        with pytest.raises(KeyError):
+            parts[cell]
+        return
+    got = parts[cell]
+    assert got.points.shape == pts.shape
+    assert np.allclose(got.points, pts, rtol=0, atol=1e-15)
+    assert np.allclose(got.weights, w, rtol=1e-14, atol=0)

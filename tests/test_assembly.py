@@ -15,11 +15,11 @@ from assembly_oracle import component_ids as _component_ids
 from assembly_oracle import place as _place
 from cutfsi import Discretization, SimulationConfig, TimeStepper
 from cutfsi.analysis import GHOST_SAMPLES, ghost_extension_ratios
-from cutfsi.assembly import (SCALAR_KERNELS, _grad_p, _div_q, _mass, _solid_bulk,
+from cutfsi.assembly import (SCALAR_KERNELS, Forms, _grad_p, _div_q, _mass, _solid_bulk,
                              _stack, _system, _viscous, assemble_cells, assemble_forms,
                              raw_jump_matrices, system_matrices, weight_w)
 from cutfsi.fem import reference_basis
-from cutfsi.quadrature import gauss_1d
+from cutfsi.quadrature import CutParts, gauss_1d
 
 
 @pytest.fixture(scope="module")
@@ -193,7 +193,8 @@ def dense_nitsche_penalty(disc):
     cfg, lay = disc.cfg, disc.layout
     pen = cfg.rho_f * cfg.nu_f * cfg.gamma_N / disc.h
     P = np.zeros((lay.n_system, lay.n_system))
-    for cell, rule in disc.iface_rules.items():
+    for cell in disc.topo.cut_cells:
+        rule = disc.iface_rules[cell]
         spaces = []
         for block, order, sign in (("vf", cfg.m_f, 1.0), ("vs", cfg.m_s, -1.0)):
             dm = disc.dofmap(block)
@@ -340,8 +341,11 @@ def oracle_nitsche(disc):
         return _component_ids(dm.cell_dofs[dm.cell_index[cell]], dm.n_scalar,
                               dm.ncomp, lay.offset(block))
 
-    for cell, rule in disc.iface_rules.items():
-        pts, w, nrm = rule.points, rule.weights, rule.normals
+    c = disc.level_set.center
+    for cell in disc.topo.cut_cells:
+        rule = disc.iface_rules[cell]
+        pts, w = rule.points, rule.weights
+        nrm = -(pts - c) / np.linalg.norm(pts - c, axis=1)[:, None]
         Nf, Gfx, Gfy = oracle_tables(disc, cfg.m_f, cell, pts)
         P = oracle_tables(disc, cfg.m_f - 1, cell, pts)[0]
         Ns = oracle_tables(disc, cfg.m_s, cell, pts)[0]
@@ -456,6 +460,29 @@ def test_batched_nitsche_matches_arc_loop(batch_case):
     pen, cons = oracle_nitsche(disc)
     assert_same(forms.nitsche_pen, pen)
     assert_same(step_only_form(disc, arrays, "consistency"), cons)
+
+
+def test_forms_independent_of_batch_size(batch_case, monkeypatch):
+    """With at most 50 points per batch the cut parts go one cell at a time
+    and the arcs two to four cells at a time, and the forms stay the same."""
+    disc, forms, arrays = batch_case
+    real = CutParts.batches
+    arc_batches = []
+
+    def small(self, max_points=8192):
+        for batch in real(self, max_points=50):
+            if self is disc.iface_rules:
+                arc_batches.append(len(batch[0]))
+            yield batch
+    monkeypatch.setattr(CutParts, "batches", small)
+    small_arrays = {}
+    got = assemble_forms(disc, small_arrays)
+    assert max(arc_batches) <= 4 and len(arc_batches) > 1
+    for name in Forms.__dataclass_fields__:
+        assert_same(getattr(got, name), getattr(forms, name), tol=1e-15)
+    for name in ("viscous", "grad_p", "div_q", "consistency"):
+        assert_same(step_only_form(disc, small_arrays, name),
+                    step_only_form(disc, arrays, name), tol=1e-15)
 
 
 @pytest.mark.parametrize("side,l", [("f", 0), ("f", 1), ("s", 0), ("s", 1)])

@@ -52,6 +52,20 @@ def test_radius_property():
     assert CircleLevelSet(RS).radius == pytest.approx(R)
 
 
+def test_normal_is_unit_and_points_to_centre():
+    """The outward fluid normal at points on the circle, also off the
+    origin: unit length, pointing from the point to the centre."""
+    ls = CircleLevelSet(RS, center=np.array([0.1, -0.05]))
+    th = np.linspace(0.0, 2.0 * np.pi, 13)
+    pts = ls.center + R * np.column_stack([np.cos(th), np.sin(th)])
+    nrm = ls.normal(pts)
+    assert nrm.shape == pts.shape
+    assert np.allclose(np.linalg.norm(nrm, axis=1), 1.0, rtol=0, atol=1e-15)
+    assert np.allclose(nrm, -np.column_stack([np.cos(th), np.sin(th)]), rtol=0, atol=1e-15)
+    assert np.all(np.sum(nrm * (pts - ls.center), axis=1) < 0.0)
+    assert np.allclose(ls.normal(pts.reshape(13, 1, 2)), nrm[:, None, :], rtol=0, atol=0)
+
+
 def test_crossing_matches_bisection_oracle():
     ls = CircleLevelSet(RS)
     rng = np.random.default_rng(7)

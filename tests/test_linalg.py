@@ -46,6 +46,17 @@ def test_symmetric_mode_step_matrix():
     assert np.linalg.norm(stepper.R @ x - b) / np.linalg.norm(b) <= 1e-12
 
 
+def test_pivot_threshold_keeps_symmetric_mode():
+    """In ascending free-dof order the n = 8, k = 1, m_s = 2 step matrix
+    needs SYMMETRIC_PIVOT_THRESH: a pivot must leave the diagonal, and with
+    a zero threshold the probe residual is 1.5 and the factor falls back
+    to COLAMD."""
+    stepper = TimeStepper(Discretization(SimulationConfig(n=8, m_s=2, k=1.0)))
+    o = np.argsort(stepper.free)
+    fact = linalg.factorize(stepper.R[o][:, o])
+    assert fact.symmetric
+
+
 def test_fallback_to_colamd(monkeypatch, caplog):
     """A symmetric-mode factor that fails its probe (here the factor of
     A + 0.01 I) is replaced by a COLAMD factor, with a logged warning."""

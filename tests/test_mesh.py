@@ -76,7 +76,7 @@ def test_circle_through_vertices(n, r2):
     for side, area in (("s", np.pi * r2), ("f", 4.0 - np.pi * r2)):
         _, w, _ = domain_points(disc, side)
         assert abs(w.sum() - area) <= 1e-12
-    arc = sum(rule.total for rule in disc.iface_rules.values())
+    arc = disc.iface_rules.total
     assert abs(arc - 2 * np.pi * np.sqrt(r2)) <= 1e-10
     for cell in range(disc.mesh.n_cells):
         assert disc.topo.cell_class[cell] == classify_by_sampling(
@@ -195,7 +195,7 @@ def test_two_arc_cells():
     for side, area in (("s", np.pi * 0.3136), ("f", 4.0 - np.pi * 0.3136)):
         _, w, _ = domain_points(disc, side)
         assert abs(w.sum() - area) <= 1e-13
-    arc = sum(rule.total for rule in disc.iface_rules.values())
+    arc = disc.iface_rules.total
     assert abs(arc - 2 * np.pi * np.sqrt(0.3136)) <= 1e-13
     for cell in topo.cut_cells:
         assert classify_by_sampling(disc.mesh, disc.level_set, int(cell)) == CellClass.CUT

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from cutfsi import Discretization, SimulationConfig
 from cutfsi.geometry import CircleLevelSet
-from cutfsi.mesh import build_cut_topology, build_mesh
+from cutfsi.mesh import CellClass, build_cut_topology, build_mesh
 from cutfsi.quadrature import (cut_cell_rule, gauss_1d, interface_rule,
                                reference_cell_rule)
-from cut_oracles import cell_rule, cut_cell_rule_loop
+from cut_oracles import assert_rule_matches_loop, cut_cell_rule_loop
 
 RS = 0.75
 
@@ -22,8 +23,8 @@ def setup8():
 
 def side_rules(mesh, topo, cell):
     """(points, weights) of the fluid and the solid part of one cut cell."""
-    return [cell_rule(cut_cell_rule(mesh, topo, topo.cut_cells, side), cell)
-            for side in ("f", "s")]
+    rules = [cut_cell_rule(mesh, topo, topo.cut_cells, side)[cell] for side in ("f", "s")]
+    return [(rule.points, rule.weights) for rule in rules]
 
 
 @pytest.mark.parametrize("npts", [1, 2, 3, 5, 8, 12])
@@ -54,11 +55,7 @@ def test_cut_rule_matches_ray_loop(n, r2):
     for side in ("f", "s"):
         parts = cut_cell_rule(mesh, topo, topo.cut_cells, side)
         for cell in topo.cut_cells:
-            got_pts, got_w = cell_rule(parts, cell)
-            pts, w = cut_cell_rule_loop(mesh, topo, int(cell), side)
-            assert got_pts.shape == pts.shape
-            assert np.allclose(got_pts, pts, rtol=0, atol=1e-15)
-            assert np.allclose(got_w, w, rtol=1e-14, atol=0)
+            assert_rule_matches_loop(parts, mesh, topo, cell, side)
 
 
 def test_cell_rule_total(disc8):
@@ -114,32 +111,56 @@ def test_cut_areas_match_kappa(setup8):
 
 def test_interface_rule_geometry(setup8):
     mesh, _, topo = setup8
-    length = 0.0
-    moment = np.zeros(2)
-    for cell in topo.cut_cells:
-        rule = interface_rule(mesh, topo, int(cell))
-        length += rule.total
-        moment += rule.weights @ rule.points
-        # points on the circle, normals unit and radially inward (toward solid)
-        r2 = np.sum(rule.points ** 2, axis=1)
-        assert np.allclose(r2, RS, atol=1e-13)
-        nrm = np.linalg.norm(rule.normals, axis=1)
-        assert np.allclose(nrm, 1.0, atol=1e-13)
-        dots = np.sum(rule.normals * rule.points, axis=1)
-        assert np.all(dots < 0)  # n_f = -x/|x|
-    assert length == pytest.approx(2 * np.pi * np.sqrt(RS), abs=1e-12)
-    assert np.allclose(moment, 0.0, atol=1e-12)
+    rule = interface_rule(mesh, topo, topo.cut_cells)
+    assert np.allclose(np.sum(rule.points ** 2, axis=1), RS, atol=1e-13)  # on the circle
+    assert rule.total == pytest.approx(2 * np.pi * np.sqrt(RS), abs=1e-12)
+    assert np.allclose(rule.weights @ rule.points, 0.0, atol=1e-12)
 
 
 def test_interface_rule_integrates_harmonics(setup8):
     # int_Gamma x^2 ds = pi r^3 for the circle of radius r.
     mesh, _, topo = setup8
-    r = np.sqrt(RS)
-    val = 0.0
+    rule = interface_rule(mesh, topo, topo.cut_cells)
+    assert np.dot(rule.weights, rule.points[:, 0] ** 2) == pytest.approx(
+        np.pi * np.sqrt(RS) ** 3, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:odd n")
+@pytest.mark.parametrize("n,r2", [(8, 0.75), (9, 0.3136)])
+def test_interface_rules_per_cell(n, r2):
+    """The arc record of a discretization holds, for every cut cell, the
+    rule of that cell alone: 12 points per arc, arc-major, weighing the
+    arcs' lengths.  At n = 9, r2 = 0.3136 four cells hold two arcs."""
+    disc = Discretization(SimulationConfig(n=n, radius_squared=r2))
+    mesh, topo, rules = disc.mesh, disc.topo, disc.iface_rules
+    assert np.array_equal(rules.cells, topo.cut_cells)
+    gx, gw = gauss_1d(12)
     for cell in topo.cut_cells:
-        rule = interface_rule(mesh, topo, int(cell))
-        val += np.dot(rule.weights, rule.points[:, 0] ** 2)
-    assert val == pytest.approx(np.pi * r ** 3, rel=1e-12)
+        got, want = rules[cell], interface_rule(mesh, topo, cell)
+        for field in ("cells", "points", "weights", "offsets"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        arcs = topo.arcs[topo.arc_cells == cell]
+        dth = arcs[:, 1] - arcs[:, 0]
+        th = (arcs[:, :1] + dth[:, None] * gx).ravel()
+        assert np.allclose(got.points, np.sqrt(r2) * np.column_stack([np.cos(th), np.sin(th)]),
+                           rtol=0, atol=1e-15)
+        assert np.allclose(got.weights, (np.sqrt(r2) * dth[:, None] * gw).ravel(),
+                           rtol=1e-14, atol=0)
+        assert got.total == pytest.approx(np.sqrt(r2) * dth.sum(), rel=1e-14)
+    assert np.sum(np.diff(rules.offsets) == 24) == (4 if n == 9 else 0)
+
+
+def test_cut_parts_lookup_fails_loudly(disc8):
+    """A cell without a rule raises KeyError, and the record is not
+    iterable (a bare __getitem__ would make iteration run on forever)."""
+    rules = disc8.iface_rules
+    uncut = int(np.flatnonzero(disc8.topo.cell_class != CellClass.CUT)[0])
+    with pytest.raises(KeyError):
+        rules[uncut]
+    with pytest.raises(TypeError):
+        list(rules)
+    with pytest.raises(ValueError, match=f"cell {uncut} is not cut"):
+        interface_rule(disc8.mesh, disc8.topo, [int(rules.cells[0]), uncut])
 
 
 def test_cut_parts_batches_cover_rules(disc16):
@@ -162,10 +183,10 @@ def test_cut_parts_batches_cover_rules(disc16):
             assert pts.shape == w.shape + (2,)
             assert w.size <= 700 or len(cells) == 1
             for cell, p, wc in zip(cells, pts, w):
-                rule_pts, rule_w = cell_rule(parts, cell)
-                k = len(rule_w)
-                assert np.array_equal(p[:k], rule_pts)
-                assert np.array_equal(wc[:k], rule_w)
-                assert np.all(wc[k:] == 0.0) and np.all(p[k:] == rule_pts[-1])
+                rule = parts[cell]
+                k = len(rule.weights)
+                assert np.array_equal(p[:k], rule.points)
+                assert np.array_equal(wc[:k], rule.weights)
+                assert np.all(wc[k:] == 0.0) and np.all(p[k:] == rule.points[-1])
                 seen.append(int(cell))
         assert sorted(seen) == sorted(rules)

@@ -264,7 +264,7 @@ def test_profiled_call_sites(disc8, monkeypatch):
     disc = Discretization(disc8.cfg)
     assert calls["discretization.build_cut_topology"] == 1
     assert calls["discretization.cut_cell_rule"] == 2
-    assert calls["discretization.interface_rule"] == len(disc.topo.cut_cells)
+    assert calls["discretization.interface_rule"] == 1
     assert calls["discretization.build_dof_map"] == 3
     TimeStepper(disc)
     assert calls["stepper.system_matrices"] == 1 and calls["linalg.factorize"] == 1
