@@ -10,10 +10,14 @@ pass per mesh assembles every form:
   entry to its place;
 - uncut cells share one local matrix; the ghost faces of one axis share one
   reference jump matrix per derivative order, scaled by each face's weight;
-- each side's cut parts and the arcs, one ``CutParts`` each, are walked in
-  bounded batches, each tabulated once per space order for all its forms;
+- the cut cells of a side share its moment-fitted nodes, tabulated once per
+  space order, and carry their own weights, so one kernel call per form
+  gives all their local matrices;
+- the arcs, one ``CutParts``, are walked in bounded batches, each tabulated
+  once per space order for all its forms;
 - each form is summed (``np.bincount``) into one data array per block pair
-  and component pair; the step matrices are weighted sums of those arrays.
+  and component pair; the step matrices are weighted sums of those arrays;
+  the stored matrices leave out their round-off entries.
 
 The solved unknowns are (v_f, p, v_s).  Backward Euler on the first-order
 elasticity gives u^n = u^{n-1} + k v_s^n, so the displacement is never an
@@ -35,6 +39,7 @@ from .quadrature import gauss_1d
 
 SYSTEM_BLOCKS = ("vf", "p", "vs")
 FACE_NPTS = 4  # Gauss points per ghost face
+DROP_TOL = 1e-14  # entries up to this share of their scale are round-off
 
 
 def weight_w(kappa, w_max: float):
@@ -205,12 +210,33 @@ def _on_components(arrays: dict, ncomp: int = 2) -> dict:
 
 
 def _lin(*terms) -> dict:
-    """sum_i c_i F_i over terms (c_i, F_i), data array by data array."""
-    out = {}
+    """sum_i c_i F_i over terms (c_i, F_i), data array by data array.  An
+    entry that cancels to at most DROP_TOL times sum_i |c_i F_i| is the
+    round-off of a zero, and is zeroed."""
+    out, size = {}, {}
     for coef, arrays in terms:
         for key, data in arrays.items():
-            out[key] = out[key] + coef * data if key in out else coef * data
+            term = coef * data
+            if key in out:
+                out[key] += term
+                size[key] += np.abs(term)
+            else:
+                out[key], size[key] = term, np.abs(term)
+    for key, data in out.items():
+        data[np.abs(data) <= DROP_TOL * size.pop(key)] = 0.0
     return out
+
+
+def _drop_roundoff(arrays: dict) -> dict:
+    """Zero, in place, the entries of data arrays {key: data} of at most
+    DROP_TOL times their largest |entry|.  These are the round-off of
+    entries that are zero in exact arithmetic, so the stored pattern does
+    not depend on the order of the sums."""
+    tol = DROP_TOL * max((np.abs(data).max(initial=0.0) for data in arrays.values()),
+                         default=0.0)
+    for data in arrays.values():
+        data[np.abs(data) <= tol] = 0.0
+    return arrays
 
 
 def _stack(arrays: dict, patterns: dict, blocks) -> sp.csr_matrix:
@@ -254,11 +280,13 @@ def _cell_pass(disc: Discretization, sums: _Sums, side: str, forms) -> None:
 
     ``kernel(tabs_row, tabs_col, w)`` maps (N, Gx, Gy) tables and weights
     at quadrature points to local matrices, with leading cell axes carried
-    through.  Uncut cells share one local matrix per form.  The cut parts
-    are walked once, a bounded batch at a time, on padded (cells, q, nb)
-    tables; each batch is tabulated once per space order for all forms.
+    through.  Uncut cells share one local matrix per form.  The cut cells
+    share the side's moment-fitted nodes, tabulated once per space order,
+    and carry their own weights (cells, q), so the kernels give all their
+    local matrices at once.
     """
     order = {b: disc.dofmap(b).order for _, _, row, col in forms for b in (row, col)}
+    orders = set(order.values())
 
     def add(cells, tabs, w):
         pairs = {(row, col) for _, _, row, col in forms}
@@ -268,9 +296,10 @@ def _cell_pass(disc: Discretization, sums: _Sums, side: str, forms) -> None:
             sums.add(name, row, col, pos[row, col], local)
 
     add(disc.topo.uncut_cells(side),
-        {o: disc.full_cell_tables(o) for o in set(order.values())}, disc.full_cell_weights)
-    for cells, pts, w in disc.cut_parts[side].batches():
-        add(cells, {o: disc.tabulate(o, cells[:, None], pts) for o in set(order.values())}, w)
+        {o: disc.full_cell_tables(o) for o in orders}, disc.full_cell_weights)
+    nodes, w = disc.cut_nodes[side]
+    add(disc.cut_parts[side].cells,
+        {o: reference_basis(o).tables(nodes, disc.h) for o in orders}, w)
 
 
 def assemble_cells(disc: Discretization, kernel, block: str, cells,
@@ -369,9 +398,9 @@ def _nitsche_pass(disc: Discretization, sums: _Sums) -> None:
     Consistency: -(sigma_f(v_f, p) n_f, phi_f - phi_s)
                  -(v_f - v_s, sigma_f(phi_f, -xi) n_f)
 
-    The arc rules are walked a bounded batch at a time, as the cut parts in
-    ``_cell_pass``; each batch is tabulated once per order and its local
-    matrices are formed at once.
+    The arc rules are walked a bounded batch at a time (``CutParts.batches``);
+    each batch is tabulated once per order and its local matrices are
+    formed at once.
     """
     cfg = disc.cfg
     rnu = cfg.rho_f * cfg.nu_f
@@ -412,7 +441,8 @@ def _nitsche_pass(disc: Discretization, sums: _Sums) -> None:
 
 @dataclass
 class Forms:
-    """Assembled matrices of one discretization, without stored zeros.
+    """Assembled matrices of one discretization, without stored zeros or
+    round-off entries.
 
     The forms that the energy functionals and the checks read; the viscous,
     pressure and Nitsche consistency forms go into the step matrix only.
@@ -489,7 +519,7 @@ def assemble_forms(disc: Discretization, arrays: dict | None = None) -> Forms:
     del raws
     for pattern in patterns.values():
         pattern.drop_maps()
-    forms = Forms(**{name: _stack(f[name], patterns, _system(disc, name))
+    forms = Forms(**{name: _stack(_drop_roundoff(f[name]), patterns, _system(disc, name))
                      for name in Forms.__dataclass_fields__})
     if arrays is not None:
         arrays.update(f, patterns=patterns)
@@ -503,11 +533,14 @@ def system_matrices(disc: Discretization):
     R x^n = M x^{n-1} - k K u^{n-1} with
       M = rho_f M_f + rho_s M_s + rho_s g_vs,
       K = a_s + 2 mu_s g_u, on the v_s block only (u sits in its slot),
-      R = M + k (a_f + Nitsche + 2 rho_f nu_f g_vf + g_p) + k^2 K,
+      R = M + k A + k^2 K,  A = a_f + Nitsche + 2 rho_f nu_f g_vf + g_p,
     with the pressure (continuity) rows of R negated so that R is
     symmetric.  M has zero pressure rows, so the right-hand side needs no
     sign change.  All three are weighted sums of the data arrays of
-    ``assemble_forms``, without stored zeros.
+    ``assemble_forms``.  The forms of A, which only R reads, lose their
+    round-off entries relative to A's largest entry, not R's: a small k
+    leaves the pressure rows of R far below its largest entry, and must
+    drop none of them.
     """
     f: dict = {}
     forms = assemble_forms(disc, f)
@@ -517,11 +550,12 @@ def system_matrices(disc: Discretization):
     M = _lin((1.0, f["mass_fluid"]), (cfg.rho_s, _on_components(f["mass_solid_scalar"])),
              (cfg.rho_s, _on_components(f["ghost_vs"])))
     K = _lin((1.0, f["solid_bulk"]), (2.0 * cfg.mu_s, _on_components(f["ghost_u"])))
-    R = _lin((1.0, M), (k, f["viscous"]), (k, f["grad_p"]), (k, f["div_q"]),
-             (k, f["nitsche_pen"]), (k, f["consistency"]),
-             (2.0 * k * cfg.rho_f * cfg.nu_f, _on_components(f["ghost_vf"])),
-             (k, f["ghost_p"]), (k * k, K))
+    A = _lin((1.0, f["viscous"]), (1.0, f["grad_p"]), (1.0, f["div_q"]),
+             (1.0, f["nitsche_pen"]), (1.0, f["consistency"]),
+             (2.0 * cfg.rho_f * cfg.nu_f, _on_components(f["ghost_vf"])), (1.0, f["ghost_p"]))
     del f
+    R = _lin((1.0, M), (k, _drop_roundoff(A)), (k * k, K))
+    del A
     R = _stack(R, patterns, _system(disc))
     p = disc.layout.slice("p")
     R.data[R.indptr[p.start]:R.indptr[p.stop]] *= -1.0

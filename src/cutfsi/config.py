@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -58,6 +59,10 @@ class SimulationConfig:
                               f"the cavity (-1, 1)^2, got {self.radius_squared}")
         if self.w_max < 1.0:
             raise ConfigError(f"w_max must be >= 1, got {self.w_max}")
+        for name in ("n", "m_s"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.m_s not in (1, 2):
             raise ConfigError(f"m_s must be 1 or 2, got {self.m_s}")
         if self.n < 2:

@@ -16,7 +16,8 @@ from .config import SimulationConfig
 from .fem import DofMap, build_dof_map, reference_basis
 from .geometry import CircleLevelSet
 from .mesh import Mesh, build_cut_topology, build_mesh
-from .quadrature import cut_cell_rule, interface_rule, reference_cell_rule
+from .quadrature import (cut_cell_rule, interface_rule, moment_fitted_rule,
+                         reference_cell_rule)
 
 
 class BlockLayout:
@@ -62,6 +63,11 @@ class Discretization:
         self.cut_parts = {side: cut_cell_rule(self.mesh, self.topo, cut, side)
                           for side in ("f", "s")}
         self.iface_rules = interface_rule(self.mesh, self.topo, cut)
+        # the forms integrate the cut parts of a side, cells cut_parts[side].cells,
+        # on (2r + 1)^2 nodes per cell: products of Q_r values and gradients
+        # have degree <= 2r per variable, r the side's highest space order
+        self.cut_nodes = {side: moment_fitted_rule(self.mesh, self.cut_parts[side], 2 * r + 1)
+                          for side, r in (("f", cfg.m_f), ("s", cfg.m_s))}
 
     @property
     def h(self) -> float:

@@ -7,7 +7,14 @@ the center meets the (convex) cell in one interval, which is clipped at
 the circle radius to yield the fluid or solid part.  Splitting the angular
 range at the cell corner angles and the interface crossing angles makes
 the radial bounds smooth per panel, so tensor Gauss rules converge
-spectrally and all weights stay positive.
+spectrally and all weights stay positive.  Rays parallel to a cell edge
+are poles of the radial bounds: a cell's area is off by up to 5.3e-9 h^2
+at 0.5-0.6 h from the center and up to 6e-12 h^2 beyond h, and cut cells
+within h/2 of the center are refused.
+
+The forms integrate polynomials of a known degree per variable, so
+``moment_fitted_rule`` moves each cell's polar rule onto a few tensor
+Gauss nodes shared by all cells, with per-cell weights.
 """
 
 from __future__ import annotations
@@ -157,6 +164,49 @@ def cut_cell_rule(mesh: Mesh, topo: CutTopology, cells, side: str,
     keep = counts > 0
     return CutParts(cells[keep], points, w.ravel(),
                     np.concatenate([[0], np.cumsum(counts[keep])]))
+
+
+def _legendre(t: np.ndarray, n: int) -> np.ndarray:
+    """(..., n, q) Legendre polynomials P_0, ..., P_{n-1} at t (..., q) in
+    [-1, 1], by their three-term recurrence."""
+    P = [np.ones_like(t), t]
+    for k in range(1, n - 1):
+        P.append(((2 * k + 1) * t * P[k] - k * P[k - 1]) / (k + 1))
+    return np.stack(P[:n], axis=-2)
+
+
+def moment_fitted_rule(mesh: Mesh, parts: CutParts,
+                       npts: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rules of ``parts`` moved onto the npts x npts Gauss nodes of
+    their cells: (nodes (q, 2), weights (len(parts.cells), q)).
+
+    The nodes are those of ``reference_cell_rule(npts)``, in reference
+    coordinates and shared by all cells.  The weight of a node on a cell is
+    the integral, by the cell's rule in ``parts``, of the node's tensor
+    Lagrange polynomial, so the new rule integrates every polynomial of
+    degree < npts in each variable as the old one does (moment fitting:
+    Mueller, Kummer and Oberlack, "Highly accurate surface and volume
+    integration on implicit domains by means of moment-fitting", IJNME
+    2013).  The weights may be negative.  The integrals are taken of the
+    Legendre polynomials, which keep their digits where monomials would
+    not, and turned into those of the Lagrange polynomials by one small
+    matrix.
+    """
+    x, wx = gauss_1d(npts)
+    nodes, _ = reference_cell_rule(npts)
+    # L_a = sum_k P_k B[k, a] on [0, 1]: the Gauss rule integrates L_a P_k
+    # exactly, and P_k^2 integrates to 1 / (2k + 1)
+    B = (2 * np.arange(npts) + 1)[:, None] * _legendre(2 * x - 1, npts) * wx
+    weights = np.empty((len(parts.cells), npts, npts))
+    by_cell = np.argsort(parts.cells)
+    for cells, pts, w in parts.batches():
+        origin = mesh.cell_origin(cells)
+        Px, Py = (_legendre((pts[..., k] - origin[:, k, None]) * (2.0 / mesh.h) - 1.0, npts)
+                  for k in (0, 1))
+        moments = (w[:, None, :] * Py) @ np.swapaxes(Px, -1, -2)  # (cells, y, x)
+        rows = by_cell[np.searchsorted(parts.cells, cells, sorter=by_cell)]
+        weights[rows] = B.T @ moments @ B
+    return nodes, weights.reshape(len(parts.cells), -1)
 
 
 def interface_rule(mesh: Mesh, topo: CutTopology, cells,

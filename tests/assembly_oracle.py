@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from cutfsi.assembly import (SCALAR_KERNELS, Forms, _div_q, _grad_p,
+from cutfsi.assembly import (DROP_TOL, SCALAR_KERNELS, Forms, _div_q, _grad_p,
                              _mass, _solid_bulk, _viscous, face_jump_table, weight_w)
+from cutfsi.fem import reference_basis
 from cutfsi.quadrature import gauss_1d
 
 
@@ -37,15 +38,22 @@ class Coo:
         self.vals.append(np.broadcast_to(local, (ncells, nr, nc)).ravel())
 
     def tocsr(self) -> sp.csr_matrix:
-        """Sum the entries; entries that sum to exactly zero are not stored."""
+        """Sum the entries; round-off sums are not stored (``drop_roundoff``)."""
         if not self.rows:
             return sp.csr_matrix(self.shape)
-        m = sp.coo_matrix(
+        return drop_roundoff(sp.coo_matrix(
             (np.concatenate(self.vals),
              (np.concatenate(self.rows), np.concatenate(self.cols))),
-            shape=self.shape).tocsr()
-        m.eliminate_zeros()
-        return m
+            shape=self.shape))
+
+
+def drop_roundoff(m) -> sp.csr_matrix:
+    """CSR copy of m without the entries of at most DROP_TOL times its
+    largest |entry|, which the library does not store either."""
+    m = sp.csr_matrix(m, copy=True)
+    m.data[np.abs(m.data) <= DROP_TOL * np.abs(m.data).max(initial=0.0)] = 0.0
+    m.eliminate_zeros()
+    return m
 
 
 def component_ids(ids, n_scalar: int, ncomp: int, offset: int = 0) -> np.ndarray:
@@ -54,7 +62,8 @@ def component_ids(ids, n_scalar: int, ncomp: int, offset: int = 0) -> np.ndarray
 
 
 def assemble_cells(disc, kernel, row, col=None, domain="physical") -> sp.csr_matrix:
-    """Cell integral on blocks row x col: shared full-cell block, batched cut parts.
+    """Cell integral on blocks row x col: shared full-cell block, and the cut
+    parts on the moment-fitted nodes of the library.
 
     ``domain`` of side i: "physical" is the uncut cells plus the cut parts
     (Omega_i), "extended" every cell of T_i^h (Omega_i^T) and "uncut" the
@@ -64,7 +73,6 @@ def assemble_cells(disc, kernel, row, col=None, domain="physical") -> sp.csr_mat
     cmap = disc.dofmap(col or row)
     topo = disc.topo
     full = topo.tri_cells(rmap.side) if domain == "extended" else topo.uncut_cells(rmap.side)
-    batches = disc.cut_parts[rmap.side].batches() if domain == "physical" else ()
     local = kernel(disc.full_cell_tables(rmap.order),
                    disc.full_cell_tables(cmap.order), disc.full_cell_weights)
     ncr = local.shape[0] // rmap.cell_dofs.shape[1]
@@ -75,10 +83,10 @@ def assemble_cells(disc, kernel, row, col=None, domain="physical") -> sp.csr_mat
 
     acc = Coo((ncr * rmap.n_scalar, ncc * cmap.n_scalar))
     acc.add_many(ids(rmap, full, ncr), ids(cmap, full, ncc), local)
-    for cells, pts, w in batches:
-        tr = disc.tabulate(rmap.order, cells[:, None], pts)
-        tc = (tr if cmap.order == rmap.order
-              else disc.tabulate(cmap.order, cells[:, None], pts))
+    if domain == "physical":
+        cells = disc.cut_parts[rmap.side].cells
+        nodes, w = disc.cut_nodes[rmap.side]
+        tr, tc = (reference_basis(dm.order).tables(nodes, disc.h) for dm in (rmap, cmap))
         acc.add_many(ids(rmap, cells, ncr), ids(cmap, cells, ncc), kernel(tr, tc, w))
     return acc.tocsr()
 
@@ -134,7 +142,7 @@ def ghost_matrix(disc, which, raw):
     for l in range(1, order + 1):
         term = coeff(l) * raw[l - 1]
         total = term if total is None else total + term
-    return gamma * total.tocsr()
+    return drop_roundoff(gamma * total)
 
 
 def assemble_nitsche(disc):
@@ -219,17 +227,18 @@ def assemble_forms(disc) -> OracleForms:
 
 
 def system_matrices(disc, forms):
-    """(R, M, K) of the backward Euler step, as a chain of sparse sums."""
+    """(R, M, K) of the backward Euler step, as a chain of sparse sums; M,
+    K and the k-term of R are each stored without their round-off."""
     cfg = disc.cfg
     k = cfg.k
-    M = (forms.mass_fluid + forms.mass_solid
-         + cfg.rho_s * place(disc, "vs", "vs", forms.ghost_vs, 2)).tocsr()
+    M = drop_roundoff(forms.mass_fluid + forms.mass_solid
+                      + cfg.rho_s * place(disc, "vs", "vs", forms.ghost_vs, 2))
     A_f = forms.fluid_bulk + forms.nitsche_pen + forms.nitsche_cons
     S_f = (2.0 * cfg.rho_f * cfg.nu_f * place(disc, "vf", "vf", forms.ghost_vf, 2)
            + place(disc, "p", "p", forms.ghost_p))
-    K = (place(disc, "vs", "vs", forms.solid_bulk)
-         + 2.0 * cfg.mu_s * place(disc, "vs", "vs", forms.ghost_u, 2)).tocsr()
-    R = (M + k * (A_f + S_f) + k * (k * K)).tocsr()
+    K = drop_roundoff(place(disc, "vs", "vs", forms.solid_bulk)
+                      + 2.0 * cfg.mu_s * place(disc, "vs", "vs", forms.ghost_u, 2))
+    R = (M + k * drop_roundoff(A_f + S_f) + k * (k * K)).tocsr()
     p = disc.layout.slice("p")
     R.data[R.indptr[p.start]:R.indptr[p.stop]] *= -1.0
     return R, M, K

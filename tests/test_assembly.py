@@ -463,8 +463,8 @@ def test_batched_nitsche_matches_arc_loop(batch_case):
 
 
 def test_forms_independent_of_batch_size(batch_case, monkeypatch):
-    """With at most 50 points per batch the cut parts go one cell at a time
-    and the arcs two to four cells at a time, and the forms stay the same."""
+    """With at most 50 points per batch the arcs go two to four cells at a
+    time, and the forms stay the same."""
     disc, forms, arrays = batch_case
     real = CutParts.batches
     arc_batches = []
@@ -547,10 +547,37 @@ def test_pattern_pass_matches_coo_assembly(n, m_s, r2):
     assert_matches_oracle(stepper.R_dir, R_dir[rank])
 
 
+def test_step_pattern_independent_of_batch_size(monkeypatch):
+    """R's stored pattern does not depend on the order of the sums: with at
+    most 50 points per batch, which changes the sums of the moment fitting
+    and of the arc forms, the stepper's R has the same indices and indptr."""
+    cfg = SimulationConfig(n=16, m_s=2)
+    want = TimeStepper(Discretization(cfg)).R
+    real = CutParts.batches
+    monkeypatch.setattr(CutParts, "batches",
+                        lambda self, max_points=8192: real(self, max_points=50))
+    got = TimeStepper(Discretization(cfg)).R
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert abs(got - want).max() <= 1e-15 * abs(want).max()
+
+
+def test_step_pattern_independent_of_time_step():
+    """A small k leaves the pressure rows of R far below its largest entry,
+    yet R keeps all of them: the round-off of each form is judged against
+    the form's largest entry, so R's pattern is the same at every k."""
+    want = system_matrices(Discretization(SimulationConfig(n=16, m_s=2)))[0]
+    for k in (1e-3, 1e-9):
+        got = system_matrices(Discretization(SimulationConfig(n=16, m_s=2, k=k, T=k)))[0]
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+
+
 @pytest.mark.parametrize("m_s", [1, 2])
 def test_one_tabulation_per_batch_and_order(disc8, disc8_q2, m_s, monkeypatch):
-    """One assemble_forms call tabulates each cut batch of each side once
-    per space order of the side, and the arcs once per space order."""
+    """One assemble_forms call tabulates no point of the cut parts, whose
+    cells share their side's moment-fitted nodes, and each arc batch once
+    per space order."""
     disc = disc8 if m_s == 1 else disc8_q2
     calls = Counter()
     tabulate = Discretization.tabulate
@@ -562,11 +589,8 @@ def test_one_tabulation_per_batch_and_order(disc8, disc8_q2, m_s, monkeypatch):
     monkeypatch.setattr(Discretization, "tabulate", counting)
     assemble_forms(disc)
     cfg = disc.cfg
-    batches = 0
-    for side, orders in (("f", (cfg.m_f, cfg.m_f - 1)), ("s", (cfg.m_s,))):
-        for cells, pts, _ in disc.cut_parts[side].batches():
-            batches += len(orders)
-            for order in orders:
-                assert calls[order, cells.tobytes(), pts.tobytes()] == 1
-    assert set(calls.values()) == {1}
-    assert sum(calls.values()) == batches + len({cfg.m_f, cfg.m_f - 1, cfg.m_s})
+    want = Counter()
+    for cells, pts, _ in disc.iface_rules.batches():
+        for order in {cfg.m_f, cfg.m_f - 1, cfg.m_s}:
+            want[order, cells.tobytes(), pts.tobytes()] += 1
+    assert calls == want

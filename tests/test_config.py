@@ -75,6 +75,15 @@ def test_validation():
         parse_config(None, overrides={"k": "0.3"})
 
 
+@pytest.mark.parametrize("name,value", [("n", 16.0), ("m_s", 2.0), ("m_s", True),
+                                        ("n", False)])
+def test_integer_fields_reject_floats_and_bools(name, value):
+    """A float or bool n or m_s fails validation, naming the field, instead
+    of failing later inside the discretization or running as m_s = 1."""
+    with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+        SimulationConfig(**{name: value}).validate()
+
+
 def test_no_file_uses_defaults():
     cfg = parse_config(None)
     assert cfg == SimulationConfig()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cutfsi import Discretization, SimulationConfig
+from cutfsi.fem import reference_basis
 from cutfsi.geometry import CircleLevelSet
 from cutfsi.mesh import CellClass, build_cut_topology, build_mesh
 from cutfsi.quadrature import (cut_cell_rule, gauss_1d, interface_rule,
@@ -89,6 +90,43 @@ def test_cut_rule_partitions_cell(setup8):
         whole = mesh.h ** 2 * np.dot(ref_w, poly(o + mesh.h * ref_pts))
         split = np.dot(wf, poly(pf)) + np.dot(ws, poly(ps))
         assert split == pytest.approx(whole, rel=1e-9)
+
+
+MOMENT_CASES = [(n, r2, m_s) for n, r2 in ((8, 0.75), (9, 0.3136), (16, 0.5))
+                for m_s in (1, 2)]
+
+
+@pytest.mark.filterwarnings("ignore:odd n")
+@pytest.mark.parametrize("n,r2,m_s", MOMENT_CASES,
+                         ids=[f"n{n}-r{r2}-ms{m}" for n, r2, m in MOMENT_CASES])
+def test_moment_fitted_rule_matches_polar_rule(n, r2, m_s):
+    """On every cut cell and side, the moment-fitted rule integrates every
+    product of Q_r values and gradients, r the side's highest order, as the
+    cell's polar rule does, to 1e-14 of kappa h^2 times the sizes of the two
+    factors, and its weights sum to kappa h^2.  At n = 9, r2 = 0.3136 four
+    cells hold two arcs; at n = 16, r2 = 0.5 the circle passes through mesh
+    vertices."""
+    disc = Discretization(SimulationConfig(n=n, m_s=m_s, radius_squared=r2))
+    h2 = disc.h ** 2
+    for side, r in (("f", disc.cfg.m_f), ("s", m_s)):
+        parts = disc.cut_parts[side]
+        nodes, weights = disc.cut_nodes[side]
+        assert nodes.shape == ((2 * r + 1) ** 2, 2)
+        assert weights.shape == (len(parts.cells), len(nodes))
+        basis = reference_basis(r)
+        at_nodes = basis.tables(nodes)
+        for cell, w in zip(parts.cells, weights):
+            rule = parts[cell]
+            at_pts = basis.tables((rule.points - disc.mesh.cell_origin(cell)) / disc.h)
+            area = disc.topo.kappa(side)[cell] * h2
+            for A, a in zip(at_pts, at_nodes):
+                for B, b in zip(at_pts, at_nodes):
+                    want = A.T @ (rule.weights[:, None] * B)
+                    got = a.T @ (w[:, None] * b)
+                    tol = 1e-14 * area * np.abs(A).max() * np.abs(B).max()
+                    assert np.abs(got - want).max() <= tol
+            assert abs(w.sum() - rule.total) <= 1e-14 * area
+            assert abs(w.sum() - area) <= 1e-13 * h2
 
 
 def test_cut_points_on_correct_side(setup8):
