@@ -1,8 +1,8 @@
 """Error norms, convergence orders, energy functionals and stability checks.
 
 Space-time norms accumulate per-step squared norms weighted by k.  Errors
-against a reference run are evaluated at the coarse mesh's cut quadrature
-points (nested meshes make reference cell lookup exact).
+against a reference run are evaluated at the points of ``domain_points``
+on the coarse mesh (nested meshes make reference cell lookup exact).
 """
 
 from __future__ import annotations
@@ -70,7 +70,10 @@ def evaluate_scalar(disc: Discretization, block: str, coefs: np.ndarray,
 # -- quadrature point sets over the physical subdomains ---------------------
 
 def domain_points(disc: Discretization, side: str):
-    """(points, weights, cells) covering Omega_i with the cut quadrature."""
+    """(points, weights, cells) covering Omega_i: the shared 3 x 3 Gauss
+    rule on the uncut cells and the polar rules of ``disc.cut_parts`` on
+    the cut parts.  Only the checks and the error norms use these points;
+    the forms integrate the cut parts on ``disc.cut_nodes``."""
     full, cut = disc.topo.uncut_cells(side), disc.cut_parts[side]
     pts = disc.mesh.cell_origin(full)[:, None, :] + disc.h * disc.ref_pts
     return (np.vstack([pts.reshape(-1, 2), cut.points]),
@@ -277,6 +280,78 @@ def temporal_study(base_cfg, k_levels: list[float], k_ref: float) -> ErrorReport
 
 # -- stability verifications ------------------------------------------------
 
+@dataclass(frozen=True)
+class GhostBand:
+    """The forms of the ghost-extension estimate of one space, restricted
+    to its band: the dofs of the cut cells, in ascending order.
+
+    ``lhs[l]`` is |grad^l v|^2 over every cell of the side, ``rhs[l]`` the
+    same over its uncut cells plus, if the jump terms are on, the
+    h-weighted jumps of ``ghost_data``, for l = 0 and 1.  ``local`` (ncut,
+    nb) holds the band index of each cut cell's dofs.
+    """
+
+    local: np.ndarray
+    lhs: tuple[sp.csr_matrix, sp.csr_matrix]
+    rhs: tuple[sp.csr_matrix, sp.csr_matrix]
+
+
+def ghost_band(disc: Discretization, side: str, order: int, w_max: float,
+               gamma_on: bool) -> GhostBand:
+    """The ``GhostBand`` of a space, built on the first call and held by
+    ``disc`` per (side, order, w_max, gamma_on).
+
+    An entry of a band row and a band column gets its terms from the cells
+    and ghost faces that hold both dofs, so the forms are summed on a
+    pattern over the cells that touch the band and the ghost faces (each
+    of which has a cut cell), in the order of the side's cells and faces,
+    which gives every band entry the same sum as on the whole side.  One
+    map takes the band block out of each data array.
+    """
+    key = (side, order, w_max, gamma_on)
+    if key in disc.ghost_bands:
+        return disc.ghost_bands[key]
+    block = _ghost_block(disc, side, order)
+    dm = disc.dofmap(block)
+    cut_dofs = dm.cell_dofs[dm.cell_index[disc.topo.cut_cells]]  # (ncut, nb)
+    band = np.unique(cut_dofs)
+    in_band = np.zeros(dm.n_scalar, dtype=bool)
+    in_band[band] = True
+
+    def touching(cells):
+        return cells[in_band[dm.cell_dofs[dm.cell_index[cells]]].any(axis=1)]
+
+    cells, uncut = touching(dm.cells), touching(disc.topo.uncut_cells(side))
+    pattern = Pattern(disc, block, block, cells=cells, faces=disc.topo.ghost_faces(side))
+    rows = np.repeat(np.arange(dm.n_scalar), np.diff(pattern.indptr))
+    take = np.flatnonzero(in_band[rows] & in_band[pattern.indices])
+    indices = np.searchsorted(band, pattern.indices[take])
+    indptr = np.searchsorted(rows[take], np.append(band, dm.n_scalar))
+
+    def restrict(data):
+        return sp.csr_matrix((data[take], indices, indptr), shape=(len(band),) * 2)
+
+    raws = raw_jump_matrices(disc, side, order, w_max=w_max, pattern=pattern) if gamma_on else ()
+    lhs, rhs = [], []
+    for l, kernel in enumerate((SCALAR_KERNELS["value"], SCALAR_KERNELS["gradient"])):
+        lhs.append(restrict(assemble_cells(disc, kernel, block, cells, pattern).data))
+        data = assemble_cells(disc, kernel, block, uncut, pattern).data
+        rhs.append(restrict(data + ghost_data(raws, l, disc.h) if gamma_on else data))
+    disc.ghost_bands[key] = GhostBand(np.searchsorted(band, cut_dofs), tuple(lhs), tuple(rhs))
+    return disc.ghost_bands[key]
+
+
+def _ghost_block(disc: Discretization, side: str, order: int) -> str:
+    """The block of the space of ``order`` on ``side``; ValueError if none."""
+    if side not in ("f", "s"):
+        raise ValueError(f"unknown side {side!r}")
+    blocks = ({disc.cfg.m_f: "vf", disc.cfg.m_f - 1: "p"} if side == "f"
+              else {disc.cfg.m_s: "vs"})
+    if order not in blocks:
+        raise ValueError(f"side {side!r} has no space of order {order!r}")
+    return blocks[order]
+
+
 def ghost_extension_ratios(disc: Discretization, side: str, order: int,
                            l: int, w_max: float, gamma_on: bool = True,
                            seed: int = 0, sampler: str = "band") -> float:
@@ -284,7 +359,9 @@ def ghost_extension_ratios(disc: Discretization, side: str, order: int,
 
     lhs = |grad^l v|^2 over the computational domain Omega_i^T,
     rhs = |grad^l v|^2 over Omega_i minus the interface zone, plus the
-    h-weighted sum of jump terms (dropped when gamma_on is False).
+    h-weighted sum of jump terms (dropped when gamma_on is False).  Both
+    forms come from the space's ``GhostBand``, built once per
+    discretization.
 
     Samples are random coefficient vectors on the interface zone: the
     "band" sampler draws one Gaussian over all cut-cell dofs per sample
@@ -296,26 +373,15 @@ def ghost_extension_ratios(disc: Discretization, side: str, order: int,
     interface zone, where the estimate degenerates to 0 <= 0 or fails
     outright) are skipped.
     """
+    _ghost_block(disc, side, order)
+    if l not in (0, 1):
+        raise ValueError(f"l must be 0 or 1, got {l!r}")
     if sampler not in ("band", "cell"):
         raise ValueError(f"unknown sampler {sampler!r}")
-    block = {"f": {disc.cfg.m_f: "vf", disc.cfg.m_f - 1: "p"},
-             "s": {disc.cfg.m_s: "vs"}}[side][order]
-    kernel = SCALAR_KERNELS["value" if l == 0 else "gradient"]
-    dm = disc.dofmap(block)
-    # all three forms on one pattern: the rhs is a sum of data arrays
-    pattern = Pattern(disc, block, block, cells=dm.cells,
-                      faces=disc.topo.ghost_faces(side))
-    M_comp = assemble_cells(disc, kernel, block, dm.cells, pattern)
-    rhs = assemble_cells(disc, kernel, block, disc.topo.uncut_cells(side), pattern).data
-    if gamma_on:
-        raws = raw_jump_matrices(disc, side, order, w_max=w_max, pattern=pattern)
-        rhs = rhs + ghost_data(raws, l, disc.h)
-    # the samples vanish off the cut cells' dofs (the band): both forms act on it only
-    cut_dofs = dm.cell_dofs[dm.cell_index[disc.topo.cut_cells]]  # (ncut, nb)
-    band = np.unique(cut_dofs)
-    local = np.searchsorted(band, cut_dofs)
+    band = ghost_band(disc, side, order, w_max, gamma_on)
+    local = band.local
     rng = np.random.default_rng(seed)
-    V = np.zeros((GHOST_SAMPLES, len(band)))  # one sample per row
+    V = np.zeros((GHOST_SAMPLES, band.lhs[l].shape[0]))  # one sample per row
     if sampler == "band":
         # a band sample is one draw over the cut cells' dofs in cell order; a
         # dof shared by several cut cells keeps the value drawn for its last cell
@@ -326,8 +392,8 @@ def ghost_extension_ratios(disc: Discretization, side: str, order: int,
         for v in V:
             ids = local[rng.integers(len(local))]
             v[ids] = rng.standard_normal(len(ids))
-    lhs = np.einsum("ij,ji->i", V, M_comp[band][:, band] @ V.T)
-    rhs = np.einsum("ij,ji->i", V, pattern.matrix(rhs)[band][:, band] @ V.T)
+    lhs = np.einsum("ij,ji->i", V, band.lhs[l] @ V.T)
+    rhs = np.einsum("ij,ji->i", V, band.rhs[l] @ V.T)
     keep = rhs > 1e-13 * lhs
     return float(np.max(lhs[keep] / rhs[keep], initial=0.0))
 

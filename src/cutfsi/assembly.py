@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -103,14 +104,19 @@ SCALAR_KERNELS = {
 
 # -- patterns and sums ---------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _lattice(order: int, axis: int | None = None) -> np.ndarray:
     """(2, nb) lattice offsets (x, y) of the Q_order basis of a cell, or, with
-    ``axis``, of the two cells of a face of that normal axis, stacked."""
+    ``axis``, of the two cells of a face of that normal axis, stacked.
+
+    Cached; the returned array is shared and read-only.
+    """
     j = np.arange((order + 1) ** 2)
     xy = np.stack([j % (order + 1), j // (order + 1)])
-    if axis is None:
-        return xy
-    return np.hstack([xy, xy + order * np.eye(2, dtype=int)[:, [axis]]])
+    if axis is not None:
+        xy = np.hstack([xy, xy + order * np.eye(2, dtype=int)[:, [axis]]])
+    xy.setflags(write=False)
+    return xy
 
 
 class Pattern:
@@ -297,9 +303,8 @@ def _cell_pass(disc: Discretization, sums: _Sums, side: str, forms) -> None:
 
     add(disc.topo.uncut_cells(side),
         {o: disc.full_cell_tables(o) for o in orders}, disc.full_cell_weights)
-    nodes, w = disc.cut_nodes[side]
-    add(disc.cut_parts[side].cells,
-        {o: reference_basis(o).tables(nodes, disc.h) for o in orders}, w)
+    cells, nodes, w = disc.cut_nodes[side]
+    add(cells, {o: reference_basis(o).tables(nodes, disc.h) for o in orders}, w)
 
 
 def assemble_cells(disc: Discretization, kernel, block: str, cells,
@@ -321,6 +326,7 @@ def assemble_cells(disc: Discretization, kernel, block: str, cells,
 
 # -- ghost penalty raw jump matrices ----------------------------------------
 
+@lru_cache(maxsize=256)  # keyed by h too, so bounded over a study's meshes
 def face_jump_table(order: int, l: int, axis: int, h: float,
                     face_npts: int = FACE_NPTS) -> np.ndarray:
     """(q, 2 nb) table of the jump of the l-th normal derivative on a face.
@@ -331,6 +337,7 @@ def face_jump_table(order: int, l: int, axis: int, h: float,
     basis of the second cell at x = 0 (x and y swapped for horizontal
     faces), so the table times the two cells' stacked coefficients is the
     jump.  On a uniform mesh it is the same for every face of the axis.
+    Cached; the returned table is shared and read-only.
     """
     basis = reference_basis(order)
     gx, _ = gauss_1d(face_npts)
@@ -339,8 +346,9 @@ def face_jump_table(order: int, l: int, axis: int, h: float,
     for x in (1.0, 0.0):
         pts = np.column_stack([np.full_like(gx, x), gx])
         tables.append(basis.eval(pts if axis == 0 else pts[:, ::-1], *d) / h ** l)
-    return np.hstack([tables[0], -tables[1]])
-
+    table = np.hstack([tables[0], -tables[1]])
+    table.setflags(write=False)
+    return table
 
 
 def raw_jump_matrices(disc: Discretization, side: str, order: int,

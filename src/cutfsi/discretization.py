@@ -16,8 +16,8 @@ from .config import SimulationConfig
 from .fem import DofMap, build_dof_map, reference_basis
 from .geometry import CircleLevelSet
 from .mesh import Mesh, build_cut_topology, build_mesh
-from .quadrature import (cut_cell_rule, interface_rule, moment_fitted_rule,
-                         reference_cell_rule)
+from .quadrature import (KAPPA_EMPTY, cut_cell_rule, interface_rule,
+                         moment_fitted_rule, reference_cell_rule, solid_moments)
 
 
 class BlockLayout:
@@ -58,16 +58,30 @@ class Discretization:
         # uncut cell, 8 rays of 8 points per cut-cell panel, 12 points per
         # arc; the cut parts of each side and the arcs are one CutParts each
         self._table_cache: dict[int, tuple] = {}
+        # the band operators of the ghost-extension check, keyed (side,
+        # order, w_max, gamma_on); analysis.ghost_extension_ratios fills it
+        self.ghost_bands: dict[tuple, object] = {}
         self.ref_pts, self.ref_w = reference_cell_rule()
         cut = self.topo.cut_cells
+        # the polar rules of the cut parts serve domain_points only
         self.cut_parts = {side: cut_cell_rule(self.mesh, self.topo, cut, side)
                           for side in ("f", "s")}
         self.iface_rules = interface_rule(self.mesh, self.topo, cut)
-        # the forms integrate the cut parts of a side, cells cut_parts[side].cells,
-        # on (2r + 1)^2 nodes per cell: products of Q_r values and gradients
-        # have degree <= 2r per variable, r the side's highest space order
-        self.cut_nodes = {side: moment_fitted_rule(self.mesh, self.cut_parts[side], 2 * r + 1)
-                          for side, r in (("f", cfg.m_f), ("s", cfg.m_s))}
+        # the forms integrate the cut part of a side on (2r + 1)^2 nodes per
+        # cell: products of Q_r values and gradients have degree <= 2r per
+        # variable, r the side's highest space order.  The node weights are
+        # fitted to Gauss-Green moments on the arcs; a fluid part's moments
+        # are its cell's less the solid part's.  cut_nodes[side] is (cells,
+        # nodes, weights) over the cut cells whose part is not empty.
+        solid = solid_moments(self.mesh, self.topo, self.iface_rules,
+                              2 * max(cfg.m_f, cfg.m_s) + 1)
+        fluid = -solid
+        fluid[:, 0, 0] += self.h ** 2
+        self.cut_nodes = {}
+        for side, r, moments in (("f", cfg.m_f, fluid), ("s", cfg.m_s, solid)):
+            keep = self.topo.kappa(side)[cut] >= KAPPA_EMPTY
+            self.cut_nodes[side] = (cut[keep], *moment_fitted_rule(
+                moments[keep, :2 * r + 1, :2 * r + 1]))
 
     @property
     def h(self) -> float:

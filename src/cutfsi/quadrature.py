@@ -1,20 +1,26 @@
 """Gauss rules on the reference cell, cut cell parts and interface arcs.
 
 The rules of all cut cells, of one side's parts or of the arcs, are each
-built in one array pass into one ``CutParts`` record.  Cut cells are
-integrated in polar coordinates around the circle center: every ray from
-the center meets the (convex) cell in one interval, which is clipped at
-the circle radius to yield the fluid or solid part.  Splitting the angular
-range at the cell corner angles and the interface crossing angles makes
-the radial bounds smooth per panel, so tensor Gauss rules converge
-spectrally and all weights stay positive.  Rays parallel to a cell edge
-are poles of the radial bounds: a cell's area is off by up to 5.3e-9 h^2
-at 0.5-0.6 h from the center and up to 6e-12 h^2 beyond h, and cut cells
-within h/2 of the center are refused.
+built in one array pass into one ``CutParts`` record.
 
-The forms integrate polynomials of a known degree per variable, so
-``moment_fitted_rule`` moves each cell's polar rule onto a few tensor
-Gauss nodes shared by all cells, with per-cell weights.
+The forms integrate polynomials of a known degree per variable, so each
+cut part is integrated on a few tensor Gauss nodes of its cell, shared by
+all cells, with per-cell weights (``moment_fitted_rule``).  The weights are
+fitted to the part's Legendre moments, which ``solid_moments`` takes by the
+Gauss-Green theorem on the interface arcs' rules and one closed-form edge
+term; a fluid part's moments are its cell's less the solid part's.
+
+``cut_cell_rule`` integrates a cut part in polar coordinates around the
+circle center and serves only ``analysis.domain_points`` (the checks and
+the error norms): every ray from the center meets the (convex) cell in one
+interval, which is clipped at the circle radius to yield the fluid or
+solid part.  Splitting the angular range at the cell corner angles and the
+interface crossing angles makes the radial bounds smooth per panel, so
+tensor Gauss rules converge spectrally and all weights stay positive.
+Rays parallel to a cell edge are poles of the radial bounds: a cell's area
+is off by up to 5.3e-9 h^2 at 0.5-0.6 h from the center and up to 6e-12 h^2
+beyond h, its higher moments by up to 5e-7 h^2, and cut cells within h/2
+of the center are refused.
 """
 
 from __future__ import annotations
@@ -25,6 +31,9 @@ from functools import lru_cache
 import numpy as np
 
 from .mesh import CutTopology, Mesh
+
+# A cut part of a smaller share of its cell is empty: it gets no rule.
+KAPPA_EMPTY = 1e-14
 
 
 @lru_cache(maxsize=None)
@@ -154,7 +163,7 @@ def cut_cell_rule(mesh: Mesh, topo: CutTopology, cells, side: str,
     else:
         rin = np.maximum(rin, r)
     hit &= (dth >= 1e-14)[..., None] & (rout - rin >= 1e-15)
-    hit &= (topo.kappa(side)[cells] >= 1e-14)[:, None, None]
+    hit &= (topo.kappa(side)[cells] >= KAPPA_EMPTY)[:, None, None]
     rin, rout, wth, ct, st = rin[hit], rout[hit], wth[hit], ct[hit], st[hit]
     rho = rin[:, None] + (rout - rin)[:, None] * gx[None, :]
     w = wth[:, None] * (rout - rin)[:, None] * gw[None, :] * rho
@@ -175,38 +184,75 @@ def _legendre(t: np.ndarray, n: int) -> np.ndarray:
     return np.stack(P[:n], axis=-2)
 
 
-def moment_fitted_rule(mesh: Mesh, parts: CutParts,
-                       npts: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rules of ``parts`` moved onto the npts x npts Gauss nodes of
-    their cells: (nodes (q, 2), weights (len(parts.cells), q)).
+def solid_moments(mesh: Mesh, topo: CutTopology, arcs: CutParts,
+                  npts: int) -> np.ndarray:
+    """(cells, npts, npts) Legendre moments of the solid parts of the cut
+    cells ``arcs.cells``: entry (b, a) is the integral of P_b(eta) P_a(xi)
+    over the cell's part inside the disk, with (xi, eta) the cell mapped to
+    [-1, 1]^2.
+
+    Gauss-Green (Sommariva and Vianello, "Gauss-Green cubature and moment
+    computation over arbitrary geometries", J. Comput. Appl. Math. 2009):
+    the integral of f over the part is that of F n_x over its boundary, for
+    dF/dx = f.  With F = (h/2) Q_a(xi) P_b(eta), Q_a the antiderivative of
+    P_a that vanishes at -1, the left edge (Q_a = 0) and the horizontal
+    edges (n_x = 0) add nothing.  What is left is the cell's arcs, on the
+    points of their rule ``arcs`` with n_x = (x - c_x) / r, and the part
+    of the right edge inside the disk, where Q_a(1) = 2 for a = 0 and 0
+    otherwise, in closed form.
+    """
+    c, r2 = topo.level_set.center, topo.level_set.radius_squared
+    h = mesh.h
+    counts = np.diff(arcs.offsets)
+    origin = mesh.cell_origin(arcs.cells)
+    xi, eta = ((arcs.points[:, k] - np.repeat(origin[:, k], counts)) * (2.0 / h) - 1.0
+               for k in (0, 1))
+    Q = _antiderivatives(xi, npts)
+    wn = arcs.weights * (arcs.points[:, 0] - c[0]) / np.sqrt(r2)
+    terms = (0.5 * h * wn) * _legendre(eta, npts)[:, None, :] * Q[None, :, :]
+    moments = np.add.reduceat(np.moveaxis(terms, -1, 0), arcs.offsets[:-1], axis=0)
+    # the right edge x = x0 + h between the circle's two heights there
+    half = np.sqrt(np.maximum(r2 - (origin[:, 0] + h - c[0]) ** 2, 0.0))
+    ends = np.clip((c[1] + np.multiply.outer(half, [-1.0, 1.0]) - origin[:, 1:]) * (2.0 / h)
+                   - 1.0, -1.0, 1.0)
+    Qe = _antiderivatives(ends, npts)  # (cells, npts, 2)
+    moments[:, :, 0] += 0.5 * h * h * (Qe[..., 1] - Qe[..., 0])
+    return moments
+
+
+def _antiderivatives(t: np.ndarray, n: int) -> np.ndarray:
+    """(..., n, q) Q_0, ..., Q_{n-1} at t (..., q) in [-1, 1], with
+    Q_a' = P_a and Q_a(-1) = 0: Q_0 = t + 1 and
+    Q_a = (P_{a+1} - P_{a-1}) / (2a + 1)."""
+    P = _legendre(t, n + 1)
+    a = np.arange(1, n)[:, None]
+    return np.concatenate([(t + 1.0)[..., None, :],
+                           (P[..., 2:, :] - P[..., :-2, :]) / (2 * a + 1)], axis=-2)
+
+
+def moment_fitted_rule(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rules on the npts x npts Gauss nodes of cells with the given
+    Legendre moments (cells, npts, npts), as from ``solid_moments``:
+    (nodes (q, 2), weights (cells, q)).
 
     The nodes are those of ``reference_cell_rule(npts)``, in reference
     coordinates and shared by all cells.  The weight of a node on a cell is
-    the integral, by the cell's rule in ``parts``, of the node's tensor
-    Lagrange polynomial, so the new rule integrates every polynomial of
-    degree < npts in each variable as the old one does (moment fitting:
-    Mueller, Kummer and Oberlack, "Highly accurate surface and volume
-    integration on implicit domains by means of moment-fitting", IJNME
-    2013).  The weights may be negative.  The integrals are taken of the
-    Legendre polynomials, which keep their digits where monomials would
-    not, and turned into those of the Lagrange polynomials by one small
-    matrix.
+    the integral over the cell's part of the node's tensor Lagrange
+    polynomial, so the rule integrates every polynomial of degree < npts
+    in each variable exactly (moment fitting: Mueller, Kummer and
+    Oberlack, "Highly accurate surface and volume integration on implicit
+    domains by means of moment-fitting", IJNME 2013).  The weights may be
+    negative.  The moments are those of the Legendre polynomials, which
+    keep their digits where monomials would not; one small matrix turns
+    them into those of the Lagrange polynomials.
     """
+    npts = moments.shape[-1]
     x, wx = gauss_1d(npts)
     nodes, _ = reference_cell_rule(npts)
     # L_a = sum_k P_k B[k, a] on [0, 1]: the Gauss rule integrates L_a P_k
     # exactly, and P_k^2 integrates to 1 / (2k + 1)
     B = (2 * np.arange(npts) + 1)[:, None] * _legendre(2 * x - 1, npts) * wx
-    weights = np.empty((len(parts.cells), npts, npts))
-    by_cell = np.argsort(parts.cells)
-    for cells, pts, w in parts.batches():
-        origin = mesh.cell_origin(cells)
-        Px, Py = (_legendre((pts[..., k] - origin[:, k, None]) * (2.0 / mesh.h) - 1.0, npts)
-                  for k in (0, 1))
-        moments = (w[:, None, :] * Py) @ np.swapaxes(Px, -1, -2)  # (cells, y, x)
-        rows = by_cell[np.searchsorted(parts.cells, cells, sorter=by_cell)]
-        weights[rows] = B.T @ moments @ B
-    return nodes, weights.reshape(len(parts.cells), -1)
+    return nodes, (B.T @ moments @ B).reshape(len(moments), -1)
 
 
 def interface_rule(mesh: Mesh, topo: CutTopology, cells,

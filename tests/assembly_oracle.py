@@ -84,8 +84,7 @@ def assemble_cells(disc, kernel, row, col=None, domain="physical") -> sp.csr_mat
     acc = Coo((ncr * rmap.n_scalar, ncc * cmap.n_scalar))
     acc.add_many(ids(rmap, full, ncr), ids(cmap, full, ncc), local)
     if domain == "physical":
-        cells = disc.cut_parts[rmap.side].cells
-        nodes, w = disc.cut_nodes[rmap.side]
+        cells, nodes, w = disc.cut_nodes[rmap.side]
         tr, tc = (reference_basis(dm.order).tables(nodes, disc.h) for dm in (rmap, cmap))
         acc.add_many(ids(rmap, cells, ncr), ids(cmap, cells, ncc), kernel(tr, tc, w))
     return acc.tocsr()

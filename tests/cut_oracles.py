@@ -3,12 +3,15 @@
 The library builds the cut topology and the cut-cell rules with array code
 over all cells at once.  These loops do the same work one cell, one edge or
 one ray at a time, with the same rules, and serve the tests as oracles.
+``rule_moments`` takes the Legendre moments of cut parts from a point rule,
+the way the library took them from its polar rules before it took them by
+Gauss-Green.
 """
 
 import numpy as np
 import pytest
 
-from cutfsi.quadrature import gauss_1d
+from cutfsi.quadrature import _legendre, gauss_1d
 
 
 def segment_crossings(ls, a, b):
@@ -151,3 +154,15 @@ def assert_rule_matches_loop(parts, mesh, topo, cell, side):
     assert got.points.shape == pts.shape
     assert np.allclose(got.points, pts, rtol=0, atol=1e-15)
     assert np.allclose(got.weights, w, rtol=1e-14, atol=0)
+
+
+def rule_moments(mesh, parts, npts):
+    """(cells, npts, npts) moments of P_b(eta) P_a(xi) of each cell of a
+    ``CutParts``, by its points, one cell at a time."""
+    out = np.empty((len(parts.cells), npts, npts))
+    for i, cell in enumerate(parts.cells):
+        rule = parts[cell]
+        ref = (rule.points - mesh.cell_origin(cell)) * (2.0 / mesh.h) - 1.0
+        Px, Py = (_legendre(ref[:, k], npts) for k in (0, 1))
+        out[i] = (rule.weights * Py) @ Px.T
+    return out

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import assembly_oracle as coo
+from cutfsi import analysis
 from cutfsi import (Discretization, SimulationConfig, TimeStepper,
                     convergence_order, error_vs_reference,
                     ghost_extension_ratios, run_simulation, verify_energy_decay)
@@ -171,6 +172,44 @@ def test_ghost_ratios_reject_unknown_sampler(disc8):
     """An unknown sampler is refused before any sample is drawn."""
     with pytest.raises(ValueError, match="unknown sampler 'bogus'"):
         ghost_extension_ratios(disc8, "f", 2, 1, w_max=1.0, sampler="bogus")
+
+
+@pytest.mark.parametrize("args,match", [
+    (("f", 2, -1), "l must be 0 or 1, got -1"),
+    (("f", 2, 2), "l must be 0 or 1, got 2"),
+    (("x", 2, 1), "unknown side 'x'"),
+    (("s", 3, 1), "side 's' has no space of order 3"),
+], ids=["l-1", "l2", "side", "order"])
+def test_ghost_ratios_reject_bad_arguments(disc8_q2, args, match):
+    """A bad side, order or l is refused by name before any form is built."""
+    before = set(disc8_q2.ghost_bands)
+    with pytest.raises(ValueError, match=match):
+        ghost_extension_ratios(disc8_q2, *args, w_max=1.0)
+    assert set(disc8_q2.ghost_bands) == before
+
+
+def test_ghost_band_built_once_per_space(monkeypatch):
+    """l = 0 and then l = 1 on one space share one band record and one call
+    of raw_jump_matrices; another w_max or gamma_on builds a new record."""
+    calls = []
+    real = analysis.raw_jump_matrices
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(analysis, "raw_jump_matrices", counting)
+    disc = Discretization(SimulationConfig(n=8, m_s=2))
+    for l in (0, 1):
+        ghost_extension_ratios(disc, "f", 2, l, w_max=1.0)
+    assert calls == [("f", 2)]
+    assert list(disc.ghost_bands) == [("f", 2, 1.0, True)]
+    record = disc.ghost_bands["f", 2, 1.0, True]
+    ghost_extension_ratios(disc, "f", 2, 1, w_max=2.0)
+    ghost_extension_ratios(disc, "f", 2, 1, w_max=1.0, gamma_on=False)
+    assert calls == [("f", 2)] * 2  # no jumps without the jump terms
+    assert list(disc.ghost_bands) == [("f", 2, w, g) for w, g in
+                                      ((1.0, True), (2.0, True), (1.0, False))]
+    assert disc.ghost_bands["f", 2, 1.0, True] is record
 
 
 def test_energy_decay_small(disc8):

@@ -3,6 +3,7 @@ equivalence of the batched cut-cell, arc and face assembly with the
 per-cell and per-face loops kept here as test-only oracles, and of the
 pattern pass with the COO assembly of ``assembly_oracle``."""
 
+import functools
 import math
 from collections import Counter
 
@@ -15,11 +16,12 @@ from assembly_oracle import component_ids as _component_ids
 from assembly_oracle import place as _place
 from cutfsi import Discretization, SimulationConfig, TimeStepper
 from cutfsi.analysis import GHOST_SAMPLES, ghost_extension_ratios
-from cutfsi.assembly import (SCALAR_KERNELS, Forms, _grad_p, _div_q, _mass, _solid_bulk,
-                             _stack, _system, _viscous, assemble_cells, assemble_forms,
-                             raw_jump_matrices, system_matrices, weight_w)
+from cutfsi.assembly import (SCALAR_KERNELS, Forms, _grad_p, _div_q, _lattice, _mass,
+                             _solid_bulk, _stack, _system, _viscous, assemble_cells,
+                             assemble_forms, face_jump_table, raw_jump_matrices,
+                             system_matrices, weight_w)
 from cutfsi.fem import reference_basis
-from cutfsi.quadrature import CutParts, gauss_1d
+from cutfsi.quadrature import CutParts, cut_cell_rule, gauss_1d
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +163,18 @@ def test_ghost_forms_symmetric_psd_with_kernels(disc8, disc8_q2):
                 assert p @ (G @ p) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_lattice_and_jump_tables_cached_read_only():
+    """Both tables are pure functions of small ints and h: repeated calls
+    return the same array, which callers cannot overwrite."""
+    for make in (lambda: _lattice(2), lambda: _lattice(1, 1),
+                 lambda: face_jump_table(2, 1, 0, 0.25)):
+        table = make()
+        assert make() is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+
+
 def test_raw_jump_matrix_scaling(disc8):
     """Doubling w_max at kappa=0 doubles the weight of every face term."""
     r1 = raw_jump_matrices(disc8, "s", 1, w_max=1.0)
@@ -279,7 +293,10 @@ class OracleCoo:
 
 def oracle_cells(disc, kernel, row, col=None):
     """Physical-domain cell integral: shared uncut block, then a loop over
-    the cut parts with per-cell tables."""
+    the cut parts with per-cell tables, on 24-point polar rules.  Those
+    integrate the forms' polynomials to about 1e-14 h^2, and the 8-point
+    rules of ``Discretization.cut_parts`` to only 5e-7 h^2 near the
+    circle's centre."""
     rmap, cmap = disc.dofmap(row), disc.dofmap(col or row)
     local = kernel(disc.full_cell_tables(rmap.order),
                    disc.full_cell_tables(cmap.order), disc.full_cell_weights)
@@ -292,7 +309,7 @@ def oracle_cells(disc, kernel, row, col=None):
     acc = OracleCoo((ncr * rmap.n_scalar, ncc * cmap.n_scalar))
     for cell in disc.topo.uncut_cells(rmap.side):
         acc.add(ids(rmap, cell, ncr), ids(cmap, cell, ncc), local)
-    cut = disc.cut_parts[rmap.side]
+    cut = cut_cell_rule(disc.mesh, disc.topo, disc.topo.cut_cells, rmap.side, npts=24)
     for cell, start, stop in zip(cut.cells, cut.offsets[:-1], cut.offsets[1:]):
         pts, w = cut.points[start:stop], cut.weights[start:stop]
         tr = oracle_tables(disc, rmap.order, cell, pts)
@@ -376,17 +393,18 @@ def oracle_nitsche(disc):
     return acc_pen.tocsr(), acc_cons.tocsr()
 
 
-def oracle_ghost_ratio(disc, side, order, l, w_max, seed, sampler="band"):
-    """Ghost-extension ratio with the quadratic forms taken one sample at a
-    time; a band sample draws each cut cell's dofs in turn."""
+def oracle_ghost_ratio(disc, side, order, l, w_max, seed, sampler="band",
+                       gamma_on=True):
+    """Ghost-extension ratio with the forms of the whole side, taken one
+    sample at a time; a band sample draws each cut cell's dofs in turn."""
     block = {"f": {disc.cfg.m_f: "vf", disc.cfg.m_f - 1: "p"},
              "s": {disc.cfg.m_s: "vs"}}[side][order]
     kernel = SCALAR_KERNELS["value" if l == 0 else "gradient"]
     M_comp = coo.assemble_cells(disc, kernel, block, domain="extended")
     rhs_mat = coo.assemble_cells(disc, kernel, block, domain="uncut")
-    raws = raw_jump_matrices(disc, side, order, w_max=w_max)
-    for j in range(1, order + 1):
-        rhs_mat = rhs_mat + disc.h ** (2 * (j - l) + 1) / math.factorial(j - l) ** 2 * raws[j - 1]
+    raws = raw_jump_matrices(disc, side, order, w_max=w_max) if gamma_on else []
+    for j, raw in enumerate(raws, start=1):
+        rhs_mat = rhs_mat + disc.h ** (2 * (j - l) + 1) / math.factorial(j - l) ** 2 * raw
     dm = disc.dofmap(block)
     cut_dofs = [dm.cell_dofs[dm.cell_index[int(c)]] for c in disc.topo.cut_cells]
     rng = np.random.default_rng(seed)
@@ -485,12 +503,30 @@ def test_forms_independent_of_batch_size(batch_case, monkeypatch):
                     step_only_form(disc, arrays, name), tol=1e-15)
 
 
-@pytest.mark.parametrize("side,l", [("f", 0), ("f", 1), ("s", 0), ("s", 1)])
-def test_band_sampler_matches_per_cell_draws(disc8_q2, side, l):
-    disc = disc8_q2
+@functools.lru_cache(maxsize=None)
+def band_disc(n, m_s, r2):
+    return Discretization(SimulationConfig(n=n, m_s=m_s, radius_squared=r2))
+
+
+# the n = 8 discretization of disc8_q2 with the jump terms, and the n = 16
+# batch cases without them
+BAND_CASES = [(side, l, *case) for case in [(8, 2, 0.75, True)] + [
+    (n, m_s, r2, False) for n, m_s, r2 in BATCH_CASES if n == 16]
+    for side in ("f", "s") for l in (0, 1)]
+
+
+@pytest.mark.parametrize("side,l,n,m_s,r2,gamma_on", BAND_CASES,
+                         ids=[f"{side}-{l}" + ("" if n == 8 else f"-n{n}-ms{m}-r{r}-nojumps")
+                              for side, l, n, m, r, _ in BAND_CASES])
+def test_band_sampler_matches_per_cell_draws(side, l, n, m_s, r2, gamma_on):
+    """The band forms, summed on the cells and faces that touch the band,
+    give the ratios of the whole side's forms, with and without jumps."""
+    disc = band_disc(n, m_s, r2)
     order = disc.cfg.m_f if side == "f" else disc.cfg.m_s
-    got = ghost_extension_ratios(disc, side, order, l, disc.cfg.w_max, seed=11)
-    want = oracle_ghost_ratio(disc, side, order, l, disc.cfg.w_max, seed=11)
+    got = ghost_extension_ratios(disc, side, order, l, disc.cfg.w_max,
+                                 gamma_on=gamma_on, seed=11)
+    want = oracle_ghost_ratio(disc, side, order, l, disc.cfg.w_max, seed=11,
+                              gamma_on=gamma_on)
     assert want > 0
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -549,8 +585,8 @@ def test_pattern_pass_matches_coo_assembly(n, m_s, r2):
 
 def test_step_pattern_independent_of_batch_size(monkeypatch):
     """R's stored pattern does not depend on the order of the sums: with at
-    most 50 points per batch, which changes the sums of the moment fitting
-    and of the arc forms, the stepper's R has the same indices and indptr."""
+    most 50 points per batch, which changes the sums of the arc forms, the
+    stepper's R has the same indices and indptr."""
     cfg = SimulationConfig(n=16, m_s=2)
     want = TimeStepper(Discretization(cfg)).R
     real = CutParts.batches

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from cutfsi import Discretization, SimulationConfig
-from cutfsi.fem import reference_basis
 from cutfsi.geometry import CircleLevelSet
 from cutfsi.mesh import CellClass, build_cut_topology, build_mesh
-from cutfsi.quadrature import (cut_cell_rule, gauss_1d, interface_rule,
-                               reference_cell_rule)
-from cut_oracles import assert_rule_matches_loop, cut_cell_rule_loop
+from cutfsi.quadrature import (_legendre, cut_cell_rule, gauss_1d, interface_rule,
+                               moment_fitted_rule, reference_cell_rule, solid_moments)
+from cut_oracles import assert_rule_matches_loop, cut_cell_rule_loop, rule_moments
 
 RS = 0.75
 
@@ -94,39 +93,57 @@ def test_cut_rule_partitions_cell(setup8):
 
 MOMENT_CASES = [(n, r2, m_s) for n, r2 in ((8, 0.75), (9, 0.3136), (16, 0.5))
                 for m_s in (1, 2)]
+MOMENT_CASES += [(16, 0.6, 1), (16, 0.75, 2), (32, 0.5, 1), (32, 0.79, 2), (64, 0.75, 2)]
 
 
 @pytest.mark.filterwarnings("ignore:odd n")
 @pytest.mark.parametrize("n,r2,m_s", MOMENT_CASES,
                          ids=[f"n{n}-r{r2}-ms{m}" for n, r2, m in MOMENT_CASES])
 def test_moment_fitted_rule_matches_polar_rule(n, r2, m_s):
-    """On every cut cell and side, the moment-fitted rule integrates every
-    product of Q_r values and gradients, r the side's highest order, as the
-    cell's polar rule does, to 1e-14 of kappa h^2 times the sizes of the two
-    factors, and its weights sum to kappa h^2.  At n = 9, r2 = 0.3136 four
-    cells hold two arcs; at n = 16, r2 = 0.5 the circle passes through mesh
-    vertices."""
+    """On every cut cell and side, the weights fitted to the Gauss-Green
+    moments are within 5e-14 h^2 of those fitted to the moments of a
+    24-point polar rule, whose moments are accurate to about 1e-14 h^2; the
+    8-point polar rule of ``cut_parts`` is off by up to 5e-7 h^2 near the
+    centre.  The rule has (2r + 1)^2 nodes, r the side's highest order, on
+    the cells whose part is not empty, and its weights sum to kappa h^2.
+    At n = 9, r2 = 0.3136 four cells hold two arcs; at n = 16, r2 = 0.5
+    the circle passes through mesh vertices."""
     disc = Discretization(SimulationConfig(n=n, m_s=m_s, radius_squared=r2))
     h2 = disc.h ** 2
     for side, r in (("f", disc.cfg.m_f), ("s", m_s)):
-        parts = disc.cut_parts[side]
-        nodes, weights = disc.cut_nodes[side]
+        polar = cut_cell_rule(disc.mesh, disc.topo, disc.topo.cut_cells, side, npts=24)
+        cells, nodes, weights = disc.cut_nodes[side]
+        assert np.array_equal(cells, polar.cells)
+        assert np.array_equal(cells, disc.cut_parts[side].cells)
         assert nodes.shape == ((2 * r + 1) ** 2, 2)
-        assert weights.shape == (len(parts.cells), len(nodes))
-        basis = reference_basis(r)
-        at_nodes = basis.tables(nodes)
-        for cell, w in zip(parts.cells, weights):
-            rule = parts[cell]
-            at_pts = basis.tables((rule.points - disc.mesh.cell_origin(cell)) / disc.h)
-            area = disc.topo.kappa(side)[cell] * h2
-            for A, a in zip(at_pts, at_nodes):
-                for B, b in zip(at_pts, at_nodes):
-                    want = A.T @ (rule.weights[:, None] * B)
-                    got = a.T @ (w[:, None] * b)
-                    tol = 1e-14 * area * np.abs(A).max() * np.abs(B).max()
-                    assert np.abs(got - want).max() <= tol
-            assert abs(w.sum() - rule.total) <= 1e-14 * area
-            assert abs(w.sum() - area) <= 1e-13 * h2
+        assert weights.shape == (len(cells), len(nodes))
+        moments = rule_moments(disc.mesh, polar, 2 * r + 1)
+        _, want = moment_fitted_rule(moments)
+        assert np.abs(weights - want).max() <= 5e-14 * h2
+        # the fitted rule integrates P_b(eta) P_a(xi), a, b <= 2r, as the
+        # polar rule does, so every product of two Q_r values or gradients
+        Px, Py = (_legendre(2.0 * nodes[:, k] - 1.0, 2 * r + 1) for k in (0, 1))
+        assert np.abs((weights[:, None, :] * Py) @ Px.T - moments).max() <= 5e-14 * h2
+        # kappa's shoelace area multiplies coordinates of size 1, so it is
+        # off by up to 1.5e-16 at any h: 1.5e-13 h^2 at n = 64
+        area = disc.topo.kappa(side)[cells] * h2
+        assert np.abs(weights.sum(axis=1) - area).max() <= 1e-15
+
+
+@pytest.mark.parametrize("npts", [1, 3, 5])
+def test_solid_moments_mirror_symmetric(setup8, npts):
+    """x -> -x maps the circle onto itself, cell (i, j) onto (n - 1 - i, j)
+    and P_a(xi) onto (-1)^a P_a(xi).  A cell and its mirror image take
+    their moments from mirrored arcs and from right edges at different
+    places, so the symmetry checks the edge term against the arc terms."""
+    mesh, _, topo = setup8
+    got = solid_moments(mesh, topo, interface_rule(mesh, topo, topo.cut_cells), npts)
+    i, j = topo.cut_cells % mesh.n, topo.cut_cells // mesh.n
+    mirror = np.searchsorted(topo.cut_cells, j * mesh.n + mesh.n - 1 - i)
+    assert np.array_equal(topo.cut_cells[mirror], j * mesh.n + mesh.n - 1 - i)
+    sign = (-1.0) ** np.arange(npts)
+    assert np.abs(got[mirror] * sign - got).max() <= 1e-14 * mesh.h ** 2
+    assert np.abs(got[:, 0, 0] - topo.kappa_s[topo.cut_cells] * mesh.h ** 2).max() <= 1e-15
 
 
 def test_cut_points_on_correct_side(setup8):
