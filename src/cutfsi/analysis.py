@@ -58,15 +58,6 @@ def point_eval_matrix(disc: Discretization, block: str, pts: np.ndarray,
                          shape=(npts, dm.n_scalar))
 
 
-def evaluate_scalar(disc: Discretization, block: str, coefs: np.ndarray,
-                    pts: np.ndarray, cells: np.ndarray, comp: int = 0,
-                    dx: int = 0, dy: int = 0) -> np.ndarray:
-    """Evaluate one component of a field at points with known cells."""
-    ns = disc.dofmap(block).n_scalar
-    E = point_eval_matrix(disc, block, pts, cells, dx, dy)
-    return E @ coefs[comp * ns:(comp + 1) * ns]
-
-
 # -- quadrature point sets over the physical subdomains ---------------------
 
 def domain_points(disc: Discretization, side: str):
@@ -132,22 +123,6 @@ class Analyzer:
                    + cfg.rho_f * cfg.nu_f * cfg.gamma_N * trace2 + g_p)
         return {"E_T2": E_T2, "E_g2": E_g2, "triple2": triple2,
                 "trace2": trace2, "g_vs": g_vs, "g_u": g_u, "g_p": g_p}
-
-    def lyapunov(self, state: State) -> float:
-        """Discrete energy Q^n that decays step-to-step for homogeneous data."""
-        disc = self.disc
-        cfg = disc.cfg
-        x = state.x
-        lay = disc.layout
-        vs = x[lay.slice("vs")]
-        u = x[lay.slice("u")]
-        g_vs = self.quad_form(self.forms.ghost_vs, vs, 2)
-        g_u = self.quad_form(self.forms.ghost_u, u, 2)
-        return (0.5 * self.quad_form(self.forms.mass_fluid, x[:lay.n_system])
-                + 0.5 * cfg.rho_s * self.quad_form(self.forms.mass_solid_scalar, vs, 2)
-                + 0.5 * cfg.rho_s * g_vs
-                + 0.5 * self.quad_form(self.forms.solid_bulk, u)  # mu |eps|^2 + lam/2 div^2
-                + cfg.mu_s * g_u)
 
 
 # -- errors against a nested reference run ----------------------------------
@@ -434,14 +409,13 @@ def verify_energy_decay(disc: Discretization, n_steps: int = 22,
     """
     stepper = TimeStepper(disc)
     stepper.g_profile = np.zeros_like(stepper.g_profile)
-    ana = Analyzer(disc, stepper.forms)
     state = random_smooth_state(disc, seed=seed)
     history = []
     q0 = None
     violation = None
     for _ in range(n_steps):
         state = stepper.step(state)
-        q = ana.lyapunov(state)
+        q = stepper.lyapunov(state)
         history.append(q)
         if q0 is None:
             q0 = q

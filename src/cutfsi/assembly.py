@@ -13,8 +13,8 @@ pass per mesh assembles every form:
 - the cut cells of a side share its moment-fitted nodes, tabulated once per
   space order, and carry their own weights, so one kernel call per form
   gives all their local matrices;
-- the arcs, one ``CutParts``, are walked in bounded batches, each tabulated
-  once per space order for all its forms;
+- the arcs, one ``CutParts`` of ``ARC_NPTS`` points per arc, are
+  tabulated once per space order for all their forms;
 - each form is summed (``np.bincount``) into one data array per block pair
   and component pair; the step matrices are weighted sums of those arrays;
   the stored matrices leave out their round-off entries.
@@ -36,7 +36,7 @@ import scipy.sparse as sp
 
 from .discretization import Discretization
 from .fem import reference_basis
-from .quadrature import gauss_1d
+from .quadrature import ARC_NPTS, gauss_1d
 
 SYSTEM_BLOCKS = ("vf", "p", "vs")
 FACE_NPTS = 4  # Gauss points per ghost face
@@ -406,43 +406,46 @@ def _nitsche_pass(disc: Discretization, sums: _Sums) -> None:
     Consistency: -(sigma_f(v_f, p) n_f, phi_f - phi_s)
                  -(v_f - v_s, sigma_f(phi_f, -xi) n_f)
 
-    The arc rules are walked a bounded batch at a time (``CutParts.batches``);
-    each batch is tabulated once per order and its local matrices are
-    formed at once.
+    Every arc has ``ARC_NPTS`` points, so the arc rules are one (arcs, q)
+    table, tabulated once per order, and the local matrices of all arcs are
+    formed at once; a cell with two arcs gets one local matrix per arc.
     """
     cfg = disc.cfg
     rnu = cfg.rho_f * cfg.nu_f
     pen = rnu * cfg.gamma_N / disc.h
     orders = {cfg.m_f, cfg.m_f - 1, cfg.m_s}
     patterns = {pair: pat for pair, pat in sums.patterns.items() if pair != ("p", "p")}
-    for cells, pts, w in disc.iface_rules.batches():
-        nrm = disc.level_set.normal(pts)
-        tabs = {o: disc.tabulate(o, cells[:, None], pts) for o in orders}
-        (Nf, Gfx, Gfy), P, Ns = tabs[cfg.m_f], tabs[cfg.m_f - 1][0], tabs[cfg.m_s][0]
-        n_comp = (nrm[..., 0, None], nrm[..., 1, None])  # (b, q, 1) each
-        G = (Gfx, Gfy)
-        Gn = Gfx * n_comp[0] + Gfy * n_comp[1]
-        tests = {"vf": (Nf, +1.0), "vs": (Ns, -1.0)}
-        pos = {pair: pat.at_cells(cells) for pair, pat in patterns.items()}
-        for row, (Nt, st) in tests.items():
-            for col, (Ntr, str_) in tests.items():
-                sums.add("nitsche_pen", row, col, pos[row, col],
-                         pen * st * str_ * _mass(Nt, Ntr, w))
-        for t, (Nt, st) in tests.items():
-            # -(sigma_f(v_f, p) n, phi_t): rows phi_t, columns v_f and p
-            blocks = [[-st * rnu * (_mass(Nt, G[a] * n_comp[b], w)
-                                    + (_mass(Nt, Gn, w) if a == b else 0.0))
-                       for b in range(2)] for a in range(2)]
-            sums.add("consistency", t, "vf", pos[t, "vf"], np.block(blocks))
-            sums.add("consistency", t, "p", pos[t, "p"], np.concatenate(
-                [st * _mass(Nt, P * n_comp[a], w) for a in range(2)], axis=-2))
-            # -(v_t, sigma_f(phi_f, -xi) n): rows phi_f and xi, columns v_t
-            blocks = [[-st * rnu * (_mass(G[b] * n_comp[a], Nt, w)
-                                    + (_mass(Gn, Nt, w) if a == b else 0.0))
-                       for b in range(2)] for a in range(2)]
-            sums.add("consistency", "vf", t, pos["vf", t], np.block(blocks))
-            sums.add("consistency", "p", t, pos["p", t], np.concatenate(
-                [-st * _mass(P * n_comp[b], Nt, w) for b in range(2)], axis=-1))
+    rule = disc.iface_rules
+    cells = np.repeat(rule.cells, np.diff(rule.offsets) // ARC_NPTS)
+    pts = rule.points.reshape(len(cells), ARC_NPTS, 2)
+    w = rule.weights.reshape(len(cells), ARC_NPTS)
+    nrm = disc.level_set.normal(pts)
+    tabs = {o: disc.tabulate(o, cells[:, None], pts) for o in orders}
+    (Nf, Gfx, Gfy), P, Ns = tabs[cfg.m_f], tabs[cfg.m_f - 1][0], tabs[cfg.m_s][0]
+    n_comp = (nrm[..., 0, None], nrm[..., 1, None])  # (arcs, q, 1) each
+    G = (Gfx, Gfy)
+    Gn = Gfx * n_comp[0] + Gfy * n_comp[1]
+    tests = {"vf": (Nf, +1.0), "vs": (Ns, -1.0)}
+    pos = {pair: pat.at_cells(cells) for pair, pat in patterns.items()}
+    for row, (Nt, st) in tests.items():
+        for col, (Ntr, str_) in tests.items():
+            sums.add("nitsche_pen", row, col, pos[row, col],
+                     pen * st * str_ * _mass(Nt, Ntr, w))
+    for t, (Nt, st) in tests.items():
+        # -(sigma_f(v_f, p) n, phi_t): rows phi_t, columns v_f and p
+        blocks = [[-st * rnu * (_mass(Nt, G[a] * n_comp[b], w)
+                                + (_mass(Nt, Gn, w) if a == b else 0.0))
+                   for b in range(2)] for a in range(2)]
+        sums.add("consistency", t, "vf", pos[t, "vf"], np.block(blocks))
+        sums.add("consistency", t, "p", pos[t, "p"], np.concatenate(
+            [st * _mass(Nt, P * n_comp[a], w) for a in range(2)], axis=-2))
+        # -(v_t, sigma_f(phi_f, -xi) n): rows phi_f and xi, columns v_t
+        blocks = [[-st * rnu * (_mass(G[b] * n_comp[a], Nt, w)
+                                + (_mass(Gn, Nt, w) if a == b else 0.0))
+                   for b in range(2)] for a in range(2)]
+        sums.add("consistency", "vf", t, pos["vf", t], np.block(blocks))
+        sums.add("consistency", "p", t, pos["p", t], np.concatenate(
+            [-st * _mass(P * n_comp[b], Nt, w) for b in range(2)], axis=-1))
 
 
 # -- forms and the step system ----------------------------------------------
@@ -453,13 +456,13 @@ class Forms:
     round-off entries.
 
     The forms that the energy functionals and the checks read; the viscous,
-    pressure and Nitsche consistency forms go into the step matrix only.
+    pressure and Nitsche consistency forms go into the step matrix only,
+    the solid bulk form into K only.
     Matrices without a note are square on the (v_f, p, v_s) system.
     """
 
     mass_fluid: sp.csr_matrix       # rho_f (v_f, phi_f)_Omega_f
     mass_solid_scalar: sp.csr_matrix  # scalar (u, psi)_Omega_s on solid space
-    solid_bulk: sp.csr_matrix       # (sigma_s(u), grad psi) on the solid vector space
     nitsche_pen: sp.csr_matrix
     ghost_vf: sp.csr_matrix         # scalar matrices on their own spaces
     ghost_p: sp.csr_matrix
@@ -469,8 +472,6 @@ class Forms:
 
 def _system(disc: Discretization, field: str = "mass_fluid"):
     """The blocks (block, ncomp) a field of ``Forms`` is stacked over."""
-    if field == "solid_bulk":
-        return [("vs", 2)]
     if field.startswith("ghost") or field == "mass_solid_scalar":
         return [({"ghost_vf": "vf", "ghost_p": "p"}.get(field, "vs"), 1)]
     return [(b, disc.dofmap(b).ncomp) for b in SYSTEM_BLOCKS]
@@ -484,10 +485,10 @@ def assemble_forms(disc: Discretization, arrays: dict | None = None) -> Forms:
     penalty), blocks of the two sides on the cut cells, and each block with
     itself across the side's ghost faces.  Each form is summed once into
     data arrays {(row, col, cr, cc): data} on these patterns.  ``arrays``,
-    if given, receives them by name (the fields of ``Forms`` and "viscous",
-    "grad_p", "div_q" and "consistency", which only the step matrix reads),
-    and the patterns under "patterns", so that ``system_matrices`` needs no
-    second pass.
+    if given, receives them by name (the fields of ``Forms``, without their
+    round-off, and "viscous", "grad_p", "div_q", "consistency" and
+    "solid_bulk", which only the step matrices read), and the patterns
+    under "patterns", so that ``system_matrices`` needs no second pass.
     """
     cfg, topo = disc.cfg, disc.topo
     patterns = {}
@@ -545,7 +546,9 @@ def system_matrices(disc: Discretization):
     with the pressure (continuity) rows of R negated so that R is
     symmetric.  M has zero pressure rows, so the right-hand side needs no
     sign change.  All three are weighted sums of the data arrays of
-    ``assemble_forms``.  The forms of A, which only R reads, lose their
+    ``assemble_forms``.  The solid bulk form a_s, which only K reads, loses
+    its round-off entries relative to its own largest entry, as every field
+    of ``Forms`` does.  The forms of A, which only R reads, lose their
     round-off entries relative to A's largest entry, not R's: a small k
     leaves the pressure rows of R far below its largest entry, and must
     drop none of them.
@@ -557,7 +560,8 @@ def system_matrices(disc: Discretization):
     k = cfg.k
     M = _lin((1.0, f["mass_fluid"]), (cfg.rho_s, _on_components(f["mass_solid_scalar"])),
              (cfg.rho_s, _on_components(f["ghost_vs"])))
-    K = _lin((1.0, f["solid_bulk"]), (2.0 * cfg.mu_s, _on_components(f["ghost_u"])))
+    K = _lin((1.0, _drop_roundoff(f["solid_bulk"])),
+             (2.0 * cfg.mu_s, _on_components(f["ghost_u"])))
     A = _lin((1.0, f["viscous"]), (1.0, f["grad_p"]), (1.0, f["div_q"]),
              (1.0, f["nitsche_pen"]), (1.0, f["consistency"]),
              (2.0 * cfg.rho_f * cfg.nu_f, _on_components(f["ghost_vf"])), (1.0, f["ghost_p"]))
@@ -568,4 +572,4 @@ def system_matrices(disc: Discretization):
     p = disc.layout.slice("p")
     R.data[R.indptr[p.start]:R.indptr[p.stop]] *= -1.0
     return (R, _stack(M, patterns, _system(disc)),
-            _stack(K, patterns, _system(disc, "solid_bulk")), forms)
+            _stack(K, patterns, [("vs", 2)]), forms)

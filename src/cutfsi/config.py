@@ -111,7 +111,10 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Simu
     for key, val in (overrides or {}).items():
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
-        values[key] = _convert(key, val) if isinstance(val, str) else val
+        try:
+            values[key] = _convert(key, val) if isinstance(val, str) else val
+        except ValueError as exc:
+            raise ConfigError(f"{key} = {val!r}: {exc}") from exc
     cfg = SimulationConfig(**values)
     cfg.validate()
     return cfg

@@ -268,11 +268,14 @@ def build_cut_topology(mesh: Mesh, ls: CircleLevelSet) -> CutTopology:
     # chord polygon of the solid part: corners inside the disk and the
     # crossings of each edge (both copies of a corner crossing), in boundary
     # order.  Its shoelace area is taken per vertex count, so each product
-    # is the BLAS dot of one polygon's coordinates, as for a single cell.
+    # is the BLAS dot of one polygon's coordinates, as for a single cell,
+    # and relative to the cell's origin, so the products are of size h^2
+    # and the area keeps its digits at any h.
     vmask = np.concatenate([(phi_c[cells] < 0.0)[..., None],
                             found[is_cut].reshape(ncut, 4, 2)], axis=2).reshape(ncut, 12)
     verts = np.concatenate([corners[cells][:, :, None, :],
                             pts[is_cut].reshape(ncut, 4, 2, 2)], axis=2).reshape(ncut, 12, 2)
+    verts = verts - o[:, None, :]
     verts = np.take_along_axis(
         verts, np.argsort(~vmask, axis=1, kind="stable")[..., None], axis=1)
     nv = vmask.sum(axis=1)

@@ -34,6 +34,8 @@ from .mesh import CutTopology, Mesh
 
 # A cut part of a smaller share of its cell is empty: it gets no rule.
 KAPPA_EMPTY = 1e-14
+# Gauss points per interface arc.
+ARC_NPTS = 12
 
 
 @lru_cache(maxsize=None)
@@ -64,7 +66,7 @@ class CutParts:
 
     The rule of ``cells[i]`` is ``points[offsets[i]:offsets[i + 1]]`` with
     the same slice of ``weights``, and ``parts[cell]`` is that rule as a
-    one-cell record.  The record is not iterable; walk it by ``batches``.
+    one-cell record.  The record is not iterable; its arrays are read whole.
     """
 
     cells: np.ndarray    # (ncut,)
@@ -86,25 +88,6 @@ class CutParts:
         lo, hi = self.offsets[i[0]:i[0] + 2]
         return CutParts(self.cells[i[:1]], self.points[lo:hi], self.weights[lo:hi],
                         np.array([0, hi - lo]))
-
-    def batches(self, max_points: int = 8192):
-        """(cells, points (b, q, 2), weights (b, q)) over batches of whole cells.
-
-        Each batch is padded to its largest rule by repeating a cell's last
-        point with weight zero, so padded tables stay finite and add nothing
-        to an integral.  Cells go in order of their point count, which keeps
-        the padding small, and a batch holds at most max_points padded points
-        (at least one cell), which bounds the memory of its tables.
-        """
-        counts = np.diff(self.offsets)
-        order = np.argsort(counts, kind="stable")
-        step = max(1, max_points // max(counts.max(initial=0), 1))
-        for s in range(0, len(order), step):
-            idx = order[s:s + step]
-            j = np.arange(counts[idx].max())
-            take = self.offsets[idx, None] + np.minimum(j, counts[idx, None] - 1)
-            yield (self.cells[idx], self.points[take],
-                   np.where(j < counts[idx, None], self.weights[take], 0.0))
 
 
 def _ray_cell_interval(origin, h, center, ct, st):
@@ -255,10 +238,9 @@ def moment_fitted_rule(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes, (B.T @ moments @ B).reshape(len(moments), -1)
 
 
-def interface_rule(mesh: Mesh, topo: CutTopology, cells,
-                   npts: int = 12) -> CutParts:
+def interface_rule(mesh: Mesh, topo: CutTopology, cells) -> CutParts:
     """Gauss rules on the interface arcs inside cut cells (curve measure),
-    npts points per arc; the points of a cell are arc-major.
+    ``ARC_NPTS`` points per arc; the points of a cell are arc-major.
 
     The record carries no normals: ``CircleLevelSet.normal`` gives the
     outward fluid normal at its points.
@@ -268,9 +250,9 @@ def interface_rule(mesh: Mesh, topo: CutTopology, cells,
     arcs = topo.arcs[np.stack([lo, hi - 1], axis=1)][np.arange(2) < (hi - lo)[:, None]]
     ls = topo.level_set
     r = ls.radius
-    gx, gw = gauss_1d(npts)
+    gx, gw = gauss_1d(ARC_NPTS)
     arc_angle = (arcs[:, 1] - arcs[:, 0])[:, None]
     th = (arcs[:, :1] + arc_angle * gx).ravel()
     pts = np.column_stack([ls.center[0] + r * np.cos(th), ls.center[1] + r * np.sin(th)])
     return CutParts(cells, pts, (arc_angle * r * gw).ravel(),
-                    np.concatenate([[0], np.cumsum(npts * (hi - lo))]))
+                    np.concatenate([[0], np.cumsum(ARC_NPTS * (hi - lo))]))

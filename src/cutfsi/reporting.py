@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import ERROR_NORMS, ErrorReport, evaluate_scalar
+from .analysis import ERROR_NORMS, ErrorReport
 from .config import SimulationConfig, format_config
 from .discretization import Discretization
 from .stepper import State, StepRecord
@@ -88,7 +88,12 @@ _VTU_FIELDS = {"f": (("velocity", "vf", 2), ("pressure", "p", 1)),
 
 
 def write_vtu(path, disc: Discretization, state: State, side: str) -> None:
-    """Subtriangulation of one side as a quad grid with nodal field data."""
+    """Subtriangulation of one side as a quad grid with nodal field data.
+
+    Every mesh vertex is a Lagrange node of each space, so its value is a
+    coefficient, found in the corner columns 0, r, nb - 1, nb - 1 - r of
+    ``cell_dofs`` (counterclockwise, as in ``cell_vertices``).
+    """
     mesh = disc.mesh
     cells = disc.topo.tri_cells(side)
     conn = mesh.cell_vertices[cells]  # (nc, 4) counter-clockwise
@@ -96,15 +101,15 @@ def write_vtu(path, disc: Discretization, state: State, side: str) -> None:
     renum = np.full(mesh.vertices.shape[0], -1, dtype=int)
     renum[used] = np.arange(len(used))
     pts = mesh.vertices[used]
-    owner = np.empty(len(used), dtype=int)
-    for c, verts in zip(cells, conn):
-        owner[renum[verts]] = c
 
     arrays = []
     for name, block, ncomp in _VTU_FIELDS[side]:
-        coefs = state.x[disc.layout.slice(block)]
-        comps = [evaluate_scalar(disc, block, coefs, pts, owner, comp=c)
-                 for c in range(ncomp)]
+        dm = disc.dofmap(block)
+        r, nb = dm.order, dm.cell_dofs.shape[1]
+        node = np.empty(len(used), dtype=int)  # scalar dof of each vertex
+        node[renum[conn]] = dm.cell_dofs[dm.cell_index[cells]][:, [0, r, nb - 1, nb - 1 - r]]
+        coefs = state.x[disc.layout.slice(block)].reshape(ncomp, -1)
+        comps = list(coefs[:, node])
         if ncomp == 2:
             comps.append(np.zeros(len(used)))
         arrays.append((name, np.column_stack(comps) if len(comps) > 1

@@ -111,6 +111,14 @@ class TimeStepper:
         """Zero initial state (consistent with the ramp at t = 0)."""
         return State(index=0, t=0.0, x=np.zeros(self.disc.layout.total))
 
+    def lyapunov(self, state: State) -> float:
+        """Discrete energy Q^n = 1/2 x.Mx + 1/2 u.Ku of a state, x its
+        (v_f, p, v_s) block and u its displacement; it decays step to step
+        for homogeneous data."""
+        layout = self.disc.layout
+        x, u = state.x[:layout.n_system], state.x[layout.slice("u")]
+        return 0.5 * float(x @ (self.M @ x) + u @ (self.K @ u))
+
     def step(self, state: State) -> State:
         cfg = self.cfg
         layout = self.disc.layout

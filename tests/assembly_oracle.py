@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from cutfsi.assembly import (DROP_TOL, SCALAR_KERNELS, Forms, _div_q, _grad_p,
                              _mass, _solid_bulk, _viscous, face_jump_table, weight_w)
 from cutfsi.fem import reference_basis
-from cutfsi.quadrature import gauss_1d
+from cutfsi.quadrature import ARC_NPTS, gauss_1d
 
 
 class Coo:
@@ -145,7 +145,7 @@ def ghost_matrix(disc, which, raw):
 
 
 def assemble_nitsche(disc):
-    """(penalty, consistency) on the padded arc batches, scattered by COO."""
+    """(penalty, consistency) on the arcs, scattered by COO."""
     cfg, lay = disc.cfg, disc.layout
     rnu = cfg.rho_f * cfg.nu_f
     pen = rnu * cfg.gamma_N / disc.h
@@ -158,43 +158,47 @@ def assemble_nitsche(disc):
         return component_ids(dm.cell_dofs[dm.cell_index[cells]], dm.n_scalar,
                              dm.ncomp, lay.offset(block))
 
-    for cells, pts, w in disc.iface_rules.batches():
-        nrm = -(pts - c) / np.linalg.norm(pts - c, axis=-1)[..., None]
-        Nf, Gfx, Gfy = disc.tabulate(cfg.m_f, cells[:, None], pts)
-        P = disc.tabulate(cfg.m_f - 1, cells[:, None], pts)[0]
-        Ns = disc.tabulate(cfg.m_s, cells[:, None], pts)[0]
-        n_comp = (nrm[..., 0, None], nrm[..., 1, None])
-        G = (Gfx, Gfy)
-        Gn = Gfx * n_comp[0] + Gfy * n_comp[1]
-        ids_vf, ids_p = ids("vf", cells), ids("p", cells)
-        test_tabs = {"vf": (Nf, +1.0, ids_vf), "vs": (Ns, -1.0, ids("vs", cells))}
-        for Nt, st, rids in test_tabs.values():
-            for Ntr, str_, cids in test_tabs.values():
-                loc = pen * st * str_ * _mass(Nt, Ntr, w)
-                for rc, cc in zip(np.split(rids, 2, axis=-1), np.split(cids, 2, axis=-1)):
-                    acc_pen.add_many(rc, cc, loc)
-        for Nt, st, rids in test_tabs.values():
-            blocks = [[-st * rnu * (_mass(Nt, G[a] * n_comp[b], w)
-                                    + (a == b) * _mass(Nt, Gn, w))
-                       for b in range(2)] for a in range(2)]
-            acc_cons.add_many(rids, ids_vf, np.block(blocks))
-            acc_cons.add_many(rids, ids_p, np.concatenate(
-                [st * _mass(Nt, P * n_comp[a], w) for a in range(2)], axis=-2))
+    rule = disc.iface_rules
+    cells = np.repeat(rule.cells, np.diff(rule.offsets) // ARC_NPTS)
+    pts = rule.points.reshape(len(cells), ARC_NPTS, 2)
+    w = rule.weights.reshape(len(cells), ARC_NPTS)
+    nrm = -(pts - c) / np.linalg.norm(pts - c, axis=-1)[..., None]
+    Nf, Gfx, Gfy = disc.tabulate(cfg.m_f, cells[:, None], pts)
+    P = disc.tabulate(cfg.m_f - 1, cells[:, None], pts)[0]
+    Ns = disc.tabulate(cfg.m_s, cells[:, None], pts)[0]
+    n_comp = (nrm[..., 0, None], nrm[..., 1, None])
+    G = (Gfx, Gfy)
+    Gn = Gfx * n_comp[0] + Gfy * n_comp[1]
+    ids_vf, ids_p = ids("vf", cells), ids("p", cells)
+    test_tabs = {"vf": (Nf, +1.0, ids_vf), "vs": (Ns, -1.0, ids("vs", cells))}
+    for Nt, st, rids in test_tabs.values():
         for Ntr, str_, cids in test_tabs.values():
-            blocks = [[-str_ * rnu * (_mass(G[b] * n_comp[a], Ntr, w)
-                                      + (a == b) * _mass(Gn, Ntr, w))
-                       for b in range(2)] for a in range(2)]
-            acc_cons.add_many(ids_vf, cids, np.block(blocks))
-            acc_cons.add_many(ids_p, cids, np.concatenate(
-                [-str_ * _mass(P * n_comp[b], Ntr, w) for b in range(2)], axis=-1))
+            loc = pen * st * str_ * _mass(Nt, Ntr, w)
+            for rc, cc in zip(np.split(rids, 2, axis=-1), np.split(cids, 2, axis=-1)):
+                acc_pen.add_many(rc, cc, loc)
+    for Nt, st, rids in test_tabs.values():
+        blocks = [[-st * rnu * (_mass(Nt, G[a] * n_comp[b], w)
+                                + (a == b) * _mass(Nt, Gn, w))
+                   for b in range(2)] for a in range(2)]
+        acc_cons.add_many(rids, ids_vf, np.block(blocks))
+        acc_cons.add_many(rids, ids_p, np.concatenate(
+            [st * _mass(Nt, P * n_comp[a], w) for a in range(2)], axis=-2))
+    for Ntr, str_, cids in test_tabs.values():
+        blocks = [[-str_ * rnu * (_mass(G[b] * n_comp[a], Ntr, w)
+                                  + (a == b) * _mass(Gn, Ntr, w))
+                   for b in range(2)] for a in range(2)]
+        acc_cons.add_many(ids_vf, cids, np.block(blocks))
+        acc_cons.add_many(ids_p, cids, np.concatenate(
+            [-str_ * _mass(P * n_comp[b], Ntr, w) for b in range(2)], axis=-1))
     return acc_pen.tocsr(), acc_cons.tocsr()
 
 
 @dataclass
 class OracleForms(Forms):
-    """The library's forms plus the three that it sums into R and M only."""
+    """The library's forms plus the four that it sums into R, M and K only."""
 
     mass_solid: sp.csr_matrix       # rho_s (v_s, phi_s)_Omega_s
+    solid_bulk: sp.csr_matrix       # (sigma_s(u), grad psi) on the solid vector space
     fluid_bulk: sp.csr_matrix       # viscous + pressure couplings
     nitsche_cons: sp.csr_matrix
 

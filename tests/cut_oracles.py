@@ -68,7 +68,8 @@ def arc_intervals(mesh, ls, cell, crossings):
 
 
 def solid_polygon_area(mesh, ls, cell):
-    """Shoelace area of the chord polygon of the solid part of a cell."""
+    """Shoelace area of the chord polygon of the solid part of a cell, in
+    coordinates relative to the cell's origin."""
     corners = mesh.cell_corners(cell)
     verts = []
     for e in range(4):
@@ -78,7 +79,7 @@ def solid_polygon_area(mesh, ls, cell):
         verts.extend(segment_crossings(ls, a, b))
     if len(verts) < 3:
         return 0.0
-    v = np.array(verts)
+    v = np.array(verts) - mesh.cell_origin(cell)
     x, y = v[:, 0], v[:, 1]
     return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 

@@ -16,12 +16,12 @@ from assembly_oracle import component_ids as _component_ids
 from assembly_oracle import place as _place
 from cutfsi import Discretization, SimulationConfig, TimeStepper
 from cutfsi.analysis import GHOST_SAMPLES, ghost_extension_ratios
-from cutfsi.assembly import (SCALAR_KERNELS, Forms, _grad_p, _div_q, _lattice, _mass,
+from cutfsi.assembly import (SCALAR_KERNELS, _grad_p, _div_q, _lattice, _mass,
                              _solid_bulk, _stack, _system, _viscous, assemble_cells,
                              assemble_forms, face_jump_table, raw_jump_matrices,
                              system_matrices, weight_w)
 from cutfsi.fem import reference_basis
-from cutfsi.quadrature import CutParts, cut_cell_rule, gauss_1d
+from cutfsi.quadrature import ARC_NPTS, CutParts, cut_cell_rule, gauss_1d
 
 
 @pytest.fixture(scope="module")
@@ -123,17 +123,17 @@ def test_viscous_block_symmetry(disc8, oracle8):
 def test_viscous_energy_against_quadrature(disc8, oracle8):
     """x^T A x equals int 2 rho nu |eps(v)|^2 computed independently at the
     quadrature points for a random interpolated field."""
-    from cutfsi.analysis import domain_points, evaluate_scalar
+    from cutfsi.analysis import domain_points, point_eval_matrix
     lay = disc8.layout
     cfg = disc8.cfg
     dm = disc8.vf
     rng = np.random.default_rng(4)
     coefs = rng.standard_normal(2 * dm.n_scalar)
     pts, w, cells = domain_points(disc8, "f")
-    gxx = evaluate_scalar(disc8, "vf", coefs, pts, cells, 0, dx=1)
-    gxy = evaluate_scalar(disc8, "vf", coefs, pts, cells, 0, dy=1)
-    gyx = evaluate_scalar(disc8, "vf", coefs, pts, cells, 1, dx=1)
-    gyy = evaluate_scalar(disc8, "vf", coefs, pts, cells, 1, dy=1)
+    Dx = point_eval_matrix(disc8, "vf", pts, cells, dx=1)
+    Dy = point_eval_matrix(disc8, "vf", pts, cells, dy=1)
+    cx, cy = coefs.reshape(2, -1)
+    gxx, gxy, gyx, gyy = Dx @ cx, Dy @ cx, Dx @ cy, Dy @ cy
     eps2 = gxx ** 2 + gyy ** 2 + 0.5 * (gxy + gyx) ** 2
     expected = 2 * cfg.rho_f * cfg.nu_f * np.dot(w, eps2)
     A = oracle8.fluid_bulk
@@ -235,9 +235,11 @@ def test_nitsche_penalty_no_stored_zeros(disc8, disc8_q2, m_s):
     assert np.abs(P.toarray() - dense).max() <= 1e-15 * np.abs(dense).max()
 
 
-def test_solid_bulk_rigid_modes(disc8, forms8):
+def test_solid_bulk_rigid_modes(disc8):
     """a_s(u, phi) = 0 for rigid displacements u (translations, rotation)."""
-    su = forms8.solid_bulk
+    arrays = {}
+    assemble_forms(disc8, arrays)
+    su = _stack(arrays["solid_bulk"], arrays["patterns"], [("vs", 2)])
     ns = disc8.s.n_scalar
     c = disc8.s.node_coords
     tx = np.concatenate([np.ones(ns), np.zeros(ns)])
@@ -464,7 +466,7 @@ def test_batched_cell_forms_match_cell_loop(batch_case):
     disc, forms, arrays = batch_case
     cfg = disc.cfg
     assert_same(forms.mass_solid_scalar, oracle_cells(disc, SCALAR_KERNELS["value"], "vs"))
-    assert_same(forms.solid_bulk, oracle_cells(
+    assert_same(_stack(arrays["solid_bulk"], arrays["patterns"], [("vs", 2)]), oracle_cells(
         disc, lambda tr, tc, w: _solid_bulk(tr, w, cfg.mu_s, cfg.lambda_s), "vs"))
     viscous = oracle_cells(disc, lambda tr, tc, w: _viscous(tr, w, cfg.rho_f * cfg.nu_f), "vf")
     fluid_bulk = (_place(disc, "vf", "vf", viscous)
@@ -478,29 +480,6 @@ def test_batched_nitsche_matches_arc_loop(batch_case):
     pen, cons = oracle_nitsche(disc)
     assert_same(forms.nitsche_pen, pen)
     assert_same(step_only_form(disc, arrays, "consistency"), cons)
-
-
-def test_forms_independent_of_batch_size(batch_case, monkeypatch):
-    """With at most 50 points per batch the arcs go two to four cells at a
-    time, and the forms stay the same."""
-    disc, forms, arrays = batch_case
-    real = CutParts.batches
-    arc_batches = []
-
-    def small(self, max_points=8192):
-        for batch in real(self, max_points=50):
-            if self is disc.iface_rules:
-                arc_batches.append(len(batch[0]))
-            yield batch
-    monkeypatch.setattr(CutParts, "batches", small)
-    small_arrays = {}
-    got = assemble_forms(disc, small_arrays)
-    assert max(arc_batches) <= 4 and len(arc_batches) > 1
-    for name in Forms.__dataclass_fields__:
-        assert_same(getattr(got, name), getattr(forms, name), tol=1e-15)
-    for name in ("viscous", "grad_p", "div_q", "consistency"):
-        assert_same(step_only_form(disc, small_arrays, name),
-                    step_only_form(disc, arrays, name), tol=1e-15)
 
 
 @functools.lru_cache(maxsize=None)
@@ -583,16 +562,20 @@ def test_pattern_pass_matches_coo_assembly(n, m_s, r2):
     assert_matches_oracle(stepper.R_dir, R_dir[rank])
 
 
-def test_step_pattern_independent_of_batch_size(monkeypatch):
-    """R's stored pattern does not depend on the order of the sums: with at
-    most 50 points per batch, which changes the sums of the arc forms, the
-    stepper's R has the same indices and indptr."""
-    cfg = SimulationConfig(n=16, m_s=2)
-    want = TimeStepper(Discretization(cfg)).R
-    real = CutParts.batches
-    monkeypatch.setattr(CutParts, "batches",
-                        lambda self, max_points=8192: real(self, max_points=50))
-    got = TimeStepper(Discretization(cfg)).R
+def test_step_pattern_independent_of_arc_order():
+    """R's stored pattern does not depend on the order of the sums: with the
+    arcs of the record reversed, which reverses the sums of the arc forms,
+    the stepper's R has the same indices and indptr."""
+    disc = Discretization(SimulationConfig(n=16, m_s=2))
+    want = TimeStepper(disc).R
+    rule = disc.iface_rules
+    counts = np.diff(rule.offsets)[::-1]
+    disc.iface_rules = CutParts(rule.cells[::-1],
+                                rule.points.reshape(-1, ARC_NPTS, 2)[::-1].reshape(-1, 2),
+                                rule.weights.reshape(-1, ARC_NPTS)[::-1].ravel(),
+                                np.concatenate([[0], np.cumsum(counts)]))
+    got = TimeStepper(disc).R
+    assert not np.array_equal(got.data, want.data)
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
     assert abs(got - want).max() <= 1e-15 * abs(want).max()
@@ -612,8 +595,8 @@ def test_step_pattern_independent_of_time_step():
 @pytest.mark.parametrize("m_s", [1, 2])
 def test_one_tabulation_per_batch_and_order(disc8, disc8_q2, m_s, monkeypatch):
     """One assemble_forms call tabulates no point of the cut parts, whose
-    cells share their side's moment-fitted nodes, and each arc batch once
-    per space order."""
+    cells share their side's moment-fitted nodes, and the arcs, one batch
+    of (arcs, ARC_NPTS) points, once per space order."""
     disc = disc8 if m_s == 1 else disc8_q2
     calls = Counter()
     tabulate = Discretization.tabulate
@@ -626,7 +609,8 @@ def test_one_tabulation_per_batch_and_order(disc8, disc8_q2, m_s, monkeypatch):
     assemble_forms(disc)
     cfg = disc.cfg
     want = Counter()
-    for cells, pts, _ in disc.iface_rules.batches():
-        for order in {cfg.m_f, cfg.m_f - 1, cfg.m_s}:
-            want[order, cells.tobytes(), pts.tobytes()] += 1
+    rule = disc.iface_rules
+    cells = np.repeat(rule.cells, np.diff(rule.offsets) // ARC_NPTS)
+    for order in {cfg.m_f, cfg.m_f - 1, cfg.m_s}:
+        want[order, cells.tobytes(), rule.points.tobytes()] += 1
     assert calls == want

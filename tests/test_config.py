@@ -63,6 +63,14 @@ def test_bad_value_rejected(tmp_path):
         parse_config(str(path))
 
 
+@pytest.mark.parametrize("key,value", [("n", "abc"), ("n", "8.5"), ("k", "abc")])
+def test_bad_override_value_rejected(key, value):
+    """An override that does not convert to its key's type is a ConfigError
+    naming the key and the value."""
+    with pytest.raises(ConfigError, match=f"^{key} = '{value}': "):
+        parse_config(None, overrides={key: value})
+
+
 def test_validation():
     with pytest.raises(ConfigError):
         parse_config(None, overrides={"n": "-4"})

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cutfsi import SimulationConfig, run_simulation
-from cutfsi.analysis import ErrorReport
+from cutfsi.analysis import ErrorReport, point_eval_matrix, random_smooth_state
 from cutfsi.reporting import (format_convergence_table, write_convergence_csv,
                               write_snapshot, write_step_log, write_vtu)
 
@@ -103,6 +103,34 @@ def test_vtu_lid_velocity(tmp_path, disc8, run8):
     assert len(lid) == 1
     assert vel[lid[0], 0] == pytest.approx(disc8.cfg.peak_inflow, rel=1e-6)
     assert vel[lid[0], 1] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("m_s", [1, 2])
+def test_vtu_values_match_point_evaluation(tmp_path, disc8, disc8_q2, m_s):
+    """Each vertex value of a snapshot is its field evaluated at the vertex,
+    in the last cell of the side that holds the vertex."""
+    disc = disc8 if m_s == 1 else disc8_q2
+    state = random_smooth_state(disc, seed=2)
+    for side, fields in (("f", (("velocity", "vf"), ("pressure", "p"))),
+                         ("s", (("velocity", "vs"), ("displacement", "u")))):
+        path = tmp_path / f"{side}.vtu"
+        write_vtu(path, disc, state, side)
+        piece = ET.parse(path).getroot().find("UnstructuredGrid/Piece")
+        pts = np.fromstring(piece.find("Points/DataArray").text, sep=" ").reshape(-1, 3)
+        pts = np.round((pts[:, :2] + 1.0) / disc.h) * disc.h - 1.0  # back onto the grid
+        conn = np.fromstring(piece.find("Cells/DataArray[@Name='connectivity']").text,
+                             sep=" ", dtype=int).reshape(-1, 4)
+        owner = np.empty(len(pts), dtype=int)
+        for cell, verts in zip(disc.topo.tri_cells(side), conn):
+            owner[verts] = cell
+        for name, block in fields:
+            got = np.fromstring(piece.find(f"PointData/DataArray[@Name='{name}']").text,
+                                sep=" ").reshape(len(pts), -1)
+            E = point_eval_matrix(disc, block, pts, owner)
+            coefs = state.x[disc.layout.slice(block)].reshape(disc.dofmap(block).ncomp, -1)
+            want = np.column_stack([E @ c for c in coefs])
+            assert np.abs(want).max() > 0
+            assert np.allclose(got[:, :want.shape[1]], want, rtol=1e-9, atol=1e-14)
 
 
 def test_write_snapshot(tmp_path, disc8, run8):
