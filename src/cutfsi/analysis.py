@@ -88,8 +88,9 @@ class Analyzer:
         self.disc = disc
         self.forms = forms
         value, gradient = SCALAR_KERNELS["value"], SCALAR_KERNELS["gradient"]
-        self.mass_s_T = assemble_cells(disc, value, "vs", disc.s.cells)
-        self.grad_s_T = assemble_cells(disc, gradient, "vs", disc.s.cells)
+        solid = Pattern(disc, "vs", "vs", cells=disc.s.cells)
+        self.mass_s_T = assemble_cells(disc, value, "vs", disc.s.cells, solid)
+        self.grad_s_T = assemble_cells(disc, gradient, "vs", disc.s.cells, solid)
         self.grad_vf_T = assemble_cells(disc, gradient, "vf", disc.vf.cells)
 
     @staticmethod

@@ -1,9 +1,13 @@
-"""Assembly of all bilinear forms of the monolithic time-step system.
+"""Assembly of the bilinear forms of the monolithic time-step system.
 
 Bulk integrals run over the physical subdomains via cut quadrature, ghost
 penalties over full faces of the ghost face sets, Nitsche coupling over the
-exact interface arcs.  The interface is fixed and the mesh uniform, so one
-pass per mesh assembles every form:
+exact interface arcs.  ``assemble_forms(disc)`` assembles the seven fields
+of ``Forms`` only: the masses, the Nitsche penalty and the ghost penalties.
+``assemble_forms(disc, arrays)``, which ``system_matrices`` calls, also
+assembles the forms that only the step matrices read (viscous, pressure,
+Nitsche consistency, solid bulk).  The interface is fixed and the mesh
+uniform, so one pass per mesh assembles the forms it is asked for:
 
 - each block pair of the system has one sorted CSR pattern, built from the
   cells, ghost faces and arcs that couple it, with a map from every local
@@ -178,6 +182,12 @@ class Pattern:
     def matrix(self, data) -> sp.csr_matrix:
         """CSR matrix of ``data`` on the whole pattern."""
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+    def compact(self, data) -> sp.csr_matrix:
+        """CSR matrix of the nonzero entries of ``data``, in new arrays."""
+        nz = np.flatnonzero(data)
+        return sp.csr_matrix((data[nz], self.indices[nz], np.searchsorted(nz, self.indptr)),
+                             shape=self.shape)
 
 
 class _Sums(defaultdict):
@@ -398,8 +408,9 @@ def ghost_data(raws: list[sp.csr_matrix], s: int, h: float) -> np.ndarray:
 
 # -- Nitsche interface coupling ---------------------------------------------
 
-def _nitsche_pass(disc: Discretization, sums: _Sums) -> None:
-    """Scatter the penalty and consistency interface forms.
+def _nitsche_pass(disc: Discretization, sums: _Sums, consistency: bool) -> None:
+    """Scatter the penalty and, if ``consistency``, the consistency
+    interface forms.
 
     Penalty:     h^-1 rho_f nu_f gamma_N (v_f - v_s, phi_f - phi_s), one
                  scalar form per (test, trial) pair of spaces
@@ -407,30 +418,35 @@ def _nitsche_pass(disc: Discretization, sums: _Sums) -> None:
                  -(v_f - v_s, sigma_f(phi_f, -xi) n_f)
 
     Every arc has ``ARC_NPTS`` points, so the arc rules are one (arcs, q)
-    table, tabulated once per order, and the local matrices of all arcs are
-    formed at once; a cell with two arcs gets one local matrix per arc.
+    table, tabulated once per order (the pressure order for the
+    consistency forms only), and the local matrices of all arcs are formed
+    at once; a cell with two arcs gets one local matrix per arc.
     """
     cfg = disc.cfg
     rnu = cfg.rho_f * cfg.nu_f
     pen = rnu * cfg.gamma_N / disc.h
-    orders = {cfg.m_f, cfg.m_f - 1, cfg.m_s}
+    orders = {cfg.m_f, cfg.m_s} | ({cfg.m_f - 1} if consistency else set())
     patterns = {pair: pat for pair, pat in sums.patterns.items() if pair != ("p", "p")}
     rule = disc.iface_rules
     cells = np.repeat(rule.cells, np.diff(rule.offsets) // ARC_NPTS)
     pts = rule.points.reshape(len(cells), ARC_NPTS, 2)
     w = rule.weights.reshape(len(cells), ARC_NPTS)
-    nrm = disc.level_set.normal(pts)
     tabs = {o: disc.tabulate(o, cells[:, None], pts) for o in orders}
-    (Nf, Gfx, Gfy), P, Ns = tabs[cfg.m_f], tabs[cfg.m_f - 1][0], tabs[cfg.m_s][0]
-    n_comp = (nrm[..., 0, None], nrm[..., 1, None])  # (arcs, q, 1) each
-    G = (Gfx, Gfy)
-    Gn = Gfx * n_comp[0] + Gfy * n_comp[1]
+    Nf, Ns = tabs[cfg.m_f][0], tabs[cfg.m_s][0]
     tests = {"vf": (Nf, +1.0), "vs": (Ns, -1.0)}
     pos = {pair: pat.at_cells(cells) for pair, pat in patterns.items()}
     for row, (Nt, st) in tests.items():
         for col, (Ntr, str_) in tests.items():
             sums.add("nitsche_pen", row, col, pos[row, col],
                      pen * st * str_ * _mass(Nt, Ntr, w))
+    if not consistency:
+        return
+    nrm = disc.level_set.normal(pts)
+    _, Gfx, Gfy = tabs[cfg.m_f]
+    P = tabs[cfg.m_f - 1][0]
+    n_comp = (nrm[..., 0, None], nrm[..., 1, None])  # (arcs, q, 1) each
+    G = (Gfx, Gfy)
+    Gn = Gfx * n_comp[0] + Gfy * n_comp[1]
     for t, (Nt, st) in tests.items():
         # -(sigma_f(v_f, p) n, phi_t): rows phi_t, columns v_f and p
         blocks = [[-st * rnu * (_mass(Nt, G[a] * n_comp[b], w)
@@ -470,30 +486,37 @@ class Forms:
     ghost_u: sp.csr_matrix
 
 
-def _system(disc: Discretization, field: str = "mass_fluid"):
-    """The blocks (block, ncomp) a field of ``Forms`` is stacked over."""
-    if field.startswith("ghost") or field == "mass_solid_scalar":
-        return [({"ghost_vf": "vf", "ghost_p": "p"}.get(field, "vs"), 1)]
+def _system(disc: Discretization):
+    """The blocks (block, ncomp) of the (v_f, p, v_s) system."""
     return [(b, disc.dofmap(b).ncomp) for b in SYSTEM_BLOCKS]
 
 
 def assemble_forms(disc: Discretization, arrays: dict | None = None) -> Forms:
-    """Every form of ``disc``, from one assembly pass.
+    """The fields of ``Forms`` of ``disc``, from one assembly pass; with
+    ``arrays``, also the forms that only the step matrices read.
 
     Each block pair of the system has one pattern: blocks of one side couple
     on the side's cells (the pressure with itself only in its ghost
     penalty), blocks of the two sides on the cut cells, and each block with
     itself across the side's ghost faces.  Each form is summed once into
-    data arrays {(row, col, cr, cc): data} on these patterns.  ``arrays``,
-    if given, receives them by name (the fields of ``Forms``, without their
-    round-off, and "viscous", "grad_p", "div_q", "consistency" and
-    "solid_bulk", which only the step matrices read), and the patterns
-    under "patterns", so that ``system_matrices`` needs no second pass.
+    data arrays {(row, col, cr, cc): data} on these patterns.
+
+    Without ``arrays`` the pass builds the patterns that the fields of
+    ``Forms`` lie on (no pressure-velocity pair) and assembles the masses,
+    the Nitsche penalty and the ghost penalties only.  ``arrays``, if
+    given, asks for the step forms too: it receives the data arrays by name
+    (the fields of ``Forms``, without their round-off, and "viscous",
+    "grad_p", "div_q", "consistency" and "solid_bulk", which only the step
+    matrices read), and all nine patterns under "patterns", so that
+    ``system_matrices`` needs no second pass.
     """
     cfg, topo = disc.cfg, disc.topo
+    step = arrays is not None
     patterns = {}
     for row in SYSTEM_BLOCKS:
         for col in SYSTEM_BLOCKS:
+            if not step and "p" in (row, col) and row != col:
+                continue
             side = disc.dofmap(row).side
             cells = (topo.cut_cells if side != disc.dofmap(col).side
                      else () if row == col == "p" else disc.dofmap(row).cells)
@@ -501,16 +524,18 @@ def assemble_forms(disc: Discretization, arrays: dict | None = None) -> Forms:
                                          topo.ghost_faces(side) if row == col else ())
     sums = _Sums(patterns)
     value = SCALAR_KERNELS["value"]
-    _cell_pass(disc, sums, "f", [
-        ("mass_fluid", value, "vf", "vf"),
-        ("viscous", lambda tr, tc, w: _viscous(tr, w, cfg.rho_f * cfg.nu_f), "vf", "vf"),
-        ("grad_p", _grad_p, "vf", "p"),
-        ("div_q", _div_q, "p", "vf")])
-    _cell_pass(disc, sums, "s", [
-        ("mass_solid_scalar", value, "vs", "vs"),
-        ("solid_bulk", lambda tr, tc, w: _solid_bulk(tr, w, cfg.mu_s, cfg.lambda_s),
-         "vs", "vs")])
-    _nitsche_pass(disc, sums)
+    fluid = [("mass_fluid", value, "vf", "vf")]
+    solid = [("mass_solid_scalar", value, "vs", "vs")]
+    if step:
+        fluid += [("viscous", lambda tr, tc, w: _viscous(tr, w, cfg.rho_f * cfg.nu_f),
+                   "vf", "vf"),
+                  ("grad_p", _grad_p, "vf", "p"),
+                  ("div_q", _div_q, "p", "vf")]
+        solid += [("solid_bulk", lambda tr, tc, w: _solid_bulk(tr, w, cfg.mu_s, cfg.lambda_s),
+                   "vs", "vs")]
+    _cell_pass(disc, sums, "f", fluid)
+    _cell_pass(disc, sums, "s", solid)
+    _nitsche_pass(disc, sums, consistency=step)
     a = sums.arrays()
     f = {"mass_fluid": _on_components(_lin((cfg.rho_f, a.pop("mass_fluid")))),
          "nitsche_pen": _on_components(a.pop("nitsche_pen")), **a}
@@ -528,9 +553,17 @@ def assemble_forms(disc: Discretization, arrays: dict | None = None) -> Forms:
     del raws
     for pattern in patterns.values():
         pattern.drop_maps()
-    forms = Forms(**{name: _stack(_drop_roundoff(f[name]), patterns, _system(disc, name))
+
+    def matrix(data: dict) -> sp.csr_matrix:
+        # a single data array is a scalar field on its own block pair
+        if len(data) == 1:
+            (key, array), = data.items()
+            return patterns[key[:2]].compact(array)
+        return _stack(data, patterns, _system(disc))
+
+    forms = Forms(**{name: matrix(_drop_roundoff(f[name]))
                      for name in Forms.__dataclass_fields__})
-    if arrays is not None:
+    if step:
         arrays.update(f, patterns=patterns)
     return forms
 

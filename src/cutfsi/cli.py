@@ -24,14 +24,18 @@ MIN_H = 0.0078125
 MAX_DOFS = 3_000_000
 
 
-def _load_config(args) -> SimulationConfig:
+def _overrides(args) -> dict:
     overrides = {}
     for item in getattr(args, "set", None) or []:
         key, sep, value = item.partition("=")
         if not sep:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         overrides[key.strip()] = value.strip()
-    return parse_config(getattr(args, "config", None), overrides=overrides)
+    return overrides
+
+
+def _load_config(args) -> SimulationConfig:
+    return parse_config(getattr(args, "config", None), overrides=_overrides(args))
 
 
 def _check_scale(cfg: SimulationConfig, allow_large: bool) -> None:
@@ -101,6 +105,11 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    overrides = _overrides(args)
+    for key in ("n", "k"):  # verify sets these itself
+        if key in overrides:
+            raise ConfigError(f"verify checks its own meshes and time step "
+                              f"(n = 8, 16, 32; k = 0.5); it does not take --set {key}")
     cfg = _load_config(args)
     failures = 0
 
@@ -171,10 +180,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "fluid-structure interaction")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def config(p):
         p.add_argument("--config", help="configuration file (key = value lines)")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a configuration entry")
+
+    def common(p):
+        config(p)
         p.add_argument("--output-dir", default="output",
                        help="directory for CSV/VTU output")
         p.add_argument("--allow-large", action="store_true",
@@ -195,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--solid-order", type=int, choices=(1, 2), default=1)
     p_conv.set_defaults(func=cmd_convergence)
 
-    p_ver = sub.add_parser("verify", help="stability and geometry checks")
-    common(p_ver)
+    p_ver = sub.add_parser("verify", help="stability and geometry checks on n = 8, 16, 32")
+    config(p_ver)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.set_defaults(func=cmd_verify)
     return parser

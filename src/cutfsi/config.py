@@ -107,7 +107,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Simu
                 try:
                     values[key] = _convert(key, val)
                 except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+                    raise ConfigError(f"{path}:{lineno}: {key} = {val!r}: {exc}") from exc
     for key, val in (overrides or {}).items():
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")

@@ -14,9 +14,9 @@ import scipy.sparse as sp
 import assembly_oracle as coo
 from assembly_oracle import component_ids as _component_ids
 from assembly_oracle import place as _place
-from cutfsi import Discretization, SimulationConfig, TimeStepper
+from cutfsi import Discretization, SimulationConfig, TimeStepper, assembly
 from cutfsi.analysis import GHOST_SAMPLES, ghost_extension_ratios
-from cutfsi.assembly import (SCALAR_KERNELS, _grad_p, _div_q, _lattice, _mass,
+from cutfsi.assembly import (SCALAR_KERNELS, Forms, _grad_p, _div_q, _lattice, _mass,
                              _solid_bulk, _stack, _system, _viscous, assemble_cells,
                              assemble_forms, face_jump_table, raw_jump_matrices,
                              system_matrices, weight_w)
@@ -592,11 +592,18 @@ def test_step_pattern_independent_of_time_step():
         assert np.array_equal(got.indices, want.indices)
 
 
-@pytest.mark.parametrize("m_s", [1, 2])
-def test_one_tabulation_per_batch_and_order(disc8, disc8_q2, m_s, monkeypatch):
+TABULATION_CASES = [(1, False), (2, False), (1, True), (2, True)]
+
+
+@pytest.mark.parametrize("m_s,step", TABULATION_CASES,
+                         ids=[f"{m}" + ("-arrays" if step else "")
+                              for m, step in TABULATION_CASES])
+def test_one_tabulation_per_batch_and_order(disc8, disc8_q2, m_s, step, monkeypatch):
     """One assemble_forms call tabulates no point of the cut parts, whose
     cells share their side's moment-fitted nodes, and the arcs, one batch
-    of (arcs, ARC_NPTS) points, once per space order."""
+    of (arcs, ARC_NPTS) points, once per space order: the velocity orders
+    m_f and m_s for the Forms-only pass, and the pressure order m_f - 1 too
+    when ``arrays`` asks for the step forms."""
     disc = disc8 if m_s == 1 else disc8_q2
     calls = Counter()
     tabulate = Discretization.tabulate
@@ -606,11 +613,77 @@ def test_one_tabulation_per_batch_and_order(disc8, disc8_q2, m_s, monkeypatch):
         return tabulate(self, order, cells, pts)
 
     monkeypatch.setattr(Discretization, "tabulate", counting)
-    assemble_forms(disc)
+    assemble_forms(disc, {} if step else None)
     cfg = disc.cfg
     want = Counter()
     rule = disc.iface_rules
     cells = np.repeat(rule.cells, np.diff(rule.offsets) // ARC_NPTS)
-    for order in {cfg.m_f, cfg.m_f - 1, cfg.m_s}:
+    for order in {cfg.m_f, cfg.m_s} | ({cfg.m_f - 1} if step else set()):
         want[order, cells.tobytes(), rule.points.tobytes()] += 1
     assert calls == want
+
+
+GATE_CASES = [(8, 2, 0.75), (16, 1, 0.6), (16, 2, 0.75), (32, 1, 0.5), (32, 2, 0.79),
+              (9, 2, 0.3136), (64, 2, 0.75)]
+
+
+@pytest.mark.parametrize("n,m_s,r2", GATE_CASES,
+                         ids=[f"n{n}-ms{m}-r{r}" for n, m, r in GATE_CASES])
+def test_forms_only_pass_matches_step_pass(n, m_s, r2):
+    """Every field of ``Forms`` from assemble_forms without ``arrays`` is
+    bit-identical (data, indices, indptr and their dtypes) to that of the
+    full pass that system_matrices makes."""
+    disc = Discretization(SimulationConfig(n=n, m_s=m_s, radius_squared=r2))
+    got, want = assemble_forms(disc), system_matrices(disc)[3]
+    for name in Forms.__dataclass_fields__:
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.shape == w.shape, name
+        for part in ("data", "indices", "indptr"):
+            a, b = getattr(g, part), getattr(w, part)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, part)
+
+
+STEP_KERNELS = ("_viscous", "_grad_p", "_div_q", "_solid_bulk")
+FORMS_PAIRS = {("vf", "vf"), ("vf", "vs"), ("vs", "vf"), ("vs", "vs"), ("p", "p")}
+
+
+def test_forms_only_pass_skips_step_forms(disc8_q2, monkeypatch):
+    """Without ``arrays`` the pass runs no step-only kernel, sums only the
+    masses and the Nitsche penalty, and builds no pattern that couples the
+    pressure with a velocity; with ``arrays`` it does all of these."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in STEP_KERNELS:
+        monkeypatch.setattr(assembly, name, counted(name, getattr(assembly, name)))
+    init, add = assembly.Pattern.__init__, assembly._Sums.add
+
+    def pattern_init(self, disc, row, col, cells=(), faces=()):
+        calls["pattern", row, col] += 1
+        init(self, disc, row, col, cells, faces)
+
+    def sums_add(self, form, *args):
+        calls["form", form] += 1
+        add(self, form, *args)
+
+    monkeypatch.setattr(assembly.Pattern, "__init__", pattern_init)
+    monkeypatch.setattr(assembly._Sums, "add", sums_add)
+
+    assemble_forms(disc8_q2)
+    assert not any(calls[name] for name in STEP_KERNELS)
+    assert {key[1:] for key in calls if key[0] == "pattern"} == FORMS_PAIRS
+    assert {key[1] for key in calls if key[0] == "form"} == {
+        "mass_fluid", "mass_solid_scalar", "nitsche_pen"}
+    calls.clear()
+    assemble_forms(disc8_q2, {})
+    assert all(calls[name] for name in STEP_KERNELS)
+    assert {key[1:] for key in calls if key[0] == "pattern"} == {
+        (row, col) for row in assembly.SYSTEM_BLOCKS for col in assembly.SYSTEM_BLOCKS}
+    assert {key[1] for key in calls if key[0] == "form"} == {
+        "mass_fluid", "mass_solid_scalar", "nitsche_pen", "viscous", "grad_p", "div_q",
+        "solid_bulk", "consistency"}

@@ -75,7 +75,7 @@ def test_bad_run_input_exits_2_before_any_discretization(argv, value, tmp_path, 
     assert built == []
 
 
-def test_verify_reports_missing_ghost_path(tmp_path, capsys, monkeypatch):
+def test_verify_reports_missing_ghost_path(capsys, monkeypatch):
     """A topology without ghost faces leaves the cut cells without a path to
     an uncut cell: verify prints a FAIL line and exits 1."""
     def no_ghost_faces(mesh, ls):
@@ -87,7 +87,7 @@ def test_verify_reports_missing_ghost_path(tmp_path, capsys, monkeypatch):
     # the ghost-extension and energy checks are not under test here
     monkeypatch.setattr(analysis, "ghost_extension_ratios", lambda *a, **k: 1.0)
     monkeypatch.setattr(analysis, "verify_energy_decay", lambda *a, **k: (True, [1.0, 0.5], None))
-    rc = main(["verify", "--output-dir", str(tmp_path)])
+    rc = main(["verify"])
     out = capsys.readouterr().out
     assert rc == 1
     for n in (8, 16, 32):
@@ -96,11 +96,51 @@ def test_verify_reports_missing_ghost_path(tmp_path, capsys, monkeypatch):
     assert "[ok  ] n=8 solid area" in out
 
 
-def test_verify_passes(tmp_path, capsys):
+def test_verify_passes(capsys):
     """Every built-in check passes on the default configuration."""
-    rc = main(["verify", "--output-dir", str(tmp_path)])
+    rc = main(["verify"])
     assert rc == 0
     assert "all checks passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key,value", [("n", "64"), ("k", "0.1")])
+def test_verify_rejects_fixed_keys(key, value, capsys, monkeypatch):
+    """verify checks n = 8, 16, 32 at k = 1/2 whatever the configuration
+    says, so a --set of n or k exits 2, naming the key, before any
+    discretization is built."""
+    monkeypatch.setattr(discretization.Discretization, "__init__",
+                        lambda self, cfg: pytest.fail(f"built a discretization at n={cfg.n}"))
+    rc = main(["verify", "--set", f"{key}={value}"])
+    assert rc == 2
+    assert f"--set {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [["--output-dir", "vo"], ["--allow-large"]])
+def test_verify_takes_no_output_options(option, capsys):
+    """verify writes no file and builds only its own meshes."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify"] + option)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_applies_other_overrides(capsys, monkeypatch):
+    """A --set of another key reaches every mesh that verify builds, and its
+    checks: the solid area is compared with pi r^2 of the override."""
+    built = []
+    init = discretization.Discretization.__init__
+
+    def recording(self, cfg):
+        built.append((cfg.n, cfg.radius_squared))
+        init(self, cfg)
+
+    monkeypatch.setattr(discretization.Discretization, "__init__", recording)
+    # the ghost-extension and energy checks are not under test here
+    monkeypatch.setattr(analysis, "ghost_extension_ratios", lambda *a, **k: 1.0)
+    monkeypatch.setattr(analysis, "verify_energy_decay", lambda *a, **k: (True, [1.0, 0.5], None))
+    main(["verify", "--set", "radius_squared=0.6"])
+    assert built == [(8, 0.6), (16, 0.6), (32, 0.6), (8, 0.6)]
+    assert "[ok  ] n=32 solid area" in capsys.readouterr().out
 
 
 def test_scale_guardrail(tmp_path):

@@ -1,5 +1,7 @@
 """Configuration parsing and formatting."""
 
+import re
+
 import pytest
 
 from cutfsi import ConfigError, SimulationConfig, format_config, parse_config
@@ -57,9 +59,10 @@ def test_unknown_key_rejected(tmp_path):
 
 
 def test_bad_value_rejected(tmp_path):
+    """A value that does not convert names the file, line, key and value."""
     path = tmp_path / "case.cfg"
-    path.write_text("n = lots\n")
-    with pytest.raises(ConfigError):
+    path.write_text("# a comment\nn = lots\n")
+    with pytest.raises(ConfigError, match="^" + re.escape(f"{path}:2: n = 'lots': ")):
         parse_config(str(path))
 
 
