@@ -149,7 +149,6 @@ def error_vs_reference(disc_c: Discretization, states_c: list[State],
     ref_states = [states_r[i * stride] for i in range(N_c + 1)]
 
     points = {side: domain_points(disc_c, side) for side in ("f", "s")}
-    block_side = {"vf": "f", "p": "f", "vs": "s", "u": "s"}
     k = disc_c.cfg.k
     levels = {"c": disc_c, "r": disc_r}
     evals: dict = {}  # point-evaluation matrices, one per (level, block, dx, dy)
@@ -158,7 +157,7 @@ def error_vs_reference(disc_c: Discretization, states_c: list[State],
         disc = levels[level]
         key = (level, block, dx, dy)
         if key not in evals:
-            pts, _, cells = points[block_side[block]]
+            pts, _, cells = points[disc.dofmap(block).side]
             if level == "r":
                 cells = locate_cells(disc, pts)
             evals[key] = point_eval_matrix(disc, block, pts, cells, dx, dy)
@@ -228,13 +227,7 @@ def spatial_study(base_cfg, n_levels: list[int], n_ref: int) -> ErrorReport:
         _check_nested(n, n_ref)
         if n == n_ref:
             raise ConfigError(f"reference mesh n={n_ref} is not finer than n={n}")
-    disc_r, _, states_r = run_simulation(cfg_r)
-    levels, errors = [], []
-    for cfg in cfgs:
-        disc_c, _, states_c = run_simulation(cfg)
-        levels.append(disc_c.h)
-        errors.append(error_vs_reference(disc_c, states_c, disc_r, states_r))
-    return ErrorReport(mode="space", levels=levels, errors=errors)
+    return _study("space", cfg_r, cfgs)
 
 
 def temporal_study(base_cfg, k_levels: list[float], k_ref: float) -> ErrorReport:
@@ -245,13 +238,19 @@ def temporal_study(base_cfg, k_levels: list[float], k_ref: float) -> ErrorReport
             raise ConfigError(f"reference step k={k_ref:g} does not divide k={cfg.k:g}")
         if cfg_r.n_steps == cfg.n_steps:
             raise ConfigError(f"reference step k={k_ref:g} is not finer than k={cfg.k:g}")
+    return _study("time", cfg_r, cfgs)
+
+
+def _study(mode: str, cfg_r, cfgs) -> ErrorReport:
+    """Run the reference, then each level against it; a level is its h
+    (space) or k (time)."""
     disc_r, _, states_r = run_simulation(cfg_r)
-    levels, errors = [], []
+    errors = []
     for cfg in cfgs:
         disc_c, _, states_c = run_simulation(cfg)
-        levels.append(cfg.k)
         errors.append(error_vs_reference(disc_c, states_c, disc_r, states_r))
-    return ErrorReport(mode="time", levels=levels, errors=errors)
+    return ErrorReport(mode=mode, levels=[cfg.h if mode == "space" else cfg.k for cfg in cfgs],
+                       errors=errors)
 
 
 # -- stability verifications ------------------------------------------------
@@ -307,7 +306,7 @@ def ghost_band(disc: Discretization, side: str, order: int, w_max: float,
     def restrict(data):
         return sp.csr_matrix((data[take], indices, indptr), shape=(len(band),) * 2)
 
-    raws = raw_jump_matrices(disc, side, order, w_max=w_max, pattern=pattern) if gamma_on else ()
+    raws = raw_jump_matrices(disc, block, w_max=w_max, pattern=pattern) if gamma_on else ()
     lhs, rhs = [], []
     for l, kernel in enumerate((SCALAR_KERNELS["value"], SCALAR_KERNELS["gradient"])):
         lhs.append(restrict(assemble_cells(disc, kernel, block, cells, pattern).data))

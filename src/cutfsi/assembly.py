@@ -361,13 +361,13 @@ def face_jump_table(order: int, l: int, axis: int, h: float,
     return table
 
 
-def raw_jump_matrices(disc: Discretization, side: str, order: int,
+def raw_jump_matrices(disc: Discretization, block: str,
                       w_max: float | None = None,
                       pattern: Pattern | None = None) -> list[sp.csr_matrix]:
     """Scalar matrices R_l, l = 1..order, of the weighted face-jump forms.
 
     R_l realizes  sum_F w_F^i int_F [d^l_n phi_i][d^l_n phi_j] ds  on the
-    scalar dof map of the Q_order space of side i (no gamma, no h powers),
+    scalar dof map of ``block``, a Q_order space of side i (no gamma, no h powers),
     with w_F = w(kappa_K1) + w(kappa_K2) over the two cells of F.  Every
     ghost face of one axis is a translate of one reference face, so per
     order and axis one local matrix J^T W J (``face_jump_table``) is
@@ -379,8 +379,7 @@ def raw_jump_matrices(disc: Discretization, side: str, order: int,
     if w_max is None:
         w_max = cfg.w_max
     mesh = disc.mesh
-    block = "vs" if side == "s" else ("vf" if order == cfg.m_f else "p")
-    assert disc.dofmap(block).order == order
+    side, order = disc.dofmap(block).side, disc.dofmap(block).order
     faces = disc.topo.ghost_faces(side)
     pattern = pattern or Pattern(disc, block, block, faces=faces)
     kappa = disc.topo.kappa(side)
@@ -542,9 +541,7 @@ def assemble_forms(disc: Discretization, arrays: dict | None = None) -> Forms:
 
     # ghost penalties gamma sum_l c_l R_l on the jump matrices of the form's
     # space, with the shift s = 1 for v_f and u and s = 0 for p and v_s
-    raws = {b: raw_jump_matrices(disc, disc.dofmap(b).side, disc.dofmap(b).order,
-                                 pattern=patterns[b, b])
-            for b in SYSTEM_BLOCKS}
+    raws = {b: raw_jump_matrices(disc, b, pattern=patterns[b, b]) for b in SYSTEM_BLOCKS}
     for name, b, gamma, s in (("ghost_vf", "vf", cfg.gamma_vf, 1),
                               ("ghost_p", "p", cfg.gamma_p, 0),
                               ("ghost_vs", "vs", cfg.gamma_vs, 0),

@@ -43,7 +43,7 @@ def _check_scale(cfg: SimulationConfig, allow_large: bool) -> None:
     est_dofs = 2 * (2 * cfg.n + 1) ** 2 + (cfg.n + 1) ** 2 \
         + 4 * (cfg.m_s * cfg.n + 1) ** 2
     if not allow_large and (h < MIN_H or est_dofs > MAX_DOFS):
-        raise SystemExit(
+        raise ConfigError(
             f"refusing n={cfg.n} (h={h:g}, ~{est_dofs} dofs); "
             "pass --allow-large to override")
 
@@ -86,7 +86,7 @@ def cmd_convergence(args) -> int:
     if args.mode == "space" and not args.ref.is_integer():
         raise ConfigError(f"--ref must be a whole number of cells n in space mode, "
                           f"got {args.ref:g}")
-    cfg = _load_config(args).replace(m_s=args.solid_order)
+    cfg = _load_config(args)
     if args.mode == "space":
         n_levels = [cfg.n * 2 ** i for i in range(args.levels)]
         n_ref = int(args.ref) if args.ref else 2 * n_levels[-1]
@@ -204,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--levels", type=int, default=4)
     p_conv.add_argument("--ref", type=float, default=0.0,
                         help="reference n (space; a multiple of the finest n) or k (time)")
-    p_conv.add_argument("--solid-order", type=int, choices=(1, 2), default=1)
     p_conv.set_defaults(func=cmd_convergence)
 
     p_ver = sub.add_parser("verify", help="stability and geometry checks on n = 8, 16, 32")

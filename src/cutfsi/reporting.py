@@ -45,39 +45,38 @@ def write_step_log(path, cfg: SimulationConfig,
     _write_csv(path, cfg, header, rows)
 
 
+def _convergence_rows(report: ErrorReport):
+    """The level label ("h" or "k") and, per level, (level, errors, orders),
+    with orders None on the first level."""
+    label = "h" if report.mode == "space" else "k"
+    return label, zip(report.levels, report.errors, [None] + report.orders())
+
+
 def write_convergence_csv(path, cfg: SimulationConfig,
                           report: ErrorReport) -> None:
     """One row per level: h or k, the five errors, and the observed orders.
 
     Order cells are empty on the first level (no coarser level to compare).
     """
-    label = "h" if report.mode == "space" else "k"
+    label, rows = _convergence_rows(report)
     header = ([label] + [f"err_{k}" for k in ERROR_NORMS]
               + [f"order_{k}" for k in ERROR_NORMS])
-    orders = report.orders()
-    rows = []
-    for i, (lvl, errs) in enumerate(zip(report.levels, report.errors)):
-        row = [float(lvl)] + [float(errs[k]) for k in ERROR_NORMS]
-        if i == 0:
-            row += [""] * len(ERROR_NORMS)
-        else:
-            row += [float(orders[i - 1][k]) for k in ERROR_NORMS]
-        rows.append(row)
-    _write_csv(path, cfg, header, rows)
+    _write_csv(path, cfg, header, [
+        [float(lvl)] + [float(errs[k]) for k in ERROR_NORMS]
+        + [float(orders[k]) if orders else "" for k in ERROR_NORMS]
+        for lvl, errs, orders in rows])
 
 
 def format_convergence_table(report: ErrorReport) -> str:
     """Human-readable table of errors and orders."""
-    label = "h" if report.mode == "space" else "k"
+    label, rows = _convergence_rows(report)
     lines = [" ".join([f"{label:>10s}"] + [f"{k:>12s}" for k in ERROR_NORMS])]
-    orders = report.orders()
-    for i, (lvl, errs) in enumerate(zip(report.levels, report.errors)):
+    for lvl, errs, orders in rows:
         lines.append(" ".join([f"{lvl:10.6f}"]
                               + [f"{errs[k]:12.5e}" for k in ERROR_NORMS]))
-        if i > 0:
+        if orders:
             lines.append(" ".join([f"{'order':>10s}"]
-                                  + [f"{orders[i - 1][k]:12.2f}"
-                                     for k in ERROR_NORMS]))
+                                  + [f"{orders[k]:12.2f}" for k in ERROR_NORMS]))
     return "\n".join(lines)
 
 

@@ -197,18 +197,18 @@ def test_ghost_band_built_once_per_space(monkeypatch):
     real = analysis.raw_jump_matrices
 
     def counting(*args, **kwargs):
-        calls.append(args[1:3])
+        calls.append(args[1])
         return real(*args, **kwargs)
     monkeypatch.setattr(analysis, "raw_jump_matrices", counting)
     disc = Discretization(SimulationConfig(n=8, m_s=2))
     for l in (0, 1):
         ghost_extension_ratios(disc, "f", 2, l, w_max=1.0)
-    assert calls == [("f", 2)]
+    assert calls == ["vf"]
     assert list(disc.ghost_bands) == [("f", 2, 1.0, True)]
     record = disc.ghost_bands["f", 2, 1.0, True]
     ghost_extension_ratios(disc, "f", 2, 1, w_max=2.0)
     ghost_extension_ratios(disc, "f", 2, 1, w_max=1.0, gamma_on=False)
-    assert calls == [("f", 2)] * 2  # no jumps without the jump terms
+    assert calls == ["vf"] * 2  # no jumps without the jump terms
     assert list(disc.ghost_bands) == [("f", 2, w, g) for w, g in
                                       ((1.0, True), (2.0, True), (1.0, False))]
     assert disc.ghost_bands["f", 2, 1.0, True] is record

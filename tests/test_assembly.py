@@ -177,7 +177,7 @@ def test_lattice_and_jump_tables_cached_read_only():
 
 def test_raw_jump_matrix_scaling(disc8):
     """Doubling w_max at kappa=0 doubles the weight of every face term."""
-    r1 = raw_jump_matrices(disc8, "s", 1, w_max=1.0)
+    r1 = raw_jump_matrices(disc8, "vs", w_max=1.0)
     # with w_max = 1 all weights w(kappa) equal 1/2, so w_F = 1 for each face
     rng = np.random.default_rng(2)
     x = rng.standard_normal(disc8.s.n_scalar)
@@ -404,7 +404,7 @@ def oracle_ghost_ratio(disc, side, order, l, w_max, seed, sampler="band",
     kernel = SCALAR_KERNELS["value" if l == 0 else "gradient"]
     M_comp = coo.assemble_cells(disc, kernel, block, domain="extended")
     rhs_mat = coo.assemble_cells(disc, kernel, block, domain="uncut")
-    raws = raw_jump_matrices(disc, side, order, w_max=w_max) if gamma_on else []
+    raws = raw_jump_matrices(disc, block, w_max=w_max) if gamma_on else []
     for j, raw in enumerate(raws, start=1):
         rhs_mat = rhs_mat + disc.h ** (2 * (j - l) + 1) / math.factorial(j - l) ** 2 * raw
     dm = disc.dofmap(block)
@@ -452,12 +452,12 @@ def assert_same(got, want, tol=1e-13):
 
 def test_batched_raw_jumps_match_face_loop(batch_case):
     disc, _, _ = batch_case
-    cfg = disc.cfg
-    for side, order in (("f", cfg.m_f), ("f", cfg.m_f - 1), ("s", cfg.m_s)):
-        for w_max in (1.0, cfg.w_max):
-            got = raw_jump_matrices(disc, side, order, w_max=w_max)
-            want = oracle_raw_jumps(disc, side, order, w_max)
-            assert len(got) == order
+    for block in ("vf", "p", "vs"):
+        dm = disc.dofmap(block)
+        for w_max in (1.0, disc.cfg.w_max):
+            got = raw_jump_matrices(disc, block, w_max=w_max)
+            want = oracle_raw_jumps(disc, dm.side, dm.order, w_max)
+            assert len(got) == dm.order
             for g, o in zip(got, want):
                 assert_same(g, o)
 

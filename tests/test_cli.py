@@ -143,9 +143,14 @@ def test_verify_applies_other_overrides(capsys, monkeypatch):
     assert "[ok  ] n=32 solid area" in capsys.readouterr().out
 
 
-def test_scale_guardrail(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["run", "--set", "n=1024", "--output-dir", str(tmp_path)])
+def test_scale_guardrail(tmp_path, capsys):
+    """A mesh beyond the desk-scale guardrail is refused input: exit 2,
+    the reason on stderr, and no file written."""
+    out = tmp_path / "out"
+    rc = main(["run", "--set", "n=1024", "--output-dir", str(out)])
+    assert rc == 2
+    assert "refusing n=1024" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_small(tmp_path, capsys):
@@ -208,10 +213,26 @@ def test_run_with_config_file(tmp_path, capsys):
 
 
 def test_convergence_time_small(tmp_path, capsys):
-    rc = main(["convergence", "--mode", "time", "--levels", "2",
-               "--ref", "0.25", "--solid-order", "1",
+    rc = main(["convergence", "--mode", "time", "--levels", "2", "--ref", "0.25",
                "--set", "n=8", "--set", "T=2.0", "--output-dir", str(tmp_path)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "order" in out
     assert (tmp_path / "convergence_time_ms1.csv").exists()
+
+
+@pytest.mark.parametrize("source", ["set", "config"])
+def test_convergence_reads_m_s_from_config(source, tmp_path):
+    """convergence takes the solid order from --set or --config, like every
+    other key, and names it in the file name and the header."""
+    if source == "set":
+        argv = ["--set", "m_s=2"]
+    else:
+        cfg_file = tmp_path / "case.cfg"
+        cfg_file.write_text("m_s = 2\n")
+        argv = ["--config", str(cfg_file)]
+    rc = main(["convergence", "--mode", "time", "--levels", "2", "--ref", "0.25",
+               "--set", "n=8", "--set", "T=2.0", "--output-dir", str(tmp_path)] + argv)
+    assert rc == 0
+    text = (tmp_path / "convergence_time_ms2.csv").read_text()
+    assert "# m_s = 2\n" in text
