@@ -16,7 +16,6 @@ from .assembly import (SCALAR_KERNELS, Forms, Pattern, assemble_cells, ghost_dat
                        raw_jump_matrices)
 from .config import ConfigError
 from .discretization import Discretization
-from .fem import reference_basis
 from .stepper import State, StepRecord, TimeStepper
 
 ERROR_NORMS = ("vf_T", "vs_T", "grad_u_T", "grad_vf_I", "h_grad_p_I")
@@ -39,23 +38,28 @@ def locate_cells(disc: Discretization, pts: np.ndarray) -> np.ndarray:
     return idx[:, 1] * disc.mesh.n + idx[:, 0]
 
 
-def point_eval_matrix(disc: Discretization, block: str, pts: np.ndarray,
-                      cells: np.ndarray, dx: int = 0, dy: int = 0) -> sp.csr_matrix:
-    """Sparse (npts, n_scalar) map from one component's scalar coefficients
-    to its value (or derivative d^dx_x d^dy_y) at points with known cells."""
+def point_eval_matrices(disc: Discretization, block: str, pts: np.ndarray,
+                        cells: np.ndarray) -> tuple[sp.csr_matrix, ...]:
+    """Sparse (npts, n_scalar) maps from one component's scalar coefficients
+    to its value, d/dx and d/dy at points with known cells, in that order.
+
+    One ``Discretization.tabulate`` call gives all three; they share one
+    CSR index set (row i holds the dofs of cells[i]).  ValueError if a
+    point's cell is outside the block's subtriangulation.
+    """
     dm = disc.dofmap(block)
     rows = dm.cell_index[cells]
     if np.any(rows < 0):
-        bad = np.flatnonzero(rows < 0)
-        raise ValueError(f"{len(bad)} points fall outside the subtriangulation "
-                         f"of block {block}")
-    basis = reference_basis(dm.order)
-    ref = (pts - disc.mesh.cell_origin(cells)) / disc.h
-    table = basis.eval(ref, dx=dx, dy=dy) / disc.h ** (dx + dy)
-    npts, nb = table.shape
-    return sp.csr_matrix((table.ravel(), dm.cell_dofs[rows].ravel(),
-                          np.arange(0, npts * nb + 1, nb)),
-                         shape=(npts, dm.n_scalar))
+        raise ValueError(f"{np.count_nonzero(rows < 0)} points fall outside the "
+                         f"subtriangulation of block {block}")
+    value, *grad = disc.tabulate(dm.order, cells, pts)
+    npts, nb = value.shape
+    E = sp.csr_matrix((value.ravel(), dm.cell_dofs[rows].ravel(),
+                       np.arange(0, npts * nb + 1, nb)), shape=(npts, dm.n_scalar))
+    for a in (E.indices, E.indptr):  # shared below, so never sorted in place
+        a.setflags(write=False)
+    return (E, *(sp.csr_matrix((t.ravel(), E.indices, E.indptr), shape=E.shape)
+                 for t in grad))
 
 
 # -- quadrature point sets over the physical subdomains ---------------------
@@ -138,60 +142,50 @@ def error_vs_reference(disc_c: Discretization, states_c: list[State],
     """Five error norms of (reference - coarse), Tables layout.
 
     Trajectories must share t=0..T; the reference may use a finer time grid
-    (restricted to the coarse indices).
+    (restricted to the coarse indices).  Both levels are evaluated at the
+    coarse ``domain_points``: ``point_eval_matrices`` gives the value, d/dx
+    and d/dy maps of a space on one shared CSR index set, once per level
+    and space (v_f, p, and the solid space of v_s and u), and each map
+    takes all the states of a norm in one sparse x dense product.
     """
     _check_nested(disc_c.mesh.n, disc_r.mesh.n)
     N_c = len(states_c) - 1
     N_r = len(states_r) - 1
     if N_r % N_c != 0:
         raise ValueError("time grids are not nested")
-    stride = N_r // N_c
-    ref_states = [states_r[i * stride] for i in range(N_c + 1)]
+    T_c, T_r = states_c[-1].t, states_r[-1].t
+    if abs(T_c - T_r) > 1e-9 * abs(T_r):
+        raise ValueError(f"trajectories end at different times: t={T_c:g} (coarse), "
+                         f"t={T_r:g} (reference)")
+    ref_states = states_r[::N_r // N_c]
 
     points = {side: domain_points(disc_c, side) for side in ("f", "s")}
-    k = disc_c.cfg.k
-    levels = {"c": disc_c, "r": disc_r}
-    evals: dict = {}  # point-evaluation matrices, one per (level, block, dx, dy)
-
-    def values(level, block, state, comp, dx, dy):
-        disc = levels[level]
-        key = (level, block, dx, dy)
-        if key not in evals:
+    maps = {}
+    for level, disc in (("c", disc_c), ("r", disc_r)):
+        for block in ("vf", "p", "vs"):
             pts, _, cells = points[disc.dofmap(block).side]
             if level == "r":
                 cells = locate_cells(disc, pts)
-            evals[key] = point_eval_matrix(disc, block, pts, cells, dx, dy)
-        ns = disc.dofmap(block).n_scalar
-        coefs = state.x[disc.layout.slice(block)]
-        return evals[key] @ coefs[comp * ns:(comp + 1) * ns]
+            maps[level, block] = point_eval_matrices(disc, block, pts, cells)
+        maps[level, "u"] = maps[level, "vs"]  # one solid space
 
-    def diff(block, state_c, state_r, comp, dx=0, dy=0):
-        return (values("r", block, state_r, comp, dx, dy)
-                - values("c", block, state_c, comp, dx, dy))
+    def sq_error(block, which, first):
+        """Sum over the states first..N_c, the components and the maps
+        ``which`` (0 value, 1 d/dx, 2 d/dy) of w |E_r x_r - E_c x_c|^2."""
+        coefs = {}
+        for level, disc, states in (("c", disc_c, states_c), ("r", disc_r, ref_states)):
+            X = np.stack([s.x[disc.layout.slice(block)] for s in states[first:]])
+            coefs[level] = X.reshape(-1, disc.dofmap(block).n_scalar).T  # a column per component
+        w = points[disc_c.dofmap(block).side][1]
+        return sum(w @ (maps["r", block][m] @ coefs["r"]
+                        - maps["c", block][m] @ coefs["c"]) ** 2 for m in which).sum()
 
-    w_f, w_s = points["f"][1], points["s"][1]
-    sc, sr = states_c[-1], ref_states[-1]
-    vf_T2 = sum(w_f @ diff("vf", sc, sr, c) ** 2 for c in range(2))
-    vs_T2 = sum(w_s @ diff("vs", sc, sr, c) ** 2 for c in range(2))
-    gu_T2 = sum(w_s @ diff("u", sc, sr, c, dx, dy) ** 2
-                for c in range(2) for dx, dy in ((1, 0), (0, 1)))
-
-    gvf_I2 = 0.0
-    gp_I2 = 0.0
-    for n in range(1, N_c + 1):
-        a, b = states_c[n], ref_states[n]
-        gvf_I2 += k * sum(
-            w_f @ diff("vf", a, b, c, dx, dy) ** 2
-            for c in range(2) for dx, dy in ((1, 0), (0, 1)))
-        gp_I2 += k * sum(
-            w_f @ diff("p", a, b, 0, dx, dy) ** 2
-            for dx, dy in ((1, 0), (0, 1)))
-
-    return {"vf_T": float(np.sqrt(vf_T2)),
-            "vs_T": float(np.sqrt(vs_T2)),
-            "grad_u_T": float(np.sqrt(gu_T2)),
-            "grad_vf_I": float(np.sqrt(gvf_I2)),
-            "h_grad_p_I": float(disc_c.h * np.sqrt(gp_I2))}
+    k = disc_c.cfg.k
+    return {"vf_T": float(np.sqrt(sq_error("vf", (0,), N_c))),
+            "vs_T": float(np.sqrt(sq_error("vs", (0,), N_c))),
+            "grad_u_T": float(np.sqrt(sq_error("u", (1, 2), N_c))),
+            "grad_vf_I": float(np.sqrt(k * sq_error("vf", (1, 2), 1))),
+            "h_grad_p_I": float(disc_c.h * np.sqrt(k * sq_error("p", (1, 2), 1)))}
 
 
 @dataclass

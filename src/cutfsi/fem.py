@@ -38,7 +38,11 @@ class ReferenceBasis:
             c = c[1:] * np.arange(1, c.shape[0])[:, None]
         if c.shape[0] == 0:
             return np.zeros((len(x), self.order + 1))
-        powers = np.vander(np.asarray(x, float), c.shape[0], increasing=True)
+        # 1, x, x*x, ... column by column (np.vander accumulates along rows)
+        powers = np.empty((len(x), c.shape[0]))
+        powers[:, 0] = 1.0
+        for k in range(1, c.shape[0]):
+            np.multiply(powers[:, k - 1], x, out=powers[:, k])
         return powers @ c
 
     def eval(self, pts: np.ndarray, dx: int = 0, dy: int = 0) -> np.ndarray:

@@ -1,16 +1,20 @@
 """Norms, energies, error evaluation and the ghost-extension probe."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import assembly_oracle as coo
 from cutfsi import analysis
 from cutfsi import (Discretization, SimulationConfig, TimeStepper,
                     convergence_order, error_vs_reference,
                     ghost_extension_ratios, run_simulation, verify_energy_decay)
-from cutfsi.analysis import (Analyzer, domain_points, locate_cells, point_eval_matrix,
+from cutfsi.analysis import (Analyzer, domain_points, locate_cells, point_eval_matrices,
                              random_smooth_state)
 from cutfsi.assembly import SCALAR_KERNELS, assemble_forms
+from cutfsi.fem import reference_basis
 
 R2 = 0.75
 AREA_S = np.pi * R2
@@ -55,10 +59,8 @@ def test_evaluate_scalar_linear(disc8):
     coefs = coords[:, 0] + 2.0 * coords[:, 1]
     pts = np.array([[-0.9, -0.9], [0.9, 0.3]])
     cells = locate_cells(disc8, pts)
-    vals = point_eval_matrix(disc8, "vf", pts, cells) @ coefs
+    vals, dx, dy = (E @ coefs for E in point_eval_matrices(disc8, "vf", pts, cells))
     assert np.allclose(vals, pts[:, 0] + 2.0 * pts[:, 1], atol=1e-12)
-    dx = point_eval_matrix(disc8, "vf", pts, cells, dx=1) @ coefs
-    dy = point_eval_matrix(disc8, "vf", pts, cells, dy=1) @ coefs
     assert np.allclose(dx, 1.0, atol=1e-11)
     assert np.allclose(dy, 2.0, atol=1e-11)
 
@@ -125,7 +127,7 @@ def test_energy_terms_match_definitions(an8, disc8):
     rules = disc8.iface_rules
     cells = np.repeat(rules.cells, np.diff(rules.offsets))
     pts, w = rules.points, rules.weights
-    E_f, E_s = (point_eval_matrix(disc8, b, pts, cells) for b in ("vf", "vs"))
+    E_f, E_s = (point_eval_matrices(disc8, b, pts, cells)[0] for b in ("vf", "vs"))
     jump2 = sum(w @ (E_f @ a - E_s @ b) ** 2
                 for a, b in zip(vf.reshape(2, -1), vs.reshape(2, -1)))
     assert e["trace2"] == pytest.approx(jump2 / disc8.h, rel=1e-10)
@@ -162,6 +164,87 @@ def test_error_vs_reference_rejects_non_nested():
     disc12 = Discretization(SimulationConfig(n=12))
     with pytest.raises(ValueError):
         error_vs_reference(disc8, states, disc12, states)
+
+
+def test_error_vs_reference_rejects_other_end_time():
+    """A nested time grid is not enough: both runs must end at one T."""
+    disc, _, states = run_simulation(SimulationConfig(n=8, k=1.0, T=2.0))
+    _, _, states_r = run_simulation(SimulationConfig(n=8, k=1.0, T=4.0))
+    with pytest.raises(ValueError, match=r"t=2 .*t=4 "):
+        error_vs_reference(disc, states, disc, states_r)
+
+
+def oracle_point_map(disc, block, pts, cells, dx=0, dy=0):
+    """(npts, n_scalar) map to one derivative d^dx_x d^dy_y of a scalar
+    component, tabulated by ``ReferenceBasis.eval``."""
+    dm = disc.dofmap(block)
+    ref = (pts - disc.mesh.cell_origin(cells)) / disc.h
+    table = reference_basis(dm.order).eval(ref, dx=dx, dy=dy) / disc.h ** (dx + dy)
+    npts, nb = table.shape
+    return sp.csr_matrix((table.ravel(), dm.cell_dofs[dm.cell_index[cells]].ravel(),
+                          np.arange(0, npts * nb + 1, nb)), shape=(npts, dm.n_scalar))
+
+
+def oracle_errors(disc_c, states_c, disc_r, states_r):
+    """``error_vs_reference`` one state, component and derivative at a time."""
+    ref_states = states_r[::(len(states_r) - 1) // (len(states_c) - 1)]
+    points = {side: domain_points(disc_c, side) for side in ("f", "s")}
+
+    def diff2(block, a, b, dx=0, dy=0):
+        pts, w, cells = points[disc_c.dofmap(block).side]
+        total = 0.0
+        for c in range(disc_c.dofmap(block).ncomp):
+            vals = []
+            for disc, state, at in ((disc_r, b, locate_cells(disc_r, pts)),
+                                    (disc_c, a, cells)):
+                ns = disc.dofmap(block).n_scalar
+                coefs = state.x[disc.layout.slice(block)][c * ns:(c + 1) * ns]
+                vals.append(oracle_point_map(disc, block, pts, at, dx, dy) @ coefs)
+            total += w @ (vals[0] - vals[1]) ** 2
+        return total
+
+    grad = ((1, 0), (0, 1))
+    last = states_c[-1], ref_states[-1]
+    pairs = list(zip(states_c[1:], ref_states[1:]))
+    k = disc_c.cfg.k
+    return {"vf_T": np.sqrt(diff2("vf", *last)), "vs_T": np.sqrt(diff2("vs", *last)),
+            "grad_u_T": np.sqrt(sum(diff2("u", *last, *d) for d in grad)),
+            "grad_vf_I": np.sqrt(k * sum(diff2("vf", a, b, *d)
+                                         for a, b in pairs for d in grad)),
+            "h_grad_p_I": disc_c.h * np.sqrt(k * sum(diff2("p", a, b, *d)
+                                                     for a, b in pairs for d in grad))}
+
+
+@lru_cache(maxsize=None)
+def study_runs(m_s, n_c, n_r):
+    """A coarse and a nested reference run, k = 1, T = 2."""
+    return tuple(run_simulation(SimulationConfig(n=n, m_s=m_s, k=1.0, T=2.0))
+                 for n in (n_c, n_r))
+
+
+@pytest.mark.parametrize("m_s", [1, 2])
+@pytest.mark.parametrize("n_c, n_r", [(8, 16), (6, 12)])
+def test_error_vs_reference_matches_per_state_oracle(m_s, n_c, n_r):
+    (disc_c, _, states_c), (disc_r, _, states_r) = study_runs(m_s, n_c, n_r)
+    got = error_vs_reference(disc_c, states_c, disc_r, states_r)
+    want = oracle_errors(disc_c, states_c, disc_r, states_r)
+    for key in analysis.ERROR_NORMS:
+        assert want[key] > 0.0
+        assert got[key] == pytest.approx(want[key], rel=1e-13, abs=0.0), key
+
+
+def test_error_vs_reference_tabulates_once_per_level_and_space(monkeypatch):
+    """3 spaces (v_f, p, and the solid space of v_s and u) x 2 levels."""
+    calls = []
+    real = Discretization.tabulate
+
+    def counting(self, order, cells, pts):
+        calls.append(self.mesh.n)
+        return real(self, order, cells, pts)
+    (disc_c, _, states_c), (disc_r, _, states_r) = study_runs(2, 8, 16)
+    monkeypatch.setattr(Discretization, "tabulate", counting)
+    error_vs_reference(disc_c, states_c, disc_r, states_r)
+    assert sorted(calls) == [8] * 3 + [16] * 3
 
 
 def test_ghost_ratios_positive(disc8):

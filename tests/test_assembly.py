@@ -123,15 +123,14 @@ def test_viscous_block_symmetry(disc8, oracle8):
 def test_viscous_energy_against_quadrature(disc8, oracle8):
     """x^T A x equals int 2 rho nu |eps(v)|^2 computed independently at the
     quadrature points for a random interpolated field."""
-    from cutfsi.analysis import domain_points, point_eval_matrix
+    from cutfsi.analysis import domain_points, point_eval_matrices
     lay = disc8.layout
     cfg = disc8.cfg
     dm = disc8.vf
     rng = np.random.default_rng(4)
     coefs = rng.standard_normal(2 * dm.n_scalar)
     pts, w, cells = domain_points(disc8, "f")
-    Dx = point_eval_matrix(disc8, "vf", pts, cells, dx=1)
-    Dy = point_eval_matrix(disc8, "vf", pts, cells, dy=1)
+    _, Dx, Dy = point_eval_matrices(disc8, "vf", pts, cells)
     cx, cy = coefs.reshape(2, -1)
     gxx, gxy, gyx, gyy = Dx @ cx, Dy @ cx, Dx @ cy, Dy @ cy
     eps2 = gxx ** 2 + gyy ** 2 + 0.5 * (gxy + gyx) ** 2

@@ -19,6 +19,21 @@ def test_partition_of_unity(order):
 
 
 @pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("deriv", [0, 1, 2])
+def test_eval1d_matches_vander(order, deriv):
+    """The 1d tables equal powers from np.vander times the differentiated
+    coefficients exactly."""
+    basis = reference_basis(order)
+    x = np.random.default_rng(1).random(1000)
+    c = basis._coeffs
+    for _ in range(deriv):
+        c = c[1:] * np.arange(1, c.shape[0])[:, None]
+    want = (np.vander(x, c.shape[0], increasing=True) @ c if len(c)
+            else np.zeros((len(x), order + 1)))
+    assert np.array_equal(basis._eval1d(x, deriv), want)
+
+
+@pytest.mark.parametrize("order", [1, 2])
 def test_kronecker_at_nodes(order):
     basis = reference_basis(order)
     g = np.linspace(0, 1, order + 1)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cutfsi import SimulationConfig, run_simulation
-from cutfsi.analysis import ErrorReport, point_eval_matrix, random_smooth_state
+from cutfsi.analysis import ErrorReport, point_eval_matrices, random_smooth_state
 from cutfsi.reporting import (format_convergence_table, write_convergence_csv,
                               write_snapshot, write_step_log, write_vtu)
 
@@ -126,7 +126,7 @@ def test_vtu_values_match_point_evaluation(tmp_path, disc8, disc8_q2, m_s):
         for name, block in fields:
             got = np.fromstring(piece.find(f"PointData/DataArray[@Name='{name}']").text,
                                 sep=" ").reshape(len(pts), -1)
-            E = point_eval_matrix(disc, block, pts, owner)
+            E = point_eval_matrices(disc, block, pts, owner)[0]
             coefs = state.x[disc.layout.slice(block)].reshape(disc.dofmap(block).ncomp, -1)
             want = np.column_stack([E @ c for c in coefs])
             assert np.abs(want).max() > 0
