@@ -151,6 +151,9 @@ def error_vs_reference(disc_c: Discretization, states_c: list[State],
     _check_nested(disc_c.mesh.n, disc_r.mesh.n)
     N_c = len(states_c) - 1
     N_r = len(states_r) - 1
+    if min(N_c, N_r) < 1:
+        raise ValueError("a trajectory needs at least one step: got "
+                         f"{N_c + 1} (coarse) and {N_r + 1} (reference) states")
     if N_r % N_c != 0:
         raise ValueError("time grids are not nested")
     T_c, T_r = states_c[-1].t, states_r[-1].t

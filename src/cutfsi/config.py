@@ -57,6 +57,9 @@ class SimulationConfig:
         if self.radius_squared >= 1.0:
             raise ConfigError("radius_squared must be < 1 so that the circle lies inside "
                               f"the cavity (-1, 1)^2, got {self.radius_squared}")
+        for name in ("peak_inflow", "w_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.w_max < 1.0:
             raise ConfigError(f"w_max must be >= 1, got {self.w_max}")
         for name in ("n", "m_s"):

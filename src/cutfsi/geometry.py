@@ -51,32 +51,38 @@ def rowdot(x, y) -> np.ndarray:
 
 
 def edge_zero_crossings(ls: CircleLevelSet, a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Crossings of the segments [a, b] with the zero set of ``ls``.
+    """Crossings of the segments [a, b] with the zero set of ``ls``, decided
+    by the signs of phi at their ends (inside where phi <= 0).
 
     ``a`` and ``b`` have shape (..., 2).  Returns ``(points, found)`` of
-    shapes (..., 2, 2) and (..., 2): the two roots of the quadratic
-    phi(a + t (b - a)) = 0 per segment in increasing t, and whether each lies
-    on the segment.  A double root, a discriminant within round-off of zero,
-    is a point where the circle touches the segment's line without crossing
-    it; it is not returned.
+    shapes (..., 2, 2) and (..., 2).  Ends on different sides have one
+    crossing, the root between them clipped to the segment; two ends outside
+    have two where both roots lie strictly inside it and are distinct (a
+    discriminant within round-off of zero touches without crossing); two
+    ends inside have none.  Each segment is solved from its end of smaller
+    |phi|, so an end with phi = 0 has its root at t = 0 exactly: that root is
+    the end's own crossing and is not returned.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = b - a
+    swap = np.less(np.abs(ls(b)), np.abs(ls(a)))[..., None]
+    x, y = np.where(swap, b, a), np.where(swap, a, b)
+    phi_x, phi_y = np.asarray(ls(x)), np.asarray(ls(y))
+    d = y - x
     if np.any(np.all(d == 0.0, axis=-1)):
         raise ValueError("degenerate segment: a == b")
-    # phi(a + t d) = |m + t d|^2 - r^2 with m = a - c: quadratic in t.
-    m = a - ls.center
+    # phi(x + t d) = qa t^2 + qb t + phi(x): quadratic in t.
     qa = rowdot(d, d)
-    qb = 2.0 * rowdot(m, d)
-    qc = rowdot(m, m) - ls.radius_squared
-    disc = qb * qb - 4.0 * qa * qc
-    scale = np.abs(qb * qb) + np.abs(4.0 * qa * qc)
-    crosses = disc > 1e-14 * np.maximum(scale, 1.0)
-    # numerically stable pair of roots; q != 0 wherever the roots are distinct
-    q = -0.5 * (qb + np.copysign(np.sqrt(np.where(crosses, disc, 0.0)), qb))
-    q = np.where(crosses, q, 1.0)
-    t = np.sort(np.stack([q / qa, qc / q], axis=-1), axis=-1)
-    eps = 1e-13
-    found = crosses[..., None] & (t >= -eps) & (t <= 1.0 + eps)
-    return a[..., None, :] + t[..., None] * d[..., None, :], found
+    qb = 2.0 * rowdot(x - ls.center, d)
+    disc = qb * qb - 4.0 * qa * phi_x
+    crosses = disc > 1e-14 * np.maximum(np.abs(qb * qb) + np.abs(4.0 * qa * phi_x), 1.0)
+    one = (phi_x <= 0.0) != (phi_y <= 0.0)
+    # numerically stable pair of roots, where they are read; q = 0 there
+    # only at a double root t = 0 on an end with phi = 0
+    q = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(disc, 0.0)), qb))
+    small = phi_x / np.where((one | crosses) & (q != 0.0), q, 1.0)
+    t = np.sort(np.stack([q / qa, small], axis=-1), axis=-1)
+    # phi rises through zero at the larger root and falls at the smaller
+    t_one = np.clip(np.where(phi_x <= 0.0, t[..., 1], t[..., 0]), 0.0, 1.0)
+    two = (phi_x > 0.0) & (phi_y > 0.0) & crosses & (t[..., 0] > 0.0) & (t[..., 1] < 1.0)
+    t = np.where(one[..., None], t_one[..., None], t)
+    found = np.stack([one & ((t_one > 0.0) | (phi_x != 0.0)) | two, two], axis=-1)
+    return x[..., None, :] + t[..., None] * d[..., None, :], found

@@ -166,11 +166,16 @@ def build_cut_topology(mesh: Mesh, ls: CircleLevelSet) -> CutTopology:
     """Classify cells, compute cut fractions, interface arcs and ghost faces.
 
     Every cell near the circle is treated in one pass over (cells, edges)
-    arrays.  The solid fraction of a cut cell is the shoelace area of its
-    chord polygon plus one circular segment per arc.  Raises ``ConfigError``
-    when the circle leaves the domain or the mesh does not resolve it: a
-    cell with three crossings or more than four, a cut cell within h/2 of
-    the centre, or arcs that do not add up to the full circle.
+    arrays.  Each crossing is decided once: those on a mesh face by the
+    signs of phi at its ends (``edge_zero_crossings``), solved once for both
+    cells of the face, and a face's root on a vertex with phi = 0 is that
+    vertex's crossing, which a cell counts once.  So neighbouring arcs share
+    their end angles bit for bit and the arcs tile the circle.  The solid
+    fraction of a cut cell is the shoelace area of its chord polygon plus
+    one circular segment per arc.  Raises ``ConfigError`` when the circle
+    leaves the domain or the mesh does not resolve it: a cell with three
+    crossings or more than four, a cut cell within h/2 of the centre, or
+    arcs that do not add up to the full circle.
     """
     c, r, h = ls.center, ls.radius, mesh.h
     if np.any(np.abs(c) + r >= 1.0):
@@ -181,48 +186,47 @@ def build_cut_topology(mesh: Mesh, ls: CircleLevelSet) -> CutTopology:
     kappa_f = np.ones(n_cells)
     kappa_s = np.zeros(n_cells)
 
-    # cheap prefilter: only cells whose corner distances straddle r^2 (with a
-    # margin for the face-bulge case) need the exact treatment.  The disk is
-    # convex, so a cell with every corner in the closed disk is solid, also
-    # when a corner lies on the circle.
+    # phi is taken once per vertex, inside where phi <= 0; the disk is
+    # convex, so a cell with every corner in the closed disk is solid.  The
+    # candidates are the other cells that the open disk reaches: cells that
+    # Gamma only touches at a corner stay fluid.
     origins = mesh.cell_origin(np.arange(n_cells))
-    corners = mesh.cell_corners(np.arange(n_cells))
-    phi_c = ls(corners)            # (n_cells, 4)
-    all_in = np.all(phi_c <= 0.0, axis=1)
-    all_out = np.all(phi_c > 0.0, axis=1)
-    cell_class[all_in] = CellClass.SOLID_ONLY
-    kappa_f[all_in], kappa_s[all_in] = 0.0, 1.0
-    mixed = ~(all_in | all_out)
-    # a cell with all corners outside can still be crossed if the disk bulges
-    # through one face; the closest boundary point test catches it
-    closest = np.clip(c, origins, origins + h)
-    d2 = np.sum((closest - c) ** 2, axis=1)
-    maybe_bulge = all_out & (d2 < ls.radius_squared)
-    cand = np.flatnonzero(mixed | maybe_bulge)
+    phi_v = ls(mesh.vertices)
+    phi_c = phi_v[mesh.cell_vertices]  # (n_cells, 4)
+    solid = np.all(phi_c <= 0.0, axis=1)
+    d2 = np.sum((np.clip(c, origins, origins + h) - c) ** 2, axis=1)
+    cand = np.flatnonzero(~solid & (d2 < ls.radius_squared))
 
-    # crossings of the four edges of each candidate, in boundary order; one
-    # at a corner is found on both edges that meet there and counts once
-    cc = corners[cand]
-    pts, found = edge_zero_crossings(ls, cc, np.roll(cc, -1, axis=1))
-    pts, found = pts.reshape(-1, 8, 2), found.reshape(-1, 8)
-    gap = pts[:, :, None, :] - pts[:, None, :, :]
-    close = np.sum(gap * gap, axis=-1) < (1e-12 * (1.0 + h)) ** 2
-    distinct = found.copy()
-    for j in range(1, 8):
-        distinct[:, j] &= ~np.any(distinct[:, :j] & close[:, :j, j], axis=1)
-    count = distinct.sum(axis=1)
+    nvert = len(mesh.vertices)
+    cv = mesh.cell_vertices[cand]
+    pairs = np.sort(np.stack([cv, np.roll(cv, -1, axis=1)], axis=-1), axis=-1)
+    faces, edge_face = np.unique(pairs[..., 0] * nvert + pairs[..., 1], return_inverse=True)
+    fp, ff = edge_zero_crossings(ls, mesh.vertices[faces // nvert], mesh.vertices[faces % nvert])
+    theta_f = np.arctan2(fp[..., 1] - c[1], fp[..., 0] - c[0])
+    theta_v = np.arctan2(mesh.vertices[:, 1] - c[1], mesh.vertices[:, 0] - c[0])
+    # a candidate's 12 crossing slots: its 4 corners, then 2 per edge.  An
+    # edge whose ends differ in sign and that returns no crossing has its
+    # root on its end with phi = 0, and that corner counts once.
+    edge_face = edge_face.reshape(-1, 4)
+    pts = np.concatenate([mesh.vertices[cv], fp[edge_face].reshape(-1, 8, 2)], axis=1)
+    found = ff[edge_face].reshape(-1, 8)
+    inside = phi_c[cand] <= 0.0
+    lost = (inside != np.roll(inside, -1, axis=1)) & ~found[:, ::2]
+    on = (phi_c[cand] == 0.0) & (lost | np.roll(lost, 1, axis=1))
+    found = np.concatenate([on, found], axis=1)
+    theta = np.concatenate([theta_v[cv], theta_f[edge_face].reshape(-1, 8)], axis=1)
+    count = found.sum(axis=1)
     bad = np.flatnonzero((count == 3) | (count > 4))
     if len(bad):
         raise _unresolved(mesh, ls, int(cand[bad[0]]),
                           f"{count[bad[0]]} interface crossings")
 
     # a candidate the circle does not pass through (it touches at most one
-    # point, such as a corner within round-off of the circle) lies on the
-    # side of its centre
+    # point, such as a corner on the circle) lies on the side of its centre
     whole = cand[count < 2]
-    whole = whole[ls(origins[whole] + 0.5 * h) < 0.0]
-    cell_class[whole] = CellClass.SOLID_ONLY
-    kappa_f[whole], kappa_s[whole] = 0.0, 1.0
+    solid[whole] = ls(origins[whole] + 0.5 * h) < 0.0
+    cell_class[solid] = CellClass.SOLID_ONLY
+    kappa_f[solid], kappa_s[solid] = 0.0, 1.0
 
     is_cut = count >= 2
     cells, k = cand[is_cut], count[is_cut]
@@ -233,30 +237,27 @@ def build_cut_topology(mesh: Mesh, ls: CircleLevelSet) -> CutTopology:
     # 8-point rules lose accuracy as those poles near the panels (at
     # distance h/2 the error of a cut fraction is still below 1e-8)
     o = origins[cells]
-    close = np.flatnonzero(np.sum((np.clip(c, o, o + h) - c) ** 2, axis=1) < (0.5 * h) ** 2)
+    close = np.flatnonzero(d2[cells] < (0.5 * h) ** 2)
     if len(close):
         raise _unresolved(mesh, ls, int(cells[close[0]]),
                           "the cut cell lies within h/2 of the circle centre")
 
     # arcs: the crossing angles of a cell, sorted, split the circle into
     # intervals that alternate between inside and outside the cell; the
-    # midpoint of the first one decides which of the two sets is inside
-    slot = np.argsort(~distinct[is_cut], axis=1, kind="stable")[:, :4]
-    xp = np.take_along_axis(pts[is_cut], slot[..., None], axis=1)  # (ncut, 4, 2)
-    th = np.where(np.arange(4) < k[:, None],
-                  np.arctan2(xp[..., 1] - c[1], xp[..., 0] - c[0]), np.inf)
-    th = np.sort(th, axis=1)
+    # midpoint of the first one decides which of the two sets is inside.
+    # Each arc end is a crossing's angle plus whole turns, added once.
+    th = np.sort(np.where(found[is_cut], theta[is_cut], np.inf), axis=1)[:, :4]
     mid = 0.5 * (th[:, 0] + th[:, 1])
     xm = c + r * np.column_stack([np.cos(mid), np.sin(mid)])
     first_in = np.all((o - 1e-12 <= xm) & (xm <= o + h + 1e-12), axis=1)
-    cyc = np.column_stack([th, np.full(ncut, np.inf)])
-    cyc[np.arange(ncut), k] = th[:, 0] + 2.0 * np.pi
-    ends = np.where(first_in, 0, 1)[:, None] + np.arange(4)
-    arcs = np.take_along_axis(cyc, ends, axis=1).reshape(ncut, 2, 2)
-    two = k == 4
-    arcs[~two, 1] = arcs[~two, 0]
+    at = np.where(first_in, 0, 1)[:, None] + np.arange(4)
+    turns = at // k[:, None]
+    ang = np.take_along_axis(th, at % k[:, None], axis=1)
     # the second arc onto the branch of the first
-    arcs[:, 1] -= 2.0 * np.pi * np.round((arcs[:, 1, :1] - arcs[:, 0, :1]) / (2.0 * np.pi))
+    turns[:, 2:] -= np.round((ang[:, 2:3] - ang[:, :1]) / (2.0 * np.pi)
+                             + turns[:, 2:3] - turns[:, :1]).astype(int)
+    arcs = (ang + 2.0 * np.pi * turns).reshape(ncut, 2, 2)
+    two = k == 4
     has = np.column_stack([np.ones(ncut, dtype=bool), two])
     dth = arcs[..., 1] - arcs[..., 0]
     total = float(np.sum(dth[has]))
@@ -265,27 +266,19 @@ def build_cut_topology(mesh: Mesh, ls: CircleLevelSet) -> CutTopology:
         raise _unresolved(mesh, ls, int(centre[1] * mesh.n + centre[0]),
                           f"the interface arcs cover {total:.6g} of 2 pi")
 
-    # chord polygon of the solid part: corners inside the disk and the
-    # crossings of each edge (both copies of a corner crossing), in boundary
-    # order.  Its shoelace area is taken per vertex count, so each product
-    # is the BLAS dot of one polygon's coordinates, as for a single cell,
-    # and relative to the cell's origin, so the products are of size h^2
-    # and the area keeps its digits at any h.
-    vmask = np.concatenate([(phi_c[cells] < 0.0)[..., None],
-                            found[is_cut].reshape(ncut, 4, 2)], axis=2).reshape(ncut, 12)
-    verts = np.concatenate([corners[cells][:, :, None, :],
-                            pts[is_cut].reshape(ncut, 4, 2, 2)], axis=2).reshape(ncut, 12, 2)
-    verts = verts - o[:, None, :]
-    verts = np.take_along_axis(
-        verts, np.argsort(~vmask, axis=1, kind="stable")[..., None], axis=1)
+    # chord polygon of the solid part: corners inside the disk and the face
+    # crossings, in boundary order (the angle around the cell's centre) and
+    # relative to the cell's origin, so the area keeps its digits at any h.
+    # Padded with its last vertex, whose trapezoids are exact zeros.
+    vmask = np.concatenate([phi_c[cells] <= 0.0, found[is_cut, 4:]], axis=1)
+    verts = pts[is_cut] - o[:, None, :]
+    key = np.where(vmask, np.arctan2(verts[..., 1] - 0.5 * h, verts[..., 0] - 0.5 * h), np.inf)
+    verts = np.take_along_axis(verts, np.argsort(key, axis=1)[..., None], axis=1)
     nv = vmask.sum(axis=1)
-    polygon = np.zeros(ncut)
-    for m in np.unique(nv[nv >= 3]):
-        sel = nv == m
-        v = verts[sel, :m]
-        x, y = v[..., 0], v[..., 1]
-        polygon[sel] = 0.5 * np.abs(rowdot(x, np.roll(y, -1, axis=1))
-                                    - rowdot(y, np.roll(x, -1, axis=1)))
+    verts = np.where((np.arange(12) < nv[:, None])[..., None], verts,
+                     verts[np.arange(ncut), nv - 1][:, None, :])
+    x, y = verts[..., 0], verts[..., 1]
+    polygon = 0.5 * np.abs(rowdot(x - np.roll(x, -1, axis=1), y + np.roll(y, -1, axis=1)))
     segment = 0.5 * ls.radius_squared * (dth - np.sin(dth))
     area_s = polygon + segment[:, 0] + np.where(two, segment[:, 1], 0.0)
     kappa_s[cells] = np.clip(area_s / (h * h), 0.0, 1.0)

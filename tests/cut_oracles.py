@@ -14,36 +14,60 @@ import pytest
 from cutfsi.quadrature import _legendre, gauss_1d
 
 
-def segment_crossings(ls, a, b):
-    """Crossings of one segment [a, b] with the circle, in increasing t.
+def phi(ls, x):
+    """The level set at one point, as ``ls(x)`` evaluates it."""
+    d = x - ls.center
+    return d[0] * d[0] + d[1] * d[1] - ls.radius_squared
 
-    A double root (discriminant within round-off of zero) touches the
-    segment's line without crossing it and is not returned.
+
+def segment_crossings(ls, a, b):
+    """Crossings of one segment [a, b] with the circle, decided by the signs
+    of phi at its ends (inside where phi <= 0), solved from the end of
+    smaller |phi| and in increasing distance from it.
+
+    Ends on different sides have one crossing, clipped to the segment; it
+    is not returned where it is that end and the end lies on the circle.
+    Two ends outside have both roots where they lie strictly inside the
+    segment and the discriminant is not within round-off of zero; two ends
+    inside have none.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    phi_a, phi_b = phi(ls, a), phi(ls, b)
+    if abs(phi_b) < abs(phi_a):
+        a, b, phi_a, phi_b = b, a, phi_b, phi_a
     d = b - a
     m = a - ls.center
     qa = float(d @ d)
     qb = 2.0 * float(m @ d)
-    qc = float(m @ m) - ls.radius_squared
-    disc = qb * qb - 4.0 * qa * qc
-    scale = abs(qb * qb) + abs(4.0 * qa * qc)
-    if disc <= 1e-14 * max(scale, 1.0):
+    disc = qb * qb - 4.0 * qa * phi_a
+    crosses = disc > 1e-14 * max(abs(qb * qb) + abs(4.0 * qa * phi_a), 1.0)
+    one = (phi_a <= 0.0) != (phi_b <= 0.0)
+    if not one and not (crosses and phi_a > 0.0):
         return []
-    q = -0.5 * (qb + np.copysign(np.sqrt(disc), qb))
-    return [a + t * d for t in sorted((q / qa, qc / q)) if -1e-13 <= t <= 1.0 + 1e-13]
+    q = -0.5 * (qb + np.copysign(np.sqrt(max(disc, 0.0)), qb))
+    t0, t1 = sorted((q / qa, phi_a / q if q != 0.0 else 0.0))
+    if one:
+        t = min(max(t1 if phi_a <= 0.0 else t0, 0.0), 1.0)
+        return [] if t == 0.0 and phi_a == 0.0 else [a + t * d]
+    return [a + t0 * d, a + t1 * d] if 0.0 < t0 and t1 < 1.0 else []
+
+
+def cell_corners(mesh, cell):
+    """The corners of one cell, counterclockwise, as mesh vertices."""
+    return mesh.vertices[mesh.cell_vertices[cell]]
 
 
 def cell_crossings(mesh, ls, cell):
-    """Distinct crossings on the boundary of one cell, in boundary order."""
-    corners = mesh.cell_corners(cell)
-    out = []
-    for e in range(4):
-        for p in segment_crossings(ls, corners[e], corners[(e + 1) % 4]):
-            if not any(np.linalg.norm(p - q) < 1e-12 * (1.0 + mesh.h) for q in out):
-                out.append(p)
-    return out
+    """Crossings on the boundary of one cell: those of its edges, and each
+    corner with phi = 0 where an edge of the cell whose ends differ in sign
+    has its root (the edge returns none)."""
+    corners = cell_corners(mesh, cell)
+    edges = [segment_crossings(ls, corners[e], corners[(e + 1) % 4]) for e in range(4)]
+    inside = [phi(ls, p) <= 0.0 for p in corners]
+    lost = [inside[e] != inside[(e + 1) % 4] and not edges[e] for e in range(4)]
+    return ([corners[e] for e in range(4) if phi(ls, corners[e]) == 0.0 and (lost[e] or lost[e - 1])]
+            + [p for crossings in edges for p in crossings])
 
 
 def arc_intervals(mesh, ls, cell, crossings):
@@ -68,15 +92,16 @@ def arc_intervals(mesh, ls, cell, crossings):
 
 
 def solid_polygon_area(mesh, ls, cell):
-    """Shoelace area of the chord polygon of the solid part of a cell, in
-    coordinates relative to the cell's origin."""
-    corners = mesh.cell_corners(cell)
+    """Shoelace area of the chord polygon of the solid part of a cell: its
+    corners with phi <= 0 and the crossings of its edges, in boundary order
+    and in coordinates relative to the cell's origin."""
+    corners = cell_corners(mesh, cell)
     verts = []
     for e in range(4):
         a, b = corners[e], corners[(e + 1) % 4]
-        if ls(a) < 0.0:
+        if phi(ls, a) <= 0.0:
             verts.append(a)
-        verts.extend(segment_crossings(ls, a, b))
+        verts.extend(sorted(segment_crossings(ls, a, b), key=lambda p: np.linalg.norm(p - a)))
     if len(verts) < 3:
         return 0.0
     v = np.array(verts) - mesh.cell_origin(cell)

@@ -174,6 +174,13 @@ def test_error_vs_reference_rejects_other_end_time():
         error_vs_reference(disc, states, disc, states_r)
 
 
+def test_error_vs_reference_rejects_one_state_trajectory(disc8):
+    """A trajectory of the initial state alone has no step to compare."""
+    states = [TimeStepper(disc8).initialize()]
+    with pytest.raises(ValueError, match="at least one step"):
+        error_vs_reference(disc8, states, disc8, states)
+
+
 def oracle_point_map(disc, block, pts, cells, dx=0, dy=0):
     """(npts, n_scalar) map to one derivative d^dx_x d^dy_y of a scalar
     component, tabulated by ``ReferenceBasis.eval``."""

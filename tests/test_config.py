@@ -95,6 +95,15 @@ def test_integer_fields_reject_floats_and_bools(name, value):
         SimulationConfig(**{name: value}).validate()
 
 
+@pytest.mark.parametrize("name", ["peak_inflow", "w_max"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_inflow_and_weight_rejected(name, value):
+    """A NaN or infinite lid speed or weight bound is refused, naming the
+    key, instead of running to NaN energies or a singular LU."""
+    with pytest.raises(ConfigError, match=f"^{name} must be finite, got {value}"):
+        parse_config(None, overrides={name: value})
+
+
 def test_no_file_uses_defaults():
     cfg = parse_config(None)
     assert cfg == SimulationConfig()

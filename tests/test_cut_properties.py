@@ -4,11 +4,14 @@ The paper's central claim is that the method is robust however the
 interface cuts the mesh.  These tests draw circles with centres |c| <= 0.1
 and radii in [0.3, 0.85] on n = 8, 16, 32 and check the batched topology
 and cut-cell rules against exact geometry and the per-cell oracles, with
-explicit examples of a circle through mesh vertices, a tangent circle and a
-sliver cut.
+explicit examples of a circle through mesh vertices, the same circle 1e-15
+and 1e-12 off them, an edge tangency and a sliver cut.  A sweep of centres
+within 1e-16 ... 1e-8 of the circle through mesh vertices, and random
+circles through a mesh vertex, check that the arcs tile the circle.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +21,8 @@ from cutfsi.mesh import CellClass, build_cut_topology, build_mesh, verify_path_a
 from cutfsi.quadrature import cut_cell_rule, reference_cell_rule
 from cut_oracles import (arc_intervals, assert_rule_matches_loop, cell_crossings,
                          cut_fraction, segment_crossings)
+
+TURN = 2.0 * np.pi
 
 MESHES = {n: build_mesh(n) for n in (8, 16, 32)}
 
@@ -41,12 +46,19 @@ circles = dict(
 
 
 def circle_examples(test):
-    """The circle through mesh vertices, the same circle 1e-15 off them, the
-    edge tangency and the sliver."""
+    """The circle through mesh vertices, the same circle 1e-15 and 1e-12 off
+    them, the edge tangency and the sliver."""
     test = example(rho=0.0, alpha=0.0, r2=0.5, n=16)(test)
     test = example(rho=1e-15, alpha=0.0, r2=0.5, n=8)(test)
+    test = example(rho=1e-12, alpha=2.0, r2=0.5, n=8)(test)
     test = example(rho=0.01, alpha=0.0, r2=0.25, n=8)(test)
     return example(rho=0.0, alpha=0.0, r2=SLIVER_R2, n=16)(test)
+
+
+def same_angle(a, b):
+    """Whether two arc ends are one crossing's angle, bit for bit, up to a
+    whole turn added once."""
+    return any(a == b + k * TURN or b == a + k * TURN for k in (-1, 0, 1))
 
 
 def topology(rho, alpha, r2, n):
@@ -98,6 +110,19 @@ def test_topology_properties(rho, alpha, r2, n):
             sign = 1.0 if topo.cell_class[cell] == CellClass.FLUID_ONLY else -1.0
             assert np.all(sign * ls(mesh.cell_corners(cell)) >= -1e-12)
 
+    # the two cells of every interior face take bit-identical crossings on it
+    c = ls.center
+    ends = {cell: topo.arcs[slice(*topo.arc_range(cell))].ravel() for cell in cut}
+    for k1, k2 in mesh.face_cells.tolist():
+        if k1 not in cut or k2 not in cut:
+            continue
+        a, b = mesh.vertices[sorted(set(mesh.cell_vertices[k1]) & set(mesh.cell_vertices[k2]))]
+        for p in segment_crossings(ls, a, b):
+            w = np.arctan2(p[1] - c[1], p[0] - c[0])
+            near = [[e for e in ends[k] if abs(np.mod(e - w + np.pi, TURN) - np.pi) < 1e-13]
+                    for k in (k1, k2)]
+            assert any(same_angle(e1, e2) for e1 in near[0] for e2 in near[1])
+
     # ghost faces: interior faces of T_i^h with at least one cut neighbour
     for side in ("f", "s"):
         tri = set(topo.tri_cells(side).tolist())
@@ -148,6 +173,44 @@ def test_cut_rule_properties(rho, alpha, r2, n):
     for cell in set(thin) | set(two_arcs.tolist()):
         for side in ("f", "s"):
             assert_rule_matches_loop(parts[side], mesh, topo, cell, side)
+
+
+def assert_arcs_tile(mesh, topo, r2):
+    """Each arc ends exactly where the next one starts, the arcs' lengths sum
+    to 2 pi and the solid fractions to the disk's area."""
+    arcs = topo.arcs
+    assert abs(np.sum(arcs[:, 1] - arcs[:, 0]) - TURN) <= 1e-14
+    assert abs(np.sum(topo.kappa_s) * mesh.h ** 2 - np.pi * r2) <= 1e-12
+    order = np.lexsort((arcs[:, 1] - arcs[:, 0], np.mod(arcs[:, 0], TURN)))
+    for stop, start in zip(arcs[order, 1], np.roll(arcs[order, 0], -1)):
+        assert same_angle(stop, start)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("rho", [0.0] + [10.0 ** -e for e in range(16, 7, -1)])
+def test_arcs_tile_the_circle_near_vertices(rho, n):
+    """The circle r^2 = 0.5 passes through mesh vertices at n = 8, 16.  With
+    its centre at most 1e-8 off the origin, the arcs tile it."""
+    for alpha in (0.0, 0.25 * np.pi, 2.0, 4.0):
+        mesh, _, topo = topology(rho, alpha, 0.5, n)
+        assert_arcs_tile(mesh, topo, 0.5)
+
+
+def test_circles_through_vertices_are_resolved():
+    """Circles through a random mesh vertex (phi = 0 there, or r^2 one
+    rounding off) with (sqrt(2) + 1/2) h <= r are built, and their arcs
+    tile them.  Such a circle can pass through a vertex from one cell into
+    the diagonal one: the other two cells there are only touched."""
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        mesh = MESHES[int(rng.choice(sorted(MESHES)))]
+        c = rng.uniform(-0.1, 0.1, 2)
+        v = mesh.vertices[rng.integers(len(mesh.vertices))]
+        r2 = float(np.sum((v - c) ** 2)) * (1.0 + rng.choice([0.0, 1e-16, -1e-16]))
+        r = np.sqrt(r2)
+        if r < (np.sqrt(2.0) + 0.5) * mesh.h or np.any(np.abs(c) + r >= 1.0):
+            continue
+        assert_arcs_tile(mesh, build_cut_topology(mesh, CircleLevelSet(r2, center=c)), r2)
 
 
 def test_sliver_example_is_thin():

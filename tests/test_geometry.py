@@ -111,3 +111,41 @@ def test_tangent_segment():
     # Segment tangent to the circle at (0, R): it touches without crossing.
     ls = CircleLevelSet(RS)
     assert crossings(ls, [-1.0, R], [1.0, R]) == []
+
+
+def test_crossings_do_not_depend_on_direction():
+    """Each segment is solved from its end of smaller |phi|, so both
+    directions give the same crossings, bit for bit."""
+    ls = CircleLevelSet(RS, center=np.array([0.03, -0.02]))
+    rng = np.random.default_rng(11)
+    a, b = rng.uniform(-1, 1, (2, 200, 2))
+    fwd, rev = edge_zero_crossings(ls, a, b), edge_zero_crossings(ls, b, a)
+    assert np.array_equal(fwd[1], rev[1])
+    assert np.array_equal(fwd[0][fwd[1]], rev[0][rev[1]])
+    assert fwd[1].any(axis=1).sum() > 50
+
+
+def test_end_on_circle_is_not_a_segment_crossing():
+    """An end with phi = 0 is its own crossing: a segment leaving the disk
+    there has none, one entering it there has only its exit."""
+    ls = CircleLevelSet(0.5)
+    on = [0.5, 0.5]
+    assert ls(on) == 0.0
+    assert crossings(ls, on, [0.75, 0.5]) == []
+    assert crossings(ls, [0.5, 0.75], on) == []
+    assert crossings(ls, on, [0.25, 0.5]) == []
+    for a, b in ((on, [0.5, -0.75]), ([0.5, -0.75], on)):
+        (p,) = crossings(ls, a, b)
+        assert np.array_equal(p, [0.5, -0.5])
+
+
+def test_signs_decide_the_crossings_near_an_end():
+    """No window around the segment: ends on different sides have one
+    crossing on the segment, however close to an end; two ends outside
+    have none where the line meets the circle just before the segment."""
+    ls = CircleLevelSet(0.5, center=np.array([1e-16, 0.0]))
+    a, b = np.array([0.5, 0.5]), np.array([0.75, 0.5])
+    assert ls(a) < 0.0 < ls(b)
+    (p,) = crossings(ls, a, b)
+    assert p[1] == 0.5 and 0.5 <= p[0] <= 0.5 + 1e-15
+    assert crossings(CircleLevelSet(0.5), [0.5 + 1e-14, 0.5], [1.0, 0.5]) == []
