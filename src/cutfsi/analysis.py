@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import (SCALAR_KERNELS, Forms, Pattern, assemble_cells, ghost_data,
+from .assembly import (SCALAR_KERNELS, Forms, assemble_cells, ghost_data, pattern,
                        raw_jump_matrices)
 from .config import ConfigError
 from .discretization import Discretization
@@ -92,10 +92,11 @@ class Analyzer:
         self.disc = disc
         self.forms = forms
         value, gradient = SCALAR_KERNELS["value"], SCALAR_KERNELS["gradient"]
-        solid = Pattern(disc, "vs", "vs", cells=disc.s.cells)
-        self.mass_s_T = assemble_cells(disc, value, "vs", disc.s.cells, solid)
-        self.grad_s_T = assemble_cells(disc, gradient, "vs", disc.s.cells, solid)
-        self.grad_vf_T = assemble_cells(disc, gradient, "vf", disc.vf.cells)
+        # the block's pattern also couples across the ghost faces, where
+        # these matrices are zero, so they keep their nonzeros only
+        self.mass_s_T, self.grad_s_T, self.grad_vf_T = (
+            pattern(disc, b, b).compact(assemble_cells(disc, kernel, b, disc.dofmap(b).cells).data)
+            for kernel, b in ((value, "vs"), (gradient, "vs"), (gradient, "vf")))
 
     @staticmethod
     def quad_form(M, x: np.ndarray, ncomp: int = 1) -> float:
@@ -274,11 +275,11 @@ def ghost_band(disc: Discretization, side: str, order: int, w_max: float,
     ``disc`` per (side, order, w_max, gamma_on).
 
     An entry of a band row and a band column gets its terms from the cells
-    and ghost faces that hold both dofs, so the forms are summed on a
-    pattern over the cells that touch the band and the ghost faces (each
-    of which has a cut cell), in the order of the side's cells and faces,
-    which gives every band entry the same sum as on the whole side.  One
-    map takes the band block out of each data array.
+    and ghost faces that hold both dofs, so the forms are summed on the
+    space's pattern over the cells that touch the band and the ghost faces
+    (each of which has a cut cell), in the order of the side's cells and
+    faces, which gives every band entry the same sum as on the whole side.
+    One map takes the band block out of each data array.
     """
     key = (side, order, w_max, gamma_on)
     if key in disc.ghost_bands:
@@ -294,20 +295,20 @@ def ghost_band(disc: Discretization, side: str, order: int, w_max: float,
         return cells[in_band[dm.cell_dofs[dm.cell_index[cells]]].any(axis=1)]
 
     cells, uncut = touching(dm.cells), touching(disc.topo.uncut_cells(side))
-    pattern = Pattern(disc, block, block, cells=cells, faces=disc.topo.ghost_faces(side))
-    rows = np.repeat(np.arange(dm.n_scalar), np.diff(pattern.indptr))
-    take = np.flatnonzero(in_band[rows] & in_band[pattern.indices])
-    indices = np.searchsorted(band, pattern.indices[take])
+    P = pattern(disc, block, block)
+    rows = np.repeat(np.arange(dm.n_scalar), np.diff(P.indptr))
+    take = np.flatnonzero(in_band[rows] & in_band[P.indices])
+    indices = np.searchsorted(band, P.indices[take])
     indptr = np.searchsorted(rows[take], np.append(band, dm.n_scalar))
 
     def restrict(data):
         return sp.csr_matrix((data[take], indices, indptr), shape=(len(band),) * 2)
 
-    raws = raw_jump_matrices(disc, block, w_max=w_max, pattern=pattern) if gamma_on else ()
+    raws = raw_jump_matrices(disc, block, w_max=w_max) if gamma_on else ()
     lhs, rhs = [], []
     for l, kernel in enumerate((SCALAR_KERNELS["value"], SCALAR_KERNELS["gradient"])):
-        lhs.append(restrict(assemble_cells(disc, kernel, block, cells, pattern).data))
-        data = assemble_cells(disc, kernel, block, uncut, pattern).data
+        lhs.append(restrict(assemble_cells(disc, kernel, block, cells).data))
+        data = assemble_cells(disc, kernel, block, uncut).data
         rhs.append(restrict(data + ghost_data(raws, l, disc.h) if gamma_on else data))
     disc.ghost_bands[key] = GhostBand(np.searchsorted(band, cut_dofs), tuple(lhs), tuple(rhs))
     return disc.ghost_bands[key]

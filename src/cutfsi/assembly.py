@@ -9,9 +9,10 @@ assembles the forms that only the step matrices read (viscous, pressure,
 Nitsche consistency, solid bulk).  The interface is fixed and the mesh
 uniform, so one pass per mesh assembles the forms it is asked for:
 
-- each block pair of the system has one sorted CSR pattern, built from the
-  cells, ghost faces and arcs that couple it, with a map from every local
-  entry to its place;
+- each block pair has one sorted CSR pattern, with a map from every local
+  entry to its place, built on first use and held by the discretization
+  (``pattern``), so the step matrices, the energies and the
+  ghost-extension bands all read the same one;
 - uncut cells share one local matrix; the ghost faces of one axis share one
   reference jump matrix per derivative order, scaled by each face's weight;
 - the cut cells of a side share its moment-fitted nodes, tabulated once per
@@ -126,22 +127,24 @@ def _lattice(order: int, axis: int | None = None) -> np.ndarray:
 class Pattern:
     """Sorted CSR pattern of one scalar block pair, with its scatter maps.
 
-    Every row dof of a coupling cell, or of the two cells of a ghost face,
-    couples to every column dof of it.  Dofs are numbered in lattice order,
-    so a row's columns, in the order of their lattice offset (dy, dx) from
-    the row, are sorted, and one dense (row, offset) table places every
-    coupling without a sort.  ``cell_pos`` (cells, nr, nc) and
+    Blocks of one side couple on the side's cells and, a block with itself,
+    across the side's ghost faces; blocks of the two sides couple on the
+    cut cells.  Every row dof of a coupling cell, or of the two cells of a
+    ghost face, couples to every column dof of it.  Dofs are numbered in
+    lattice order, so a row's columns, in the order of their lattice offset
+    (dy, dx) from the row, are sorted, and one dense (row, offset) table
+    places every coupling without a sort.  ``cell_pos`` (cells, nr, nc) and
     ``face_pos[axis]`` (faces, 2 nr, 2 nc) give the places of the local
     entries of the cells and of each axis's faces in a data array.
     """
 
-    def __init__(self, disc: Discretization, row: str, col: str, cells=(), faces=()):
+    def __init__(self, disc: Discretization, row: str, col: str):
         rmap, cmap = disc.dofmap(row), disc.dofmap(col)
-        mesh = disc.mesh
+        mesh, topo = disc.mesh, disc.topo
         self.shape = (rmap.n_scalar, cmap.n_scalar)
-        self.cells = np.asarray(cells, dtype=int)
-        faces = np.asarray(faces, dtype=int)
-        groups = [(self.cells[:, None], None)] + [
+        cells = rmap.cells if rmap.side == cmap.side else topo.cut_cells
+        faces = topo.ghost_faces(rmap.side) if row == col else np.empty(0, dtype=int)
+        groups = [(cells[:, None], None)] + [
             (mesh.face_cells[faces[mesh.face_axis[faces] == axis]], axis) for axis in (0, 1)]
         # offset of each column from its row, in units of the column lattice
         offsets = [_lattice(cmap.order, axis)[:, None, :]
@@ -162,11 +165,7 @@ class Pattern:
         self.cell_pos, *self.face_pos = (table[key] for key in keys)
         self.indptr = np.searchsorted(present, np.arange(0, len(table) + 1, width ** 2))
         self._slot = np.full(mesh.n_cells, -1)
-        self._slot[self.cells] = np.arange(len(self.cells))
-
-    def drop_maps(self) -> None:
-        """Free the scatter maps; the pattern itself stays."""
-        del self.cell_pos, self.face_pos, self._slot
+        self._slot[cells] = np.arange(len(cells))
 
     def at_cells(self, cells) -> np.ndarray:
         """Scatter map (cells, nr, nc) of some of the coupling cells."""
@@ -190,19 +189,27 @@ class Pattern:
                              shape=self.shape)
 
 
+def pattern(disc: Discretization, row: str, col: str) -> Pattern:
+    """The ``Pattern`` of the block pair (row, col), built on first use and
+    held by ``disc``."""
+    if (row, col) not in disc.patterns:
+        disc.patterns[row, col] = Pattern(disc, row, col)
+    return disc.patterns[row, col]
+
+
 class _Sums(defaultdict):
     """Local matrices of the forms of one pass, summed at the end.
 
     ``add`` takes the local matrices of some cells with their scatter map
-    ``pos`` (cells, nr, nc) on the pattern of (row, col).  A local matrix
+    ``pos`` (cells, nr, nc) on ``pattern(disc, row, col)``.  A local matrix
     c_r nr high and c_c nc wide acts on c_r row and c_c column components
     (component-major); it splits into one data array per component pair,
     keyed (row, col, cr, cc) under the form's name.
     """
 
-    def __init__(self, patterns: dict):
+    def __init__(self, disc: Discretization):
         super().__init__(list)
-        self.patterns = patterns
+        self.disc = disc
 
     def add(self, form: str, row: str, col: str, pos, local) -> None:
         nr, nc = pos.shape[1:]
@@ -215,7 +222,7 @@ class _Sums(defaultdict):
         out = defaultdict(dict)
         while self:
             (form, *key), entries = self.popitem()
-            out[form][tuple(key)] = self.patterns[tuple(key[:2])].sum(entries)
+            out[form][tuple(key)] = pattern(self.disc, *key[:2]).sum(entries)
         return out
 
 
@@ -255,15 +262,16 @@ def _drop_roundoff(arrays: dict) -> dict:
     return arrays
 
 
-def _stack(arrays: dict, patterns: dict, blocks) -> sp.csr_matrix:
-    """CSR matrix of data arrays {(row, col, cr, cc): data} on scalar patterns.
+def _stack(arrays: dict, disc: Discretization, blocks) -> sp.csr_matrix:
+    """CSR matrix of data arrays {(row, col, cr, cc): data} on the scalar
+    patterns of ``disc``.
 
     ``blocks`` lists (block, ncomp); rows and columns run over them in
     order, each component-major.  An absent key is a zero block; zero
     entries are not stored.  In each row the nonzeros of an array go after
     those of the arrays left of it, so the result is sorted without a sort.
     """
-    size = {row: P.shape[0] for (row, _), P in patterns.items()}
+    size = {b: disc.dofmap(b).n_scalar for b, _ in blocks}
     start = dict(zip((b for b, _ in blocks),
                      np.cumsum([0] + [nc * size[b] for b, nc in blocks])))
     comps = [(b, c, start[b] + c * size[b]) for b, nc in blocks for c in range(nc)]
@@ -273,7 +281,7 @@ def _stack(arrays: dict, patterns: dict, blocks) -> sp.csr_matrix:
         for col, cc, c0 in comps:
             data = arrays.get((row, col, cr, cc))
             if data is not None:
-                P, nz = patterns[row, col], np.flatnonzero(data)
+                P, nz = pattern(disc, row, col), np.flatnonzero(data)
                 first = np.searchsorted(nz, P.indptr)  # of each row's nonzeros in nz
                 rows = slice(r0, r0 + size[row])
                 counts[rows] += np.diff(first)
@@ -306,7 +314,7 @@ def _cell_pass(disc: Discretization, sums: _Sums, side: str, forms) -> None:
 
     def add(cells, tabs, w):
         pairs = {(row, col) for _, _, row, col in forms}
-        pos = {pair: sums.patterns[pair].at_cells(cells) for pair in pairs}
+        pos = {pair: pattern(disc, *pair).at_cells(cells) for pair in pairs}
         for name, kernel, row, col in forms:
             local = kernel(tabs[order[row]], tabs[order[col]], w)
             sums.add(name, row, col, pos[row, col], local)
@@ -317,21 +325,18 @@ def _cell_pass(disc: Discretization, sums: _Sums, side: str, forms) -> None:
     add(cells, {o: reference_basis(o).tables(nodes, disc.h) for o in orders}, w)
 
 
-def assemble_cells(disc: Discretization, kernel, block: str, cells,
-                   pattern: Pattern | None = None) -> sp.csr_matrix:
-    """Matrix of a scalar integral over the whole ``cells`` on the scalar
-    dofs of ``block``.
+def assemble_cells(disc: Discretization, kernel, block: str, cells) -> sp.csr_matrix:
+    """Matrix of a scalar integral over the whole ``cells``, cells of the
+    block's side, on the scalar dofs of ``block``.
 
     ``kernel`` is as in ``_cell_pass``.  Every cell takes the shared
     full-cell rule, so one local matrix serves them all.  The matrix lies
-    on ``pattern`` (default: the couplings of the side's cells), which must
-    hold ``cells``, and may store zeros.
+    on the block's pattern, so it may store zeros.
     """
-    dm = disc.dofmap(block)
-    pattern = pattern or Pattern(disc, block, block, cells=dm.cells)
-    tabs = disc.full_cell_tables(dm.order)
+    P = pattern(disc, block, block)
+    tabs = disc.full_cell_tables(disc.dofmap(block).order)
     local = kernel(tabs, tabs, disc.full_cell_weights)
-    return pattern.matrix(pattern.sum([(pattern.at_cells(cells), local)]))
+    return P.matrix(P.sum([(P.at_cells(cells), local)]))
 
 
 # -- ghost penalty raw jump matrices ----------------------------------------
@@ -362,8 +367,7 @@ def face_jump_table(order: int, l: int, axis: int, h: float,
 
 
 def raw_jump_matrices(disc: Discretization, block: str,
-                      w_max: float | None = None,
-                      pattern: Pattern | None = None) -> list[sp.csr_matrix]:
+                      w_max: float | None = None) -> list[sp.csr_matrix]:
     """Scalar matrices R_l, l = 1..order, of the weighted face-jump forms.
 
     R_l realizes  sum_F w_F^i int_F [d^l_n phi_i][d^l_n phi_j] ds  on the
@@ -372,8 +376,7 @@ def raw_jump_matrices(disc: Discretization, block: str,
     ghost face of one axis is a translate of one reference face, so per
     order and axis one local matrix J^T W J (``face_jump_table``) is
     scattered to all the axis's faces, scaled by their w_F.  The matrices
-    lie on ``pattern`` (default: the face couplings), which must hold the
-    side's ghost faces; they may store zeros.
+    lie on the block's pattern, so they may store zeros.
     """
     cfg = disc.cfg
     if w_max is None:
@@ -381,7 +384,7 @@ def raw_jump_matrices(disc: Discretization, block: str,
     mesh = disc.mesh
     side, order = disc.dofmap(block).side, disc.dofmap(block).order
     faces = disc.topo.ghost_faces(side)
-    pattern = pattern or Pattern(disc, block, block, faces=faces)
+    P = pattern(disc, block, block)
     kappa = disc.topo.kappa(side)
     cells = mesh.face_cells[faces]  # (nfaces, 2)
     axes = mesh.face_axis[faces]
@@ -391,8 +394,8 @@ def raw_jump_matrices(disc: Discretization, block: str,
     out = []
     for l in range(1, order + 1):
         jumps = [face_jump_table(order, l, axis, mesh.h) for axis in (0, 1)]
-        out.append(pattern.matrix(pattern.sum(
-            [(pattern.face_pos[axis], w_face[axes == axis, None, None] * _mass(J, J, wq))
+        out.append(P.matrix(P.sum(
+            [(P.face_pos[axis], w_face[axes == axis, None, None] * _mass(J, J, wq))
              for axis, J in enumerate(jumps)])))
     return out
 
@@ -425,7 +428,6 @@ def _nitsche_pass(disc: Discretization, sums: _Sums, consistency: bool) -> None:
     rnu = cfg.rho_f * cfg.nu_f
     pen = rnu * cfg.gamma_N / disc.h
     orders = {cfg.m_f, cfg.m_s} | ({cfg.m_f - 1} if consistency else set())
-    patterns = {pair: pat for pair, pat in sums.patterns.items() if pair != ("p", "p")}
     rule = disc.iface_rules
     cells = np.repeat(rule.cells, np.diff(rule.offsets) // ARC_NPTS)
     pts = rule.points.reshape(len(cells), ARC_NPTS, 2)
@@ -433,13 +435,16 @@ def _nitsche_pass(disc: Discretization, sums: _Sums, consistency: bool) -> None:
     tabs = {o: disc.tabulate(o, cells[:, None], pts) for o in orders}
     Nf, Ns = tabs[cfg.m_f][0], tabs[cfg.m_s][0]
     tests = {"vf": (Nf, +1.0), "vs": (Ns, -1.0)}
-    pos = {pair: pat.at_cells(cells) for pair, pat in patterns.items()}
+    pos = {(row, col): pattern(disc, row, col).at_cells(cells)
+           for row in tests for col in tests}
     for row, (Nt, st) in tests.items():
         for col, (Ntr, str_) in tests.items():
             sums.add("nitsche_pen", row, col, pos[row, col],
                      pen * st * str_ * _mass(Nt, Ntr, w))
     if not consistency:
         return
+    pos.update({pair: pattern(disc, *pair).at_cells(cells)
+                for t in tests for pair in ((t, "p"), ("p", t))})
     nrm = disc.level_set.normal(pts)
     _, Gfx, Gfy = tabs[cfg.m_f]
     P = tabs[cfg.m_f - 1][0]
@@ -494,34 +499,20 @@ def assemble_forms(disc: Discretization, arrays: dict | None = None) -> Forms:
     """The fields of ``Forms`` of ``disc``, from one assembly pass; with
     ``arrays``, also the forms that only the step matrices read.
 
-    Each block pair of the system has one pattern: blocks of one side couple
-    on the side's cells (the pressure with itself only in its ghost
-    penalty), blocks of the two sides on the cut cells, and each block with
-    itself across the side's ghost faces.  Each form is summed once into
-    data arrays {(row, col, cr, cc): data} on these patterns.
+    Each form is summed once into data arrays {(row, col, cr, cc): data}
+    on the patterns of ``disc`` (``pattern``).
 
-    Without ``arrays`` the pass builds the patterns that the fields of
+    Without ``arrays`` the pass reads only the patterns that the fields of
     ``Forms`` lie on (no pressure-velocity pair) and assembles the masses,
     the Nitsche penalty and the ghost penalties only.  ``arrays``, if
     given, asks for the step forms too: it receives the data arrays by name
     (the fields of ``Forms``, without their round-off, and "viscous",
     "grad_p", "div_q", "consistency" and "solid_bulk", which only the step
-    matrices read), and all nine patterns under "patterns", so that
-    ``system_matrices`` needs no second pass.
+    matrices read), so that ``system_matrices`` needs no second pass.
     """
-    cfg, topo = disc.cfg, disc.topo
+    cfg = disc.cfg
     step = arrays is not None
-    patterns = {}
-    for row in SYSTEM_BLOCKS:
-        for col in SYSTEM_BLOCKS:
-            if not step and "p" in (row, col) and row != col:
-                continue
-            side = disc.dofmap(row).side
-            cells = (topo.cut_cells if side != disc.dofmap(col).side
-                     else () if row == col == "p" else disc.dofmap(row).cells)
-            patterns[row, col] = Pattern(disc, row, col, cells,
-                                         topo.ghost_faces(side) if row == col else ())
-    sums = _Sums(patterns)
+    sums = _Sums(disc)
     value = SCALAR_KERNELS["value"]
     fluid = [("mass_fluid", value, "vf", "vf")]
     solid = [("mass_solid_scalar", value, "vs", "vs")]
@@ -541,27 +532,25 @@ def assemble_forms(disc: Discretization, arrays: dict | None = None) -> Forms:
 
     # ghost penalties gamma sum_l c_l R_l on the jump matrices of the form's
     # space, with the shift s = 1 for v_f and u and s = 0 for p and v_s
-    raws = {b: raw_jump_matrices(disc, b, pattern=patterns[b, b]) for b in SYSTEM_BLOCKS}
+    raws = {b: raw_jump_matrices(disc, b) for b in SYSTEM_BLOCKS}
     for name, b, gamma, s in (("ghost_vf", "vf", cfg.gamma_vf, 1),
                               ("ghost_p", "p", cfg.gamma_p, 0),
                               ("ghost_vs", "vs", cfg.gamma_vs, 0),
                               ("ghost_u", "vs", cfg.gamma_u, 1)):
         f[name] = {(b, b, 0, 0): gamma * ghost_data(raws[b], s, disc.h)}
     del raws
-    for pattern in patterns.values():
-        pattern.drop_maps()
 
     def matrix(data: dict) -> sp.csr_matrix:
         # a single data array is a scalar field on its own block pair
         if len(data) == 1:
             (key, array), = data.items()
-            return patterns[key[:2]].compact(array)
-        return _stack(data, patterns, _system(disc))
+            return pattern(disc, *key[:2]).compact(array)
+        return _stack(data, disc, _system(disc))
 
     forms = Forms(**{name: matrix(_drop_roundoff(f[name]))
                      for name in Forms.__dataclass_fields__})
     if step:
-        arrays.update(f, patterns=patterns)
+        arrays.update(f)
     return forms
 
 
@@ -585,7 +574,6 @@ def system_matrices(disc: Discretization):
     """
     f: dict = {}
     forms = assemble_forms(disc, f)
-    patterns = f.pop("patterns")
     cfg = disc.cfg
     k = cfg.k
     M = _lin((1.0, f["mass_fluid"]), (cfg.rho_s, _on_components(f["mass_solid_scalar"])),
@@ -598,8 +586,7 @@ def system_matrices(disc: Discretization):
     del f
     R = _lin((1.0, M), (k, _drop_roundoff(A)), (k * k, K))
     del A
-    R = _stack(R, patterns, _system(disc))
+    R = _stack(R, disc, _system(disc))
     p = disc.layout.slice("p")
     R.data[R.indptr[p.start]:R.indptr[p.stop]] *= -1.0
-    return (R, _stack(M, patterns, _system(disc)),
-            _stack(K, patterns, [("vs", 2)]), forms)
+    return (R, _stack(M, disc, _system(disc)), _stack(K, disc, [("vs", 2)]), forms)

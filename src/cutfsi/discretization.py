@@ -58,8 +58,10 @@ class Discretization:
         # uncut cell, 8 rays of 8 points per cut-cell panel, 12 points per
         # arc; the cut parts of each side and the arcs are one CutParts each
         self._table_cache: dict[int, tuple] = {}
-        # the band operators of the ghost-extension check, keyed (side,
-        # order, w_max, gamma_on); analysis.ghost_extension_ratios fills it
+        # the block pairs' patterns, keyed (row, col), and the ghost-extension
+        # bands, keyed (side, order, w_max, gamma_on): assembly.pattern and
+        # analysis.ghost_band fill them
+        self.patterns: dict[tuple, object] = {}
         self.ghost_bands: dict[tuple, object] = {}
         self.ref_pts, self.ref_w = reference_cell_rule()
         cut = self.topo.cut_cells

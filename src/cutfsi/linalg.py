@@ -9,8 +9,10 @@ orders it by nested dissection of the mesh lattice
 (``discretization.nested_dissection``).  One probe solve against A·1
 checks the factor; if its relative residual exceeds PROBE_TOL the matrix
 is factored again with a COLAMD ordering and partial pivoting, and if that
-probe fails too the matrix is reported singular.  A factorization is
-computed once per mesh and reused for every time step.
+probe fails too the matrix is reported singular.  SuperLU factors
+column-compressed matrices, so it is handed the CSR arrays of A as the CSC
+arrays of A^T, without a copy, and every solve takes the transpose back.
+A factorization is computed once per mesh and reused for every time step.
 """
 
 from __future__ import annotations
@@ -59,20 +61,21 @@ class Factorization:
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.n:
             raise ValueError(f"dimension mismatch: matrix {self.n}, rhs {b.shape[0]}")
-        return self._lu.solve(b)
+        return self._lu.solve(b, trans="T")
 
 
-def _splu(A: sp.csc_matrix, **kwargs) -> spla.SuperLU:
+def _splu(At: sp.csc_matrix, **kwargs) -> spla.SuperLU:
     try:
-        return spla.splu(A, **kwargs)
+        return spla.splu(At, **kwargs)
     except RuntimeError as exc:
         raise SingularMatrixError(f"sparse LU failed: {exc}") from exc
 
 
-def _probe_residual(A: sp.csc_matrix, lu: spla.SuperLU) -> float:
-    """Relative residual of the solve A x = A·1 (inf if it is not finite)."""
+def _probe_residual(A: sp.csr_matrix, lu: spla.SuperLU) -> float:
+    """Relative residual of A x = A·1 solved by ``lu``, the factor of A^T
+    (inf if it is not finite)."""
     b = A @ np.ones(A.shape[0])
-    res = np.linalg.norm(A @ lu.solve(b) - b) / max(np.linalg.norm(b), 1e-300)
+    res = np.linalg.norm(A @ lu.solve(b, trans="T") - b) / max(np.linalg.norm(b), 1e-300)
     return float(res) if np.isfinite(res) else np.inf
 
 
@@ -80,12 +83,16 @@ def factorize(A: sp.spmatrix) -> Factorization:
     """Sparse LU of a square matrix; raises SingularMatrixError loudly.
 
     The symmetric-mode factor keeps A's order, so A should come in a
-    fill-reducing order; the COLAMD fallback chooses its own.
+    fill-reducing order; the COLAMD fallback chooses its own.  A CSR
+    matrix is not copied: its arrays are put in canonical form in place
+    (sorted columns, no duplicates) and SuperLU reads them as A^T.
     """
-    A = sp.csc_matrix(A)
+    A = sp.csr_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    lu = _splu(A, permc_spec="NATURAL",
+    A.sum_duplicates()
+    At = sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+    lu = _splu(At, permc_spec="NATURAL",
                diag_pivot_thresh=SYMMETRIC_PIVOT_THRESH,
                options={"SymmetricMode": True})
     res = _probe_residual(A, lu)
@@ -94,7 +101,7 @@ def factorize(A: sp.spmatrix) -> Factorization:
     log.warning("symmetric-mode LU probe residual %.2e > %.0e; "
                 "refactoring with COLAMD and partial pivoting", res, PROBE_TOL)
     del lu
-    lu = _splu(A)
+    lu = _splu(At)
     res = _probe_residual(A, lu)
     if res > PROBE_TOL:
         raise SingularMatrixError(

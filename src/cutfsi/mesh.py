@@ -22,10 +22,6 @@ from .config import ConfigError
 from .geometry import CircleLevelSet, edge_zero_crossings, rowdot
 
 
-# corner offsets of a cell in units of h, counterclockwise from the lower left
-_UNIT_SQUARE = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
-
-
 class CellClass(enum.IntEnum):
     FLUID_ONLY = 0
     SOLID_ONLY = 1
@@ -61,8 +57,12 @@ class Mesh:
         return np.stack([-1.0 + ix * self.h, -1.0 + iy * self.h], axis=-1)
 
     def cell_corners(self, cell) -> np.ndarray:
-        """Corners of cell(s), counterclockwise from the lower left: (..., 4, 2)."""
-        return self.cell_origin(cell)[..., None, :] + self.h * _UNIT_SQUARE
+        """Corners of cell(s), counterclockwise from the lower left: (..., 4, 2).
+
+        They are the cell's ``vertices``, so the cells on either side of a
+        mesh line place it alike; ``origin + h`` may differ in the last bit.
+        """
+        return self.vertices[self.cell_vertices[cell]]
 
 
 def build_mesh(n: int) -> Mesh:
@@ -190,11 +190,12 @@ def build_cut_topology(mesh: Mesh, ls: CircleLevelSet) -> CutTopology:
     # convex, so a cell with every corner in the closed disk is solid.  The
     # candidates are the other cells that the open disk reaches: cells that
     # Gamma only touches at a corner stay fluid.
-    origins = mesh.cell_origin(np.arange(n_cells))
+    corners = mesh.cell_corners(np.arange(n_cells))
+    origins = corners[:, 0]
     phi_v = ls(mesh.vertices)
     phi_c = phi_v[mesh.cell_vertices]  # (n_cells, 4)
     solid = np.all(phi_c <= 0.0, axis=1)
-    d2 = np.sum((np.clip(c, origins, origins + h) - c) ** 2, axis=1)
+    d2 = np.sum((np.clip(c, origins, corners[:, 2]) - c) ** 2, axis=1)
     cand = np.flatnonzero(~solid & (d2 < ls.radius_squared))
 
     nvert = len(mesh.vertices)

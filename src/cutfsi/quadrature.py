@@ -90,16 +90,16 @@ class CutParts:
                         np.array([0, hi - lo]))
 
 
-def _ray_cell_interval(origin, h, center, ct, st):
+def _ray_cell_interval(lower, upper, center, ct, st):
     """Intersections [rho_in, rho_out] of the rays center + rho*(ct, st) with
-    cells, for arrays of directions; ``origin`` (..., 2) broadcasts against
-    them.  ``hit`` is False where a ray misses its cell."""
+    cells, for arrays of directions; the lower-left and upper-right corners
+    (..., 2) broadcast against them.  ``hit`` is False where a ray misses
+    its cell."""
     lo = np.zeros(np.shape(ct))
     hi = np.full(np.shape(ct), np.inf)
     hit = np.ones(np.shape(ct), dtype=bool)
     for axis, d in ((0, ct), (1, st)):
-        a = origin[..., axis]
-        b = a + h
+        a, b = lower[..., axis], upper[..., axis]
         c = center[axis]
         flat = np.abs(d) < 1e-15
         hit &= ~flat | ((a <= c) & (c <= b))
@@ -130,9 +130,8 @@ def cut_cell_rule(mesh: Mesh, topo: CutTopology, cells, side: str,
     # corner angles unwrapped near the first arc's midpoint, so the extent is
     # contiguous
     mid = 0.5 * (ends[:, :1] + ends[:, 1:2])
-    origin = mesh.cell_origin(cells)
-    corners = mesh.cell_corners(cells) - c
-    ang = np.arctan2(corners[..., 1], corners[..., 0])
+    corners = mesh.cell_corners(cells)
+    ang = np.arctan2(corners[..., 1] - c[1], corners[..., 0] - c[0])
     ang = mid + np.mod(ang - mid + np.pi, 2.0 * np.pi) - np.pi
     brk = np.sort(np.concatenate([ang, ends], axis=1), axis=1)
     t0, dth = brk[:, :-1], np.diff(brk, axis=1)
@@ -140,7 +139,8 @@ def cut_cell_rule(mesh: Mesh, topo: CutTopology, cells, side: str,
     th = t0[..., None] + dth[..., None] * gx
     wth = dth[..., None] * gw
     ct, st = np.cos(th), np.sin(th)
-    rin, rout, hit = _ray_cell_interval(origin[:, None, None, :], mesh.h, c, ct, st)
+    rin, rout, hit = _ray_cell_interval(corners[:, None, None, 0], corners[:, None, None, 2],
+                                        c, ct, st)
     if side == "s":
         rout = np.minimum(rout, r)
     else:
@@ -194,8 +194,8 @@ def solid_moments(mesh: Mesh, topo: CutTopology, arcs: CutParts,
     wn = arcs.weights * (arcs.points[:, 0] - c[0]) / np.sqrt(r2)
     terms = (0.5 * h * wn) * _legendre(eta, npts)[:, None, :] * Q[None, :, :]
     moments = np.add.reduceat(np.moveaxis(terms, -1, 0), arcs.offsets[:-1], axis=0)
-    # the right edge x = x0 + h between the circle's two heights there
-    half = np.sqrt(np.maximum(r2 - (origin[:, 0] + h - c[0]) ** 2, 0.0))
+    # the right edge (at the lower-right corner) between the circle's two heights there
+    half = np.sqrt(np.maximum(r2 - (mesh.cell_corners(arcs.cells)[:, 1, 0] - c[0]) ** 2, 0.0))
     ends = np.clip((c[1] + np.multiply.outer(half, [-1.0, 1.0]) - origin[:, 1:]) * (2.0 / h)
                    - 1.0, -1.0, 1.0)
     Qe = _antiderivatives(ends, npts)  # (cells, npts, 2)

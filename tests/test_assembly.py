@@ -14,7 +14,7 @@ import scipy.sparse as sp
 import assembly_oracle as coo
 from assembly_oracle import component_ids as _component_ids
 from assembly_oracle import place as _place
-from cutfsi import Discretization, SimulationConfig, TimeStepper, assembly
+from cutfsi import Analyzer, Discretization, SimulationConfig, TimeStepper, assembly
 from cutfsi.analysis import GHOST_SAMPLES, ghost_extension_ratios
 from cutfsi.assembly import (SCALAR_KERNELS, Forms, _grad_p, _div_q, _lattice, _mass,
                              _solid_bulk, _stack, _system, _viscous, assemble_cells,
@@ -238,7 +238,7 @@ def test_solid_bulk_rigid_modes(disc8):
     """a_s(u, phi) = 0 for rigid displacements u (translations, rotation)."""
     arrays = {}
     assemble_forms(disc8, arrays)
-    su = _stack(arrays["solid_bulk"], arrays["patterns"], [("vs", 2)])
+    su = _stack(arrays["solid_bulk"], disc8, [("vs", 2)])
     ns = disc8.s.n_scalar
     c = disc8.s.node_coords
     tx = np.concatenate([np.ones(ns), np.zeros(ns)])
@@ -440,7 +440,7 @@ def batch_case(request):
 def step_only_form(disc, arrays, *names):
     """System matrix of forms that the library sums into R only."""
     return _stack({key: data for name in names for key, data in arrays[name].items()},
-                  arrays["patterns"], _system(disc))
+                  disc, _system(disc))
 
 
 def assert_same(got, want, tol=1e-13):
@@ -465,7 +465,7 @@ def test_batched_cell_forms_match_cell_loop(batch_case):
     disc, forms, arrays = batch_case
     cfg = disc.cfg
     assert_same(forms.mass_solid_scalar, oracle_cells(disc, SCALAR_KERNELS["value"], "vs"))
-    assert_same(_stack(arrays["solid_bulk"], arrays["patterns"], [("vs", 2)]), oracle_cells(
+    assert_same(_stack(arrays["solid_bulk"], disc, [("vs", 2)]), oracle_cells(
         disc, lambda tr, tc, w: _solid_bulk(tr, w, cfg.mu_s, cfg.lambda_s), "vs"))
     viscous = oracle_cells(disc, lambda tr, tc, w: _viscous(tr, w, cfg.rho_f * cfg.nu_f), "vf")
     fluid_bulk = (_place(disc, "vf", "vf", viscous)
@@ -497,8 +497,8 @@ BAND_CASES = [(side, l, *case) for case in [(8, 2, 0.75, True)] + [
                          ids=[f"{side}-{l}" + ("" if n == 8 else f"-n{n}-ms{m}-r{r}-nojumps")
                               for side, l, n, m, r, _ in BAND_CASES])
 def test_band_sampler_matches_per_cell_draws(side, l, n, m_s, r2, gamma_on):
-    """The band forms, summed on the cells and faces that touch the band,
-    give the ratios of the whole side's forms, with and without jumps."""
+    """The band forms, restricted from the space's pattern, give the ratios
+    of the whole side's forms, with and without jumps."""
     disc = band_disc(n, m_s, r2)
     order = disc.cfg.m_f if side == "f" else disc.cfg.m_s
     got = ghost_extension_ratios(disc, side, order, l, disc.cfg.w_max,
@@ -646,10 +646,11 @@ STEP_KERNELS = ("_viscous", "_grad_p", "_div_q", "_solid_bulk")
 FORMS_PAIRS = {("vf", "vf"), ("vf", "vs"), ("vs", "vf"), ("vs", "vs"), ("p", "p")}
 
 
-def test_forms_only_pass_skips_step_forms(disc8_q2, monkeypatch):
+def test_forms_only_pass_skips_step_forms(monkeypatch):
     """Without ``arrays`` the pass runs no step-only kernel, sums only the
     masses and the Nitsche penalty, and builds no pattern that couples the
     pressure with a velocity; with ``arrays`` it does all of these."""
+    disc = Discretization(SimulationConfig(n=8, m_s=2))
     calls = Counter()
 
     def counted(name, fn):
@@ -660,29 +661,49 @@ def test_forms_only_pass_skips_step_forms(disc8_q2, monkeypatch):
 
     for name in STEP_KERNELS:
         monkeypatch.setattr(assembly, name, counted(name, getattr(assembly, name)))
-    init, add = assembly.Pattern.__init__, assembly._Sums.add
-
-    def pattern_init(self, disc, row, col, cells=(), faces=()):
-        calls["pattern", row, col] += 1
-        init(self, disc, row, col, cells, faces)
+    add = assembly._Sums.add
 
     def sums_add(self, form, *args):
         calls["form", form] += 1
         add(self, form, *args)
 
-    monkeypatch.setattr(assembly.Pattern, "__init__", pattern_init)
     monkeypatch.setattr(assembly._Sums, "add", sums_add)
 
-    assemble_forms(disc8_q2)
+    assemble_forms(disc)
     assert not any(calls[name] for name in STEP_KERNELS)
-    assert {key[1:] for key in calls if key[0] == "pattern"} == FORMS_PAIRS
+    assert set(disc.patterns) == FORMS_PAIRS
     assert {key[1] for key in calls if key[0] == "form"} == {
         "mass_fluid", "mass_solid_scalar", "nitsche_pen"}
     calls.clear()
-    assemble_forms(disc8_q2, {})
+    assemble_forms(disc, {})
     assert all(calls[name] for name in STEP_KERNELS)
-    assert {key[1:] for key in calls if key[0] == "pattern"} == {
+    assert set(disc.patterns) == {
         (row, col) for row in assembly.SYSTEM_BLOCKS for col in assembly.SYSTEM_BLOCKS}
     assert {key[1] for key in calls if key[0] == "form"} == {
         "mass_fluid", "mass_solid_scalar", "nitsche_pen", "viscous", "grad_p", "div_q",
         "solid_bulk", "consistency"}
+
+
+@pytest.mark.parametrize("m_s", [1, 2])
+def test_each_pattern_built_once_per_discretization(m_s, monkeypatch):
+    """A discretization taken through the step system, the energies and the
+    ghost-extension bands of v_f, p and v_s builds each block pair's
+    pattern once, and every reader gets the one it holds."""
+    built = Counter()
+    init = assembly.Pattern.__init__
+
+    def counting(self, disc, row, col):
+        built[row, col] += 1
+        init(self, disc, row, col)
+
+    monkeypatch.setattr(assembly.Pattern, "__init__", counting)
+    disc = Discretization(SimulationConfig(n=8, m_s=m_s))
+    stepper = TimeStepper(disc)
+    Analyzer(disc, stepper.forms)
+    cfg = disc.cfg
+    for side, order in (("f", cfg.m_f), ("f", cfg.m_f - 1), ("s", m_s)):
+        for l in (0, 1):
+            ghost_extension_ratios(disc, side, order, l, cfg.w_max)
+    pairs = {(row, col) for row in assembly.SYSTEM_BLOCKS for col in assembly.SYSTEM_BLOCKS}
+    assert built == Counter(dict.fromkeys(pairs, 1))
+    assert all(assembly.pattern(disc, *pair) is disc.patterns[pair] for pair in pairs)

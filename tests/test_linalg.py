@@ -93,3 +93,39 @@ def test_fallback_probe_failure_raises(monkeypatch):
         sp.csc_matrix(A + 0.01 * sp.eye(A.shape[0])), **kw))
     with pytest.raises(linalg.SingularMatrixError):
         linalg.factorize(sp.csc_matrix(np.diag([1.0, 2.0, 3.0])))
+
+
+def test_factor_reads_the_csr_arrays(monkeypatch):
+    """SuperLU gets the arrays of a CSR input themselves, as the CSC
+    matrix A^T, and the solves still solve A x = b for a nonsymmetric A."""
+    real = linalg.spla.splu
+    seen = []
+
+    def splu(At, **kwargs):
+        seen.append(At)
+        return real(At, **kwargs)
+    monkeypatch.setattr(linalg.spla, "splu", splu)
+    rng = np.random.default_rng(4)
+    n = 30
+    A = sp.csr_matrix(sp.random(n, n, density=0.2, random_state=rng) + 5.0 * sp.eye(n))
+    fact = linalg.factorize(A)
+    At, = seen
+    assert At.format == "csc" and abs(At.T - A).max() == 0.0
+    for part in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(At, part), getattr(A, part)), part
+    b = rng.standard_normal(n)
+    assert np.linalg.norm(A @ fact.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_factor_of_a_csr_with_duplicates_and_unsorted_columns():
+    """Such a CSR input is put in canonical form in place before SuperLU
+    reads its arrays: it is still the same matrix, and the solves are
+    right."""
+    A = sp.csr_matrix((np.array([1.0, 4.0, 1.0, 2.0, 3.0, 0.5]),
+                       np.array([1, 0, 0, 1, 2, 2], dtype=np.int32),
+                       np.array([0, 3, 4, 6], dtype=np.int32)), shape=(3, 3))
+    dense = A.toarray()
+    fact = linalg.factorize(A)
+    assert A.has_canonical_format and np.array_equal(A.toarray(), dense)
+    b = np.array([1.0, 2.0, 3.0])
+    assert np.linalg.norm(dense @ fact.solve(b) - b) <= 1e-14 * np.linalg.norm(b)

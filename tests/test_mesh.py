@@ -33,6 +33,22 @@ def test_cell_corners_ccw():
     assert area == pytest.approx(mesh.h ** 2)
 
 
+@pytest.mark.filterwarnings("ignore:odd n")
+def test_cell_corners_are_the_vertices():
+    """At n = 9 (h = 2/9 is not dyadic) every cell's corners, and its
+    origin, equal its grid vertices bit for bit, so the cells on either
+    side of a mesh line place it alike."""
+    n = 9
+    mesh = build_mesh(n)
+    cells = np.arange(mesh.n_cells)
+    ix, iy = cells % n, cells // n
+    want = np.stack([mesh.vertices[(iy + dy) * (n + 1) + ix + dx]
+                     for dx, dy in ((0, 0), (1, 0), (1, 1), (0, 1))], axis=1)
+    got = mesh.cell_corners(cells)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert mesh.cell_origin(cells).tobytes() == want[:, 0].tobytes()
+
+
 def test_face_cells_consistent():
     """The two cells of an interior face are neighbours across its normal
     axis; a boundary face has one cell."""
