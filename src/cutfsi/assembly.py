@@ -135,7 +135,10 @@ class Pattern:
     (dy, dx) from the row, are sorted, and one dense (row, offset) table
     places every coupling without a sort.  ``cell_pos`` (cells, nr, nc) and
     ``face_pos[axis]`` (faces, 2 nr, 2 nc) give the places of the local
-    entries of the cells and of each axis's faces in a data array.
+    entries of the cells and of each axis's faces in a data array.  Every
+    index array is int32, so a matrix on the pattern shares ``indices`` and
+    ``indptr``; they are read-only, so no in-place sparse operation on such
+    a matrix can change the pattern.
     """
 
     def __init__(self, disc: Discretization, row: str, col: str):
@@ -152,7 +155,8 @@ class Pattern:
                    for _, axis in groups]
         lo = min(off.min() for off in offsets)
         width = max(off.max() for off in offsets) - lo + 1
-        table = np.full(self.shape[0] * width ** 2, -1)  # column of (row, offset)
+        # the column of each (row, offset), or -1
+        table = np.full(self.shape[0] * width ** 2, -1, dtype=np.int32)
         keys = []
         for (group, _), off in zip(groups, offsets):
             rows, cols = (np.concatenate([dm.cell_dofs[dm.cell_index[c]] for c in group.T],
@@ -163,8 +167,11 @@ class Pattern:
         self.nnz = len(present)
         table[present], self.indices = np.arange(self.nnz), table[present]
         self.cell_pos, *self.face_pos = (table[key] for key in keys)
-        self.indptr = np.searchsorted(present, np.arange(0, len(table) + 1, width ** 2))
-        self._slot = np.full(mesh.n_cells, -1)
+        self.indptr = np.searchsorted(present, np.arange(0, len(table) + 1, width ** 2)
+                                      ).astype(np.int32)
+        for a in (self.indices, self.indptr):
+            a.setflags(write=False)
+        self._slot = np.full(mesh.n_cells, -1, dtype=np.int32)
         self._slot[cells] = np.arange(len(cells))
 
     def at_cells(self, cells) -> np.ndarray:

@@ -86,12 +86,22 @@ _VTU_FIELDS = {"f": (("velocity", "vf", 2), ("pressure", "p", 1)),
                "s": (("velocity", "vs", 2), ("displacement", "u", 2))}
 
 
+def _data_array(attrs: str, values: np.ndarray, fmt: str = "%.10g") -> str:
+    """One ``<DataArray>`` element: a line per entry of ``values`` (rows,) or
+    per row of ``values`` (rows, comps)."""
+    values = values.reshape(len(values), -1)
+    row = " ".join([fmt] * values.shape[1]) + "\n"
+    return (f'<DataArray {attrs} format="ascii">\n'
+            + row * len(values) % tuple(values.ravel().tolist()) + '</DataArray>\n')
+
+
 def write_vtu(path, disc: Discretization, state: State, side: str) -> None:
     """Subtriangulation of one side as a quad grid with nodal field data.
 
     Every mesh vertex is a Lagrange node of each space, so its value is a
     coefficient, found in the corner columns 0, r, nb - 1, nb - 1 - r of
-    ``cell_dofs`` (counterclockwise, as in ``cell_vertices``).
+    ``cell_dofs`` (counterclockwise, as in ``cell_vertices``).  Points and
+    vector fields get a zero third component.
     """
     mesh = disc.mesh
     cells = disc.topo.tri_cells(side)
@@ -99,62 +109,37 @@ def write_vtu(path, disc: Discretization, state: State, side: str) -> None:
     used = np.unique(conn)
     renum = np.full(mesh.vertices.shape[0], -1, dtype=int)
     renum[used] = np.arange(len(used))
-    pts = mesh.vertices[used]
+    pad_z = ((0, 0), (0, 1))  # np.pad width of a zero third column
 
-    arrays = []
+    point_data = []
     for name, block, ncomp in _VTU_FIELDS[side]:
         dm = disc.dofmap(block)
         r, nb = dm.order, dm.cell_dofs.shape[1]
         node = np.empty(len(used), dtype=int)  # scalar dof of each vertex
         node[renum[conn]] = dm.cell_dofs[dm.cell_index[cells]][:, [0, r, nb - 1, nb - 1 - r]]
-        coefs = state.x[disc.layout.slice(block)].reshape(ncomp, -1)
-        comps = list(coefs[:, node])
+        values = state.x[disc.layout.slice(block)].reshape(ncomp, -1)[:, node].T
         if ncomp == 2:
-            comps.append(np.zeros(len(used)))
-        arrays.append((name, np.column_stack(comps) if len(comps) > 1
-                       else comps[0]))
-
-    cls = disc.topo.cell_class[cells].astype(float)
-    kappa = disc.topo.kappa(side)[cells]
+            values = np.pad(values, pad_z)
+        point_data.append(_data_array(
+            f'type="Float64" Name="{name}" NumberOfComponents="{values.shape[1]}"', values))
+    cell_data = [_data_array(f'type="Float64" Name="{name}" NumberOfComponents="1"', values)
+                 for name, values in (("cell_class", disc.topo.cell_class[cells].astype(float)),
+                                      ("kappa", disc.topo.kappa(side)[cells]))]
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write('<?xml version="1.0"?>\n')
-        fh.write('<VTKFile type="UnstructuredGrid" version="0.1" '
-                 'byte_order="LittleEndian">\n<UnstructuredGrid>\n')
-        fh.write(f'<Piece NumberOfPoints="{len(used)}" '
-                 f'NumberOfCells="{len(cells)}">\n')
-        fh.write('<Points>\n<DataArray type="Float64" '
-                 'NumberOfComponents="3" format="ascii">\n')
-        for x, y in pts:
-            fh.write(f"{x:.10g} {y:.10g} 0\n")
-        fh.write('</DataArray>\n</Points>\n<Cells>\n')
-        fh.write('<DataArray type="Int32" Name="connectivity" format="ascii">\n')
-        for verts in renum[conn]:
-            fh.write(" ".join(str(v) for v in verts) + "\n")
-        fh.write('</DataArray>\n'
-                 '<DataArray type="Int32" Name="offsets" format="ascii">\n')
-        fh.write("\n".join(str(4 * (i + 1)) for i in range(len(cells))) + "\n")
-        fh.write('</DataArray>\n'
-                 '<DataArray type="UInt8" Name="types" format="ascii">\n')
-        fh.write("\n".join("9" for _ in cells) + "\n")
-        fh.write('</DataArray>\n</Cells>\n<PointData>\n')
-        for name, arr in arrays:
-            ncomp = 1 if arr.ndim == 1 else arr.shape[1]
-            fh.write(f'<DataArray type="Float64" Name="{name}" '
-                     f'NumberOfComponents="{ncomp}" format="ascii">\n')
-            for row in np.atleast_2d(arr.T).T:
-                vals = np.atleast_1d(row)
-                fh.write(" ".join(f"{v:.10g}" for v in vals) + "\n")
-            fh.write('</DataArray>\n')
-        fh.write('</PointData>\n<CellData>\n')
-        for name, arr in (("cell_class", cls), ("kappa", kappa)):
-            fh.write(f'<DataArray type="Float64" Name="{name}" '
-                     'NumberOfComponents="1" format="ascii">\n')
-            fh.write("\n".join(f"{v:.10g}" for v in arr) + "\n")
-            fh.write('</DataArray>\n')
-        fh.write('</CellData>\n</Piece>\n</UnstructuredGrid>\n</VTKFile>\n')
+    path.write_text("".join([
+        '<?xml version="1.0"?>\n<VTKFile type="UnstructuredGrid" version="0.1" '
+        'byte_order="LittleEndian">\n<UnstructuredGrid>\n'
+        f'<Piece NumberOfPoints="{len(used)}" NumberOfCells="{len(cells)}">\n<Points>\n',
+        _data_array('type="Float64" NumberOfComponents="3"', np.pad(mesh.vertices[used], pad_z)),
+        '</Points>\n<Cells>\n',
+        _data_array('type="Int32" Name="connectivity"', renum[conn], "%d"),
+        _data_array('type="Int32" Name="offsets"', 4 * np.arange(1, len(cells) + 1), "%d"),
+        _data_array('type="UInt8" Name="types"', np.full(len(cells), 9), "%d"),
+        '</Cells>\n<PointData>\n', *point_data,
+        '</PointData>\n<CellData>\n', *cell_data,
+        '</CellData>\n</Piece>\n</UnstructuredGrid>\n</VTKFile>\n']))
 
 
 def write_snapshot(outdir, disc: Discretization, state: State,

@@ -707,3 +707,17 @@ def test_each_pattern_built_once_per_discretization(m_s, monkeypatch):
     pairs = {(row, col) for row in assembly.SYSTEM_BLOCKS for col in assembly.SYSTEM_BLOCKS}
     assert built == Counter(dict.fromkeys(pairs, 1))
     assert all(assembly.pattern(disc, *pair) is disc.patterns[pair] for pair in pairs)
+
+
+def test_pattern_index_arrays_shared_read_only(disc8):
+    """A matrix on a pattern shares its int32 index arrays, so an in-place
+    sparse operation on it raises and leaves the held pattern unchanged."""
+    P = assembly.pattern(disc8, "vf", "vf")
+    assert all(a.dtype == np.int32
+               for a in (P.indices, P.indptr, P.cell_pos, *P.face_pos, P._slot))
+    indices, indptr = P.indices.copy(), P.indptr.copy()
+    A = P.matrix(np.zeros(P.nnz))
+    assert np.shares_memory(A.indices, P.indices) and np.shares_memory(A.indptr, P.indptr)
+    with pytest.raises(ValueError):
+        A.eliminate_zeros()
+    assert np.array_equal(P.indices, indices) and np.array_equal(P.indptr, indptr)

@@ -87,6 +87,38 @@ def test_vtu_well_formed(tmp_path, disc8, run8):
         assert "cell_class" in cell_names and "kappa" in cell_names
 
 
+def test_vtu_grid_and_cell_data(tmp_path, disc8, run8):
+    """Every point is a mesh vertex and the connectivity lists each cell's
+    vertices; offsets step by 4, every type is a VTK quad (9), and the cell
+    data are the topology's class and kappa to the 10 printed digits."""
+    _, states = run8
+    mesh, topo = disc8.mesh, disc8.topo
+    for side in ("f", "s"):
+        path = tmp_path / f"grid_{side}.vtu"
+        write_vtu(path, disc8, states[-1], side)
+        piece = ET.parse(path).getroot().find("UnstructuredGrid/Piece")
+
+        def read(name, dtype=float):
+            return np.fromstring(piece.find(name).text, sep=" ", dtype=dtype)
+
+        cells = topo.tri_cells(side)
+        pts = read("Points/DataArray").reshape(-1, 3)
+        assert np.all(pts[:, 2] == 0.0)
+        dist = np.abs(pts[:, None, :2] - mesh.vertices[None]).max(axis=2)
+        vertex = dist.argmin(axis=1)
+        assert dist.min(axis=1).max() < 1e-9
+        conn = read("Cells/DataArray[@Name='connectivity']", int).reshape(-1, 4)
+        assert np.array_equal(vertex[conn], mesh.cell_vertices[cells])
+        offsets = read("Cells/DataArray[@Name='offsets']", int)
+        assert np.array_equal(offsets, 4 * np.arange(1, len(cells) + 1))
+        types = read("Cells/DataArray[@Name='types']", int)
+        assert len(types) == len(cells) and np.all(types == 9)
+        for name, want in (("cell_class", topo.cell_class[cells]),
+                           ("kappa", topo.kappa(side)[cells])):
+            got = read(f"CellData/DataArray[@Name='{name}']")
+            assert np.allclose(got, want, rtol=5e-10, atol=0.0)
+
+
 def test_vtu_lid_velocity(tmp_path, disc8, run8):
     """The vertex at the lid midpoint carries the full inflow speed."""
     _, states = run8
