@@ -13,15 +13,20 @@ probe fails too the matrix is reported singular.  SuperLU factors
 column-compressed matrices, so it is handed the CSR arrays of A as the CSC
 arrays of A^T, without a copy, and every solve takes the transpose back.
 A factorization is computed once per mesh and reused for every time step.
+SuperLU (``scipy.sparse.linalg``) is loaded on the first factorization, so
+a process that never factorizes does not load it.
 """
 
 from __future__ import annotations
 
 import logging
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+
+if TYPE_CHECKING:
+    import scipy.sparse.linalg as spla
 
 log = logging.getLogger(__name__)
 
@@ -65,6 +70,8 @@ class Factorization:
 
 
 def _splu(At: sp.csc_matrix, **kwargs) -> spla.SuperLU:
+    # imported here: the solver stack adds about 10 MB, needed only to factorize
+    import scipy.sparse.linalg as spla
     try:
         return spla.splu(At, **kwargs)
     except RuntimeError as exc:

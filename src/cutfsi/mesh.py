@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from .config import ConfigError
 from .geometry import CircleLevelSet, edge_zero_crossings, rowdot
@@ -315,6 +314,9 @@ def verify_path_assumption(topo: CutTopology, side: str) -> tuple[int, int]:
     cells sharing a nearest uncut cell; ties between equally near cells are
     broken by the search).  Raises if some cut cell has no such path.
     """
+    # imported here: csgraph adds about 10 MB, needed only to search paths
+    from scipy.sparse import csgraph
+
     mesh, cut = topo.mesh, topo.cut_cells
     k1, k2 = mesh.face_cells[topo.ghost_faces(side)].T
     graph = sp.csr_matrix((np.ones(len(k1)), (k1, k2)), shape=(mesh.n_cells,) * 2)

@@ -1,10 +1,15 @@
 """Direct sparse solver wrapper."""
 
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from cutfsi import Discretization, SimulationConfig, TimeStepper, linalg
 
@@ -60,7 +65,7 @@ def test_pivot_threshold_keeps_symmetric_mode():
 def test_fallback_to_colamd(monkeypatch, caplog):
     """A symmetric-mode factor that fails its probe (here the factor of
     A + 0.01 I) is replaced by a COLAMD factor, with a logged warning."""
-    real = linalg.spla.splu
+    real = spla.splu
     calls = []
 
     def splu(A, **kwargs):
@@ -68,7 +73,7 @@ def test_fallback_to_colamd(monkeypatch, caplog):
         if kwargs.get("options", {}).get("SymmetricMode"):
             return real(sp.csc_matrix(A + 0.01 * sp.eye(A.shape[0])), **kwargs)
         return real(A, **kwargs)
-    monkeypatch.setattr(linalg.spla, "splu", splu)
+    monkeypatch.setattr(spla, "splu", splu)
 
     rng = np.random.default_rng(2)
     n = 40
@@ -88,8 +93,8 @@ def test_fallback_to_colamd(monkeypatch, caplog):
 
 def test_fallback_probe_failure_raises(monkeypatch):
     """A fallback factor that fails its probe too is reported singular."""
-    real = linalg.spla.splu
-    monkeypatch.setattr(linalg.spla, "splu", lambda A, **kw: real(
+    real = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda A, **kw: real(
         sp.csc_matrix(A + 0.01 * sp.eye(A.shape[0])), **kw))
     with pytest.raises(linalg.SingularMatrixError):
         linalg.factorize(sp.csc_matrix(np.diag([1.0, 2.0, 3.0])))
@@ -98,13 +103,13 @@ def test_fallback_probe_failure_raises(monkeypatch):
 def test_factor_reads_the_csr_arrays(monkeypatch):
     """SuperLU gets the arrays of a CSR input themselves, as the CSC
     matrix A^T, and the solves still solve A x = b for a nonsymmetric A."""
-    real = linalg.spla.splu
+    real = spla.splu
     seen = []
 
     def splu(At, **kwargs):
         seen.append(At)
         return real(At, **kwargs)
-    monkeypatch.setattr(linalg.spla, "splu", splu)
+    monkeypatch.setattr(spla, "splu", splu)
     rng = np.random.default_rng(4)
     n = 30
     A = sp.csr_matrix(sp.random(n, n, density=0.2, random_state=rng) + 5.0 * sp.eye(n))
@@ -129,3 +134,36 @@ def test_factor_of_a_csr_with_duplicates_and_unsorted_columns():
     assert A.has_canonical_format and np.array_equal(A.toarray(), dense)
     b = np.array([1.0, 2.0, 3.0])
     assert np.linalg.norm(dense @ fact.solve(b) - b) <= 1e-14 * np.linalg.norm(b)
+
+
+# Run in a fresh interpreter: this process has loaded the solver stack.
+SOLVER_STACK_SCRIPT = """
+import sys
+from cutfsi import Discretization, SimulationConfig, TimeStepper, analysis, assembly
+from cutfsi.mesh import verify_path_assumption
+
+STACK = ("scipy.sparse.linalg", "scipy.linalg", "scipy.sparse.csgraph")
+disc = Discretization(SimulationConfig(n=8))
+assembly.assemble_forms(disc)
+for side, order in (("f", disc.cfg.m_f), ("s", disc.cfg.m_s)):
+    analysis.domain_points(disc, side)
+    for l in (0, 1):
+        analysis.ghost_extension_ratios(disc, side, order, l, disc.cfg.w_max)
+print(*(m in sys.modules for m in STACK))
+TimeStepper(disc)
+print("scipy.sparse.linalg" in sys.modules, "scipy.sparse.csgraph" in sys.modules)
+verify_path_assumption(disc.topo, "f")
+print("scipy.sparse.csgraph" in sys.modules)
+"""
+
+
+def test_solver_stack_loaded_only_to_factorize_or_search_paths():
+    """Cut geometry, forms, domain points and ghost ratios load neither
+    SuperLU, LAPACK nor csgraph; a TimeStepper loads SuperLU and the path
+    search loads csgraph."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", SOLVER_STACK_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["False False False", "True False", "True"]
