@@ -95,7 +95,7 @@ class Analyzer:
         # the block's pattern also couples across the ghost faces, where
         # these matrices are zero, so they keep their nonzeros only
         self.mass_s_T, self.grad_s_T, self.grad_vf_T = (
-            pattern(disc, b, b).compact(assemble_cells(disc, kernel, b, disc.dofmap(b).cells).data)
+            pattern(disc, b, b).compact(assemble_cells(disc, kernel, b, disc.dofmap(b).cells))
             for kernel, b in ((value, "vs"), (gradient, "vs"), (gradient, "vf")))
 
     @staticmethod
@@ -261,10 +261,12 @@ class GhostBand:
     ``lhs[l]`` is |grad^l v|^2 over every cell of the side, ``rhs[l]`` the
     same over its uncut cells plus, if the jump terms are on, the
     h-weighted jumps of ``ghost_data``, for l = 0 and 1.  ``local`` (ncut,
-    nb) holds the band index of each cut cell's dofs.
+    nb) holds the band index of each cut cell's dofs, and ``last`` the
+    place in ``local.ravel()`` of each band dof's last occurrence.
     """
 
     local: np.ndarray
+    last: np.ndarray
     lhs: tuple[sp.csr_matrix, sp.csr_matrix]
     rhs: tuple[sp.csr_matrix, sp.csr_matrix]
 
@@ -287,7 +289,9 @@ def ghost_band(disc: Discretization, side: str, order: int, w_max: float,
     block = _ghost_block(disc, side, order)
     dm = disc.dofmap(block)
     cut_dofs = dm.cell_dofs[dm.cell_index[disc.topo.cut_cells]]  # (ncut, nb)
-    band = np.unique(cut_dofs)
+    # the first occurrences in the reversed dofs are the last ones
+    band, first = np.unique(cut_dofs.ravel()[::-1], return_index=True)
+    last = cut_dofs.size - 1 - first
     in_band = np.zeros(dm.n_scalar, dtype=bool)
     in_band[band] = True
 
@@ -307,10 +311,11 @@ def ghost_band(disc: Discretization, side: str, order: int, w_max: float,
     raws = raw_jump_matrices(disc, block, w_max=w_max) if gamma_on else ()
     lhs, rhs = [], []
     for l, kernel in enumerate((SCALAR_KERNELS["value"], SCALAR_KERNELS["gradient"])):
-        lhs.append(restrict(assemble_cells(disc, kernel, block, cells).data))
-        data = assemble_cells(disc, kernel, block, uncut).data
+        lhs.append(restrict(assemble_cells(disc, kernel, block, cells)))
+        data = assemble_cells(disc, kernel, block, uncut)
         rhs.append(restrict(data + ghost_data(raws, l, disc.h) if gamma_on else data))
-    disc.ghost_bands[key] = GhostBand(np.searchsorted(band, cut_dofs), tuple(lhs), tuple(rhs))
+    disc.ghost_bands[key] = GhostBand(np.searchsorted(band, cut_dofs), last,
+                                      tuple(lhs), tuple(rhs))
     return disc.ghost_bands[key]
 
 
@@ -354,19 +359,18 @@ def ghost_extension_ratios(disc: Discretization, side: str, order: int,
     band = ghost_band(disc, side, order, w_max, gamma_on)
     local = band.local
     rng = np.random.default_rng(seed)
-    V = np.zeros((GHOST_SAMPLES, band.lhs[l].shape[0]))  # one sample per row
     if sampler == "band":
         # a band sample is one draw over the cut cells' dofs in cell order; a
         # dof shared by several cut cells keeps the value drawn for its last cell
-        flat = local.ravel()
-        last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
-        V[:, flat[last]] = rng.standard_normal((GHOST_SAMPLES, len(flat)))[:, last]
+        V = rng.standard_normal((GHOST_SAMPLES, local.size))[:, band.last]
     else:
+        V = np.zeros((GHOST_SAMPLES, len(band.last)))  # one sample per row
         for v in V:
             ids = local[rng.integers(len(local))]
             v[ids] = rng.standard_normal(len(ids))
-    lhs = np.einsum("ij,ji->i", V, band.lhs[l] @ V.T)
-    rhs = np.einsum("ij,ji->i", V, band.rhs[l] @ V.T)
+    VT = np.ascontiguousarray(V.T)  # else each product copies V.T
+    lhs = np.einsum("ij,ji->i", V, band.lhs[l] @ VT)
+    rhs = np.einsum("ij,ji->i", V, band.rhs[l] @ VT)
     keep = rhs > 1e-13 * lhs
     return float(np.max(lhs[keep] / rhs[keep], initial=0.0))
 

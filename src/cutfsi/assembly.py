@@ -136,9 +136,8 @@ class Pattern:
     places every coupling without a sort.  ``cell_pos`` (cells, nr, nc) and
     ``face_pos[axis]`` (faces, 2 nr, 2 nc) give the places of the local
     entries of the cells and of each axis's faces in a data array.  Every
-    index array is int32, so a matrix on the pattern shares ``indices`` and
-    ``indptr``; they are read-only, so no in-place sparse operation on such
-    a matrix can change the pattern.
+    index array is int32; ``indices`` and ``indptr`` are read-only, so no
+    reader can change the held pattern.
     """
 
     def __init__(self, disc: Discretization, row: str, col: str):
@@ -184,10 +183,6 @@ class Pattern:
         pos = [p.ravel() for p, _ in entries]
         vals = [np.broadcast_to(v, p.shape).ravel() for p, v in entries]
         return np.bincount(np.concatenate(pos), np.concatenate(vals), minlength=self.nnz)
-
-    def matrix(self, data) -> sp.csr_matrix:
-        """CSR matrix of ``data`` on the whole pattern."""
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
     def compact(self, data) -> sp.csr_matrix:
         """CSR matrix of the nonzero entries of ``data``, in new arrays."""
@@ -332,29 +327,28 @@ def _cell_pass(disc: Discretization, sums: _Sums, side: str, forms) -> None:
     add(cells, {o: reference_basis(o).tables(nodes, disc.h) for o in orders}, w)
 
 
-def assemble_cells(disc: Discretization, kernel, block: str, cells) -> sp.csr_matrix:
-    """Matrix of a scalar integral over the whole ``cells``, cells of the
-    block's side, on the scalar dofs of ``block``.
+def assemble_cells(disc: Discretization, kernel, block: str, cells) -> np.ndarray:
+    """Data array of a scalar integral over the whole ``cells``, cells of
+    the block's side, on the pattern of (``block``, ``block``), so it may
+    hold zeros.
 
     ``kernel`` is as in ``_cell_pass``.  Every cell takes the shared
-    full-cell rule, so one local matrix serves them all.  The matrix lies
-    on the block's pattern, so it may store zeros.
+    full-cell rule, so one local matrix serves them all.
     """
     P = pattern(disc, block, block)
     tabs = disc.full_cell_tables(disc.dofmap(block).order)
     local = kernel(tabs, tabs, disc.full_cell_weights)
-    return P.matrix(P.sum([(P.at_cells(cells), local)]))
+    return P.sum([(P.at_cells(cells), local)])
 
 
 # -- ghost penalty raw jump matrices ----------------------------------------
 
 @lru_cache(maxsize=256)  # keyed by h too, so bounded over a study's meshes
-def face_jump_table(order: int, l: int, axis: int, h: float,
-                    face_npts: int = FACE_NPTS) -> np.ndarray:
+def face_jump_table(order: int, l: int, axis: int, h: float) -> np.ndarray:
     """(q, 2 nb) table of the jump of the l-th normal derivative on a face.
 
     The face has normal axis ``axis`` (0: vertical face, 1: horizontal
-    face) and q = face_npts Gauss points along it.  Columns are the basis
+    face) and q = FACE_NPTS Gauss points along it.  Columns are the basis
     of the first cell (left or below) at reference x = 1, then minus the
     basis of the second cell at x = 0 (x and y swapped for horizontal
     faces), so the table times the two cells' stacked coefficients is the
@@ -362,7 +356,7 @@ def face_jump_table(order: int, l: int, axis: int, h: float,
     Cached; the returned table is shared and read-only.
     """
     basis = reference_basis(order)
-    gx, _ = gauss_1d(face_npts)
+    gx, _ = gauss_1d(FACE_NPTS)
     d = (l, 0) if axis == 0 else (0, l)
     tables = []
     for x in (1.0, 0.0):
@@ -374,16 +368,17 @@ def face_jump_table(order: int, l: int, axis: int, h: float,
 
 
 def raw_jump_matrices(disc: Discretization, block: str,
-                      w_max: float | None = None) -> list[sp.csr_matrix]:
-    """Scalar matrices R_l, l = 1..order, of the weighted face-jump forms.
+                      w_max: float | None = None) -> list[np.ndarray]:
+    """Data arrays of the scalar matrices R_l, l = 1..order, of the weighted
+    face-jump forms, on the pattern of (``block``, ``block``).
 
     R_l realizes  sum_F w_F^i int_F [d^l_n phi_i][d^l_n phi_j] ds  on the
     scalar dof map of ``block``, a Q_order space of side i (no gamma, no h powers),
     with w_F = w(kappa_K1) + w(kappa_K2) over the two cells of F.  Every
     ghost face of one axis is a translate of one reference face, so per
     order and axis one local matrix J^T W J (``face_jump_table``) is
-    scattered to all the axis's faces, scaled by their w_F.  The matrices
-    lie on the block's pattern, so they may store zeros.
+    scattered to all the axis's faces, scaled by their w_F.  The pattern
+    also couples the dofs of the side's cells, so the arrays hold zeros.
     """
     cfg = disc.cfg
     if w_max is None:
@@ -401,16 +396,15 @@ def raw_jump_matrices(disc: Discretization, block: str,
     out = []
     for l in range(1, order + 1):
         jumps = [face_jump_table(order, l, axis, mesh.h) for axis in (0, 1)]
-        out.append(P.matrix(P.sum(
-            [(P.face_pos[axis], w_face[axes == axis, None, None] * _mass(J, J, wq))
-             for axis, J in enumerate(jumps)])))
+        out.append(P.sum([(P.face_pos[axis], w_face[axes == axis, None, None] * _mass(J, J, wq))
+                          for axis, J in enumerate(jumps)]))
     return out
 
 
-def ghost_data(raws: list[sp.csr_matrix], s: int, h: float) -> np.ndarray:
-    """Data array of sum_l c_l R_l over raw jump matrices R_1, R_2, ... on
+def ghost_data(raws: list[np.ndarray], s: int, h: float) -> np.ndarray:
+    """Data array of sum_l c_l R_l over the data arrays of R_1, R_2, ... on
     one pattern, c_l = h^(2(l-s)+1) / ((l-s)!)^2, added in order of l."""
-    terms = [h ** (2 * (l - s) + 1) / math.factorial(l - s) ** 2 * raw.data
+    terms = [h ** (2 * (l - s) + 1) / math.factorial(l - s) ** 2 * raw
              for l, raw in enumerate(raws, start=1)]
     return sum(terms[1:], terms[0])
 

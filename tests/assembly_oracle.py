@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from cutfsi.assembly import (DROP_TOL, SCALAR_KERNELS, Forms, _div_q, _grad_p,
+from cutfsi.assembly import (DROP_TOL, FACE_NPTS, SCALAR_KERNELS, Forms, _div_q, _grad_p,
                              _mass, _solid_bulk, _viscous, face_jump_table, weight_w)
 from cutfsi.fem import reference_basis
 from cutfsi.quadrature import ARC_NPTS, gauss_1d
@@ -100,7 +100,7 @@ def place(disc, row, col, mat, ncomp=1) -> sp.csr_matrix:
     return sp.csr_matrix((np.tile(coo.data, ncomp), (rows, cols)), shape=(n, n))
 
 
-def raw_jump_matrices(disc, side, order, w_max=None, face_npts=4):
+def raw_jump_matrices(disc, side, order, w_max=None):
     """R_l, l = 1..order: one reference jump matrix per axis, scattered by COO."""
     cfg, mesh = disc.cfg, disc.mesh
     if w_max is None:
@@ -113,14 +113,14 @@ def raw_jump_matrices(disc, side, order, w_max=None, face_npts=4):
     w_face = weight_w(kappa[cells[:, 0]], w_max) + weight_w(kappa[cells[:, 1]], w_max)
     ids = np.concatenate([dm.cell_dofs[dm.cell_index[cells[:, 0]]],
                           dm.cell_dofs[dm.cell_index[cells[:, 1]]]], axis=1)
-    _, gw = gauss_1d(face_npts)
+    _, gw = gauss_1d(FACE_NPTS)
     wq = mesh.h * gw
     out = []
     for l in range(1, order + 1):
         acc = Coo((dm.n_scalar, dm.n_scalar))
         for axis in (0, 1):
             sel = axes == axis
-            J = face_jump_table(order, l, axis, mesh.h, face_npts)
+            J = face_jump_table(order, l, axis, mesh.h)
             acc.add_many(ids[sel], ids[sel], w_face[sel, None, None] * _mass(J, J, wq))
         out.append(acc.tocsr())
     return out

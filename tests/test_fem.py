@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from assembly_oracle import component_ids as _component_ids
-from cutfsi.assembly import face_jump_table
+from cutfsi.assembly import FACE_NPTS, face_jump_table
 from cutfsi.fem import build_dof_map, reference_basis
 
 
@@ -161,8 +161,8 @@ def test_jump_zero_for_global_polynomial(disc8):
         c = np.concatenate([poly[dm.cell_dofs[dm.cell_index[k1]]],
                             poly[dm.cell_dofs[dm.cell_index[k2]]]])
         for j in (1, 2):
-            J = face_jump_table(2, j, mesh.face_axis[f], mesh.h, face_npts=3)
-            assert J.shape == (3, 18)
+            J = face_jump_table(2, j, mesh.face_axis[f], mesh.h)
+            assert J.shape == (FACE_NPTS, 18)
             assert np.allclose(J @ c, 0.0, atol=1e-9)
     # a function with a kink across x = 0 has a nonzero first jump there
     kink = np.abs(dm.node_coords[:, 0])

@@ -211,7 +211,8 @@ def test_nested_dissection_top_separator(m_s):
     separator, the dofs on the line x = 0 plus dofs of the cells left of it.
     With the separator removed, the dofs left of the line come before those
     right of it, and R couples no dof on one side with one on the other,
-    although ghost faces of both sides lie on the line."""
+    although ghost faces of both sides lie on the line.  The symmetric-mode
+    factor of R in this order stores at most 5 % more entries than today."""
     disc = Discretization(SimulationConfig(n=16, m_s=m_s))
     stepper = TimeStepper(disc)
     free = stepper.free
@@ -232,6 +233,10 @@ def test_nested_dissection_top_separator(m_s):
         faces = disc.topo.ghost_faces(side)
         k1 = mesh.face_cells[faces[mesh.face_axis[faces] == 0], 0]
         assert np.any(k1 % mesh.n == mesh.n // 2 - 1)
+    # the factor keeps the order's fill: without the ghost-face separators
+    # it stores 393 288 (m_s = 1) and 871 962 (m_s = 2) entries
+    assert stepper.fact.symmetric
+    assert stepper.fact.lu_nnz <= 1.05 * {1: 262_524, 2: 574_620}[m_s]
 
 
 def test_profiled_call_sites(disc8, monkeypatch):
