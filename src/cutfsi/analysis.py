@@ -261,12 +261,10 @@ class GhostBand:
     ``lhs[l]`` is |grad^l v|^2 over every cell of the side, ``rhs[l]`` the
     same over its uncut cells plus, if the jump terms are on, the
     h-weighted jumps of ``ghost_data``, for l = 0 and 1.  ``local`` (ncut,
-    nb) holds the band index of each cut cell's dofs, and ``last`` the
-    place in ``local.ravel()`` of each band dof's last occurrence.
+    nb) holds the band index of each cut cell's dofs.
     """
 
     local: np.ndarray
-    last: np.ndarray
     lhs: tuple[sp.csr_matrix, sp.csr_matrix]
     rhs: tuple[sp.csr_matrix, sp.csr_matrix]
 
@@ -289,9 +287,7 @@ def ghost_band(disc: Discretization, side: str, order: int, w_max: float,
     block = _ghost_block(disc, side, order)
     dm = disc.dofmap(block)
     cut_dofs = dm.cell_dofs[dm.cell_index[disc.topo.cut_cells]]  # (ncut, nb)
-    # the first occurrences in the reversed dofs are the last ones
-    band, first = np.unique(cut_dofs.ravel()[::-1], return_index=True)
-    last = cut_dofs.size - 1 - first
+    band = np.unique(cut_dofs)
     in_band = np.zeros(dm.n_scalar, dtype=bool)
     in_band[band] = True
 
@@ -314,8 +310,7 @@ def ghost_band(disc: Discretization, side: str, order: int, w_max: float,
         lhs.append(restrict(assemble_cells(disc, kernel, block, cells)))
         data = assemble_cells(disc, kernel, block, uncut)
         rhs.append(restrict(data + ghost_data(raws, l, disc.h) if gamma_on else data))
-    disc.ghost_bands[key] = GhostBand(np.searchsorted(band, cut_dofs), last,
-                                      tuple(lhs), tuple(rhs))
+    disc.ghost_bands[key] = GhostBand(np.searchsorted(band, cut_dofs), tuple(lhs), tuple(rhs))
     return disc.ghost_bands[key]
 
 
@@ -357,20 +352,17 @@ def ghost_extension_ratios(disc: Discretization, side: str, order: int,
     if sampler not in ("band", "cell"):
         raise ValueError(f"unknown sampler {sampler!r}")
     band = ghost_band(disc, side, order, w_max, gamma_on)
-    local = band.local
+    local, nband = band.local, band.lhs[l].shape[0]
     rng = np.random.default_rng(seed)
-    if sampler == "band":
-        # a band sample is one draw over the cut cells' dofs in cell order; a
-        # dof shared by several cut cells keeps the value drawn for its last cell
-        V = rng.standard_normal((GHOST_SAMPLES, local.size))[:, band.last]
+    if sampler == "band":  # one draw per band dof, a column per sample
+        V = rng.standard_normal((nband, GHOST_SAMPLES))
     else:
-        V = np.zeros((GHOST_SAMPLES, len(band.last)))  # one sample per row
-        for v in V:
+        V = np.zeros((nband, GHOST_SAMPLES))
+        for j in range(GHOST_SAMPLES):
             ids = local[rng.integers(len(local))]
-            v[ids] = rng.standard_normal(len(ids))
-    VT = np.ascontiguousarray(V.T)  # else each product copies V.T
-    lhs = np.einsum("ij,ji->i", V, band.lhs[l] @ VT)
-    rhs = np.einsum("ij,ji->i", V, band.rhs[l] @ VT)
+            V[ids, j] = rng.standard_normal(len(ids))
+    lhs = np.einsum("ij,ij->j", V, band.lhs[l] @ V)
+    rhs = np.einsum("ij,ij->j", V, band.rhs[l] @ V)
     keep = rhs > 1e-13 * lhs
     return float(np.max(lhs[keep] / rhs[keep], initial=0.0))
 

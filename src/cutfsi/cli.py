@@ -87,6 +87,9 @@ def cmd_convergence(args) -> int:
         raise ConfigError(f"--ref must be a whole number of cells n in space mode, "
                           f"got {args.ref:g}")
     cfg = _load_config(args)
+    if cfg.peak_inflow == 0:
+        raise ConfigError("peak_inflow = 0 drives no flow, so every error is 0 "
+                          "and no order can be measured")
     if args.mode == "space":
         n_levels = [cfg.n * 2 ** i for i in range(args.levels)]
         n_ref = int(args.ref) if args.ref else 2 * n_levels[-1]
@@ -105,6 +108,8 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     overrides = _overrides(args)
     for key in ("n", "k"):  # verify sets these itself
         if key in overrides:

@@ -55,10 +55,14 @@ def test_circle_outside_cavity_exit_code(tmp_path, capsys):
      "reference mesh n=16 is not finer"),
     (["convergence", "--mode", "time", "--levels", "2", "--ref", "0.5"],
      "reference step k=0.5 is not finer"),
+    (["convergence", "--mode", "space", "--levels", "2", "--set", "peak_inflow=0"],
+     "peak_inflow = 0"),
+    (["convergence", "--mode", "time", "--levels", "2", "--set", "n=8",
+      "--set", "peak_inflow=-0.0"], "peak_inflow = 0"),
 ], ids=["time-ref-negative", "time-ref-not-dividing-T", "time-ref-not-nested",
         "run-T-below-k", "space-T-below-k", "space-ref-not-nested", "space-ref-fraction",
         "levels-0", "dump-every-negative", "run-n-not-integer", "space-ref-not-finer",
-        "time-ref-not-finer"])
+        "time-ref-not-finer", "space-zero-lid-speed", "time-zero-lid-speed"])
 def test_bad_run_input_exits_2_before_any_discretization(argv, value, tmp_path, capsys,
                                                           monkeypatch):
     built = []
@@ -113,6 +117,18 @@ def test_verify_rejects_fixed_keys(key, value, capsys, monkeypatch):
     rc = main(["verify", "--set", f"{key}={value}"])
     assert rc == 2
     assert f"--set {key}" in capsys.readouterr().err
+
+
+def test_verify_refuses_negative_seed(capsys, monkeypatch):
+    """The ghost checks seed numpy's generator with --seed, which takes no
+    negative seed: verify exits 2, naming the option, before any check."""
+    monkeypatch.setattr(discretization.Discretization, "__init__",
+                        lambda self, cfg: pytest.fail(f"built a discretization at n={cfg.n}"))
+    rc = main(["verify", "--seed", "-1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "--seed must be >= 0, got -1" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("option", [["--output-dir", "vo"], ["--allow-large"]])
