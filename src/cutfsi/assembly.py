@@ -264,23 +264,22 @@ def _drop_roundoff(arrays: dict) -> dict:
     return arrays
 
 
-def _stack(arrays: dict, disc: Discretization, blocks) -> sp.csr_matrix:
+def _stack(arrays: dict, disc: Discretization, blocks=SYSTEM_BLOCKS) -> sp.csr_matrix:
     """CSR matrix of data arrays {(row, col, cr, cc): data} on the scalar
     patterns of ``disc``.
 
-    ``blocks`` lists (block, ncomp); rows and columns run over them in
-    order, each component-major.  An absent key is a zero block; zero
-    entries are not stored.  In each row the nonzeros of an array go after
-    those of the arrays left of it, so the result is sorted without a sort.
+    Rows and columns run over the components of ``blocks`` in order, each
+    block component-major.  An absent key is a zero block; zero entries are
+    not stored.  In each row the nonzeros of an array go after those of the
+    arrays left of it, so the result is sorted without a sort.
     """
-    size = {b: disc.dofmap(b).n_scalar for b, _ in blocks}
-    start = dict(zip((b for b, _ in blocks),
-                     np.cumsum([0] + [nc * size[b] for b, nc in blocks])))
-    comps = [(b, c, start[b] + c * size[b]) for b, nc in blocks for c in range(nc)]
-    counts = np.zeros(sum(size[b] for b, _, _ in comps), dtype=np.int64)
+    size = {b: disc.dofmap(b).n_scalar for b in blocks}
+    comps = [(b, c) for b in blocks for c in range(disc.dofmap(b).ncomp)]
+    starts = np.cumsum([0] + [size[b] for b, _ in comps])
+    counts = np.zeros(starts[-1], dtype=np.int64)
     segments = []
-    for row, cr, r0 in comps:
-        for col, cc, c0 in comps:
+    for (row, cr), r0 in zip(comps, starts):
+        for (col, cc), c0 in zip(comps, starts):
             data = arrays.get((row, col, cr, cc))
             if data is not None:
                 P, nz = pattern(disc, row, col), np.flatnonzero(data)
@@ -343,17 +342,17 @@ def assemble_cells(disc: Discretization, kernel, block: str, cells) -> np.ndarra
 
 # -- ghost penalty raw jump matrices ----------------------------------------
 
-@lru_cache(maxsize=256)  # keyed by h too, so bounded over a study's meshes
-def face_jump_table(order: int, l: int, axis: int, h: float) -> np.ndarray:
-    """(q, 2 nb) table of the jump of the l-th normal derivative on a face.
+@lru_cache(maxsize=None)
+def face_jump_table(order: int, l: int, axis: int) -> np.ndarray:
+    """(q, 2 nb) table of the jump of the l-th normal derivative on a face
+    of the reference cell [0, 1]^2; on a mesh of size h it is this over h^l.
 
     The face has normal axis ``axis`` (0: vertical face, 1: horizontal
     face) and q = FACE_NPTS Gauss points along it.  Columns are the basis
     of the first cell (left or below) at reference x = 1, then minus the
     basis of the second cell at x = 0 (x and y swapped for horizontal
     faces), so the table times the two cells' stacked coefficients is the
-    jump.  On a uniform mesh it is the same for every face of the axis.
-    Cached; the returned table is shared and read-only.
+    jump.  Cached; the returned table is shared and read-only.
     """
     basis = reference_basis(order)
     gx, _ = gauss_1d(FACE_NPTS)
@@ -361,7 +360,7 @@ def face_jump_table(order: int, l: int, axis: int, h: float) -> np.ndarray:
     tables = []
     for x in (1.0, 0.0):
         pts = np.column_stack([np.full_like(gx, x), gx])
-        tables.append(basis.eval(pts if axis == 0 else pts[:, ::-1], *d) / h ** l)
+        tables.append(basis.eval(pts if axis == 0 else pts[:, ::-1], *d))
     table = np.hstack([tables[0], -tables[1]])
     table.setflags(write=False)
     return table
@@ -380,9 +379,7 @@ def raw_jump_matrices(disc: Discretization, block: str,
     scattered to all the axis's faces, scaled by their w_F.  The pattern
     also couples the dofs of the side's cells, so the arrays hold zeros.
     """
-    cfg = disc.cfg
-    if w_max is None:
-        w_max = cfg.w_max
+    w_max = disc.cfg.w_max if w_max is None else w_max
     mesh = disc.mesh
     side, order = disc.dofmap(block).side, disc.dofmap(block).order
     faces = disc.topo.ghost_faces(side)
@@ -395,7 +392,7 @@ def raw_jump_matrices(disc: Discretization, block: str,
     wq = mesh.h * gw
     out = []
     for l in range(1, order + 1):
-        jumps = [face_jump_table(order, l, axis, mesh.h) for axis in (0, 1)]
+        jumps = [face_jump_table(order, l, axis) / mesh.h ** l for axis in (0, 1)]
         out.append(P.sum([(P.face_pos[axis], w_face[axes == axis, None, None] * _mass(J, J, wq))
                           for axis, J in enumerate(jumps)]))
     return out
@@ -491,11 +488,6 @@ class Forms:
     ghost_u: sp.csr_matrix
 
 
-def _system(disc: Discretization):
-    """The blocks (block, ncomp) of the (v_f, p, v_s) system."""
-    return [(b, disc.dofmap(b).ncomp) for b in SYSTEM_BLOCKS]
-
-
 def assemble_forms(disc: Discretization, arrays: dict | None = None) -> Forms:
     """The fields of ``Forms`` of ``disc``, from one assembly pass; with
     ``arrays``, also the forms that only the step matrices read.
@@ -546,7 +538,7 @@ def assemble_forms(disc: Discretization, arrays: dict | None = None) -> Forms:
         if len(data) == 1:
             (key, array), = data.items()
             return pattern(disc, *key[:2]).compact(array)
-        return _stack(data, disc, _system(disc))
+        return _stack(data, disc)
 
     forms = Forms(**{name: matrix(_drop_roundoff(f[name]))
                      for name in Forms.__dataclass_fields__})
@@ -587,7 +579,7 @@ def system_matrices(disc: Discretization):
     del f
     R = _lin((1.0, M), (k, _drop_roundoff(A)), (k * k, K))
     del A
-    R = _stack(R, disc, _system(disc))
+    R = _stack(R, disc)
     p = disc.layout.slice("p")
     R.data[R.indptr[p.start]:R.indptr[p.stop]] *= -1.0
-    return (R, _stack(M, disc, _system(disc)), _stack(K, disc, [("vs", 2)]), forms)
+    return R, _stack(M, disc), _stack(K, disc, ("vs",)), forms

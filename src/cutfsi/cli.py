@@ -19,9 +19,10 @@ from .discretization import Discretization
 from .mesh import verify_path_assumption
 from .stepper import StepRecord, TimeStepper
 
-# Desk-scale guardrail: finer levels than this need an explicit override.
+# Desk-scale guardrail: a finer mesh, or a reference run that stores more
+# state values than this, needs an explicit override.
 MIN_H = 0.0078125
-MAX_DOFS = 3_000_000
+MAX_STORED = 2 ** 27  # 1 GiB of float64
 
 
 def _overrides(args) -> dict:
@@ -38,13 +39,21 @@ def _load_config(args) -> SimulationConfig:
     return parse_config(getattr(args, "config", None), overrides=_overrides(args))
 
 
-def _check_scale(cfg: SimulationConfig, allow_large: bool) -> None:
-    h = 2.0 / cfg.n
+def _check_scale(cfg: SimulationConfig, allow_large: bool, stores_states: bool = False) -> None:
+    """Refuse, unless ``allow_large``, h < MIN_H and, for a run that keeps
+    every state (a study's reference run), more than MAX_STORED values."""
+    if allow_large:
+        return
+    if cfg.h < MIN_H:
+        raise ConfigError(f"refusing n={cfg.n} (h={cfg.h:g} < {MIN_H:g}); "
+                          "pass --allow-large to override")
     est_dofs = 2 * (2 * cfg.n + 1) ** 2 + (cfg.n + 1) ** 2 \
         + 4 * (cfg.m_s * cfg.n + 1) ** 2
-    if not allow_large and (h < MIN_H or est_dofs > MAX_DOFS):
+    states = cfg.n_steps + 1
+    if stores_states and states * est_dofs > MAX_STORED:
         raise ConfigError(
-            f"refusing n={cfg.n} (h={h:g}, ~{est_dofs} dofs); "
+            f"refusing a reference run that stores {states} states of ~{est_dofs} dofs "
+            f"({states * est_dofs} values, more than {MAX_STORED}); "
             "pass --allow-large to override")
 
 
@@ -93,13 +102,13 @@ def cmd_convergence(args) -> int:
     if args.mode == "space":
         n_levels = [cfg.n * 2 ** i for i in range(args.levels)]
         n_ref = int(args.ref) if args.ref else 2 * n_levels[-1]
-        _check_scale(cfg.replace(n=n_ref), args.allow_large)
+        _check_scale(cfg.replace(n=n_ref), args.allow_large, stores_states=True)
         report = analysis.spatial_study(cfg, n_levels, n_ref)
     else:
         k_levels = [cfg.k / 2 ** i for i in range(args.levels)]
-        k_ref = args.ref if args.ref else k_levels[-1] / 2
-        _check_scale(cfg, args.allow_large)
-        report = analysis.temporal_study(cfg, k_levels, float(k_ref))
+        k_ref = float(args.ref if args.ref else k_levels[-1] / 2)
+        _check_scale(cfg.replace(k=k_ref), args.allow_large, stores_states=True)
+        report = analysis.temporal_study(cfg, k_levels, k_ref)
     print(reporting.format_convergence_table(report))
     out = Path(args.output_dir) / f"convergence_{args.mode}_ms{cfg.m_s}.csv"
     reporting.write_convergence_csv(out, cfg, report)
@@ -195,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-dir", default="output",
                        help="directory for CSV/VTU output")
         p.add_argument("--allow-large", action="store_true",
-                       help="permit resolutions beyond the desk-scale guardrail")
+                       help="permit meshes and stored reference runs beyond the "
+                            "desk-scale guardrail")
 
     p_run = sub.add_parser("run", help="advance one simulation to T")
     common(p_run)

@@ -1,7 +1,8 @@
 """Simulation configuration: defaults, validation and the flat file format.
 
 Config files are plain text, one ``key = value`` per line, ``#`` comments.
-Unknown keys are rejected with the offending line number.
+Unknown keys are rejected with the offending line number, a key given
+twice with both line numbers.
 """
 
 from __future__ import annotations
@@ -95,6 +96,7 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(SimulationConfig)}
 def parse_config(path: str | None = None, overrides: dict | None = None) -> SimulationConfig:
     """Read a flat key = value file (may be None) plus inline overrides."""
     values: dict = {}
+    seen: dict = {}  # line number of each key of the file
     if path is not None:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -107,6 +109,10 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Simu
                 key, val = key.strip(), val.strip()
                 if key not in _FIELD_TYPES:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                if key in seen:
+                    raise ConfigError(f"{path}:{lineno}: {key} is already set on line "
+                                      f"{seen[key]}")
+                seen[key] = lineno
                 try:
                     values[key] = _convert(key, val)
                 except ValueError as exc:

@@ -2,10 +2,10 @@
 
 The background mesh is fitted to the outer boundary but not to the
 interface.  ``CutTopology`` records, per cell, whether it is purely fluid,
-purely solid or cut, the exact area fractions kappa_f/kappa_s, the interface
-arcs within each cut cell and the ghost penalty face sets of both
-subtriangulations.  The mesh faces and the cut topology are built by array
-code over all cells and faces at once.
+purely solid or cut, its exact solid area fraction kappa_s (kappa_f is
+1 - kappa_s), the interface arcs within each cut cell and the ghost
+penalty face sets of both subtriangulations.  The mesh faces and the cut
+topology are built by array code over all cells and faces at once.
 """
 
 from __future__ import annotations
@@ -111,10 +111,7 @@ class CutTopology:
     mesh: Mesh
     level_set: CircleLevelSet
     cell_class: np.ndarray   # (n_cells,) CellClass values
-    kappa_f: np.ndarray      # (n_cells,)
-    kappa_s: np.ndarray      # (n_cells,)
-    in_fluid_tri: np.ndarray  # (n_cells,) bool, K in T_f^h
-    in_solid_tri: np.ndarray  # (n_cells,) bool, K in T_s^h
+    kappa_s: np.ndarray      # (n_cells,) solid area fraction
     arc_cells: np.ndarray    # (narcs,) cut cell of each arc, ascending
     arcs: np.ndarray         # (narcs, 2) theta0 < theta1, counterclockwise
     ghost_faces_f: np.ndarray  # face ids
@@ -132,8 +129,9 @@ class CutTopology:
         return lo, hi
 
     def tri_cells(self, side: str) -> np.ndarray:
-        flags = self.in_fluid_tri if side == "f" else self.in_solid_tri
-        return np.flatnonzero(flags)
+        """Cells of T_i^h: every cell not entirely in the other subdomain."""
+        other = CellClass.SOLID_ONLY if side == "f" else CellClass.FLUID_ONLY
+        return np.flatnonzero(self.cell_class != other)
 
     def uncut_cells(self, side: str) -> np.ndarray:
         """Cells of T_i^h entirely inside Omega_i (i.e. Omega_i \\ G_h)."""
@@ -144,7 +142,7 @@ class CutTopology:
         return self.ghost_faces_f if side == "f" else self.ghost_faces_s
 
     def kappa(self, side: str) -> np.ndarray:
-        return self.kappa_f if side == "f" else self.kappa_s
+        return 1.0 - self.kappa_s if side == "f" else self.kappa_s
 
 
 def _unresolved(mesh: Mesh, ls: CircleLevelSet, cell: int, problem: str) -> ConfigError:
@@ -182,7 +180,6 @@ def build_cut_topology(mesh: Mesh, ls: CircleLevelSet) -> CutTopology:
                           "does not lie inside the domain (-1, 1)^2")
     n_cells = mesh.n_cells
     cell_class = np.full(n_cells, CellClass.FLUID_ONLY, dtype=int)
-    kappa_f = np.ones(n_cells)
     kappa_s = np.zeros(n_cells)
 
     # phi is taken once per vertex, inside where phi <= 0; the disk is
@@ -226,7 +223,7 @@ def build_cut_topology(mesh: Mesh, ls: CircleLevelSet) -> CutTopology:
     whole = cand[count < 2]
     solid[whole] = ls(origins[whole] + 0.5 * h) < 0.0
     cell_class[solid] = CellClass.SOLID_ONLY
-    kappa_f[solid], kappa_s[solid] = 0.0, 1.0
+    kappa_s[solid] = 1.0
 
     is_cut = count >= 2
     cells, k = cand[is_cut], count[is_cut]
@@ -282,11 +279,10 @@ def build_cut_topology(mesh: Mesh, ls: CircleLevelSet) -> CutTopology:
     segment = 0.5 * ls.radius_squared * (dth - np.sin(dth))
     area_s = polygon + segment[:, 0] + np.where(two, segment[:, 1], 0.0)
     kappa_s[cells] = np.clip(area_s / (h * h), 0.0, 1.0)
-    kappa_f[cells] = 1.0 - kappa_s[cells]
 
     cut = cell_class == CellClass.CUT
-    in_fluid = cut | (cell_class == CellClass.FLUID_ONLY)
-    in_solid = cut | (cell_class == CellClass.SOLID_ONLY)
+    in_fluid = cell_class != CellClass.SOLID_ONLY
+    in_solid = cell_class != CellClass.FLUID_ONLY
     # ghost faces: interior faces of T_i^h next to at least one cut cell
     k1, k2 = mesh.face_cells.T
     near = (k1 >= 0) & (k2 >= 0) & (cut[k1] | cut[k2])
@@ -295,10 +291,7 @@ def build_cut_topology(mesh: Mesh, ls: CircleLevelSet) -> CutTopology:
         mesh=mesh,
         level_set=ls,
         cell_class=cell_class,
-        kappa_f=kappa_f,
         kappa_s=kappa_s,
-        in_fluid_tri=in_fluid,
-        in_solid_tri=in_solid,
         arc_cells=np.repeat(cells, np.where(two, 2, 1)),
         arcs=arcs[has],
         ghost_faces_f=np.flatnonzero(near & in_fluid[k1] & in_fluid[k2]),

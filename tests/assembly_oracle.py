@@ -120,7 +120,7 @@ def raw_jump_matrices(disc, side, order, w_max=None):
         acc = Coo((dm.n_scalar, dm.n_scalar))
         for axis in (0, 1):
             sel = axes == axis
-            J = face_jump_table(order, l, axis, mesh.h)
+            J = face_jump_table(order, l, axis) / mesh.h ** l
             acc.add_many(ids[sel], ids[sel], w_face[sel, None, None] * _mass(J, J, wq))
         out.append(acc.tocsr())
     return out

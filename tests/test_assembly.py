@@ -17,7 +17,7 @@ from assembly_oracle import place as _place
 from cutfsi import Analyzer, Discretization, SimulationConfig, TimeStepper, assembly
 from cutfsi.analysis import GHOST_SAMPLES, ghost_extension_ratios
 from cutfsi.assembly import (SCALAR_KERNELS, Forms, _grad_p, _div_q, _lattice, _mass,
-                             _solid_bulk, _stack, _system, _viscous, assemble_cells,
+                             _solid_bulk, _stack, _viscous, assemble_cells,
                              assemble_forms, face_jump_table, raw_jump_matrices,
                              system_matrices, weight_w)
 from cutfsi.fem import reference_basis
@@ -163,10 +163,10 @@ def test_ghost_forms_symmetric_psd_with_kernels(disc8, disc8_q2):
 
 
 def test_lattice_and_jump_tables_cached_read_only():
-    """Both tables are pure functions of small ints and h: repeated calls
+    """Both tables are pure functions of small ints: repeated calls
     return the same array, which callers cannot overwrite."""
     for make in (lambda: _lattice(2), lambda: _lattice(1, 1),
-                 lambda: face_jump_table(2, 1, 0, 0.25)):
+                 lambda: face_jump_table(2, 1, 0)):
         table = make()
         assert make() is table
         assert not table.flags.writeable
@@ -238,7 +238,7 @@ def test_solid_bulk_rigid_modes(disc8):
     """a_s(u, phi) = 0 for rigid displacements u (translations, rotation)."""
     arrays = {}
     assemble_forms(disc8, arrays)
-    su = _stack(arrays["solid_bulk"], disc8, [("vs", 2)])
+    su = _stack(arrays["solid_bulk"], disc8, ("vs",))
     ns = disc8.s.n_scalar
     c = disc8.s.node_coords
     tx = np.concatenate([np.ones(ns), np.zeros(ns)])
@@ -256,13 +256,21 @@ def test_system_matrix_dimension(disc8):
 
 @pytest.mark.parametrize("m_s", [1, 2])
 def test_forms_no_stored_zeros(disc8, disc8_q2, m_s):
-    """No assembled form stores explicit zeros (cancelled sums included)."""
+    """No assembled form stores explicit zeros (cancelled sums included):
+    the fields of ``Forms``, and R, M and K of ``system_matrices`` at
+    k = 1 and 1/16.  Every matrix has int32 indices in canonical format."""
     disc = disc8 if m_s == 1 else disc8_q2
     forms = assemble_forms(disc)
-    for name in forms.__dataclass_fields__:
-        M = getattr(forms, name)
-        assert M.nnz > 0, name
-        assert np.count_nonzero(M.data == 0.0) == 0, name
+    mats = {name: getattr(forms, name) for name in forms.__dataclass_fields__}
+    for k in (1.0, 1 / 16):
+        R, M, K, _ = system_matrices(Discretization(disc.cfg.replace(k=k)))
+        mats.update({f"R k={k}": R, f"M k={k}": M, f"K k={k}": K})
+    for name, A in mats.items():
+        assert A.nnz > 0, name
+        assert np.count_nonzero(A.data == 0.0) == 0, name
+        assert A.indices.dtype == A.indptr.dtype == np.int32, name
+        assert sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape
+                             ).has_canonical_format, name
 
 
 # -- test-only oracles: one cut cell, arc or ghost face at a time ------------
@@ -447,7 +455,7 @@ def batch_case(request):
 def step_only_form(disc, arrays, *names):
     """System matrix of forms that the library sums into R only."""
     return _stack({key: data for name in names for key, data in arrays[name].items()},
-                  disc, _system(disc))
+                  disc)
 
 
 def on_pattern(disc, block, data):
@@ -478,7 +486,7 @@ def test_batched_cell_forms_match_cell_loop(batch_case):
     disc, forms, arrays = batch_case
     cfg = disc.cfg
     assert_same(forms.mass_solid_scalar, oracle_cells(disc, SCALAR_KERNELS["value"], "vs"))
-    assert_same(_stack(arrays["solid_bulk"], disc, [("vs", 2)]), oracle_cells(
+    assert_same(_stack(arrays["solid_bulk"], disc, ("vs",)), oracle_cells(
         disc, lambda tr, tc, w: _solid_bulk(tr, w, cfg.mu_s, cfg.lambda_s), "vs"))
     viscous = oracle_cells(disc, lambda tr, tc, w: _viscous(tr, w, cfg.rho_f * cfg.nu_f), "vf")
     fluid_bulk = (_place(disc, "vf", "vf", viscous)

@@ -59,10 +59,13 @@ def test_circle_outside_cavity_exit_code(tmp_path, capsys):
      "peak_inflow = 0"),
     (["convergence", "--mode", "time", "--levels", "2", "--set", "n=8",
       "--set", "peak_inflow=-0.0"], "peak_inflow = 0"),
+    (["convergence", "--mode", "time", "--levels", "2", "--ref", "1e-6"],
+     "stores 8000001 states of ~983 dofs"),
 ], ids=["time-ref-negative", "time-ref-not-dividing-T", "time-ref-not-nested",
         "run-T-below-k", "space-T-below-k", "space-ref-not-nested", "space-ref-fraction",
         "levels-0", "dump-every-negative", "run-n-not-integer", "space-ref-not-finer",
-        "time-ref-not-finer", "space-zero-lid-speed", "time-zero-lid-speed"])
+        "time-ref-not-finer", "space-zero-lid-speed", "time-zero-lid-speed",
+        "time-ref-states-beyond-guard"])
 def test_bad_run_input_exits_2_before_any_discretization(argv, value, tmp_path, capsys,
                                                           monkeypatch):
     built = []

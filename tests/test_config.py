@@ -66,6 +66,18 @@ def test_bad_value_rejected(tmp_path):
         parse_config(str(path))
 
 
+def test_duplicate_key_rejected(tmp_path):
+    """A key given twice in a file names the file, both lines and the key,
+    instead of the last line winning; an override still replaces it."""
+    path = tmp_path / "case.cfg"
+    path.write_text("n = 8\n# finer\nn = 16\n")
+    with pytest.raises(ConfigError,
+                       match="^" + re.escape(f"{path}:3: n is already set on line 1")):
+        parse_config(str(path))
+    path.write_text("n = 8\n")
+    assert parse_config(str(path), overrides={"n": "16"}).n == 16
+
+
 @pytest.mark.parametrize("key,value", [("n", "abc"), ("n", "8.5"), ("k", "abc")])
 def test_bad_override_value_rejected(key, value):
     """An override that does not convert to its key's type is a ConfigError

@@ -87,9 +87,9 @@ def test_topology_properties(rho, alpha, r2, n):
     assert abs(np.sum(topo.kappa_s) * h2 - np.pi * r2) <= 1e-12
     assert abs(np.sum(topo.arcs[:, 1] - topo.arcs[:, 0]) * ls.radius
                - 2.0 * np.pi * ls.radius) <= 1e-12
-    for kappa in (topo.kappa_f, topo.kappa_s):
+    for kappa in (topo.kappa("f"), topo.kappa_s):
         assert np.all((kappa >= 0.0) & (kappa <= 1.0))
-    assert np.allclose(topo.kappa_f + topo.kappa_s, 1.0, rtol=0, atol=1e-15)
+    assert np.allclose(topo.kappa("f") + topo.kappa_s, 1.0, rtol=0, atol=1e-15)
     for side in ("f", "s"):
         verify_path_assumption(topo, side)
 
@@ -99,7 +99,7 @@ def test_topology_properties(rho, alpha, r2, n):
         crossings = cell_crossings(mesh, ls, cell)
         assert (len(crossings) >= 2) == (cell in cut)
         kf, ks = cut_fraction(mesh, ls, cell)
-        assert abs(topo.kappa_f[cell] - kf) <= 1e-15
+        assert abs(topo.kappa("f")[cell] - kf) <= 1e-15
         assert abs(topo.kappa_s[cell] - ks) <= 1e-15
         if cell in cut:
             lo, hi = topo.arc_range(cell)
@@ -163,7 +163,7 @@ def test_cut_rule_properties(rho, alpha, r2, n):
         area[side] = np.bincount(at, rule.weights, len(cells))
         integral[side] = np.bincount(at, rule.weights * poly(rule.points), len(cells))
     for i, cell in enumerate(cells):
-        assert abs(area["f"][i] - topo.kappa_f[cell] * h2) <= TOL * h2
+        assert abs(area["f"][i] - topo.kappa("f")[cell] * h2) <= TOL * h2
         assert abs(area["s"][i] - topo.kappa_s[cell] * h2) <= TOL * h2
         whole = h2 * np.dot(ref_w, poly(mesh.cell_origin(cell) + mesh.h * ref_pts))
         assert abs(integral["f"][i] + integral["s"][i] - whole) <= TOL * h2

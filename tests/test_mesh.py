@@ -127,11 +127,11 @@ def test_cut_fractions_sum_to_disk_area():
 def test_kappa_bounds(disc8):
     topo = disc8.topo
     cut = topo.cut_cells
-    assert np.all(topo.kappa_f[cut] > 0)
+    assert np.all(topo.kappa("f")[cut] > 0)
     assert np.all(topo.kappa_s[cut] > 0)
-    assert np.all(topo.kappa_f[cut] < 1)
+    assert np.all(topo.kappa("f")[cut] < 1)
     full_f = topo.cell_class == CellClass.FLUID_ONLY
-    assert np.all(topo.kappa_f[full_f] == 1.0)
+    assert np.all(topo.kappa("f")[full_f] == 1.0)
 
 
 def test_ghost_faces_brute_force(disc8):

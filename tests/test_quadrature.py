@@ -170,7 +170,7 @@ def test_cut_areas_match_kappa(setup8):
     for cell in topo.cut_cells:
         cell = int(cell)
         (_, wf), (_, ws) = side_rules(mesh, topo, cell)
-        assert wf.sum() == pytest.approx(topo.kappa_f[cell] * h2, abs=1e-12)
+        assert wf.sum() == pytest.approx(topo.kappa("f")[cell] * h2, abs=1e-12)
         assert ws.sum() == pytest.approx(topo.kappa_s[cell] * h2, abs=1e-12)
 
 
