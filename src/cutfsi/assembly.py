@@ -18,8 +18,11 @@ uniform, so one pass per mesh assembles the forms it is asked for:
 - the cut cells of a side share its moment-fitted nodes, tabulated once per
   space order, and carry their own weights, so one kernel call per form
   gives all their local matrices;
-- the arcs, one ``CutParts`` of ``ARC_NPTS`` points per arc, are
-  tabulated once per space order for all their forms;
+- the arcs, one ``CutParts`` of ``ARC_NPTS`` points per arc, give one
+  jump table per space and one flux table per component; the Nitsche
+  adjoint, the penalty's (v_s, v_f) block and the continuity form are the
+  transposes of their partners' local matrices, so the off-diagonal block
+  pairs of the step matrix are exact transposes;
 - each form is summed (``np.bincount``) into one data array per block pair
   and component pair; the step matrices are weighted sums of those arrays;
   the stored matrices leave out their round-off entries.
@@ -88,16 +91,12 @@ def _solid_bulk(tabs, w, mu, lam):
 
 def _grad_p(tabs_v, tabs_p, w):
     """-(p, div phi): rows vector velocity, cols scalar pressure."""
-    _, Gx, Gy = tabs_v
-    P = tabs_p[0]
-    return np.concatenate([-_mass(Gx, P, w), -_mass(Gy, P, w)], axis=-2)
+    return np.concatenate([-_mass(G, tabs_p[0], w) for G in tabs_v[1:]], axis=-2)
 
 
 def _div_q(tabs_p, tabs_v, w):
-    """(div v, xi): rows scalar pressure, cols vector velocity."""
-    P = tabs_p[0]
-    _, Gx, Gy = tabs_v
-    return np.concatenate([_mass(P, Gx, w), _mass(P, Gy, w)], axis=-1)
+    """(div v, xi) = -_grad_p^T: rows scalar pressure, cols vector velocity."""
+    return -np.swapaxes(_grad_p(tabs_v, tabs_p, w), -1, -2)
 
 
 # Scalar kernels by operator name: L2 of the value or of the gradient.
@@ -410,17 +409,20 @@ def ghost_data(raws: list[np.ndarray], s: int, h: float) -> np.ndarray:
 
 def _nitsche_pass(disc: Discretization, sums: _Sums, consistency: bool) -> None:
     """Scatter the penalty and, if ``consistency``, the consistency
-    interface forms.
+    interface forms, with the jump [phi] = phi_f - phi_s:
 
-    Penalty:     h^-1 rho_f nu_f gamma_N (v_f - v_s, phi_f - phi_s), one
-                 scalar form per (test, trial) pair of spaces
-    Consistency: -(sigma_f(v_f, p) n_f, phi_f - phi_s)
-                 -(v_f - v_s, sigma_f(phi_f, -xi) n_f)
+    Penalty:     h^-1 rho_f nu_f gamma_N ([v], [phi])
+    Consistency: -(sigma_f(v_f, p) n_f, [phi]) - ([v], sigma_f(phi_f, -xi) n_f)
 
     Every arc has ``ARC_NPTS`` points, so the arc rules are one (arcs, q)
-    table, tabulated once per order (the pressure order for the
-    consistency forms only), and the local matrices of all arcs are formed
-    at once; a cell with two arcs gets one local matrix per arc.
+    table, tabulated once per order (the pressure order for the consistency
+    forms only), and the local matrices of all arcs are formed at once; a
+    cell with two arcs gets one local matrix per arc.  They come from one
+    jump table [phi] per space (N_f, -N_s) and, per component a, one flux
+    table of (sigma_f(v_f, p) n_f)_a over the dofs of (v_f x, v_f y, p).
+    Each coupling is formed once: the (v_s, v_f) penalty is the transpose
+    of the (v_f, v_s) one, the adjoint term that of the consistency term
+    with its pressure rows negated.
     """
     cfg = disc.cfg
     rnu = cfg.rho_f * cfg.nu_f
@@ -431,39 +433,30 @@ def _nitsche_pass(disc: Discretization, sums: _Sums, consistency: bool) -> None:
     pts = rule.points.reshape(len(cells), ARC_NPTS, 2)
     w = rule.weights.reshape(len(cells), ARC_NPTS)
     tabs = {o: disc.tabulate(o, cells[:, None], pts) for o in orders}
-    Nf, Ns = tabs[cfg.m_f][0], tabs[cfg.m_s][0]
-    tests = {"vf": (Nf, +1.0), "vs": (Ns, -1.0)}
-    pos = {(row, col): pattern(disc, row, col).at_cells(cells)
-           for row in tests for col in tests}
-    for row, (Nt, st) in tests.items():
-        for col, (Ntr, str_) in tests.items():
-            sums.add("nitsche_pen", row, col, pos[row, col],
-                     pen * st * str_ * _mass(Nt, Ntr, w))
+    jump = {"vf": tabs[cfg.m_f][0], "vs": -tabs[cfg.m_s][0]}
+
+    def add(form, row, col, local, mirror=0.0):
+        # local on (row, col) and mirror * local^T on (col, row), unless mirror is 0
+        sums.add(form, row, col, pattern(disc, row, col).at_cells(cells), local)
+        if mirror:
+            sums.add(form, col, row, pattern(disc, col, row).at_cells(cells),
+                     mirror * np.swapaxes(local, -1, -2))
+
+    for row, col, mirror in (("vf", "vf", 0.0), ("vs", "vs", 0.0), ("vf", "vs", 1.0)):
+        add("nitsche_pen", row, col, pen * _mass(jump[row], jump[col], w), mirror)
     if not consistency:
         return
-    pos.update({pair: pattern(disc, *pair).at_cells(cells)
-                for t in tests for pair in ((t, "p"), ("p", t))})
-    nrm = disc.level_set.normal(pts)
-    _, Gfx, Gfy = tabs[cfg.m_f]
-    P = tabs[cfg.m_f - 1][0]
-    n_comp = (nrm[..., 0, None], nrm[..., 1, None])  # (arcs, q, 1) each
-    G = (Gfx, Gfy)
-    Gn = Gfx * n_comp[0] + Gfy * n_comp[1]
-    for t, (Nt, st) in tests.items():
-        # -(sigma_f(v_f, p) n, phi_t): rows phi_t, columns v_f and p
-        blocks = [[-st * rnu * (_mass(Nt, G[a] * n_comp[b], w)
-                                + (_mass(Nt, Gn, w) if a == b else 0.0))
-                   for b in range(2)] for a in range(2)]
-        sums.add("consistency", t, "vf", pos[t, "vf"], np.block(blocks))
-        sums.add("consistency", t, "p", pos[t, "p"], np.concatenate(
-            [st * _mass(Nt, P * n_comp[a], w) for a in range(2)], axis=-2))
-        # -(v_t, sigma_f(phi_f, -xi) n): rows phi_f and xi, columns v_t
-        blocks = [[-st * rnu * (_mass(G[b] * n_comp[a], Nt, w)
-                                + (_mass(Gn, Nt, w) if a == b else 0.0))
-                   for b in range(2)] for a in range(2)]
-        sums.add("consistency", "vf", t, pos["vf", t], np.block(blocks))
-        sums.add("consistency", "p", t, pos["p", t], np.concatenate(
-            [-st * _mass(P * n_comp[b], Nt, w) for b in range(2)], axis=-1))
+    n = np.moveaxis(disc.level_set.normal(pts)[..., None], -2, 0)  # (2, arcs, q, 1)
+    _, *G = tabs[cfg.m_f]
+    Gn = G[0] * n[0] + G[1] * n[1]
+    flux = [np.concatenate([rnu * (G[a] * n[b] + (Gn if a == b else 0.0)) for b in range(2)]
+                           + [-tabs[cfg.m_f - 1][0] * n[a]], axis=-1) for a in range(2)]
+    nv = 2 * G[0].shape[-1]
+    for t, J in jump.items():
+        # -(sigma_f(v_f, p) n, [phi]): rows phi_t, columns v_f and p
+        local = np.concatenate([-_mass(J, flux[a], w) for a in range(2)], axis=-2)
+        add("consistency", t, "vf", local[..., :nv], mirror=1.0)
+        add("consistency", t, "p", local[..., nv:], mirror=-1.0)
 
 
 # -- forms and the step system ----------------------------------------------

@@ -57,12 +57,22 @@ def _check_scale(cfg: SimulationConfig, allow_large: bool, stores_states: bool =
             "pass --allow-large to override")
 
 
+def _output_dir(args) -> Path:
+    """The --output-dir, created if missing; one that cannot be is refused."""
+    outdir = Path(args.output_dir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use --output-dir {outdir}: {exc.strerror or exc}") from exc
+    return outdir
+
+
 def cmd_run(args) -> int:
     if args.dump_every < 0:
         raise ConfigError(f"--dump-every must be >= 0, got {args.dump_every}")
     cfg = _load_config(args)
     _check_scale(cfg, args.allow_large)
-    outdir = Path(args.output_dir)
+    outdir = _output_dir(args)
     disc = Discretization(cfg)
     stepper = TimeStepper(disc)
     ana = analysis.Analyzer(disc, stepper.forms)
@@ -100,17 +110,18 @@ def cmd_convergence(args) -> int:
         raise ConfigError("peak_inflow = 0 drives no flow, so every error is 0 "
                           "and no order can be measured")
     if args.mode == "space":
-        n_levels = [cfg.n * 2 ** i for i in range(args.levels)]
-        n_ref = int(args.ref) if args.ref else 2 * n_levels[-1]
-        _check_scale(cfg.replace(n=n_ref), args.allow_large, stores_states=True)
-        report = analysis.spatial_study(cfg, n_levels, n_ref)
+        levels = [cfg.n * 2 ** i for i in range(args.levels)]
+        ref = int(args.ref) if args.ref else 2 * levels[-1]
+        _check_scale(cfg.replace(n=ref), args.allow_large, stores_states=True)
+        study = analysis.spatial_study
     else:
-        k_levels = [cfg.k / 2 ** i for i in range(args.levels)]
-        k_ref = float(args.ref if args.ref else k_levels[-1] / 2)
-        _check_scale(cfg.replace(k=k_ref), args.allow_large, stores_states=True)
-        report = analysis.temporal_study(cfg, k_levels, k_ref)
+        levels = [cfg.k / 2 ** i for i in range(args.levels)]
+        ref = float(args.ref if args.ref else levels[-1] / 2)
+        _check_scale(cfg.replace(k=ref), args.allow_large, stores_states=True)
+        study = analysis.temporal_study
+    out = _output_dir(args) / f"convergence_{args.mode}_ms{cfg.m_s}.csv"
+    report = study(cfg, levels, ref)
     print(reporting.format_convergence_table(report))
-    out = Path(args.output_dir) / f"convergence_{args.mode}_ms{cfg.m_s}.csv"
     reporting.write_convergence_csv(out, cfg, report)
     print(f"wrote {out}")
     return 0

@@ -2,7 +2,8 @@
 
 Config files are plain text, one ``key = value`` per line, ``#`` comments.
 Unknown keys are rejected with the offending line number, a key given
-twice with both line numbers.
+twice with both line numbers, a file that cannot be read or decoded with
+its path and the reason.
 """
 
 from __future__ import annotations
@@ -98,25 +99,30 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Simu
     values: dict = {}
     seen: dict = {}  # line number of each key of the file
     if path is not None:
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-                key, _, val = line.partition("=")
-                key, val = key.strip(), val.strip()
-                if key not in _FIELD_TYPES:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                if key in seen:
-                    raise ConfigError(f"{path}:{lineno}: {key} is already set on line "
-                                      f"{seen[key]}")
-                seen[key] = lineno
-                try:
-                    values[key] = _convert(key, val)
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: {key} = {val!r}: {exc}") from exc
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc  # the OS reason, or the decode error
+            raise ConfigError(f"cannot read config file {path}: {reason}") from exc
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            key, _, val = line.partition("=")
+            key, val = key.strip(), val.strip()
+            if key not in _FIELD_TYPES:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in seen:
+                raise ConfigError(f"{path}:{lineno}: {key} is already set on line "
+                                  f"{seen[key]}")
+            seen[key] = lineno
+            try:
+                values[key] = _convert(key, val)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {key} = {val!r}: {exc}") from exc
     for key, val in (overrides or {}).items():
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")

@@ -11,7 +11,6 @@ topology are built by array code over all cells and faces at once.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +67,6 @@ def build_mesh(n: int) -> Mesh:
     """Build the uniform mesh with n cells per side (h = 2/n)."""
     if n < 2:
         raise ValueError(f"need at least 2 cells per side, got n={n}")
-    if n % 2 != 0:
-        warnings.warn(f"odd n={n}: refinements will not nest", stacklevel=2)
     h = 2.0 / n
     g = np.linspace(-1.0, 1.0, n + 1)
     X, Y = np.meshgrid(g, g, indexing="xy")

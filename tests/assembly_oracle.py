@@ -5,7 +5,9 @@ block matrices are embedded into the (v_f, p, v_s) system through COO
 (``place``); the step matrices are a chain of sparse sums, and the
 Dirichlet elimination uses sparse products.  The local kernels are the
 library's own, so a test that compares the library with this oracle checks
-the patterns, the scatter and the sums, not the kernels.
+the patterns, the scatter and the sums, not the kernels.  The one exception
+is ``div_q``, formed here directly, since the library mirrors it from the
+pressure-gradient kernel.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from cutfsi.assembly import (DROP_TOL, FACE_NPTS, SCALAR_KERNELS, Forms, _div_q, _grad_p,
+from cutfsi.assembly import (DROP_TOL, FACE_NPTS, SCALAR_KERNELS, Forms, _grad_p,
                              _mass, _solid_bulk, _viscous, face_jump_table, weight_w)
 from cutfsi.fem import reference_basis
 from cutfsi.quadrature import ARC_NPTS, gauss_1d
@@ -45,6 +47,13 @@ class Coo:
             (np.concatenate(self.vals),
              (np.concatenate(self.rows), np.concatenate(self.cols))),
             shape=self.shape))
+
+
+def div_q(tabs_p, tabs_v, w):
+    """(div v, xi): rows scalar pressure, cols vector velocity."""
+    P = tabs_p[0]
+    _, Gx, Gy = tabs_v
+    return np.concatenate([_mass(P, Gx, w), _mass(P, Gy, w)], axis=-1)
 
 
 def drop_roundoff(m) -> sp.csr_matrix:
@@ -209,7 +218,7 @@ def assemble_forms(disc) -> OracleForms:
     viscous = assemble_cells(disc, lambda tr, tc, w: _viscous(tr, w, cfg.rho_f * cfg.nu_f), "vf")
     fluid_bulk = (place(disc, "vf", "vf", viscous)
                   + place(disc, "vf", "p", assemble_cells(disc, _grad_p, "vf", "p"))
-                  + place(disc, "p", "vf", assemble_cells(disc, _div_q, "p", "vf")))
+                  + place(disc, "p", "vf", assemble_cells(disc, div_q, "p", "vf")))
     pen, cons = assemble_nitsche(disc)
     raw_f2 = raw_jump_matrices(disc, "f", cfg.m_f)
     raw_f1 = raw_jump_matrices(disc, "f", cfg.m_f - 1)

@@ -13,10 +13,11 @@ import scipy.sparse as sp
 
 import assembly_oracle as coo
 from assembly_oracle import component_ids as _component_ids
+from assembly_oracle import div_q
 from assembly_oracle import place as _place
 from cutfsi import Analyzer, Discretization, SimulationConfig, TimeStepper, assembly
 from cutfsi.analysis import GHOST_SAMPLES, ghost_extension_ratios
-from cutfsi.assembly import (SCALAR_KERNELS, Forms, _grad_p, _div_q, _lattice, _mass,
+from cutfsi.assembly import (SCALAR_KERNELS, Forms, _grad_p, _lattice, _mass,
                              _solid_bulk, _stack, _viscous, assemble_cells,
                              assemble_forms, face_jump_table, raw_jump_matrices,
                              system_matrices, weight_w)
@@ -491,7 +492,7 @@ def test_batched_cell_forms_match_cell_loop(batch_case):
     viscous = oracle_cells(disc, lambda tr, tc, w: _viscous(tr, w, cfg.rho_f * cfg.nu_f), "vf")
     fluid_bulk = (_place(disc, "vf", "vf", viscous)
                   + _place(disc, "vf", "p", oracle_cells(disc, _grad_p, "vf", "p"))
-                  + _place(disc, "p", "vf", oracle_cells(disc, _div_q, "p", "vf")))
+                  + _place(disc, "p", "vf", oracle_cells(disc, div_q, "p", "vf")))
     assert_same(step_only_form(disc, arrays, "viscous", "grad_p", "div_q"), fluid_bulk)
 
 

@@ -61,11 +61,13 @@ def test_circle_outside_cavity_exit_code(tmp_path, capsys):
       "--set", "peak_inflow=-0.0"], "peak_inflow = 0"),
     (["convergence", "--mode", "time", "--levels", "2", "--ref", "1e-6"],
      "stores 8000001 states of ~983 dofs"),
+    (["run", "--config", "no/such/case.cfg"],
+     "cannot read config file no/such/case.cfg: No such file or directory"),
 ], ids=["time-ref-negative", "time-ref-not-dividing-T", "time-ref-not-nested",
         "run-T-below-k", "space-T-below-k", "space-ref-not-nested", "space-ref-fraction",
         "levels-0", "dump-every-negative", "run-n-not-integer", "space-ref-not-finer",
         "time-ref-not-finer", "space-zero-lid-speed", "time-zero-lid-speed",
-        "time-ref-states-beyond-guard"])
+        "time-ref-states-beyond-guard", "run-config-missing"])
 def test_bad_run_input_exits_2_before_any_discretization(argv, value, tmp_path, capsys,
                                                           monkeypatch):
     built = []
@@ -80,6 +82,36 @@ def test_bad_run_input_exits_2_before_any_discretization(argv, value, tmp_path, 
     assert rc == 2
     assert value in capsys.readouterr().err
     assert built == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--set", "n=8", "--set", "T=1.0"],
+    ["convergence", "--mode", "time", "--levels", "2", "--set", "n=8", "--set", "T=1.0"],
+], ids=["run", "convergence"])
+def test_output_dir_that_is_a_file_exits_2_before_any_discretization(argv, tmp_path, capsys,
+                                                                     monkeypatch):
+    """An --output-dir that cannot be created is refused before the first
+    discretization, not after the whole run."""
+    monkeypatch.setattr(discretization.Discretization, "__init__",
+                        lambda self, cfg: pytest.fail(f"built a discretization at n={cfg.n}"))
+    afile = tmp_path / "afile"
+    afile.touch()
+    rc = main(argv + ["--output-dir", str(afile)])
+    assert rc == 2
+    assert f"cannot use --output-dir {afile}: File exists" in capsys.readouterr().err
+
+
+def test_verify_unreadable_config_exits_2(tmp_path, capsys, monkeypatch):
+    """A --config path that cannot be read is refused input (exit 2), not a
+    failed check (exit 1), and no check runs."""
+    monkeypatch.setattr(discretization.Discretization, "__init__",
+                        lambda self, cfg: pytest.fail(f"built a discretization at n={cfg.n}"))
+    missing = tmp_path / "missing.cfg"
+    rc = main(["verify", "--config", str(missing)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"cannot read config file {missing}: No such file or directory" in captured.err
+    assert captured.out == ""
 
 
 def test_verify_reports_missing_ghost_path(capsys, monkeypatch):

@@ -78,6 +78,24 @@ def test_duplicate_key_rejected(tmp_path):
     assert parse_config(str(path), overrides={"n": "16"}).n == 16
 
 
+@pytest.mark.parametrize("kind,reason", [
+    ("missing", "No such file or directory"),
+    ("directory", "Is a directory"),
+    ("not-utf8", "can't decode byte 0xff"),
+])
+def test_unreadable_file_rejected(kind, reason, tmp_path):
+    """A config file that cannot be opened or decoded is a ConfigError
+    naming the path and the reason, not an OS or decode error."""
+    path = tmp_path / "case.cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"n = 8\n\xff\n")
+    with pytest.raises(ConfigError, match="^" + re.escape(f"cannot read config file {path}: ")
+                       + ".*" + re.escape(reason)):
+        parse_config(str(path))
+
+
 @pytest.mark.parametrize("key,value", [("n", "abc"), ("n", "8.5"), ("k", "abc")])
 def test_bad_override_value_rejected(key, value):
     """An override that does not convert to its key's type is a ConfigError

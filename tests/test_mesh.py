@@ -1,5 +1,7 @@
 """Mesh construction, cut classification and exact cut fractions."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,6 @@ def test_cell_corners_ccw():
     assert area == pytest.approx(mesh.h ** 2)
 
 
-@pytest.mark.filterwarnings("ignore:odd n")
 def test_cell_corners_are_the_vertices():
     """At n = 9 (h = 2/9 is not dyadic) every cell's corners, and its
     origin, equal its grid vertices bit for bit, so the cells on either
@@ -177,16 +178,21 @@ def test_path_assumption(n):
         assert reuse <= 8
 
 
-def test_odd_n_warns():
-    with pytest.warns(UserWarning):
-        build_mesh(7)
+def test_odd_n_nests_without_warning():
+    """Uniform meshes of n and 2n cells nest for odd n too: grid vertex
+    (i, j) of the coarse mesh is grid vertex (2i, 2j) of the fine one, bit
+    for bit, and no warning says otherwise."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coarse, fine = build_mesh(9), build_mesh(18)
+    iy, ix = np.divmod(np.arange(len(coarse.vertices)), 10)
+    assert np.array_equal(coarse.vertices, fine.vertices[2 * iy * 19 + 2 * ix])
 
 
 def test_face_arrays_match_face_loop():
     """The face arrays equal the lexicographic double loop over faces."""
     n = 5
-    with pytest.warns(UserWarning):
-        mesh = build_mesh(n)
+    mesh = build_mesh(n)
     cells, axes = [], []
     for iy in range(n):
         for ix in range(n + 1):
@@ -204,8 +210,7 @@ def test_two_arc_cells():
     """At n = 9, r2 = 0.3136 the circle leaves four cells through one face
     and comes back through it: those cells hold two arcs, and the areas and
     the arc length stay exact."""
-    with pytest.warns(UserWarning):
-        disc = Discretization(SimulationConfig(n=9, radius_squared=0.3136))
+    disc = Discretization(SimulationConfig(n=9, radius_squared=0.3136))
     topo = disc.topo
     assert len(topo.arcs) == len(topo.cut_cells) + 4
     for side, area in (("s", np.pi * 0.3136), ("f", 4.0 - np.pi * 0.3136)):
@@ -224,7 +229,7 @@ def test_two_arc_cells():
 def test_unresolved_circle_raises(n, r2, match):
     """A circle inside one cell, or one crossing a cell eight times, is not
     resolved: the error names the cell and an n that resolves it."""
-    with pytest.warns(UserWarning), pytest.raises(ConfigError, match=match):
+    with pytest.raises(ConfigError, match=match):
         Discretization(SimulationConfig(n=n, radius_squared=r2))
     n_min = int(match.rsplit(">= ", 1)[1])
     disc = Discretization(SimulationConfig(n=n_min, radius_squared=r2))

@@ -96,7 +96,6 @@ MOMENT_CASES = [(n, r2, m_s) for n, r2 in ((8, 0.75), (9, 0.3136), (16, 0.5))
 MOMENT_CASES += [(16, 0.6, 1), (16, 0.75, 2), (32, 0.5, 1), (32, 0.79, 2), (64, 0.75, 2)]
 
 
-@pytest.mark.filterwarnings("ignore:odd n")
 @pytest.mark.parametrize("n,r2,m_s", MOMENT_CASES,
                          ids=[f"n{n}-r{r2}-ms{m}" for n, r2, m in MOMENT_CASES])
 def test_moment_fitted_rule_matches_polar_rule(n, r2, m_s):
@@ -190,7 +189,6 @@ def test_interface_rule_integrates_harmonics(setup8):
         np.pi * np.sqrt(RS) ** 3, rel=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore:odd n")
 @pytest.mark.parametrize("n,r2", [(8, 0.75), (9, 0.3136)])
 def test_interface_rules_per_cell(n, r2):
     """The arc record of a discretization holds, for every cut cell, the

@@ -148,11 +148,24 @@ def test_reduced_solve_matches_full():
 @pytest.mark.parametrize("k", [1.0, 1.0 / 16.0])
 def test_step_matrix_symmetric(m_s, k):
     """With the continuity rows negated, the free block of the step matrix
-    is symmetric and factored in symmetric mode."""
-    stepper = TimeStepper(Discretization(SimulationConfig(n=8, m_s=m_s, k=k)))
+    is symmetric and factored in symmetric mode.  Each coupling is
+    assembled once, so every off-diagonal block pair of the full step
+    matrix, and the (v_f, v_s) pair of the Nitsche penalty, are transposes
+    bit for bit."""
+    disc = Discretization(SimulationConfig(n=8, m_s=m_s, k=k))
+    stepper = TimeStepper(disc)
     R = stepper.R
     assert abs(R - R.T).max() <= 1e-14 * abs(R).max()
     assert stepper.fact.symmetric
+
+    R, _, _, forms = cutfsi.assembly.system_matrices(disc)
+    vf, p, vs = (disc.layout.slice(b) for b in ("vf", "p", "vs"))
+    for A, pairs in ((R, [(vf, p), (vf, vs), (p, vs)]), (forms.nitsche_pen, [(vf, vs)])):
+        for rows, cols in pairs:
+            upper, lower = A[rows, cols].tocsr(), A[cols, rows].T.tocsr()
+            assert upper.nnz > 0
+            for part in ("indices", "indptr", "data"):
+                assert np.array_equal(getattr(upper, part), getattr(lower, part)), part
 
 
 def test_step_matrix_has_no_unit_rows():
