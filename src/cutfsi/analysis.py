@@ -218,25 +218,32 @@ def run_simulation(cfg):
     return disc, [StepRecord.of(s) for s in states[1:]], states
 
 
+def study_configs(mode: str, base_cfg, levels: list, ref) -> tuple:
+    """(reference config, level configs) of a refinement study whose
+    ``levels`` and ``ref`` are meshes n (mode "space") or steps k ("time").
+    ConfigError unless the reference nests in, and refines, every level."""
+    key = "n" if mode == "space" else "k"
+    cfg_r, cfgs = base_cfg.replace(**{key: ref}), [base_cfg.replace(**{key: v}) for v in levels]
+    for cfg in cfgs:
+        if mode == "space":
+            _check_nested(cfg.n, ref)
+            if cfg.n == ref:
+                raise ConfigError(f"reference mesh n={ref} is not finer than n={cfg.n}")
+        elif cfg_r.n_steps % cfg.n_steps != 0:
+            raise ConfigError(f"reference step k={ref:g} does not divide k={cfg.k:g}")
+        elif cfg_r.n_steps == cfg.n_steps:
+            raise ConfigError(f"reference step k={ref:g} is not finer than k={cfg.k:g}")
+    return cfg_r, cfgs
+
+
 def spatial_study(base_cfg, n_levels: list[int], n_ref: int) -> ErrorReport:
     """Errors of a sequence of mesh levels against one fine reference run."""
-    cfg_r, cfgs = base_cfg.replace(n=n_ref), [base_cfg.replace(n=n) for n in n_levels]
-    for n in n_levels:
-        _check_nested(n, n_ref)
-        if n == n_ref:
-            raise ConfigError(f"reference mesh n={n_ref} is not finer than n={n}")
-    return _study("space", cfg_r, cfgs)
+    return _study("space", *study_configs("space", base_cfg, n_levels, n_ref))
 
 
 def temporal_study(base_cfg, k_levels: list[float], k_ref: float) -> ErrorReport:
     """Errors of a sequence of step sizes against a fine-step reference run."""
-    cfg_r, cfgs = base_cfg.replace(k=k_ref), [base_cfg.replace(k=k) for k in k_levels]
-    for cfg in cfgs:
-        if cfg_r.n_steps % cfg.n_steps != 0:
-            raise ConfigError(f"reference step k={k_ref:g} does not divide k={cfg.k:g}")
-        if cfg_r.n_steps == cfg.n_steps:
-            raise ConfigError(f"reference step k={k_ref:g} is not finer than k={cfg.k:g}")
-    return _study("time", cfg_r, cfgs)
+    return _study("time", *study_configs("time", base_cfg, k_levels, k_ref))
 
 
 def _study(mode: str, cfg_r, cfgs) -> ErrorReport:

@@ -19,10 +19,10 @@ uniform, so one pass per mesh assembles the forms it is asked for:
   space order, and carry their own weights, so one kernel call per form
   gives all their local matrices;
 - the arcs, one ``CutParts`` of ``ARC_NPTS`` points per arc, give one
-  jump table per space and one flux table per component; the Nitsche
-  adjoint, the penalty's (v_s, v_f) block and the continuity form are the
-  transposes of their partners' local matrices, so the off-diagonal block
-  pairs of the step matrix are exact transposes;
+  jump table per space and one flux table per component;
+- every form is symmetric once the continuity form is tested with -xi, so
+  it is summed on one triangle and mirrored on the other (``_Sums``), and
+  every assembled matrix equals its transpose bit for bit;
 - each form is summed (``np.bincount``) into one data array per block pair
   and component pair; the step matrices are weighted sums of those arrays;
   the stored matrices leave out their round-off entries.
@@ -94,9 +94,9 @@ def _grad_p(tabs_v, tabs_p, w):
     return np.concatenate([-_mass(G, tabs_p[0], w) for G in tabs_v[1:]], axis=-2)
 
 
-def _div_q(tabs_p, tabs_v, w):
-    """(div v, xi) = -_grad_p^T: rows scalar pressure, cols vector velocity."""
-    return -np.swapaxes(_grad_p(tabs_v, tabs_p, w), -1, -2)
+def _symmetric(local):
+    """(L + L^T) / 2 of local matrices, equal to its transpose bit for bit."""
+    return 0.5 * (local + np.swapaxes(local, -1, -2))
 
 
 # Scalar kernels by operator name: L2 of the value or of the gradient.
@@ -201,22 +201,36 @@ def pattern(disc: Discretization, row: str, col: str) -> Pattern:
 class _Sums(defaultdict):
     """Local matrices of the forms of one pass, summed at the end.
 
-    ``add`` takes the local matrices of some cells with their scatter map
-    ``pos`` (cells, nr, nc) on ``pattern(disc, row, col)``.  A local matrix
-    c_r nr high and c_c nc wide acts on c_r row and c_c column components
-    (component-major); it splits into one data array per component pair,
-    keyed (row, col, cr, cc) under the form's name.
+    Every form is symmetric (the continuity form tested with -xi), so it is
+    summed on one triangle and mirrored on the other.  ``add`` takes local
+    matrices of some ``cells`` on (row, col) in either orientation: a pair
+    below the diagonal (``SYSTEM_BLOCKS`` order) as its transpose, one on it
+    as (L + L^T) / 2.  A local matrix c_r nr high and c_c nc wide splits into
+    one data array per component pair (component-major), keyed (row, col,
+    cr, cc) under the form's name; each pair above the diagonal is scattered
+    again, transposed, below it, so both triangles sum the same values in
+    the same order.
     """
 
     def __init__(self, disc: Discretization):
         super().__init__(list)
         self.disc = disc
 
-    def add(self, form: str, row: str, col: str, pos, local) -> None:
+    def add(self, form: str, row: str, col: str, cells, local) -> None:
+        if SYSTEM_BLOCKS.index(row) > SYSTEM_BLOCKS.index(col):
+            row, col, local = col, row, np.swapaxes(local, -1, -2)
+        elif row == col:
+            local = _symmetric(local)
+        pos = pattern(self.disc, row, col).at_cells(cells)
+        mirror = pos if row == col else pattern(self.disc, col, row).at_cells(cells)
         nr, nc = pos.shape[1:]
         for cr, cc in np.ndindex(local.shape[-2] // nr, local.shape[-1] // nc):
-            self[form, row, col, cr, cc].append(
-                (pos, local[..., cr * nr:(cr + 1) * nr, cc * nc:(cc + 1) * nc]))
+            if row == col and cr > cc:
+                continue
+            part = local[..., cr * nr:(cr + 1) * nr, cc * nc:(cc + 1) * nc]
+            self[form, row, col, cr, cc].append((pos, part))
+            if (row, cr) != (col, cc):
+                self[form, col, row, cc, cr].append((mirror, np.swapaxes(part, -1, -2)))
 
     def arrays(self) -> dict:
         """The summed data arrays by form; the local matrices are freed."""
@@ -313,11 +327,8 @@ def _cell_pass(disc: Discretization, sums: _Sums, side: str, forms) -> None:
     orders = set(order.values())
 
     def add(cells, tabs, w):
-        pairs = {(row, col) for _, _, row, col in forms}
-        pos = {pair: pattern(disc, *pair).at_cells(cells) for pair in pairs}
         for name, kernel, row, col in forms:
-            local = kernel(tabs[order[row]], tabs[order[col]], w)
-            sums.add(name, row, col, pos[row, col], local)
+            sums.add(name, row, col, cells, kernel(tabs[order[row]], tabs[order[col]], w))
 
     add(disc.topo.uncut_cells(side),
         {o: disc.full_cell_tables(o) for o in orders}, disc.full_cell_weights)
@@ -331,11 +342,11 @@ def assemble_cells(disc: Discretization, kernel, block: str, cells) -> np.ndarra
     hold zeros.
 
     ``kernel`` is as in ``_cell_pass``.  Every cell takes the shared
-    full-cell rule, so one local matrix serves them all.
+    full-cell rule, so one local matrix, as (L + L^T) / 2, serves them all.
     """
     P = pattern(disc, block, block)
     tabs = disc.full_cell_tables(disc.dofmap(block).order)
-    local = kernel(tabs, tabs, disc.full_cell_weights)
+    local = _symmetric(kernel(tabs, tabs, disc.full_cell_weights))
     return P.sum([(P.at_cells(cells), local)])
 
 
@@ -374,9 +385,9 @@ def raw_jump_matrices(disc: Discretization, block: str,
     scalar dof map of ``block``, a Q_order space of side i (no gamma, no h powers),
     with w_F = w(kappa_K1) + w(kappa_K2) over the two cells of F.  Every
     ghost face of one axis is a translate of one reference face, so per
-    order and axis one local matrix J^T W J (``face_jump_table``) is
-    scattered to all the axis's faces, scaled by their w_F.  The pattern
-    also couples the dofs of the side's cells, so the arrays hold zeros.
+    order and axis one local matrix J^T W J (``face_jump_table``), as
+    (L + L^T) / 2, is scattered to all the axis's faces, scaled by their
+    w_F.  The pattern also couples the side's cells, so the arrays hold zeros.
     """
     w_max = disc.cfg.w_max if w_max is None else w_max
     mesh = disc.mesh
@@ -392,7 +403,8 @@ def raw_jump_matrices(disc: Discretization, block: str,
     out = []
     for l in range(1, order + 1):
         jumps = [face_jump_table(order, l, axis) / mesh.h ** l for axis in (0, 1)]
-        out.append(P.sum([(P.face_pos[axis], w_face[axes == axis, None, None] * _mass(J, J, wq))
+        out.append(P.sum([(P.face_pos[axis],
+                           w_face[axes == axis, None, None] * _symmetric(_mass(J, J, wq)))
                           for axis, J in enumerate(jumps)]))
     return out
 
@@ -412,7 +424,8 @@ def _nitsche_pass(disc: Discretization, sums: _Sums, consistency: bool) -> None:
     interface forms, with the jump [phi] = phi_f - phi_s:
 
     Penalty:     h^-1 rho_f nu_f gamma_N ([v], [phi])
-    Consistency: -(sigma_f(v_f, p) n_f, [phi]) - ([v], sigma_f(phi_f, -xi) n_f)
+    Consistency: -(sigma_f(v_f, p) n_f, [phi]) - ([v], sigma_f(phi_f, xi) n_f)
+    (the pressure tested with -xi, as in the continuity form)
 
     Every arc has ``ARC_NPTS`` points, so the arc rules are one (arcs, q)
     table, tabulated once per order (the pressure order for the consistency
@@ -420,9 +433,8 @@ def _nitsche_pass(disc: Discretization, sums: _Sums, consistency: bool) -> None:
     cell with two arcs gets one local matrix per arc.  They come from one
     jump table [phi] per space (N_f, -N_s) and, per component a, one flux
     table of (sigma_f(v_f, p) n_f)_a over the dofs of (v_f x, v_f y, p).
-    Each coupling is formed once: the (v_s, v_f) penalty is the transpose
-    of the (v_f, v_s) one, the adjoint term that of the consistency term
-    with its pressure rows negated.
+    ``_Sums.add`` mirrors each coupling; on (v_f, v_f) the consistency and
+    adjoint terms are L + L^T of one local matrix L.
     """
     cfg = disc.cfg
     rnu = cfg.rho_f * cfg.nu_f
@@ -434,16 +446,8 @@ def _nitsche_pass(disc: Discretization, sums: _Sums, consistency: bool) -> None:
     w = rule.weights.reshape(len(cells), ARC_NPTS)
     tabs = {o: disc.tabulate(o, cells[:, None], pts) for o in orders}
     jump = {"vf": tabs[cfg.m_f][0], "vs": -tabs[cfg.m_s][0]}
-
-    def add(form, row, col, local, mirror=0.0):
-        # local on (row, col) and mirror * local^T on (col, row), unless mirror is 0
-        sums.add(form, row, col, pattern(disc, row, col).at_cells(cells), local)
-        if mirror:
-            sums.add(form, col, row, pattern(disc, col, row).at_cells(cells),
-                     mirror * np.swapaxes(local, -1, -2))
-
-    for row, col, mirror in (("vf", "vf", 0.0), ("vs", "vs", 0.0), ("vf", "vs", 1.0)):
-        add("nitsche_pen", row, col, pen * _mass(jump[row], jump[col], w), mirror)
+    for row, col in (("vf", "vf"), ("vs", "vs"), ("vf", "vs")):
+        sums.add("nitsche_pen", row, col, cells, pen * _mass(jump[row], jump[col], w))
     if not consistency:
         return
     n = np.moveaxis(disc.level_set.normal(pts)[..., None], -2, 0)  # (2, arcs, q, 1)
@@ -455,8 +459,8 @@ def _nitsche_pass(disc: Discretization, sums: _Sums, consistency: bool) -> None:
     for t, J in jump.items():
         # -(sigma_f(v_f, p) n, [phi]): rows phi_t, columns v_f and p
         local = np.concatenate([-_mass(J, flux[a], w) for a in range(2)], axis=-2)
-        add("consistency", t, "vf", local[..., :nv], mirror=1.0)
-        add("consistency", t, "p", local[..., nv:], mirror=-1.0)
+        sums.add("consistency", t, "vf", cells, (2.0 if t == "vf" else 1.0) * local[..., :nv])
+        sums.add("consistency", t, "p", cells, local[..., nv:])
 
 
 # -- forms and the step system ----------------------------------------------
@@ -493,8 +497,8 @@ def assemble_forms(disc: Discretization, arrays: dict | None = None) -> Forms:
     the Nitsche penalty and the ghost penalties only.  ``arrays``, if
     given, asks for the step forms too: it receives the data arrays by name
     (the fields of ``Forms``, without their round-off, and "viscous",
-    "grad_p", "div_q", "consistency" and "solid_bulk", which only the step
-    matrices read), so that ``system_matrices`` needs no second pass.
+    "grad_p", "consistency" and "solid_bulk", which only the step matrices
+    read), so that ``system_matrices`` needs no second pass.
     """
     cfg = disc.cfg
     step = arrays is not None
@@ -505,8 +509,7 @@ def assemble_forms(disc: Discretization, arrays: dict | None = None) -> Forms:
     if step:
         fluid += [("viscous", lambda tr, tc, w: _viscous(tr, w, cfg.rho_f * cfg.nu_f),
                    "vf", "vf"),
-                  ("grad_p", _grad_p, "vf", "p"),
-                  ("div_q", _div_q, "p", "vf")]
+                  ("grad_p", _grad_p, "vf", "p")]
         solid += [("solid_bulk", lambda tr, tc, w: _solid_bulk(tr, w, cfg.mu_s, cfg.lambda_s),
                    "vs", "vs")]
     _cell_pass(disc, sums, "f", fluid)
@@ -547,16 +550,15 @@ def system_matrices(disc: Discretization):
     R x^n = M x^{n-1} - k K u^{n-1} with
       M = rho_f M_f + rho_s M_s + rho_s g_vs,
       K = a_s + 2 mu_s g_u, on the v_s block only (u sits in its slot),
-      R = M + k A + k^2 K,  A = a_f + Nitsche + 2 rho_f nu_f g_vf + g_p,
-    with the pressure (continuity) rows of R negated so that R is
-    symmetric.  M has zero pressure rows, so the right-hand side needs no
-    sign change.  All three are weighted sums of the data arrays of
-    ``assemble_forms``.  The solid bulk form a_s, which only K reads, loses
-    its round-off entries relative to its own largest entry, as every field
-    of ``Forms`` does.  The forms of A, which only R reads, lose their
-    round-off entries relative to A's largest entry, not R's: a small k
-    leaves the pressure rows of R far below its largest entry, and must
-    drop none of them.
+      R = M + k A + k^2 K,  A = a_f + Nitsche + 2 rho_f nu_f g_vf - g_p.
+    The continuity form is tested with -xi, so A's (p, p) block is -g_p and
+    R, M and K equal their transposes bit for bit (``_Sums``).  All three
+    are weighted sums of the data arrays of ``assemble_forms``.  The solid
+    bulk form a_s, which only K reads, loses its round-off entries relative
+    to its own largest entry, as every field of ``Forms`` does.  The forms
+    of A, which only R reads, lose their round-off entries relative to A's
+    largest entry, not R's: a small k leaves the pressure rows of R far
+    below its largest entry, and must drop none of them.
     """
     f: dict = {}
     forms = assemble_forms(disc, f)
@@ -566,13 +568,11 @@ def system_matrices(disc: Discretization):
              (cfg.rho_s, _on_components(f["ghost_vs"])))
     K = _lin((1.0, _drop_roundoff(f["solid_bulk"])),
              (2.0 * cfg.mu_s, _on_components(f["ghost_u"])))
-    A = _lin((1.0, f["viscous"]), (1.0, f["grad_p"]), (1.0, f["div_q"]),
+    A = _lin((1.0, f["viscous"]), (1.0, f["grad_p"]),
              (1.0, f["nitsche_pen"]), (1.0, f["consistency"]),
-             (2.0 * cfg.rho_f * cfg.nu_f, _on_components(f["ghost_vf"])), (1.0, f["ghost_p"]))
+             (2.0 * cfg.rho_f * cfg.nu_f, _on_components(f["ghost_vf"])), (-1.0, f["ghost_p"]))
     del f
     R = _lin((1.0, M), (k, _drop_roundoff(A)), (k * k, K))
     del A
-    R = _stack(R, disc)
-    p = disc.layout.slice("p")
-    R.data[R.indptr[p.start]:R.indptr[p.stop]] *= -1.0
+    R = _stack(R, disc)  # frees R's data arrays before M and K are stacked
     return R, _stack(M, disc), _stack(K, disc, ("vs",)), forms

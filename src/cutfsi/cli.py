@@ -112,13 +112,14 @@ def cmd_convergence(args) -> int:
     if args.mode == "space":
         levels = [cfg.n * 2 ** i for i in range(args.levels)]
         ref = int(args.ref) if args.ref else 2 * levels[-1]
-        _check_scale(cfg.replace(n=ref), args.allow_large, stores_states=True)
         study = analysis.spatial_study
     else:
         levels = [cfg.k / 2 ** i for i in range(args.levels)]
         ref = float(args.ref if args.ref else levels[-1] / 2)
-        _check_scale(cfg.replace(k=ref), args.allow_large, stores_states=True)
         study = analysis.temporal_study
+    # a refused study leaves no output directory behind
+    cfg_r, _ = analysis.study_configs(args.mode, cfg, levels, ref)
+    _check_scale(cfg_r, args.allow_large, stores_states=True)
     out = _output_dir(args) / f"convergence_{args.mode}_ms{cfg.m_s}.csv"
     report = study(cfg, levels, ref)
     print(reporting.format_convergence_table(report))

@@ -1,10 +1,10 @@
 """Sparse direct solve for the step system.
 
-Thin layer over scipy's CSR storage and SuperLU.  The step matrix is
-symmetric (its continuity rows are negated), so it is factored first in
-SuperLU's symmetric mode: in the natural order, with diagonal pivoting (a
-small nonzero threshold lets SuperLU swap a pivot off the diagonal where
-it must).  The caller passes A in a fill-reducing order; the stepper
+Thin layer over scipy's CSR storage and SuperLU.  The step matrix equals
+its transpose bit for bit (the continuity form is tested with -xi), so it
+is factored first in SuperLU's symmetric mode: in the natural order, with
+diagonal pivoting (a small nonzero threshold lets SuperLU swap a pivot off
+the diagonal where it must).  The caller passes A in a fill-reducing order; the stepper
 orders it by nested dissection of the mesh lattice
 (``discretization.nested_dissection``).  One probe solve against A·1
 checks the factor; if its relative residual exceeds PROBE_TOL the matrix

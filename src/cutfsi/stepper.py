@@ -7,9 +7,10 @@ updated as u^n = u^{n-1} + k v_s^n.  Only the free (non-Dirichlet) block of
 the step matrix R is factorized, with the free dofs ``free`` in the
 nested-dissection order of the mesh lattice; the Dirichlet values enter
 each right-hand side through R's free-row, Dirichlet-column block.  The
-continuity rows of R are negated, so the free block is symmetric; see
-``assembly.system_matrices``.  Callers own the time loop: ``initialize``
-gives the zero state at t = 0 and ``step`` advances it by k.
+continuity form is tested with -xi, so R, and its free block, equal their
+transposes bit for bit; see ``assembly.system_matrices``.  Callers own the
+time loop: ``initialize`` gives the zero state at t = 0 and ``step``
+advances it by k.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from assembly_oracle import component_ids as _component_ids
 from assembly_oracle import div_q
 from assembly_oracle import place as _place
 from cutfsi import Analyzer, Discretization, SimulationConfig, TimeStepper, assembly
-from cutfsi.analysis import GHOST_SAMPLES, ghost_extension_ratios
+from cutfsi.analysis import GHOST_SAMPLES, ghost_band, ghost_extension_ratios
 from cutfsi.assembly import (SCALAR_KERNELS, Forms, _grad_p, _lattice, _mass,
                              _solid_bulk, _stack, _viscous, assemble_cells,
                              assemble_forms, face_jump_table, raw_jump_matrices,
@@ -490,17 +490,23 @@ def test_batched_cell_forms_match_cell_loop(batch_case):
     assert_same(_stack(arrays["solid_bulk"], disc, ("vs",)), oracle_cells(
         disc, lambda tr, tc, w: _solid_bulk(tr, w, cfg.mu_s, cfg.lambda_s), "vs"))
     viscous = oracle_cells(disc, lambda tr, tc, w: _viscous(tr, w, cfg.rho_f * cfg.nu_f), "vf")
+    # the library mirrors the (p, v_f) block from grad_p: the continuity
+    # form tested with -xi, which the oracle forms directly as (div v, xi)
     fluid_bulk = (_place(disc, "vf", "vf", viscous)
                   + _place(disc, "vf", "p", oracle_cells(disc, _grad_p, "vf", "p"))
-                  + _place(disc, "p", "vf", oracle_cells(disc, div_q, "p", "vf")))
-    assert_same(step_only_form(disc, arrays, "viscous", "grad_p", "div_q"), fluid_bulk)
+                  - _place(disc, "p", "vf", oracle_cells(disc, div_q, "p", "vf")))
+    assert_same(step_only_form(disc, arrays, "viscous", "grad_p"), fluid_bulk)
 
 
 def test_batched_nitsche_matches_arc_loop(batch_case):
     disc, forms, arrays = batch_case
     pen, cons = oracle_nitsche(disc)
     assert_same(forms.nitsche_pen, pen)
-    assert_same(step_only_form(disc, arrays, "consistency"), cons)
+    # the library tests the pressure with -xi, so its pressure rows are the
+    # oracle's negated
+    sign = np.ones(disc.layout.n_system)
+    sign[disc.layout.slice("p")] = -1.0
+    assert_same(step_only_form(disc, arrays, "consistency"), sp.diags(sign) @ cons)
 
 
 @functools.lru_cache(maxsize=None)
@@ -664,7 +670,41 @@ def test_forms_only_pass_matches_step_pass(n, m_s, r2):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, part)
 
 
-STEP_KERNELS = ("_viscous", "_grad_p", "_div_q", "_solid_bulk")
+SYMMETRY_CASES = [(8, 2, 0.75, 1.0), (16, 1, 0.6, 1.0), (16, 2, 0.75, 1 / 16), (32, 1, 0.5, 1.0),
+                  (32, 2, 0.79, 1 / 16), (9, 2, 0.3136, 1.0), (64, 2, 0.75, 1 / 16),
+                  (32, 2, 0.75, 1e-3), (16, 1, 0.7, 1e-4)]
+
+
+@pytest.mark.parametrize("n,m_s,r2,k", SYMMETRY_CASES,
+                         ids=[f"n{n}-ms{m}-r{r}-k{k:g}" for n, m, r, k in SYMMETRY_CASES])
+def test_assembled_matrices_equal_their_transposes(n, m_s, r2, k):
+    """Each form is summed on one triangle and mirrored on the other, so
+    every assembled matrix equals its transpose bit for bit (indices,
+    indptr and data): the fields of ``Forms``, the step matrices R, M and
+    K, the Analyzer's whole-cell matrices and the lhs and rhs of every
+    ghost-extension band."""
+    cfg = SimulationConfig(n=n, m_s=m_s, radius_squared=r2, k=k, T=k)
+    disc = Discretization(cfg)
+    R, M, K, forms = system_matrices(disc)
+    analyzer = Analyzer(disc, forms)
+    mats = {"R": R, "M": M, "K": K}
+    mats.update((name, getattr(forms, name)) for name in Forms.__dataclass_fields__)
+    mats.update((name, getattr(analyzer, name)) for name in ("mass_s_T", "grad_s_T", "grad_vf_T"))
+    for side, order in (("f", cfg.m_f), ("f", cfg.m_f - 1), ("s", m_s)):
+        for gamma_on in (True, False):
+            band = ghost_band(disc, side, order, cfg.w_max, gamma_on)
+            for l in (0, 1):
+                mats[side, order, gamma_on, "lhs", l] = band.lhs[l]
+                mats[side, order, gamma_on, "rhs", l] = band.rhs[l]
+    for name, A in mats.items():
+        T = A.T.tocsr()
+        T.sort_indices()
+        assert A.nnz > 0, name
+        for part in ("indices", "indptr", "data"):
+            assert np.array_equal(getattr(A, part), getattr(T, part)), (name, part)
+
+
+STEP_KERNELS = ("_viscous", "_grad_p", "_solid_bulk")
 FORMS_PAIRS = {("vf", "vf"), ("vf", "vs"), ("vs", "vf"), ("vs", "vs"), ("p", "p")}
 
 
@@ -702,8 +742,8 @@ def test_forms_only_pass_skips_step_forms(monkeypatch):
     assert set(disc.patterns) == {
         (row, col) for row in assembly.SYSTEM_BLOCKS for col in assembly.SYSTEM_BLOCKS}
     assert {key[1] for key in calls if key[0] == "form"} == {
-        "mass_fluid", "mass_solid_scalar", "nitsche_pen", "viscous", "grad_p", "div_q",
-        "solid_bulk", "consistency"}
+        "mass_fluid", "mass_solid_scalar", "nitsche_pen", "viscous", "grad_p", "solid_bulk",
+        "consistency"}
 
 
 @pytest.mark.parametrize("m_s", [1, 2])

@@ -85,6 +85,19 @@ def test_bad_run_input_exits_2_before_any_discretization(argv, value, tmp_path, 
 
 
 @pytest.mark.parametrize("argv", [
+    ["--mode", "space", "--ref", "24", "--levels", "2", "--set", "n=8"],
+    ["--mode", "time", "--ref", "0.3333333333333333", "--levels", "2"],
+], ids=["space", "time"])
+def test_refused_study_leaves_no_output_dir(argv, tmp_path, capsys):
+    """A study whose levels do not nest in the reference is refused before
+    --output-dir is created."""
+    outdir = tmp_path / "nest"
+    assert main(["convergence", *argv, "--output-dir", str(outdir)]) == 2
+    assert "reference" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["run", "--set", "n=8", "--set", "T=1.0"],
     ["convergence", "--mode", "time", "--levels", "2", "--set", "n=8", "--set", "T=1.0"],
 ], ids=["run", "convergence"])

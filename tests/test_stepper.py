@@ -147,15 +147,15 @@ def test_reduced_solve_matches_full():
 @pytest.mark.parametrize("m_s", [1, 2])
 @pytest.mark.parametrize("k", [1.0, 1.0 / 16.0])
 def test_step_matrix_symmetric(m_s, k):
-    """With the continuity rows negated, the free block of the step matrix
-    is symmetric and factored in symmetric mode.  Each coupling is
-    assembled once, so every off-diagonal block pair of the full step
-    matrix, and the (v_f, v_s) pair of the Nitsche penalty, are transposes
-    bit for bit."""
+    """With the continuity form tested with -xi, the free block of the step
+    matrix equals its transpose bit for bit and is factored in symmetric
+    mode.  Each coupling is assembled once, so every off-diagonal block
+    pair of the full step matrix, and the (v_f, v_s) pair of the Nitsche
+    penalty, are transposes bit for bit."""
     disc = Discretization(SimulationConfig(n=8, m_s=m_s, k=k))
     stepper = TimeStepper(disc)
     R = stepper.R
-    assert abs(R - R.T).max() <= 1e-14 * abs(R).max()
+    assert abs(R - R.T).max() == 0
     assert stepper.fact.symmetric
 
     R, _, _, forms = cutfsi.assembly.system_matrices(disc)
@@ -176,7 +176,7 @@ def test_step_matrix_has_no_unit_rows():
     stepper = TimeStepper(disc)
     R = stepper.R
     assert R.shape[0] == disc.layout.n_system - len(stepper.dir_idx)
-    assert abs(R - R.T).max() <= 1e-14 * abs(R).max()
+    assert abs(R - R.T).max() == 0
     assert spla.onenormest(R) < 0.1
 
 
