@@ -248,20 +248,25 @@ def _on_components(arrays: dict, ncomp: int = 2) -> dict:
 
 
 def _lin(*terms) -> dict:
-    """sum_i c_i F_i over terms (c_i, F_i), data array by data array.  An
-    entry that cancels to at most DROP_TOL times sum_i |c_i F_i| is the
-    round-off of a zero, and is zeroed."""
-    out, size = {}, {}
+    """sum_i c_i F_i over terms (c_i, F_i), data array by data array, each
+    key's terms in one pass in the order given.  An entry that cancels to
+    at most DROP_TOL times sum_i |c_i F_i| is the round-off of a zero, and
+    is zeroed."""
+    groups = defaultdict(list)
     for coef, arrays in terms:
         for key, data in arrays.items():
-            term = coef * data
-            if key in out:
-                out[key] += term
-                size[key] += np.abs(term)
-            else:
-                out[key], size[key] = term, np.abs(term)
-    for key, data in out.items():
-        data[np.abs(data) <= DROP_TOL * size.pop(key)] = 0.0
+            groups[key].append((coef, data))
+    out = {}
+    for key, ((coef, data), *rest) in groups.items():
+        total = coef * data
+        size = np.abs(total)
+        term = np.empty_like(total)
+        for coef, data in rest:
+            total += np.multiply(coef, data, out=term)
+            size += np.abs(term, out=term)
+        size *= DROP_TOL
+        total[np.abs(total, out=term) <= size] = 0.0
+        out[key] = total
     return out
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from . import analysis, reporting
 from .config import ConfigError, SimulationConfig, format_config, parse_config
 from .discretization import Discretization
+from .linalg import SingularMatrixError
 from .mesh import verify_path_assumption
 from .stepper import StepRecord, TimeStepper
 
@@ -248,6 +249,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except SingularMatrixError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -5,12 +5,12 @@ and factorized once; only the ramped lid values change per step.  The
 solved unknowns are (v_f, p, v_s); after each solve the displacement is
 updated as u^n = u^{n-1} + k v_s^n.  Only the free (non-Dirichlet) block of
 the step matrix R is factorized, with the free dofs ``free`` in the
-nested-dissection order of the mesh lattice; the Dirichlet values enter
-each right-hand side through R's free-row, Dirichlet-column block.  The
-continuity form is tested with -xi, so R, and its free block, equal their
-transposes bit for bit; see ``assembly.system_matrices``.  Callers own the
-time loop: ``initialize`` gives the zero state at t = 0 and ``step``
-advances it by k.
+nested-dissection order of the mesh lattice.  The lid enters each
+right-hand side as the ramp times ``lift``, R[free, dir] g at full ramp.
+The continuity form is tested with -xi, so R, and its free block, equal
+their transposes bit for bit; see ``assembly.system_matrices``.  Callers
+own the time loop: ``initialize`` gives the zero state at t = 0 and
+``step`` advances it by k.
 """
 
 from __future__ import annotations
@@ -99,13 +99,15 @@ class TimeStepper:
         # values at full ramp: x-component first, y-component identically zero
         self.g_profile = np.concatenate([profile, np.zeros_like(profile)])
         # factorize the free block in nested-dissection order; the free-row,
-        # Dirichlet-column block lifts g
+        # Dirichlet-column block lifts g_profile into the free rows
         free = np.ones(R.shape[0], dtype=bool)
         free[self.dir_idx] = False
         self.free = nested_dissection(disc, np.flatnonzero(free))
         R = R[self.free]
-        self.R, self.R_dir = R[:, self.free], R[:, self.dir_idx]
+        self.R, self.lift = R[:, self.free], R[:, self.dir_idx] @ self.g_profile
         del R  # the row-restricted copy goes before the LU, so peak RSS does not grow
+        for a in (self.g_profile, self.lift):
+            a.setflags(write=False)
         self.fact = linalg.factorize(self.R)
 
     def initialize(self) -> State:
@@ -124,11 +126,12 @@ class TimeStepper:
         cfg = self.cfg
         layout = self.disc.layout
         t_new = state.t + cfg.k
-        g = ramp_factor(t_new, cfg) * self.g_profile
+        ramp = ramp_factor(t_new, cfg)
+        g = ramp * self.g_profile
         u_old = state.x[layout.slice("u")]
         b = self.M @ state.x[:layout.n_system]
         b[layout.slice("vs")] -= cfg.k * (self.K @ u_old)
-        b_f = b[self.free] - self.R_dir @ g
+        b_f = b[self.free] - ramp * self.lift
         x_f = self.fact.solve(b_f)
         b_norm = max(np.hypot(np.linalg.norm(b_f), np.linalg.norm(g)), 1e-300)
         r = b_f - self.R @ x_f

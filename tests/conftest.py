@@ -23,7 +23,7 @@ def disc16():
 @pytest.fixture(scope="session")
 def march():
     """Every state of a stepper's run from zero data to T, for tests that
-    set up the stepper themselves (zero forcing, ``dir_idx``)."""
+    set up the stepper themselves (lid-free configurations, ``dir_idx``)."""
     def run(stepper):
         states = [stepper.initialize()]
         for _ in range(stepper.cfg.n_steps):

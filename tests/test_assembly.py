@@ -570,9 +570,9 @@ ORACLE_CASES = [(n, m_s, 0.75) for n in (8, 16) for m_s in (1, 2)] + [(9, 2, 0.3
 @pytest.mark.parametrize("n,m_s,r2", ORACLE_CASES,
                          ids=[f"n{n}-ms{m}-r{r}" for n, m, r in ORACLE_CASES])
 def test_pattern_pass_matches_coo_assembly(n, m_s, r2):
-    """Every field of ``Forms``, the step matrices R, M, K and the free-row
-    blocks of R that the stepper keeps (in its order of the free dofs)
-    equal those of the COO assembly."""
+    """Every field of ``Forms``, the step matrices R, M, K, the free block of
+    R that the stepper keeps (in its order of the free dofs) and its lift
+    of the lid values equal those of the COO assembly."""
     disc = Discretization(SimulationConfig(n=n, m_s=m_s, radius_squared=r2))
     R, M, K, forms = system_matrices(disc)
     want = coo.assemble_forms(disc)
@@ -586,7 +586,8 @@ def test_pattern_pass_matches_coo_assembly(n, m_s, r2):
     R_free, R_dir = coo.dirichlet_reduce(R_want, stepper.dir_idx)
     rank = np.argsort(np.argsort(stepper.free))  # the stepper's order of the free dofs
     assert_matches_oracle(stepper.R, R_free[rank][:, rank])
-    assert_matches_oracle(stepper.R_dir, R_dir[rank])
+    lift = R_dir[rank] @ stepper.g_profile
+    assert abs(stepper.lift - lift).max() <= 1e-14 * abs(lift).max()
 
 
 def test_step_pattern_independent_of_arc_order():

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cutfsi import SimulationConfig, analysis, discretization, run_simulation
+from cutfsi import SimulationConfig, analysis, discretization, linalg, run_simulation
 from cutfsi.assembly import assemble_forms
 from cutfsi.cli import build_parser, main
 from cutfsi.mesh import build_cut_topology
@@ -112,6 +112,33 @@ def test_output_dir_that_is_a_file_exits_2_before_any_discretization(argv, tmp_p
     rc = main(argv + ["--output-dir", str(afile)])
     assert rc == 2
     assert f"cannot use --output-dir {afile}: File exists" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["run"], ["convergence", "--mode", "time", "--levels", "1"]],
+                         ids=["run", "convergence"])
+def test_failed_factorization_exits_3(command, tmp_path, capsys, monkeypatch):
+    """A factorization that raises SingularMatrixError ends the command with
+    exit status 3 and one stderr line, not a traceback."""
+    def singular(A):
+        raise linalg.SingularMatrixError("sparse LU failed: Factor is exactly singular")
+
+    monkeypatch.setattr(linalg, "factorize", singular)
+    rc = main(command + ["--set", "n=8", "--set", "T=1", "--output-dir", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().err == \
+        "solver error: sparse LU failed: Factor is exactly singular\n"
+
+
+@pytest.mark.parametrize("override", ["gamma_N=1e20", "w_max=1e30"])
+def test_singular_step_matrix_exits_3(override, tmp_path, capsys):
+    """gamma_N = 1e20 or w_max = 1e30 leaves R finite (largest entry 5.3e16
+    and 4.8e24 at n = 8), but its LU is exactly singular: ``cutfsi run``
+    exits 3 and writes one line to stderr."""
+    rc = main(["run", "--set", "n=8", "--set", "T=1", "--set", override,
+               "--output-dir", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: ") and err.count("\n") == 1, err
 
 
 def test_verify_unreadable_config_exits_2(tmp_path, capsys, monkeypatch):

@@ -87,12 +87,26 @@ def test_dirichlet_values_attained(run8, disc8):
 
 
 def test_zero_inflow_fixed_point(disc8):
-    """With zero boundary data the zero state is a fixed point."""
-    stepper = TimeStepper(disc8)
-    stepper.g_profile = np.zeros_like(stepper.g_profile)
+    """With zero lid speed the boundary data and their lift are zero, and
+    the zero state is a fixed point."""
+    stepper = TimeStepper(Discretization(disc8.cfg.replace(peak_inflow=0.0)))
+    assert np.all(stepper.g_profile == 0.0) and np.all(stepper.lift == 0.0)
     state = stepper.initialize()
     nxt = stepper.step(state)
     assert np.max(np.abs(nxt.x)) < 1e-12
+
+
+def test_boundary_data_read_only(run8):
+    """The lid values and their lift are set from the configuration once:
+    writing to either raises and leaves it unchanged."""
+    stepper, _ = run8
+    for name in ("g_profile", "lift"):
+        a = getattr(stepper, name)
+        before = a.copy()
+        assert not a.flags.writeable and np.any(a != 0.0), name
+        with pytest.raises(ValueError):
+            a[:] = 0.0
+        assert np.array_equal(a, before), name
 
 
 def four_block_system(disc, forms):
@@ -210,7 +224,7 @@ def test_step_residual_relative_to_free_rhs(march):
     for old, new in zip(states, states[1:]):
         b = stepper.M @ old.x[:layout.n_system]
         b[layout.slice("vs")] -= cfg.k * (stepper.K @ old.x[layout.slice("u")])
-        b_f = b[stepper.free] - stepper.R_dir @ (ramp_factor(new.t, cfg) * stepper.g_profile)
+        b_f = b[stepper.free] - ramp_factor(new.t, cfg) * stepper.lift
         r = b_f - stepper.R @ new.x[stepper.free]
         worst = max(worst, np.linalg.norm(r) / np.linalg.norm(b_f))
     assert len(states) == 9
