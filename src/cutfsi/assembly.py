@@ -9,10 +9,10 @@ assembles the forms that only the step matrices read (viscous, pressure,
 Nitsche consistency, solid bulk).  The interface is fixed and the mesh
 uniform, so one pass per mesh assembles the forms it is asked for:
 
-- each block pair has one sorted CSR pattern, with a map from every local
-  entry to its place, built on first use and held by the discretization
-  (``pattern``), so the step matrices, the energies and the
-  ghost-extension bands all read the same one;
+- each block pair on or above the diagonal has one sorted CSR pattern,
+  with a map from every local entry to its place, built on first use and
+  held by the discretization (``pattern``), so the step matrices, the
+  energies and the ghost-extension bands all read the same one;
 - uncut cells share one local matrix; the ghost faces of one axis share one
   reference jump matrix per derivative order, scaled by each face's weight;
 - the cut cells of a side share its moment-fitted nodes, tabulated once per
@@ -21,8 +21,8 @@ uniform, so one pass per mesh assembles the forms it is asked for:
 - the arcs, one ``CutParts`` of ``ARC_NPTS`` points per arc, give one
   jump table per space and one flux table per component;
 - every form is symmetric once the continuity form is tested with -xi, so
-  it is summed on one triangle and mirrored on the other (``_Sums``), and
-  every assembled matrix equals its transpose bit for bit;
+  it is summed on and above the diagonal (``_Sums``) and stacked below it
+  as the transpose (``_stack``): every matrix equals its transpose bit for bit;
 - each form is summed (``np.bincount``) into one data array per block pair
   and component pair; the step matrices are weighted sums of those arrays;
   the stored matrices leave out their round-off entries.
@@ -202,14 +202,13 @@ class _Sums(defaultdict):
     """Local matrices of the forms of one pass, summed at the end.
 
     Every form is symmetric (the continuity form tested with -xi), so it is
-    summed on one triangle and mirrored on the other.  ``add`` takes local
-    matrices of some ``cells`` on (row, col) in either orientation: a pair
-    below the diagonal (``SYSTEM_BLOCKS`` order) as its transpose, one on it
-    as (L + L^T) / 2.  A local matrix c_r nr high and c_c nc wide splits into
+    summed on and above the diagonal only; ``_stack`` places each pair
+    below it as its partner's transpose.  ``add`` takes local matrices of
+    some ``cells`` on (row, col) in either orientation: a pair below the
+    diagonal (``SYSTEM_BLOCKS`` order) as its transpose, one on it as
+    (L + L^T) / 2.  A local matrix c_r nr high and c_c nc wide splits into
     one data array per component pair (component-major), keyed (row, col,
-    cr, cc) under the form's name; each pair above the diagonal is scattered
-    again, transposed, below it, so both triangles sum the same values in
-    the same order.
+    cr, cc) under the form's name, with cr <= cc on a diagonal block pair.
     """
 
     def __init__(self, disc: Discretization):
@@ -222,15 +221,11 @@ class _Sums(defaultdict):
         elif row == col:
             local = _symmetric(local)
         pos = pattern(self.disc, row, col).at_cells(cells)
-        mirror = pos if row == col else pattern(self.disc, col, row).at_cells(cells)
         nr, nc = pos.shape[1:]
         for cr, cc in np.ndindex(local.shape[-2] // nr, local.shape[-1] // nc):
-            if row == col and cr > cc:
-                continue
-            part = local[..., cr * nr:(cr + 1) * nr, cc * nc:(cc + 1) * nc]
-            self[form, row, col, cr, cc].append((pos, part))
-            if (row, cr) != (col, cc):
-                self[form, col, row, cc, cr].append((mirror, np.swapaxes(part, -1, -2)))
+            if row != col or cr <= cc:
+                part = local[..., cr * nr:(cr + 1) * nr, cc * nc:(cc + 1) * nc]
+                self[form, row, col, cr, cc].append((pos, part))
 
     def arrays(self) -> dict:
         """The summed data arrays by form; the local matrices are freed."""
@@ -287,9 +282,10 @@ def _stack(arrays: dict, disc: Discretization, blocks=SYSTEM_BLOCKS) -> sp.csr_m
     patterns of ``disc``.
 
     Rows and columns run over the components of ``blocks`` in order, each
-    block component-major.  An absent key is a zero block; zero entries are
-    not stored.  In each row the nonzeros of an array go after those of the
-    arrays left of it, so the result is sorted without a sort.
+    block component-major.  An absent key is a zero block, or the transpose
+    of its partner (col, row, cc, cr) if that is given; zero entries are
+    not stored.  In each row the nonzeros of a block go after those of the
+    blocks left of it, so the result is sorted without a sort.
     """
     size = {b: disc.dofmap(b).n_scalar for b in blocks}
     comps = [(b, c) for b in blocks for c in range(disc.dofmap(b).ncomp)]
@@ -298,20 +294,22 @@ def _stack(arrays: dict, disc: Discretization, blocks=SYSTEM_BLOCKS) -> sp.csr_m
     segments = []
     for (row, cr), r0 in zip(comps, starts):
         for (col, cc), c0 in zip(comps, starts):
-            data = arrays.get((row, col, cr, cc))
-            if data is not None:
-                P, nz = pattern(disc, row, col), np.flatnonzero(data)
-                first = np.searchsorted(nz, P.indptr)  # of each row's nonzeros in nz
-                rows = slice(r0, r0 + size[row])
-                counts[rows] += np.diff(first)
-                segments.append((rows, first, nz, P.indices, c0, data))
+            if (row, col, cr, cc) in arrays:
+                B = pattern(disc, row, col).compact(arrays[row, col, cr, cc])
+            elif (col, row, cc, cr) in arrays:
+                B = pattern(disc, col, row).compact(arrays[col, row, cc, cr]).T.tocsr()
+            else:
+                continue
+            rows = slice(r0, r0 + size[row])
+            counts[rows] += np.diff(B.indptr)
+            segments.append((rows, c0, B))
     indptr = np.concatenate([[0], np.cumsum(counts)])
     free = indptr[:-1].copy()  # next free place in each row
     indices, values = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
-    for rows, first, nz, cols, c0, data in segments:
-        pos = np.repeat(free[rows] - first[:-1], np.diff(first)) + np.arange(len(nz))
-        indices[pos], values[pos] = cols[nz] + c0, data[nz]
-        free[rows] += np.diff(first)
+    for rows, c0, B in segments:
+        pos = np.repeat(free[rows] - B.indptr[:-1], np.diff(B.indptr)) + np.arange(B.nnz)
+        indices[pos], values[pos] = B.indices + c0, B.data
+        free[rows] += np.diff(B.indptr)
     return sp.csr_matrix((values, indices, indptr), shape=(len(counts), len(counts)))
 
 
@@ -438,8 +436,8 @@ def _nitsche_pass(disc: Discretization, sums: _Sums, consistency: bool) -> None:
     cell with two arcs gets one local matrix per arc.  They come from one
     jump table [phi] per space (N_f, -N_s) and, per component a, one flux
     table of (sigma_f(v_f, p) n_f)_a over the dofs of (v_f x, v_f y, p).
-    ``_Sums.add`` mirrors each coupling; on (v_f, v_f) the consistency and
-    adjoint terms are L + L^T of one local matrix L.
+    ``_Sums.add`` sums each coupling above the diagonal only; on (v_f, v_f)
+    the consistency and adjoint terms are L + L^T of one local matrix L.
     """
     cfg = disc.cfg
     rnu = cfg.rho_f * cfg.nu_f
@@ -557,7 +555,7 @@ def system_matrices(disc: Discretization):
       K = a_s + 2 mu_s g_u, on the v_s block only (u sits in its slot),
       R = M + k A + k^2 K,  A = a_f + Nitsche + 2 rho_f nu_f g_vf - g_p.
     The continuity form is tested with -xi, so A's (p, p) block is -g_p and
-    R, M and K equal their transposes bit for bit (``_Sums``).  All three
+    R, M and K equal their transposes bit for bit (``_stack``).  All three
     are weighted sums of the data arrays of ``assemble_forms``.  The solid
     bulk form a_s, which only K reads, loses its round-off entries relative
     to its own largest entry, as every field of ``Forms`` does.  The forms

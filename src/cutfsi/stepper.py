@@ -8,9 +8,9 @@ the step matrix R is factorized, with the free dofs ``free`` in the
 nested-dissection order of the mesh lattice.  The lid enters each
 right-hand side as the ramp times ``lift``, R[free, dir] g at full ramp.
 The continuity form is tested with -xi, so R, and its free block, equal
-their transposes bit for bit; see ``assembly.system_matrices``.  Callers
-own the time loop: ``initialize`` gives the zero state at t = 0 and
-``step`` advances it by k.
+their transposes bit for bit (``assembly.system_matrices``); the free
+block is read through R^T, sorted.  Callers own the time loop:
+``initialize`` gives the zero state at t = 0 and ``step`` advances it by k.
 """
 
 from __future__ import annotations
@@ -99,13 +99,15 @@ class TimeStepper:
         # values at full ramp: x-component first, y-component identically zero
         self.g_profile = np.concatenate([profile, np.zeros_like(profile)])
         # factorize the free block in nested-dissection order; the free-row,
-        # Dirichlet-column block lifts g_profile into the free rows
+        # Dirichlet-column block lifts g_profile into the free rows.  As R
+        # equals its transpose, both are rows of R[free]^T
         free = np.ones(R.shape[0], dtype=bool)
         free[self.dir_idx] = False
         self.free = nested_dissection(disc, np.flatnonzero(free))
         R = R[self.free]
-        self.R, self.lift = R[:, self.free], R[:, self.dir_idx] @ self.g_profile
-        del R  # the row-restricted copy goes before the LU, so peak RSS does not grow
+        R = R.T.tocsr()
+        self.R, self.lift = R[self.free], R[self.dir_idx].T @ self.g_profile
+        del R  # at most two copies of R were alive, and none stays for the LU
         for a in (self.g_profile, self.lift):
             a.setflags(write=False)
         self.fact = linalg.factorize(self.R)

@@ -6,8 +6,8 @@ block matrices are embedded into the (v_f, p, v_s) system through COO
 Dirichlet elimination uses sparse products.  The local kernels are the
 library's own, so a test that compares the library with this oracle checks
 the patterns, the scatter and the sums, not the kernels.  The one exception
-is ``div_q``, formed here directly, since the library mirrors it from the
-pressure-gradient kernel.
+is ``div_q``, formed here directly, since the library stacks it as the
+transpose of the pressure-gradient form.
 """
 
 from __future__ import annotations

@@ -490,8 +490,9 @@ def test_batched_cell_forms_match_cell_loop(batch_case):
     assert_same(_stack(arrays["solid_bulk"], disc, ("vs",)), oracle_cells(
         disc, lambda tr, tc, w: _solid_bulk(tr, w, cfg.mu_s, cfg.lambda_s), "vs"))
     viscous = oracle_cells(disc, lambda tr, tc, w: _viscous(tr, w, cfg.rho_f * cfg.nu_f), "vf")
-    # the library mirrors the (p, v_f) block from grad_p: the continuity
-    # form tested with -xi, which the oracle forms directly as (div v, xi)
+    # the library stacks the (p, v_f) block as grad_p's transpose: the
+    # continuity form tested with -xi, which the oracle forms directly as
+    # (div v, xi)
     fluid_bulk = (_place(disc, "vf", "vf", viscous)
                   + _place(disc, "vf", "p", oracle_cells(disc, _grad_p, "vf", "p"))
                   - _place(disc, "p", "vf", oracle_cells(disc, div_q, "p", "vf")))
@@ -671,6 +672,17 @@ def test_forms_only_pass_matches_step_pass(n, m_s, r2):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, part)
 
 
+# the block pairs on and above the diagonal, in SYSTEM_BLOCKS order
+UPPER_PAIRS = {(row, col) for i, row in enumerate(assembly.SYSTEM_BLOCKS)
+               for col in assembly.SYSTEM_BLOCKS[i:]}
+
+
+def on_or_above_diagonal(row, col, cr, cc):
+    """Whether the component pair (row cr, col cc) lies on or above the
+    diagonal of the (v_f, p, v_s) system."""
+    return (row, col) in UPPER_PAIRS and (row != col or cr <= cc)
+
+
 SYMMETRY_CASES = [(8, 2, 0.75, 1.0), (16, 1, 0.6, 1.0), (16, 2, 0.75, 1 / 16), (32, 1, 0.5, 1.0),
                   (32, 2, 0.79, 1 / 16), (9, 2, 0.3136, 1.0), (64, 2, 0.75, 1 / 16),
                   (32, 2, 0.75, 1e-3), (16, 1, 0.7, 1e-4)]
@@ -679,14 +691,21 @@ SYMMETRY_CASES = [(8, 2, 0.75, 1.0), (16, 1, 0.6, 1.0), (16, 2, 0.75, 1 / 16), (
 @pytest.mark.parametrize("n,m_s,r2,k", SYMMETRY_CASES,
                          ids=[f"n{n}-ms{m}-r{r}-k{k:g}" for n, m, r, k in SYMMETRY_CASES])
 def test_assembled_matrices_equal_their_transposes(n, m_s, r2, k):
-    """Each form is summed on one triangle and mirrored on the other, so
-    every assembled matrix equals its transpose bit for bit (indices,
-    indptr and data): the fields of ``Forms``, the step matrices R, M and
-    K, the Analyzer's whole-cell matrices and the lhs and rhs of every
-    ghost-extension band."""
+    """Each form is summed on and above the diagonal only, and the blocks
+    below it are stacked as their partners' transposes: no pattern that
+    ``disc`` holds and no data array of the step pass lies below the
+    diagonal, and every assembled matrix equals its transpose bit for bit
+    (indices, indptr and data): the fields of ``Forms``, the step matrices
+    R, M and K, the Analyzer's whole-cell matrices and the lhs and rhs of
+    every ghost-extension band."""
     cfg = SimulationConfig(n=n, m_s=m_s, radius_squared=r2, k=k, T=k)
     disc = Discretization(cfg)
     R, M, K, forms = system_matrices(disc)
+    assert set(disc.patterns) <= UPPER_PAIRS
+    arrays = {}
+    assemble_forms(disc, arrays)
+    keys = {key for data in arrays.values() for key in data}
+    assert keys and all(on_or_above_diagonal(*key) for key in keys)
     analyzer = Analyzer(disc, forms)
     mats = {"R": R, "M": M, "K": K}
     mats.update((name, getattr(forms, name)) for name in Forms.__dataclass_fields__)
@@ -706,7 +725,7 @@ def test_assembled_matrices_equal_their_transposes(n, m_s, r2, k):
 
 
 STEP_KERNELS = ("_viscous", "_grad_p", "_solid_bulk")
-FORMS_PAIRS = {("vf", "vf"), ("vf", "vs"), ("vs", "vf"), ("vs", "vs"), ("p", "p")}
+FORMS_PAIRS = {("vf", "vf"), ("vf", "vs"), ("vs", "vs"), ("p", "p")}
 
 
 def test_forms_only_pass_skips_step_forms(monkeypatch):
@@ -740,8 +759,7 @@ def test_forms_only_pass_skips_step_forms(monkeypatch):
     calls.clear()
     assemble_forms(disc, {})
     assert all(calls[name] for name in STEP_KERNELS)
-    assert set(disc.patterns) == {
-        (row, col) for row in assembly.SYSTEM_BLOCKS for col in assembly.SYSTEM_BLOCKS}
+    assert set(disc.patterns) == UPPER_PAIRS
     assert {key[1] for key in calls if key[0] == "form"} == {
         "mass_fluid", "mass_solid_scalar", "nitsche_pen", "viscous", "grad_p", "solid_bulk",
         "consistency"}
@@ -750,8 +768,9 @@ def test_forms_only_pass_skips_step_forms(monkeypatch):
 @pytest.mark.parametrize("m_s", [1, 2])
 def test_each_pattern_built_once_per_discretization(m_s, monkeypatch):
     """A discretization taken through the step system, the energies and the
-    ghost-extension bands of v_f, p and v_s builds each block pair's
-    pattern once, and every reader gets the one it holds."""
+    ghost-extension bands of v_f, p and v_s builds the pattern of each
+    block pair on or above the diagonal once, and none below it, and every
+    reader gets the one it holds."""
     built = Counter()
     init = assembly.Pattern.__init__
 
@@ -767,9 +786,8 @@ def test_each_pattern_built_once_per_discretization(m_s, monkeypatch):
     for side, order in (("f", cfg.m_f), ("f", cfg.m_f - 1), ("s", m_s)):
         for l in (0, 1):
             ghost_extension_ratios(disc, side, order, l, cfg.w_max)
-    pairs = {(row, col) for row in assembly.SYSTEM_BLOCKS for col in assembly.SYSTEM_BLOCKS}
-    assert built == Counter(dict.fromkeys(pairs, 1))
-    assert all(assembly.pattern(disc, *pair) is disc.patterns[pair] for pair in pairs)
+    assert built == Counter(dict.fromkeys(UPPER_PAIRS, 1))
+    assert all(assembly.pattern(disc, *pair) is disc.patterns[pair] for pair in UPPER_PAIRS)
 
 
 def test_pattern_index_arrays_shared_read_only(disc8):

@@ -194,6 +194,22 @@ def test_step_matrix_has_no_unit_rows():
     assert spla.onenormest(R) < 0.1
 
 
+def test_free_block_read_through_transpose():
+    """The stepper reads its free block as rows of R[free]^T, which R's
+    symmetry allows: on a lid-on case it equals R[free][:, free], sorted,
+    bit for bit, and ``lift`` equals R[free][:, dir] g bit for bit."""
+    disc = Discretization(SimulationConfig(n=16, m_s=2, k=1.0 / 16.0))
+    stepper = TimeStepper(disc)
+    R = cutfsi.assembly.system_matrices(disc)[0][stepper.free]
+    want = R[:, stepper.free]
+    want.sort_indices()
+    for part in ("indices", "indptr", "data"):
+        got, ref = getattr(stepper.R, part), getattr(want, part)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), part
+    lift = R[:, stepper.dir_idx] @ stepper.g_profile
+    assert np.any(lift != 0.0) and np.array_equal(stepper.lift, lift)
+
+
 def test_step_refines_inaccurate_solve(disc8):
     """A factor of R with its diagonal perturbed by 1e-6 (relative) leaves a
     step residual of about 1e-6; the one refinement step against the stored
