@@ -20,10 +20,11 @@ from .linalg import SingularMatrixError
 from .mesh import verify_path_assumption
 from .stepper import StepRecord, TimeStepper
 
-# Desk-scale guardrail: a finer mesh, or a reference run that stores more
-# state values than this, needs an explicit override.
+# Desk-scale guardrail: a finer mesh, a reference run that stores more
+# state values, or a run of more steps than this needs an explicit override.
 MIN_H = 0.0078125
 MAX_STORED = 2 ** 27  # 1 GiB of float64
+MAX_STEPS = 2 ** 16   # each step logs a row; about 20 min at n = 64 (~20 ms a step)
 
 
 def _overrides(args) -> dict:
@@ -41,8 +42,9 @@ def _load_config(args) -> SimulationConfig:
 
 
 def _check_scale(cfg: SimulationConfig, allow_large: bool, stores_states: bool = False) -> None:
-    """Refuse, unless ``allow_large``, h < MIN_H and, for a run that keeps
-    every state (a study's reference run), more than MAX_STORED values."""
+    """Refuse, unless ``allow_large``, h < MIN_H, more than MAX_STEPS steps
+    and, for a run that keeps every state (a study's reference run), more
+    than MAX_STORED values."""
     if allow_large:
         return
     if cfg.h < MIN_H:
@@ -56,6 +58,10 @@ def _check_scale(cfg: SimulationConfig, allow_large: bool, stores_states: bool =
             f"refusing a reference run that stores {states} states of ~{est_dofs} dofs "
             f"({states * est_dofs} values, more than {MAX_STORED}); "
             "pass --allow-large to override")
+    if cfg.n_steps > MAX_STEPS:
+        raise ConfigError(f"refusing {cfg.T / cfg.k:g} time steps (T={cfg.T:g} over "
+                          f"k={cfg.k:g}, more than {MAX_STEPS}); "
+                          "pass --allow-large to override")
 
 
 def _output_dir(args) -> Path:
@@ -217,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-dir", default="output",
                        help="directory for CSV/VTU output")
         p.add_argument("--allow-large", action="store_true",
-                       help="permit meshes and stored reference runs beyond the "
+                       help="permit meshes, run lengths and stored reference runs beyond the "
                             "desk-scale guardrail")
 
     p_run = sub.add_parser("run", help="advance one simulation to T")

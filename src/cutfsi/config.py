@@ -1,5 +1,10 @@
 """Simulation configuration: defaults, validation and the flat file format.
 
+A ``SimulationConfig`` is immutable and validates itself when it is built,
+so every config that exists, however it was made (constructor, ``replace``,
+``parse_config``), has passed ``validate``: among others, T/k is a finite,
+whole number of steps.
+
 Config files are plain text, one ``key = value`` per line, ``#`` comments.
 Unknown keys are rejected with the offending line number, a key given
 twice with both line numbers, a file that cannot be read or decoded with
@@ -19,7 +24,7 @@ class ConfigError(ValueError):
     """Invalid configuration or run input."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationConfig:
     """All physical, stabilization, discretization and run parameters."""
 
@@ -43,6 +48,9 @@ class SimulationConfig:
     radius_squared: float = 0.75  # interface circle, |x|^2 = radius_squared
     peak_inflow: float = 0.2      # lid speed [m/s]
     ramp_time: float = 2.0        # inflow ramp duration [s]
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     @property
     def h(self) -> float:
@@ -73,6 +81,8 @@ class SimulationConfig:
         if self.n < 2:
             raise ConfigError(f"n must be >= 2, got {self.n}")
         n_steps = self.T / self.k
+        if not math.isfinite(n_steps):
+            raise ConfigError(f"T = {self.T} over k = {self.k} overflows the step count")
         if abs(n_steps - round(n_steps)) > 1e-9:
             raise ConfigError(f"T = {self.T} is not an integer multiple of k = {self.k}")
         if self.n_steps < 1:
@@ -83,9 +93,7 @@ class SimulationConfig:
         return int(round(self.T / self.k))
 
     def replace(self, **kw) -> "SimulationConfig":
-        cfg = dataclasses.replace(self, **kw)
-        cfg.validate()
-        return cfg
+        return dataclasses.replace(self, **kw)
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -130,9 +138,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Simu
             values[key] = _convert(key, val) if isinstance(val, str) else val
         except ValueError as exc:
             raise ConfigError(f"{key} = {val!r}: {exc}") from exc
-    cfg = SimulationConfig(**values)
-    cfg.validate()
-    return cfg
+    return SimulationConfig(**values)
 
 
 def _convert(key: str, val: str):

@@ -41,7 +41,6 @@ class Discretization:
     """All mesh-level data needed to assemble and evaluate on one level."""
 
     def __init__(self, cfg: SimulationConfig):
-        cfg.validate()
         self.cfg = cfg
         self.mesh: Mesh = build_mesh(cfg.n)
         self.level_set = CircleLevelSet(cfg.radius_squared)

@@ -141,6 +141,9 @@ class TimeStepper:
         if res > REFINE_TOL:
             x_f += self.fact.solve(r)
             res = np.linalg.norm(b_f - self.R @ x_f) / b_norm
+        if not np.isfinite(res):
+            raise linalg.SingularMatrixError(
+                f"step {state.index + 1}: relative residual {res} is not finite")
         x = np.empty(layout.total)
         x[self.free], x[self.dir_idx] = x_f, g
         x[layout.slice("u")] = u_old + cfg.k * x[layout.slice("vs")]

@@ -39,6 +39,10 @@ def test_circle_outside_cavity_exit_code(tmp_path, capsys):
     assert "radius_squared must be < 1" in capsys.readouterr().err
 
 
+# the refusal of a T/k that overflows, a ConfigError rather than an OverflowError
+OVERFLOW = "configuration error: T = 8.0 over k = 1e-320 overflows the step count\n"
+
+
 @pytest.mark.parametrize("argv, value", [
     (["convergence", "--mode", "time", "--ref", "-0.5", "--set", "n=8"], "-0.5"),
     (["convergence", "--mode", "time", "--ref", "0.3", "--set", "T=2.0"], "k = 0.3"),
@@ -63,11 +67,16 @@ def test_circle_outside_cavity_exit_code(tmp_path, capsys):
      "stores 8000001 states of ~983 dofs"),
     (["run", "--config", "no/such/case.cfg"],
      "cannot read config file no/such/case.cfg: No such file or directory"),
+    (["run", "--set", "T=1e300"], "refusing 1e+300 time steps"),
+    (["run", "--set", "k=1e-7"], "refusing 8e+07 time steps"),
+    (["run", "--set", "k=1e-320"], OVERFLOW),
+    (["convergence", "--mode", "time", "--levels", "2", "--set", "k=1e-320"], OVERFLOW),
 ], ids=["time-ref-negative", "time-ref-not-dividing-T", "time-ref-not-nested",
         "run-T-below-k", "space-T-below-k", "space-ref-not-nested", "space-ref-fraction",
         "levels-0", "dump-every-negative", "run-n-not-integer", "space-ref-not-finer",
         "time-ref-not-finer", "space-zero-lid-speed", "time-zero-lid-speed",
-        "time-ref-states-beyond-guard", "run-config-missing"])
+        "time-ref-states-beyond-guard", "run-config-missing", "run-T-beyond-step-guard",
+        "run-k-beyond-step-guard", "run-step-count-overflow", "time-step-count-overflow"])
 def test_bad_run_input_exits_2_before_any_discretization(argv, value, tmp_path, capsys,
                                                           monkeypatch):
     built = []
@@ -139,6 +148,18 @@ def test_singular_step_matrix_exits_3(override, tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("solver error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_step_exits_3(tmp_path, capsys):
+    """A lid speed of 1e300 overflows the first step to NaN: ``cutfsi run``
+    exits 3 naming the step, instead of logging NaN energies with exit 0."""
+    rc = main(["run", "--set", "n=8", "--set", "T=2", "--set", "peak_inflow=1e300",
+               "--output-dir", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().err == \
+        "solver error: step 1: relative residual nan is not finite\n"
+    assert not (tmp_path / "steps.csv").exists()
 
 
 def test_verify_unreadable_config_exits_2(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Configuration parsing and formatting."""
 
+import dataclasses
 import re
 
 import pytest
@@ -122,7 +123,7 @@ def test_integer_fields_reject_floats_and_bools(name, value):
     """A float or bool n or m_s fails validation, naming the field, instead
     of failing later inside the discretization or running as m_s = 1."""
     with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
-        SimulationConfig(**{name: value}).validate()
+        SimulationConfig(**{name: value})
 
 
 @pytest.mark.parametrize("name", ["peak_inflow", "w_max"])
@@ -132,6 +133,35 @@ def test_non_finite_inflow_and_weight_rejected(name, value):
     key, instead of running to NaN energies or a singular LU."""
     with pytest.raises(ConfigError, match=f"^{name} must be finite, got {value}"):
         parse_config(None, overrides={name: value})
+
+
+def test_config_is_frozen():
+    """A config cannot change once built, so it stays as validated."""
+    cfg = SimulationConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.n = 16
+    assert cfg.n == 8
+
+
+@pytest.mark.parametrize("name,value", [("n", 1), ("m_s", 3), ("k", 0.0), ("k", 0.3),
+                                        ("T", 0.5), ("w_max", 0.5), ("radius_squared", 1.2),
+                                        ("peak_inflow", float("nan"))])
+def test_building_an_invalid_config_raises_the_validate_error(name, value):
+    """The constructor refuses exactly what validate() refuses, with its
+    message."""
+    cfg = SimulationConfig()
+    object.__setattr__(cfg, name, value)  # bypass the frozen, checked constructor
+    with pytest.raises(ConfigError) as want:
+        cfg.validate()
+    with pytest.raises(ConfigError, match="^" + re.escape(str(want.value)) + "$"):
+        SimulationConfig(**{name: value})
+
+
+def test_step_count_overflow_rejected():
+    """A T/k that overflows to inf is a ConfigError naming T and k, not an
+    OverflowError from rounding it."""
+    with pytest.raises(ConfigError, match="^" + re.escape("T = 8.0 over k = 1e-320 ")):
+        SimulationConfig(k=1e-320)
 
 
 def test_no_file_uses_defaults():

@@ -56,6 +56,18 @@ def run8(disc8, march):
     return stepper, march(stepper)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_step_raises(run8):
+    """A step whose residual is not finite raises, naming the step, rather
+    than returning a NaN state."""
+    stepper, _ = run8
+    state = stepper.initialize()
+    state.x[:] = np.inf
+    with pytest.raises(linalg.SingularMatrixError,
+                       match="^step 1: relative residual nan is not finite$"):
+        stepper.step(state)
+
+
 def test_zero_initial_state(run8):
     _, states = run8
     assert states[0].t == 0.0
