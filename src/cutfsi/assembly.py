@@ -1,17 +1,17 @@
-"""Assembly of the bilinear forms of the monolithic time-step system.
+"""Assembly of the bilinear forms and the operators M, A and K in space.
 
 Bulk integrals run over the physical subdomains via cut quadrature, ghost
 penalties over full faces of the ghost face sets, Nitsche coupling over the
 exact interface arcs.  ``assemble_forms(disc)`` assembles the seven fields
 of ``Forms`` only: the masses, the Nitsche penalty and the ghost penalties.
-``assemble_forms(disc, arrays)``, which ``system_matrices`` calls, also
-assembles the forms that only the step matrices read (viscous, pressure,
-Nitsche consistency, solid bulk).  The interface is fixed and the mesh
-uniform, so one pass per mesh assembles the forms it is asked for:
+``assemble_forms(disc, arrays)``, which ``operators`` calls, also
+assembles the forms that only the operators A and K read (viscous,
+pressure, Nitsche consistency, solid bulk).  The interface is fixed and the
+mesh uniform, so one pass per mesh assembles the forms it is asked for:
 
 - each block pair on or above the diagonal has one sorted CSR pattern,
   with a map from every local entry to its place, built on first use and
-  held by the discretization (``pattern``), so the step matrices, the
+  held by the discretization (``pattern``), so the operators, the
   energies and the ghost-extension bands all read the same one;
 - uncut cells share one local matrix; the ghost faces of one axis share one
   reference jump matrix per derivative order, scaled by each face's weight;
@@ -24,12 +24,13 @@ uniform, so one pass per mesh assembles the forms it is asked for:
   it is summed on and above the diagonal (``_Sums``) and stacked below it
   as the transpose (``_stack``): every matrix equals its transpose bit for bit;
 - each form is summed (``np.bincount``) into one data array per block pair
-  and component pair; the step matrices are weighted sums of those arrays;
+  and component pair; the operators are weighted sums of those arrays, and
+  ``combine`` stacks weighted sums of the operators into CSR matrices;
   the stored matrices leave out their round-off entries.
 
-The solved unknowns are (v_f, p, v_s).  Backward Euler on the first-order
-elasticity gives u^n = u^{n-1} + k v_s^n, so the displacement is never an
-unknown: its forms act on v_s with an extra factor k.
+The operators act on (v_f, p, v_s) and are free of the time step.  The
+displacement u shares the space of v_s, so K, the form of u, sits on the
+v_s block.
 """
 
 from __future__ import annotations
@@ -466,7 +467,7 @@ def _nitsche_pass(disc: Discretization, sums: _Sums, consistency: bool) -> None:
         sums.add("consistency", t, "p", cells, local[..., nv:])
 
 
-# -- forms and the step system ----------------------------------------------
+# -- forms and operators -----------------------------------------------------
 
 @dataclass
 class Forms:
@@ -474,8 +475,8 @@ class Forms:
     round-off entries.
 
     The forms that the energy functionals and the checks read; the viscous,
-    pressure and Nitsche consistency forms go into the step matrix only,
-    the solid bulk form into K only.
+    pressure and Nitsche consistency forms go into A only, the solid bulk
+    form into K only (``operators``).
     Matrices without a note are square on the (v_f, p, v_s) system.
     """
 
@@ -490,7 +491,7 @@ class Forms:
 
 def assemble_forms(disc: Discretization, arrays: dict | None = None) -> Forms:
     """The fields of ``Forms`` of ``disc``, from one assembly pass; with
-    ``arrays``, also the forms that only the step matrices read.
+    ``arrays``, also the forms that only the operators A and K read.
 
     Each form is summed once into data arrays {(row, col, cr, cc): data}
     on the patterns of ``disc`` (``pattern``).
@@ -498,18 +499,18 @@ def assemble_forms(disc: Discretization, arrays: dict | None = None) -> Forms:
     Without ``arrays`` the pass reads only the patterns that the fields of
     ``Forms`` lie on (no pressure-velocity pair) and assembles the masses,
     the Nitsche penalty and the ghost penalties only.  ``arrays``, if
-    given, asks for the step forms too: it receives the data arrays by name
+    given, asks for those forms too: it receives the data arrays by name
     (the fields of ``Forms``, without their round-off, and "viscous",
-    "grad_p", "consistency" and "solid_bulk", which only the step matrices
-    read), so that ``system_matrices`` needs no second pass.
+    "grad_p", "consistency" and "solid_bulk", which only A and K read), so
+    that ``operators`` needs no second pass.
     """
     cfg = disc.cfg
-    step = arrays is not None
+    full = arrays is not None
     sums = _Sums(disc)
     value = SCALAR_KERNELS["value"]
     fluid = [("mass_fluid", value, "vf", "vf")]
     solid = [("mass_solid_scalar", value, "vs", "vs")]
-    if step:
+    if full:
         fluid += [("viscous", lambda tr, tc, w: _viscous(tr, w, cfg.rho_f * cfg.nu_f),
                    "vf", "vf"),
                   ("grad_p", _grad_p, "vf", "p")]
@@ -517,7 +518,7 @@ def assemble_forms(disc: Discretization, arrays: dict | None = None) -> Forms:
                    "vs", "vs")]
     _cell_pass(disc, sums, "f", fluid)
     _cell_pass(disc, sums, "s", solid)
-    _nitsche_pass(disc, sums, consistency=step)
+    _nitsche_pass(disc, sums, consistency=full)
     a = sums.arrays()
     f = {"mass_fluid": _on_components(_lin((cfg.rho_f, a.pop("mass_fluid")))),
          "nitsche_pen": _on_components(a.pop("nitsche_pen")), **a}
@@ -541,32 +542,25 @@ def assemble_forms(disc: Discretization, arrays: dict | None = None) -> Forms:
 
     forms = Forms(**{name: matrix(_drop_roundoff(f[name]))
                      for name in Forms.__dataclass_fields__})
-    if step:
+    if full:
         arrays.update(f)
     return forms
 
 
-def system_matrices(disc: Discretization):
-    """(R, M, K, forms): the backward Euler step on (v_f, p, v_s).
-
-    Substituting u^n = u^{n-1} + k v_s^n into the monolithic step gives
-    R x^n = M x^{n-1} - k K u^{n-1} with
+def operators(disc: Discretization):
+    """(M, A, K, forms): the data arrays of the k-free operators on
+    (v_f, p, v_s), and the ``Forms`` of the same pass,
       M = rho_f M_f + rho_s M_s + rho_s g_vs,
-      K = a_s + 2 mu_s g_u, on the v_s block only (u sits in its slot),
-      R = M + k A + k^2 K,  A = a_f + Nitsche + 2 rho_f nu_f g_vf - g_p.
-    The continuity form is tested with -xi, so A's (p, p) block is -g_p and
-    R, M and K equal their transposes bit for bit (``_stack``).  All three
-    are weighted sums of the data arrays of ``assemble_forms``.  The solid
-    bulk form a_s, which only K reads, loses its round-off entries relative
-    to its own largest entry, as every field of ``Forms`` does.  The forms
-    of A, which only R reads, lose their round-off entries relative to A's
-    largest entry, not R's: a small k leaves the pressure rows of R far
-    below its largest entry, and must drop none of them.
+      A = a_f + Nitsche + 2 rho_f nu_f g_vf - g_p,
+      K = a_s + 2 mu_s g_u, on the v_s block only (u shares its space).
+    A's (p, p) block is -g_p, the continuity form being tested with -xi, so
+    each matrix that ``combine`` makes of them equals its transpose bit for
+    bit.  A and the solid bulk form a_s lose their round-off entries
+    relative to their own largest entry, as each ``Forms`` field does.
     """
     f: dict = {}
     forms = assemble_forms(disc, f)
     cfg = disc.cfg
-    k = cfg.k
     M = _lin((1.0, f["mass_fluid"]), (cfg.rho_s, _on_components(f["mass_solid_scalar"])),
              (cfg.rho_s, _on_components(f["ghost_vs"])))
     K = _lin((1.0, _drop_roundoff(f["solid_bulk"])),
@@ -574,8 +568,12 @@ def system_matrices(disc: Discretization):
     A = _lin((1.0, f["viscous"]), (1.0, f["grad_p"]),
              (1.0, f["nitsche_pen"]), (1.0, f["consistency"]),
              (2.0 * cfg.rho_f * cfg.nu_f, _on_components(f["ghost_vf"])), (-1.0, f["ghost_p"]))
-    del f
-    R = _lin((1.0, M), (k, _drop_roundoff(A)), (k * k, K))
-    del A
-    R = _stack(R, disc)  # frees R's data arrays before M and K are stacked
-    return R, _stack(M, disc), _stack(K, disc, ("vs",)), forms
+    return M, _drop_roundoff(A), K, forms
+
+
+def combine(disc: Discretization, *terms, blocks=SYSTEM_BLOCKS) -> sp.csr_matrix:
+    """CSR matrix on ``blocks`` of sum_i c_i F_i over terms (c_i, F_i), the
+    F_i operators from ``operators``; a lone term with c_i = 1 is stacked
+    from its own data arrays, without a copy."""
+    (coef, arrays), *rest = terms
+    return _stack(arrays if coef == 1.0 and not rest else _lin(*terms), disc, blocks)

@@ -48,15 +48,15 @@ def _check_scale(cfg: SimulationConfig, allow_large: bool, stores_states: bool =
     if allow_large:
         return
     if cfg.h < MIN_H:
-        raise ConfigError(f"refusing n={cfg.n} (h={cfg.h:g} < {MIN_H:g}); "
+        raise ConfigError(f"refusing n={cfg.n:g} (h={cfg.h:g} < {MIN_H:g}); "
                           "pass --allow-large to override")
     est_dofs = 2 * (2 * cfg.n + 1) ** 2 + (cfg.n + 1) ** 2 \
         + 4 * (cfg.m_s * cfg.n + 1) ** 2
     states = cfg.n_steps + 1
     if stores_states and states * est_dofs > MAX_STORED:
         raise ConfigError(
-            f"refusing a reference run that stores {states} states of ~{est_dofs} dofs "
-            f"({states * est_dofs} values, more than {MAX_STORED}); "
+            f"refusing a reference run that stores {states:g} states of ~{est_dofs:g} dofs "
+            f"({float(states) * est_dofs:g} values, more than {MAX_STORED}); "
             "pass --allow-large to override")
     if cfg.n_steps > MAX_STEPS:
         raise ConfigError(f"refusing {cfg.T / cfg.k:g} time steps (T={cfg.T:g} over "
@@ -121,7 +121,7 @@ def cmd_convergence(args) -> int:
         ref = int(args.ref) if args.ref else 2 * levels[-1]
         study = analysis.spatial_study
     else:
-        levels = [cfg.k / 2 ** i for i in range(args.levels)]
+        levels = [cfg.k * 0.5 ** i for i in range(args.levels)]
         ref = float(args.ref if args.ref else levels[-1] / 2)
         study = analysis.temporal_study
     # a refused study leaves no output directory behind

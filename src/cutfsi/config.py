@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -80,6 +81,9 @@ class SimulationConfig:
             raise ConfigError(f"m_s must be 1 or 2, got {self.m_s}")
         if self.n < 2:
             raise ConfigError(f"n must be >= 2, got {self.n}")
+        if self.n > sys.float_info.max:  # 2.0 / n would overflow
+            raise ConfigError(f"n must be at most {sys.float_info.max:g} so that h = 2/n is "
+                              f"a positive float, got a {self.n.bit_length()}-bit integer")
         n_steps = self.T / self.k
         if not math.isfinite(n_steps):
             raise ConfigError(f"T = {self.T} over k = {self.k} overflows the step count")

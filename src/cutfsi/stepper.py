@@ -1,16 +1,19 @@
 """Backward Euler step: inflow profile, Dirichlet handling, the step system.
 
-The step matrix is time independent (fixed interface), so it is assembled
-and factorized once; only the ramped lid values change per step.  The
-solved unknowns are (v_f, p, v_s); after each solve the displacement is
-updated as u^n = u^{n-1} + k v_s^n.  Only the free (non-Dirichlet) block of
-the step matrix R is factorized, with the free dofs ``free`` in the
-nested-dissection order of the mesh lattice.  The lid enters each
+The solved unknowns are (v_f, p, v_s).  Backward Euler on the first-order
+elasticity gives u^n = u^{n-1} + k v_s^n, so the displacement is never an
+unknown: substituting it into the monolithic step gives
+R x^n = M x^{n-1} - k K u^{n-1}, R = M + k A + k^2 K, on the k-free
+operators of ``assembly.operators`` (``system_matrices``).  The step matrix
+is time independent (fixed interface), so it is assembled and factorized
+once; only the ramped lid values change per step.  Only the free
+(non-Dirichlet) block of R is factorized, with the free dofs ``free`` in
+the nested-dissection order of the mesh lattice.  The lid enters each
 right-hand side as the ramp times ``lift``, R[free, dir] g at full ramp.
 The continuity form is tested with -xi, so R, and its free block, equal
-their transposes bit for bit (``assembly.system_matrices``); the free
-block is read through R^T, sorted.  Callers own the time loop:
-``initialize`` gives the zero state at t = 0 and ``step`` advances it by k.
+their transposes bit for bit; the free block is read through R^T, sorted.
+Callers own the time loop: ``initialize`` gives the zero state at t = 0 and
+``step`` advances it by k.
 """
 
 from __future__ import annotations
@@ -20,13 +23,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .assembly import system_matrices
+from .assembly import combine, operators
 from .config import SimulationConfig
 from .discretization import Discretization, nested_dissection
 
 # Relative step residual above which one step of iterative refinement
 # against the stored R is made.
 REFINE_TOL = 1e-12
+
+
+def system_matrices(disc: Discretization):
+    """(R, M, K, forms): the step matrix R = M + k A + k^2 K, and M and K,
+    from the k-free operators of one ``assembly.operators`` pass, with its
+    ``Forms``.  A lost its round-off relative to its own largest entry, so a
+    small k, which leaves R's pressure rows far below R's largest entry,
+    drops none of them.  A is freed before M and K are stacked."""
+    M, A, K, forms = operators(disc)
+    k = disc.cfg.k
+    R = combine(disc, (1.0, M), (k, A), (k * k, K))
+    del A
+    return R, combine(disc, (1.0, M)), combine(disc, (1.0, K), blocks=("vs",)), forms
 
 
 def inflow_profile_x(x, cfg: SimulationConfig) -> np.ndarray:

@@ -239,8 +239,10 @@ def assemble_forms(disc) -> OracleForms:
 
 
 def system_matrices(disc, forms):
-    """(R, M, K) of the backward Euler step, as a chain of sparse sums; M,
-    K and the k-term of R are each stored without their round-off."""
+    """(R, M, K, A) of the backward Euler step, R = M + k A + k^2 K, as a
+    chain of sparse sums; M, K and A, the k-term of R, are each stored
+    without their round-off.  R's pressure rows are negated (the continuity
+    form tested with -xi), A's are not."""
     cfg = disc.cfg
     k = cfg.k
     M = drop_roundoff(forms.mass_fluid + forms.mass_solid
@@ -250,10 +252,11 @@ def system_matrices(disc, forms):
            + place(disc, "p", "p", forms.ghost_p))
     K = drop_roundoff(place(disc, "vs", "vs", forms.solid_bulk)
                       + 2.0 * cfg.mu_s * place(disc, "vs", "vs", forms.ghost_u, 2))
-    R = (M + k * drop_roundoff(A_f + S_f) + k * (k * K)).tocsr()
+    A = drop_roundoff(A_f + S_f)
+    R = (M + k * A + k * (k * K)).tocsr()
     p = disc.layout.slice("p")
     R.data[R.indptr[p.start]:R.indptr[p.stop]] *= -1.0
-    return R, M, K
+    return R, M, K, A
 
 
 def dirichlet_reduce(R, dir_idx):

@@ -19,10 +19,11 @@ from cutfsi import Analyzer, Discretization, SimulationConfig, TimeStepper, asse
 from cutfsi.analysis import GHOST_SAMPLES, ghost_band, ghost_extension_ratios
 from cutfsi.assembly import (SCALAR_KERNELS, Forms, _grad_p, _lattice, _mass,
                              _solid_bulk, _stack, _viscous, assemble_cells,
-                             assemble_forms, face_jump_table, raw_jump_matrices,
-                             system_matrices, weight_w)
+                             assemble_forms, combine, face_jump_table, operators,
+                             raw_jump_matrices, weight_w)
 from cutfsi.fem import reference_basis
 from cutfsi.quadrature import ARC_NPTS, CutParts, cut_cell_rule, gauss_1d
+from cutfsi.stepper import system_matrices
 
 
 @pytest.fixture(scope="module")
@@ -258,14 +259,16 @@ def test_system_matrix_dimension(disc8):
 @pytest.mark.parametrize("m_s", [1, 2])
 def test_forms_no_stored_zeros(disc8, disc8_q2, m_s):
     """No assembled form stores explicit zeros (cancelled sums included):
-    the fields of ``Forms``, and R, M and K of ``system_matrices`` at
-    k = 1 and 1/16.  Every matrix has int32 indices in canonical format."""
+    the fields of ``Forms``, the operators M, A and K, and the step matrix
+    R = M + k A + k^2 K at k = 1 and 1/16, summed from one ``operators``
+    call.  Every matrix has int32 indices in canonical format."""
     disc = disc8 if m_s == 1 else disc8_q2
-    forms = assemble_forms(disc)
+    M, A, K, forms = operators(disc)
     mats = {name: getattr(forms, name) for name in forms.__dataclass_fields__}
+    mats.update({"M": combine(disc, (1.0, M)), "A": combine(disc, (1.0, A)),
+                 "K": combine(disc, (1.0, K), blocks=("vs",))})
     for k in (1.0, 1 / 16):
-        R, M, K, _ = system_matrices(Discretization(disc.cfg.replace(k=k)))
-        mats.update({f"R k={k}": R, f"M k={k}": M, f"K k={k}": K})
+        mats[f"R k={k}"] = combine(disc, (1.0, M), (k, A), (k * k, K))
     for name, A in mats.items():
         assert A.nnz > 0, name
         assert np.count_nonzero(A.data == 0.0) == 0, name
@@ -571,17 +574,22 @@ ORACLE_CASES = [(n, m_s, 0.75) for n in (8, 16) for m_s in (1, 2)] + [(9, 2, 0.3
 @pytest.mark.parametrize("n,m_s,r2", ORACLE_CASES,
                          ids=[f"n{n}-ms{m}-r{r}" for n, m, r in ORACLE_CASES])
 def test_pattern_pass_matches_coo_assembly(n, m_s, r2):
-    """Every field of ``Forms``, the step matrices R, M, K, the free block of
-    R that the stepper keeps (in its order of the free dofs) and its lift
-    of the lid values equal those of the COO assembly."""
+    """Every field of ``Forms``, the step matrices R, M, K, the operator A
+    (the oracle's k-term of R, with the pressure rows tested with -xi), the
+    free block of R that the stepper keeps (in its order of the free dofs)
+    and its lift of the lid values equal those of the COO assembly."""
     disc = Discretization(SimulationConfig(n=n, m_s=m_s, radius_squared=r2))
     R, M, K, forms = system_matrices(disc)
     want = coo.assemble_forms(disc)
     for name in forms.__dataclass_fields__:
         assert_matches_oracle(getattr(forms, name), getattr(want, name))
-    R_want, M_want, K_want = coo.system_matrices(disc, want)
+    R_want, M_want, K_want, A_want = coo.system_matrices(disc, want)
     vs = disc.layout.slice("vs")
-    for got, ref in ((R, R_want), (M, M_want), (K, K_want[vs, vs])):
+    sign = np.ones(disc.layout.n_system)
+    sign[disc.layout.slice("p")] = -1.0
+    A = combine(disc, (1.0, operators(disc)[1]))
+    for got, ref in ((R, R_want), (M, M_want), (K, K_want[vs, vs]),
+                     (A, sp.diags(sign) @ A_want)):
         assert_matches_oracle(got, ref)
     stepper = TimeStepper(disc)
     R_free, R_dir = coo.dirichlet_reduce(R_want, stepper.dir_idx)
@@ -613,12 +621,31 @@ def test_step_pattern_independent_of_arc_order():
 def test_step_pattern_independent_of_time_step():
     """A small k leaves the pressure rows of R far below its largest entry,
     yet R keeps all of them: the round-off of each form is judged against
-    the form's largest entry, so R's pattern is the same at every k."""
-    want = system_matrices(Discretization(SimulationConfig(n=16, m_s=2)))[0]
+    the form's largest entry, so R's pattern is the same at every k; each
+    R = M + k A + k^2 K is summed from one ``operators`` call."""
+    disc = Discretization(SimulationConfig(n=16, m_s=2))
+    M, A, K, _ = operators(disc)
+    want = combine(disc, (1.0, M), (1.0, A), (1.0, K))
     for k in (1e-3, 1e-9):
-        got = system_matrices(Discretization(SimulationConfig(n=16, m_s=2, k=k, T=k)))[0]
+        got = combine(disc, (1.0, M), (k, A), (k * k, K))
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
+
+
+def test_operators_free_of_time_step():
+    """``operators`` does not read k: two configurations that differ only in
+    k and T give the same data arrays of M, A and K, key for key, and the
+    same ``Forms``, bit for bit."""
+    got, want = (operators(Discretization(SimulationConfig(n=16, m_s=2, k=k, T=T)))
+                 for k, T in ((1.0, 8.0), (1e-4, 1e-4)))
+    for g, w in zip(got[:3], want[:3]):
+        assert g and list(g) == list(w)
+        for key in w:
+            assert g[key].dtype == w[key].dtype and g[key].tobytes() == w[key].tobytes(), key
+    for name in Forms.__dataclass_fields__:
+        g, w = getattr(got[3], name), getattr(want[3], name)
+        for part in ("data", "indices", "indptr"):
+            assert getattr(g, part).tobytes() == getattr(w, part).tobytes(), (name, part)
 
 
 TABULATION_CASES = [(1, False), (2, False), (1, True), (2, True)]
@@ -661,9 +688,9 @@ GATE_CASES = [(8, 2, 0.75), (16, 1, 0.6), (16, 2, 0.75), (32, 1, 0.5), (32, 2, 0
 def test_forms_only_pass_matches_step_pass(n, m_s, r2):
     """Every field of ``Forms`` from assemble_forms without ``arrays`` is
     bit-identical (data, indices, indptr and their dtypes) to that of the
-    full pass that system_matrices makes."""
+    full pass that operators makes."""
     disc = Discretization(SimulationConfig(n=n, m_s=m_s, radius_squared=r2))
-    got, want = assemble_forms(disc), system_matrices(disc)[3]
+    got, want = assemble_forms(disc), operators(disc)[3]
     for name in Forms.__dataclass_fields__:
         g, w = getattr(got, name), getattr(want, name)
         assert g.shape == w.shape, name

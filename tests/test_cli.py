@@ -64,19 +64,28 @@ OVERFLOW = "configuration error: T = 8.0 over k = 1e-320 overflows the step coun
     (["convergence", "--mode", "time", "--levels", "2", "--set", "n=8",
       "--set", "peak_inflow=-0.0"], "peak_inflow = 0"),
     (["convergence", "--mode", "time", "--levels", "2", "--ref", "1e-6"],
-     "stores 8000001 states of ~983 dofs"),
+     "stores 8e+06 states of ~983 dofs"),
     (["run", "--config", "no/such/case.cfg"],
      "cannot read config file no/such/case.cfg: No such file or directory"),
     (["run", "--set", "T=1e300"], "refusing 1e+300 time steps"),
     (["run", "--set", "k=1e-7"], "refusing 8e+07 time steps"),
     (["run", "--set", "k=1e-320"], OVERFLOW),
     (["convergence", "--mode", "time", "--levels", "2", "--set", "k=1e-320"], OVERFLOW),
+    (["convergence", "--mode", "time", "--levels", "2", "--set", "T=1e300"],
+     "stores 4e+300 states of ~983 dofs (3.932e+303 values"),
+    (["convergence", "--mode", "space", "--levels", "2", "--ref", "1e300"], "refusing n=1e+300"),
+    (["run", "--set", f"n={10 ** 400}"], "got a 1329-bit integer"),
+    (["convergence", "--mode", "space", "--levels", "2000"], "got a 2004-bit integer"),
+    (["convergence", "--mode", "time", "--levels", "2000"],
+     "k must be positive and finite, got 0.0"),
 ], ids=["time-ref-negative", "time-ref-not-dividing-T", "time-ref-not-nested",
         "run-T-below-k", "space-T-below-k", "space-ref-not-nested", "space-ref-fraction",
         "levels-0", "dump-every-negative", "run-n-not-integer", "space-ref-not-finer",
         "time-ref-not-finer", "space-zero-lid-speed", "time-zero-lid-speed",
         "time-ref-states-beyond-guard", "run-config-missing", "run-T-beyond-step-guard",
-        "run-k-beyond-step-guard", "run-step-count-overflow", "time-step-count-overflow"])
+        "run-k-beyond-step-guard", "run-step-count-overflow", "time-step-count-overflow",
+        "time-T-states-beyond-guard", "space-ref-beyond-mesh-guard", "run-n-beyond-float",
+        "space-levels-beyond-float", "time-levels-underflow-k"])
 def test_bad_run_input_exits_2_before_any_discretization(argv, value, tmp_path, capsys,
                                                           monkeypatch):
     built = []
@@ -89,7 +98,10 @@ def test_bad_run_input_exits_2_before_any_discretization(argv, value, tmp_path, 
     monkeypatch.setattr(discretization.Discretization, "__init__", counting)
     rc = main(argv + ["--output-dir", str(tmp_path)])
     assert rc == 2
-    assert value in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert value in err
+    # one short line: no count is printed digit by digit
+    assert err.count("\n") == 1 and len(err) <= 200
     assert built == []
 
 

@@ -164,6 +164,16 @@ def test_step_count_overflow_rejected():
         SimulationConfig(k=1e-320)
 
 
+def test_mesh_size_overflow_rejected():
+    """An n beyond the float range, whose h = 2/n would raise an
+    OverflowError, is a ConfigError that does not print n's digits; the
+    largest n of the float range still gives a positive h."""
+    with pytest.raises(ConfigError, match="^n must be at most .* so that h = 2/n") as exc:
+        SimulationConfig(n=10 ** 400)
+    assert "1329-bit" in str(exc.value) and not re.search(r"\d{20}", str(exc.value))
+    assert SimulationConfig(n=10 ** 308).h > 0.0
+
+
 def test_no_file_uses_defaults():
     cfg = parse_config(None)
     assert cfg == SimulationConfig()

@@ -184,7 +184,7 @@ def test_step_matrix_symmetric(m_s, k):
     assert abs(R - R.T).max() == 0
     assert stepper.fact.symmetric
 
-    R, _, _, forms = cutfsi.assembly.system_matrices(disc)
+    R, _, _, forms = cutfsi.stepper.system_matrices(disc)
     vf, p, vs = (disc.layout.slice(b) for b in ("vf", "p", "vs"))
     for A, pairs in ((R, [(vf, p), (vf, vs), (p, vs)]), (forms.nitsche_pen, [(vf, vs)])):
         for rows, cols in pairs:
@@ -212,7 +212,7 @@ def test_free_block_read_through_transpose():
     bit for bit, and ``lift`` equals R[free][:, dir] g bit for bit."""
     disc = Discretization(SimulationConfig(n=16, m_s=2, k=1.0 / 16.0))
     stepper = TimeStepper(disc)
-    R = cutfsi.assembly.system_matrices(disc)[0][stepper.free]
+    R = cutfsi.stepper.system_matrices(disc)[0][stepper.free]
     want = R[:, stepper.free]
     want.sort_indices()
     for part in ("indices", "indptr", "data"):
