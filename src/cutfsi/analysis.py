@@ -209,12 +209,12 @@ class ErrorReport:
 
 
 def run_simulation(cfg):
-    """Build a discretization, run to T; returns (disc, records, every state)."""
+    """Build a discretization and run ``TimeStepper.run`` from the zero state
+    to T; returns (disc, records of the steps, every state from t = 0)."""
     disc = Discretization(cfg)
     stepper = TimeStepper(disc)
-    states = [stepper.initialize()]
-    for _ in range(cfg.n_steps):
-        states.append(stepper.step(states[-1]))
+    s0 = stepper.initialize()
+    states = [s0, *stepper.run(s0, cfg.n_steps)]
     return disc, [StepRecord.of(s) for s in states[1:]], states
 
 
@@ -411,16 +411,9 @@ def verify_energy_decay(disc: Discretization, n_steps: int = 22,
     Q^n values, monitored from the first computed step onward.
     """
     stepper = TimeStepper(Discretization(disc.cfg.replace(peak_inflow=0.0)))
-    state = random_smooth_state(disc, seed=seed)
-    history = []
-    q0 = None
-    violation = None
-    for _ in range(n_steps):
-        state = stepper.step(state)
-        q = stepper.lyapunov(state)
-        history.append(q)
-        if q0 is None:
-            q0 = q
-        elif q > history[-2] + tol * max(q0, 1.0e-300) and violation is None:
-            violation = state.index
+    history = [stepper.lyapunov(s)
+               for s in stepper.run(random_smooth_state(disc, seed=seed), n_steps)]
+    # the first step n, with history[n - 1] its Q^n, whose Q^n grew
+    violation = next((n for n, (prev, q) in enumerate(zip(history, history[1:]), start=2)
+                      if q > prev + tol * max(history[0], 1.0e-300)), None)
     return violation is None, history, violation

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from decimal import Context, Decimal
 from pathlib import Path
 
 import numpy as np
@@ -53,10 +54,13 @@ def _check_scale(cfg: SimulationConfig, allow_large: bool, stores_states: bool =
     est_dofs = 2 * (2 * cfg.n + 1) ** 2 + (cfg.n + 1) ** 2 \
         + 4 * (cfg.m_s * cfg.n + 1) ** 2
     states = cfg.n_steps + 1
-    if stores_states and states * est_dofs > MAX_STORED:
+    values = states * est_dofs
+    if stores_states and values > MAX_STORED:
+        # 6 digits, as :g prints them, also beyond the float range, where
+        # :g of the integer raises OverflowError
         raise ConfigError(
             f"refusing a reference run that stores {states:g} states of ~{est_dofs:g} dofs "
-            f"({float(states) * est_dofs:g} values, more than {MAX_STORED}); "
+            f"({Decimal(values).normalize(Context(prec=6)):g} values, more than {MAX_STORED}); "
             "pass --allow-large to override")
     if cfg.n_steps > MAX_STEPS:
         raise ConfigError(f"refusing {cfg.T / cfg.k:g} time steps (T={cfg.T:g} over "
@@ -83,10 +87,8 @@ def cmd_run(args) -> int:
     disc = Discretization(cfg)
     stepper = TimeStepper(disc)
     ana = analysis.Analyzer(disc, stepper.forms)
-    state = stepper.initialize()
     records = []
-    for _ in range(cfg.n_steps):
-        state = stepper.step(state)
+    for state in stepper.run(stepper.initialize(), cfg.n_steps):
         records.append(StepRecord.of(state, ana.energy(state)))
         if args.dump_every and state.index % args.dump_every == 0:
             reporting.write_snapshot(outdir, disc, state, f"{state.index:05d}")

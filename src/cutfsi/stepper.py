@@ -12,12 +12,13 @@ the nested-dissection order of the mesh lattice.  The lid enters each
 right-hand side as the ramp times ``lift``, R[free, dir] g at full ramp.
 The continuity form is tested with -xi, so R, and its free block, equal
 their transposes bit for bit; the free block is read through R^T, sorted.
-Callers own the time loop: ``initialize`` gives the zero state at t = 0 and
-``step`` advances it by k.
+``initialize`` gives the zero state at t = 0, ``step`` advances a state by
+k, and ``run`` repeats ``step``: it is the library's one time loop.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,6 +140,13 @@ class TimeStepper:
         layout = self.disc.layout
         x, u = state.x[:layout.n_system], state.x[layout.slice("u")]
         return 0.5 * float(x @ (self.M @ x) + u @ (self.K @ u))
+
+    def run(self, state: State, n_steps: int) -> Iterator[State]:
+        """The ``n_steps`` states that follow ``state``, each ``step`` of the
+        one before, yielded as they are computed."""
+        for _ in range(n_steps):
+            state = self.step(state)
+            yield state
 
     def step(self, state: State) -> State:
         cfg = self.cfg

@@ -19,14 +19,3 @@ def disc8_q2():
 def disc16():
     return Discretization(SimulationConfig(n=16))
 
-
-@pytest.fixture(scope="session")
-def march():
-    """Every state of a stepper's run from zero data to T, for tests that
-    set up the stepper themselves (lid-free configurations, ``dir_idx``)."""
-    def run(stepper):
-        states = [stepper.initialize()]
-        for _ in range(stepper.cfg.n_steps):
-            states.append(stepper.step(states[-1]))
-        return states
-    return run

@@ -148,11 +148,11 @@ def test_error_vs_reference_self_is_zero():
         assert val <= 1e-13, key
 
 
-def test_error_vs_reference_nested_constant(disc8, disc16, march):
+def test_error_vs_reference_nested_constant():
     """A coarse/fine pair of identically-zero (lid-free) runs has zero error."""
-    s8, s16 = (TimeStepper(Discretization(d.cfg.replace(peak_inflow=0.0)))
-               for d in (disc8, disc16))
-    errs = error_vs_reference(disc8, march(s8), disc16, march(s16))
+    (d8, _, s8), (d16, _, s16) = (run_simulation(SimulationConfig(n=n, peak_inflow=0.0))
+                                  for n in (8, 16))
+    errs = error_vs_reference(d8, s8, d16, s16)
     for key, val in errs.items():
         assert val <= 1e-13, key
 
@@ -318,3 +318,17 @@ def test_energy_decay_quadratic_solid(n, k):
     ok, history, violation = verify_energy_decay(disc, n_steps=22, seed=1)
     assert ok, f"Q^n grew at step {violation}"
     assert len(history) == 22 and np.all(np.diff(history) < 0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_energy_decay_reports_growth(seed):
+    """On a circle where A's velocity block is indefinite at gamma_N = 100
+    (n = 16, r^2 = 0.7642898, m_s = 2), Q^n falls for 4 steps at k = 1/256
+    and grows from step 5 to step 12: the check fails and names step 5."""
+    disc = Discretization(SimulationConfig(n=16, radius_squared=0.7642898, m_s=2,
+                                           k=1 / 256, gamma_vf=1e-3, gamma_p=1e-3,
+                                           gamma_N=100.0))
+    ok, history, violation = verify_energy_decay(disc, n_steps=12, seed=seed)
+    assert (ok, violation) == (False, 5)
+    assert len(history) == 12
+    assert np.all(np.diff(history[:4]) < 0.0) and np.all(np.diff(history[3:]) > 0.0)

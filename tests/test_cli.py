@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,8 @@ OVERFLOW = "configuration error: T = 8.0 over k = 1e-320 overflows the step coun
     (["convergence", "--mode", "time", "--levels", "2", "--set", "k=1e-320"], OVERFLOW),
     (["convergence", "--mode", "time", "--levels", "2", "--set", "T=1e300"],
      "stores 4e+300 states of ~983 dofs (3.932e+303 values"),
+    (["convergence", "--mode", "time", "--levels", "2", "--set", "T=1e300", "--set", "k=1e-7"],
+     "stores 4e+307 states of ~983 dofs (3.932e+310 values"),
     (["convergence", "--mode", "space", "--levels", "2", "--ref", "1e300"], "refusing n=1e+300"),
     (["run", "--set", f"n={10 ** 400}"], "got a 1329-bit integer"),
     (["convergence", "--mode", "space", "--levels", "2000"], "got a 2004-bit integer"),
@@ -84,8 +87,9 @@ OVERFLOW = "configuration error: T = 8.0 over k = 1e-320 overflows the step coun
         "time-ref-not-finer", "space-zero-lid-speed", "time-zero-lid-speed",
         "time-ref-states-beyond-guard", "run-config-missing", "run-T-beyond-step-guard",
         "run-k-beyond-step-guard", "run-step-count-overflow", "time-step-count-overflow",
-        "time-T-states-beyond-guard", "space-ref-beyond-mesh-guard", "run-n-beyond-float",
-        "space-levels-beyond-float", "time-levels-underflow-k"])
+        "time-T-states-beyond-guard", "time-values-beyond-float",
+        "space-ref-beyond-mesh-guard", "run-n-beyond-float", "space-levels-beyond-float",
+        "time-levels-underflow-k"])
 def test_bad_run_input_exits_2_before_any_discretization(argv, value, tmp_path, capsys,
                                                           monkeypatch):
     built = []
@@ -100,8 +104,9 @@ def test_bad_run_input_exits_2_before_any_discretization(argv, value, tmp_path, 
     assert rc == 2
     err = capsys.readouterr().err
     assert value in err
-    # one short line: no count is printed digit by digit
+    # one short line: no count is printed digit by digit, or overflows to inf
     assert err.count("\n") == 1 and len(err) <= 200
+    assert not re.search(r"\binf\b", err)
     assert built == []
 
 

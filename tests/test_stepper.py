@@ -51,9 +51,28 @@ def test_inflow_zero_off_lid(run8, disc8):
 
 
 @pytest.fixture(scope="module")
-def run8(disc8, march):
+def run8(disc8):
     stepper = TimeStepper(disc8)
-    return stepper, march(stepper)
+    s0 = stepper.initialize()
+    return stepper, [s0, *stepper.run(s0, stepper.cfg.n_steps)]
+
+
+@pytest.mark.parametrize("m_s", [1, 2])
+def test_run_yields_the_step_chain(m_s):
+    """``run`` yields the ``n_steps`` states after its start, with indices
+    1 ... n_steps, each equal bit for bit to the state of an explicit chain
+    of ``step`` calls on the same stepper."""
+    stepper = TimeStepper(Discretization(SimulationConfig(n=8, m_s=m_s)))
+    n_steps = 3  # fewer than the configuration's 8: run takes its count, not T / k
+    chain = [stepper.initialize()]
+    for _ in range(n_steps):
+        chain.append(stepper.step(chain[-1]))
+    states = list(stepper.run(stepper.initialize(), n_steps))
+    assert [s.index for s in states] == [1, 2, 3]
+    for s, c in zip(states, chain[1:]):
+        assert (s.index, s.t, s.solve_residual, s.constraint_residual) \
+            == (c.index, c.t, c.solve_residual, c.constraint_residual)
+        assert s.x.tobytes() == c.x.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -240,14 +259,15 @@ def test_step_refines_inaccurate_solve(disc8):
     assert state.solve_residual <= 1e-10
 
 
-def test_step_residual_relative_to_free_rhs(march):
+def test_step_residual_relative_to_free_rhs():
     """Over 8 steps at n = 32, k = 1, m_s = 2, the step residual relative to
     the free right-hand side b_f alone (not to its hypot with the lid
     values, as ``solve_residual`` is) stays at round-off: at most 1e-14."""
     disc = Discretization(SimulationConfig(n=32, m_s=2, k=1.0))
     stepper = TimeStepper(disc)
     layout, cfg = disc.layout, disc.cfg
-    states = march(stepper)
+    s0 = stepper.initialize()
+    states = [s0, *stepper.run(s0, cfg.n_steps)]
     worst = 0.0
     for old, new in zip(states, states[1:]):
         b = stepper.M @ old.x[:layout.n_system]
