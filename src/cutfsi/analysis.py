@@ -143,7 +143,9 @@ def error_vs_reference(disc_c: Discretization, states_c: list[State],
     """Five error norms of (reference - coarse), Tables layout.
 
     Trajectories must share t=0..T; the reference may use a finer time grid
-    (restricted to the coarse indices).  Both levels are evaluated at the
+    (restricted to the coarse indices).  The coarse step k is read from the
+    coarse states, as the levels of a temporal study share one
+    ``Discretization``.  Both levels are evaluated at the
     coarse ``domain_points``: ``point_eval_matrices`` gives the value, d/dx
     and d/dy maps of a space on one shared CSR index set, once per level
     and space (v_f, p, and the solid space of v_s and u), and each map
@@ -184,7 +186,7 @@ def error_vs_reference(disc_c: Discretization, states_c: list[State],
         return sum(w @ (maps["r", block][m] @ coefs["r"]
                         - maps["c", block][m] @ coefs["c"]) ** 2 for m in which).sum()
 
-    k = disc_c.cfg.k
+    k = states_c[1].t - states_c[0].t
     return {"vf_T": float(np.sqrt(sq_error("vf", (0,), N_c))),
             "vs_T": float(np.sqrt(sq_error("vs", (0,), N_c))),
             "grad_u_T": float(np.sqrt(sq_error("u", (1, 2), N_c))),
@@ -208,13 +210,19 @@ class ErrorReport:
         return out
 
 
+def _trajectory(disc: Discretization, cfg) -> list[State]:
+    """Every state, from the zero state at t = 0 to T, of the run of
+    ``TimeStepper(disc, cfg)``."""
+    stepper = TimeStepper(disc, cfg)
+    s0 = stepper.initialize()
+    return [s0, *stepper.run(s0, stepper.cfg.n_steps)]
+
+
 def run_simulation(cfg):
     """Build a discretization and run ``TimeStepper.run`` from the zero state
     to T; returns (disc, records of the steps, every state from t = 0)."""
     disc = Discretization(cfg)
-    stepper = TimeStepper(disc)
-    s0 = stepper.initialize()
-    states = [s0, *stepper.run(s0, cfg.n_steps)]
+    states = _trajectory(disc, cfg)
     return disc, [StepRecord.of(s) for s in states[1:]], states
 
 
@@ -248,12 +256,15 @@ def temporal_study(base_cfg, k_levels: list[float], k_ref: float) -> ErrorReport
 
 def _study(mode: str, cfg_r, cfgs) -> ErrorReport:
     """Run the reference, then each level against it; a level is its h
-    (space) or k (time)."""
-    disc_r, _, states_r = run_simulation(cfg_r)
+    (space) or k (time).  A temporal study runs the reference and every
+    level on the reference's one ``Discretization``; a spatial study builds
+    one per mesh."""
+    disc_r = Discretization(cfg_r)
+    states_r = _trajectory(disc_r, cfg_r)
     errors = []
     for cfg in cfgs:
-        disc_c, _, states_c = run_simulation(cfg)
-        errors.append(error_vs_reference(disc_c, states_c, disc_r, states_r))
+        disc_c = disc_r if mode == "time" else Discretization(cfg)
+        errors.append(error_vs_reference(disc_c, _trajectory(disc_c, cfg), disc_r, states_r))
     return ErrorReport(mode=mode, levels=[cfg.h if mode == "space" else cfg.k for cfg in cfgs],
                        errors=errors)
 
@@ -405,12 +416,12 @@ def verify_energy_decay(disc: Discretization, n_steps: int = 22,
                         seed: int = 0, tol: float = 1e-9):
     """Run with zero inflow from random initial data; report Q^n decay.
 
-    The zero inflow comes from ``disc``'s configuration with
-    ``peak_inflow = 0``; no form reads it, so R is ``disc``'s bit for bit.
-    Returns (ok, history, first_violation) where history is the list of
-    Q^n values, monitored from the first computed step onward.
+    The run steps ``disc`` itself, with its configuration's k and
+    ``peak_inflow = 0``.  Returns (ok, history, first_violation) where
+    history is the list of Q^n values, monitored from the first computed
+    step onward.
     """
-    stepper = TimeStepper(Discretization(disc.cfg.replace(peak_inflow=0.0)))
+    stepper = TimeStepper(disc, disc.cfg.replace(peak_inflow=0.0))
     history = [stepper.lyapunov(s)
                for s in stepper.run(random_smooth_state(disc, seed=seed), n_steps)]
     # the first step n, with history[n - 1] its Q^n, whose Q^n grew

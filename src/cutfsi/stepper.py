@@ -14,33 +14,40 @@ The continuity form is tested with -xi, so R, and its free block, equal
 their transposes bit for bit; the free block is read through R^T, sorted.
 ``initialize`` gives the zero state at t = 0, ``step`` advances a state by
 k, and ``run`` repeats ``step``: it is the library's one time loop.
+
+A stepper takes its run, the ``RUN_FIELDS`` k, T, ``peak_inflow`` and
+``ramp_time``, from its configuration, which defaults to the
+discretization's: no form reads them, so one ``Discretization`` serves
+every run on its mesh, e.g. each level of a temporal study and the lid-free
+run of the energy-decay check.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import linalg
 from .assembly import combine, operators
-from .config import SimulationConfig
+from .config import ConfigError, SimulationConfig
 from .discretization import Discretization, nested_dissection
 
 # Relative step residual above which one step of iterative refinement
 # against the stored R is made.
 REFINE_TOL = 1e-12
+# The configuration fields of a run, which only the stepper reads.
+RUN_FIELDS = ("k", "T", "peak_inflow", "ramp_time")
 
 
-def system_matrices(disc: Discretization):
+def system_matrices(disc: Discretization, k: float):
     """(R, M, K, forms): the step matrix R = M + k A + k^2 K, and M and K,
     from the k-free operators of one ``assembly.operators`` pass, with its
     ``Forms``.  A lost its round-off relative to its own largest entry, so a
     small k, which leaves R's pressure rows far below R's largest entry,
     drops none of them.  A is freed before M and K are stacked."""
     M, A, K, forms = operators(disc)
-    k = disc.cfg.k
     R = combine(disc, (1.0, M), (k, A), (k * k, K))
     del A
     return R, combine(disc, (1.0, M)), combine(disc, (1.0, K), blocks=("vs",)), forms
@@ -97,12 +104,24 @@ class StepRecord:
 
 
 class TimeStepper:
-    """Assembles and factorizes the (v_f, p, v_s) step system, advances it."""
+    """Assembles and factorizes the (v_f, p, v_s) step system, advances it.
 
-    def __init__(self, disc: Discretization):
+    The run (``RUN_FIELDS``) comes from ``cfg``, by default ``disc.cfg``;
+    ConfigError, naming the fields, if ``cfg`` differs from ``disc.cfg`` in
+    any other field.
+    """
+
+    def __init__(self, disc: Discretization, cfg: SimulationConfig | None = None):
+        cfg = disc.cfg if cfg is None else cfg
+        differ = [f.name for f in fields(cfg) if f.name not in RUN_FIELDS
+                  and getattr(cfg, f.name) != getattr(disc.cfg, f.name)]
+        if differ:
+            raise ConfigError(f"a stepper's configuration may differ from its "
+                              f"discretization's only in {', '.join(RUN_FIELDS)}; "
+                              f"it differs in {', '.join(differ)}")
         self.disc = disc
-        self.cfg = disc.cfg
-        R, self.M, self.K, self.forms = system_matrices(disc)
+        self.cfg = cfg
+        R, self.M, self.K, self.forms = system_matrices(disc, cfg.k)
 
         # Dirichlet data: all fluid-velocity dofs on the outer boundary
         vf = disc.vf

@@ -252,6 +252,29 @@ def test_error_vs_reference_tabulates_once_per_level_and_space(monkeypatch):
     assert sorted(calls) == [8] * 3 + [16] * 3
 
 
+def test_temporal_study_builds_one_discretization(monkeypatch):
+    """A temporal study runs its reference and every level on one
+    ``Discretization``, and its errors equal, bit for bit, those of one
+    ``run_simulation`` per level against one of the reference."""
+    cfg = SimulationConfig(n=8)
+    disc_r, _, states_r = run_simulation(cfg.replace(k=0.25))
+    want = []
+    for k in (1.0, 0.5):
+        disc_c, _, states_c = run_simulation(cfg.replace(k=k))
+        want.append(error_vs_reference(disc_c, states_c, disc_r, states_r))
+    built = []
+    init = Discretization.__init__
+
+    def counting(self, cfg):
+        built.append(cfg)
+        init(self, cfg)
+    monkeypatch.setattr(Discretization, "__init__", counting)
+    report = analysis.temporal_study(cfg, [1.0, 0.5], 0.25)
+    assert built == [cfg.replace(k=0.25)]
+    assert report.levels == [1.0, 0.5]
+    assert repr(report.errors) == repr(want)  # repr tells every float apart
+
+
 def test_ghost_ratios_positive(disc8):
     ratio = ghost_extension_ratios(disc8, side="f", order=2, l=1,
                                    w_max=1.0, seed=0)

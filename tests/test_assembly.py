@@ -579,7 +579,7 @@ def test_pattern_pass_matches_coo_assembly(n, m_s, r2):
     free block of R that the stepper keeps (in its order of the free dofs)
     and its lift of the lid values equal those of the COO assembly."""
     disc = Discretization(SimulationConfig(n=n, m_s=m_s, radius_squared=r2))
-    R, M, K, forms = system_matrices(disc)
+    R, M, K, forms = system_matrices(disc, disc.cfg.k)
     want = coo.assemble_forms(disc)
     for name in forms.__dataclass_fields__:
         assert_matches_oracle(getattr(forms, name), getattr(want, name))
@@ -633,11 +633,12 @@ def test_step_pattern_independent_of_time_step():
 
 
 def test_operators_free_of_time_step():
-    """``operators`` does not read k: two configurations that differ only in
-    k and T give the same data arrays of M, A and K, key for key, and the
-    same ``Forms``, bit for bit."""
-    got, want = (operators(Discretization(SimulationConfig(n=16, m_s=2, k=k, T=T)))
-                 for k, T in ((1.0, 8.0), (1e-4, 1e-4)))
+    """``operators`` reads no run field: two configurations that differ only
+    in k, T, peak_inflow and ramp_time give the same data arrays of M, A and
+    K, key for key, and the same ``Forms``, bit for bit."""
+    got, want = (operators(Discretization(SimulationConfig(n=16, m_s=2, **run)))
+                 for run in (dict(k=1.0, T=8.0, peak_inflow=0.2, ramp_time=2.0),
+                             dict(k=1e-4, T=1e-4, peak_inflow=0.0, ramp_time=0.5)))
     for g, w in zip(got[:3], want[:3]):
         assert g and list(g) == list(w)
         for key in w:
@@ -727,7 +728,7 @@ def test_assembled_matrices_equal_their_transposes(n, m_s, r2, k):
     every ghost-extension band."""
     cfg = SimulationConfig(n=n, m_s=m_s, radius_squared=r2, k=k, T=k)
     disc = Discretization(cfg)
-    R, M, K, forms = system_matrices(disc)
+    R, M, K, forms = system_matrices(disc, disc.cfg.k)
     assert set(disc.patterns) <= UPPER_PAIRS
     arrays = {}
     assemble_forms(disc, arrays)

@@ -1,7 +1,9 @@
 """Command line interface."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import re
 
 import numpy as np
@@ -213,11 +215,33 @@ def test_verify_reports_missing_ghost_path(capsys, monkeypatch):
     assert "[ok  ] n=8 solid area" in out
 
 
-def test_verify_passes(capsys):
+@pytest.fixture(scope="module")
+def verify_run():
+    """(exit status, stdout) of ``cutfsi verify``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(["verify"])
+    return rc, out.getvalue()
+
+
+def test_verify_passes(verify_run):
     """Every built-in check passes on the default configuration."""
-    rc = main(["verify"])
+    rc, out = verify_run
     assert rc == 0
-    assert "all checks passed" in capsys.readouterr().out
+    assert "all checks passed" in out
+
+
+@pytest.mark.parametrize("k,T", [(0.1, 0.3), (0.25, 0.25)])
+def test_verify_ignores_config_run_fields(k, T, tmp_path, capsys, verify_run):
+    """verify checks 22 steps of k = 1/2 whatever k and T the configuration
+    sets, so a config file whose T is no whole number of steps of 1/2 leaves
+    the exit status and the output as they are without the file."""
+    path = tmp_path / "run.cfg"
+    path.write_text(f"k = {k}\nT = {T}\n")
+    rc = main(["verify", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == verify_run
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("key,value", [("n", "64"), ("k", "0.1")])
@@ -268,7 +292,7 @@ def test_verify_applies_other_overrides(capsys, monkeypatch):
     monkeypatch.setattr(analysis, "ghost_extension_ratios", lambda *a, **k: 1.0)
     monkeypatch.setattr(analysis, "verify_energy_decay", lambda *a, **k: (True, [1.0, 0.5], None))
     main(["verify", "--set", "radius_squared=0.6"])
-    assert built == [(8, 0.6), (16, 0.6), (32, 0.6), (8, 0.6)]
+    assert built == [(8, 0.6), (16, 0.6), (32, 0.6)]  # the decay check steps n = 8
     assert "[ok  ] n=32 solid area" in capsys.readouterr().out
 
 

@@ -13,7 +13,7 @@ import cutfsi.analysis
 import cutfsi.assembly
 import cutfsi.discretization
 import cutfsi.stepper
-from cutfsi import (Discretization, SimulationConfig, TimeStepper,
+from cutfsi import (ConfigError, Discretization, SimulationConfig, TimeStepper,
                     ghost_extension_ratios, linalg)
 from cutfsi.stepper import inflow_profile_x, ramp_factor
 
@@ -120,7 +120,7 @@ def test_dirichlet_values_attained(run8, disc8):
 def test_zero_inflow_fixed_point(disc8):
     """With zero lid speed the boundary data and their lift are zero, and
     the zero state is a fixed point."""
-    stepper = TimeStepper(Discretization(disc8.cfg.replace(peak_inflow=0.0)))
+    stepper = TimeStepper(disc8, disc8.cfg.replace(peak_inflow=0.0))
     assert np.all(stepper.g_profile == 0.0) and np.all(stepper.lift == 0.0)
     state = stepper.initialize()
     nxt = stepper.step(state)
@@ -138,6 +138,32 @@ def test_boundary_data_read_only(run8):
         with pytest.raises(ValueError):
             a[:] = 0.0
         assert np.array_equal(a, before), name
+
+
+@pytest.mark.parametrize("field,value", [("n", 16), ("m_s", 2), ("gamma_N", 50.0),
+                                         ("radius_squared", 0.5), ("rho_s", 2.0)])
+def test_stepper_refuses_other_fields(disc8, field, value, monkeypatch):
+    """A configuration that differs from the discretization's in a field
+    other than the run's is refused, naming the field, before any assembly."""
+    monkeypatch.setattr(cutfsi.stepper, "system_matrices",
+                        lambda *a: pytest.fail("assembled a step matrix"))
+    with pytest.raises(ConfigError, match=f"differs in {field}$"):
+        TimeStepper(disc8, disc8.cfg.replace(**{field: value}))
+
+
+def test_stepper_takes_its_run_from_cfg(disc8):
+    """A configuration that differs from the discretization's only in the
+    run fields gives the stepper of a discretization of its own: R, the
+    lift, the LU's fill and a step bit for bit."""
+    cfg = disc8.cfg.replace(k=0.25, T=2.0, peak_inflow=0.5, ramp_time=1.0)
+    got, want = TimeStepper(disc8, cfg), TimeStepper(Discretization(cfg))
+    assert got.cfg is cfg
+    for part in ("indices", "indptr", "data"):
+        assert np.array_equal(getattr(got.R, part), getattr(want.R, part)), part
+    assert got.lift.tobytes() == want.lift.tobytes()
+    assert got.fact.lu_nnz == want.fact.lu_nnz
+    x_got, x_want = (s.step(s.initialize()).x for s in (got, want))
+    assert x_got.tobytes() == x_want.tobytes()
 
 
 def four_block_system(disc, forms):
@@ -203,7 +229,7 @@ def test_step_matrix_symmetric(m_s, k):
     assert abs(R - R.T).max() == 0
     assert stepper.fact.symmetric
 
-    R, _, _, forms = cutfsi.stepper.system_matrices(disc)
+    R, _, _, forms = cutfsi.stepper.system_matrices(disc, k)
     vf, p, vs = (disc.layout.slice(b) for b in ("vf", "p", "vs"))
     for A, pairs in ((R, [(vf, p), (vf, vs), (p, vs)]), (forms.nitsche_pen, [(vf, vs)])):
         for rows, cols in pairs:
@@ -231,7 +257,7 @@ def test_free_block_read_through_transpose():
     bit for bit, and ``lift`` equals R[free][:, dir] g bit for bit."""
     disc = Discretization(SimulationConfig(n=16, m_s=2, k=1.0 / 16.0))
     stepper = TimeStepper(disc)
-    R = cutfsi.stepper.system_matrices(disc)[0][stepper.free]
+    R = cutfsi.stepper.system_matrices(disc, disc.cfg.k)[0][stepper.free]
     want = R[:, stepper.free]
     want.sort_indices()
     for part in ("indices", "indptr", "data"):
