@@ -3,6 +3,7 @@
 Space-time norms accumulate per-step squared norms weighted by k.  Errors
 against a reference run are evaluated at the points of ``domain_points``
 on the coarse mesh (nested meshes make reference cell lookup exact).
+``verify_checks`` yields the checks of ``cutfsi verify``.
 """
 
 from __future__ import annotations
@@ -16,9 +17,12 @@ from .assembly import (SCALAR_KERNELS, Forms, assemble_cells, ghost_data, patter
                        raw_jump_matrices)
 from .config import ConfigError
 from .discretization import Discretization
-from .stepper import State, StepRecord, TimeStepper
+from .mesh import verify_path_assumption
+from .stepper import RUN_FIELDS, State, StepRecord, TimeStepper
 
 ERROR_NORMS = ("vf_T", "vs_T", "grad_u_T", "grad_vf_I", "h_grad_p_I")
+# The configuration fields that ``verify_checks`` sets itself.
+VERIFY_FIELDS = ("n", *RUN_FIELDS)
 # Random samples per ghost-extension ratio.
 GHOST_SAMPLES = 100
 
@@ -428,3 +432,54 @@ def verify_energy_decay(disc: Discretization, n_steps: int = 22,
     violation = next((n for n, (prev, q) in enumerate(zip(history, history[1:]), start=2)
                       if q > prev + tol * max(history[0], 1.0e-300)), None)
     return violation is None, history, violation
+
+
+def verify_checks(cfg, seed: int = 0):
+    """The checks of ``cutfsi verify``, one (label, ok, detail) record each,
+    yielded as it runs: exact cut geometry and ghost-face paths, bounded
+    ghost-extension ratios with the jump terms and unbounded ones without,
+    and energy decay from the random data of seeds seed..seed + 4.
+
+    The checks run on n = 8, 16 and 32.  Each mesh takes the decay check's
+    run, k = 1/2 and T = 11 for the 22 steps of ``verify_energy_decay``,
+    in place of the ``VERIFY_FIELDS`` of ``cfg``.
+    """
+    exact_area = np.pi * cfg.radius_squared
+    exact_len = 2.0 * np.pi * float(np.sqrt(cfg.radius_squared))
+    discs = [Discretization(cfg.replace(n=n, k=0.5, T=11.0)) for n in (8, 16, 32)]
+    for disc in discs:
+        n = disc.mesh.n
+        area = float(np.sum(domain_points(disc, "s")[1]))
+        length = disc.iface_rules.total
+        yield (f"n={n} solid area", abs(area - exact_area) < 1e-8,
+               f"error {abs(area - exact_area):.2e}")
+        yield (f"n={n} interface length", abs(length - exact_len) < 1e-10,
+               f"error {abs(length - exact_len):.2e}")
+        for side in ("f", "s"):
+            label = f"n={n} ghost path assumption ({side})"
+            try:
+                plen, _ = verify_path_assumption(disc.topo, side)
+            except RuntimeError as exc:
+                yield label, False, str(exc)
+            else:
+                yield label, True, f"max path length {plen}"
+
+    # the extension estimate: ratios stay bounded under refinement
+    for side, order in (("f", 2), ("f", 1), ("s", cfg.m_s)):
+        for l in (0, 1):
+            ratios = [ghost_extension_ratios(disc, side, order, l, cfg.w_max, seed=seed)
+                      for disc in discs]
+            yield (f"ghost extension side={side} order={order} l={l}",
+                   max(ratios) / min(ratios) <= 2.0,
+                   "ratios " + ", ".join(f"{r:.3f}" for r in ratios))
+
+    # necessity: without the jump terms no h-uniform constant exists
+    ratios = [ghost_extension_ratios(disc, "f", 2, 1, cfg.w_max, gamma_on=False,
+                                     sampler="cell", seed=seed) for disc in discs]
+    yield ("ghost necessity (gamma=0, fluid, l=1)", max(ratios) / min(ratios) >= 5.0,
+           "ratios " + ", ".join(f"{r:.1f}" for r in ratios))
+
+    for s in range(seed, seed + 5):
+        ok, hist, viol = verify_energy_decay(discs[0], seed=s)
+        yield (f"energy decay seed={s}", ok, f"Q drops {hist[0]:.3e} -> {hist[-1]:.3e}"
+               + ("" if ok else f", violated at step {viol}"))

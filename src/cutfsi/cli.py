@@ -12,13 +12,10 @@ import sys
 from decimal import Context, Decimal
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis, reporting
-from .config import ConfigError, SimulationConfig, format_config, parse_config
+from .config import ConfigError, SimulationConfig, parse_config
 from .discretization import Discretization
 from .linalg import SingularMatrixError
-from .mesh import verify_path_assumption
 from .stepper import StepRecord, TimeStepper
 
 # Desk-scale guardrail: a finer mesh, a reference run that stores more
@@ -141,70 +138,14 @@ def cmd_verify(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     overrides = _overrides(args)
-    for key in ("n", "k"):  # verify sets these itself
+    for key in analysis.VERIFY_FIELDS:
         if key in overrides:
-            raise ConfigError(f"verify checks its own meshes and time step "
-                              f"(n = 8, 16, 32; k = 0.5); it does not take --set {key}")
-    cfg = _load_config(args)
+            raise ConfigError(f"verify sets {', '.join(analysis.VERIFY_FIELDS)} itself; "
+                              f"it does not take --set {key}")
     failures = 0
-
-    def check(label, ok, detail=""):
-        nonlocal failures
-        mark = "ok  " if ok else "FAIL"
-        print(f"[{mark}] {label}" + (f": {detail}" if detail else ""))
-        if not ok:
-            failures += 1
-
-    # geometry: cut quadrature reproduces the exact area and arc length.
-    # The meshes take the energy decay's run, 22 steps of k = 1/2, in place
-    # of the configuration's k and T, which verify does not read
-    exact_area = np.pi * cfg.radius_squared
-    exact_len = 2.0 * np.pi * np.sqrt(cfg.radius_squared)
-    discs = {n: Discretization(cfg.replace(n=n, k=0.5, T=11.0)) for n in (8, 16, 32)}
-    for n in (8, 16, 32):
-        disc = discs[n]
-        _, w, _ = analysis.domain_points(disc, "s")
-        area = float(np.sum(w))
-        length = disc.iface_rules.total
-        check(f"n={n} solid area", abs(area - exact_area) < 1e-8,
-              f"error {abs(area - exact_area):.2e}")
-        check(f"n={n} interface length", abs(length - exact_len) < 1e-10,
-              f"error {abs(length - exact_len):.2e}")
-        for side in ("f", "s"):
-            label = f"n={n} ghost path assumption ({side})"
-            try:
-                plen, _ = verify_path_assumption(disc.topo, side)
-            except RuntimeError as exc:
-                check(label, False, str(exc))
-            else:
-                check(label, True, f"max path length {plen}")
-
-    # ghost-extension estimate: ratios stay bounded under refinement
-    for side, order in (("f", 2), ("f", 1), ("s", cfg.m_s)):
-        for l in (0, 1):
-            ratios = [analysis.ghost_extension_ratios(
-                discs[n], side, order, l, cfg.w_max, seed=args.seed)
-                for n in (8, 16, 32)]
-            spread = max(ratios) / min(ratios)
-            check(f"ghost extension side={side} order={order} l={l}",
-                  spread <= 2.0,
-                  "ratios " + ", ".join(f"{r:.3f}" for r in ratios))
-
-    # necessity: without the jump terms no h-uniform constant exists
-    ratios = [analysis.ghost_extension_ratios(
-        discs[n], "f", 2, 1, cfg.w_max, gamma_on=False, sampler="cell",
-        seed=args.seed) for n in (8, 16, 32)]
-    check("ghost necessity (gamma=0, fluid, l=1)",
-          max(ratios) / min(ratios) >= 5.0,
-          "ratios " + ", ".join(f"{r:.1f}" for r in ratios))
-
-    # energy decay from random data with zero inflow
-    for seed in range(args.seed, args.seed + 5):
-        ok, hist, viol = analysis.verify_energy_decay(discs[8], seed=seed)
-        check(f"energy decay seed={seed}", ok,
-              f"Q drops {hist[0]:.3e} -> {hist[-1]:.3e}"
-              + ("" if ok else f", violated at step {viol}"))
-
+    for label, ok, detail in analysis.verify_checks(_load_config(args), args.seed):
+        print(f"[{'ok  ' if ok else 'FAIL'}] {label}: {detail}")
+        failures += not ok
     print(f"{failures} failures" if failures else "all checks passed")
     return 1 if failures else 0
 

@@ -231,6 +231,29 @@ def test_verify_passes(verify_run):
     assert "all checks passed" in out
 
 
+def test_verify_checks_are_the_cli_lines(verify_run):
+    """At the default configuration the generator yields 24 records, all ok,
+    which render as the lines of ``cutfsi verify`` before its summary."""
+    records = list(analysis.verify_checks(SimulationConfig()))
+    assert len(records) == 24
+    assert all(ok is True for _, ok, _ in records)
+    lines = [f"[ok  ] {label}: {detail}" for label, _, detail in records]
+    assert lines + ["all checks passed"] == verify_run[1].splitlines()
+
+
+def test_verify_prints_checks_before_a_solver_error(capsys):
+    """Each check prints as it runs: with gamma_N = 1e20 the decay check's
+    LU is exactly singular, so verify exits 3 with one stderr line after
+    the 19 geometry and ghost lines."""
+    rc = main(["verify", "--set", "gamma_N=1e20"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err == "solver error: sparse LU failed: Factor is exactly singular\n"
+    lines = captured.out.splitlines()
+    assert len(lines) == 19
+    assert lines[-1].startswith("[ok  ] ghost necessity")
+
+
 @pytest.mark.parametrize("k,T", [(0.1, 0.3), (0.25, 0.25)])
 def test_verify_ignores_config_run_fields(k, T, tmp_path, capsys, verify_run):
     """verify checks 22 steps of k = 1/2 whatever k and T the configuration
@@ -244,11 +267,12 @@ def test_verify_ignores_config_run_fields(k, T, tmp_path, capsys, verify_run):
     assert captured.err == ""
 
 
-@pytest.mark.parametrize("key,value", [("n", "64"), ("k", "0.1")])
+@pytest.mark.parametrize("key,value", [("n", "64"), ("k", "0.1"), ("T", "4"),
+                                       ("peak_inflow", "0"), ("ramp_time", "0.5")])
 def test_verify_rejects_fixed_keys(key, value, capsys, monkeypatch):
-    """verify checks n = 8, 16, 32 at k = 1/2 whatever the configuration
-    says, so a --set of n or k exits 2, naming the key, before any
-    discretization is built."""
+    """verify checks n = 8, 16, 32 and a run of its own whatever the
+    configuration says, so a --set of n or of a run field exits 2, naming
+    the key, before any discretization is built."""
     monkeypatch.setattr(discretization.Discretization, "__init__",
                         lambda self, cfg: pytest.fail(f"built a discretization at n={cfg.n}"))
     rc = main(["verify", "--set", f"{key}={value}"])
