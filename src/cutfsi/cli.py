@@ -92,11 +92,9 @@ def cmd_run(args) -> int:
     reporting.write_step_log(outdir / "steps.csv", cfg, records)
     reporting.write_snapshot(outdir, disc, state, "final")
     e = records[-1].energy
-    fact = stepper.fact
-    lu_path = "symmetric-mode" if fact.symmetric else "COLAMD fallback"
     print(f"ran {cfg.n_steps} steps to T={cfg.T:g} on n={cfg.n} "
           f"(h={disc.h:g}, {disc.layout.total} dofs, "
-          f"{lu_path} LU with {fact.lu_nnz} nonzeros)")
+          f"symmetric-mode LU with {stepper.fact.lu_nnz} nonzeros)")
     print(f"final solve residual {state.solve_residual:.3e}, "
           f"constraint residual {state.constraint_residual:.3e}")
     print(f"final energies: E_T^2={e['E_T2']:.6e}  E_g^2={e['E_g2']:.6e}  "

@@ -1,6 +1,5 @@
 """Direct sparse solver wrapper."""
 
-import logging
 import os
 import subprocess
 import sys
@@ -12,6 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from cutfsi import Discretization, SimulationConfig, TimeStepper, linalg
+from cutfsi.cli import main
 
 
 def test_solve_matches_dense():
@@ -27,9 +27,13 @@ def test_solve_matches_dense():
 
 
 def test_singular_matrix_raises():
-    A = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
-    with pytest.raises(linalg.SingularMatrixError):
-        linalg.factorize(A)
+    """A rank-deficient matrix, and one with an empty row in the middle or
+    at the end, are reported singular."""
+    for rows in ([[1.0, 2.0], [2.0, 4.0]],
+                 [[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 3.0]],
+                 [[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]):
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.factorize(sp.csr_matrix(np.array(rows)))
 
 
 def test_solve_dimension_check():
@@ -40,64 +44,80 @@ def test_solve_dimension_check():
 
 
 def test_symmetric_mode_step_matrix():
-    """The n = 8, k = 1, m_s = 2 step matrix (on which a minimum-degree
-    order with a zero pivot threshold leaves a probe residual of 0.98)
-    factors in symmetric mode to round-off."""
+    """The n = 8, k = 1, m_s = 2 step matrix factors to round-off."""
     stepper = TimeStepper(Discretization(SimulationConfig(n=8, m_s=2, k=1.0)))
     fact = stepper.fact
-    assert fact.symmetric and fact.lu_nnz > 0
+    assert fact.lu_nnz > 0
     b = np.random.default_rng(1).standard_normal(fact.n)
     x = fact.solve(b)
     assert np.linalg.norm(stepper.R @ x - b) / np.linalg.norm(b) <= 1e-12
 
 
-def test_pivot_threshold_keeps_symmetric_mode():
+def test_pivot_threshold_keeps_symmetric_mode(monkeypatch):
     """In ascending free-dof order the n = 8, k = 1, m_s = 2 step matrix
-    needs SYMMETRIC_PIVOT_THRESH: a pivot must leave the diagonal, and with
-    a zero threshold the probe residual is 1.5 and the factor falls back
-    to COLAMD."""
+    needs SYMMETRIC_PIVOT_THRESH: a pivot must leave the diagonal.  With a
+    zero threshold the factor is bad (probe backward error 1.2e-3), and the
+    probe refuses it."""
     stepper = TimeStepper(Discretization(SimulationConfig(n=8, m_s=2, k=1.0)))
     o = np.argsort(stepper.free)
-    fact = linalg.factorize(stepper.R[o][:, o])
-    assert fact.symmetric
+    A = stepper.R[o][:, o]
+    linalg.factorize(A)
+    monkeypatch.setattr(linalg, "SYMMETRIC_PIVOT_THRESH", 0.0)
+    with pytest.raises(linalg.SingularMatrixError, match="probe backward error"):
+        linalg.factorize(A)
 
 
-def test_fallback_to_colamd(monkeypatch, caplog):
-    """A symmetric-mode factor that fails its probe (here the factor of
-    A + 0.01 I) is replaced by a COLAMD factor, with a logged warning."""
+def _perturbed_splu(monkeypatch):
+    """Make every factor the factor of A + 0.01 I, one that fails its
+    probe; returns the list of the calls made."""
     real = spla.splu
     calls = []
 
     def splu(A, **kwargs):
         calls.append(kwargs)
-        if kwargs.get("options", {}).get("SymmetricMode"):
-            return real(sp.csc_matrix(A + 0.01 * sp.eye(A.shape[0])), **kwargs)
-        return real(A, **kwargs)
+        return real(sp.csc_matrix(A + 0.01 * sp.eye(A.shape[0])), **kwargs)
     monkeypatch.setattr(spla, "splu", splu)
+    return calls
 
+
+def test_probe_failure_raises_after_one_factorization(monkeypatch):
+    """A factor that fails its probe is refused: one splu call, in symmetric
+    mode, and no second factor."""
+    calls = _perturbed_splu(monkeypatch)
     rng = np.random.default_rng(2)
     n = 40
     B = sp.random(n, n, density=0.2, random_state=rng)
-    A = sp.csc_matrix(B + B.T + sp.eye(n) * 5.0)
-    with caplog.at_level(logging.WARNING, logger="cutfsi.linalg"):
-        fact = linalg.factorize(A)
-    assert not fact.symmetric
-    assert [c.get("permc_spec", "COLAMD") for c in calls] == ["NATURAL", "COLAMD"]
-    assert any(r.name == "cutfsi.linalg" and r.levelno == logging.WARNING
-               for r in caplog.records)
-    b = rng.standard_normal(n)
-    assert np.linalg.norm(A @ fact.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
-    with pytest.raises(linalg.SingularMatrixError):
-        linalg.factorize(sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 4.0]])))
+    with pytest.raises(linalg.SingularMatrixError, match="probe backward error"):
+        linalg.factorize(sp.csc_matrix(B + B.T + sp.eye(n) * 5.0))
+    assert calls == [{"permc_spec": "NATURAL",
+                      "diag_pivot_thresh": linalg.SYMMETRIC_PIVOT_THRESH,
+                      "options": {"SymmetricMode": True}}]
 
 
-def test_fallback_probe_failure_raises(monkeypatch):
-    """A fallback factor that fails its probe too is reported singular."""
-    real = spla.splu
-    monkeypatch.setattr(spla, "splu", lambda A, **kw: real(
-        sp.csc_matrix(A + 0.01 * sp.eye(A.shape[0])), **kw))
-    with pytest.raises(linalg.SingularMatrixError):
-        linalg.factorize(sp.csc_matrix(np.diag([1.0, 2.0, 3.0])))
+def test_probe_failure_exits_3_with_one_line(monkeypatch, tmp_path, capsys):
+    """``cutfsi run`` on a factor that fails its probe exits 3 and writes
+    exactly one line to stderr."""
+    _perturbed_splu(monkeypatch)
+    rc = main(["run", "--set", "n=8", "--set", "T=1", "--output-dir", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: numerically singular factorization "
+                          "(probe backward error ") and err.count("\n") == 1, err
+
+
+def test_stiff_solid_factors_and_runs():
+    """At mu_s = 1e3, lambda_s = 1e4 (n = 16, m_s = 2, k = 1) b = A·1 is
+    1e-6 of ||A||_inf, so a residual relative to ||b|| read 1.5e-9 on a
+    factor whose backward error is 3e-16.  The stepper builds, and its
+    first 4 steps have finite states and refined solve residuals (4.7e-13
+    to 9.1e-13; about 1e-12 is the floor here, so the bound is 1e-11)."""
+    cfg = SimulationConfig(n=16, m_s=2, mu_s=1e3, lambda_s=1e4, k=1.0)
+    stepper = TimeStepper(Discretization(cfg))
+    states = list(stepper.run(stepper.initialize(), 4))
+    assert len(states) == 4
+    for state in states:
+        assert np.isfinite(state.x).all()
+        assert state.solve_residual <= 1e-11, (state.index, state.solve_residual)
 
 
 def test_factor_reads_the_csr_arrays(monkeypatch):

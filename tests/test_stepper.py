@@ -219,15 +219,13 @@ def test_reduced_solve_matches_full():
 @pytest.mark.parametrize("k", [1.0, 1.0 / 16.0])
 def test_step_matrix_symmetric(m_s, k):
     """With the continuity form tested with -xi, the free block of the step
-    matrix equals its transpose bit for bit and is factored in symmetric
-    mode.  Each coupling is assembled once, so every off-diagonal block
-    pair of the full step matrix, and the (v_f, v_s) pair of the Nitsche
-    penalty, are transposes bit for bit."""
+    matrix equals its transpose bit for bit.  Each coupling is assembled
+    once, so every off-diagonal block pair of the full step matrix, and the
+    (v_f, v_s) pair of the Nitsche penalty, are transposes bit for bit."""
     disc = Discretization(SimulationConfig(n=8, m_s=m_s, k=k))
     stepper = TimeStepper(disc)
     R = stepper.R
     assert abs(R - R.T).max() == 0
-    assert stepper.fact.symmetric
 
     R, _, _, forms = cutfsi.stepper.system_matrices(disc, k)
     vf, p, vs = (disc.layout.slice(b) for b in ("vf", "p", "vs"))
@@ -336,7 +334,6 @@ def test_nested_dissection_top_separator(m_s):
         assert np.any(k1 % mesh.n == mesh.n // 2 - 1)
     # the factor keeps the order's fill: without the ghost-face separators
     # it stores 393 288 (m_s = 1) and 871 962 (m_s = 2) entries
-    assert stepper.fact.symmetric
     assert stepper.fact.lu_nnz <= 1.05 * {1: 262_524, 2: 574_620}[m_s]
 
 
