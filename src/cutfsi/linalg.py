@@ -6,9 +6,11 @@ is factored in SuperLU's symmetric mode: in the natural order, with
 diagonal pivoting (a small nonzero threshold lets SuperLU swap a pivot off
 the diagonal where it must).  The caller passes A in a fill-reducing
 order; the stepper orders it by nested dissection of the mesh lattice
-(``discretization.nested_dissection``).  One probe solve against A·1
-checks the factor: if its normwise backward error exceeds PROBE_TOL, the
-matrix is reported singular.  SuperLU factors column-compressed matrices,
+(``discretization.nested_dissection``).  One test judges every solve:
+its normwise backward error (``Factorization.backward_error``) must not
+exceed PROBE_TOL.  One probe solve against A·1 checks the factor so: if it
+fails, the matrix is reported singular.  The stepper checks each step's
+solve the same way.  SuperLU factors column-compressed matrices,
 so it is handed the CSR arrays of A as the CSC arrays of A^T, without a
 copy, and every solve takes the transpose back.
 A factorization is computed once per mesh and reused for every time step.
@@ -27,10 +29,11 @@ if TYPE_CHECKING:
     import scipy.sparse.linalg as spla
 
 # Normwise backward error ||A x - b||_inf / (||A||_inf ||x||_inf + ||b||_inf)
-# the probe solve of b = A·1 must reach (Higham, Accuracy and Stability of
-# Numerical Algorithms, sec. 7.1).  Unlike ||A x - b|| / ||b||, it does not
-# grow when b is small beside A, as at mu_s = 1e3, lambda_s = 1e4, where
-# constants nearly lie in the kernel of A: b = A·1 is 1e-6 of ||A||_inf.
+# every solve must reach, the probe solve of b = A·1 and each step's solve
+# (Higham, Accuracy and Stability of Numerical Algorithms, sec. 7.1).
+# Unlike ||A x - b|| / ||b||, it does not grow when b is small beside A, as
+# at mu_s = 1e3, lambda_s = 1e4, where constants nearly lie in the kernel
+# of A: b = A·1 is 1e-6 of ||A||_inf.
 PROBE_TOL = 1e-10
 # Diagonal pivot threshold of the symmetric mode.  The pressure rows have
 # zero diagonals off the ghost faces.  In the stepper's nested-dissection
@@ -55,10 +58,17 @@ class Factorization:
     5% more at n = 32); counting those would copy both factors.
     """
 
-    def __init__(self, lu: spla.SuperLU, n: int):
+    def __init__(self, lu: spla.SuperLU, n: int, norm_a: float):
         self._lu = lu
         self.n = n
         self.lu_nnz = int(lu.nnz)
+        self._norm_a = float(norm_a)  # ||A||_inf of the factored matrix A
+
+    def backward_error(self, x: np.ndarray, b: np.ndarray, r: np.ndarray) -> float:
+        """Normwise backward error ||r||_inf / (||A||_inf ||x||_inf + ||b||_inf)
+        of a solution x of A x = b with residual r = b - A x (either sign).
+        A solve is accurate when it is at most PROBE_TOL; NaN if r is."""
+        return np.abs(r).max() / max(self._norm_a * np.abs(x).max() + np.abs(b).max(), 1e-300)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
@@ -93,10 +103,11 @@ def factorize(A: sp.spmatrix) -> Factorization:
                        options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SingularMatrixError(f"sparse LU failed: {exc}") from exc
+    fact = Factorization(lu, A.shape[0], norm_a)
     b = A @ np.ones(A.shape[0])
     x = lu.solve(b, trans="T")
-    err = np.abs(A @ x - b).max() / max(norm_a * np.abs(x).max() + np.abs(b).max(), 1e-300)
+    err = fact.backward_error(x, b, A @ x - b)
     if not err <= PROBE_TOL:  # a NaN fails too
         raise SingularMatrixError(
             f"numerically singular factorization (probe backward error {err:.2e})")
-    return Factorization(lu, A.shape[0])
+    return fact

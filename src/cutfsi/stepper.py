@@ -13,7 +13,11 @@ right-hand side as the ramp times ``lift``, R[free, dir] g at full ramp.
 The continuity form is tested with -xi, so R, and its free block, equal
 their transposes bit for bit; the free block is read through R^T, sorted.
 ``initialize`` gives the zero state at t = 0, ``step`` advances a state by
-k, and ``run`` repeats ``step``: it is the library's one time loop.
+k, and ``run`` repeats ``step``: it is the library's one time loop.  A
+step's solve passes the one accuracy test of ``linalg``, a normwise
+backward error of at most ``linalg.PROBE_TOL``; one that fails it is
+refined once against the stored R, and a step that still fails it raises
+``linalg.SingularMatrixError``.
 
 A stepper takes its run, the ``RUN_FIELDS`` k, T, ``peak_inflow`` and
 ``ramp_time``, from its configuration, which defaults to the
@@ -33,10 +37,10 @@ from . import linalg
 from .assembly import combine, operators
 from .config import ConfigError, SimulationConfig
 from .discretization import Discretization, nested_dissection
+# read by name: perfbench's smoke check swaps the module ``linalg`` for a
+# stand-in that holds only ``factorize``
+from .linalg import PROBE_TOL
 
-# Relative step residual above which one step of iterative refinement
-# against the stored R is made.
-REFINE_TOL = 1e-12
 # The configuration fields of a run, which only the stepper reads.
 RUN_FIELDS = ("k", "T", "peak_inflow", "ramp_time")
 
@@ -178,15 +182,20 @@ class TimeStepper:
         b[layout.slice("vs")] -= cfg.k * (self.K @ u_old)
         b_f = b[self.free] - ramp * self.lift
         x_f = self.fact.solve(b_f)
-        b_norm = max(np.hypot(np.linalg.norm(b_f), np.linalg.norm(g)), 1e-300)
         r = b_f - self.R @ x_f
-        res = np.linalg.norm(r) / b_norm
-        if res > REFINE_TOL:
+        eta = self.fact.backward_error(x_f, b_f, r)
+        if eta > PROBE_TOL:  # one step of iterative refinement
             x_f += self.fact.solve(r)
-            res = np.linalg.norm(b_f - self.R @ x_f) / b_norm
+            r = b_f - self.R @ x_f
+            eta = self.fact.backward_error(x_f, b_f, r)
+        res = np.linalg.norm(r) / max(np.hypot(np.linalg.norm(b_f), np.linalg.norm(g)), 1e-300)
         if not np.isfinite(res):
             raise linalg.SingularMatrixError(
                 f"step {state.index + 1}: relative residual {res} is not finite")
+        if eta > PROBE_TOL:
+            raise linalg.SingularMatrixError(
+                f"step {state.index + 1}: backward error {eta:.2e} exceeds "
+                f"{PROBE_TOL:.0e} after one refinement")
         x = np.empty(layout.total)
         x[self.free], x[self.dir_idx] = x_f, g
         x[layout.slice("u")] = u_old + cfg.k * x[layout.slice("vs")]

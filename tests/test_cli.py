@@ -8,6 +8,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cutfsi import SimulationConfig, analysis, discretization, linalg, run_simulation
 from cutfsi.assembly import assemble_forms
@@ -179,6 +180,21 @@ def test_non_finite_step_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err == \
         "solver error: step 1: relative residual nan is not finite\n"
     assert not (tmp_path / "steps.csv").exists()
+
+
+def test_unrepairable_step_exits_3(tmp_path, capsys, monkeypatch):
+    """A factor of the step matrix with its diagonal perturbed by 1e-3
+    (relative) passes its probe, but one refinement leaves the first step's
+    backward error above linalg.PROBE_TOL: ``cutfsi run`` exits 3 with one
+    stderr line naming the step, instead of exiting 0."""
+    real = linalg.factorize
+    monkeypatch.setattr(linalg, "factorize",
+                        lambda A: real(A + 1e-3 * sp.diags(A.diagonal())))
+    rc = main(["run", "--set", "n=8", "--set", "T=1", "--output-dir", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"solver error: step 1: backward error \S+ exceeds 1e-10 "
+                        r"after one refinement\n", err), err
 
 
 def test_verify_unreadable_config_exits_2(tmp_path, capsys, monkeypatch):

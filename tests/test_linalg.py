@@ -105,16 +105,25 @@ def test_probe_failure_exits_3_with_one_line(monkeypatch, tmp_path, capsys):
                           "(probe backward error ") and err.count("\n") == 1, err
 
 
-def test_stiff_solid_factors_and_runs():
+def test_stiff_solid_factors_and_runs(monkeypatch):
     """At mu_s = 1e3, lambda_s = 1e4 (n = 16, m_s = 2, k = 1) b = A·1 is
     1e-6 of ||A||_inf, so a residual relative to ||b|| read 1.5e-9 on a
-    factor whose backward error is 3e-16.  The stepper builds, and its
-    first 4 steps have finite states and refined solve residuals (4.7e-13
-    to 9.1e-13; about 1e-12 is the floor here, so the bound is 1e-11)."""
+    factor whose backward error is 3e-16.  The stepper builds, and its 8
+    steps have finite states and take one solve each: their backward
+    errors are about 1e-17, so none is refined, and their solve residuals
+    read 4.7e-13 to 1.4e-12 (about 1e-12 is the floor here, so the bound
+    is 1e-11)."""
     cfg = SimulationConfig(n=16, m_s=2, mu_s=1e3, lambda_s=1e4, k=1.0)
     stepper = TimeStepper(Discretization(cfg))
-    states = list(stepper.run(stepper.initialize(), 4))
-    assert len(states) == 4
+    real = linalg.Factorization.solve
+    solves = []
+
+    def solve(self, b):
+        solves.append(b)
+        return real(self, b)
+    monkeypatch.setattr(linalg.Factorization, "solve", solve)
+    states = list(stepper.run(stepper.initialize(), 8))
+    assert len(states) == 8 and len(solves) == 8
     for state in states:
         assert np.isfinite(state.x).all()
         assert state.solve_residual <= 1e-11, (state.index, state.solve_residual)

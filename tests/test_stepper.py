@@ -267,8 +267,9 @@ def test_free_block_read_through_transpose():
 
 def test_step_refines_inaccurate_solve(disc8):
     """A factor of R with its diagonal perturbed by 1e-6 (relative) leaves a
-    step residual of about 1e-6; the one refinement step against the stored
-    R brings it to about 1e-12 with one extra solve."""
+    first solve of backward error 1.6e-9, above linalg.PROBE_TOL; the one
+    refinement step against the stored R brings it to 1.6e-14 with one
+    extra solve."""
     stepper = TimeStepper(disc8)
     R = stepper.R
     fact = linalg.factorize(R + 1e-6 * sp.diags(R.diagonal()))
@@ -277,10 +278,24 @@ def test_step_refines_inaccurate_solve(disc8):
     def solve(b):
         solves.append(b)
         return fact.solve(b)
-    stepper.fact = types.SimpleNamespace(solve=solve)
+    stepper.fact = types.SimpleNamespace(solve=solve, backward_error=fact.backward_error)
     state = stepper.step(stepper.initialize())
     assert len(solves) == 2
     assert state.solve_residual <= 1e-10
+
+
+def test_step_refuses_unrepairable_solve(disc8):
+    """A factor of R with its diagonal perturbed by 1e-3 (relative) passes
+    its own probe, but one refinement leaves the first step's backward
+    error at about 1e-8, above linalg.PROBE_TOL: the step raises, naming
+    the step and the backward error, rather than returning a state."""
+    stepper = TimeStepper(disc8)
+    R = stepper.R
+    stepper.fact = linalg.factorize(R + 1e-3 * sp.diags(R.diagonal()))
+    with pytest.raises(linalg.SingularMatrixError,
+                       match=r"^step 1: backward error \d\.\d\de-0[89] exceeds 1e-10 "
+                             r"after one refinement$"):
+        stepper.step(stepper.initialize())
 
 
 def test_step_residual_relative_to_free_rhs():
