@@ -434,11 +434,12 @@ def verify_energy_decay(disc: Discretization, n_steps: int = 22,
     return violation is None, history, violation
 
 
-def verify_checks(cfg, seed: int = 0):
+def verify_checks(cfg):
     """The checks of ``cutfsi verify``, one (label, ok, detail) record each,
     yielded as it runs: exact cut geometry and ghost-face paths, bounded
     ghost-extension ratios with the jump terms and unbounded ones without,
-    and energy decay from the random data of seeds seed..seed + 4.
+    both from the ghost draws of seed 0, and energy decay from the random
+    data of seeds 0-4.
 
     The checks run on n = 8, 16 and 32.  Each mesh takes the decay check's
     run, k = 1/2 and T = 11 for the 22 steps of ``verify_energy_decay``,
@@ -467,7 +468,7 @@ def verify_checks(cfg, seed: int = 0):
     # the extension estimate: ratios stay bounded under refinement
     for side, order in (("f", 2), ("f", 1), ("s", cfg.m_s)):
         for l in (0, 1):
-            ratios = [ghost_extension_ratios(disc, side, order, l, cfg.w_max, seed=seed)
+            ratios = [ghost_extension_ratios(disc, side, order, l, cfg.w_max)
                       for disc in discs]
             yield (f"ghost extension side={side} order={order} l={l}",
                    max(ratios) / min(ratios) <= 2.0,
@@ -475,11 +476,11 @@ def verify_checks(cfg, seed: int = 0):
 
     # necessity: without the jump terms no h-uniform constant exists
     ratios = [ghost_extension_ratios(disc, "f", 2, 1, cfg.w_max, gamma_on=False,
-                                     sampler="cell", seed=seed) for disc in discs]
+                                     sampler="cell") for disc in discs]
     yield ("ghost necessity (gamma=0, fluid, l=1)", max(ratios) / min(ratios) >= 5.0,
            "ratios " + ", ".join(f"{r:.1f}" for r in ratios))
 
-    for s in range(seed, seed + 5):
+    for s in range(5):
         ok, hist, viol = verify_energy_decay(discs[0], seed=s)
         yield (f"energy decay seed={s}", ok, f"Q drops {hist[0]:.3e} -> {hist[-1]:.3e}"
                + ("" if ok else f", violated at step {viol}"))

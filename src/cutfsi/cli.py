@@ -133,15 +133,14 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     overrides = _overrides(args)
     for key in analysis.VERIFY_FIELDS:
         if key in overrides:
             raise ConfigError(f"verify sets {', '.join(analysis.VERIFY_FIELDS)} itself; "
                               f"it does not take --set {key}")
+    cfg = parse_config(args.config, overrides=overrides)
     failures = 0
-    for label, ok, detail in analysis.verify_checks(_load_config(args), args.seed):
+    for label, ok, detail in analysis.verify_checks(cfg):
         print(f"[{'ok  ' if ok else 'FAIL'}] {label}: {detail}")
         failures += not ok
     print(f"{failures} failures" if failures else "all checks passed")
@@ -184,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="stability and geometry checks on n = 8, 16, 32")
     config(p_ver)
-    p_ver.add_argument("--seed", type=int, default=0)
     p_ver.set_defaults(func=cmd_verify)
     return parser
 

@@ -23,8 +23,8 @@ def test_parser_subcommands():
     assert args.command == "run" and args.dump_every == 2
     args = parser.parse_args(["convergence", "--mode", "space", "--levels", "3"])
     assert args.mode == "space" and args.levels == 3
-    args = parser.parse_args(["verify", "--seed", "4"])
-    assert args.seed == 4
+    args = parser.parse_args(["verify", "--set", "m_s=2"])
+    assert args.command == "verify" and args.set == ["m_s=2"]
 
 
 def test_requires_subcommand():
@@ -294,18 +294,6 @@ def test_verify_rejects_fixed_keys(key, value, capsys, monkeypatch):
     rc = main(["verify", "--set", f"{key}={value}"])
     assert rc == 2
     assert f"--set {key}" in capsys.readouterr().err
-
-
-def test_verify_refuses_negative_seed(capsys, monkeypatch):
-    """The ghost checks seed numpy's generator with --seed, which takes no
-    negative seed: verify exits 2, naming the option, before any check."""
-    monkeypatch.setattr(discretization.Discretization, "__init__",
-                        lambda self, cfg: pytest.fail(f"built a discretization at n={cfg.n}"))
-    rc = main(["verify", "--seed", "-1"])
-    assert rc == 2
-    captured = capsys.readouterr()
-    assert "--seed must be >= 0, got -1" in captured.err
-    assert captured.out == ""
 
 
 @pytest.mark.parametrize("option", [["--output-dir", "vo"], ["--allow-large"]])
