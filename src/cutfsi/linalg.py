@@ -6,7 +6,8 @@ is factored in SuperLU's symmetric mode: in the natural order, with
 diagonal pivoting (a small nonzero threshold lets SuperLU swap a pivot off
 the diagonal where it must).  The caller passes A in a fill-reducing
 order; the stepper orders it by nested dissection of the mesh lattice
-(``discretization.nested_dissection``).  One test judges every solve:
+(``stepper.nested_dissection``), whose separators are the dofs on a mesh
+line and those the matrix couples across it.  One test judges every solve:
 its normwise backward error (``Factorization.backward_error``) must not
 exceed PROBE_TOL.  One probe solve against A·1 checks the factor so: if it
 fails, the matrix is reported singular.  The stepper checks each step's

@@ -8,7 +8,9 @@ operators of ``assembly.operators`` (``system_matrices``).  The step matrix
 is time independent (fixed interface), so it is assembled and factorized
 once; only the ramped lid values change per step.  Only the free
 (non-Dirichlet) block of R is factorized, with the free dofs ``free`` in
-the nested-dissection order of the mesh lattice.  The lid enters each
+the nested-dissection order of the mesh lattice (``nested_dissection``):
+a separator is the dofs on its mesh line and those R couples across it,
+read from R's rows.  The lid enters each
 right-hand side as the ramp times ``lift``, R[free, dir] g at full ramp.
 The continuity form is tested with -xi, so R, and its free block, equal
 their transposes bit for bit; the free block is read through R^T, sorted.
@@ -34,9 +36,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import linalg
-from .assembly import combine, operators
+from .assembly import SYSTEM_BLOCKS, combine, operators
 from .config import ConfigError, SimulationConfig
-from .discretization import Discretization, nested_dissection
+from .discretization import Discretization
 # read by name: perfbench's smoke check swaps the module ``linalg`` for a
 # stand-in that holds only ``factorize``
 from .linalg import PROBE_TOL
@@ -55,6 +57,56 @@ def system_matrices(disc: Discretization, k: float):
     R = combine(disc, (1.0, M), (k, A), (k * k, K))
     del A
     return R, combine(disc, (1.0, M)), combine(disc, (1.0, K), blocks=("vs",)), forms
+
+
+def nested_dissection(disc: Discretization, R, dofs: np.ndarray) -> np.ndarray:
+    """``dofs`` (system ids of the step system) in nested-dissection order.
+
+    The mesh lattice is bisected at the middle mesh line of the longer side
+    of each box, down to one-cell boxes, and each box is ordered as: low
+    half, high half, separator.  The separator is the dofs on the line and
+    those the step matrix R couples across it: a dof below the line is in
+    it if its row of R reaches a dof above the line.  As R equals its
+    transpose, a row lists every coupling of its dof, so the order reads
+    every coupling, ghost penalties included, from R alone.
+    (George, "Nested dissection of a regular finite element mesh", 1973.)
+    """
+    # lattice coordinates in units of h/2, so mesh lines are even
+    coord = np.concatenate([np.tile(np.rint((dm.node_coords + 1.0) * (2.0 / disc.h)),
+                                    (dm.ncomp, 1))
+                            for dm in map(disc.dofmap, SYSTEM_BLOCKS)]).astype(np.int64)
+    # reach[d, a]: the highest coordinate along axis a of a dof that R's
+    # row d couples d to (R has no empty row, so reduceat is exact)
+    reach = np.column_stack([np.maximum.reduceat(coord[R.indices, a], R.indptr[:-1])
+                             for a in (0, 1)])
+
+    # one pass per level over the dofs not yet ordered: each box is split at
+    # the middle mesh line of its longer side (x on ties) and every dof gets
+    # a base-3 digit (0 low half, 1 high half, 2 separator) of its sort key
+    c, r = coord[dofs], reach[dofs]
+    key = np.zeros(len(dofs), dtype=np.int64)
+    pos = np.arange(len(dofs))           # dofs still to place
+    box = np.zeros(len(dofs), dtype=np.intp)
+    lo = np.zeros((1, 2), dtype=np.int64)
+    hi = np.full((1, 2), 2 * disc.mesh.n, dtype=np.int64)
+    while pos.size:
+        boxes = np.arange(len(lo))
+        width = hi - lo
+        axis = (width[:, 1] > width[:, 0]).astype(np.intp)
+        mid = lo[boxes, axis] + 2 * (width[boxes, axis] // 4)  # snapped to a mesh line
+        a, m = axis[box], mid[box]
+        ca, ra = c[pos, a], r[pos, a]
+        high = ca > m
+        sep = ~high & ((ca == m) | (ra > m))
+        key *= 3
+        key[pos] += np.where(sep, 2, high)
+        lo, hi = np.repeat(lo, 2, axis=0), np.repeat(hi, 2, axis=0)
+        hi[2 * boxes, axis] = mid
+        lo[2 * boxes + 1, axis] = mid
+        box = 2 * box + high
+        keep = ~sep & ((hi - lo).max(axis=1) > 2)[box]  # one-cell boxes are leaves
+        pos, box = pos[keep], box[keep]
+    return dofs[np.argsort(key, kind="stable")]
 
 
 def inflow_profile_x(x, cfg: SimulationConfig) -> np.ndarray:
@@ -138,12 +190,13 @@ class TimeStepper:
 
         # values at full ramp: x-component first, y-component identically zero
         self.g_profile = np.concatenate([profile, np.zeros_like(profile)])
-        # factorize the free block in nested-dissection order; the free-row,
+        # factorize the free block in nested-dissection order, each separator
+        # the dofs on its line and those R couples across it; the free-row,
         # Dirichlet-column block lifts g_profile into the free rows.  As R
         # equals its transpose, both are rows of R[free]^T
         free = np.ones(R.shape[0], dtype=bool)
         free[self.dir_idx] = False
-        self.free = nested_dissection(disc, np.flatnonzero(free))
+        self.free = nested_dissection(disc, R, np.flatnonzero(free))
         R = R[self.free]
         R = R.T.tocsr()
         self.R, self.lift = R[self.free], R[self.dir_idx].T @ self.g_profile

@@ -352,6 +352,38 @@ def test_nested_dissection_top_separator(m_s):
     assert stepper.fact.lu_nnz <= 1.05 * {1: 262_524, 2: 574_620}[m_s]
 
 
+def test_nested_dissection_follows_the_graph(disc16):
+    """The order reads its separators from the matrix it orders: one added
+    symmetric entry coupling a free dof with x < -h, which lies in no cell
+    next to the line x = 0, to a free dof with x > 0 puts that dof into the
+    trailing top-level separator, and with the separator removed the
+    modified matrix couples no dof left of the line with one right of it."""
+    disc = disc16
+    stepper = TimeStepper(disc)
+    dofs = np.sort(stepper.free)
+    x = np.concatenate([np.tile(disc.dofmap(b).node_coords[:, 0], disc.dofmap(b).ncomp)
+                        for b in ("vf", "p", "vs")])
+    tol = 1e-12
+    far = dofs[x[dofs] < -disc.h - tol][0]
+    east = dofs[x[dofs] > tol][0]
+    R = cutfsi.stepper.system_matrices(disc, disc.cfg.k)[0]
+    R = (R + sp.csr_matrix(([1.0, 1.0], ([far, east], [east, far])), shape=R.shape)).tocsr()
+    order = cutfsi.stepper.nested_dissection(disc, R, dofs)
+    assert np.array_equal(np.sort(order), dofs)
+
+    def top_split(ids):
+        """(left, right, separator) of an order: the separator is what
+        follows the last dof right of the line."""
+        n_rest = np.flatnonzero(x[ids] > tol)[-1] + 1
+        rest = ids[:n_rest]
+        return rest[x[rest] < 0], rest[x[rest] > 0], ids[n_rest:]
+
+    assert far not in top_split(stepper.free)[2]
+    left, right, sep = top_split(order)
+    assert far in sep and np.all(x[sep] < tol)
+    assert R[left][:, right].nnz == 0
+
+
 def test_profiled_call_sites(disc8, monkeypatch):
     """perfbench/ wraps these module names: a discretization calls the
     geometry, quadrature and dof-map builders through
