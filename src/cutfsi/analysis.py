@@ -18,7 +18,7 @@ from .assembly import (SCALAR_KERNELS, Forms, assemble_cells, ghost_data, patter
 from .config import ConfigError
 from .discretization import Discretization
 from .mesh import verify_path_assumption
-from .stepper import RUN_FIELDS, State, StepRecord, TimeStepper
+from .stepper import RUN_FIELDS, State, TimeStepper
 
 ERROR_NORMS = ("vf_T", "vs_T", "grad_u_T", "grad_vf_I", "h_grad_p_I")
 # The configuration fields that ``verify_checks`` sets itself.
@@ -224,10 +224,10 @@ def _trajectory(disc: Discretization, cfg) -> list[State]:
 
 def run_simulation(cfg):
     """Build a discretization and run ``TimeStepper.run`` from the zero state
-    to T; returns (disc, records of the steps, every state from t = 0)."""
+    to T; returns (disc, the states of the steps, every state from t = 0)."""
     disc = Discretization(cfg)
     states = _trajectory(disc, cfg)
-    return disc, [StepRecord.of(s) for s in states[1:]], states
+    return disc, states[1:], states
 
 
 def study_configs(mode: str, base_cfg, levels: list, ref) -> tuple:
@@ -413,7 +413,7 @@ def random_smooth_state(disc: Discretization, seed: int = 0) -> State:
             if block == "vf":
                 vals[dm.dirichlet_nodes] = 0.0
             x[off + c * dm.n_scalar:(off + (c + 1) * dm.n_scalar)] = vals
-    return State(index=0, t=0.0, x=x)
+    return State(n=0, t=0.0, x=x)
 
 
 def verify_energy_decay(disc: Discretization, n_steps: int = 22,
@@ -466,7 +466,7 @@ def verify_checks(cfg):
                 yield label, True, f"max path length {plen}"
 
     # the extension estimate: ratios stay bounded under refinement
-    for side, order in (("f", 2), ("f", 1), ("s", cfg.m_s)):
+    for side, order in (("f", cfg.m_f), ("f", cfg.m_f - 1), ("s", cfg.m_s)):
         for l in (0, 1):
             ratios = [ghost_extension_ratios(disc, side, order, l, cfg.w_max)
                       for disc in discs]
@@ -475,7 +475,7 @@ def verify_checks(cfg):
                    "ratios " + ", ".join(f"{r:.3f}" for r in ratios))
 
     # necessity: without the jump terms no h-uniform constant exists
-    ratios = [ghost_extension_ratios(disc, "f", 2, 1, cfg.w_max, gamma_on=False,
+    ratios = [ghost_extension_ratios(disc, "f", cfg.m_f, 1, cfg.w_max, gamma_on=False,
                                      sampler="cell") for disc in discs]
     yield ("ghost necessity (gamma=0, fluid, l=1)", max(ratios) / min(ratios) >= 5.0,
            "ratios " + ", ".join(f"{r:.1f}" for r in ratios))

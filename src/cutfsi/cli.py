@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from decimal import Context, Decimal
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from . import analysis, reporting
 from .config import ConfigError, SimulationConfig, parse_config
 from .discretization import Discretization
 from .linalg import SingularMatrixError
-from .stepper import StepRecord, TimeStepper
+from .stepper import TimeStepper
 
 # Desk-scale guardrail: a finer mesh, a reference run that stores more
 # state values, or a run of more steps than this needs an explicit override.
@@ -86,9 +87,9 @@ def cmd_run(args) -> int:
     ana = analysis.Analyzer(disc, stepper.forms)
     records = []
     for state in stepper.run(stepper.initialize(), cfg.n_steps):
-        records.append(StepRecord.of(state, ana.energy(state)))
-        if args.dump_every and state.index % args.dump_every == 0:
-            reporting.write_snapshot(outdir, disc, state, f"{state.index:05d}")
+        records.append(replace(state, x=None, energy=ana.energy(state)))
+        if args.dump_every and state.n % args.dump_every == 0:
+            reporting.write_snapshot(outdir, disc, state, f"{state.n:05d}")
     reporting.write_step_log(outdir / "steps.csv", cfg, records)
     reporting.write_snapshot(outdir, disc, state, "final")
     e = records[-1].energy
@@ -113,14 +114,15 @@ def cmd_convergence(args) -> int:
     if cfg.peak_inflow == 0:
         raise ConfigError("peak_inflow = 0 drives no flow, so every error is 0 "
                           "and no order can be measured")
-    if args.mode == "space":
-        levels = [cfg.n * 2 ** i for i in range(args.levels)]
-        ref = int(args.ref) if args.ref else 2 * levels[-1]
-        study = analysis.spatial_study
-    else:
-        levels = [cfg.k * 0.5 ** i for i in range(args.levels)]
-        ref = float(args.ref if args.ref else levels[-1] / 2)
-        study = analysis.temporal_study
+    space = args.mode == "space"
+    key, ratio = ("n", 2) if space else ("k", 0.5)
+    finest = getattr(cfg, key) * ratio ** (args.levels - 1)
+    ref = (int if space else float)(args.ref) if args.ref else finest * ratio
+    # validate the reference, then the finest level, which bounds the list of levels
+    for value in (ref, finest):
+        cfg.replace(**{key: value})
+    levels = [getattr(cfg, key) * ratio ** i for i in range(args.levels)]
+    study = analysis.spatial_study if space else analysis.temporal_study
     # a refused study leaves no output directory behind
     cfg_r, _ = analysis.study_configs(args.mode, cfg, levels, ref)
     _check_scale(cfg_r, args.allow_large, stores_states=True)

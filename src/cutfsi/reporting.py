@@ -8,14 +8,16 @@ unstructured grids, one file per subdomain.
 from __future__ import annotations
 
 import csv
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .analysis import ERROR_NORMS, ErrorReport
 from .config import SimulationConfig, format_config
 from .discretization import Discretization
-from .stepper import State, StepRecord
+from .stepper import State
 
 FLOAT_FMT = "%.8e"
 
@@ -34,15 +36,15 @@ def _write_csv(path, cfg: SimulationConfig, header: list[str],
                              for v in row])
 
 
-def write_step_log(path, cfg: SimulationConfig,
-                   records: list[StepRecord]) -> None:
-    """Per-step log: residuals and (if recorded) energy functionals."""
-    energy_keys = sorted(records[0].energy) if records and records[0].energy else []
-    header = ["n", "t", "solve_residual", "constraint_residual"] + energy_keys
-    rows = [[r.n, float(r.t), float(r.solve_residual),
-             float(r.constraint_residual)]
+def write_step_log(path, cfg: SimulationConfig, records: list[State]) -> None:
+    """Per-step log: a column per ``State`` field but ``x`` and ``energy``,
+    each value of its declared type, then the first record's energies, sorted."""
+    types = get_type_hints(State)
+    scalars = [f.name for f in fields(State) if f.name not in ("x", "energy")]
+    energy_keys = sorted(records[0].energy) if records else []
+    rows = [[types[k](getattr(r, k)) for k in scalars]
             + [float(r.energy[k]) for k in energy_keys] for r in records]
-    _write_csv(path, cfg, header, rows)
+    _write_csv(path, cfg, scalars + energy_keys, rows)
 
 
 def _convergence_rows(report: ErrorReport):

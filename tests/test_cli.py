@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import io
 import re
+import time
 
 import numpy as np
 import pytest
@@ -84,6 +85,9 @@ OVERFLOW = "configuration error: T = 8.0 over k = 1e-320 overflows the step coun
     (["convergence", "--mode", "space", "--levels", "2000"], "got a 2004-bit integer"),
     (["convergence", "--mode", "time", "--levels", "2000"],
      "k must be positive and finite, got 0.0"),
+    (["convergence", "--mode", "space", "--levels", "1000000"], "got a 1000004-bit integer"),
+    (["convergence", "--mode", "time", "--levels", "1000000000"],
+     "k must be positive and finite, got 0.0"),
 ], ids=["time-ref-negative", "time-ref-not-dividing-T", "time-ref-not-nested",
         "run-T-below-k", "space-T-below-k", "space-ref-not-nested", "space-ref-fraction",
         "levels-0", "dump-every-negative", "run-n-not-integer", "space-ref-not-finer",
@@ -92,7 +96,7 @@ OVERFLOW = "configuration error: T = 8.0 over k = 1e-320 overflows the step coun
         "run-k-beyond-step-guard", "run-step-count-overflow", "time-step-count-overflow",
         "time-T-states-beyond-guard", "time-values-beyond-float",
         "space-ref-beyond-mesh-guard", "run-n-beyond-float", "space-levels-beyond-float",
-        "time-levels-underflow-k"])
+        "time-levels-underflow-k", "space-million-levels", "time-billion-levels"])
 def test_bad_run_input_exits_2_before_any_discretization(argv, value, tmp_path, capsys,
                                                           monkeypatch):
     built = []
@@ -103,8 +107,11 @@ def test_bad_run_input_exits_2_before_any_discretization(argv, value, tmp_path, 
         init(self, cfg)
 
     monkeypatch.setattr(discretization.Discretization, "__init__", counting)
+    start = time.perf_counter()
     rc = main(argv + ["--output-dir", str(tmp_path)])
-    assert rc == 2
+    # at once: a study validates its reference and finest level before it
+    # builds the list of its levels
+    assert rc == 2 and time.perf_counter() - start < 2.0
     err = capsys.readouterr().err
     assert value in err
     # one short line: no count is printed digit by digit, or overflows to inf

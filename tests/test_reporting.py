@@ -1,14 +1,16 @@
 """CSV and VTU output files."""
 
 import csv
+import dataclasses
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from cutfsi import SimulationConfig, run_simulation
+import cutfsi
+from cutfsi import SimulationConfig, State, StepRecord, run_simulation
 from cutfsi.analysis import ErrorReport, point_eval_matrices, random_smooth_state
-from cutfsi.reporting import (format_convergence_table, write_convergence_csv,
+from cutfsi.reporting import (FLOAT_FMT, format_convergence_table, write_convergence_csv,
                               write_snapshot, write_step_log, write_vtu)
 
 
@@ -41,6 +43,28 @@ def test_step_log(tmp_path, disc8, run8):
     assert len(rows) == len(records)
     assert float(rows[-1][1]) == pytest.approx(records[-1].t)
     assert float(rows[0][2]) == pytest.approx(records[0].solve_residual, rel=1e-6)
+
+
+def test_step_log_columns_are_the_state_fields(tmp_path):
+    """``State`` is the one per-step record: the step log has a column per
+    field but ``x`` and ``energy``, in declaration order, then the sorted
+    energy keys, and a record built by the ``StepRecord`` name writes the
+    row of a logged state, ``n`` as an integer and every other value as a
+    float."""
+    assert cutfsi.StepRecord is cutfsi.State
+    cfg = SimulationConfig()
+    energy = {"triple2": 3.0, "E_T2": 1.0, "E_g2": 2}
+    state = State(n=3, t=1, x=np.ones(5), solve_residual=1e-15)
+    built = StepRecord(n=state.index, t=state.t, solve_residual=state.solve_residual,
+                       constraint_residual=state.constraint_residual, energy=energy)
+    logged = dataclasses.replace(state, x=None, energy=energy)
+    scalars = [f.name for f in dataclasses.fields(State) if f.name not in ("x", "energy")]
+    for name, record in (("built", built), ("logged", logged)):
+        write_step_log(tmp_path / f"{name}.csv", cfg, [record])
+        _, header, rows = _read_csv(tmp_path / f"{name}.csv")
+        assert header == scalars + ["E_T2", "E_g2", "triple2"]
+        assert rows == [["3"] + [FLOAT_FMT % v for v in (1, 1e-15, 0, 1, 2, 3)]]
+    assert (tmp_path / "built.csv").read_bytes() == (tmp_path / "logged.csv").read_bytes()
 
 
 def test_convergence_csv_roundtrip(tmp_path):
