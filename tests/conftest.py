@@ -1,6 +1,7 @@
 import pytest
+import scipy.sparse as sp
 
-from cutfsi import Discretization, SimulationConfig
+from cutfsi import Discretization, SimulationConfig, linalg
 
 
 @pytest.fixture(scope="session")
@@ -19,3 +20,33 @@ def disc8_q2():
 def disc16():
     return Discretization(SimulationConfig(n=16))
 
+
+class RecordingLU:
+    """A SuperLU factor that records the ``trans`` of each of its solves."""
+
+    def __init__(self, lu):
+        self.lu, self.nnz, self.trans = lu, lu.nnz, []
+
+    def solve(self, b, trans="N"):
+        self.trans.append(trans)
+        return self.lu.solve(b, trans=trans)
+
+
+@pytest.fixture(scope="session")
+def recording_lu():
+    return RecordingLU
+
+
+@pytest.fixture(scope="session")
+def perturbed_factor():
+    """(A, delta) -> the Factorization of A, with its ||A||_inf, whose
+    factor is a RecordingLU of SuperLU's factor of the nearby matrix
+    A + delta diag(A), in ``linalg``'s mode; no probe judges it."""
+    import scipy.sparse.linalg as spla
+
+    def make(A, delta):
+        lu = spla.splu(sp.csc_matrix(A + delta * sp.diags(A.diagonal())),
+                       permc_spec="NATURAL", diag_pivot_thresh=linalg.SYMMETRIC_PIVOT_THRESH,
+                       options={"SymmetricMode": True})
+        return linalg.Factorization(RecordingLU(lu), A, spla.norm(A, float("inf")))
+    return make

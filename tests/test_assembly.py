@@ -594,7 +594,7 @@ def test_pattern_pass_matches_coo_assembly(n, m_s, r2):
     stepper = TimeStepper(disc)
     R_free, R_dir = coo.dirichlet_reduce(R_want, stepper.dir_idx)
     rank = np.argsort(np.argsort(stepper.free))  # the stepper's order of the free dofs
-    assert_matches_oracle(stepper.R, R_free[rank][:, rank])
+    assert_matches_oracle(stepper.fact.A, R_free[rank][:, rank])
     lift = R_dir[rank] @ stepper.g_profile
     assert abs(stepper.lift - lift).max() <= 1e-14 * abs(lift).max()
 
@@ -604,14 +604,14 @@ def test_step_pattern_independent_of_arc_order():
     arcs of the record reversed, which reverses the sums of the arc forms,
     the stepper's R has the same indices and indptr."""
     disc = Discretization(SimulationConfig(n=16, m_s=2))
-    want = TimeStepper(disc).R
+    want = TimeStepper(disc).fact.A
     rule = disc.iface_rules
     counts = np.diff(rule.offsets)[::-1]
     disc.iface_rules = CutParts(rule.cells[::-1],
                                 rule.points.reshape(-1, ARC_NPTS, 2)[::-1].reshape(-1, 2),
                                 rule.weights.reshape(-1, ARC_NPTS)[::-1].ravel(),
                                 np.concatenate([[0], np.cumsum(counts)]))
-    got = TimeStepper(disc).R
+    got = TimeStepper(disc).fact.A
     assert not np.array_equal(got.data, want.data)
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)

@@ -9,7 +9,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from cutfsi import SimulationConfig, analysis, discretization, linalg, run_simulation
 from cutfsi.assembly import assemble_forms
@@ -178,6 +177,22 @@ def test_singular_step_matrix_exits_3(override, tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("override,message", [
+    ("mu_s=1e300", "numerically singular factorization (probe backward error nan "),
+    ("rho_f=1e308", "matrix has non-finite entries\n")], ids=["mu_s", "rho_f"])
+def test_overflowing_step_matrix_exits_3(override, message, tmp_path, capsys):
+    """mu_s = 1e300 makes ||A||_inf ||x||_inf overflow in the probe, whose
+    solve of A x = A·1 has ||x||_inf = 7.6e284 instead of 1, and rho_f =
+    1e308 overflows entries of R to inf and NaN: ``cutfsi run`` refuses the
+    factor, exit 3 with one stderr line, rather than running on it."""
+    rc = main(["run", "--set", "n=8", "--set", "T=1", "--set", override,
+               "--output-dir", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: " + message) and err.count("\n") == 1, err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_step_exits_3(tmp_path, capsys):
     """A lid speed of 1e300 overflows the first step to NaN: ``cutfsi run``
     exits 3 naming the step, instead of logging NaN energies with exit 0."""
@@ -189,14 +204,12 @@ def test_non_finite_step_exits_3(tmp_path, capsys):
     assert not (tmp_path / "steps.csv").exists()
 
 
-def test_unrepairable_step_exits_3(tmp_path, capsys, monkeypatch):
+def test_unrepairable_step_exits_3(tmp_path, capsys, monkeypatch, perturbed_factor):
     """A factor of the step matrix with its diagonal perturbed by 1e-3
-    (relative) passes its probe, but one refinement leaves the first step's
-    backward error above linalg.PROBE_TOL: ``cutfsi run`` exits 3 with one
-    stderr line naming the step, instead of exiting 0."""
-    real = linalg.factorize
-    monkeypatch.setattr(linalg, "factorize",
-                        lambda A: real(A + 1e-3 * sp.diags(A.diagonal())))
+    (relative), after one refinement, leaves the first step's backward
+    error above linalg.PROBE_TOL: ``cutfsi run`` exits 3 with one stderr
+    line naming the step, instead of exiting 0."""
+    monkeypatch.setattr(linalg, "factorize", lambda A: perturbed_factor(A, 1e-3))
     rc = main(["run", "--set", "n=8", "--set", "T=1", "--output-dir", str(tmp_path)])
     assert rc == 3
     err = capsys.readouterr().err

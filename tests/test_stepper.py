@@ -1,6 +1,5 @@
 """Time stepping: inflow data, Dirichlet handling, constraint identity."""
 
-import types
 from collections import Counter
 
 import numpy as np
@@ -77,13 +76,14 @@ def test_run_yields_the_step_chain(m_s):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_step_raises(run8):
-    """A step whose residual is not finite raises, naming the step, rather
-    than returning a NaN state."""
+    """A step whose solve is not finite raises, naming the step, rather
+    than returning a NaN state: its backward error is NaN, which fails the
+    accuracy test."""
     stepper, _ = run8
     state = stepper.initialize()
     state.x[:] = np.inf
     with pytest.raises(linalg.SingularMatrixError,
-                       match="^step 1: relative residual nan is not finite$"):
+                       match="^step 1: backward error nan exceeds 1e-10 after one refinement$"):
         stepper.step(state)
 
 
@@ -159,7 +159,7 @@ def test_stepper_takes_its_run_from_cfg(disc8):
     got, want = TimeStepper(disc8, cfg), TimeStepper(Discretization(cfg))
     assert got.cfg is cfg
     for part in ("indices", "indptr", "data"):
-        assert np.array_equal(getattr(got.R, part), getattr(want.R, part)), part
+        assert np.array_equal(getattr(got.fact.A, part), getattr(want.fact.A, part)), part
     assert got.lift.tobytes() == want.lift.tobytes()
     assert got.fact.lu_nnz == want.fact.lu_nnz
     x_got, x_want = (s.step(s.initialize()).x for s in (got, want))
@@ -224,7 +224,7 @@ def test_step_matrix_symmetric(m_s, k):
     (v_f, v_s) pair of the Nitsche penalty, are transposes bit for bit."""
     disc = Discretization(SimulationConfig(n=8, m_s=m_s, k=k))
     stepper = TimeStepper(disc)
-    R = stepper.R
+    R = stepper.fact.A
     assert abs(R - R.T).max() == 0
 
     R, _, _, forms = cutfsi.stepper.system_matrices(disc, k)
@@ -243,7 +243,7 @@ def test_step_matrix_has_no_unit_rows():
     k = 1/16) rather than the 1.0 that unit Dirichlet rows would set."""
     disc = Discretization(SimulationConfig(n=16, m_s=2, k=1.0 / 16.0))
     stepper = TimeStepper(disc)
-    R = stepper.R
+    R = stepper.fact.A
     assert R.shape[0] == disc.layout.n_system - len(stepper.dir_idx)
     assert abs(R - R.T).max() == 0
     assert spla.onenormest(R) < 0.1
@@ -259,39 +259,31 @@ def test_free_block_read_through_transpose():
     want = R[:, stepper.free]
     want.sort_indices()
     for part in ("indices", "indptr", "data"):
-        got, ref = getattr(stepper.R, part), getattr(want, part)
+        got, ref = getattr(stepper.fact.A, part), getattr(want, part)
         assert got.dtype == ref.dtype and np.array_equal(got, ref), part
     lift = R[:, stepper.dir_idx] @ stepper.g_profile
     assert np.any(lift != 0.0) and np.array_equal(stepper.lift, lift)
 
 
-def test_step_refines_inaccurate_solve(disc8):
+def test_step_refines_inaccurate_solve(disc8, perturbed_factor):
     """A factor of R with its diagonal perturbed by 1e-6 (relative) leaves a
     first solve of backward error 1.6e-9, above linalg.PROBE_TOL; the one
     refinement step against the stored R brings it to 1.6e-14 with one
-    extra solve."""
+    extra SuperLU solve."""
     stepper = TimeStepper(disc8)
-    R = stepper.R
-    fact = linalg.factorize(R + 1e-6 * sp.diags(R.diagonal()))
-    solves = []
-
-    def solve(b):
-        solves.append(b)
-        return fact.solve(b)
-    stepper.fact = types.SimpleNamespace(solve=solve, backward_error=fact.backward_error)
+    stepper.fact = perturbed_factor(stepper.fact.A, 1e-6)
     state = stepper.step(stepper.initialize())
-    assert len(solves) == 2
+    assert len(stepper.fact._lu.trans) == 2
     assert state.solve_residual <= 1e-10
 
 
-def test_step_refuses_unrepairable_solve(disc8):
-    """A factor of R with its diagonal perturbed by 1e-3 (relative) passes
-    its own probe, but one refinement leaves the first step's backward
-    error at about 1e-8, above linalg.PROBE_TOL: the step raises, naming
-    the step and the backward error, rather than returning a state."""
+def test_step_refuses_unrepairable_solve(disc8, perturbed_factor):
+    """A factor of R with its diagonal perturbed by 1e-3 (relative) leaves
+    the first step's backward error at 1.7e-6, and one refinement at
+    1.4e-8, above linalg.PROBE_TOL: the step raises, naming the step and
+    the backward error, rather than returning a state."""
     stepper = TimeStepper(disc8)
-    R = stepper.R
-    stepper.fact = linalg.factorize(R + 1e-3 * sp.diags(R.diagonal()))
+    stepper.fact = perturbed_factor(stepper.fact.A, 1e-3)
     with pytest.raises(linalg.SingularMatrixError,
                        match=r"^step 1: backward error \d\.\d\de-0[89] exceeds 1e-10 "
                              r"after one refinement$"):
@@ -312,7 +304,7 @@ def test_step_residual_relative_to_free_rhs():
         b = stepper.M @ old.x[:layout.n_system]
         b[layout.slice("vs")] -= cfg.k * (stepper.K @ old.x[layout.slice("u")])
         b_f = b[stepper.free] - ramp_factor(new.t, cfg) * stepper.lift
-        r = b_f - stepper.R @ new.x[stepper.free]
+        r = b_f - stepper.fact.A @ new.x[stepper.free]
         worst = max(worst, np.linalg.norm(r) / np.linalg.norm(b_f))
     assert len(states) == 9
     assert worst <= 1e-14
@@ -341,7 +333,7 @@ def test_nested_dissection_top_separator(m_s):
     assert not np.any(np.abs(rest) < tol) and np.any(x[n_rest:] < -tol)
     left, right = np.flatnonzero(rest < 0), np.flatnonzero(rest > 0)
     assert left.max() < right.min()
-    assert stepper.R[left][:, right].nnz == 0
+    assert stepper.fact.A[left][:, right].nnz == 0
     mesh = disc.mesh
     for side in ("f", "s"):
         faces = disc.topo.ghost_faces(side)
