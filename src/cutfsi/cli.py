@@ -107,7 +107,7 @@ def cmd_run(args) -> int:
 def cmd_convergence(args) -> int:
     if args.levels < 1:
         raise ConfigError(f"--levels must be >= 1, got {args.levels}")
-    if args.mode == "space" and not args.ref.is_integer():
+    if args.mode == "space" and args.ref is not None and not args.ref.is_integer():
         raise ConfigError(f"--ref must be a whole number of cells n in space mode, "
                           f"got {args.ref:g}")
     cfg = _load_config(args)
@@ -117,7 +117,7 @@ def cmd_convergence(args) -> int:
     space = args.mode == "space"
     key, ratio = ("n", 2) if space else ("k", 0.5)
     finest = getattr(cfg, key) * ratio ** (args.levels - 1)
-    ref = (int if space else float)(args.ref) if args.ref else finest * ratio
+    ref = finest * ratio if args.ref is None else (int if space else float)(args.ref)
     # validate the reference, then the finest level, which bounds the list of levels
     for value in (ref, finest):
         cfg.replace(**{key: value})
@@ -179,8 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_conv)
     p_conv.add_argument("--mode", choices=("space", "time"), required=True)
     p_conv.add_argument("--levels", type=int, default=4)
-    p_conv.add_argument("--ref", type=float, default=0.0,
-                        help="reference n (space; a multiple of the finest n) or k (time)")
+    p_conv.add_argument("--ref", type=float,
+                        help="reference n (space; a multiple of the finest n) or k (time); "
+                             "default: one refinement beyond the finest level")
     p_conv.set_defaults(func=cmd_convergence)
 
     p_ver = sub.add_parser("verify", help="stability and geometry checks on n = 8, 16, 32")
@@ -200,7 +201,3 @@ def main(argv=None) -> int:
     except SingularMatrixError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -65,6 +65,13 @@ class SimulationConfig:
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, "
                                   f"got {getattr(self, name)}")
+        # the viscous and Nitsche forms scale by these products, and
+        # Analyzer.energy divides by the second
+        for names in (("rho_f", "nu_f"), ("rho_f", "nu_f", "gamma_N")):
+            values = [getattr(self, name) for name in names]
+            if not sys.float_info.min <= math.prod(values) < math.inf:
+                raise ConfigError(f"{' * '.join(names)} = {' * '.join(map(str, values))} "
+                                  "is not a normal float")
         if self.radius_squared >= 1.0:
             raise ConfigError("radius_squared must be < 1 so that the circle lies inside "
                               f"the cavity (-1, 1)^2, got {self.radius_squared}")

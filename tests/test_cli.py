@@ -4,8 +4,12 @@ import contextlib
 import csv
 import dataclasses
 import io
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,72 +36,126 @@ def test_requires_subcommand():
         build_parser().parse_args([])
 
 
-def test_bad_config_key_exit_code(tmp_path):
-    rc = main(["run", "--set", "bogus=1", "--output-dir", str(tmp_path)])
-    assert rc == 2
-
-
-def test_circle_outside_cavity_exit_code(tmp_path, capsys):
-    rc = main(["run", "--set", "radius_squared=1.2", "--output-dir", str(tmp_path)])
-    assert rc == 2
-    assert "radius_squared must be < 1" in capsys.readouterr().err
-
-
 # the refusal of a T/k that overflows, a ConfigError rather than an OverflowError
 OVERFLOW = "configuration error: T = 8.0 over k = 1e-320 overflows the step count\n"
 
+# the first words of the one stderr line of each failing exit status
+PREFIX = {2: "configuration error: ", 3: "solver error: "}
 
-@pytest.mark.parametrize("argv, value", [
-    (["convergence", "--mode", "time", "--ref", "-0.5", "--set", "n=8"], "-0.5"),
-    (["convergence", "--mode", "time", "--ref", "0.3", "--set", "T=2.0"], "k = 0.3"),
-    (["convergence", "--mode", "time", "--levels", "2", "--ref", "0.2"], "k=0.2"),
-    (["run", "--set", "T=1e-10"], "T = 1e-10"),
-    (["convergence", "--mode", "space", "--levels", "2", "--set", "T=1e-10"], "T = 1e-10"),
-    (["convergence", "--mode", "space", "--ref", "24", "--levels", "2", "--set", "n=8"],
-     "n=24"),
-    (["convergence", "--mode", "space", "--ref", "0.5", "--set", "n=8"], "got 0.5"),
-    (["convergence", "--mode", "space", "--levels", "0", "--set", "n=8"], "got 0"),
-    (["run", "--dump-every", "-1", "--set", "n=8"], "got -1"),
-    (["run", "--set", "n=abc"], "n = 'abc'"),
-    (["convergence", "--mode", "space", "--levels", "2", "--ref", "16", "--set", "n=8"],
-     "reference mesh n=16 is not finer"),
-    (["convergence", "--mode", "time", "--levels", "2", "--ref", "0.5"],
-     "reference step k=0.5 is not finer"),
-    (["convergence", "--mode", "space", "--levels", "2", "--set", "peak_inflow=0"],
-     "peak_inflow = 0"),
-    (["convergence", "--mode", "time", "--levels", "2", "--set", "n=8",
-      "--set", "peak_inflow=-0.0"], "peak_inflow = 0"),
-    (["convergence", "--mode", "time", "--levels", "2", "--ref", "1e-6"],
-     "stores 8e+06 states of ~983 dofs"),
-    (["run", "--config", "no/such/case.cfg"],
-     "cannot read config file no/such/case.cfg: No such file or directory"),
-    (["run", "--set", "T=1e300"], "refusing 1e+300 time steps"),
-    (["run", "--set", "k=1e-7"], "refusing 8e+07 time steps"),
-    (["run", "--set", "k=1e-320"], OVERFLOW),
-    (["convergence", "--mode", "time", "--levels", "2", "--set", "k=1e-320"], OVERFLOW),
-    (["convergence", "--mode", "time", "--levels", "2", "--set", "T=1e300"],
-     "stores 4e+300 states of ~983 dofs (3.932e+303 values"),
-    (["convergence", "--mode", "time", "--levels", "2", "--set", "T=1e300", "--set", "k=1e-7"],
-     "stores 4e+307 states of ~983 dofs (3.932e+310 values"),
-    (["convergence", "--mode", "space", "--levels", "2", "--ref", "1e300"], "refusing n=1e+300"),
-    (["run", "--set", f"n={10 ** 400}"], "got a 1329-bit integer"),
-    (["convergence", "--mode", "space", "--levels", "2000"], "got a 2004-bit integer"),
-    (["convergence", "--mode", "time", "--levels", "2000"],
-     "k must be positive and finite, got 0.0"),
-    (["convergence", "--mode", "space", "--levels", "1000000"], "got a 1000004-bit integer"),
-    (["convergence", "--mode", "time", "--levels", "1000000000"],
-     "k must be positive and finite, got 0.0"),
-], ids=["time-ref-negative", "time-ref-not-dividing-T", "time-ref-not-nested",
-        "run-T-below-k", "space-T-below-k", "space-ref-not-nested", "space-ref-fraction",
-        "levels-0", "dump-every-negative", "run-n-not-integer", "space-ref-not-finer",
-        "time-ref-not-finer", "space-zero-lid-speed", "time-zero-lid-speed",
-        "time-ref-states-beyond-guard", "run-config-missing", "run-T-beyond-step-guard",
-        "run-k-beyond-step-guard", "run-step-count-overflow", "time-step-count-overflow",
-        "time-T-states-beyond-guard", "time-values-beyond-float",
-        "space-ref-beyond-mesh-guard", "run-n-beyond-float", "space-levels-beyond-float",
-        "time-levels-underflow-k", "space-million-levels", "time-billion-levels"])
-def test_bad_run_input_exits_2_before_any_discretization(argv, value, tmp_path, capsys,
+# the config files that rows of the exit-status table read, by relative path
+CONFIG_FILES = {"lots.cfg": "n = lots\n", "twice.cfg": "n = 8\nn = 16\n"}
+
+# a step matrix or step that overflows warns before the command refuses it
+OVERFLOWS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+
+@pytest.mark.parametrize("argv, status, value", [
+    pytest.param(["convergence", "--mode", "time", "--ref", "-0.5", "--set", "n=8"], 2, "-0.5",
+                 id="time-ref-negative"),
+    pytest.param(["convergence", "--mode", "time", "--ref", "0.3", "--set", "T=2.0"], 2,
+                 "k = 0.3", id="time-ref-not-dividing-T"),
+    pytest.param(["convergence", "--mode", "time", "--levels", "2", "--ref", "0.2"], 2, "k=0.2",
+                 id="time-ref-not-nested"),
+    pytest.param(["convergence", "--mode", "time", "--ref", "0.3333333333333333", "--levels",
+                  "2"], 2, "reference step k=0.333333 does not divide k=0.5",
+                 id="time-ref-not-dividing-k"),
+    pytest.param(["run", "--set", "T=1e-10"], 2, "T = 1e-10", id="run-T-below-k"),
+    pytest.param(["convergence", "--mode", "space", "--levels", "2", "--set", "T=1e-10"], 2,
+                 "T = 1e-10", id="space-T-below-k"),
+    pytest.param(["convergence", "--mode", "space", "--ref", "24", "--levels", "2", "--set",
+                  "n=8"], 2, "reference mesh n=24", id="space-ref-not-nested"),
+    pytest.param(["convergence", "--mode", "space", "--ref", "0.5", "--set", "n=8"], 2,
+                 "got 0.5", id="space-ref-fraction"),
+    pytest.param(["convergence", "--mode", "space", "--levels", "2", "--ref", "0"], 2,
+                 "n must be >= 2, got 0", id="space-ref-0"),
+    pytest.param(["convergence", "--mode", "time", "--levels", "2", "--ref", "0"], 2,
+                 "k must be positive and finite, got 0.0", id="time-ref-0"),
+    pytest.param(["convergence", "--mode", "space", "--levels", "0", "--set", "n=8"], 2,
+                 "got 0", id="levels-0"),
+    pytest.param(["run", "--dump-every", "-1", "--set", "n=8"], 2, "got -1",
+                 id="dump-every-negative"),
+    pytest.param(["run", "--set", "n=abc"], 2, "n = 'abc'", id="run-n-not-integer"),
+    pytest.param(["run", "--set", "bogus=1"], 2, "unknown config key 'bogus'",
+                 id="run-unknown-key"),
+    pytest.param(["run", "--set", "radius_squared=1.2"], 2, "radius_squared must be < 1",
+                 id="run-circle-outside-cavity"),
+    pytest.param(["run", "--set", "peak_inflow=nan"], 2, "peak_inflow must be finite, got nan",
+                 id="run-lid-speed-nan"),
+    pytest.param(["run", "--set", "n=4", "--set", "rho_f=1e-226", "--set", "nu_f=1e-284",
+                  "--set", "k=0.25", "--set", "T=1"], 2,
+                 "rho_f * nu_f = 1e-226 * 1e-284 is not a normal float",
+                 id="run-viscosity-underflow"),
+    pytest.param(["convergence", "--mode", "space", "--levels", "2", "--ref", "16", "--set",
+                  "n=8"], 2, "reference mesh n=16 is not finer", id="space-ref-not-finer"),
+    pytest.param(["convergence", "--mode", "time", "--levels", "2", "--ref", "0.5"], 2,
+                 "reference step k=0.5 is not finer", id="time-ref-not-finer"),
+    pytest.param(["convergence", "--mode", "space", "--levels", "2", "--set", "peak_inflow=0"],
+                 2, "peak_inflow = 0", id="space-zero-lid-speed"),
+    pytest.param(["convergence", "--mode", "time", "--levels", "2", "--set", "n=8",
+                  "--set", "peak_inflow=-0.0"], 2, "peak_inflow = 0", id="time-zero-lid-speed"),
+    pytest.param(["convergence", "--mode", "time", "--levels", "2", "--ref", "1e-6"], 2,
+                 "stores 8e+06 states of ~983 dofs", id="time-ref-states-beyond-guard"),
+    pytest.param(["run", "--config", "no/such/case.cfg"], 2,
+                 "cannot read config file no/such/case.cfg: No such file or directory",
+                 id="run-config-missing"),
+    pytest.param(["run", "--config", "lots.cfg"], 2, "lots.cfg:1: n = 'lots'",
+                 id="run-config-n-not-integer"),
+    pytest.param(["run", "--config", "twice.cfg"], 2, "twice.cfg:2: n is already set on line 1",
+                 id="run-config-key-twice"),
+    pytest.param(["run", "--set", "n=1024"], 2, "refusing n=1024", id="run-n-beyond-mesh-guard"),
+    pytest.param(["run", "--set", "T=1e300"], 2, "refusing 1e+300 time steps",
+                 id="run-T-beyond-step-guard"),
+    pytest.param(["run", "--set", "k=1e-7"], 2, "refusing 8e+07 time steps",
+                 id="run-k-beyond-step-guard"),
+    pytest.param(["run", "--set", "k=1e-320"], 2, OVERFLOW, id="run-step-count-overflow"),
+    pytest.param(["convergence", "--mode", "time", "--levels", "2", "--set", "k=1e-320"], 2,
+                 OVERFLOW, id="time-step-count-overflow"),
+    pytest.param(["convergence", "--mode", "time", "--levels", "2", "--set", "T=1e300"], 2,
+                 "stores 4e+300 states of ~983 dofs (3.932e+303 values",
+                 id="time-T-states-beyond-guard"),
+    pytest.param(["convergence", "--mode", "time", "--levels", "2", "--set", "T=1e300",
+                  "--set", "k=1e-7"], 2, "stores 4e+307 states of ~983 dofs (3.932e+310 values",
+                 id="time-values-beyond-float"),
+    pytest.param(["convergence", "--mode", "space", "--levels", "2", "--ref", "1e300"], 2,
+                 "refusing n=1e+300", id="space-ref-beyond-mesh-guard"),
+    pytest.param(["run", "--set", f"n={10 ** 400}"], 2, "got a 1329-bit integer",
+                 id="run-n-beyond-float"),
+    pytest.param(["convergence", "--mode", "space", "--levels", "2000"], 2,
+                 "got a 2004-bit integer", id="space-levels-beyond-float"),
+    pytest.param(["convergence", "--mode", "time", "--levels", "2000"], 2,
+                 "k must be positive and finite, got 0.0", id="time-levels-underflow-k"),
+    pytest.param(["convergence", "--mode", "space", "--levels", "1000000"], 2,
+                 "got a 1000004-bit integer", id="space-million-levels"),
+    pytest.param(["convergence", "--mode", "time", "--levels", "1000000000"], 2,
+                 "k must be positive and finite, got 0.0", id="time-billion-levels"),
+    # gamma_N = 1e20 or w_max = 1e30 leaves R finite (largest entry 5.3e16
+    # and 4.8e24 at n = 8), but its LU is exactly singular
+    pytest.param(["run", "--set", "n=8", "--set", "T=1", "--set", "gamma_N=1e20"], 3,
+                 "sparse LU failed: Factor is exactly singular", id="run-singular-gamma_N"),
+    pytest.param(["run", "--set", "n=8", "--set", "T=1", "--set", "w_max=1e30"], 3,
+                 "sparse LU failed: Factor is exactly singular", id="run-singular-w_max"),
+    # mu_s = 1e300 makes ||A||_inf ||x||_inf overflow in the probe, whose
+    # solve of A x = A·1 has ||x||_inf = 7.6e284 instead of 1; rho_f = 1e308
+    # overflows entries of R to inf and NaN
+    pytest.param(["run", "--set", "n=8", "--set", "T=1", "--set", "mu_s=1e300"], 3,
+                 "solver error: numerically singular factorization (probe backward error nan ",
+                 marks=OVERFLOWS, id="run-probe-overflow"),
+    pytest.param(["run", "--set", "n=8", "--set", "T=1", "--set", "rho_f=1e308"], 3,
+                 "solver error: matrix has non-finite entries\n", marks=OVERFLOWS,
+                 id="run-non-finite-matrix"),
+    # a lid speed of 1e300 overflows the first step to NaN
+    pytest.param(["run", "--set", "n=8", "--set", "T=2", "--set", "peak_inflow=1e300"], 3,
+                 "solver error: step 1: relative residual nan is not finite\n",
+                 marks=OVERFLOWS, id="run-non-finite-step"),
+])
+def test_bad_run_input_exits_2_before_any_discretization(argv, status, value, tmp_path, capsys,
                                                           monkeypatch):
+    """The exit-status table of ``cutfsi run`` and ``cutfsi convergence``.
+    Input they refuse exits 2 at once, before any discretization is built
+    or --output-dir is created; a step matrix or a step that cannot be
+    solved exits 3 before the step log is written.  Either way stderr is
+    one short line that starts with the status's prefix and holds the
+    row's value."""
     built = []
     init = discretization.Discretization.__init__
 
@@ -106,17 +164,28 @@ def test_bad_run_input_exits_2_before_any_discretization(argv, value, tmp_path, 
         init(self, cfg)
 
     monkeypatch.setattr(discretization.Discretization, "__init__", counting)
+    monkeypatch.chdir(tmp_path)
+    for name, text in CONFIG_FILES.items():
+        (tmp_path / name).write_text(text)
     start = time.perf_counter()
-    rc = main(argv + ["--output-dir", str(tmp_path)])
-    # at once: a study validates its reference and finest level before it
-    # builds the list of its levels
-    assert rc == 2 and time.perf_counter() - start < 2.0
+    rc = main(argv + ["--output-dir", "out"])
+    elapsed = time.perf_counter() - start
     err = capsys.readouterr().err
-    assert value in err
+    assert rc == status, err
+    # the prefix once, at the start: a value that begins with it pins the
+    # start of the line
+    assert err.startswith(PREFIX[status]) and err.count(PREFIX[status]) == 1, err
+    assert value in err, err
     # one short line: no count is printed digit by digit, or overflows to inf
     assert err.count("\n") == 1 and len(err) <= 200
-    assert not re.search(r"\binf\b", err)
-    assert built == []
+    assert "Traceback" not in err and not re.search(r"\binf\b", err)
+    if status == 2:
+        # at once: a study validates its reference and finest level before
+        # it builds the list of its levels
+        assert elapsed < 2.0 and built == []
+        assert not (tmp_path / "out").exists()
+    else:
+        assert not (tmp_path / "out" / "steps.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -125,11 +194,27 @@ def test_bad_run_input_exits_2_before_any_discretization(argv, value, tmp_path, 
 ], ids=["space", "time"])
 def test_refused_study_leaves_no_output_dir(argv, tmp_path, capsys):
     """A study whose levels do not nest in the reference is refused before
-    --output-dir is created."""
+    a nested --output-dir is created."""
     outdir = tmp_path / "nest"
     assert main(["convergence", *argv, "--output-dir", str(outdir)]) == 2
     assert "reference" in capsys.readouterr().err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["run", "--set", "n=8", "--set", "T=1"], 0),
+    (["run", "--set", "n=abc"], 2),
+    (["run", "--set", "n=8", "--set", "T=1", "--set", "gamma_N=1e20"], 3),
+], ids=["ok", "bad-input", "singular"])
+def test_python_m_cutfsi_exits_with_the_status(argv, status, tmp_path):
+    """``python -m cutfsi`` hands the status of ``main`` to the shell."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "cutfsi", *argv,
+                           "--output-dir", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == status, proc.stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -162,46 +247,6 @@ def test_failed_factorization_exits_3(command, tmp_path, capsys, monkeypatch):
     assert rc == 3
     assert capsys.readouterr().err == \
         "solver error: sparse LU failed: Factor is exactly singular\n"
-
-
-@pytest.mark.parametrize("override", ["gamma_N=1e20", "w_max=1e30"])
-def test_singular_step_matrix_exits_3(override, tmp_path, capsys):
-    """gamma_N = 1e20 or w_max = 1e30 leaves R finite (largest entry 5.3e16
-    and 4.8e24 at n = 8), but its LU is exactly singular: ``cutfsi run``
-    exits 3 and writes one line to stderr."""
-    rc = main(["run", "--set", "n=8", "--set", "T=1", "--set", override,
-               "--output-dir", str(tmp_path)])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert err.startswith("solver error: ") and err.count("\n") == 1, err
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("override,message", [
-    ("mu_s=1e300", "numerically singular factorization (probe backward error nan "),
-    ("rho_f=1e308", "matrix has non-finite entries\n")], ids=["mu_s", "rho_f"])
-def test_overflowing_step_matrix_exits_3(override, message, tmp_path, capsys):
-    """mu_s = 1e300 makes ||A||_inf ||x||_inf overflow in the probe, whose
-    solve of A x = A·1 has ||x||_inf = 7.6e284 instead of 1, and rho_f =
-    1e308 overflows entries of R to inf and NaN: ``cutfsi run`` refuses the
-    factor, exit 3 with one stderr line, rather than running on it."""
-    rc = main(["run", "--set", "n=8", "--set", "T=1", "--set", override,
-               "--output-dir", str(tmp_path)])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert err.startswith("solver error: " + message) and err.count("\n") == 1, err
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_step_exits_3(tmp_path, capsys):
-    """A lid speed of 1e300 overflows the first step to NaN: ``cutfsi run``
-    exits 3 naming the step, instead of logging NaN energies with exit 0."""
-    rc = main(["run", "--set", "n=8", "--set", "T=2", "--set", "peak_inflow=1e300",
-               "--output-dir", str(tmp_path)])
-    assert rc == 3
-    assert capsys.readouterr().err == \
-        "solver error: step 1: relative residual nan is not finite\n"
-    assert not (tmp_path / "steps.csv").exists()
 
 
 def test_unrepairable_step_exits_3(tmp_path, capsys, monkeypatch, perturbed_factor):
@@ -342,16 +387,6 @@ def test_verify_applies_other_overrides(capsys, monkeypatch):
     main(["verify", "--set", "radius_squared=0.6"])
     assert built == [(8, 0.6), (16, 0.6), (32, 0.6)]  # the decay check steps n = 8
     assert "[ok  ] n=32 solid area" in capsys.readouterr().out
-
-
-def test_scale_guardrail(tmp_path, capsys):
-    """A mesh beyond the desk-scale guardrail is refused input: exit 2,
-    the reason on stderr, and no file written."""
-    out = tmp_path / "out"
-    rc = main(["run", "--set", "n=1024", "--output-dir", str(out)])
-    assert rc == 2
-    assert "refusing n=1024" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_run_small(tmp_path, capsys):

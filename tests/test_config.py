@@ -164,6 +164,25 @@ def test_step_count_overflow_rejected():
         SimulationConfig(k=1e-320)
 
 
+@pytest.mark.parametrize("values,message", [
+    ({"rho_f": 1e-226, "nu_f": 1e-284}, "rho_f * nu_f = 1e-226 * 1e-284 "),
+    ({"rho_f": 1e308, "nu_f": 1e308}, "rho_f * nu_f = 1e+308 * 1e+308 "),
+    ({"rho_f": 1e-150, "nu_f": 1e-150, "gamma_N": 1e-10},
+     "rho_f * nu_f * gamma_N = 1e-150 * 1e-150 * 1e-10 "),
+    ({"nu_f": 1e300, "gamma_N": 1e10}, "rho_f * nu_f * gamma_N = 1.0 * 1e+300 * 10000000000.0 "),
+], ids=["nu-underflow", "nu-overflow", "nitsche-subnormal", "nitsche-overflow"])
+def test_viscous_and_nitsche_scales_must_be_normal_floats(values, message):
+    """rho_f nu_f and rho_f nu_f gamma_N scale the viscous and Nitsche
+    forms, and the energies divide by the second: a product that
+    underflows to zero or a subnormal, or overflows, is a ConfigError that
+    names the keys, not a ZeroDivisionError or an inf later.  Normal
+    products at the ends of the range pass."""
+    with pytest.raises(ConfigError, match="^" + re.escape(message + "is not a normal float")):
+        SimulationConfig(**values)
+    SimulationConfig(rho_f=1e-150, nu_f=1e-157, gamma_N=1.0)
+    SimulationConfig(rho_f=1e150, nu_f=1e150, gamma_N=1e8)
+
+
 def test_mesh_size_overflow_rejected():
     """An n beyond the float range, whose h = 2/n would raise an
     OverflowError, is a ConfigError that does not print n's digits; the
