@@ -8,6 +8,7 @@ on the coarse mesh (nested meshes make reference cell lookup exact).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,23 +180,29 @@ def error_vs_reference(disc_c: Discretization, states_c: list[State],
             maps[level, block] = point_eval_matrices(disc, block, pts, cells)
         maps[level, "u"] = maps[level, "vs"]  # one solid space
 
-    def sq_error(block, which, first):
-        """Sum over the states first..N_c, the components and the maps
-        ``which`` (0 value, 1 d/dx, 2 d/dy) of w |E_r x_r - E_c x_c|^2."""
+    def norm(block, which, first, k=1.0):
+        """sqrt(k sum w |E_r x_r - E_c x_c|^2) over the states first..N_c,
+        the components and the maps ``which`` (0 value, 1 d/dx, 2 d/dy).
+        The differences are scaled by 2^-e, e the exponent of the largest,
+        and the root by 2^e: exact in floating point, and the squares
+        neither underflow (a lid of 1e-160) nor overflow (1e154)."""
         coefs = {}
         for level, disc, states in (("c", disc_c, states_c), ("r", disc_r, ref_states)):
             X = np.stack([s.x[disc.layout.slice(block)] for s in states[first:]])
             coefs[level] = X.reshape(-1, disc.dofmap(block).n_scalar).T  # a column per component
+        diffs = [maps["r", block][m] @ coefs["r"] - maps["c", block][m] @ coefs["c"]
+                 for m in which]
+        e = math.frexp(max(float(np.abs(d).max(initial=0.0)) for d in diffs))[1]
         w = points[disc_c.dofmap(block).side][1]
-        return sum(w @ (maps["r", block][m] @ coefs["r"]
-                        - maps["c", block][m] @ coefs["c"]) ** 2 for m in which).sum()
+        return math.ldexp(float(np.sqrt(k * sum(w @ np.ldexp(d, -e) ** 2
+                                                for d in diffs).sum())), e)
 
     k = states_c[1].t - states_c[0].t
-    return {"vf_T": float(np.sqrt(sq_error("vf", (0,), N_c))),
-            "vs_T": float(np.sqrt(sq_error("vs", (0,), N_c))),
-            "grad_u_T": float(np.sqrt(sq_error("u", (1, 2), N_c))),
-            "grad_vf_I": float(np.sqrt(k * sq_error("vf", (1, 2), 1))),
-            "h_grad_p_I": float(disc_c.h * np.sqrt(k * sq_error("p", (1, 2), 1)))}
+    return {"vf_T": norm("vf", (0,), N_c),
+            "vs_T": norm("vs", (0,), N_c),
+            "grad_u_T": norm("u", (1, 2), N_c),
+            "grad_vf_I": norm("vf", (1, 2), 1, k),
+            "h_grad_p_I": disc_c.h * norm("p", (1, 2), 1, k)}
 
 
 @dataclass
@@ -207,11 +214,19 @@ class ErrorReport:
     errors: list[dict]        # one dict per level, keys ERROR_NORMS
 
     def orders(self) -> list[dict]:
-        out = []
-        for coarse, fine in zip(self.errors[:-1], self.errors[1:]):
-            out.append({key: convergence_order(coarse[key], fine[key])
-                        for key in ERROR_NORMS})
-        return out
+        """The orders between consecutive levels; ConfigError, naming the
+        norm and the level, if an error they read is not positive and
+        finite, as when the lid stays at rest for the whole run."""
+        if len(self.errors) < 2:
+            return []
+        label = "h" if self.mode == "space" else "k"
+        for level, errors in zip(self.levels, self.errors):
+            for key in ERROR_NORMS:
+                if not 0.0 < errors[key] < math.inf:
+                    raise ConfigError(f"the {key} error at {label}={level:g} is "
+                                      f"{errors[key]:g}, so no order can be measured")
+        return [{key: convergence_order(coarse[key], fine[key]) for key in ERROR_NORMS}
+                for coarse, fine in zip(self.errors[:-1], self.errors[1:])]
 
 
 def _trajectory(disc: Discretization, cfg) -> list[State]:

@@ -45,6 +45,7 @@ import scipy.sparse as sp
 
 from .discretization import Discretization
 from .fem import reference_basis
+from .linalg import SingularMatrixError
 from .quadrature import ARC_NPTS, gauss_1d
 
 SYSTEM_BLOCKS = ("vf", "p", "vs")
@@ -243,11 +244,18 @@ def _on_components(arrays: dict, ncomp: int = 2) -> dict:
             for c in range(ncomp)}
 
 
-def _lin(*terms) -> dict:
+def _overflow(name: str) -> SingularMatrixError:
+    """The refusal of the form or operator ``name`` whose entries overflow:
+    dropping them as round-off would solve without it."""
+    return SingularMatrixError(f"{name} overflows to non-finite entries")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused by name
+def _lin(*terms, name: str) -> dict:
     """sum_i c_i F_i over terms (c_i, F_i), data array by data array, each
     key's terms in one pass in the order given.  An entry that cancels to
     at most DROP_TOL times sum_i |c_i F_i| is the round-off of a zero, and
-    is zeroed."""
+    is zeroed; ``_overflow(name)`` if that sum is not finite."""
     groups = defaultdict(list)
     for coef, arrays in terms:
         for key, data in arrays.items():
@@ -260,19 +268,24 @@ def _lin(*terms) -> dict:
         for coef, data in rest:
             total += np.multiply(coef, data, out=term)
             size += np.abs(term, out=term)
+        if not size.max(initial=0.0) < np.inf:  # a NaN fails too
+            raise _overflow(name)
         size *= DROP_TOL
         total[np.abs(total, out=term) <= size] = 0.0
         out[key] = total
     return out
 
 
-def _drop_roundoff(arrays: dict) -> dict:
+def _drop_roundoff(arrays: dict, name: str) -> dict:
     """Zero, in place, the entries of data arrays {key: data} of at most
     DROP_TOL times their largest |entry|.  These are the round-off of
     entries that are zero in exact arithmetic, so the stored pattern does
-    not depend on the order of the sums."""
-    tol = DROP_TOL * max((np.abs(data).max(initial=0.0) for data in arrays.values()),
-                         default=0.0)
+    not depend on the order of the sums.  ``_overflow(name)`` if an entry
+    is not finite."""
+    scale = max((np.abs(data).max(initial=0.0) for data in arrays.values()), default=0.0)
+    if not scale < np.inf:  # a NaN fails too
+        raise _overflow(name)
+    tol = DROP_TOL * scale
     for data in arrays.values():
         data[np.abs(data) <= tol] = 0.0
     return arrays
@@ -489,6 +502,7 @@ class Forms:
     ghost_u: sp.csr_matrix
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused by name
 def assemble_forms(disc: Discretization, arrays: dict | None = None) -> Forms:
     """The fields of ``Forms`` of ``disc``, from one assembly pass; with
     ``arrays``, also the forms that only the operators A and K read.
@@ -502,7 +516,9 @@ def assemble_forms(disc: Discretization, arrays: dict | None = None) -> Forms:
     given, asks for those forms too: it receives the data arrays by name
     (the fields of ``Forms``, without their round-off, and "viscous",
     "grad_p", "consistency" and "solid_bulk", which only A and K read), so
-    that ``operators`` needs no second pass.
+    that ``operators`` needs no second pass.  A form whose entries
+    overflow, as with a ghost penalty of 1e308, is refused with
+    SingularMatrixError naming it, not dropped as round-off.
     """
     cfg = disc.cfg
     full = arrays is not None
@@ -520,7 +536,8 @@ def assemble_forms(disc: Discretization, arrays: dict | None = None) -> Forms:
     _cell_pass(disc, sums, "s", solid)
     _nitsche_pass(disc, sums, consistency=full)
     a = sums.arrays()
-    f = {"mass_fluid": _on_components(_lin((cfg.rho_f, a.pop("mass_fluid")))),
+    f = {"mass_fluid": _on_components(_lin((cfg.rho_f, a.pop("mass_fluid")),
+                                           name="form mass_fluid")),
          "nitsche_pen": _on_components(a.pop("nitsche_pen")), **a}
 
     # ghost penalties gamma sum_l c_l R_l on the jump matrices of the form's
@@ -540,7 +557,7 @@ def assemble_forms(disc: Discretization, arrays: dict | None = None) -> Forms:
             return pattern(disc, *key[:2]).compact(array)
         return _stack(data, disc)
 
-    forms = Forms(**{name: matrix(_drop_roundoff(f[name]))
+    forms = Forms(**{name: matrix(_drop_roundoff(f[name], f"form {name}"))
                      for name in Forms.__dataclass_fields__})
     if full:
         arrays.update(f)
@@ -557,18 +574,23 @@ def operators(disc: Discretization):
     each matrix that ``combine`` makes of them equals its transpose bit for
     bit.  A and the solid bulk form a_s lose their round-off entries
     relative to their own largest entry, as each ``Forms`` field does.
+    An operator whose entries overflow, as K's 2 mu_s g_u at mu_s = 1e308,
+    is refused with SingularMatrixError naming it.
     """
     f: dict = {}
     forms = assemble_forms(disc, f)
     cfg = disc.cfg
     M = _lin((1.0, f["mass_fluid"]), (cfg.rho_s, _on_components(f["mass_solid_scalar"])),
-             (cfg.rho_s, _on_components(f["ghost_vs"])))
-    K = _lin((1.0, _drop_roundoff(f["solid_bulk"])),
-             (2.0 * cfg.mu_s, _on_components(f["ghost_u"])))
+             (cfg.rho_s, _on_components(f["ghost_vs"])), name="operator M")
+    K = _lin((1.0, _drop_roundoff(f["solid_bulk"], "form solid_bulk")),
+             (2.0 * cfg.mu_s, _on_components(f["ghost_u"])), name="operator K")
+    # rho_f nu_f first: validate bounds it, and doubling it cannot overflow
+    # where doubling rho_f could (rho_f = 1e308)
     A = _lin((1.0, f["viscous"]), (1.0, f["grad_p"]),
              (1.0, f["nitsche_pen"]), (1.0, f["consistency"]),
-             (2.0 * cfg.rho_f * cfg.nu_f, _on_components(f["ghost_vf"])), (-1.0, f["ghost_p"]))
-    return M, _drop_roundoff(A), K, forms
+             (2.0 * (cfg.rho_f * cfg.nu_f), _on_components(f["ghost_vf"])),
+             (-1.0, f["ghost_p"]), name="operator A")
+    return M, _drop_roundoff(A, "operator A"), K, forms
 
 
 def combine(disc: Discretization, *terms, blocks=SYSTEM_BLOCKS) -> sp.csr_matrix:
@@ -576,4 +598,5 @@ def combine(disc: Discretization, *terms, blocks=SYSTEM_BLOCKS) -> sp.csr_matrix
     F_i operators from ``operators``; a lone term with c_i = 1 is stacked
     from its own data arrays, without a copy."""
     (coef, arrays), *rest = terms
-    return _stack(arrays if coef == 1.0 and not rest else _lin(*terms), disc, blocks)
+    return _stack(arrays if coef == 1.0 and not rest else _lin(*terms, name="step matrix"),
+                  disc, blocks)

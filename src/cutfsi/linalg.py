@@ -105,9 +105,12 @@ def factorize(A: sp.spmatrix) -> Factorization:
     del At
     # ||A||_inf, the largest absolute row sum, taken before the factor exists
     # so that its temporary adds nothing to the peak.  reduceat reads an
-    # empty row (A is then singular, and splu says so) as an entry of a later row
+    # empty row (A is then singular, and splu says so) as an entry of a later
+    # row.  A row sum that overflows (lambda_s = 1e308) gives inf, and every
+    # backward error then reads NaN
     starts = np.minimum(A.indptr[:-1], A.nnz - 1)
-    norm_a = np.add.reduceat(np.abs(A.data), starts).max() if A.nnz else 0.0
+    with np.errstate(over="ignore"):
+        norm_a = np.add.reduceat(np.abs(A.data), starts).max() if A.nnz else 0.0
     try:
         lu = spla.splu(sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape),
                        permc_spec="NATURAL", diag_pivot_thresh=SYMMETRIC_PIVOT_THRESH,

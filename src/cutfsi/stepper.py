@@ -229,8 +229,12 @@ class TimeStepper:
             x_f, r = self.fact.solve(b_f)
         except linalg.SingularMatrixError as exc:
             raise linalg.SingularMatrixError(f"step {state.n + 1}: {exc}") from exc
-        # the 2-norms overflow where the backward error does not (a lid of 1e300)
-        res = np.linalg.norm(r) / max(np.hypot(np.linalg.norm(b_f), np.linalg.norm(g)), 1e-300)
+        # the 2-norms overflow where the backward error does not (a lid of
+        # 1e154 or 1e300), refused just below: NaN if the denominator does,
+        # as the residual over it would read 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            num, den = np.linalg.norm(r), np.hypot(np.linalg.norm(b_f), np.linalg.norm(g))
+        res = num / max(den, 1e-300) if den < np.inf else np.nan
         if not np.isfinite(res):
             raise linalg.SingularMatrixError(
                 f"step {state.n + 1}: relative residual {res} is not finite")

@@ -248,7 +248,7 @@ def system_matrices(disc, forms):
     M = drop_roundoff(forms.mass_fluid + forms.mass_solid
                       + cfg.rho_s * place(disc, "vs", "vs", forms.ghost_vs, 2))
     A_f = forms.fluid_bulk + forms.nitsche_pen + forms.nitsche_cons
-    S_f = (2.0 * cfg.rho_f * cfg.nu_f * place(disc, "vf", "vf", forms.ghost_vf, 2)
+    S_f = (2.0 * (cfg.rho_f * cfg.nu_f) * place(disc, "vf", "vf", forms.ghost_vf, 2)
            + place(disc, "p", "p", forms.ghost_p))
     K = drop_roundoff(place(disc, "vs", "vs", forms.solid_bulk)
                       + 2.0 * cfg.mu_s * place(disc, "vs", "vs", forms.ghost_u, 2))

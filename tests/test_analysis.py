@@ -1,5 +1,7 @@
 """Norms, energies, error evaluation and the ghost-extension probe."""
 
+import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -8,11 +10,11 @@ import scipy.sparse as sp
 
 import assembly_oracle as coo
 from cutfsi import analysis
-from cutfsi import (Discretization, SimulationConfig, TimeStepper,
-                    convergence_order, error_vs_reference,
+from cutfsi import (ConfigError, Discretization, ErrorReport, SimulationConfig,
+                    TimeStepper, convergence_order, error_vs_reference,
                     ghost_extension_ratios, run_simulation, verify_energy_decay)
-from cutfsi.analysis import (Analyzer, domain_points, locate_cells, point_eval_matrices,
-                             random_smooth_state)
+from cutfsi.analysis import (ERROR_NORMS, Analyzer, domain_points, locate_cells,
+                             point_eval_matrices, random_smooth_state)
 from cutfsi.assembly import SCALAR_KERNELS, assemble_forms
 from cutfsi.fem import reference_basis
 
@@ -155,6 +157,39 @@ def test_error_vs_reference_nested_constant():
     errs = error_vs_reference(d8, s8, d16, s16)
     for key, val in errs.items():
         assert val <= 1e-13, key
+
+
+@pytest.fixture(scope="module")
+def runs_8_16():
+    """(disc, every state) of the runs at n = 8 and n = 16, T = 4."""
+    return [run_simulation(SimulationConfig(n=n, T=4.0))[::2] for n in (8, 16)]
+
+
+@pytest.mark.parametrize("s", [-560, 520])
+def test_error_vs_reference_exact_under_scaling(s, runs_8_16):
+    """Both trajectories times 2^s give each error norm times 2^s bit for
+    bit, although the squares of their differences underflow to 0
+    (s = -560, about 1e-169) or overflow to inf (s = 520, about 3e156)."""
+    (d8, s8), (d16, s16) = runs_8_16
+    want = error_vs_reference(d8, s8, d16, s16)
+    s8, s16 = ([replace(state, x=np.ldexp(state.x, s)) for state in states]
+               for states in (s8, s16))
+    got = error_vs_reference(d8, s8, d16, s16)
+    assert got == {key: math.ldexp(value, s) for key, value in want.items()}
+
+
+@pytest.mark.parametrize("value", [0.0, math.nan, math.inf])
+def test_orders_refuse_an_error_that_is_not_positive(value):
+    """An error that is 0, as when the lid stays at rest for the whole run
+    (ramp_time = 1e300), or not finite has no order: ConfigError names the
+    norm and the level.  A single level has no order, so none is refused."""
+    errors = [dict.fromkeys(ERROR_NORMS, 1.0),
+              {**dict.fromkeys(ERROR_NORMS, 0.5), "grad_u_T": value}]
+    report = ErrorReport(mode="space", levels=[0.25, 0.125], errors=errors)
+    with pytest.raises(ConfigError, match=rf"^the grad_u_T error at h=0\.125 is {value:g}, "
+                                          "so no order can be measured$"):
+        report.orders()
+    assert ErrorReport(mode="time", levels=[0.5], errors=errors[1:]).orders() == []
 
 
 def test_error_vs_reference_rejects_non_nested():

@@ -45,9 +45,6 @@ PREFIX = {2: "configuration error: ", 3: "solver error: "}
 # the config files that rows of the exit-status table read, by relative path
 CONFIG_FILES = {"lots.cfg": "n = lots\n", "twice.cfg": "n = 8\nn = 16\n"}
 
-# a step matrix or step that overflows warns before the command refuses it
-OVERFLOWS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
 
 @pytest.mark.parametrize("argv, status, value", [
     pytest.param(["convergence", "--mode", "time", "--ref", "-0.5", "--set", "n=8"], 2, "-0.5",
@@ -135,18 +132,39 @@ OVERFLOWS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
     pytest.param(["run", "--set", "n=8", "--set", "T=1", "--set", "w_max=1e30"], 3,
                  "sparse LU failed: Factor is exactly singular", id="run-singular-w_max"),
     # mu_s = 1e300 makes ||A||_inf ||x||_inf overflow in the probe, whose
-    # solve of A x = A·1 has ||x||_inf = 7.6e284 instead of 1; rho_f = 1e308
-    # overflows entries of R to inf and NaN
+    # solve of A x = A·1 has ||x||_inf = 7.6e284 instead of 1; at
+    # rho_f = 1e308 and lambda_s = 1e308 R is finite (its largest row sum
+    # overflows at lambda_s = 1e308), but its LU is exactly singular.  No
+    # row warns: the suite's filterwarnings turn a RuntimeWarning into an error
     pytest.param(["run", "--set", "n=8", "--set", "T=1", "--set", "mu_s=1e300"], 3,
                  "solver error: numerically singular factorization (probe backward error nan ",
-                 marks=OVERFLOWS, id="run-probe-overflow"),
+                 id="run-probe-overflow"),
     pytest.param(["run", "--set", "n=8", "--set", "T=1", "--set", "rho_f=1e308"], 3,
-                 "solver error: matrix has non-finite entries\n", marks=OVERFLOWS,
+                 "solver error: sparse LU failed: Factor is exactly singular\n",
                  id="run-non-finite-matrix"),
-    # a lid speed of 1e300 overflows the first step to NaN
+    pytest.param(["run", "--set", "n=8", "--set", "T=1", "--set", "lambda_s=1e308"], 3,
+                 "solver error: sparse LU failed: Factor is exactly singular\n",
+                 id="run-row-sum-overflow"),
+    # a form or operator that overflows is refused by name, not dropped as
+    # the round-off of its infinite largest entry
+    pytest.param(["run", "--set", "n=8", "--set", "T=1", "--set", "gamma_u=1e308"], 3,
+                 "solver error: form ghost_u overflows to non-finite entries\n",
+                 id="run-ghost_u-overflow"),
+    pytest.param(["run", "--set", "n=8", "--set", "T=1", "--set", "gamma_vf=1e308"], 3,
+                 "solver error: form ghost_vf overflows to non-finite entries\n",
+                 id="run-ghost_vf-overflow"),
+    pytest.param(["run", "--set", "n=8", "--set", "T=1", "--set", "mu_s=1e308"], 3,
+                 "solver error: form solid_bulk overflows to non-finite entries\n",
+                 id="run-solid_bulk-overflow"),
+    # a lid speed of 1e300 overflows the first step to NaN; at 1e154 only
+    # the norm of the right-hand side overflows, and the relative residual
+    # would read 0
     pytest.param(["run", "--set", "n=8", "--set", "T=2", "--set", "peak_inflow=1e300"], 3,
                  "solver error: step 1: relative residual nan is not finite\n",
-                 marks=OVERFLOWS, id="run-non-finite-step"),
+                 id="run-non-finite-step"),
+    pytest.param(["run", "--set", "n=8", "--set", "T=1", "--set", "peak_inflow=1e154"], 3,
+                 "solver error: step 1: relative residual nan is not finite\n",
+                 id="run-rhs-norm-overflow"),
 ])
 def test_bad_run_input_exits_2_before_any_discretization(argv, status, value, tmp_path, capsys,
                                                           monkeypatch):
@@ -205,9 +223,17 @@ def test_refused_study_leaves_no_output_dir(argv, tmp_path, capsys):
     (["run", "--set", "n=8", "--set", "T=1"], 0),
     (["run", "--set", "n=abc"], 2),
     (["run", "--set", "n=8", "--set", "T=1", "--set", "gamma_N=1e20"], 3),
-], ids=["ok", "bad-input", "singular"])
+    (["run", "--set", "n=8", "--set", "T=2", "--set", "peak_inflow=1e300"], 3),
+    (["run", "--set", "n=8", "--set", "T=1", "--set", "rho_f=1e308"], 3),
+    (["convergence", "--mode", "space", "--levels", "2", "--set", "n=8",
+      "--set", "ramp_time=1e300"], 2),
+], ids=["ok", "bad-input", "singular", "lid-overflow", "density-overflow", "lid-at-rest"])
 def test_python_m_cutfsi_exits_with_the_status(argv, status, tmp_path):
-    """``python -m cutfsi`` hands the status of ``main`` to the shell."""
+    """``python -m cutfsi`` hands the status of ``main`` to the shell, and
+    prints nothing (status 0) or one stderr line: no numpy warning goes
+    before the refusal of an overflow.  A study whose lid stays at rest
+    (ramp_time = 1e300) is refused after its runs, as no order can be
+    measured."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
@@ -215,6 +241,11 @@ def test_python_m_cutfsi_exits_with_the_status(argv, status, tmp_path):
                            "--output-dir", str(tmp_path / "out")],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == status, proc.stderr
+    if status:
+        assert proc.stderr.startswith(PREFIX[status]) and proc.stderr.count("\n") == 1, \
+            proc.stderr
+    else:
+        assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -305,9 +336,17 @@ def verify_run():
     return rc, out.getvalue()
 
 
-def test_verify_passes(verify_run):
-    """Every built-in check passes on the default configuration."""
-    rc, out = verify_run
+@pytest.mark.parametrize("argv", [
+    pytest.param([], id="default"),
+    # the warning filters of python -W error -W default::DeprecationWarning
+    pytest.param(["--set", "m_s=2"], id="quadratic-solid-warnings-as-errors",
+                 marks=pytest.mark.filterwarnings("error", "default::DeprecationWarning")),
+    pytest.param(["--set", "radius_squared=0.5"], id="circle-through-vertices"),
+])
+def test_verify_passes(argv, verify_run, capsys):
+    """Every built-in check passes: on the default configuration, with the
+    quadratic solid and no warning, and on a circle through mesh vertices."""
+    rc, out = (main(["verify", *argv]), capsys.readouterr().out) if argv else verify_run
     assert rc == 0
     assert "all checks passed" in out
 

@@ -36,13 +36,16 @@ def test_solve_matches_dense():
 
 def test_singular_matrix_raises():
     """A rank-deficient matrix, one with an empty row and column in the
-    middle or at the end, and one with a NaN entry (which is not refused as
-    unequal to its transpose) are reported singular."""
-    for rows in ([[1.0, 2.0], [2.0, 4.0]],
-                 [[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [2.0, 0.0, 3.0]],
-                 [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
-                 [[np.nan, 1.0], [1.0, 2.0]]):
-        with pytest.raises(linalg.SingularMatrixError):
+    middle or at the end, and one with a NaN or an infinite entry are
+    reported singular; the last two before SuperLU sees them, and a NaN
+    before the transpose test, which it would fail (NaN != NaN)."""
+    non_finite = "^matrix has non-finite entries$"
+    for rows, match in (([[1.0, 2.0], [2.0, 4.0]], None),
+                        ([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [2.0, 0.0, 3.0]], None),
+                        ([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 0.0]], None),
+                        ([[np.nan, 1.0], [1.0, 2.0]], non_finite),
+                        ([[np.inf, 1.0], [1.0, 2.0]], non_finite)):
+        with pytest.raises(linalg.SingularMatrixError, match=match):
             linalg.factorize(sp.csr_matrix(np.array(rows)))
 
 
