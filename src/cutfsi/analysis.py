@@ -9,6 +9,7 @@ on the coarse mesh (nested meshes make reference cell lookup exact).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,8 @@ from .mesh import verify_path_assumption
 from .stepper import RUN_FIELDS, State, TimeStepper
 
 ERROR_NORMS = ("vf_T", "vs_T", "grad_u_T", "grad_vf_I", "h_grad_p_I")
+# Each refinement study's level key, ratio of one level to the next, and label.
+STUDY_MODES = {"space": ("n", 2, "h"), "time": ("k", 0.5, "k")}
 # The configuration fields that ``verify_checks`` sets itself.
 VERIFY_FIELDS = ("n", *RUN_FIELDS)
 # Random samples per ghost-extension ratio.
@@ -207,26 +210,29 @@ def error_vs_reference(disc_c: Discretization, states_c: list[State],
 
 @dataclass
 class ErrorReport:
-    """Per-level errors plus orders between consecutive levels."""
+    """Per-level errors and the orders between consecutive levels, taken when it
+    is built; ConfigError, naming the norm and level, if an error is not normal."""
 
-    mode: str                 # "space" or "time"
+    mode: str                 # a key of STUDY_MODES
     levels: list[float]       # h or k per level
     errors: list[dict]        # one dict per level, keys ERROR_NORMS
 
-    def orders(self) -> list[dict]:
-        """The orders between consecutive levels; ConfigError, naming the
-        norm and the level, if an error they read is not positive and
-        finite, as when the lid stays at rest for the whole run."""
-        if len(self.errors) < 2:
-            return []
-        label = "h" if self.mode == "space" else "k"
-        for level, errors in zip(self.levels, self.errors):
+    def __post_init__(self):
+        self.label = STUDY_MODES[self.mode][2]  # of the levels, h or k
+        pairs = list(zip(self.errors[:-1], self.errors[1:]))
+        # an error that is 0 (a lid at rest), not finite, or subnormal (its
+        # round-off is of its own size) has no order; a single level has none
+        for level, errors in zip(self.levels, self.errors if pairs else []):
             for key in ERROR_NORMS:
-                if not 0.0 < errors[key] < math.inf:
-                    raise ConfigError(f"the {key} error at {label}={level:g} is "
+                if not sys.float_info.min <= errors[key] < math.inf:
+                    raise ConfigError(f"the {key} error at {self.label}={level:g} is "
                                       f"{errors[key]:g}, so no order can be measured")
-        return [{key: convergence_order(coarse[key], fine[key]) for key in ERROR_NORMS}
-                for coarse, fine in zip(self.errors[:-1], self.errors[1:])]
+        self._orders = [{key: convergence_order(coarse[key], fine[key]) for key in ERROR_NORMS}
+                        for coarse, fine in pairs]
+
+    def orders(self) -> list[dict]:
+        """The orders between consecutive levels."""
+        return self._orders
 
 
 def _trajectory(disc: Discretization, cfg) -> list[State]:
@@ -246,46 +252,45 @@ def run_simulation(cfg):
 
 
 def study_configs(mode: str, base_cfg, levels: list, ref) -> tuple:
-    """(reference config, level configs) of a refinement study whose
-    ``levels`` and ``ref`` are meshes n (mode "space") or steps k ("time").
-    ConfigError unless the reference nests in, and refines, every level."""
-    key = "n" if mode == "space" else "k"
+    """(reference config, level configs) of a study of ``mode`` whose levels
+    and ref set its ``STUDY_MODES`` key.  ConfigError if the lid is at rest,
+    or unless the reference nests in, and refines, every level."""
+    if base_cfg.peak_inflow == 0:
+        raise ConfigError("peak_inflow = 0 drives no flow, so every error is 0 "
+                          "and no order can be measured")
+    key = STUDY_MODES[mode][0]
     cfg_r, cfgs = base_cfg.replace(**{key: ref}), [base_cfg.replace(**{key: v}) for v in levels]
     for cfg in cfgs:
-        if mode == "space":
-            _check_nested(cfg.n, ref)
-            if cfg.n == ref:
-                raise ConfigError(f"reference mesh n={ref} is not finer than n={cfg.n}")
-        elif cfg_r.n_steps % cfg.n_steps != 0:
+        _check_nested(cfg.n, cfg_r.n)
+        if cfg_r.n_steps % cfg.n_steps != 0:
             raise ConfigError(f"reference step k={ref:g} does not divide k={cfg.k:g}")
-        elif cfg_r.n_steps == cfg.n_steps:
-            raise ConfigError(f"reference step k={ref:g} is not finer than k={cfg.k:g}")
+        if (cfg_r.n, cfg_r.n_steps) == (cfg.n, cfg.n_steps):
+            raise ConfigError(f"reference mesh n={ref} is not finer than n={cfg.n}" if key == "n"
+                              else f"reference step k={ref:g} is not finer than k={cfg.k:g}")
     return cfg_r, cfgs
 
 
 def spatial_study(base_cfg, n_levels: list[int], n_ref: int) -> ErrorReport:
     """Errors of a sequence of mesh levels against one fine reference run."""
-    return _study("space", *study_configs("space", base_cfg, n_levels, n_ref))
+    return run_study("space", *study_configs("space", base_cfg, n_levels, n_ref))
 
 
 def temporal_study(base_cfg, k_levels: list[float], k_ref: float) -> ErrorReport:
     """Errors of a sequence of step sizes against a fine-step reference run."""
-    return _study("time", *study_configs("time", base_cfg, k_levels, k_ref))
+    return run_study("time", *study_configs("time", base_cfg, k_levels, k_ref))
 
 
-def _study(mode: str, cfg_r, cfgs) -> ErrorReport:
-    """Run the reference, then each level against it; a level is its h
-    (space) or k (time).  A temporal study runs the reference and every
-    level on the reference's one ``Discretization``; a spatial study builds
-    one per mesh."""
+def run_study(mode: str, cfg_r, cfgs) -> ErrorReport:
+    """Run the reference of ``study_configs``, then each level against it;
+    a level is its h or k, as ``STUDY_MODES`` labels ``mode``.  A level on
+    the reference's mesh runs on the reference's ``Discretization``."""
     disc_r = Discretization(cfg_r)
     states_r = _trajectory(disc_r, cfg_r)
     errors = []
     for cfg in cfgs:
-        disc_c = disc_r if mode == "time" else Discretization(cfg)
+        disc_c = disc_r if cfg.n == cfg_r.n else Discretization(cfg)
         errors.append(error_vs_reference(disc_c, _trajectory(disc_c, cfg), disc_r, states_r))
-    return ErrorReport(mode=mode, levels=[cfg.h if mode == "space" else cfg.k for cfg in cfgs],
-                       errors=errors)
+    return ErrorReport(mode, [getattr(cfg, STUDY_MODES[mode][2]) for cfg in cfgs], errors)
 
 
 # -- stability verifications ------------------------------------------------

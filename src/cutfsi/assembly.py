@@ -298,20 +298,27 @@ def _stack(arrays: dict, disc: Discretization, blocks=SYSTEM_BLOCKS) -> sp.csr_m
     Rows and columns run over the components of ``blocks`` in order, each
     block component-major.  An absent key is a zero block, or the transpose
     of its partner (col, row, cc, cr) if that is given; zero entries are
-    not stored.  In each row the nonzeros of a block go after those of the
-    blocks left of it, so the result is sorted without a sort.
+    not stored, and each key is compacted once.  In each row the nonzeros
+    of a block go after those of the blocks left of it, so the result is
+    sorted without a sort.
     """
     size = {b: disc.dofmap(b).n_scalar for b in blocks}
     comps = [(b, c) for b in blocks for c in range(disc.dofmap(b).ncomp)]
     starts = np.cumsum([0] + [size[b] for b, _ in comps])
     counts = np.zeros(starts[-1], dtype=np.int64)
-    segments = []
+    segments, compacted = [], {}
+
+    def block(key) -> sp.csr_matrix:
+        if key not in compacted:
+            compacted[key] = pattern(disc, *key[:2]).compact(arrays[key])
+        return compacted[key]
+
     for (row, cr), r0 in zip(comps, starts):
         for (col, cc), c0 in zip(comps, starts):
             if (row, col, cr, cc) in arrays:
-                B = pattern(disc, row, col).compact(arrays[row, col, cr, cc])
+                B = block((row, col, cr, cc))
             elif (col, row, cc, cr) in arrays:
-                B = pattern(disc, col, row).compact(arrays[col, row, cc, cr]).T.tocsr()
+                B = block((col, row, cc, cr)).T.tocsr()
             else:
                 continue
             rows = slice(r0, r0 + size[row])

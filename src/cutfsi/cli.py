@@ -67,12 +67,15 @@ def _check_scale(cfg: SimulationConfig, allow_large: bool, stores_states: bool =
 
 
 def _output_dir(args) -> Path:
-    """The --output-dir, created if missing; one that cannot be is refused."""
+    """The --output-dir, created if missing; one that cannot be is refused.
+    The directories it creates, deepest first, go to ``args.created``."""
     outdir = Path(args.output_dir)
+    missing = [path for path in (outdir, *outdir.parents) if not path.exists()]
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot use --output-dir {outdir}: {exc.strerror or exc}") from exc
+    args.created = missing
     return outdir
 
 
@@ -107,27 +110,21 @@ def cmd_run(args) -> int:
 def cmd_convergence(args) -> int:
     if args.levels < 1:
         raise ConfigError(f"--levels must be >= 1, got {args.levels}")
-    if args.mode == "space" and args.ref is not None and not args.ref.is_integer():
-        raise ConfigError(f"--ref must be a whole number of cells n in space mode, "
-                          f"got {args.ref:g}")
     cfg = _load_config(args)
-    if cfg.peak_inflow == 0:
-        raise ConfigError("peak_inflow = 0 drives no flow, so every error is 0 "
-                          "and no order can be measured")
-    space = args.mode == "space"
-    key, ratio = ("n", 2) if space else ("k", 0.5)
+    key, ratio, _ = analysis.STUDY_MODES[args.mode]
     finest = getattr(cfg, key) * ratio ** (args.levels - 1)
-    ref = finest * ratio if args.ref is None else (int if space else float)(args.ref)
+    if args.ref is not None and isinstance(finest, int) and not args.ref.is_integer():
+        raise ConfigError(f"--ref must be a whole number of cells n in {args.mode} mode, "
+                          f"got {args.ref:g}")
+    ref = finest * ratio if args.ref is None else type(finest)(args.ref)
     # validate the reference, then the finest level, which bounds the list of levels
     for value in (ref, finest):
         cfg.replace(**{key: value})
     levels = [getattr(cfg, key) * ratio ** i for i in range(args.levels)]
-    study = analysis.spatial_study if space else analysis.temporal_study
-    # a refused study leaves no output directory behind
-    cfg_r, _ = analysis.study_configs(args.mode, cfg, levels, ref)
+    cfg_r, cfgs = analysis.study_configs(args.mode, cfg, levels, ref)
     _check_scale(cfg_r, args.allow_large, stores_states=True)
     out = _output_dir(args) / f"convergence_{args.mode}_ms{cfg.m_s}.csv"
-    report = study(cfg, levels, ref)
+    report = analysis.run_study(args.mode, cfg_r, cfgs)
     print(reporting.format_convergence_table(report))
     reporting.write_convergence_csv(out, cfg, report)
     print(f"wrote {out}")
@@ -177,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conv = sub.add_parser("convergence", help="refinement study")
     common(p_conv)
-    p_conv.add_argument("--mode", choices=("space", "time"), required=True)
+    p_conv.add_argument("--mode", choices=tuple(analysis.STUDY_MODES), required=True)
     p_conv.add_argument("--levels", type=int, default=4)
     p_conv.add_argument("--ref", type=float,
                         help="reference n (space; a multiple of the finest n) or k (time); "
@@ -191,13 +188,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    args.created = []
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+        status, message = 2, f"configuration error: {exc}"
     except SingularMatrixError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
+        status, message = 3, f"solver error: {exc}"
+    print(message, file=sys.stderr)
+    # a refused command leaves no directory it created, only what it wrote
+    for path in args.created:
+        try:
+            path.rmdir()
+        except OSError:
+            break
+    return status

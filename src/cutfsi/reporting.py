@@ -48,10 +48,8 @@ def write_step_log(path, cfg: SimulationConfig, records: list[State]) -> None:
 
 
 def _convergence_rows(report: ErrorReport):
-    """The level label ("h" or "k") and, per level, (level, errors, orders),
-    with orders None on the first level."""
-    label = "h" if report.mode == "space" else "k"
-    return label, zip(report.levels, report.errors, [None] + report.orders())
+    """Per level (level, errors, orders), with orders None on the first."""
+    return zip(report.levels, report.errors, [None] + report.orders())
 
 
 def write_convergence_csv(path, cfg: SimulationConfig,
@@ -60,20 +58,18 @@ def write_convergence_csv(path, cfg: SimulationConfig,
 
     Order cells are empty on the first level (no coarser level to compare).
     """
-    label, rows = _convergence_rows(report)
-    header = ([label] + [f"err_{k}" for k in ERROR_NORMS]
+    header = ([report.label] + [f"err_{k}" for k in ERROR_NORMS]
               + [f"order_{k}" for k in ERROR_NORMS])
     _write_csv(path, cfg, header, [
         [float(lvl)] + [float(errs[k]) for k in ERROR_NORMS]
         + [float(orders[k]) if orders else "" for k in ERROR_NORMS]
-        for lvl, errs, orders in rows])
+        for lvl, errs, orders in _convergence_rows(report)])
 
 
 def format_convergence_table(report: ErrorReport) -> str:
     """Human-readable table of errors and orders."""
-    label, rows = _convergence_rows(report)
-    lines = [" ".join([f"{label:>10s}"] + [f"{k:>12s}" for k in ERROR_NORMS])]
-    for lvl, errs, orders in rows:
+    lines = [" ".join([f"{report.label:>10s}"] + [f"{k:>12s}" for k in ERROR_NORMS])]
+    for lvl, errs, orders in _convergence_rows(report):
         lines.append(" ".join([f"{lvl:10.6f}"]
                               + [f"{errs[k]:12.5e}" for k in ERROR_NORMS]))
         if orders:

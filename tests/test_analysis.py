@@ -178,18 +178,39 @@ def test_error_vs_reference_exact_under_scaling(s, runs_8_16):
     assert got == {key: math.ldexp(value, s) for key, value in want.items()}
 
 
-@pytest.mark.parametrize("value", [0.0, math.nan, math.inf])
+@pytest.mark.parametrize("value", [0.0, math.nan, math.inf, 1e-310])
 def test_orders_refuse_an_error_that_is_not_positive(value):
     """An error that is 0, as when the lid stays at rest for the whole run
-    (ramp_time = 1e300), or not finite has no order: ConfigError names the
-    norm and the level.  A single level has no order, so none is refused."""
+    (ramp_time = 1e300), not finite, or subnormal has no order: the report
+    is refused when it is built, with a ConfigError naming the norm and the
+    level.  A single level has no order, so none is refused."""
     errors = [dict.fromkeys(ERROR_NORMS, 1.0),
               {**dict.fromkeys(ERROR_NORMS, 0.5), "grad_u_T": value}]
-    report = ErrorReport(mode="space", levels=[0.25, 0.125], errors=errors)
     with pytest.raises(ConfigError, match=rf"^the grad_u_T error at h=0\.125 is {value:g}, "
                                           "so no order can be measured$"):
-        report.orders()
+        ErrorReport(mode="space", levels=[0.25, 0.125], errors=errors)
     assert ErrorReport(mode="time", levels=[0.5], errors=errors[1:]).orders() == []
+
+
+def test_study_refuses_the_errors_of_a_subnormal_lid():
+    """At a lid speed of 1e-320 the states are subnormal and carry a
+    round-off of their own order, and so do the errors: the study is
+    refused, naming the first norm and level, instead of reporting orders
+    of that round-off."""
+    cfg = SimulationConfig(n=8, peak_inflow=1e-320)
+    with pytest.raises(ConfigError, match=r"^the vf_T error at k=1 is \S+e-321, "
+                                          "so no order can be measured$"):
+        analysis.temporal_study(cfg, [1.0, 0.5], 0.25)
+
+
+def test_study_of_a_tiny_lid_keeps_the_orders():
+    """At a lid speed of 1e-160, whose squared errors would underflow, a
+    study measures the orders of the default lid 0.2: the problem is linear
+    and the error norms scale before they square."""
+    cfg = SimulationConfig(n=8)
+    want, = analysis.temporal_study(cfg, [1.0, 0.5], 0.25).orders()
+    got, = analysis.temporal_study(cfg.replace(peak_inflow=1e-160), [1.0, 0.5], 0.25).orders()
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_error_vs_reference_rejects_non_nested():

@@ -807,3 +807,34 @@ def test_pattern_index_arrays_shared_read_only(disc8):
         with pytest.raises(ValueError):
             a[0] = 1
     assert np.array_equal(P.indices, indices) and np.array_equal(P.indptr, indptr)
+
+
+@pytest.mark.parametrize("m_s", [1, 2])
+def test_stack_compacts_each_key_once(m_s, monkeypatch):
+    """``_stack`` compacts the data array of each key once and places its
+    mirror below the diagonal as the transpose of that compaction: at
+    m_s = 2 the step matrix R compacts its 15 keys 15 times (not 25), and
+    the Nitsche penalty its 6 keys 6 times (not 8).  A data array that
+    several keys share is compacted once per key."""
+    disc = Discretization(SimulationConfig(n=8, m_s=m_s))
+    f = {}
+    assemble_forms(disc, f)
+    M, A, K, _ = operators(disc)
+    R = assembly._lin((1.0, M), (0.25, A), (0.0625, K), name="step matrix")
+    compacted = Counter()
+    compact = assembly.Pattern.compact
+
+    def counting(self, data):
+        compacted[id(data)] += 1
+        return compact(self, data)
+
+    monkeypatch.setattr(assembly.Pattern, "compact", counting)
+    for arrays in (R, f["nitsche_pen"]):
+        compacted.clear()
+        mirrored = [(row, col, cr, cc) for row, col, cr, cc in arrays
+                 if (col, row, cc, cr) not in arrays]
+        assert mirrored  # some blocks are stored once, for both places
+        _stack(arrays, disc)
+        assert compacted == Counter(id(data) for data in arrays.values())
+    if m_s == 2:
+        assert (len(R), len(f["nitsche_pen"])) == (15, 6)

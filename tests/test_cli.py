@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cutfsi import SimulationConfig, analysis, discretization, linalg, run_simulation
+from cutfsi import (SimulationConfig, analysis, discretization, linalg, run_simulation,
+                    stepper)
 from cutfsi.assembly import assemble_forms
 from cutfsi.cli import build_parser, main
 from cutfsi.mesh import build_cut_topology
@@ -171,9 +172,9 @@ def test_bad_run_input_exits_2_before_any_discretization(argv, status, value, tm
     """The exit-status table of ``cutfsi run`` and ``cutfsi convergence``.
     Input they refuse exits 2 at once, before any discretization is built
     or --output-dir is created; a step matrix or a step that cannot be
-    solved exits 3 before the step log is written.  Either way stderr is
-    one short line that starts with the status's prefix and holds the
-    row's value."""
+    solved exits 3 before the step log is written, and removes the
+    --output-dir it created.  Either way stderr is one short line that
+    starts with the status's prefix and holds the row's value."""
     built = []
     init = discretization.Discretization.__init__
 
@@ -201,22 +202,46 @@ def test_bad_run_input_exits_2_before_any_discretization(argv, status, value, tm
         # at once: a study validates its reference and finest level before
         # it builds the list of its levels
         assert elapsed < 2.0 and built == []
-        assert not (tmp_path / "out").exists()
-    else:
-        assert not (tmp_path / "out" / "steps.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["--mode", "space", "--ref", "24", "--levels", "2", "--set", "n=8"],
-    ["--mode", "time", "--ref", "0.3333333333333333", "--levels", "2"],
-], ids=["space", "time"])
-def test_refused_study_leaves_no_output_dir(argv, tmp_path, capsys):
+@pytest.mark.parametrize("argv, message", [
+    (["--mode", "space", "--ref", "24", "--levels", "2", "--set", "n=8"], "reference mesh n=24"),
+    (["--mode", "time", "--ref", "0.3333333333333333", "--levels", "2"], "reference step k=0.333"),
+    (["--mode", "time", "--levels", "2", "--set", "n=8", "--set", "ramp_time=1e300"],
+     "the vf_T error at k=1 is 0,"),
+    (["--mode", "time", "--levels", "2", "--set", "n=8", "--set", "peak_inflow=1e-320"],
+     "the vf_T error at k=1 is 2.79147e-321,"),
+], ids=["space", "time", "lid-at-rest", "lid-subnormal"])
+def test_refused_study_leaves_no_output_dir(argv, message, tmp_path, capsys):
     """A study whose levels do not nest in the reference is refused before
-    a nested --output-dir is created."""
-    outdir = tmp_path / "nest"
+    a nested --output-dir is created; one whose errors have no order, as
+    its lid stays at rest (ramp_time = 1e300) or its errors are subnormal
+    (a lid of 1e-320), is refused after its runs, and removes the
+    directories it created.  Either way stderr is one line."""
+    outdir = tmp_path / "nest" / "out"
     assert main(["convergence", *argv, "--output-dir", str(outdir)]) == 2
-    assert "reference" in capsys.readouterr().err
-    assert not outdir.exists()
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1, err
+    assert not (tmp_path / "nest").exists()
+
+
+def test_failed_run_keeps_what_it_wrote(tmp_path, capsys, monkeypatch):
+    """A run whose second step fails keeps the snapshots of its first, and
+    the directories that hold them."""
+    step = stepper.TimeStepper.step
+
+    def failing(self, state):
+        if state.n == 1:
+            raise linalg.SingularMatrixError("step 2: relative residual nan is not finite")
+        return step(self, state)
+
+    monkeypatch.setattr(stepper.TimeStepper, "step", failing)
+    outdir = tmp_path / "nest" / "out"
+    rc = main(["run", "--set", "n=8", "--set", "T=2", "--dump-every", "1",
+               "--output-dir", str(outdir)])
+    assert rc == 3 and "step 2" in capsys.readouterr().err
+    assert sorted(p.name for p in outdir.iterdir()) == ["fluid_00001.vtu", "solid_00001.vtu"]
 
 
 @pytest.mark.parametrize("argv, status", [
@@ -230,10 +255,11 @@ def test_refused_study_leaves_no_output_dir(argv, tmp_path, capsys):
 ], ids=["ok", "bad-input", "singular", "lid-overflow", "density-overflow", "lid-at-rest"])
 def test_python_m_cutfsi_exits_with_the_status(argv, status, tmp_path):
     """``python -m cutfsi`` hands the status of ``main`` to the shell, and
-    prints nothing (status 0) or one stderr line: no numpy warning goes
-    before the refusal of an overflow.  A study whose lid stays at rest
-    (ramp_time = 1e300) is refused after its runs, as no order can be
-    measured."""
+    prints nothing (status 0) or one stderr line, and then leaves no
+    --output-dir behind: no numpy warning goes before the refusal of an
+    overflow.  A study whose lid stays at rest (ramp_time = 1e300) is
+    refused after its runs, as no order can be measured, and removes the
+    --output-dir it created."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
@@ -244,6 +270,7 @@ def test_python_m_cutfsi_exits_with_the_status(argv, status, tmp_path):
     if status:
         assert proc.stderr.startswith(PREFIX[status]) and proc.stderr.count("\n") == 1, \
             proc.stderr
+        assert not (tmp_path / "out").exists()
     else:
         assert proc.stderr == ""
 
@@ -494,6 +521,25 @@ def test_convergence_time_small(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "order" in out
     assert (tmp_path / "convergence_time_ms1.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mode", "time", "--levels", "2", "--ref", "0.25", "--set", "T=2.0"],
+    ["--mode", "space", "--levels", "1", "--set", "T=1.0"],
+], ids=["time", "space"])
+def test_convergence_validates_its_study_once(argv, tmp_path, monkeypatch):
+    """``cutfsi convergence`` runs the configurations it validated: one
+    ``study_configs`` call per command."""
+    calls = []
+    study_configs = analysis.study_configs
+
+    def counting(*args):
+        calls.append(args[0])
+        return study_configs(*args)
+
+    monkeypatch.setattr(analysis, "study_configs", counting)
+    assert main(["convergence", *argv, "--set", "n=8", "--output-dir", str(tmp_path)]) == 0
+    assert calls == [argv[1]]
 
 
 @pytest.mark.parametrize("source", ["set", "config"])
