@@ -251,22 +251,28 @@ def run_simulation(cfg):
     return disc, states[1:], states
 
 
-def study_configs(mode: str, base_cfg, levels: list, ref) -> tuple:
+def study_configs(mode: str, base_cfg, levels, ref) -> tuple:
     """(reference config, level configs) of a study of ``mode`` whose levels
-    and ref set its ``STUDY_MODES`` key.  ConfigError if the lid is at rest,
-    or unless the reference nests in, and refines, every level."""
+    and ref set its ``STUDY_MODES`` key; a mesh n may be a whole float.
+    ConfigError if the lid is at rest, or at the first level, coarsest
+    first, that the reference does not nest in and refine."""
     if base_cfg.peak_inflow == 0:
         raise ConfigError("peak_inflow = 0 drives no flow, so every error is 0 "
                           "and no order can be measured")
     key = STUDY_MODES[mode][0]
-    cfg_r, cfgs = base_cfg.replace(**{key: ref}), [base_cfg.replace(**{key: v}) for v in levels]
-    for cfg in cfgs:
+    mesh = key == "n"  # a level is a whole number of cells, not a step
+    if mesh and isinstance(ref, float) and not ref.is_integer():
+        raise ConfigError(f"reference mesh n must be a whole number of cells, got {ref:g}")
+    cfg_r, cfgs = base_cfg.replace(**{key: int(ref) if mesh else ref}), []
+    for level in levels:
+        cfg = base_cfg.replace(**{key: level})
         _check_nested(cfg.n, cfg_r.n)
         if cfg_r.n_steps % cfg.n_steps != 0:
             raise ConfigError(f"reference step k={ref:g} does not divide k={cfg.k:g}")
         if (cfg_r.n, cfg_r.n_steps) == (cfg.n, cfg.n_steps):
-            raise ConfigError(f"reference mesh n={ref} is not finer than n={cfg.n}" if key == "n"
+            raise ConfigError(f"reference mesh n={cfg_r.n} is not finer than n={cfg.n}" if mesh
                               else f"reference step k={ref:g} is not finer than k={cfg.k:g}")
+        cfgs.append(cfg)
     return cfg_r, cfgs
 
 

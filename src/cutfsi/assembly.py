@@ -306,19 +306,14 @@ def _stack(arrays: dict, disc: Discretization, blocks=SYSTEM_BLOCKS) -> sp.csr_m
     comps = [(b, c) for b in blocks for c in range(disc.dofmap(b).ncomp)]
     starts = np.cumsum([0] + [size[b] for b, _ in comps])
     counts = np.zeros(starts[-1], dtype=np.int64)
-    segments, compacted = [], {}
-
-    def block(key) -> sp.csr_matrix:
-        if key not in compacted:
-            compacted[key] = pattern(disc, *key[:2]).compact(arrays[key])
-        return compacted[key]
-
+    segments = []
+    compacted = {key: pattern(disc, *key[:2]).compact(data) for key, data in arrays.items()}
     for (row, cr), r0 in zip(comps, starts):
         for (col, cc), c0 in zip(comps, starts):
-            if (row, col, cr, cc) in arrays:
-                B = block((row, col, cr, cc))
-            elif (col, row, cc, cr) in arrays:
-                B = block((col, row, cc, cr)).T.tocsr()
+            if (row, col, cr, cc) in compacted:
+                B = compacted[row, col, cr, cc]
+            elif (col, row, cc, cr) in compacted:
+                B = compacted[col, row, cc, cr].T.tocsr()
             else:
                 continue
             rows = slice(r0, r0 + size[row])

@@ -70,8 +70,8 @@ def _output_dir(args) -> Path:
     """The --output-dir, created if missing; one that cannot be is refused.
     The directories it creates, deepest first, go to ``args.created``."""
     outdir = Path(args.output_dir)
-    missing = [path for path in (outdir, *outdir.parents) if not path.exists()]
-    try:
+    try:  # exists() raises on a name too long or a directory not searchable
+        missing = [path for path in (outdir, *outdir.parents) if not path.exists()]
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot use --output-dir {outdir}: {exc.strerror or exc}") from exc
@@ -112,15 +112,10 @@ def cmd_convergence(args) -> int:
         raise ConfigError(f"--levels must be >= 1, got {args.levels}")
     cfg = _load_config(args)
     key, ratio, _ = analysis.STUDY_MODES[args.mode]
-    finest = getattr(cfg, key) * ratio ** (args.levels - 1)
-    if args.ref is not None and isinstance(finest, int) and not args.ref.is_integer():
-        raise ConfigError(f"--ref must be a whole number of cells n in {args.mode} mode, "
-                          f"got {args.ref:g}")
-    ref = finest * ratio if args.ref is None else type(finest)(args.ref)
-    # validate the reference, then the finest level, which bounds the list of levels
-    for value in (ref, finest):
-        cfg.replace(**{key: value})
-    levels = [getattr(cfg, key) * ratio ** i for i in range(args.levels)]
+    start = getattr(cfg, key)
+    # the levels come lazily, so that a refused reference or level ends them
+    levels = (start * ratio ** i for i in range(args.levels))
+    ref = start * ratio ** (args.levels - 1) * ratio if args.ref is None else args.ref
     cfg_r, cfgs = analysis.study_configs(args.mode, cfg, levels, ref)
     _check_scale(cfg_r, args.allow_large, stores_states=True)
     out = _output_dir(args) / f"convergence_{args.mode}_ms{cfg.m_s}.csv"

@@ -126,6 +126,14 @@ CONFIG_FILES = {"lots.cfg": "n = lots\n", "twice.cfg": "n = 8\nn = 16\n"}
                  "got a 1000004-bit integer", id="space-million-levels"),
     pytest.param(["convergence", "--mode", "time", "--levels", "1000000000"], 2,
                  "k must be positive and finite, got 0.0", id="time-billion-levels"),
+    # levels are made and checked one by one, coarsest first, so the first
+    # that the reference does not refine ends a list of a million or more
+    pytest.param(["convergence", "--mode", "space", "--levels", "1000000", "--ref", "16",
+                  "--set", "n=8"], 2, "reference mesh n=16 is not finer than n=16",
+                 id="space-million-levels-past-ref"),
+    pytest.param(["convergence", "--mode", "time", "--levels", "1000000000", "--ref", "0.25"],
+                 2, "reference step k=0.25 is not finer than k=0.25",
+                 id="time-billion-levels-past-ref"),
     # gamma_N = 1e20 or w_max = 1e30 leaves R finite (largest entry 5.3e16
     # and 4.8e24 at n = 8), but its LU is exactly singular
     pytest.param(["run", "--set", "n=8", "--set", "T=1", "--set", "gamma_N=1e20"], 3,
@@ -199,8 +207,8 @@ def test_bad_run_input_exits_2_before_any_discretization(argv, status, value, tm
     assert err.count("\n") == 1 and len(err) <= 200
     assert "Traceback" not in err and not re.search(r"\binf\b", err)
     if status == 2:
-        # at once: a study validates its reference and finest level before
-        # it builds the list of its levels
+        # at once: a study validates its reference, then each level as it
+        # makes it, coarsest first
         assert elapsed < 2.0 and built == []
     assert not (tmp_path / "out").exists()
 
@@ -281,15 +289,19 @@ def test_python_m_cutfsi_exits_with_the_status(argv, status, tmp_path):
 ], ids=["run", "convergence"])
 def test_output_dir_that_is_a_file_exits_2_before_any_discretization(argv, tmp_path, capsys,
                                                                      monkeypatch):
-    """An --output-dir that cannot be created is refused before the first
-    discretization, not after the whole run."""
+    """An --output-dir that cannot be created, a file or one with a name
+    too long, is refused with one line before the first discretization,
+    not after the whole run."""
     monkeypatch.setattr(discretization.Discretization, "__init__",
                         lambda self, cfg: pytest.fail(f"built a discretization at n={cfg.n}"))
     afile = tmp_path / "afile"
     afile.touch()
-    rc = main(argv + ["--output-dir", str(afile)])
-    assert rc == 2
-    assert f"cannot use --output-dir {afile}: File exists" in capsys.readouterr().err
+    for outdir, reason in [(afile, "File exists"),
+                           (tmp_path / ("x" * 300) / "out", "File name too long")]:
+        rc = main(argv + ["--output-dir", str(outdir)])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"configuration error: cannot use --output-dir {outdir}: {reason}\n"
 
 
 @pytest.mark.parametrize("command", [["run"], ["convergence", "--mode", "time", "--levels", "1"]],
@@ -525,11 +537,12 @@ def test_convergence_time_small(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--mode", "time", "--levels", "2", "--ref", "0.25", "--set", "T=2.0"],
-    ["--mode", "space", "--levels", "1", "--set", "T=1.0"],
+    ["--mode", "space", "--levels", "1", "--ref", "16", "--set", "T=1.0"],
 ], ids=["time", "space"])
 def test_convergence_validates_its_study_once(argv, tmp_path, monkeypatch):
     """``cutfsi convergence`` runs the configurations it validated: one
-    ``study_configs`` call per command."""
+    ``study_configs`` call per command, which also reads a --ref of 16 as
+    the mesh n = 16."""
     calls = []
     study_configs = analysis.study_configs
 
