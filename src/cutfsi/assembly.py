@@ -24,9 +24,9 @@ mesh uniform, so one pass per mesh assembles the forms it is asked for:
   it is summed on and above the diagonal (``_Sums``) and stacked below it
   as the transpose (``_stack``): every matrix equals its transpose bit for bit;
 - each form is summed (``np.bincount``) into one data array per block pair
-  and component pair; the operators are weighted sums of those arrays, and
-  ``combine`` stacks weighted sums of the operators into CSR matrices;
-  the stored matrices leave out their round-off entries.
+  and component pair; the operators are weighted sums of those arrays
+  (``_lin``), and ``_stack`` makes CSR matrices of data arrays; the
+  stored matrices leave out their round-off entries.
 
 The operators act on (v_f, p, v_s) and are free of the time step.  The
 displacement u shares the space of v_s, so K, the form of u, sits on the
@@ -573,9 +573,10 @@ def operators(disc: Discretization):
       A = a_f + Nitsche + 2 rho_f nu_f g_vf - g_p,
       K = a_s + 2 mu_s g_u, on the v_s block only (u shares its space).
     A's (p, p) block is -g_p, the continuity form being tested with -xi, so
-    each matrix that ``combine`` makes of them equals its transpose bit for
-    bit.  A and the solid bulk form a_s lose their round-off entries
-    relative to their own largest entry, as each ``Forms`` field does.
+    each matrix that ``_stack`` makes of their weighted sums equals its
+    transpose bit for bit.  A and the solid bulk form a_s lose their
+    round-off entries relative to their own largest entry, as each
+    ``Forms`` field does.
     An operator whose entries overflow, as K's 2 mu_s g_u at mu_s = 1e308,
     is refused with SingularMatrixError naming it.
     """
@@ -593,12 +594,3 @@ def operators(disc: Discretization):
              (2.0 * (cfg.rho_f * cfg.nu_f), _on_components(f["ghost_vf"])),
              (-1.0, f["ghost_p"]), name="operator A")
     return M, _drop_roundoff(A, "operator A"), K, forms
-
-
-def combine(disc: Discretization, *terms, blocks=SYSTEM_BLOCKS) -> sp.csr_matrix:
-    """CSR matrix on ``blocks`` of sum_i c_i F_i over terms (c_i, F_i), the
-    F_i operators from ``operators``; a lone term with c_i = 1 is stacked
-    from its own data arrays, without a copy."""
-    (coef, arrays), *rest = terms
-    return _stack(arrays if coef == 1.0 and not rest else _lin(*terms, name="step matrix"),
-                  disc, blocks)

@@ -34,8 +34,8 @@ class SimulationConfig:
     rho_f: float = 1.0       # fluid density [kg/m^3]
     rho_s: float = 1.0       # solid density [kg/m^3]
     nu_f: float = 1e-3       # kinematic viscosity [m^2/s]
-    mu_s: float = 5e-3       # first Lame parameter [Pa]
-    lambda_s: float = 1e-2   # second Lame parameter [Pa]
+    mu_s: float = 5e-3       # second Lame parameter, the shear modulus [Pa]
+    lambda_s: float = 1e-2   # first Lame parameter [Pa]
     gamma_vf: float = 1e-3   # ghost penalty, fluid velocity
     gamma_p: float = 1e-3    # ghost penalty, pressure
     gamma_vs: float = 1e-3   # ghost penalty, solid velocity
@@ -114,12 +114,13 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(SimulationConfig)}
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> SimulationConfig:
-    """Read a flat key = value file (may be None) plus inline overrides."""
+    """Read a flat key = value file (may be None; UTF-8, a leading
+    byte-order mark dropped) plus inline overrides."""
     values: dict = {}
     seen: dict = {}  # line number of each key of the file
     if path is not None:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 lines = fh.readlines()
         except (OSError, UnicodeDecodeError) as exc:
             reason = getattr(exc, "strerror", None) or exc  # the OS reason, or the decode error

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import linalg
-from .assembly import SYSTEM_BLOCKS, combine, operators
+from .assembly import SYSTEM_BLOCKS, _lin, _stack, operators
 from .config import ConfigError, SimulationConfig
 from .discretization import Discretization
 
@@ -48,11 +48,11 @@ def system_matrices(disc: Discretization, k: float):
     from the k-free operators of one ``assembly.operators`` pass, with its
     ``Forms``.  A lost its round-off relative to its own largest entry, so a
     small k, which leaves R's pressure rows far below R's largest entry,
-    drops none of them.  A is freed before M and K are stacked."""
+    drops none of them.  A is freed before R is stacked."""
     M, A, K, forms = operators(disc)
-    R = combine(disc, (1.0, M), (k, A), (k * k, K))
+    R = _lin((1.0, M), (k, A), (k * k, K), name="step matrix")
     del A
-    return R, combine(disc, (1.0, M)), combine(disc, (1.0, K), blocks=("vs",)), forms
+    return _stack(R, disc), _stack(M, disc), _stack(K, disc, ("vs",)), forms
 
 
 def nested_dissection(disc: Discretization, R, dofs: np.ndarray) -> np.ndarray:

@@ -17,9 +17,9 @@ from assembly_oracle import div_q
 from assembly_oracle import place as _place
 from cutfsi import Analyzer, Discretization, SimulationConfig, TimeStepper, assembly
 from cutfsi.analysis import GHOST_SAMPLES, ghost_band, ghost_extension_ratios
-from cutfsi.assembly import (SCALAR_KERNELS, Forms, _grad_p, _lattice, _mass,
+from cutfsi.assembly import (SCALAR_KERNELS, Forms, _grad_p, _lattice, _lin, _mass,
                              _solid_bulk, _stack, _viscous, assemble_cells,
-                             assemble_forms, combine, face_jump_table, operators,
+                             assemble_forms, face_jump_table, operators,
                              raw_jump_matrices, weight_w)
 from cutfsi.fem import reference_basis
 from cutfsi.linalg import SingularMatrixError
@@ -231,10 +231,9 @@ def test_forms_no_stored_zeros(disc8, disc8_q2, m_s):
     disc = disc8 if m_s == 1 else disc8_q2
     M, A, K, forms = operators(disc)
     mats = {name: getattr(forms, name) for name in forms.__dataclass_fields__}
-    mats.update({"M": combine(disc, (1.0, M)), "A": combine(disc, (1.0, A)),
-                 "K": combine(disc, (1.0, K), blocks=("vs",))})
+    mats.update({"M": _stack(M, disc), "A": _stack(A, disc), "K": _stack(K, disc, ("vs",))})
     for k in (1.0, 1 / 16):
-        mats[f"R k={k}"] = combine(disc, (1.0, M), (k, A), (k * k, K))
+        mats[f"R k={k}"] = _stack(_lin((1.0, M), (k, A), (k * k, K), name="step matrix"), disc)
     for name, A in mats.items():
         assert A.nnz > 0, name
         assert np.count_nonzero(A.data == 0.0) == 0, name
@@ -563,7 +562,7 @@ def test_pattern_pass_matches_coo_assembly(n, m_s, r2):
     vs = disc.layout.slice("vs")
     sign = np.ones(disc.layout.n_system)
     sign[disc.layout.slice("p")] = -1.0
-    A = combine(disc, (1.0, operators(disc)[1]))
+    A = _stack(operators(disc)[1], disc)
     for got, ref in ((R, R_want), (M, M_want), (K, K_want[vs, vs]),
                      (A, sp.diags(sign) @ A_want)):
         assert_matches_oracle(got, ref)
@@ -601,9 +600,9 @@ def test_step_pattern_independent_of_time_step():
     R = M + k A + k^2 K is summed from one ``operators`` call."""
     disc = Discretization(SimulationConfig(n=16, m_s=2))
     M, A, K, _ = operators(disc)
-    want = combine(disc, (1.0, M), (1.0, A), (1.0, K))
+    want = _stack(_lin((1.0, M), (1.0, A), (1.0, K), name="step matrix"), disc)
     for k in (1e-3, 1e-9):
-        got = combine(disc, (1.0, M), (k, A), (k * k, K))
+        got = _stack(_lin((1.0, M), (k, A), (k * k, K), name="step matrix"), disc)
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
 
@@ -820,7 +819,7 @@ def test_stack_compacts_each_key_once(m_s, monkeypatch):
     f = {}
     assemble_forms(disc, f)
     M, A, K, _ = operators(disc)
-    R = assembly._lin((1.0, M), (0.25, A), (0.0625, K), name="step matrix")
+    R = _lin((1.0, M), (0.25, A), (0.0625, K), name="step matrix")
     compacted = Counter()
     compact = assembly.Pattern.compact
 

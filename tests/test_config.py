@@ -52,6 +52,17 @@ def test_parse_comments_and_blanks(tmp_path):
     assert cfg.T == pytest.approx(4.0)
 
 
+def test_parse_file_with_byte_order_mark(tmp_path):
+    """A UTF-8 byte-order mark, as many editors write it, is dropped: the
+    file parses to the same config as the file without it."""
+    text = "n = 8\nT = 1\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbfn")
+    assert parse_config(str(marked)) == parse_config(str(plain))
+
+
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "case.cfg"
     path.write_text("frobnicate = 3\n")

@@ -1,5 +1,6 @@
 """Time stepping: inflow data, Dirichlet handling, constraint identity."""
 
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -263,6 +264,28 @@ def test_free_block_read_through_transpose():
         assert got.dtype == ref.dtype and np.array_equal(got, ref), part
     lift = R[:, stepper.dir_idx] @ stepper.g_profile
     assert np.any(lift != 0.0) and np.array_equal(stepper.lift, lift)
+
+
+def test_system_matrices_frees_A_before_stacking_R(disc8, monkeypatch):
+    """``system_matrices`` sums R from the operators' data arrays and drops
+    A before it stacks anything: no data array of A is alive when
+    ``_stack`` builds R, M or K, so stacking R does not hold A too."""
+    real_operators, real_stack = cutfsi.stepper.operators, cutfsi.stepper._stack
+    refs, alive = [], []
+
+    def operators(disc):
+        M, A, K, forms = real_operators(disc)
+        refs.extend(weakref.ref(data) for data in A.values())
+        return M, A, K, forms
+
+    def stack(arrays, disc, *blocks):
+        alive.append(sum(ref() is not None for ref in refs))
+        return real_stack(arrays, disc, *blocks)
+
+    monkeypatch.setattr(cutfsi.stepper, "operators", operators)
+    monkeypatch.setattr(cutfsi.stepper, "_stack", stack)
+    cutfsi.stepper.system_matrices(disc8, disc8.cfg.k)
+    assert refs and alive == [0, 0, 0]
 
 
 def test_step_refines_inaccurate_solve(disc8, perturbed_factor):
