@@ -26,7 +26,9 @@ mesh uniform, so one pass per mesh assembles the forms it is asked for:
 - each form is summed (``np.bincount``) into one data array per block pair
   and component pair; the operators are weighted sums of those arrays
   (``_lin``), and ``_stack`` makes CSR matrices of data arrays; the
-  stored matrices leave out their round-off entries.
+  stored matrices leave out their round-off entries.  A scalar form on
+  both components is one array under two keys, so ``_lin`` sums and
+  ``_stack`` compacts it once.
 
 The operators act on (v_f, p, v_s) and are free of the time step.  The
 displacement u shares the space of v_s, so K, the form of u, sits on the
@@ -255,13 +257,20 @@ def _lin(*terms, name: str) -> dict:
     """sum_i c_i F_i over terms (c_i, F_i), data array by data array, each
     key's terms in one pass in the order given.  An entry that cancels to
     at most DROP_TOL times sum_i |c_i F_i| is the round-off of a zero, and
-    is zeroed; ``_overflow(name)`` if that sum is not finite."""
+    is zeroed; ``_overflow(name)`` if that sum is not finite.  Keys with
+    one list of terms, as the keys of a form from ``_on_components``, share
+    one array, summed once."""
     groups = defaultdict(list)
     for coef, arrays in terms:
         for key, data in arrays.items():
             groups[key].append((coef, data))
-    out = {}
-    for key, ((coef, data), *rest) in groups.items():
+    out, summed = {}, {}
+    for key, group in groups.items():
+        ident = tuple((coef, id(data)) for coef, data in group)
+        if ident in summed:
+            out[key] = summed[ident]
+            continue
+        (coef, data), *rest = group
         total = coef * data
         size = np.abs(total)
         term = np.empty_like(total)
@@ -272,7 +281,7 @@ def _lin(*terms, name: str) -> dict:
             raise _overflow(name)
         size *= DROP_TOL
         total[np.abs(total, out=term) <= size] = 0.0
-        out[key] = total
+        out[key] = summed[ident] = total
     return out
 
 
@@ -298,16 +307,22 @@ def _stack(arrays: dict, disc: Discretization, blocks=SYSTEM_BLOCKS) -> sp.csr_m
     Rows and columns run over the components of ``blocks`` in order, each
     block component-major.  An absent key is a zero block, or the transpose
     of its partner (col, row, cc, cr) if that is given; zero entries are
-    not stored, and each key is compacted once.  In each row the nonzeros
-    of a block go after those of the blocks left of it, so the result is
-    sorted without a sort.
+    not stored, and each distinct data array is compacted once, so keys
+    that share one, as from ``_on_components``, share its compaction.  In
+    each row the nonzeros of a block go after those of the blocks left of
+    it, so the result is sorted without a sort.
     """
     size = {b: disc.dofmap(b).n_scalar for b in blocks}
     comps = [(b, c) for b in blocks for c in range(disc.dofmap(b).ncomp)]
     starts = np.cumsum([0] + [size[b] for b, _ in comps])
     counts = np.zeros(starts[-1], dtype=np.int64)
     segments = []
-    compacted = {key: pattern(disc, *key[:2]).compact(data) for key, data in arrays.items()}
+    compacted, once = {}, {}  # once: by block pair and data array
+    for key, data in arrays.items():
+        ident = (*key[:2], id(data))
+        if ident not in once:
+            once[ident] = pattern(disc, *key[:2]).compact(data)
+        compacted[key] = once[ident]
     for (row, cr), r0 in zip(comps, starts):
         for (col, cc), c0 in zip(comps, starts):
             if (row, col, cr, cc) in compacted:

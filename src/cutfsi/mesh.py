@@ -153,7 +153,7 @@ def _unresolved(mesh: Mesh, ls: CircleLevelSet, cell: int, problem: str) -> Conf
     n_min = int(np.ceil(2.0 * (np.sqrt(2.0) + 0.5) / ls.radius))
     return ConfigError(
         f"cell {cell}: {problem}; n={mesh.n} does not resolve the circle of radius "
-        f"{ls.radius:.6g}, n >= {n_min} does ((sqrt(2) + 1/2) h <= radius)")
+        f"{ls.radius:.6g}, n >= {n_min:.6g} does ((sqrt(2) + 1/2) h <= radius)")
 
 
 def build_cut_topology(mesh: Mesh, ls: CircleLevelSet) -> CutTopology:

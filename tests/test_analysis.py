@@ -430,3 +430,25 @@ def test_energy_decay_reports_growth(seed):
     assert (ok, violation) == (False, 5)
     assert len(history) == 12
     assert np.all(np.diff(history[:4]) < 0.0) and np.all(np.diff(history[3:]) > 0.0)
+
+
+def test_verify_steps_the_five_decay_seeds_on_one_stepper(monkeypatch):
+    """``verify_checks`` builds one lid-free stepper for its five decay
+    runs, and each of its decay records equals, bit for bit, the one of
+    ``verify_energy_decay`` on the same n = 8 discretization and seed."""
+    cfg = SimulationConfig()
+    built = []
+
+    class Counting(TimeStepper):
+        def __init__(self, disc, cfg=None):
+            built.append(cfg)
+            super().__init__(disc, cfg)
+
+    monkeypatch.setattr(analysis, "TimeStepper", Counting)
+    decay = [rec for rec in analysis.verify_checks(cfg) if rec[0].startswith("energy decay")]
+    assert len(built) == 1 and built[0].peak_inflow == 0.0
+    disc = Discretization(cfg.replace(n=8, k=0.5, T=11.0))
+    for s, (label, ok, detail) in enumerate(decay):
+        want_ok, hist, _ = verify_energy_decay(disc, seed=s)
+        assert (label, ok) == (f"energy decay seed={s}", want_ok)
+        assert detail == f"Q drops {hist[0]:.3e} -> {hist[-1]:.3e}"

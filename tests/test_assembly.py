@@ -262,23 +262,6 @@ def oracle_tables(disc, order, cell, pts):
             basis.eval(ref, dy=1) / disc.h)
 
 
-class OracleCoo:
-    """COO lists summed on conversion, one dense block at a time."""
-
-    def __init__(self, shape):
-        self.shape, self.rows, self.cols, self.vals = shape, [], [], []
-
-    def add(self, rows, cols, local):
-        self.rows.append(np.repeat(rows, len(cols)))
-        self.cols.append(np.tile(cols, len(rows)))
-        self.vals.append(np.asarray(local, dtype=float).ravel())
-
-    def tocsr(self):
-        return sp.coo_matrix((np.concatenate(self.vals),
-                              (np.concatenate(self.rows), np.concatenate(self.cols))),
-                             shape=self.shape).tocsr()
-
-
 def oracle_cells(disc, kernel, row, col=None):
     """Physical-domain cell integral: shared uncut block, then a loop over
     the cut parts with per-cell tables, on 24-point polar rules.  Those
@@ -291,18 +274,18 @@ def oracle_cells(disc, kernel, row, col=None):
     ncr = local.shape[0] // rmap.cell_dofs.shape[1]
     ncc = local.shape[1] // cmap.cell_dofs.shape[1]
 
-    def ids(dm, cell, ncomp):
-        return _component_ids(dm.cell_dofs[dm.cell_index[cell]], dm.n_scalar, ncomp)
+    def ids(dm, cell, ncomp):  # (1, ncomp nb): one cell for Coo.add_many
+        return _component_ids(dm.cell_dofs[dm.cell_index[[cell]]], dm.n_scalar, ncomp)
 
-    acc = OracleCoo((ncr * rmap.n_scalar, ncc * cmap.n_scalar))
+    acc = coo.Coo((ncr * rmap.n_scalar, ncc * cmap.n_scalar))
     for cell in disc.topo.uncut_cells(rmap.side):
-        acc.add(ids(rmap, cell, ncr), ids(cmap, cell, ncc), local)
+        acc.add_many(ids(rmap, cell, ncr), ids(cmap, cell, ncc), local)
     cut = cut_cell_rule(disc.mesh, disc.topo, disc.topo.cut_cells, rmap.side, npts=24)
     for cell, start, stop in zip(cut.cells, cut.offsets[:-1], cut.offsets[1:]):
         pts, w = cut.points[start:stop], cut.weights[start:stop]
         tr = oracle_tables(disc, rmap.order, cell, pts)
         tc = oracle_tables(disc, cmap.order, cell, pts)
-        acc.add(ids(rmap, cell, ncr), ids(cmap, cell, ncc), kernel(tr, tc, w))
+        acc.add_many(ids(rmap, cell, ncr), ids(cmap, cell, ncc), kernel(tr, tc, w))
     return acc.tocsr()
 
 
@@ -313,7 +296,7 @@ def oracle_raw_jumps(disc, side, order, w_max, face_npts=4):
     basis = reference_basis(order)
     kappa = disc.topo.kappa(side)
     gx, gw = gauss_1d(face_npts)
-    accs = [OracleCoo((dm.n_scalar, dm.n_scalar)) for _ in range(order)]
+    accs = [coo.Coo((dm.n_scalar, dm.n_scalar)) for _ in range(order)]
     for f in disc.topo.ghost_faces(side):
         k1, k2 = (int(c) for c in mesh.face_cells[f])
         axis = mesh.face_axis[f]
@@ -323,13 +306,13 @@ def oracle_raw_jumps(disc, side, order, w_max, face_npts=4):
         wq = mesh.h * gw
         w_face = float(weight_w(kappa[k1], w_max) + weight_w(kappa[k2], w_max))
         ids = np.concatenate([dm.cell_dofs[dm.cell_index[k1]],
-                              dm.cell_dofs[dm.cell_index[k2]]])
+                              dm.cell_dofs[dm.cell_index[k2]]])[None]
         for l in range(1, order + 1):
             d = (l, 0) if axis == 0 else (0, l)
             t1, t2 = ((basis.eval((pts - mesh.cell_origin(k)) / mesh.h, *d) / mesh.h ** l)
                       for k in (k1, k2))
             J = np.hstack([t1, -t2])
-            accs[l - 1].add(ids, ids, w_face * (J.T @ (wq[:, None] * J)))
+            accs[l - 1].add_many(ids, ids, w_face * (J.T @ (wq[:, None] * J)))
     return [a.tocsr() for a in accs]
 
 
@@ -338,12 +321,12 @@ def oracle_nitsche(disc):
     cfg, lay = disc.cfg, disc.layout
     rnu = cfg.rho_f * cfg.nu_f
     pen = rnu * cfg.gamma_N / disc.h
-    acc_pen = OracleCoo((lay.n_system, lay.n_system))
-    acc_cons = OracleCoo((lay.n_system, lay.n_system))
+    acc_pen = coo.Coo((lay.n_system, lay.n_system))
+    acc_cons = coo.Coo((lay.n_system, lay.n_system))
 
-    def ids(block, cell):
+    def ids(block, cell):  # (1, ncomp nb): one cell for Coo.add_many
         dm = disc.dofmap(block)
-        return _component_ids(dm.cell_dofs[dm.cell_index[cell]], dm.n_scalar,
+        return _component_ids(dm.cell_dofs[dm.cell_index[[cell]]], dm.n_scalar,
                               dm.ncomp, lay.offset(block))
 
     c = disc.level_set.center
@@ -362,21 +345,21 @@ def oracle_nitsche(disc):
         for Nt, st, rids in tabs:
             for Ntr, str_, cids in tabs:
                 loc = pen * st * str_ * _mass(Nt, Ntr, w)
-                for rc, cc in zip(np.split(rids, 2), np.split(cids, 2)):
-                    acc_pen.add(rc, cc, loc)
+                for rc, cc in zip(np.split(rids, 2, axis=1), np.split(cids, 2, axis=1)):
+                    acc_pen.add_many(rc, cc, loc)
         for Nt, st, rids in tabs:
             blocks = [[-st * rnu * (Nt.T @ (w[:, None] * G[a] * n_comp[b][:, None])
                                     + (a == b) * Nt.T @ (w[:, None] * Gn))
                        for b in range(2)] for a in range(2)]
-            acc_cons.add(rids, ids_vf, np.block(blocks))
-            acc_cons.add(rids, ids_p, np.vstack(
+            acc_cons.add_many(rids, ids_vf, np.block(blocks))
+            acc_cons.add_many(rids, ids_p, np.vstack(
                 [st * Nt.T @ (w[:, None] * P * n_comp[a][:, None]) for a in range(2)]))
         for Ntr, str_, cids in tabs:
             blocks = [[-str_ * rnu * ((G[b] * n_comp[a][:, None]).T @ (w[:, None] * Ntr)
                                       + (a == b) * Gn.T @ (w[:, None] * Ntr))
                        for b in range(2)] for a in range(2)]
-            acc_cons.add(ids_vf, cids, np.block(blocks))
-            acc_cons.add(ids_p, cids, np.hstack(
+            acc_cons.add_many(ids_vf, cids, np.block(blocks))
+            acc_cons.add_many(ids_p, cids, np.hstack(
                 [-str_ * P.T @ (w[:, None] * Ntr * n_comp[b][:, None]) for b in range(2)]))
     return acc_pen.tocsr(), acc_cons.tocsr()
 
@@ -810,11 +793,12 @@ def test_pattern_index_arrays_shared_read_only(disc8):
 
 @pytest.mark.parametrize("m_s", [1, 2])
 def test_stack_compacts_each_key_once(m_s, monkeypatch):
-    """``_stack`` compacts the data array of each key once and places its
+    """``_stack`` compacts each distinct data array once and places its
     mirror below the diagonal as the transpose of that compaction: at
-    m_s = 2 the step matrix R compacts its 15 keys 15 times (not 25), and
-    the Nitsche penalty its 6 keys 6 times (not 8).  A data array that
-    several keys share is compacted once per key."""
+    m_s = 2 the step matrix R compacts its 15 keys 15 times (not 25), the
+    Nitsche penalty its 6 keys, which share 3 arrays, 3 times (not 8), and
+    M its 4 keys, which share 2, twice.  A data array that several keys
+    share is compacted once, not once per key."""
     disc = Discretization(SimulationConfig(n=8, m_s=m_s))
     f = {}
     assemble_forms(disc, f)
@@ -834,6 +818,30 @@ def test_stack_compacts_each_key_once(m_s, monkeypatch):
                  if (col, row, cc, cr) not in arrays]
         assert mirrored  # some blocks are stored once, for both places
         _stack(arrays, disc)
-        assert compacted == Counter(id(data) for data in arrays.values())
+        assert compacted == Counter({id(data) for data in arrays.values()})
+    compacted.clear()
+    _stack(M, disc)
+    assert compacted == Counter({id(data) for data in M.values()})
+    assert sum(compacted.values()) == 2
     if m_s == 2:
         assert (len(R), len(f["nitsche_pen"])) == (15, 6)
+        assert len({id(data) for data in f["nitsche_pen"].values()}) == 3
+
+
+@pytest.mark.parametrize("m_s", [1, 2])
+def test_lin_sums_each_list_of_terms_once(m_s):
+    """``_lin`` sums the keys with one list of terms once and gives them
+    one array: the two diagonal component keys of each of M's blocks, whose
+    terms are scalar forms on both components, share one, and K's
+    (vs, vs, 0, 0) and (vs, vs, 1, 1), whose solid bulk terms differ, do
+    not.  At m_s = 2, M holds 2 distinct arrays for 4 keys, and A 13 for
+    14 keys (the Nitsche penalty alone sits on (vs, vs))."""
+    disc = Discretization(SimulationConfig(n=8, m_s=m_s))
+    M, A, K, _ = operators(disc)
+    for b in ("vf", "vs"):
+        assert M[b, b, 0, 0] is M[b, b, 1, 1]
+    assert K["vs", "vs", 0, 0] is not K["vs", "vs", 1, 1]
+    assert A["vs", "vs", 0, 0] is A["vs", "vs", 1, 1]
+    assert len({id(data) for data in M.values()}) == 2
+    if m_s == 2:
+        assert (len(A), len({id(data) for data in A.values()})) == (14, 13)

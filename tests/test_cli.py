@@ -77,6 +77,12 @@ CONFIG_FILES = {"lots.cfg": "n = lots\n", "twice.cfg": "n = 8\nn = 16\n"}
                  id="run-unknown-key"),
     pytest.param(["run", "--set", "radius_squared=1.2"], 2, "radius_squared must be < 1",
                  id="run-circle-outside-cavity"),
+    # a circle that no mesh of the guard resolves names its n compactly
+    pytest.param(["run", "--set", "n=4", "--set", "radius_squared=1e-300"], 2,
+                 "configuration error: cell 5: the cut cell lies within h/2 of the circle "
+                 "centre; n=4 does not resolve the circle of radius 1e-150, "
+                 "n >= 3.82843e+150 does ((sqrt(2) + 1/2) h <= radius)\n",
+                 id="run-tiny-circle-unresolved"),
     pytest.param(["run", "--set", "peak_inflow=nan"], 2, "peak_inflow must be finite, got nan",
                  id="run-lid-speed-nan"),
     pytest.param(["run", "--set", "n=4", "--set", "rho_f=1e-226", "--set", "nu_f=1e-284",
@@ -179,10 +185,12 @@ def test_bad_run_input_exits_2_before_any_discretization(argv, status, value, tm
                                                           monkeypatch):
     """The exit-status table of ``cutfsi run`` and ``cutfsi convergence``.
     Input they refuse exits 2 at once, before any discretization is built
-    or --output-dir is created; a step matrix or a step that cannot be
-    solved exits 3 before the step log is written, and removes the
-    --output-dir it created.  Either way stderr is one short line that
-    starts with the status's prefix and holds the row's value."""
+    or --output-dir is created, save a mesh that does not resolve the
+    circle, which its discretization refuses; that refusal, and a step
+    matrix or a step that cannot be solved (exit 3, before the step log is
+    written), remove the --output-dir the command created.  Either way
+    stderr is one short line that starts with the status's prefix and
+    holds the row's value."""
     built = []
     init = discretization.Discretization.__init__
 
@@ -208,8 +216,10 @@ def test_bad_run_input_exits_2_before_any_discretization(argv, status, value, tm
     assert "Traceback" not in err and not re.search(r"\binf\b", err)
     if status == 2:
         # at once: a study validates its reference, then each level as it
-        # makes it, coarsest first
-        assert elapsed < 2.0 and built == []
+        # makes it, coarsest first.  A mesh that does not resolve the
+        # circle is refused as its one discretization builds the cut topology
+        unresolved = "does not resolve the circle" in value
+        assert elapsed < 2.0 and built == ([4] if unresolved else [])
     assert not (tmp_path / "out").exists()
 
 
