@@ -307,8 +307,8 @@ def _stack(arrays: dict, disc: Discretization, blocks=SYSTEM_BLOCKS) -> sp.csr_m
     Rows and columns run over the components of ``blocks`` in order, each
     block component-major.  An absent key is a zero block, or the transpose
     of its partner (col, row, cc, cr) if that is given; zero entries are
-    not stored, and each distinct data array is compacted once, so keys
-    that share one, as from ``_on_components``, share its compaction.  In
+    not stored, and each distinct data array is compacted once and, for a
+    mirror, transposed once, so keys that share one share both.  In
     each row the nonzeros of a block go after those of the blocks left of
     it, so the result is sorted without a sort.
     """
@@ -317,18 +317,19 @@ def _stack(arrays: dict, disc: Discretization, blocks=SYSTEM_BLOCKS) -> sp.csr_m
     starts = np.cumsum([0] + [size[b] for b, _ in comps])
     counts = np.zeros(starts[-1], dtype=np.int64)
     segments = []
-    compacted, once = {}, {}  # once: by block pair and data array
-    for key, data in arrays.items():
-        ident = (*key[:2], id(data))
-        if ident not in once:
-            once[ident] = pattern(disc, *key[:2]).compact(data)
-        compacted[key] = once[ident]
+    once, mirrors = {}, {}  # compactions by block pair and data array; their transposes
+    for (row, col, _, _), data in arrays.items():
+        if (row, col, id(data)) not in once:
+            once[row, col, id(data)] = pattern(disc, row, col).compact(data)
     for (row, cr), r0 in zip(comps, starts):
         for (col, cc), c0 in zip(comps, starts):
-            if (row, col, cr, cc) in compacted:
-                B = compacted[row, col, cr, cc]
-            elif (col, row, cc, cr) in compacted:
-                B = compacted[col, row, cc, cr].T.tocsr()
+            if (row, col, cr, cc) in arrays:
+                B = once[row, col, id(arrays[row, col, cr, cc])]
+            elif (col, row, cc, cr) in arrays:
+                ident = (col, row, id(arrays[col, row, cc, cr]))
+                if ident not in mirrors:
+                    mirrors[ident] = once[ident].T.tocsr()
+                B = mirrors[ident]
             else:
                 continue
             rows = slice(r0, r0 + size[row])

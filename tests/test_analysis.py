@@ -1,6 +1,9 @@
 """Norms, energies, error evaluation and the ghost-extension probe."""
 
+import inspect
+import itertools
 import math
+import re
 from dataclasses import replace
 from functools import lru_cache
 
@@ -382,13 +385,13 @@ def test_ghost_band_built_once_per_space(monkeypatch):
 
 
 def test_ghost_necessity_depends_on_the_draw():
-    """The necessity line of ``cutfsi verify`` (gamma = 0, fluid, l = 1,
-    "cell" sampler) on its meshes n = 8, 16, 32 of the default circle:
-    the draws of seed 0, which verify uses, spread by max/min >= 5
-    (15932.1, 7933.7, 126704.6); those of seed 3 spread by 2.27 only, so
-    the sampled verdict is an artefact of the draw.  ROADMAP item 23,
-    which replaces the sampled ratios by the pencil's constant, must
-    update this test."""
+    """The sampled necessity probe (gamma = 0, fluid, l = 1, "cell"
+    sampler), which ``tests/test_acceptance.py`` draws at seed 0, on the
+    meshes n = 8, 16, 32 of the default circle: the draws of seed 0 spread
+    by max/min >= 5 (15932.1, 7933.7, 126704.6); those of seed 3 spread by
+    2.27 only, so a sampled verdict is an artefact of the draw.  So
+    ``cutfsi verify`` counts the rhs's kernel instead
+    (``test_ghost_necessity_counts_the_rhs_kernel``)."""
     cfg = SimulationConfig()
     discs = [Discretization(cfg.replace(n=n, k=0.5, T=11.0)) for n in (8, 16, 32)]
 
@@ -398,6 +401,42 @@ def test_ghost_necessity_depends_on_the_draw():
         return max(ratios) / min(ratios)
     assert spread(0) >= 5.0
     assert spread(3) < 5.0
+
+
+@pytest.mark.parametrize("r2", [0.75, 0.9])
+def test_ghost_necessity_counts_the_rhs_kernel(r2, monkeypatch):
+    """The necessity line of ``verify_checks`` counts the fluid velocity
+    band dofs whose row of the jump-free l = 1 rhs stores only zeros.  On
+    n = 8 and 16 that count is the dimension of the jump-free rhs's kernel,
+    for l = 0 and 1, by dense eigvalsh (eigenvalues of at most 1e-12 of the
+    largest), and with the jumps on no row is zero.  The line draws
+    nothing: the checks call ``ghost_extension_ratios`` 18 times, each
+    with the jump terms and the "band" sampler."""
+    calls = []
+    real = analysis.ghost_extension_ratios
+    signature = inspect.signature(real)
+
+    def counting(*args, **kwargs):
+        calls.append(signature.bind(*args, **kwargs))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(analysis, "ghost_extension_ratios", counting)
+    cfg = SimulationConfig(radius_squared=r2)
+    label, ok, detail = list(itertools.islice(analysis.verify_checks(cfg), 19))[-1]
+    assert label == "ghost necessity (gamma=0, fluid, l=1)" and ok
+    counts = [int(c) for c in re.fullmatch(
+        r"rhs vanishes on (\d+), (\d+), (\d+) band functions", detail).groups()]
+    assert len(calls) == 18
+    for bound in calls:
+        bound.apply_defaults()
+        assert (bound.arguments["gamma_on"], bound.arguments["sampler"]) == (True, "band")
+    for n, count in zip((8, 16), counts):
+        disc = Discretization(cfg.replace(n=n))
+        for l in (0, 1):
+            ev = np.linalg.eigvalsh(analysis.ghost_band(disc, "f", cfg.m_f, cfg.w_max,
+                                                        False).rhs[l].toarray())
+            assert np.count_nonzero(ev <= 1e-12 * ev.max()) == count > 0
+        rhs = analysis.ghost_band(disc, "f", cfg.m_f, cfg.w_max, True).rhs[1]
+        assert len(np.unique(rhs.nonzero()[0])) == rhs.shape[0]
 
 
 def test_energy_decay_small(disc8):

@@ -794,31 +794,43 @@ def test_pattern_index_arrays_shared_read_only(disc8):
 @pytest.mark.parametrize("m_s", [1, 2])
 def test_stack_compacts_each_key_once(m_s, monkeypatch):
     """``_stack`` compacts each distinct data array once and places its
-    mirror below the diagonal as the transpose of that compaction: at
-    m_s = 2 the step matrix R compacts its 15 keys 15 times (not 25), the
-    Nitsche penalty its 6 keys, which share 3 arrays, 3 times (not 8), and
-    M its 4 keys, which share 2, twice.  A data array that several keys
-    share is compacted once, not once per key."""
+    mirror below the diagonal as the transpose of that compaction, taken
+    once: at m_s = 2 the step matrix R compacts its 15 keys 15 times (not
+    25), the Nitsche penalty its 6 keys, which share 3 arrays, 3 times (not
+    8), and M its 4 keys, which share 2, twice.  A data array that several
+    keys share is compacted once, not once per key, and so is the transpose
+    of its compaction: R transposes its 10 mirrored blocks 10 times, and the
+    Nitsche penalty's (vf, vs) array, which both component keys share, is
+    transposed once, not twice, for either solid order."""
     disc = Discretization(SimulationConfig(n=8, m_s=m_s))
     f = {}
     assemble_forms(disc, f)
     M, A, K, _ = operators(disc)
     R = _lin((1.0, M), (0.25, A), (0.0625, K), name="step matrix")
-    compacted = Counter()
-    compact = assembly.Pattern.compact
+    compacted, transposed = Counter(), Counter()
+    compact, transpose = assembly.Pattern.compact, sp.csr_matrix.transpose
 
     def counting(self, data):
         compacted[id(data)] += 1
         return compact(self, data)
 
+    def counting_transpose(self, *args, **kwargs):
+        transposed[id(self)] += 1
+        return transpose(self, *args, **kwargs)
+
     monkeypatch.setattr(assembly.Pattern, "compact", counting)
+    monkeypatch.setattr(sp.csr_matrix, "transpose", counting_transpose)
     for arrays in (R, f["nitsche_pen"]):
         compacted.clear()
+        transposed.clear()
         mirrored = [(row, col, cr, cc) for row, col, cr, cc in arrays
-                 if (col, row, cc, cr) not in arrays]
+                    if (col, row, cc, cr) not in arrays]
         assert mirrored  # some blocks are stored once, for both places
         _stack(arrays, disc)
         assert compacted == Counter({id(data) for data in arrays.values()})
+        # one transpose per compaction that has a mirror
+        assert sorted(transposed.values()) == [1] * len(
+            {(row, col, id(arrays[row, col, cr, cc])) for row, col, cr, cc in mirrored})
     compacted.clear()
     _stack(M, disc)
     assert compacted == Counter({id(data) for data in M.values()})

@@ -364,9 +364,9 @@ def test_verify_reports_missing_ghost_path(capsys, monkeypatch):
         return dataclasses.replace(topo, ghost_faces_f=none, ghost_faces_s=none)
 
     monkeypatch.setattr(discretization, "build_cut_topology", no_ghost_faces)
-    # the ghost-extension and energy checks are not under test here
+    # the sampled ghost-extension ratios are not under test here; the
+    # necessity and energy-decay checks run as they are
     monkeypatch.setattr(analysis, "ghost_extension_ratios", lambda *a, **k: 1.0)
-    monkeypatch.setattr(analysis, "verify_energy_decay", lambda *a, **k: (True, [1.0, 0.5], None))
     rc = main(["verify"])
     out = capsys.readouterr().out
     assert rc == 1
@@ -391,10 +391,13 @@ def verify_run():
     pytest.param(["--set", "m_s=2"], id="quadratic-solid-warnings-as-errors",
                  marks=pytest.mark.filterwarnings("error", "default::DeprecationWarning")),
     pytest.param(["--set", "radius_squared=0.5"], id="circle-through-vertices"),
+    pytest.param(["--set", "radius_squared=0.6"], id="radius-squared-0.6"),
+    pytest.param(["--set", "radius_squared=0.9"], id="radius-squared-0.9"),
 ])
 def test_verify_passes(argv, verify_run, capsys):
     """Every built-in check passes: on the default configuration, with the
-    quadratic solid and no warning, and on a circle through mesh vertices."""
+    quadratic solid and no warning, on a circle through mesh vertices, and
+    on the circles of r^2 = 0.6 and 0.9."""
     rc, out = (main(["verify", *argv]), capsys.readouterr().out) if argv else verify_run
     assert rc == 0
     assert "all checks passed" in out
@@ -469,9 +472,9 @@ def test_verify_applies_other_overrides(capsys, monkeypatch):
         init(self, cfg)
 
     monkeypatch.setattr(discretization.Discretization, "__init__", recording)
-    # the ghost-extension and energy checks are not under test here
+    # the sampled ghost-extension ratios are not under test here; the
+    # necessity and energy-decay checks run as they are
     monkeypatch.setattr(analysis, "ghost_extension_ratios", lambda *a, **k: 1.0)
-    monkeypatch.setattr(analysis, "verify_energy_decay", lambda *a, **k: (True, [1.0, 0.5], None))
     main(["verify", "--set", "radius_squared=0.6"])
     assert built == [(8, 0.6), (16, 0.6), (32, 0.6)]  # the decay check steps n = 8
     assert "[ok  ] n=32 solid area" in capsys.readouterr().out
