@@ -26,9 +26,7 @@ mesh uniform, so one pass per mesh assembles the forms it is asked for:
 - each form is summed (``np.bincount``) into one data array per block pair
   and component pair; the operators are weighted sums of those arrays
   (``_lin``), and ``_stack`` makes CSR matrices of data arrays; the
-  stored matrices leave out their round-off entries.  A scalar form on
-  both components is one array under two keys, so ``_lin`` sums and
-  ``_stack`` compacts it once.
+  stored matrices leave out their round-off entries.
 
 The operators act on (v_f, p, v_s) and are free of the time step.  The
 displacement u shares the space of v_s, so K, the form of u, sits on the
@@ -257,20 +255,13 @@ def _lin(*terms, name: str) -> dict:
     """sum_i c_i F_i over terms (c_i, F_i), data array by data array, each
     key's terms in one pass in the order given.  An entry that cancels to
     at most DROP_TOL times sum_i |c_i F_i| is the round-off of a zero, and
-    is zeroed; ``_overflow(name)`` if that sum is not finite.  Keys with
-    one list of terms, as the keys of a form from ``_on_components``, share
-    one array, summed once."""
+    is zeroed; ``_overflow(name)`` if that sum is not finite."""
     groups = defaultdict(list)
     for coef, arrays in terms:
         for key, data in arrays.items():
             groups[key].append((coef, data))
-    out, summed = {}, {}
-    for key, group in groups.items():
-        ident = tuple((coef, id(data)) for coef, data in group)
-        if ident in summed:
-            out[key] = summed[ident]
-            continue
-        (coef, data), *rest = group
+    out = {}
+    for key, ((coef, data), *rest) in groups.items():
         total = coef * data
         size = np.abs(total)
         term = np.empty_like(total)
@@ -281,7 +272,7 @@ def _lin(*terms, name: str) -> dict:
             raise _overflow(name)
         size *= DROP_TOL
         total[np.abs(total, out=term) <= size] = 0.0
-        out[key] = summed[ident] = total
+        out[key] = total
     return out
 
 
@@ -307,29 +298,20 @@ def _stack(arrays: dict, disc: Discretization, blocks=SYSTEM_BLOCKS) -> sp.csr_m
     Rows and columns run over the components of ``blocks`` in order, each
     block component-major.  An absent key is a zero block, or the transpose
     of its partner (col, row, cc, cr) if that is given; zero entries are
-    not stored, and each distinct data array is compacted once and, for a
-    mirror, transposed once, so keys that share one share both.  In
-    each row the nonzeros of a block go after those of the blocks left of
-    it, so the result is sorted without a sort.
+    not stored.  In each row the nonzeros of a block go after those of the
+    blocks left of it, so the result is sorted without a sort.
     """
     size = {b: disc.dofmap(b).n_scalar for b in blocks}
     comps = [(b, c) for b in blocks for c in range(disc.dofmap(b).ncomp)]
     starts = np.cumsum([0] + [size[b] for b, _ in comps])
     counts = np.zeros(starts[-1], dtype=np.int64)
     segments = []
-    once, mirrors = {}, {}  # compactions by block pair and data array; their transposes
-    for (row, col, _, _), data in arrays.items():
-        if (row, col, id(data)) not in once:
-            once[row, col, id(data)] = pattern(disc, row, col).compact(data)
     for (row, cr), r0 in zip(comps, starts):
         for (col, cc), c0 in zip(comps, starts):
             if (row, col, cr, cc) in arrays:
-                B = once[row, col, id(arrays[row, col, cr, cc])]
+                B = pattern(disc, row, col).compact(arrays[row, col, cr, cc])
             elif (col, row, cc, cr) in arrays:
-                ident = (col, row, id(arrays[col, row, cc, cr]))
-                if ident not in mirrors:
-                    mirrors[ident] = once[ident].T.tocsr()
-                B = mirrors[ident]
+                B = pattern(disc, col, row).compact(arrays[col, row, cc, cr]).T.tocsr()
             else:
                 continue
             rows = slice(r0, r0 + size[row])

@@ -790,70 +790,3 @@ def test_pattern_index_arrays_shared_read_only(disc8):
             a[0] = 1
     assert np.array_equal(P.indices, indices) and np.array_equal(P.indptr, indptr)
 
-
-@pytest.mark.parametrize("m_s", [1, 2])
-def test_stack_compacts_each_key_once(m_s, monkeypatch):
-    """``_stack`` compacts each distinct data array once and places its
-    mirror below the diagonal as the transpose of that compaction, taken
-    once: at m_s = 2 the step matrix R compacts its 15 keys 15 times (not
-    25), the Nitsche penalty its 6 keys, which share 3 arrays, 3 times (not
-    8), and M its 4 keys, which share 2, twice.  A data array that several
-    keys share is compacted once, not once per key, and so is the transpose
-    of its compaction: R transposes its 10 mirrored blocks 10 times, and the
-    Nitsche penalty's (vf, vs) array, which both component keys share, is
-    transposed once, not twice, for either solid order."""
-    disc = Discretization(SimulationConfig(n=8, m_s=m_s))
-    f = {}
-    assemble_forms(disc, f)
-    M, A, K, _ = operators(disc)
-    R = _lin((1.0, M), (0.25, A), (0.0625, K), name="step matrix")
-    compacted, transposed = Counter(), Counter()
-    compact, transpose = assembly.Pattern.compact, sp.csr_matrix.transpose
-
-    def counting(self, data):
-        compacted[id(data)] += 1
-        return compact(self, data)
-
-    def counting_transpose(self, *args, **kwargs):
-        transposed[id(self)] += 1
-        return transpose(self, *args, **kwargs)
-
-    monkeypatch.setattr(assembly.Pattern, "compact", counting)
-    monkeypatch.setattr(sp.csr_matrix, "transpose", counting_transpose)
-    for arrays in (R, f["nitsche_pen"]):
-        compacted.clear()
-        transposed.clear()
-        mirrored = [(row, col, cr, cc) for row, col, cr, cc in arrays
-                    if (col, row, cc, cr) not in arrays]
-        assert mirrored  # some blocks are stored once, for both places
-        _stack(arrays, disc)
-        assert compacted == Counter({id(data) for data in arrays.values()})
-        # one transpose per compaction that has a mirror
-        assert sorted(transposed.values()) == [1] * len(
-            {(row, col, id(arrays[row, col, cr, cc])) for row, col, cr, cc in mirrored})
-    compacted.clear()
-    _stack(M, disc)
-    assert compacted == Counter({id(data) for data in M.values()})
-    assert sum(compacted.values()) == 2
-    if m_s == 2:
-        assert (len(R), len(f["nitsche_pen"])) == (15, 6)
-        assert len({id(data) for data in f["nitsche_pen"].values()}) == 3
-
-
-@pytest.mark.parametrize("m_s", [1, 2])
-def test_lin_sums_each_list_of_terms_once(m_s):
-    """``_lin`` sums the keys with one list of terms once and gives them
-    one array: the two diagonal component keys of each of M's blocks, whose
-    terms are scalar forms on both components, share one, and K's
-    (vs, vs, 0, 0) and (vs, vs, 1, 1), whose solid bulk terms differ, do
-    not.  At m_s = 2, M holds 2 distinct arrays for 4 keys, and A 13 for
-    14 keys (the Nitsche penalty alone sits on (vs, vs))."""
-    disc = Discretization(SimulationConfig(n=8, m_s=m_s))
-    M, A, K, _ = operators(disc)
-    for b in ("vf", "vs"):
-        assert M[b, b, 0, 0] is M[b, b, 1, 1]
-    assert K["vs", "vs", 0, 0] is not K["vs", "vs", 1, 1]
-    assert A["vs", "vs", 0, 0] is A["vs", "vs", 1, 1]
-    assert len({id(data) for data in M.values()}) == 2
-    if m_s == 2:
-        assert (len(A), len({id(data) for data in A.values()})) == (14, 13)
