@@ -60,13 +60,13 @@ def point_eval_matrices(disc: Discretization, block: str, pts: np.ndarray,
     point's cell is outside the block's subtriangulation.
     """
     dm = disc.dofmap(block)
-    rows = dm.cell_index[cells]
-    if np.any(rows < 0):
-        raise ValueError(f"{np.count_nonzero(rows < 0)} points fall outside the "
-                         f"subtriangulation of block {block}")
+    dofs = dm.cell_dofs[cells]
+    outside = np.count_nonzero(dofs[:, 0] < 0)
+    if outside:
+        raise ValueError(f"{outside} points fall outside the subtriangulation of block {block}")
     value, *grad = disc.tabulate(dm.order, cells, pts)
     npts, nb = value.shape
-    E = sp.csr_matrix((value.ravel(), dm.cell_dofs[rows].ravel(),
+    E = sp.csr_matrix((value.ravel(), dofs.ravel(),
                        np.arange(0, npts * nb + 1, nb)), shape=(npts, dm.n_scalar))
     for a in (E.indices, E.indptr):  # shared below, so never sorted in place
         a.setflags(write=False)
@@ -338,13 +338,13 @@ def ghost_band(disc: Discretization, side: str, order: int, w_max: float,
         return disc.ghost_bands[key]
     block = _ghost_block(disc, side, order)
     dm = disc.dofmap(block)
-    cut_dofs = dm.cell_dofs[dm.cell_index[disc.topo.cut_cells]]  # (ncut, nb)
+    cut_dofs = dm.cell_dofs[disc.topo.cut_cells]  # (ncut, nb)
     band = np.unique(cut_dofs)
     in_band = np.zeros(dm.n_scalar, dtype=bool)
     in_band[band] = True
 
     def touching(cells):
-        return cells[in_band[dm.cell_dofs[dm.cell_index[cells]]].any(axis=1)]
+        return cells[in_band[dm.cell_dofs[cells]].any(axis=1)]
 
     cells, uncut = touching(dm.cells), touching(disc.topo.uncut_cells(side))
     P = pattern(disc, block, block)

@@ -159,7 +159,7 @@ class Pattern:
         table = np.full(self.shape[0] * width ** 2, -1, dtype=np.int32)
         keys = []
         for (group, _), off in zip(groups, offsets):
-            rows, cols = (np.concatenate([dm.cell_dofs[dm.cell_index[c]] for c in group.T],
+            rows, cols = (np.concatenate([dm.cell_dofs[c] for c in group.T],
                                          axis=1) for dm in (rmap, cmap))
             keys.append(rows[:, :, None] * width ** 2 + (off[1] - lo) * width + off[0] - lo)
             table[keys[-1]] = np.broadcast_to(cols[:, None, :], keys[-1].shape)

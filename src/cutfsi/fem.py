@@ -73,9 +73,10 @@ def reference_basis(order: int) -> ReferenceBasis:
 class DofMap:
     """Scalar node numbering of one field space on its subtriangulation.
 
-    ``cell_dofs[i]`` lists the global scalar dof ids of subtriangulation
-    cell ``cells[i]`` in the basis ordering.  Vector fields use the layout
-    global = comp * n_scalar + scalar (component-major).
+    ``cell_dofs[c]`` lists the global scalar dof ids of mesh cell ``c`` in
+    the basis ordering, or -1 for a cell outside the subtriangulation.
+    Vector fields use the layout global = comp * n_scalar + scalar
+    (component-major).
     """
 
     role: str
@@ -83,8 +84,7 @@ class DofMap:
     ncomp: int
     side: str                   # "f" or "s"
     cells: np.ndarray           # cell ids of the subtriangulation
-    cell_dofs: np.ndarray       # (len(cells), (order+1)^2)
-    cell_index: np.ndarray      # (n_cells,) -> row in cells, -1 if absent
+    cell_dofs: np.ndarray       # (n_cells, (order+1)^2), -1 if absent
     n_scalar: int
     node_coords: np.ndarray     # (n_scalar, 2)
     dirichlet_nodes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
@@ -107,10 +107,8 @@ def build_dof_map(mesh: Mesh, topo: CutTopology, role: str, order: int,
     used[lattice.ravel()] = True
     global_of = np.full(m * m, -1, dtype=int)
     global_of[used] = np.arange(used.sum())
-    cell_dofs = global_of[lattice]
-
-    cell_index = np.full(mesh.n_cells, -1, dtype=int)
-    cell_index[cells] = np.arange(len(cells))
+    cell_dofs = np.full((mesh.n_cells, len(offs)), -1, dtype=int)
+    cell_dofs[cells] = global_of[lattice]
 
     lx = np.arange(m) * (mesh.h / order) - 1.0
     gx, gy = np.meshgrid(lx, lx, indexing="xy")
@@ -125,6 +123,6 @@ def build_dof_map(mesh: Mesh, topo: CutTopology, role: str, order: int,
         dirichlet = global_of[idx[on_bd]]
 
     return DofMap(role=role, order=order, ncomp=ncomp, side=side,
-                  cells=cells, cell_dofs=cell_dofs, cell_index=cell_index,
+                  cells=cells, cell_dofs=cell_dofs,
                   n_scalar=int(used.sum()), node_coords=node_coords,
                   dirichlet_nodes=dirichlet)

@@ -114,7 +114,7 @@ def write_vtu(path, disc: Discretization, state: State, side: str) -> None:
         dm = disc.dofmap(block)
         r, nb = dm.order, dm.cell_dofs.shape[1]
         node = np.empty(len(used), dtype=int)  # scalar dof of each vertex
-        node[renum[conn]] = dm.cell_dofs[dm.cell_index[cells]][:, [0, r, nb - 1, nb - 1 - r]]
+        node[renum[conn]] = dm.cell_dofs[cells][:, [0, r, nb - 1, nb - 1 - r]]
         values = state.x[disc.layout.slice(block)].reshape(ncomp, -1)[:, node].T
         if ncomp == 2:
             values = np.pad(values, pad_z)

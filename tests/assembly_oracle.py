@@ -88,7 +88,7 @@ def assemble_cells(disc, kernel, row, col=None, domain="physical") -> sp.csr_mat
     ncc = local.shape[1] // cmap.cell_dofs.shape[1]
 
     def ids(dm, cells, ncomp):
-        return component_ids(dm.cell_dofs[dm.cell_index[cells]], dm.n_scalar, ncomp)
+        return component_ids(dm.cell_dofs[cells], dm.n_scalar, ncomp)
 
     acc = Coo((ncr * rmap.n_scalar, ncc * cmap.n_scalar))
     acc.add_many(ids(rmap, full, ncr), ids(cmap, full, ncc), local)
@@ -120,8 +120,7 @@ def raw_jump_matrices(disc, side, order, w_max=None):
     cells = mesh.face_cells[faces]
     axes = mesh.face_axis[faces]
     w_face = weight_w(kappa[cells[:, 0]], w_max) + weight_w(kappa[cells[:, 1]], w_max)
-    ids = np.concatenate([dm.cell_dofs[dm.cell_index[cells[:, 0]]],
-                          dm.cell_dofs[dm.cell_index[cells[:, 1]]]], axis=1)
+    ids = np.concatenate([dm.cell_dofs[cells[:, 0]], dm.cell_dofs[cells[:, 1]]], axis=1)
     _, gw = gauss_1d(FACE_NPTS)
     wq = mesh.h * gw
     out = []
@@ -164,8 +163,7 @@ def assemble_nitsche(disc):
 
     def ids(block, cells):
         dm = disc.dofmap(block)
-        return component_ids(dm.cell_dofs[dm.cell_index[cells]], dm.n_scalar,
-                             dm.ncomp, lay.offset(block))
+        return component_ids(dm.cell_dofs[cells], dm.n_scalar, dm.ncomp, lay.offset(block))
 
     rule = disc.iface_rules
     cells = np.repeat(rule.cells, np.diff(rule.offsets) // ARC_NPTS)

@@ -70,6 +70,17 @@ def test_evaluate_scalar_linear(disc8):
     assert np.allclose(dy, 2.0, atol=1e-11)
 
 
+@pytest.mark.parametrize("block,other", [("vf", "s"), ("p", "s"), ("vs", "f"), ("u", "f")])
+def test_point_eval_refuses_points_off_the_subtriangulation(disc8, block, other):
+    """Centres of three cells inside the other subdomain are refused, and
+    counted apart from two points on cut cells, which the block holds."""
+    cells = np.concatenate([disc8.topo.uncut_cells(other)[:3], disc8.topo.cut_cells[:2]])
+    pts = disc8.mesh.cell_origin(cells) + 0.5 * disc8.h
+    with pytest.raises(ValueError, match=f"^3 points fall outside the subtriangulation "
+                                         f"of block {block}$"):
+        point_eval_matrices(disc8, block, pts, cells)
+
+
 def test_domain_points_measure(disc8):
     for side, area in (("f", AREA_F), ("s", AREA_S)):
         pts, w, cells = domain_points(disc8, side)
@@ -245,7 +256,7 @@ def oracle_point_map(disc, block, pts, cells, dx=0, dy=0):
     ref = (pts - disc.mesh.cell_origin(cells)) / disc.h
     table = reference_basis(dm.order).eval(ref, dx=dx, dy=dy) / disc.h ** (dx + dy)
     npts, nb = table.shape
-    return sp.csr_matrix((table.ravel(), dm.cell_dofs[dm.cell_index[cells]].ravel(),
+    return sp.csr_matrix((table.ravel(), dm.cell_dofs[cells].ravel(),
                           np.arange(0, npts * nb + 1, nb)), shape=(npts, dm.n_scalar))
 
 

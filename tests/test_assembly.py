@@ -180,7 +180,7 @@ def dense_nitsche_penalty(disc):
         for block, order, sign in (("vf", cfg.m_f, 1.0), ("vs", cfg.m_s, -1.0)):
             dm = disc.dofmap(block)
             ids = lay.offset(block) + np.concatenate(
-                [c * dm.n_scalar + dm.cell_dofs[dm.cell_index[cell]] for c in range(2)])
+                [c * dm.n_scalar + dm.cell_dofs[cell] for c in range(2)])
             N = oracle_tables(disc, order, cell, rule.points)[0]
             spaces.append((ids, sign, N))
         for rows, sr, Nr in spaces:
@@ -275,7 +275,7 @@ def oracle_cells(disc, kernel, row, col=None):
     ncc = local.shape[1] // cmap.cell_dofs.shape[1]
 
     def ids(dm, cell, ncomp):  # (1, ncomp nb): one cell for Coo.add_many
-        return _component_ids(dm.cell_dofs[dm.cell_index[[cell]]], dm.n_scalar, ncomp)
+        return _component_ids(dm.cell_dofs[[cell]], dm.n_scalar, ncomp)
 
     acc = coo.Coo((ncr * rmap.n_scalar, ncc * cmap.n_scalar))
     for cell in disc.topo.uncut_cells(rmap.side):
@@ -305,8 +305,7 @@ def oracle_raw_jumps(disc, side, order, w_max, face_npts=4):
         pts[:, 1 - axis] += mesh.h * gx
         wq = mesh.h * gw
         w_face = float(weight_w(kappa[k1], w_max) + weight_w(kappa[k2], w_max))
-        ids = np.concatenate([dm.cell_dofs[dm.cell_index[k1]],
-                              dm.cell_dofs[dm.cell_index[k2]]])[None]
+        ids = np.concatenate([dm.cell_dofs[k1], dm.cell_dofs[k2]])[None]
         for l in range(1, order + 1):
             d = (l, 0) if axis == 0 else (0, l)
             t1, t2 = ((basis.eval((pts - mesh.cell_origin(k)) / mesh.h, *d) / mesh.h ** l)
@@ -326,8 +325,7 @@ def oracle_nitsche(disc):
 
     def ids(block, cell):  # (1, ncomp nb): one cell for Coo.add_many
         dm = disc.dofmap(block)
-        return _component_ids(dm.cell_dofs[dm.cell_index[[cell]]], dm.n_scalar,
-                              dm.ncomp, lay.offset(block))
+        return _component_ids(dm.cell_dofs[[cell]], dm.n_scalar, dm.ncomp, lay.offset(block))
 
     c = disc.level_set.center
     for cell in disc.topo.cut_cells:
@@ -379,8 +377,8 @@ def oracle_ghost_ratio(disc, side, order, l, w_max, seed, sampler="band",
         rhs_mat = rhs_mat + (disc.h ** (2 * (j - l) + 1) / math.factorial(j - l) ** 2
                              * on_pattern(disc, block, raw))
     dm = disc.dofmap(block)
-    cut_dofs = [dm.cell_dofs[dm.cell_index[int(c)]] for c in disc.topo.cut_cells]
-    band = np.unique(np.concatenate(cut_dofs))
+    cut_dofs = dm.cell_dofs[disc.topo.cut_cells]
+    band = np.unique(cut_dofs)
     rng = np.random.default_rng(seed)
     if sampler == "band":
         draws = rng.standard_normal((len(band), GHOST_SAMPLES))

@@ -116,13 +116,21 @@ def test_dof_counts_enumeration(disc8, side, order):
 
 
 def test_dof_coords_match_cells(disc8):
-    dm = disc8.vf
+    """``cell_dofs`` is read by mesh cell: in each space, the row of each
+    cell of the subtriangulation holds the nodes of that cell's lattice in
+    the basis order (x fastest), and the row of every other cell is -1."""
     mesh = disc8.mesh
-    for row, cell in enumerate(dm.cells[:10]):
-        o = mesh.cell_origin(int(cell))
-        coords = dm.node_coords[dm.cell_dofs[row]]
-        assert np.all(coords >= o - 1e-12)
-        assert np.all(coords <= o + mesh.h + 1e-12)
+    for block in ("vf", "p", "vs"):
+        dm = disc8.dofmap(block)
+        assert dm.cell_dofs.shape == (mesh.n_cells, (dm.order + 1) ** 2)
+        lattice = np.linspace(0.0, mesh.h, dm.order + 1)
+        ref = np.column_stack([np.tile(lattice, dm.order + 1),
+                               np.repeat(lattice, dm.order + 1)])
+        for cell in dm.cells:
+            coords = dm.node_coords[dm.cell_dofs[cell]]
+            assert np.allclose(coords, mesh.cell_origin(int(cell)) + ref, rtol=0, atol=1e-12)
+        outside = np.setdiff1d(np.arange(mesh.n_cells), dm.cells)
+        assert len(outside) > 0 and np.all(dm.cell_dofs[outside] == -1)
 
 
 def test_dirichlet_nodes_on_boundary(disc8):
@@ -158,8 +166,7 @@ def test_jump_zero_for_global_polynomial(disc8):
     assert set(mesh.face_axis[faces]) == {0, 1}
     for f in faces:
         k1, k2 = (int(c) for c in mesh.face_cells[f])
-        c = np.concatenate([poly[dm.cell_dofs[dm.cell_index[k1]]],
-                            poly[dm.cell_dofs[dm.cell_index[k2]]]])
+        c = np.concatenate([poly[dm.cell_dofs[k1]], poly[dm.cell_dofs[k2]]])
         for j in (1, 2):
             J = face_jump_table(2, j, mesh.face_axis[f]) / mesh.h ** j
             assert J.shape == (FACE_NPTS, 18)
@@ -169,6 +176,5 @@ def test_jump_zero_for_global_polynomial(disc8):
     f = next(f for f in faces if mesh.face_axis[f] == 0
              and abs(mesh.cell_origin(mesh.face_cells[f][1])[0]) < 1e-12)
     k1, k2 = (int(c) for c in mesh.face_cells[f])
-    c = np.concatenate([kink[dm.cell_dofs[dm.cell_index[k1]]],
-                        kink[dm.cell_dofs[dm.cell_index[k2]]]])
+    c = np.concatenate([kink[dm.cell_dofs[k1]], kink[dm.cell_dofs[k2]]])
     assert np.allclose(face_jump_table(2, 1, 0) / mesh.h @ c, -2.0)
