@@ -413,17 +413,25 @@ def test_verify_checks_are_the_cli_lines(verify_run):
     assert lines + ["all checks passed"] == verify_run[1].splitlines()
 
 
+@pytest.mark.filterwarnings("error")
 def test_verify_prints_checks_before_a_solver_error(capsys):
     """Each check prints as it runs: with gamma_N = 1e20 the decay check's
     LU is exactly singular, so verify exits 3 with one stderr line after
-    the 19 geometry and ghost lines."""
-    rc = main(["verify", "--set", "gamma_N=1e20"])
-    captured = capsys.readouterr()
-    assert rc == 3
-    assert captured.err == "solver error: sparse LU failed: Factor is exactly singular\n"
-    lines = captured.out.splitlines()
-    assert len(lines) == 19
-    assert lines[-1].startswith("[ok  ] ghost necessity")
+    the 19 geometry and ghost lines.  With w_max = 1e308 the jumps of the
+    first ghost-extension band overflow, and it is refused by name, with
+    no warning, after the 12 geometry lines."""
+    for setting, err, n_lines, last in [
+            ("gamma_N=1e20", "sparse LU failed: Factor is exactly singular", 19,
+             "[ok  ] ghost necessity"),
+            ("w_max=1e308", "ghost-extension rhs of vf overflows to non-finite entries", 12,
+             "[ok  ] n=32 ghost path assumption (s)")]:
+        rc = main(["verify", "--set", setting])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err == f"solver error: {err}\n"
+        lines = captured.out.splitlines()
+        assert len(lines) == n_lines
+        assert lines[-1].startswith(last)
 
 
 @pytest.mark.parametrize("k,T", [(0.1, 0.3), (0.25, 0.25)])

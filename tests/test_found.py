@@ -125,5 +125,5 @@ def test_energy_decays_at_the_shipped_defaults(n, r2, m_s, k, seed):
     second case is the first decay run of ``cutfsi verify --set
     radius_squared=0.25``."""
     disc = Discretization(SimulationConfig(n=n, radius_squared=r2, m_s=m_s, k=k))
-    ok, history, violation = verify_energy_decay(disc, n_steps=22, seed=seed)
+    [(ok, history, violation)] = verify_energy_decay(disc, [seed], n_steps=22)
     assert ok, f"Q^n grew at step {violation}, x{history[-1] / history[-2]:.3g} a step"

@@ -441,5 +441,5 @@ def test_profiled_call_sites(disc8, monkeypatch):
     assert calls["assembly.raw_jump_matrices"] == 3  # v_f, p and the solid space
     assert sp.issparse(results["stepper.system_matrices"][0])
     assert hasattr(results["linalg.factorize"], "_lu")
-    ghost_extension_ratios(disc, "f", 2, 1, w_max=1.0, gamma_on=True)
+    ghost_extension_ratios(disc, "f", 2, 1, w_max=1.0)
     assert calls["analysis.raw_jump_matrices"] == 1
